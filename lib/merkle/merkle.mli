@@ -22,7 +22,14 @@
     splitting overfull leaves and collapsing underfull interior nodes, so
     a tree maintained incrementally is structurally equal to one rebuilt
     from scratch over the same cells — the invariant the incremental-
-    rehash property test pins down. *)
+    rehash property test pins down.
+
+    Nodes are {e persistent}: buckets are immutable key-sorted arrays and
+    an update path-copies only the root path it touches (O(depth) fresh
+    nodes plus one bucket of at most [leaf_cap] members). A handle is a
+    mutable pointer to the current root, so {!snapshot} is O(1) and a
+    snapshot never observes later {!insert}s or {!remove}s on the tree
+    it was taken from. *)
 
 open Dht_hashspace
 
@@ -48,7 +55,13 @@ val build :
   (string * int * int * 'a) list ->
   'a t
 (** [build cells] over [(key, point, digest, payload)] tuples; keys
-    outside [span] are ignored. Canonical shape by construction. *)
+    outside [span] are ignored, and a key listed more than once keeps its
+    last occurrence (a key must always come with the same point).
+    Canonical shape by construction. *)
+
+val snapshot : 'a t -> 'a t
+(** An independent handle on the tree's current contents, in O(1): later
+    updates through either handle are invisible to the other. *)
 
 val space : 'a t -> Space.t
 val span : 'a t -> Span.t
@@ -69,11 +82,6 @@ val remove : 'a t -> key:string -> point:int -> bool
 (** Drop one cell ([false] if absent); an underfull interior node
     collapses back into a bucket so the shape stays canonical. *)
 
-val find : 'a t -> key:string -> point:int -> 'a option
-
-val frame : 'a t -> frame
-(** The root frame. *)
-
 val frame_at : 'a t -> Span.t -> frame
 (** The frame of any dyadic subrange: exact count and hash of the held
     cells inside it (zero frame when disjoint from the tree's span).
@@ -88,11 +96,19 @@ val entries_at : 'a t -> Span.t -> (string * int * 'a) list
 (** [(key, digest, payload)] of every held cell inside the subrange,
     sorted by key: the transfer set for a divergent leaf. *)
 
+val range : 'a t -> lo:int -> hi:int -> (string * 'a) list
+(** [(key, payload)] of every held cell whose point lies in the half-open
+    interval [\[lo, hi)], sorted by key. Subtrees disjoint from the
+    interval are pruned and subtrees inside it are taken whole, so only
+    the buckets straddling [lo] or [hi] are filtered member by member.
+    Empty when [hi <= lo]. *)
+
 val check : 'a t -> string list
 (** Structural audit, one finding per line: every interior hash must be
     recomputable as [left lxor right] (counts likewise additive), every
     bucket hash must equal the XOR of its members, every member must lie
-    inside its bucket's span, and the shape must be canonical. Empty
+    inside its bucket's span, buckets must be sorted by key without
+    duplicates, and the shape must be canonical. Empty
     means consistent. *)
 
 val equal : 'a t -> 'a t -> bool

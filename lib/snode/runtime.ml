@@ -238,10 +238,18 @@ type snode = {
      Soft state, like route suspicions: reset on crash, and a missing
      stamp reads as oldest. Maintained only when [route_cap > 0]. *)
   rstamps : (Span.t, int) Hashtbl.t;
-  (* Anti-entropy hash tree: one snapshot over every cell this snode
-     holds ([Merkle.frame_at] clips per-partition frames out of it, so a
-     full AE round costs one store scan instead of one per span). Soft
-     state — losing it to a crash costs one rebuild. *)
+  (* Live hash tree over every cell this snode holds, owner partitions
+     and replica copies alike, kept in step with the tables by [hold] and
+     [drop]. It answers span digests, span scans and range legs, and AE
+     snapshots are O(1) copies of it. Built lazily on first read, dropped
+     when the writes since its last read outnumber its cells (a rebuild
+     on next use is then cheaper than upkeep). Soft state, like [mtree]. *)
+  mutable live : Versioned.cell Merkle.t option;
+  mutable live_writes : int;  (* tree updates since the last read *)
+  (* Anti-entropy snapshot: the live tree as it stood when the current
+     push round opened ([Merkle.frame_at] clips per-partition frames out
+     of it). Persistent nodes make it immune to later writes. Soft state
+     — losing it to a crash costs one snapshot. *)
   mutable mtree : Versioned.cell Merkle.t option;
   (* Push-round counter stamped into [Mt_root] frames. Durable, like
      [wseq]: a restarted pusher must keep superseding its old rounds. *)
@@ -488,6 +496,73 @@ let install_spans sn v spans =
   v.spans <- spans @ v.spans;
   List.iter (fun s -> Point_map.add sn.owned s v.vid) spans
 
+(* The one update point for held cells. Every write to or removal from a
+   partition table or [sn.replicas] goes through [hold] or [drop], which
+   keep the live hash tree in step with the tables. A tree that has
+   absorbed more updates since its last read than it holds cells is
+   dropped instead: rebuilding it on next use is then the cheaper path
+   (bulk key loads into a store nobody reads pay no upkeep at all). *)
+let live_for_update sn =
+  match sn.live with
+  | None -> None
+  | Some tree as live ->
+      sn.live_writes <- sn.live_writes + 1;
+      if sn.live_writes > Merkle.count tree then begin
+        sn.live <- None;
+        None
+      end
+      else live
+
+(* Store [cell] under [key] in [tbl]: unconditionally with [~lww:false],
+   otherwise only when strictly fresher than the held copy (LWW, biased
+   to the incumbent). Single probe on the update path. Returns [true]
+   when the held cell changed (new key or replaced version). *)
+let hold ?(lww = true) sn tbl ~point ~key cell =
+  let changed =
+    match Hashtbl.find_opt tbl key with
+    | None ->
+        Hashtbl.add tbl key { cell };
+        true
+    | Some s ->
+        if
+          lww
+          && not
+               (Versioned.newer cell.Versioned.version s.cell.Versioned.version)
+        then false
+        else begin
+          s.cell <- cell;
+          true
+        end
+  in
+  (if changed then
+     match live_for_update sn with
+     | Some tree ->
+         Merkle.insert tree ~key ~point ~digest:(Versioned.digest key cell) cell
+     | None -> ());
+  changed
+
+let drop sn tbl ~point ~key =
+  Hashtbl.remove tbl key;
+  match live_for_update sn with
+  | Some tree -> ignore (Merkle.remove tree ~key ~point)
+  | None -> ()
+
+(* Remove from [v]'s table every key whose point satisfies [leaving] and
+   return those cells, key-unsorted, as a [Transfer] payload. *)
+let give_away t sn v leaving =
+  let moved =
+    Hashtbl.fold
+      (fun key s acc ->
+        let point = Hash.string t.space key in
+        if leaving point then (key, point, s.cell) :: acc else acc)
+      v.data []
+  in
+  List.map
+    (fun (key, point, cell) ->
+      drop sn v.data ~point ~key;
+      (key, cell))
+    moved
+
 let donate_spans t sn v give =
   let rec take n acc rest =
     if n = 0 then (acc, rest)
@@ -501,15 +576,9 @@ let donate_spans t sn v give =
   List.iter (fun s -> Point_map.remove sn.owned s) taken;
   (* Keys inside the donated partitions migrate with them. *)
   let moved_data =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if List.exists (fun sp -> Span.contains t.space sp point) taken then
-          (key, s.cell) :: acc
-        else acc)
-      v.data []
+    give_away t sn v (fun point ->
+        List.exists (fun sp -> Span.contains t.space sp point) taken)
   in
-  List.iter (fun (key, _) -> Hashtbl.remove v.data key) moved_data;
   (taken, moved_data)
 
 (* Donate one specific partition (the load balancer's hot/cold pick),
@@ -519,15 +588,7 @@ let donate_span t sn v span =
     invalid_arg "Runtime: donor does not own the requested span";
   v.spans <- List.filter (fun s -> Span.compare s span <> 0) v.spans;
   Point_map.remove sn.owned span;
-  let moved_data =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if Span.contains t.space span point then (key, s.cell) :: acc else acc)
-      v.data []
-  in
-  List.iter (fun (key, _) -> Hashtbl.remove v.data key) moved_data;
-  moved_data
+  give_away t sn v (Span.contains t.space span)
 
 (* [true] when [e] is fresher than everything applied for [gid] so far; the
    high-water mark advances as a side effect. *)
@@ -556,24 +617,12 @@ let split_all_local t sn v =
    other snode in its replica table; both merge by LWW. Returns [true]
    when the stored cell changed (new key or strictly fresher version). *)
 let store_replica sn ~point ~key cell =
-  let merge_into tbl =
-    (* Single probe on the update path: find the slot, overwrite in
-       place. Only a genuinely new key pays the second (insert) probe. *)
-    match Hashtbl.find_opt tbl key with
-    | None ->
-        Hashtbl.add tbl key { cell };
-        true
-    | Some s ->
-        if Versioned.newer cell.Versioned.version s.cell.Versioned.version
-        then begin
-          s.cell <- cell;
-          true
-        end
-        else false
+  let tbl =
+    match Point_map.find_owner_exn sn.owned point with
+    | vid -> (local_exn sn vid).data
+    | exception Not_found -> sn.replicas
   in
-  match Point_map.find_owner_exn sn.owned point with
-  | vid -> merge_into (local_exn sn vid).data
-  | exception Not_found -> merge_into sn.replicas
+  hold sn tbl ~point ~key cell
 
 let replica_lookup sn ~point ~key =
   let slot =
@@ -590,34 +639,45 @@ let stamp_cell t sn ~value =
   sn.wseq <- sn.wseq + 1;
   Versioned.cell ~value ~ts:(Engine.now t.engine) ~seq:sn.wseq ~origin:sn.sid ()
 
-(* Every cell this snode holds (own partitions and replica copies) whose
-   key hashes into [span]. *)
-let span_cells t sn span =
-  let acc = ref [] in
+(* Every held cell as a [Merkle.build] tuple. The per-cell digest is
+   [Versioned.digest] and tree hashes combine by XOR, so a tree frame for
+   any span equals the flat digest a scan of that span would fold. That
+   keeps tree frames and legacy digests interchangeable on the wire. *)
+let held_cells t sn =
+  let cells = ref [] in
   let consider key s =
     let point = Hash.string t.space key in
-    if Span.contains t.space span point then acc := (key, s.cell) :: !acc
+    cells := (key, point, Versioned.digest key s.cell, s.cell) :: !cells
   in
   Hashtbl.iter consider sn.replicas;
   Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  (* Deterministic order: hash-table iteration order depends on insertion
-     history, which differs between owner and replica. *)
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+  !cells
+
+(* The live tree, rebuilt over the tables if a crash or the stale-drop
+   rule discarded it. Every read restarts the stale-drop count. *)
+let live_tree t sn =
+  sn.live_writes <- 0;
+  match sn.live with
+  | Some tree -> tree
+  | None ->
+      let tree =
+        Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root
+          (held_cells t sn)
+      in
+      sn.live <- Some tree;
+      tree
+
+(* Every cell this snode holds (own partitions and replica copies) whose
+   key hashes into [span], sorted by key: hash-table order depends on
+   insertion history, which differs between owner and replica. *)
+let span_cells t sn span =
+  List.map (fun (k, _, c) -> (k, c)) (Merkle.entries_at (live_tree t sn) span)
 
 (* Order-insensitive digest of [span]: cell count and XOR-folded per-cell
    hashes. Two snodes agree iff they hold the same cells for the span. *)
 let span_digest t sn span =
-  let count = ref 0 and h = ref 0 in
-  let consider key s =
-    let point = Hash.string t.space key in
-    if Span.contains t.space span point then begin
-      incr count;
-      h := !h lxor Versioned.digest key s.cell
-    end
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  (!count, !h)
+  let f = Merkle.frame_at (live_tree t sn) span in
+  (f.Merkle.f_count, f.Merkle.f_hash)
 
 (* A snode that just gained ownership of [spans] absorbs any copies it
    already held as a mere replica (they may be fresher than the
@@ -628,65 +688,50 @@ let absorb_replica_cells t sn v spans =
       (fun key s acc ->
         let point = Hash.string t.space key in
         if List.exists (fun sp -> Span.contains t.space sp point) spans then
-          (key, s.cell) :: acc
+          (key, point, s.cell) :: acc
         else acc)
       sn.replicas []
   in
   List.iter
-    (fun (key, cell) ->
-      Hashtbl.remove sn.replicas key;
-      match Hashtbl.find_opt v.data key with
-      | Some s -> s.cell <- Versioned.merge_opt (Some s.cell) cell
-      | None -> Hashtbl.add v.data key { cell })
+    (fun (key, point, cell) ->
+      (* The tree keeps one cell per key: after the drop, re-insert
+         whichever copy wins even when the partition's copy stays. *)
+      drop sn sn.replicas ~point ~key;
+      let cell =
+        match Hashtbl.find_opt v.data key with
+        | Some s -> Versioned.merge ~mine:s.cell ~theirs:cell
+        | None -> cell
+      in
+      ignore (hold ~lww:false sn v.data ~point ~key cell))
     moving
 
-(* Every cell this snode holds whose key hashes into [lo, hi) — the
-   replica-side scan behind one range-read leg. *)
-let range_cells t sn ~lo ~hi =
-  let acc = ref [] in
-  let consider key s =
-    let point = Hash.string t.space key in
-    if point >= lo && point < hi then acc := (key, s.cell) :: !acc
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+(* Every cell this snode holds whose key hashes into [lo, hi), sorted by
+   key — the replica-side scan behind one range-read leg. *)
+let range_cells t sn ~lo ~hi = Merkle.range (live_tree t sn) ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy hash trees                                              *)
 
-(* Snapshot tree over every cell this snode holds, owner partitions and
-   replica copies alike. The per-cell digest is [Versioned.digest] — the
-   same hash [span_digest] folds — and tree hashes combine by XOR, so a
-   [Merkle.frame_at] frame for any span equals the flat digest a full
-   scan of that span would produce. That keeps tree frames and legacy
-   digests interchangeable on the wire. *)
-let build_mtree t sn =
-  let cells = ref [] in
-  let consider key s =
-    let point = Hash.string t.space key in
-    cells := (key, point, Versioned.digest key s.cell, s.cell) :: !cells
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  let tree =
-    Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root !cells
-  in
+(* Snapshot the live tree for anti-entropy: O(1), and later writes never
+   reach it (persistent nodes). *)
+let snapshot_mtree t sn =
+  let tree = Merkle.snapshot (live_tree t sn) in
   sn.mtree <- Some tree;
   tree
 
-(* The session snapshot, rebuilt only if a crash wiped it. Mid-descent
+(* The session snapshot, re-taken only if a crash wiped it. Mid-descent
    writes are invisible until the next round re-snapshots — anti-entropy
    reconciles snapshots, quorum replication covers the live traffic. *)
-let mtree t sn = match sn.mtree with Some tree -> tree | None -> build_mtree t sn
+let mtree t sn =
+  match sn.mtree with Some tree -> tree | None -> snapshot_mtree t sn
 
 (* A pusher opens every AE round from a fresh snapshot... *)
 let refresh_mtree t sn =
   sn.ae_round <- sn.ae_round + 1;
-  ignore (build_mtree t sn)
+  ignore (snapshot_mtree t sn)
 
 (* ...and a receiver re-snapshots the first time it sees that round, so
-   one rebuild serves every span the peer pushes in it. *)
+   one snapshot serves every span the peer pushes in it. *)
 let mtree_for_round t sn ~owner ~round =
   let stale =
     match Hashtbl.find_opt sn.ae_seen owner with
@@ -695,7 +740,7 @@ let mtree_for_round t sn ~owner ~round =
   in
   if stale then begin
     Hashtbl.replace sn.ae_seen owner round;
-    build_mtree t sn
+    snapshot_mtree t sn
   end
   else mtree t sn
 
@@ -1457,9 +1502,7 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       let cell = stamp_cell t sn ~value in
       heat_charge t sn ~point ~kind:`Write
         ~bytes:(String.length key + String.length value);
-      (match Hashtbl.find_opt v.data key with
-      | Some s -> s.cell <- cell
-      | None -> Hashtbl.add v.data key { cell });
+      ignore (hold ~lww:false sn v.data ~point ~key cell);
       (* Replication on but the write arrived on the routed single-copy
          path (issued while the whole cluster was down, then parked):
          seed the other replicas immediately so the acked write does not
@@ -1492,9 +1535,7 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       let v = local_exn sn owner in
       heat_charge t sn ~point ~kind:`Repl
         ~bytes:(String.length key + Versioned.size_bytes cell);
-      (match Hashtbl.find_opt v.data key with
-      | Some s -> s.cell <- Versioned.merge_opt (Some s.cell) cell
-      | None -> Hashtbl.add v.data key { cell })
+      ignore (hold sn v.data ~point ~key cell)
   | Wire.Op_create { newcomer } -> (
       (* The owner of the point is the victim vnode; its group is the
          victim group. Hand the request to that group's manager. *)
@@ -1911,8 +1952,7 @@ and finish_range t sn st =
    go out as a legacy full-span digest (so seed-scale traffic is
    byte-identical to the pre-tree protocol); anything above
    [mt_threshold] opens a hash-tree descent instead. Both frames are cut
-   from the same snapshot tree, so one store scan per round serves every
-   span this snode pushes. *)
+   from the round's snapshot of the live tree, taken once per round. *)
 and ae_probe t sn ~dst span =
   let f = Merkle.frame_at (mtree t sn) span in
   if f.Merkle.f_count <= t.mt_threshold then begin
@@ -2015,7 +2055,7 @@ and ae_snode t sn =
   List.iter
     (fun (key, point, cell) ->
       t.orphans <- t.orphans + 1;
-      Hashtbl.remove sn.replicas key;
+      drop sn sn.replicas ~point ~key;
       deliver_local t sn
         (Wire.Routed
            {
@@ -2181,9 +2221,8 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
   install_spans sn v spans;
   List.iter
     (fun (key, cell) ->
-      match Hashtbl.find_opt v.data key with
-      | None -> Hashtbl.add v.data key { cell }
-      | Some s -> s.cell <- Versioned.merge ~mine:s.cell ~theirs:cell)
+      let point = Hash.string t.space key in
+      ignore (hold sn v.data ~point ~key cell))
     data;
   (* Cells we already replicated for these spans move into the partition
      table, so the owner's holdings (and digests) see one copy. *)
@@ -3208,8 +3247,10 @@ let crash_snode t sid =
     Balance.Directory.reset sn.lb_dir;
     (* LRU stamps die with the routing cache they describe. *)
     Hashtbl.reset sn.rstamps;
-    (* The anti-entropy snapshot tree and the per-peer round markers are
-       soft state: a restarted snode re-snapshots on first use. *)
+    (* The live tree, the anti-entropy snapshot and the per-peer round
+       markers are soft state: a restarted snode rebuilds and re-snapshots
+       on first use. *)
+    sn.live <- None;
     sn.mtree <- None;
     Hashtbl.reset sn.ae_seen;
     Log.debug (fun m -> m "snode %d crashed at %g" sid (Engine.now t.engine))
@@ -3637,6 +3678,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
         lb_version = 0;
         lb_last_transfer = neg_infinity;
         rstamps = Hashtbl.create 16;
+        live = None;
+        live_writes = 0;
         mtree = None;
         ae_round = 0;
         ae_seen = Hashtbl.create 8;
@@ -4227,24 +4270,69 @@ let plant t ~snode ?(origin = -1) ~key ~value ~ts () =
   let point = Hash.string t.space key in
   ignore (store_replica sn ~point ~key (Versioned.cell ~value ~ts ~origin ()))
 
-(* Hash-tree consistency audit over every live snode: a fresh snapshot
-   tree must pass the structural check, and its frame for every
-   replicated partition span must reproduce the flat [span_digest] a
-   scan computes — tree frames and legacy digests interchangeable. *)
+(* Hash-tree consistency audit over every live snode, free of side
+   effects (an in-flight descent keeps reading the snapshot it had).
+   - No key may be held both as a replica copy and in a partition table:
+     the tree holds one cell per key, so the live tree must never depend
+     on which copy a rebuild happens to keep.
+   - A private rebuild over the tables must pass the structural check,
+     and so must the live tree, which must equal the rebuild.
+   - The tree's frame for every replicated partition span must reproduce
+     the flat digest a table scan folds — tree frames and legacy digests
+     interchangeable. *)
 let merkle_audit t =
   let findings = ref [] in
   let bad fmt = Format.kasprintf (fun s -> findings := s :: !findings) fmt in
   Array.iter
     (fun sn ->
       if sn.alive then begin
-        let tree = build_mtree t sn in
+        Hashtbl.iter
+          (fun key _ ->
+            Vtbl.iter
+              (fun _ v ->
+                if Hashtbl.mem v.data key then
+                  bad "snode %d: key %S held as a replica and by vnode %a"
+                    sn.sid key Vnode_id.pp v.vid)
+              sn.locals)
+          sn.replicas;
+        let cells = held_cells t sn in
+        let rebuilt =
+          Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root cells
+        in
         List.iter
           (fun issue -> bad "snode %d: %s" sn.sid issue)
-          (Merkle.check tree);
+          (Merkle.check rebuilt);
+        let tree =
+          match sn.live with
+          | None -> rebuilt
+          | Some live ->
+              List.iter
+                (fun issue -> bad "snode %d: live tree: %s" sn.sid issue)
+                (Merkle.check live);
+              if not (Merkle.equal live rebuilt) then
+                bad "snode %d: live tree differs from a rebuild over its \
+                     tables" sn.sid;
+              live
+        in
+        (* Flat scan digests per replica-map span, one pass over the
+           tables (a key held twice counts twice). *)
+        let scan = Hashtbl.create 64 in
+        List.iter
+          (fun (_, point, digest, _) ->
+            match Point_map.find_point sn.rmap point with
+            | span, _ ->
+                let c, h =
+                  Option.value (Hashtbl.find_opt scan span) ~default:(0, 0)
+                in
+                Hashtbl.replace scan span (c + 1, h lxor digest)
+            | exception Not_found -> ())
+          cells;
         List.iter
           (fun (span, _) ->
             let f = Merkle.frame_at tree span in
-            let count, vhash = span_digest t sn span in
+            let count, vhash =
+              Option.value (Hashtbl.find_opt scan span) ~default:(0, 0)
+            in
             if f.Merkle.f_count <> count || f.Merkle.f_hash <> vhash then
               bad
                 "snode %d span %a: tree frame (%d, %x) <> scan digest (%d, %x)"

@@ -425,13 +425,20 @@ val plant :
     @raise Invalid_argument if [snode] names no snode. *)
 
 val merkle_audit : t -> string list
-(** Hash-tree consistency audit, one finding per line: for every live
-    snode, a freshly built snapshot tree must pass {!Dht_merkle.Merkle.check}
-    (interior hashes recomputable from children, counts additive, shape
-    canonical) and its frame for every replicated partition span must
-    equal the flat scan digest of that span — the property that lets
-    anti-entropy mix tree frames with legacy digests. Empty when
-    consistent. *)
+(** Hash-tree consistency audit, one finding per line. For every live
+    snode:
+    - no key may be held both as a replica copy and in a partition table
+      (the hash tree keeps one cell per key);
+    - a private rebuild over the snode's tables, and its live tree if one
+      is held, must pass {!Dht_merkle.Merkle.check} (interior hashes
+      recomputable from children, counts additive, shape canonical), and
+      the live tree must equal the rebuild;
+    - the tree's frame for every replicated partition span must equal
+      the flat scan digest of that span — the property that lets
+      anti-entropy mix tree frames with legacy digests.
+    Side-effect free: the anti-entropy snapshot an in-flight descent reads
+    is left untouched, so auditing never changes what is exchanged.
+    Empty when consistent. *)
 
 val replica_divergence : t -> string list
 (** Replica agreement audit: for every replicated partition, each live

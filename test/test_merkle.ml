@@ -1,10 +1,13 @@
 (* Merkle-tree anti-entropy and range reads: the hash-tree library's
    structural laws (incremental maintenance equals rebuild, subrange
-   frames equal flat scans, untouched subtrees survive splits), exact
-   symmetric-difference reconciliation at the runtime level, range-read
-   session guarantees, the hint-drain regression under the tree protocol,
-   and schedule exploration over the [Mt_*] frames — including a
-   committed shrunk repro of a reconciliation race. *)
+   frames equal flat scans, untouched subtrees survive splits, snapshots
+   are isolated from later updates, range queries equal a filtered
+   model), the runtime's live trees against rebuilds, exact
+   symmetric-difference reconciliation at the runtime level, pinned
+   anti-entropy traffic, range-read session guarantees, the hint-drain
+   regression under the tree protocol, and schedule exploration over the
+   [Mt_*] frames — including a committed shrunk repro of a
+   reconciliation race. *)
 
 open Dht_hashspace
 module Merkle = Dht_merkle.Merkle
@@ -139,6 +142,174 @@ let prop_subrange_frames =
           && f1.Merkle.f_hash = f0.Merkle.f_hash)
         before)
 
+(* --- (d) persistence: O(1) snapshots and point-interval range queries --- *)
+
+(* Random insert/remove traffic over a small key set with directly chosen
+   points, mirrored into a model table: key -> (point, digest). *)
+let random_ops rng t model n =
+  for _ = 1 to n do
+    let key = Printf.sprintf "key-%d" (Rng.int rng 60) in
+    let point = Hash.string space key in
+    if Rng.int rng 4 = 0 then begin
+      ignore (Merkle.remove t ~key ~point);
+      Hashtbl.remove model key
+    end
+    else begin
+      let digest = Rng.int rng 1_000_000 in
+      Hashtbl.replace model key (point, digest);
+      Merkle.insert t ~key ~point ~digest digest
+    end
+  done
+
+let model_cells model =
+  Hashtbl.fold (fun k (p, d) acc -> (k, p, d, d) :: acc) model []
+
+let prop_snapshot_isolation =
+  QCheck.Test.make
+    ~name:"merkle: a snapshot equals a rebuild at snapshot time after any \
+           later updates"
+    ~count:200 QCheck.small_int (fun salt ->
+      let rng = Rng.of_int ((salt * 613) + 29) in
+      let cap = 1 + Rng.int rng 4 in
+      let t = Merkle.create ~leaf_cap:cap ~space ~span:Span.root () in
+      let model = Hashtbl.create 64 in
+      random_ops rng t model (Rng.int rng 80);
+      let snap = Merkle.snapshot t in
+      let at_snap = model_cells model in
+      random_ops rng t model (1 + Rng.int rng 80);
+      let rebuild cells =
+        Merkle.build ~leaf_cap:cap ~space ~span:Span.root cells
+      in
+      fail_strings "snapshot inconsistent" (Merkle.check snap);
+      fail_strings "live tree inconsistent" (Merkle.check t);
+      if not (Merkle.equal snap (rebuild at_snap)) then
+        QCheck.Test.fail_reportf "snapshot moved with later updates (cap %d)"
+          cap;
+      if not (Merkle.equal t (rebuild (model_cells model))) then
+        QCheck.Test.fail_reportf "live tree differs from rebuild (cap %d)" cap;
+      (* Entries carry payloads too: the snapshot's must be the old ones. *)
+      let payloads tree =
+        List.map (fun (k, _, p) -> (k, p)) (Merkle.entries_at tree Span.root)
+      in
+      payloads snap
+      = List.sort compare (List.map (fun (k, _, d, _) -> (k, d)) at_snap))
+
+let prop_range_query =
+  QCheck.Test.make
+    ~name:"merkle: range lo hi equals the model filtered to [lo, hi), by key"
+    ~count:200 QCheck.small_int (fun salt ->
+      let rng = Rng.of_int ((salt * 389) + 71) in
+      let cap = 1 + Rng.int rng 4 in
+      let t = Merkle.create ~leaf_cap:cap ~space ~span:Span.root () in
+      let model = Hashtbl.create 64 in
+      random_ops rng t model (20 + Rng.int rng 100);
+      let points = Hashtbl.fold (fun _ (p, _) acc -> p :: acc) model [] in
+      let pick () =
+        (* Endpoints on, next to and between held points, plus the
+           space's edges, so straddling buckets get exercised. *)
+        match (Rng.int rng 4, points) with
+        | 0, _ | _, [] -> Rng.int rng (Space.size space + 1)
+        | 1, _ -> if Rng.int rng 2 = 0 then 0 else Space.size space
+        | _, _ ->
+            List.nth points (Rng.int rng (List.length points))
+            + Rng.int rng 3 - 1
+      in
+      List.for_all
+        (fun _ ->
+          let lo = pick () and hi = pick () in
+          let expected =
+            Hashtbl.fold
+              (fun k (p, d) acc ->
+                if p >= lo && p < hi then (k, d) :: acc else acc)
+              model []
+            |> List.sort compare
+          in
+          let got = Merkle.range t ~lo ~hi in
+          if got <> expected then
+            QCheck.Test.fail_reportf "range [%d, %d): %d keys, model has %d" lo
+              hi (List.length got) (List.length expected);
+          true)
+        (List.init 8 Fun.id))
+
+let prop_live_tree_sweep =
+  QCheck.Test.make
+    ~name:"merkle: live tree equals a rebuild at quiescence across 100 \
+           put/crash/AE/range schedules"
+    ~count:100 QCheck.small_int (fun salt ->
+      let rng = Rng.of_int ((salt * 4099) + 13) in
+      let snodes = 4 + Rng.int rng 2 in
+      let rt =
+        Runtime.create
+          ~faults:(Runtime.Fault.create ~seed:salt ())
+          ~pmin:8
+          ~approach:(Runtime.Local { vmin = 2 })
+          ~rfactor:3 ~read_quorum:2 ~write_quorum:2
+          ~mt_threshold:(if Rng.int rng 2 = 0 then 0 else 128)
+          ~mt_leaf:(1 + Rng.int rng 4)
+          ~snodes ~seed:salt ()
+      in
+      let open Dht_core in
+      for n = 1 to 1 + Rng.int rng 3 do
+        Runtime.create_vnode rt
+          ~id:(Vnode_id.make ~snode:(n mod snodes) ~vnode:(n / snodes))
+          ()
+      done;
+      Runtime.run rt;
+      let puts n =
+        for _ = 1 to n do
+          let k = Rng.int rng 50 in
+          Runtime.put rt ~via:(Rng.int rng snodes)
+            ~key:(Printf.sprintf "key-%d" k)
+            ~value:(Printf.sprintf "v-%d" (Rng.int rng 1000))
+            ()
+        done
+      in
+      let range () =
+        let lo = Rng.int rng (Space.size space / 2) in
+        let hi = lo + Rng.int rng (Space.size space - lo) in
+        Runtime.range_get rt ~via:(Rng.int rng snodes) ~lo ~hi ignore
+      in
+      puts 40;
+      Runtime.run rt;
+      let down = ref None in
+      for _ = 1 to 3 + Rng.int rng 4 do
+        (match Rng.int rng 5 with
+        | 0 -> puts (1 + Rng.int rng 20)
+        | 1 -> (
+            match !down with
+            | None ->
+                let sid = Rng.int rng snodes in
+                Runtime.crash_snode rt sid;
+                down := Some sid
+            | Some sid ->
+                Runtime.restart_snode rt sid;
+                down := None)
+        | 2 -> Runtime.anti_entropy rt
+        | 3 -> range ()
+        | _ ->
+            puts (1 + Rng.int rng 8);
+            range ());
+        (* Reliable delivery keeps probing a crashed peer, so the queue
+           drains only once everyone is up again. *)
+        (match !down with
+        | None -> Runtime.run rt
+        | Some _ ->
+            Runtime.run ~until:(Engine.now (Runtime.engine rt) +. 0.5) rt);
+        fail_strings "tree audit mid-schedule" (Runtime.merkle_audit rt)
+      done;
+      (match !down with Some sid -> Runtime.restart_snode rt sid | None -> ());
+      Runtime.run rt;
+      (* A full-space range reads on every replica (building any dropped
+         tree), then a few writes — fewer than the trees hold — must be
+         maintained in place rather than forcing a rebuild. *)
+      Runtime.range_get rt ~via:0 ~lo:0 ~hi:(Space.size space) ignore;
+      Runtime.run rt;
+      puts (1 + Rng.int rng 5);
+      Runtime.anti_entropy rt;
+      Runtime.run rt;
+      fail_strings "tree audit at quiescence" (Runtime.merkle_audit rt);
+      true)
+
 (* --- (a) runtime reconciliation: exact symmetric difference --- *)
 
 let mt_tag_stats rt =
@@ -238,6 +409,101 @@ let prop_reconciliation =
             expected
       end;
       true)
+
+(* --- (e) wire identity: the live tree changes host cost, not traffic --- *)
+
+(* A seeded write-heavy run: 300 preloaded keys, then eight rounds that
+   each open an anti-entropy round and a range read and keep issuing
+   writes while the descents are in flight (so snapshots and live tables
+   differ mid-descent), with one crash/restart and planted divergence.
+   The engine advances in quarter-hop slices; with [audit] the hash-tree
+   audit runs between every two of them. *)
+let interleaved_run ~audit =
+  let rt =
+    Runtime.create
+      ~faults:(Runtime.Fault.create ~seed:2004 ())
+      ~pmin:8
+      ~approach:(Runtime.Local { vmin = 2 })
+      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~mt_threshold:0 ~mt_leaf:4
+      ~snodes:5 ~seed:2004 ()
+  in
+  let open Dht_core in
+  for n = 1 to 4 do
+    Runtime.create_vnode rt
+      ~id:(Vnode_id.make ~snode:(n mod 5) ~vnode:(n / 5))
+      ()
+  done;
+  Runtime.run rt;
+  let rng = Rng.of_int 2004 in
+  for k = 0 to 299 do
+    Runtime.put rt ~via:(k mod 5)
+      ~key:(Printf.sprintf "key-%d" k)
+      ~value:"base" ()
+  done;
+  Runtime.run rt;
+  let clock = ref (Engine.now (Runtime.engine rt)) in
+  let ranges = ref 0 in
+  for round = 0 to 7 do
+    if round = 2 then Runtime.crash_snode rt 3;
+    if round = 5 then Runtime.restart_snode rt 3;
+    Runtime.plant rt ~snode:(round mod 5)
+      ~key:(Printf.sprintf "div-%d" round)
+      ~value:"planted" ~ts:1e-6 ();
+    Runtime.anti_entropy rt;
+    let lo = Rng.int rng (Space.size space / 2) in
+    Runtime.range_get rt ~via:(Rng.int rng 5) ~lo
+      ~hi:(lo + (Space.size space / 4))
+      (fun _ -> incr ranges);
+    for i = 1 to 60 do
+      (* Writes keep landing while the round's descents are in flight;
+         skewed keys: a hot tenth takes about half of them. *)
+      if i <= 40 then begin
+        let k = if Rng.int rng 2 = 0 then Rng.int rng 30 else Rng.int rng 300 in
+        Runtime.put rt ~via:(Rng.int rng 5)
+          ~key:(Printf.sprintf "key-%d" k)
+          ~value:(Printf.sprintf "r%d-%d" round i)
+          ()
+      end;
+      clock := !clock +. 25e-6;
+      Runtime.run ~until:!clock rt;
+      if audit then ignore (Runtime.merkle_audit rt)
+    done
+  done;
+  Runtime.run rt;
+  let net = Runtime.network rt in
+  let s = Runtime.ae_stats rt in
+  ( [
+      s.Runtime.ae_digests;
+      s.Runtime.ae_roots;
+      s.Runtime.ae_requests;
+      s.Runtime.ae_frames;
+      s.Runtime.ae_leaves;
+      s.Runtime.ae_keys_sent;
+    ],
+    (Network.messages net, Network.bytes_sent net),
+    !ranges )
+
+let test_wire_identity_pin () =
+  (* Pinned to the values the whole-store-rebuild implementation produced
+     on this exact run: snapshots of the live tree must reproduce every
+     anti-entropy frame, so every message and byte. *)
+  let ae, (msgs, bytes), ranges = interleaved_run ~audit:false in
+  check
+    Alcotest.(list int)
+    "ae_stats (digests roots requests frames leaves keys_sent)"
+    [ 72; 752; 88; 176; 57; 40 ] ae;
+  check Alcotest.int "messages" 9427 msgs;
+  check Alcotest.int "bytes" 896604 bytes;
+  check Alcotest.int "every range read completed" 8 ranges
+
+let test_audit_is_transparent () =
+  (* The audit must not touch the snapshot an in-flight descent reads:
+     auditing between every two slices leaves all traffic unchanged. *)
+  let quiet = interleaved_run ~audit:false in
+  let audited = interleaved_run ~audit:true in
+  let ae (a, _, _) = a and wire (_, w, _) = w in
+  check Alcotest.(list int) "ae_stats" (ae quiet) (ae audited);
+  check Alcotest.(pair int int) "messages and bytes" (wire quiet) (wire audited)
 
 (* Seed-scale behaviour is unchanged: under the default threshold a small
    cluster's anti-entropy emits only legacy digests — not one tree frame
@@ -540,9 +806,16 @@ let suite =
   [
     to_alcotest prop_incremental_rehash;
     to_alcotest prop_subrange_frames;
+    to_alcotest prop_snapshot_isolation;
+    to_alcotest prop_range_query;
+    to_alcotest prop_live_tree_sweep;
     to_alcotest prop_reconciliation;
     Alcotest.test_case "default threshold keeps seed-scale AE legacy" `Quick
       test_threshold_fallback;
+    Alcotest.test_case "live-tree snapshots keep AE traffic byte-identical"
+      `Quick test_wire_identity_pin;
+    Alcotest.test_case "merkle_audit mid-descent changes no traffic" `Quick
+      test_audit_is_transparent;
     Alcotest.test_case "range: read-your-writes and exact subranges" `Quick
       test_range_read_your_writes;
     Alcotest.test_case "range: shed writes never surface" `Quick
