@@ -20,7 +20,6 @@ module Figures = Dht_experiments.Figures
 module Extensions = Dht_experiments.Extensions
 module Curve = Dht_experiments.Curve
 module Sims = Dht_experiments.Sims
-module Csim = Dht_protocol.Creation_sim
 module Rng = Dht_prng.Rng
 module Table = Dht_report.Table
 module Registry = Dht_telemetry.Registry
@@ -89,18 +88,6 @@ let bench_lookup =
   let size = Dht_hashspace.Space.size space in
   Test.make ~name:"lookup: route one hash index (512-vnode DHT)"
     (Staged.stage (fun () -> ignore (Local_dht.lookup dht (Rng.int rng size))))
-
-let bench_protocol_kernel =
-  Test.make ~name:"ext-parallel: protocol sim, 64 creations"
-    (Staged.stage (fun () ->
-         let arrivals =
-           Dht_workload.Trace.poisson ~rng:(Rng.of_int 6) ~n:64 ~rate:2000.
-         in
-         let cfg =
-           { (Csim.default_config (Csim.Local_approach { vmin = 16 })) with
-             Csim.snodes = 16 }
-         in
-         ignore (Csim.simulate cfg ~arrivals ~seed:6)))
 
 let bench_removal =
   Test.make ~name:"ext-churn: 64 creations + 32 removals"
@@ -208,7 +195,6 @@ let run_benchmarks () =
         bench_global_kernel;
         bench_creation_op;
         bench_lookup;
-        bench_protocol_kernel;
         bench_removal;
         bench_snode_runtime;
         bench_snode_runtime_faulty;
@@ -817,16 +803,17 @@ let () =
     (Curve.at_x curve 1024.) (Curve.last curve) slope;
 
   (* Extension experiments *)
-  Printf.printf "\n== Extension: creation protocol under load (512 creations @1000/s) ==\n";
-  let rows = Extensions.parallel ~seed () in
+  Printf.printf
+    "\n== Extension: creation protocol under load (512 creations @20000/s) ==\n";
   List.iter
-    (fun { Extensions.label; result = r } ->
+    (fun (r : Extensions.parallel_row) ->
       Printf.printf
-        "  %-16s makespan %6.3fs  mean-lat %7.2fms  msgs %7d  conc %3d\n" label
-        r.Csim.makespan
-        (1000. *. Csim.mean_latency r)
-        r.Csim.messages r.Csim.max_concurrent)
-    rows;
+        "  %-16s makespan %6.3fs  mean-lat %7.2fms  msgs %7d  audit %s\n"
+        r.label r.par_makespan
+        (1000. *. r.par_mean_latency)
+        r.par_messages
+        (if r.par_audit_ok then "ok" else "FAILED"))
+    (Extensions.parallel ~seed ());
 
   Printf.printf "\n== Extension: heterogeneous enrollment ==\n";
   let h = Extensions.hetero ~seed () in
@@ -855,13 +842,6 @@ let () =
   Printf.printf
     "  sigma(Qv): quota lookup %.2f%% vs uniform group %.2f%%\n"
     a.Extensions.quota_sigma_qv a.Extensions.uniform_sigma_qv;
-
-  Printf.printf "\n== Extension: access-aware fine-grain balancing (section 6) ==\n";
-  let hs = Extensions.hotspot ~seed () in
-  Printf.printf
-    "  access sigma %.2f%% -> %.2f%% after %d swaps (keys lost %d)\n"
-    hs.Extensions.access_sigma_before hs.Extensions.access_sigma_after
-    hs.Extensions.partitions_moved hs.Extensions.hotspot_keys_lost;
 
   Printf.printf "\n== Extension: heterogeneous quota tracking vs weighted CH ==\n";
   let hc = Extensions.hetero_compare ~seed () in

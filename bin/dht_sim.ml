@@ -8,7 +8,6 @@ module Curve = Dht_experiments.Curve
 module Chart = Dht_report.Ascii_chart
 module Table = Dht_report.Table
 module Csv = Dht_report.Csv
-module Csim = Dht_protocol.Creation_sim
 module Registry = Dht_telemetry.Registry
 module Trace = Dht_telemetry.Trace
 
@@ -23,9 +22,31 @@ let seed_arg =
   let doc = "Master random seed (results are reproducible per seed)." in
   Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Sizes and rates parse as strictly positive, so a zero or negative value
+   is a usage error (exit 124) rather than an exception deep in a run. *)
+let positive what parse is_positive pp =
+  let parse s =
+    match parse s with
+    | Some x when is_positive x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive %s, got %S" what s))
+  in
+  Arg.conv (parse, pp)
+
+let positive_int =
+  positive "integer" int_of_string_opt (fun n -> n > 0) Format.pp_print_int
+
+let positive_float =
+  positive "number" float_of_string_opt
+    (fun x -> x > 0. && Float.is_finite x)
+    Format.pp_print_float
+
 let vnodes_arg default =
   let doc = "Number of vnodes (or nodes) to create." in
-  Arg.(value & opt int default & info [ "vnodes" ] ~docv:"V" ~doc)
+  Arg.(value & opt positive_int default & info [ "vnodes" ] ~docv:"V" ~doc)
+
+let snodes_arg default =
+  let doc = "Number of snodes in the simulated cluster." in
+  Arg.(value & opt positive_int default & info [ "snodes" ] ~docv:"S" ~doc)
 
 let rfactor_arg default =
   let doc = "Replicas per partition (1 disables replication)." in
@@ -418,52 +439,58 @@ let parallel_cmd =
       Table.create
         ~headers:
           [
-            "approach"; "makespan s"; "mean lat ms"; "p95 lat ms"; "msgs";
-            "MB"; "max conc"; "conflicts";
+            "approach"; "created"; "makespan s"; "mean lat ms"; "p95 lat ms";
+            "msgs"; "MB"; "audit";
           ]
     in
     List.iter
-      (fun { Extensions.label; result = r } ->
+      (fun (r : Extensions.parallel_row) ->
         Table.add_row table
           [
-            label;
-            Printf.sprintf "%.3f" r.Csim.makespan;
-            Printf.sprintf "%.2f" (1000. *. Csim.mean_latency r);
-            Printf.sprintf "%.2f" (1000. *. Csim.p95_latency r);
-            string_of_int r.Csim.messages;
-            Printf.sprintf "%.1f" (float_of_int r.Csim.bytes /. 1e6);
-            string_of_int r.Csim.max_concurrent;
-            string_of_int r.Csim.conflicts;
+            r.label;
+            Printf.sprintf "%d/%d" r.par_created vnodes;
+            Printf.sprintf "%.3f" r.par_makespan;
+            Printf.sprintf "%.2f" (1000. *. r.par_mean_latency);
+            Printf.sprintf "%.2f" (1000. *. r.par_p95_latency);
+            string_of_int r.par_messages;
+            Printf.sprintf "%.1f" (float_of_int r.par_bytes /. 1e6);
+            (if r.par_audit_ok then "ok" else "FAILED");
           ])
       rows;
     Table.print table;
     List.iter
-      (fun { Extensions.label; result = r } ->
+      (fun (r : Extensions.parallel_row) ->
         List.iter
           (fun (tag, msgs, bytes) ->
-            let labels = [ ("approach", label); ("tag", tag) ] in
+            let labels = [ ("approach", r.label); ("tag", tag) ] in
             Registry.inc (Registry.counter tel.tel_reg ~labels "net.messages")
               msgs;
             Registry.inc (Registry.counter tel.tel_reg ~labels "net.bytes")
               bytes)
-          r.Csim.traffic_by_tag)
+          r.par_per_tag)
       rows;
-    finish_telemetry tel
+    finish_telemetry tel;
+    if
+      List.exists
+        (fun (r : Extensions.parallel_row) ->
+          r.par_created <> vnodes || not r.par_audit_ok)
+        rows
+    then exit 1
   in
   let rate =
-    Arg.(value & opt float 1000. & info [ "rate" ] ~docv:"R"
+    Arg.(value & opt positive_float 20_000. & info [ "rate" ] ~docv:"R"
            ~doc:"Poisson arrival rate of creation requests (per second).")
   in
-  let snodes =
-    Arg.(value & opt int 64 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of cluster nodes hosting snodes.")
-  in
   let term =
-    Term.(const run $ telemetry_term $ vnodes_arg 512 $ rate $ snodes $ seed_arg)
+    Term.(const run $ telemetry_term $ vnodes_arg 512 $ rate $ snodes_arg 64
+          $ seed_arg)
   in
   Cmd.v
     (Cmd.info "parallel"
-       ~doc:"Quantify the serialization of the global approach (section 3 claim).")
+       ~doc:
+         "Quantify the serialization of the global approach on the snode \
+          runtime (section 3 claim); exits 1 if a creation is incomplete or a \
+          row fails its audit.")
     term
 
 let hetero_cmd =
@@ -585,26 +612,6 @@ let ablation_cmd =
        ~doc:"Quantify the section-3.6 victim-selection design choice.")
     term
 
-let hotspot_cmd =
-  let run tel accesses seed =
-    let r = Extensions.hotspot ~accesses ~seed () in
-    Printf.printf "== Access-aware fine-grain balancing (section-6 future work) ==\n";
-    Printf.printf "%d zipf accesses: per-vnode access sigma %.2f%% -> %.2f%% (%d swaps, %d keys lost)\n"
-      r.Extensions.accesses r.Extensions.access_sigma_before
-      r.Extensions.access_sigma_after r.Extensions.partitions_moved
-      r.Extensions.hotspot_keys_lost;
-    finish_telemetry tel;
-    if r.Extensions.hotspot_keys_lost > 0 then exit 1
-  in
-  let accesses =
-    Arg.(value & opt int 200_000 & info [ "accesses" ] ~docv:"N"
-           ~doc:"Number of zipf-distributed reads to replay.")
-  in
-  let term = Term.(const run $ telemetry_term $ accesses $ seed_arg) in
-  Cmd.v
-    (Cmd.info "hotspot" ~doc:"Access-aware partition swapping under zipf reads.")
-    term
-
 let hetero_compare_cmd =
   let run tel runs seed =
     let r = Extensions.hetero_compare ~runs ~seed () in
@@ -646,25 +653,12 @@ let distributed_cmd =
       r.Extensions.dist_retries r.Extensions.makespan;
     Printf.printf "keys wrong: %d, audit: %s\n" r.Extensions.dist_keys_wrong
       (if r.Extensions.dist_audit_ok then "ok" else "FAILED");
-    Printf.printf
-      "same burst, global approach: %d messages (%.1fx), makespan %.3fs (%.1fx), audit %s\n"
-      r.Extensions.global_messages
-      (float_of_int r.Extensions.global_messages
-      /. float_of_int r.Extensions.dist_messages)
-      r.Extensions.global_makespan
-      (r.Extensions.global_makespan /. r.Extensions.makespan)
-      (if r.Extensions.global_audit_ok then "ok" else "FAILED");
     finish_telemetry tel;
-    if r.Extensions.dist_keys_wrong > 0 || not r.Extensions.dist_audit_ok
-       || not r.Extensions.global_audit_ok then
+    if r.Extensions.dist_keys_wrong > 0 || not r.Extensions.dist_audit_ok then
       exit 1
   in
-  let snodes =
-    Arg.(value & opt int 16 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the simulated cluster.")
-  in
   let term =
-    Term.(const run $ telemetry_term $ snodes $ vnodes_arg 128 $ seed_arg)
+    Term.(const run $ telemetry_term $ snodes_arg 16 $ vnodes_arg 128 $ seed_arg)
   in
   Cmd.v
     (Cmd.info "distributed"
@@ -884,10 +878,6 @@ let chaos_cmd =
              "Per-message retransmission budget of the degraded run (with \
               --overload); past it the sender falls back to slow probing.")
   in
-  let snodes =
-    Arg.(value & opt int 12 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the simulated cluster.")
-  in
   let keys =
     Arg.(value & opt int 600 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs stored before the burst.")
@@ -921,7 +911,7 @@ let chaos_cmd =
   in
   let term =
     Term.(const run $ telemetry_term $ overload $ slow $ retry_budget
-          $ snodes $ vnodes_arg 40 $ keys $ drop
+          $ snodes_arg 12 $ vnodes_arg 40 $ keys $ drop
           $ dup $ jitter $ crashes $ downtime $ rfactor_arg 1
           $ read_quorum_arg 1 $ write_quorum_arg 1 $ linger_arg $ route_cap
           $ seed_arg)
@@ -1056,16 +1046,12 @@ let kv_cmd =
                 after every balancing commit and the full snapshot battery \
                 at the end. Exits non-zero on any finding.")
   in
-  let snodes =
-    Arg.(value & opt int 3 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the replicated cluster.")
-  in
   let keys =
     Arg.(value & opt int 12 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs written before the crash.")
   in
   let term =
-    Term.(const run $ telemetry_term $ audit_flag $ snodes $ rfactor_arg 3
+    Term.(const run $ telemetry_term $ audit_flag $ snodes_arg 3 $ rfactor_arg 3
           $ read_quorum_arg 2 $ write_quorum_arg 2 $ keys $ linger_arg
           $ seed_arg)
   in
@@ -1168,10 +1154,6 @@ let range_cmd =
     finish_telemetry tel;
     if !failures > 0 || Runtime.completed_ranges rt <> queries then exit 1
   in
-  let snodes =
-    Arg.(value & opt int 5 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the replicated cluster.")
-  in
   let keys =
     Arg.(value & opt int 60 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs written before querying.")
@@ -1181,7 +1163,7 @@ let range_cmd =
            ~doc:"Random hash-interval range reads to issue and verify.")
   in
   let term =
-    Term.(const run $ telemetry_term $ snodes $ rfactor_arg 3
+    Term.(const run $ telemetry_term $ snodes_arg 5 $ rfactor_arg 3
           $ read_quorum_arg 2 $ write_quorum_arg 2 $ keys $ queries
           $ seed_arg)
   in
@@ -1284,10 +1266,6 @@ let explore_cmd =
                 $(b,expect) the checkers to catch the damage. Exits non-zero \
                 if nothing is found.")
   in
-  let snodes =
-    Arg.(value & opt int 5 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the scenario cluster.")
-  in
   let keys =
     Arg.(value & opt int 12 & info [ "keys" ] ~docv:"K"
            ~doc:"Keys written (then overwritten and read) by the workload.")
@@ -1339,7 +1317,7 @@ let explore_cmd =
                 runs instead.")
   in
   let term =
-    Term.(const run $ telemetry_term $ scenario $ mutate $ snodes
+    Term.(const run $ telemetry_term $ scenario $ mutate $ snodes_arg 5
           $ vnodes_arg 3 $ keys $ grow $ removes $ rfactor_arg 3
           $ read_quorum_arg 2 $ write_quorum_arg 2 $ linger_zero $ seeds
           $ seed_arg $ rounds $ max_tweaks $ out $ replay)
@@ -1585,10 +1563,6 @@ let heat_cmd =
     Arg.(value & opt float 1.0 & info [ "tau" ] ~docv:"S"
            ~doc:"EWMA time constant of the heat counters (virtual seconds).")
   in
-  let snodes =
-    Arg.(value & opt int 8 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the simulated cluster.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:
@@ -1597,7 +1571,7 @@ let heat_cmd =
               partition rows instead of the human tables.")
   in
   let term =
-    Term.(const run $ telemetry_term $ snodes $ vnodes_arg 24 $ nkeys
+    Term.(const run $ telemetry_term $ snodes_arg 8 $ vnodes_arg 24 $ nkeys
           $ zipf_s $ ops $ duration $ top $ tau $ rfactor_arg 3
           $ read_quorum_arg 2 $ write_quorum_arg 2 $ json $ seed_arg)
   in
@@ -1714,12 +1688,8 @@ let balance_cmd =
               two thirds: transfers must survive the churn with zero \
               acked-write loss.")
   in
-  let snodes =
-    Arg.(value & opt int 8 & info [ "snodes" ] ~docv:"S"
-           ~doc:"Number of snodes in the simulated cluster.")
-  in
   let term =
-    Term.(const run $ telemetry_term $ snodes $ nkeys $ zipf_s $ rate
+    Term.(const run $ telemetry_term $ snodes_arg 8 $ nkeys $ zipf_s $ rate
           $ duration $ max_inflight $ tau $ crash $ seed_arg)
   in
   Cmd.v
@@ -2070,7 +2040,7 @@ let () =
           [
             fig4_cmd; fig5_cmd; fig6_cmd; fig7_cmd; fig8_cmd; fig9_cmd;
             zones_cmd; ratios_cmd; stability_cmd; cost_cmd; parallel_cmd; hetero_cmd;
-            kvload_cmd; churn_cmd; ablation_cmd; hotspot_cmd;
+            kvload_cmd; churn_cmd; ablation_cmd;
             hetero_compare_cmd; distributed_cmd; chaos_cmd; kv_cmd; range_cmd;
             explore_cmd; coexist_cmd; heat_cmd; balance_cmd; route_cmd;
             trace_cmd;

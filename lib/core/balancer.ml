@@ -235,25 +235,6 @@ let transfer_span t ~src ~dst span =
     end
   end
 
-let swap_spans t ~a ~b ~span_a ~span_b =
-  if a == b then Error `Same_vnode
-  else if not (member t a && member t b) then Error `Not_member
-  else if
-    not
-      (List.exists (Span.equal span_a) a.Vnode.spans
-      && List.exists (Span.equal span_b) b.Vnode.spans)
-  then Error `Not_owner
-  else begin
-    (* Counts are unchanged, so the buckets need no maintenance. *)
-    ignore (Vnode.remove_span a span_a);
-    ignore (Vnode.remove_span b span_b);
-    Vnode.add_span a span_b;
-    Vnode.add_span b span_a;
-    t.notify (Transfer { src = a; dst = b; span = span_a });
-    t.notify (Transfer { src = b; dst = a; span = span_b });
-    Ok ()
-  end
-
 let add_vnode t newcomer =
   if newcomer.Vnode.count <> 0 then
     invalid_arg "Balancer.add_vnode: vnode already owns partitions";

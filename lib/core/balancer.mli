@@ -110,19 +110,6 @@ val transfer_span :
     a successful move intentionally trades σ(Pv) balance for whatever the
     caller is optimising — it may un-do G5's perfect balance. *)
 
-val swap_spans :
-  t ->
-  a:Vnode.t ->
-  b:Vnode.t ->
-  span_a:Dht_hashspace.Span.t ->
-  span_b:Dht_hashspace.Span.t ->
-  (unit, [ `Not_owner | `Not_member | `Same_vnode ]) result
-(** Exchange two partitions between two vnodes of the group. Counts are
-    unchanged, so a swap is admissible in {e any} state — including the
-    all-at-[Pmin] state of G5 where {!transfer_span} has no slack — which
-    makes it the workhorse of access-aware balancing. Emits two [Transfer]
-    events. *)
-
 val move_decreases_sigma : from_count:int -> to_count:int -> bool
 (** The paper's step-4 test: does moving one partition from a vnode holding
     [from_count] to one holding [to_count] decrease σ(Pv)? Since the total

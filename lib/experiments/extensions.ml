@@ -1,26 +1,65 @@
 open Dht_core
 module Rng = Dht_prng.Rng
-module Csim = Dht_protocol.Creation_sim
 module Cluster = Dht_cluster
 module Space = Dht_hashspace.Space
 
-type parallel_row = { label : string; result : Csim.result }
+type parallel_row = {
+  label : string;
+  par_created : int;
+  par_makespan : float;
+  par_mean_latency : float;
+  par_p95_latency : float;
+  par_messages : int;
+  par_bytes : int;
+  par_per_tag : (string * int * int) list;
+  par_audit_ok : bool;
+}
 
-let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 1000.) ?(pmin = 32)
+let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 20_000.) ?(pmin = 32)
     ?(vmins = [ 16; 32; 64 ]) ~seed () =
+  let module Runtime = Dht_snode.Runtime in
+  let module Engine = Dht_event_sim.Engine in
+  let module Network = Dht_event_sim.Network in
+  if vnodes < 1 then invalid_arg "Extensions.parallel: vnodes < 1";
   let arrivals =
     Dht_workload.Trace.poisson ~rng:(Rng.of_int seed) ~n:vnodes ~rate
   in
   let run approach label =
-    let cfg = { (Csim.default_config approach) with Csim.snodes; pmin } in
-    { label; result = Csim.simulate cfg ~arrivals ~seed }
+    let rt = Runtime.create ~pmin ~approach ~snodes ~seed () in
+    let engine = Runtime.engine rt in
+    let latencies = ref [] and makespan = ref 0. in
+    (* Vnode 0.0 bootstraps the DHT; arrival [i] creates vnode [i + 1]. *)
+    Array.iteri
+      (fun i time ->
+        let id =
+          Vnode_id.make ~snode:((i + 1) mod snodes) ~vnode:((i + 1) / snodes)
+        in
+        Engine.at engine ~time (fun () ->
+            Runtime.create_vnode rt ~id
+              ~on_done:(fun () ->
+                makespan := Engine.now engine;
+                latencies := (!makespan -. time) :: !latencies)
+              ()))
+      arrivals;
+    Runtime.run rt;
+    let latencies = Array.of_list !latencies in
+    let net = Runtime.network rt in
+    {
+      label;
+      par_created = Runtime.completed_creations rt;
+      par_makespan = !makespan;
+      par_mean_latency = Dht_stats.Descriptive.mean latencies;
+      par_p95_latency = Dht_stats.Descriptive.percentile latencies ~p:0.95;
+      par_messages = Network.messages net;
+      par_bytes = Network.bytes_sent net;
+      par_per_tag = Network.per_tag net;
+      par_audit_ok = Result.is_ok (Runtime.audit rt);
+    }
   in
-  run Csim.Global_approach "global"
+  run Runtime.Global "global"
   :: List.map
        (fun vmin ->
-         run
-           (Csim.Local_approach { vmin })
-           (Printf.sprintf "local Vmin=%d" vmin))
+         run (Runtime.Local { vmin }) (Printf.sprintf "local Vmin=%d" vmin))
        vmins
 
 type hetero_report = {
@@ -260,53 +299,6 @@ let ablation_selection ?(runs = 20) ?(vnodes = 512) ?(pmin = 16) ?(vmin = 16)
   let uniform_sigma_qv, uniform_sigma_qg = final Local_dht.Uniform_group in
   { quota_sigma_qv; uniform_sigma_qv; quota_sigma_qg; uniform_sigma_qg }
 
-type hotspot_report = {
-  accesses : int;
-  access_sigma_before : float;
-  access_sigma_after : float;
-  partitions_moved : int;
-  hotspot_keys_lost : int;
-}
-
-let hotspot ?(vnodes = 32) ?(keys = 50_000) ?(accesses = 200_000)
-    ?(zipf_s = 0.7) ?(pmin = 32) ?(vmin = 16) ~seed () =
-  let rng = Rng.of_int seed in
-  let access_rng = Rng.split rng in
-  let vid i = Vnode_id.make ~snode:i ~vnode:0 in
-  let store = Dht_kv.Local_store.create ~pmin ~vmin ~rng ~first:(vid 0) () in
-  for i = 1 to vnodes - 1 do
-    ignore (Dht_kv.Local_store.add_vnode store ~id:(vid i))
-  done;
-  let ab = Dht_kv.Access_balancer.create store in
-  let all_keys =
-    Array.init keys (fun i -> Printf.sprintf "record:%d" i)
-  in
-  Array.iteri
-    (fun i key -> Dht_kv.Local_store.put store ~key ~value:(string_of_int i))
-    all_keys;
-  (* Zipf-popular reads: key rank drawn by popularity. *)
-  let zipf = Dht_workload.Keygen.Zipf.create ~n:keys ~s:zipf_s in
-  for _ = 1 to accesses do
-    let rank = Dht_workload.Keygen.Zipf.sample zipf access_rng in
-    ignore (Dht_kv.Access_balancer.get ab ~key:all_keys.(rank - 1))
-  done;
-  let before = Dht_kv.Access_balancer.access_sigma ab in
-  let moved = Dht_kv.Access_balancer.rebalance ~max_moves:256 ab in
-  let after = Dht_kv.Access_balancer.access_sigma ab in
-  let lost = ref 0 in
-  Array.iteri
-    (fun i key ->
-      if Dht_kv.Local_store.get store ~key <> Some (string_of_int i) then
-        incr lost)
-    all_keys;
-  {
-    accesses;
-    access_sigma_before = before;
-    access_sigma_after = after;
-    partitions_moved = moved;
-    hotspot_keys_lost = !lost;
-  }
-
 type hetero_compare_report = {
   local_max_err : float;
   local_rms_err : float;
@@ -403,9 +395,6 @@ type distributed_report = {
   dist_keys_wrong : int;
   dist_audit_ok : bool;
   makespan : float;
-  global_messages : int;
-  global_makespan : float;
-  global_audit_ok : bool;
 }
 
 let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
@@ -421,8 +410,7 @@ let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
       ~value:(string_of_int i) ()
   done;
   Runtime.run rt;
-  (* Scope traffic and makespan to the creation burst alone, so the two
-     approaches compare like-for-like. *)
+  (* Scope traffic and makespan to the creation burst alone. *)
   Dht_event_sim.Network.reset_counters (Runtime.network rt);
   let burst_start = Dht_event_sim.Engine.now (Runtime.engine rt) in
   for i = 1 to vnodes - 1 do
@@ -453,14 +441,6 @@ let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
       (Local_dht.add_vnode oracle
          ~id:(Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes)))
   done;
-  (* The same creation burst through the global-approach runtime. *)
-  let grt = Runtime.create ~pmin ~approach:Runtime.Global ~snodes ~seed () in
-  for i = 1 to vnodes - 1 do
-    Runtime.create_vnode grt
-      ~id:(Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes))
-      ()
-  done;
-  Runtime.run grt;
   (match metrics with
   | Some reg -> Runtime.record_metrics rt reg
   | None -> ());
@@ -474,10 +454,6 @@ let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
     dist_keys_wrong = !wrong;
     dist_audit_ok = (match Runtime.audit rt with Ok () -> true | Error _ -> false);
     makespan;
-    global_messages = Dht_event_sim.Network.messages (Runtime.network grt);
-    global_makespan = Dht_event_sim.Engine.now (Runtime.engine grt);
-    global_audit_ok =
-      (match Runtime.audit grt with Ok () -> true | Error _ -> false);
   }
 
 type chaos_report = {

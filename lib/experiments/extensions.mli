@@ -1,14 +1,23 @@
 (** Extension experiments: claims the paper makes but does not measure.
 
-    - {!parallel} quantifies §3's serialization-vs-parallelism argument with
-      the event-driven protocol simulator.
+    - {!parallel} quantifies §3's serialization-vs-parallelism argument on
+      the message-level snode runtime.
     - {!hetero} exercises the heterogeneous-enrollment feature of §1/§2.1.2.
     - {!kvload} checks that quota balance translates into data balance and
       that rebalancing never loses keys (data plane). *)
 
 type parallel_row = {
   label : string;
-  result : Dht_protocol.Creation_sim.result;
+  par_created : int;  (** creations completed (must equal the arrivals) *)
+  par_makespan : float;  (** virtual time of the last completion *)
+  par_mean_latency : float;  (** per creation, completion − arrival *)
+  par_p95_latency : float;
+  par_messages : int;  (** remote messages on the fabric *)
+  par_bytes : int;
+  par_per_tag : (string * int * int) list;
+      (** fabric traffic by wire tag: [(tag, messages, bytes)], sorted by
+          tag *)
+  par_audit_ok : bool;  (** {!Dht_snode.Runtime.audit} after the run *)
 }
 
 val parallel :
@@ -21,9 +30,12 @@ val parallel :
   unit ->
   parallel_row list
 (** Creates [vnodes] vnodes with Poisson arrivals at [rate] per second
-    (default 1000/s, 512 vnodes, 64 snodes) under the global protocol and
-    under the local protocol for each [vmins] value (default
-    [\[16; 32; 64\]]). The same arrival trace is used for every row. *)
+    (default 20,000/s, 512 vnodes, 64 snodes) through the
+    {!Dht_snode.Runtime} global protocol and through its local protocol
+    for each [vmins] value (default [\[16; 32; 64\]]). The same arrival
+    trace is used for every row, and each row is one fresh runtime.
+    @raise Invalid_argument if [vnodes < 1], [rate <= 0.] or
+    [snodes < 1]. *)
 
 type hetero_report = {
   names : string array;  (** node names *)
@@ -119,32 +131,6 @@ val ablation_selection :
     membership counts equalize either way); this experiment quantifies the
     gap (mean of final values over [runs], default 20). *)
 
-type hotspot_report = {
-  accesses : int;
-  access_sigma_before : float;  (** per-vnode access σ̄ (%) before moves *)
-  access_sigma_after : float;
-  partitions_moved : int;
-  hotspot_keys_lost : int;  (** must be 0 *)
-}
-
-val hotspot :
-  ?vnodes:int ->
-  ?keys:int ->
-  ?accesses:int ->
-  ?zipf_s:float ->
-  ?pmin:int ->
-  ?vmin:int ->
-  seed:int ->
-  unit ->
-  hotspot_report
-(** Access-aware fine-grain balancing (the paper's §6 future work,
-    implemented by {!Dht_kv.Access_balancer}): stores [keys] (default
-    50_000), replays [accesses] (default 200_000) Zipf-distributed reads
-    (exponent [zipf_s], default 0.7 — mild enough that no single key
-    dominates a vnode's fair share, i.e. the imbalance is reducible by
-    placement), rebalances, and reports the per-vnode access imbalance
-    before and after. *)
-
 type hetero_compare_report = {
   local_max_err : float;  (** worst |quota/share − 1| under the local model *)
   local_rms_err : float;
@@ -187,9 +173,6 @@ type distributed_report = {
   dist_keys_wrong : int;  (** must be 0 *)
   dist_audit_ok : bool;  (** must be true *)
   makespan : float;  (** virtual seconds to absorb the burst *)
-  global_messages : int;  (** same workload through the global protocol *)
-  global_makespan : float;
-  global_audit_ok : bool;
 }
 
 val distributed :
@@ -208,9 +191,8 @@ val distributed :
     fire concurrently on a [snodes]-node cluster (default 16); all keys are
     re-read from random snodes and the distributed state is audited. The
     balance is compared against a centralized {!Dht_core.Local_dht} run of
-    the same size, and the same creation workload is replayed through the
-    global-approach runtime to contrast traffic and makespan. [metrics] and
-    [trace] instrument the local-approach runtime (see
+    the same size. {!parallel} is the global-vs-local comparison.
+    [metrics] and [trace] instrument the runtime (see
     {!Dht_snode.Runtime.create}); the registry additionally receives the
     post-run counter dump ({!Dht_snode.Runtime.record_metrics}). *)
 

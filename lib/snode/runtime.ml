@@ -365,6 +365,7 @@ type t = {
   op_starts : (int, float) Hashtbl.t;
   snodes : snode array;
   callbacks : (int, callback) Hashtbl.t;
+  on_created : (unit -> unit) Vtbl.t;  (* newcomer -> create_vnode ?on_done *)
   mutable next_token : int;
   mutable next_event : int;
   mutable pending : int;
@@ -2087,8 +2088,7 @@ and unlock t sn group =
     if !busy then continue := false
   done
 
-and start_balancing t sn group lpdr ~point ~newcomer ~origin =
-  ignore point;
+and start_balancing t sn group lpdr ~newcomer ~origin =
   let vmax = t.vmax in
   let split, target, target_counts =
     if List.length lpdr.counts = vmax then begin
@@ -2718,7 +2718,7 @@ and handle t sn ~from msg =
             if !busy then Queue.add msg q
             else begin
               busy := true;
-              start_balancing t sn group lpdr ~point ~newcomer ~origin
+              start_balancing t sn group lpdr ~newcomer ~origin
             end
           end)
   | Wire.Prepare p -> apply_prepare t sn ~from p
@@ -2784,9 +2784,14 @@ and handle t sn ~from msg =
           st.ev_waits <- st.ev_waits - 1;
           maybe_complete t sn event st)
   | Wire.Commit { event; moved } -> apply_commit t sn ~moved event
-  | Wire.Create_done _ ->
+  | Wire.Create_done { newcomer } -> (
       t.done_creations <- t.done_creations + 1;
-      t.pending <- t.pending - 1
+      t.pending <- t.pending - 1;
+      match Vtbl.find_opt t.on_created newcomer with
+      | Some f ->
+          Vtbl.remove t.on_created newcomer;
+          f ()
+      | None -> ())
   | Wire.Remove_request { leaving; origin; token } -> (
       match Vtbl.find_opt sn.locals leaving with
       | None -> send t ~src:sn.sid ~dst:origin (Wire.Remove_done { token; ok = false })
@@ -3747,6 +3752,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       op_starts = Hashtbl.create 64;
       snodes = snodes_arr;
       callbacks = Hashtbl.create 64;
+      on_created = Vtbl.create 16;
       next_token = 0;
       next_event = 0;
       pending = 0;
@@ -4135,13 +4141,14 @@ let record_metrics t reg =
         (r.hr_read_count + r.hr_write_count + r.hr_repl_count))
     (heat_rows t)
 
-let create_vnode t ?initiator ~id () =
+let create_vnode t ?initiator ?on_done ~id () =
   let origin =
     Option.value initiator ~default:(id.Vnode_id.snode mod Array.length t.snodes)
   in
   if origin < 0 || origin >= Array.length t.snodes then
     invalid_arg "Runtime.create_vnode: initiator out of range";
   t.pending <- t.pending + 1;
+  Option.iter (Vtbl.replace t.on_created id) on_done;
   let sn = t.snodes.(origin) in
   Engine.schedule t.engine ~delay:0. (fun () ->
       let point = Rng.int sn.rng (Space.size t.space) in

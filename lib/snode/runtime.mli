@@ -250,10 +250,14 @@ val snode_count : t -> int
 val vnode_count : t -> int
 (** Vnodes whose creation has completed. *)
 
-val create_vnode : t -> ?initiator:int -> id:Vnode_id.t -> unit -> unit
+val create_vnode :
+  t -> ?initiator:int -> ?on_done:(unit -> unit) -> id:Vnode_id.t -> unit ->
+  unit
 (** Issues a creation request from [initiator] (default: the snode named by
     [id]) at the current virtual time. Completion is asynchronous; drive
-    the engine with {!run}. *)
+    the engine with {!run}. [on_done] fires once, when the completion
+    notice reaches the initiator (the moment {!completed_creations}
+    counts it). *)
 
 val put :
   t -> ?via:int -> ?on_done:(unit -> unit) -> key:string -> value:string ->

@@ -1,5 +1,6 @@
 (* Tests for Dht_experiments: the per-figure drivers (small scales). *)
 
+open Dht_core
 module Curve = Dht_experiments.Curve
 module Runs = Dht_experiments.Runs
 module Sims = Dht_experiments.Sims
@@ -8,6 +9,7 @@ module Extensions = Dht_experiments.Extensions
 module Rng = Dht_prng.Rng
 
 let check = Alcotest.check
+let vid i = Vnode_id.make ~snode:i ~vnode:0
 
 (* --- Curve --- *)
 
@@ -184,17 +186,40 @@ let test_stability_driver () =
 
 (* --- Extensions (reduced scale) --- *)
 
+(* The section-3 claim on the snode runtime, at test scale. *)
+let parallel_rows () =
+  Extensions.parallel ~snodes:8 ~vnodes:64 ~rate:10_000. ~vmins:[ 8; 16 ]
+    ~seed:8 ()
+
 let test_parallel_rows () =
-  let rows = Extensions.parallel ~snodes:8 ~vnodes:64 ~rate:2000. ~vmins:[ 8 ] ~seed:8 () in
-  match rows with
-  | [ g; l ] ->
-      check Alcotest.string "global label" "global" g.Extensions.label;
-      check Alcotest.int "global serialized" 1
-        g.Extensions.result.Dht_protocol.Creation_sim.max_concurrent;
-      check Alcotest.bool "local faster or equal" true
-        (l.Extensions.result.Dht_protocol.Creation_sim.makespan
-        <= g.Extensions.result.Dht_protocol.Creation_sim.makespan +. 1e-9)
-  | _ -> Alcotest.fail "expected two rows"
+  match parallel_rows () with
+  | [ g; l8; l16 ] ->
+      check Alcotest.(list string) "labels"
+        [ "global"; "local Vmin=8"; "local Vmin=16" ]
+        [ g.label; l8.label; l16.label ];
+      List.iter
+        (fun (r : Extensions.parallel_row) ->
+          check Alcotest.int (r.label ^ ": all created") 64 r.par_created;
+          check Alcotest.bool (r.label ^ ": audit ok") true r.par_audit_ok;
+          check Alcotest.bool (r.label ^ ": latency positive") true
+            (r.par_mean_latency > 0. && r.par_p95_latency > 0.))
+        [ g; l8; l16 ];
+      (* Global creations serialize through one queue; local groups
+         balance concurrently, and smaller groups contend less. *)
+      check Alcotest.bool
+        (Printf.sprintf "global mean %.2g s > local %.2g s" g.par_mean_latency
+           l16.par_mean_latency)
+        true
+        (g.par_mean_latency > l16.par_mean_latency);
+      check Alcotest.bool
+        (Printf.sprintf "Vmin=8 mean %.2g s < Vmin=16 %.2g s"
+           l8.par_mean_latency l16.par_mean_latency)
+        true
+        (l8.par_mean_latency < l16.par_mean_latency);
+      check Alcotest.bool "global messages >= local" true
+        (g.par_messages >= l8.par_messages
+        && g.par_messages >= l16.par_messages)
+  | _ -> Alcotest.fail "expected three rows"
 
 let test_hetero_report () =
   let r = Extensions.hetero ~total_vnodes:64 ~pmin:8 ~vmin:8 ~seed:9 () in
@@ -272,6 +297,56 @@ let test_chaos_replicated_durable () =
   check Alcotest.bool "hints drained on restart" true
     (rs.Runtime.hints_flushed = rs.Runtime.hints_stored)
 
+(* --- Model-level extension drivers --- *)
+
+let test_churn_experiment () =
+  let r = Extensions.churn ~initial_vnodes:64 ~operations:120 ~keys:2000 ~pmin:8 ~vmin:8 ~seed:4 () in
+  check Alcotest.int "ops" 120 r.Extensions.operations;
+  check Alcotest.int "no key lost" 0 r.Extensions.churn_keys_lost;
+  check Alcotest.int "no audit failure" 0 r.Extensions.audit_failures;
+  check Alcotest.int "joins + leaves <= ops" r.Extensions.operations
+    (r.Extensions.joins + r.Extensions.leaves + r.Extensions.blocked_leaves);
+  check Alcotest.int "population bookkeeping" r.Extensions.final_vnodes
+    (64 + r.Extensions.joins - r.Extensions.leaves);
+  check Alcotest.int "curve length" 120 (Array.length r.Extensions.sigma_qv_curve)
+
+let test_ablation_experiment () =
+  let r = Extensions.ablation_selection ~runs:6 ~vnodes:256 ~pmin:8 ~vmin:8 ~seed:5 () in
+  (* The paper's quota-proportional selection must beat uniform group
+     choice on both metrics. *)
+  check Alcotest.bool
+    (Printf.sprintf "Qv: %.2f < %.2f" r.Extensions.quota_sigma_qv r.Extensions.uniform_sigma_qv)
+    true
+    (r.Extensions.quota_sigma_qv < r.Extensions.uniform_sigma_qv);
+  (* sigma(Qg) is not reliably directional (membership counts equalize
+     either way); just require both measurements to be meaningful. *)
+  check Alcotest.bool "Qg measured" true
+    (r.Extensions.quota_sigma_qg > 0. && r.Extensions.uniform_sigma_qg > 0.)
+
+let test_hetero_compare_experiment () =
+  let r = Extensions.hetero_compare ~runs:5 ~seed:7 () in
+  check Alcotest.bool "local errors positive" true (r.Extensions.local_rms_err > 0.);
+  check Alcotest.bool "ch errors positive" true (r.Extensions.ch_rms_err > 0.);
+  (* Controlled enrollment tracks capacity far tighter than random arcs. *)
+  check Alcotest.bool
+    (Printf.sprintf "local rms %.3f < ch rms %.3f" r.Extensions.local_rms_err
+       r.Extensions.ch_rms_err)
+    true
+    (r.Extensions.local_rms_err < r.Extensions.ch_rms_err)
+
+let test_uniform_selection_runs () =
+  (* The ablation selection policy is itself invariant-safe. *)
+  let dht =
+    Local_dht.create ~selection:Local_dht.Uniform_group ~pmin:8 ~vmin:8
+      ~rng:(Rng.of_int 8) ~first:(vid 0) ()
+  in
+  for i = 1 to 199 do
+    ignore (Local_dht.add_vnode dht ~id:(vid i))
+  done;
+  match Audit.check_local dht with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "audit: %s" (String.concat "\n" es)
+
 let suite =
   [
     Alcotest.test_case "curve basics" `Quick test_curve_basics;
@@ -304,4 +379,11 @@ let suite =
     Alcotest.test_case "chaos recovers" `Quick test_chaos_recovers;
     Alcotest.test_case "chaos replicated durable" `Quick
       test_chaos_replicated_durable;
+    Alcotest.test_case "churn experiment" `Quick test_churn_experiment;
+    Alcotest.test_case "selection ablation experiment" `Quick
+      test_ablation_experiment;
+    Alcotest.test_case "hetero compare experiment" `Quick
+      test_hetero_compare_experiment;
+    Alcotest.test_case "uniform selection is invariant-safe" `Quick
+      test_uniform_selection_runs;
   ]

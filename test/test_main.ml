@@ -18,7 +18,6 @@ let () =
       ("protocol", Test_protocol.suite);
       ("kv", Test_kv.suite);
       ("removal", Test_removal.suite);
-      ("access-balancer", Test_access_balancer.suite);
       ("workload", Test_workload.suite);
       ("experiments", Test_experiments.suite);
       ("report", Test_report.suite);

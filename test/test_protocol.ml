@@ -1,123 +1,121 @@
-(* Tests for Dht_protocol.Creation_sim: the distributed creation protocols. *)
+(* Tests for the distributed creation protocols (§3) as the snode runtime
+   runs them, driven through Extensions.parallel at test scale. *)
 
-module Csim = Dht_protocol.Creation_sim
-module Trace = Dht_workload.Trace
-module Rng = Dht_prng.Rng
+open Dht_core
+module Extensions = Dht_experiments.Extensions
+module Runtime = Dht_snode.Runtime
 
 let check = Alcotest.check
 
-let global_cfg ?(snodes = 16) () =
-  { (Csim.default_config Csim.Global_approach) with Csim.snodes }
+let rows ?(snodes = 8) ?(vmins = [ 8; 16 ]) () =
+  Extensions.parallel ~snodes ~vnodes:64 ~rate:10_000. ~vmins ~seed:8 ()
 
-let local_cfg ?(snodes = 16) ?(vmin = 8) () =
-  { (Csim.default_config (Csim.Local_approach { vmin })) with Csim.snodes }
-
-let arrivals ?(rate = 2000.) n = Trace.poisson ~rng:(Rng.of_int 9) ~n ~rate
+(* Global, local Vmin=8 and local Vmin=16 on 8 snodes. *)
+let three_rows () =
+  match rows () with
+  | [ g; l8; l16 ] -> (g, l8, l16)
+  | _ -> Alcotest.fail "expected three rows"
 
 let test_completes_all () =
-  let a = arrivals 64 in
-  let r = Csim.simulate (global_cfg ()) ~arrivals:a ~seed:1 in
-  check Alcotest.int "creations" 64 r.Csim.vnodes;
-  check Alcotest.int "latency samples" 64 (Array.length r.Csim.latencies);
-  check Alcotest.bool "makespan after last arrival" true
-    (r.Csim.makespan >= a.(63));
-  Array.iter
-    (fun l -> check Alcotest.bool "positive latency" true (l > 0.))
-    r.Csim.latencies
-
-let test_global_is_serialized () =
-  (* §3: consecutive creations are executed serially under the global
-     approach — concurrency can never exceed 1. *)
-  let r = Csim.simulate (global_cfg ()) ~arrivals:(arrivals 128) ~seed:1 in
-  check Alcotest.int "max concurrency 1" 1 r.Csim.max_concurrent
-
-let test_local_overlaps () =
-  let r = Csim.simulate (local_cfg ~vmin:8 ()) ~arrivals:(arrivals 256) ~seed:1 in
-  check Alcotest.bool
-    (Printf.sprintf "concurrency %d > 1" r.Csim.max_concurrent)
-    true (r.Csim.max_concurrent > 1)
+  let g, l8, l16 = three_rows () in
+  List.iter
+    (fun (r : Extensions.parallel_row) ->
+      check Alcotest.int (r.label ^ ": creations") 64 r.par_created;
+      check Alcotest.bool (r.label ^ ": audit ok") true r.par_audit_ok;
+      check Alcotest.bool (r.label ^ ": positive latency") true
+        (r.par_mean_latency > 0. && r.par_p95_latency > 0.);
+      check Alcotest.bool (r.label ^ ": makespan covers latencies") true
+        (r.par_makespan >= r.par_p95_latency))
+    [ g; l8; l16 ]
 
 let test_local_beats_global_under_load () =
-  let a = arrivals 256 in
-  let g = Csim.simulate (global_cfg ()) ~arrivals:a ~seed:1 in
-  let l = Csim.simulate (local_cfg ~vmin:8 ()) ~arrivals:a ~seed:1 in
+  let g, _, l16 = three_rows () in
   check Alcotest.bool
-    (Printf.sprintf "makespan %.3f < %.3f" l.Csim.makespan g.Csim.makespan)
+    (Printf.sprintf "makespan %.4f < %.4f" l16.par_makespan g.par_makespan)
     true
-    (l.Csim.makespan < g.Csim.makespan);
-  check Alcotest.bool "lower mean latency" true
-    (Csim.mean_latency l < Csim.mean_latency g)
+    (l16.par_makespan < g.par_makespan);
+  check Alcotest.bool
+    (Printf.sprintf "mean latency %.2g < %.2g" l16.par_mean_latency
+       g.par_mean_latency)
+    true
+    (l16.par_mean_latency < g.par_mean_latency)
 
 let test_smaller_groups_more_parallel () =
-  (* The paper's tradeoff: smaller Vmin -> more groups -> more parallelism. *)
-  let a = arrivals 256 in
-  let small = Csim.simulate (local_cfg ~vmin:8 ()) ~arrivals:a ~seed:1 in
-  let large = Csim.simulate (local_cfg ~vmin:64 ()) ~arrivals:a ~seed:1 in
+  (* The paper's tradeoff: smaller Vmin -> more groups -> less contention. *)
+  let _, l8, l16 = three_rows () in
   check Alcotest.bool
-    (Printf.sprintf "conc %d >= %d" small.Csim.max_concurrent large.Csim.max_concurrent)
+    (Printf.sprintf "Vmin=8 mean %.2g < Vmin=16 %.2g" l8.par_mean_latency
+       l16.par_mean_latency)
     true
-    (small.Csim.max_concurrent >= large.Csim.max_concurrent)
+    (l8.par_mean_latency < l16.par_mean_latency)
+
+let global_messages snodes =
+  match rows ~snodes ~vmins:[] () with
+  | [ g ] -> g.par_messages
+  | _ -> Alcotest.fail "expected one row"
 
 let test_global_messages_scale_with_snodes () =
-  let a = arrivals 64 in
-  let small = Csim.simulate (global_cfg ~snodes:8 ()) ~arrivals:a ~seed:1 in
-  let big = Csim.simulate (global_cfg ~snodes:32 ()) ~arrivals:a ~seed:1 in
-  check Alcotest.bool "more snodes, more traffic" true
-    (big.Csim.messages > small.Csim.messages);
-  (* Each creation broadcasts to S-1 peers and collects S-1 acks. *)
-  check Alcotest.bool "at least 2(S-1) per creation" true
-    (big.Csim.messages >= 64 * 2 * 31)
+  (* Under the global approach every snode takes part in every creation. *)
+  let small = global_messages 8 and big = global_messages 32 in
+  check Alcotest.bool
+    (Printf.sprintf "32 snodes %d > 8 snodes %d" big small)
+    true (big > small)
 
 let test_local_messages_bounded_by_group () =
-  (* Local sync messages depend on Vg <= Vmax, not on the cluster size. *)
-  let a = arrivals 128 in
-  let g = Csim.simulate (global_cfg ~snodes:64 ()) ~arrivals:a ~seed:1 in
-  let l = Csim.simulate (local_cfg ~snodes:64 ~vmin:8 ()) ~arrivals:a ~seed:1 in
-  check Alcotest.bool
-    (Printf.sprintf "local %d < global %d" l.Csim.messages g.Csim.messages)
-    true
-    (l.Csim.messages < g.Csim.messages)
+  (* Local creations synchronise one group of at most Vmax vnodes, not the
+     whole cluster. *)
+  match rows ~snodes:32 ~vmins:[ 8 ] () with
+  | [ g; l ] ->
+      check Alcotest.bool
+        (Printf.sprintf "local %d < global %d" l.par_messages g.par_messages)
+        true
+        (l.par_messages < g.par_messages)
+  | _ -> Alcotest.fail "expected two rows"
 
 let test_validation () =
-  Alcotest.check_raises "empty arrivals"
-    (Invalid_argument "Creation_sim.simulate: no arrivals") (fun () ->
-      ignore (Csim.simulate (global_cfg ()) ~arrivals:[||] ~seed:1));
-  Alcotest.check_raises "unsorted arrivals"
-    (Invalid_argument "Creation_sim.simulate: arrivals must be sorted and >= 0")
-    (fun () ->
-      ignore (Csim.simulate (global_cfg ()) ~arrivals:[| 1.; 0.5 |] ~seed:1))
+  let parallel ?(snodes = 4) ?(rate = 1000.) vnodes () =
+    ignore (Extensions.parallel ~snodes ~vnodes ~rate ~vmins:[] ~seed:1 ())
+  in
+  Alcotest.check_raises "no creations"
+    (Invalid_argument "Extensions.parallel: vnodes < 1") (parallel 0);
+  Alcotest.check_raises "zero rate"
+    (Invalid_argument "Rng.exponential: rate must be positive")
+    (parallel ~rate:0. 4);
+  Alcotest.check_raises "no snodes"
+    (Invalid_argument "Runtime.create: need at least one snode")
+    (parallel ~snodes:0 4)
 
 let test_determinism () =
-  let run () = Csim.simulate (local_cfg ()) ~arrivals:(arrivals 128) ~seed:4 in
-  let a = run () and b = run () in
-  check (Alcotest.float 0.) "same makespan" a.Csim.makespan b.Csim.makespan;
-  check Alcotest.int "same messages" a.Csim.messages b.Csim.messages;
-  check Alcotest.int "same conflicts" a.Csim.conflicts b.Csim.conflicts
-
-let test_conflicts_bounded () =
-  let r = Csim.simulate (local_cfg ()) ~arrivals:(arrivals 200) ~seed:2 in
-  check Alcotest.bool "conflicts <= creations" true (r.Csim.conflicts <= 200)
+  check Alcotest.bool "same seed, same rows" true (rows () = rows ())
 
 let test_throughput_and_percentiles () =
-  let r = Csim.simulate (global_cfg ()) ~arrivals:(arrivals 64) ~seed:3 in
-  check Alcotest.bool "throughput positive" true (Csim.throughput r > 0.);
+  let g, _, _ = three_rows () in
+  check Alcotest.bool "throughput positive" true
+    (float_of_int g.par_created /. g.par_makespan > 0.);
   check Alcotest.bool "p95 >= mean is typical here" true
-    (Csim.p95_latency r >= Csim.mean_latency r /. 2.)
+    (g.par_p95_latency >= g.par_mean_latency /. 2.)
 
 let test_bulk_arrivals () =
   (* All requests at t=0: the global protocol must still serialize them and
      terminate. *)
-  let r = Csim.simulate (global_cfg ~snodes:4 ()) ~arrivals:(Trace.bulk ~n:32) ~seed:5 in
-  check Alcotest.int "all done" 32 r.Csim.vnodes;
-  check Alcotest.int "serialized" 1 r.Csim.max_concurrent;
-  check Alcotest.int "everyone but the first waited" 31 r.Csim.conflicts
+  let rt = Runtime.create ~approach:Runtime.Global ~snodes:4 ~seed:5 () in
+  let done_ = ref 0 in
+  for i = 1 to 32 do
+    Runtime.create_vnode rt
+      ~id:(Vnode_id.make ~snode:(i mod 4) ~vnode:(i / 4))
+      ~on_done:(fun () -> incr done_)
+      ()
+  done;
+  Runtime.run rt;
+  check Alcotest.int "all done" 32 (Runtime.completed_creations rt);
+  check Alcotest.int "each reported once" 32 !done_;
+  match Runtime.audit rt with
+  | Ok () -> ()
+  | Error es -> Alcotest.fail (String.concat "\n" es)
 
 let suite =
   [
     Alcotest.test_case "completes all creations" `Quick test_completes_all;
-    Alcotest.test_case "global approach is serialized" `Quick
-      test_global_is_serialized;
-    Alcotest.test_case "local approach overlaps" `Quick test_local_overlaps;
     Alcotest.test_case "local beats global under load" `Quick
       test_local_beats_global_under_load;
     Alcotest.test_case "smaller groups, more parallelism" `Quick
@@ -128,8 +126,6 @@ let suite =
       test_local_messages_bounded_by_group;
     Alcotest.test_case "input validation" `Quick test_validation;
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "conflicts counted once per creation" `Quick
-      test_conflicts_bounded;
     Alcotest.test_case "throughput and percentiles" `Quick
       test_throughput_and_percentiles;
     Alcotest.test_case "bulk arrivals" `Quick test_bulk_arrivals;

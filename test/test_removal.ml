@@ -263,41 +263,8 @@ let test_transfer_span_guards () =
     | Ok () -> Alcotest.fail "ownership not checked"
     | Error _ -> Alcotest.fail "wrong error kind"
 
-let test_swap_spans () =
-  let dht = grow_global 4 in
-  let b = Global_dht.balancer dht in
-  let vnodes = Global_dht.vnodes dht in
-  let a = vnodes.(0) and c = vnodes.(1) in
-  let span_a = List.hd a.Vnode.spans and span_b = List.hd c.Vnode.spans in
-  let count_a = a.Vnode.count and count_b = c.Vnode.count in
-  (match Balancer.swap_spans b ~a ~b:c ~span_a ~span_b with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "swap refused");
-  check Alcotest.int "count a unchanged" count_a a.Vnode.count;
-  check Alcotest.int "count b unchanged" count_b c.Vnode.count;
-  check Alcotest.bool "a holds span_b" true
-    (List.exists (Span.equal span_b) a.Vnode.spans);
-  check Alcotest.bool "b holds span_a" true
-    (List.exists (Span.equal span_a) c.Vnode.spans);
-  (* Routing followed both halves of the swap. *)
-  let _, o1 = Global_dht.lookup dht (Span.start sp span_a) in
-  let _, o2 = Global_dht.lookup dht (Span.start sp span_b) in
-  check Alcotest.bool "span_a routed to b" true (o1 == c);
-  check Alcotest.bool "span_b routed to a" true (o2 == a);
-  (match Audit.check_global dht with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "audit: %s" (String.concat "\n" es));
-  (* Guards. *)
-  (match Balancer.swap_spans b ~a ~b:a ~span_a:span_b ~span_b with
-  | Error `Same_vnode -> ()
-  | Ok () | Error _ -> Alcotest.fail "same-vnode swap allowed");
-  match Balancer.swap_spans b ~a ~b:c ~span_a (* no longer owned by a *) ~span_b with
-  | Error `Not_owner -> ()
-  | Ok () | Error _ -> Alcotest.fail "ownership not checked"
-
 let suite =
   [
-    Alcotest.test_case "swap_spans exchanges and routes" `Quick test_swap_spans;
     Alcotest.test_case "global: remove then audit" `Quick test_remove_then_audit;
     Alcotest.test_case "global: removal equalizes" `Quick test_remove_equalizes;
     Alcotest.test_case "global: perfect balance at power of two" `Quick

@@ -608,6 +608,43 @@ let test_runtime_crash_recovery () =
   | Ok () -> ()
   | Error es -> Alcotest.fail (String.concat "\n" es)
 
+let test_runtime_create_on_done () =
+  (* [create_vnode ?on_done] fires exactly once per creation, as
+     [completed_creations] counts it — also when the reliable layer
+     retransmits and deduplicates on a lossy, duplicating network. *)
+  let run ?faults label =
+    let rt =
+      Runtime.create ~pmin:8 ~approach:(Runtime.Local { vmin = 4 }) ?faults
+        ~snodes:8 ~seed:21 ()
+    in
+    let fired = Array.make 24 0 and total = ref 0 in
+    for i = 1 to 23 do
+      Runtime.create_vnode rt
+        ~id:(Vnode_id.make ~snode:(i mod 8) ~vnode:(i / 8))
+        ~on_done:(fun () ->
+          fired.(i) <- fired.(i) + 1;
+          incr total;
+          check Alcotest.int (label ^ ": fires as counted")
+            (Runtime.completed_creations rt) !total)
+        ()
+    done;
+    Runtime.run rt;
+    check Alcotest.int (label ^ ": all completed") 23
+      (Runtime.completed_creations rt);
+    Array.iteri
+      (fun i n ->
+        check Alcotest.int (Printf.sprintf "%s: vnode %d" label i)
+          (if i = 0 then 0 else 1) n)
+      fired;
+    rt
+  in
+  ignore (run "fault-free");
+  let faults =
+    Runtime.Fault.create ~drop:0.05 ~duplicate:0.05 ~jitter:1e-4 ~seed:21 ()
+  in
+  let s = Runtime.stats (run ~faults "lossy") in
+  check Alcotest.bool "faults bit" true (s.Runtime.drops > 0)
+
 (* --- Overload and graceful degradation --- *)
 
 let test_runtime_degradation_validation () =
@@ -800,6 +837,8 @@ let suite =
       test_runtime_reliable_under_faults;
     Alcotest.test_case "runtime: crash recovery" `Quick
       test_runtime_crash_recovery;
+    Alcotest.test_case "runtime: create on_done fires once" `Quick
+      test_runtime_create_on_done;
     Alcotest.test_case "runtime: degradation knob validation" `Quick
       test_runtime_degradation_validation;
     Alcotest.test_case "runtime: backpressure window" `Quick
