@@ -167,21 +167,6 @@ let bench_quorum_put_get =
          done;
          Dht_snode.Runtime.run rt))
 
-let bench_kv_put_get =
-  let store =
-    Dht_kv.Local_store.create ~pmin:32 ~vmin:16 ~rng:(Rng.of_int 7) ~first:(vid 0) ()
-  in
-  for i = 1 to 31 do
-    ignore (Dht_kv.Local_store.add_vnode store ~id:(vid i))
-  done;
-  let counter = ref 0 in
-  Test.make ~name:"ext-kv: put + get of one key (32-vnode store)"
-    (Staged.stage (fun () ->
-         incr counter;
-         let key = "bench-" ^ string_of_int !counter in
-         Dht_kv.Local_store.put store ~key ~value:"v";
-         ignore (Dht_kv.Local_store.get store ~key)))
-
 let run_benchmarks () =
   print_endline "== Micro-benchmarks (Bechamel, OLS time/run) ==";
   let tests =
@@ -199,7 +184,6 @@ let run_benchmarks () =
         bench_snode_runtime;
         bench_snode_runtime_faulty;
         bench_snapshot;
-        bench_kv_put_get;
         bench_quorum_put_get;
       ]
   in
@@ -823,9 +807,11 @@ let () =
   Printf.printf "\n== Extension: data plane (100k keys, 64 -> 128 vnodes) ==\n";
   let k = Extensions.kvload ~seed () in
   Printf.printf
-    "  load sigma %.2f%% -> %.2f%% (quota sigma %.2f%%), migrated %d, lost %d\n"
+    "  load sigma %.2f%% -> %.2f%% (quota sigma %.2f%%), %d changed owner, \
+     lost %d, findings %d\n"
     k.Extensions.load_sigma_before k.Extensions.load_sigma_after
-    k.Extensions.quota_sigma_after k.Extensions.migrations k.Extensions.lost;
+    k.Extensions.quota_sigma_after k.Extensions.migrations k.Extensions.lost
+    (List.length k.Extensions.findings);
 
   Printf.printf "\n== Extension: churn (joins + leaves) ==\n";
   let c = Extensions.churn ~seed () in
@@ -833,7 +819,7 @@ let () =
     "  %d joins, %d leaves (%d blocked by the L2 floor), %d vnodes left;\n"
     c.Extensions.joins c.Extensions.leaves c.Extensions.blocked_leaves
     c.Extensions.final_vnodes;
-  Printf.printf "  sigma(Qv) max %.2f%%, keys lost %d, audit failures %d\n"
+  Printf.printf "  sigma(Qv) max %.2f%%, keys lost %d, invariant findings %d\n"
     (Array.fold_left Float.max 0. c.Extensions.sigma_qv_curve)
     c.Extensions.churn_keys_lost c.Extensions.audit_failures;
 

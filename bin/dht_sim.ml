@@ -22,22 +22,28 @@ let seed_arg =
   let doc = "Master random seed (results are reproducible per seed)." in
   Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Sizes and rates parse as strictly positive, so a zero or negative value
+(* Flag values are range-checked as they parse, so an out-of-range value
    is a usage error (exit 124) rather than an exception deep in a run. *)
-let positive what parse is_positive pp =
+let checked what parse valid pp =
   let parse s =
     match parse s with
-    | Some x when is_positive x -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive %s, got %S" what s))
+    | Some x when valid x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, pp)
 
 let positive_int =
-  positive "integer" int_of_string_opt (fun n -> n > 0) Format.pp_print_int
+  checked "a positive integer" int_of_string_opt (fun n -> n > 0)
+    Format.pp_print_int
 
 let positive_float =
-  positive "number" float_of_string_opt
+  checked "a positive number" float_of_string_opt
     (fun x -> x > 0. && Float.is_finite x)
+    Format.pp_print_float
+
+let probability =
+  checked "a probability in [0, 1]" float_of_string_opt
+    (fun p -> p >= 0. && p <= 1.)
     Format.pp_print_float
 
 let vnodes_arg default =
@@ -531,7 +537,8 @@ let hetero_cmd =
 let kvload_cmd =
   let run tel keys zipf seed =
     let r = Extensions.kvload ~keys ~zipf ~seed () in
-    Printf.printf "== Data plane: %d %s keys, %d -> %d vnodes ==\n"
+    Printf.printf
+      "== Data plane: %d %s keys, %d -> %d vnodes on 16 snodes ==\n"
       r.Extensions.keys
       (if zipf then "zipf" else "uniform")
       r.Extensions.initial_vnodes r.Extensions.final_vnodes;
@@ -541,13 +548,15 @@ let kvload_cmd =
       r.Extensions.load_sigma_after;
     Printf.printf "quota sigma after growth:     %.2f %%\n"
       r.Extensions.quota_sigma_after;
-    Printf.printf "keys migrated: %d, keys lost: %d\n" r.Extensions.migrations
-      r.Extensions.lost;
+    Printf.printf "keys that changed owner: %d, keys lost: %d\n"
+      r.Extensions.migrations r.Extensions.lost;
+    List.iter print_endline r.Extensions.findings;
+    Printf.printf "invariant findings: %d\n" (List.length r.Extensions.findings);
     finish_telemetry tel;
-    if r.Extensions.lost > 0 then exit 1
+    if r.Extensions.lost > 0 || r.Extensions.findings <> [] then exit 1
   in
   let keys =
-    Arg.(value & opt int 100_000 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt positive_int 100_000 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs to store.")
   in
   let zipf =
@@ -559,7 +568,8 @@ let kvload_cmd =
 let churn_cmd =
   let run tel ops leave_fraction seed =
     let r = Extensions.churn ~operations:ops ~leave_fraction ~seed () in
-    Printf.printf "== Churn: %d ops (%.0f%% leaves) from 128 vnodes ==\n" ops
+    Printf.printf
+      "== Churn: %d ops (%.0f%% leaves) from 128 vnodes on 32 snodes ==\n" ops
       (100. *. leave_fraction);
     Printf.printf "joins %d, leaves %d, blocked leaves %d, final vnodes %d\n"
       r.Extensions.joins r.Extensions.leaves r.Extensions.blocked_leaves
@@ -568,18 +578,20 @@ let churn_cmd =
     Printf.printf "sigma(Qv): start %.2f%%, end %.2f%%, max %.2f%%\n" curve.(0)
       curve.(Array.length curve - 1)
       (Array.fold_left Float.max 0. curve);
-    Printf.printf "keys lost %d, audit failures %d\n" r.Extensions.churn_keys_lost
+    Printf.printf
+      "keys that changed owner: %d, keys lost: %d, invariant findings: %d\n"
+      r.Extensions.churn_keys_moved r.Extensions.churn_keys_lost
       r.Extensions.audit_failures;
     finish_telemetry tel;
     if r.Extensions.churn_keys_lost > 0 || r.Extensions.audit_failures > 0 then
       exit 1
   in
   let ops =
-    Arg.(value & opt int 400 & info [ "ops" ] ~docv:"N"
+    Arg.(value & opt positive_int 400 & info [ "ops" ] ~docv:"N"
            ~doc:"Number of join/leave operations.")
   in
   let leave =
-    Arg.(value & opt float 0.4 & info [ "leave-fraction" ] ~docv:"F"
+    Arg.(value & opt probability 0.4 & info [ "leave-fraction" ] ~docv:"F"
            ~doc:"Probability that an operation is a leave.")
   in
   let term = Term.(const run $ telemetry_term $ ops $ leave $ seed_arg) in
@@ -883,11 +895,11 @@ let chaos_cmd =
            ~doc:"Number of key/value pairs stored before the burst.")
   in
   let drop =
-    Arg.(value & opt float 0.03 & info [ "drop" ] ~docv:"P"
+    Arg.(value & opt probability 0.03 & info [ "drop" ] ~docv:"P"
            ~doc:"Per-message drop probability.")
   in
   let dup =
-    Arg.(value & opt float 0.015 & info [ "dup" ] ~docv:"P"
+    Arg.(value & opt probability 0.015 & info [ "dup" ] ~docv:"P"
            ~doc:"Per-message duplication probability.")
   in
   let jitter =
@@ -903,7 +915,14 @@ let chaos_cmd =
            ~doc:"Virtual seconds each crashed snode stays down.")
   in
   let route_cap =
-    Arg.(value & opt int 0 & info [ "route-cap" ] ~docv:"E"
+    (* A bounded cache must hold at least the Pmin = 8 partitions of one
+       chaos vnode. *)
+    let cap =
+      checked "0 or an integer >= 8" int_of_string_opt
+        (fun n -> n = 0 || n >= 8)
+        Format.pp_print_int
+    in
+    Arg.(value & opt cap 0 & info [ "route-cap" ] ~docv:"E"
            ~doc:
              "Per-snode routing-cache entry bound (0 keeps the legacy \
               unbounded caches): chaos-test bounded prefix routing under \
@@ -943,8 +962,8 @@ let kv_cmd =
     in
     Printf.printf "== KV quickstart: %d snodes, rfactor=%d, R=%d, W=%d ==\n"
       snodes rfactor read_quorum write_quorum;
-    (* --audit: run the snode-local invariant battery after every
-       balancing commit, and the full snapshot battery at the end. *)
+    (* --audit: also run the snode-local checks after every balancing
+       commit; the full snapshot battery always runs at the end. *)
     let commit_audits = ref 0 in
     let commit_failures = ref [] in
     if audit then
@@ -1010,41 +1029,28 @@ let kv_cmd =
       (keys + 1 - !wrong_up)
       (keys + 1) s.Runtime.hints_stored s.Runtime.hints_flushed
       s.Runtime.read_repairs s.Runtime.sync_cells;
-    let audit_ok =
-      match Runtime.audit rt with
-      | Ok () -> true
-      | Error es ->
-          List.iter print_endline es;
-          false
+    Runtime.set_on_commit rt None;
+    let findings =
+      !commit_failures @ Invariants.to_strings (Invariants.check_runtime rt)
     in
-    Printf.printf "audit: %s\n" (if audit_ok then "ok" else "FAILED");
-    let battery_ok =
-      if not audit then true
-      else begin
-        Runtime.set_on_commit rt None;
-        let final = Invariants.to_strings (Invariants.check_runtime rt) in
-        List.iter print_endline (!commit_failures @ final);
-        Printf.printf
-          "invariant battery: %d per-commit audits, final sweep %s\n"
-          !commit_audits
-          (if final = [] && !commit_failures = [] then "ok" else "FAILED");
-        final = [] && !commit_failures = []
-      end
-    in
+    List.iter print_endline findings;
+    Printf.printf "audit: %s%s\n"
+      (if findings = [] then "ok" else "FAILED")
+      (if audit then Printf.sprintf " (%d per-commit snode audits)" !commit_audits
+       else "");
     finish_telemetry tel;
     if
       !acked < keys || !wrong_down > 0 || !mid_acked <> 1 || !wrong_up > 0
-      || (not audit_ok) || (not battery_ok)
-      || Runtime.pending_operations rt <> 0
+      || findings <> [] || Runtime.pending_operations rt <> 0
     then exit 1
   in
   let audit_flag =
     Arg.(value & flag
          & info [ "audit" ]
              ~doc:
-               "Run the paper-invariant battery: the snode-local checks \
-                after every balancing commit and the full snapshot battery \
-                at the end. Exits non-zero on any finding.")
+               "Also run the snode-local invariant checks after every \
+                balancing commit (the full snapshot battery always runs at \
+                the end). Exits non-zero on any finding.")
   in
   let keys =
     Arg.(value & opt int 12 & info [ "keys" ] ~docv:"K"
@@ -1448,9 +1454,7 @@ let heat_cmd =
           && r.Runtime.hr_owner >= 0
       | [] -> false
     in
-    let audit_ok =
-      match Runtime.audit rt with Ok () -> true | Error _ -> false
-    in
+    let audit_ok = Dht_check.Invariants.check_runtime rt = [] in
     if json then begin
       (* Machine-readable report: the same skew summaries and top-K rows
          the human tables carry, one JSON object on stdout. *)
@@ -1540,7 +1544,7 @@ let heat_cmd =
     if (not audit_ok) || not attributed then exit 1
   in
   let nkeys =
-    Arg.(value & opt int 1000 & info [ "keys" ] ~docv:"N"
+    Arg.(value & opt positive_int 1000 & info [ "keys" ] ~docv:"N"
            ~doc:"Number of distinct keys (Zipf ranks).")
   in
   let zipf_s =
@@ -1656,7 +1660,7 @@ let balance_cmd =
     if not (gini_ok && p99_ok && safe) then exit 1
   in
   let nkeys =
-    Arg.(value & opt int 1000 & info [ "keys" ] ~docv:"N"
+    Arg.(value & opt positive_int 1000 & info [ "keys" ] ~docv:"N"
            ~doc:"Number of distinct keys (Zipf ranks).")
   in
   let zipf_s =

@@ -65,12 +65,13 @@ let () =
       print_endline "vnode 3.1's departure was refused (L2 floor) - kept"
   | None -> prerr_endline "departure did not resolve");
 
-  (* Global verification by gathering every snode's slice. *)
-  match Runtime.audit rt with
-  | Ok () ->
+  (* Global verification: the invariant battery over a snapshot of every
+     snode's slice. *)
+  match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+  | [] ->
       print_endline
         "audit: coverage, LPDR-copy convergence, invariants and data \
          placement all hold"
-  | Error es ->
+  | es ->
       List.iter print_endline es;
       exit 1

@@ -1,82 +1,103 @@
 (* Key/value store on the balanced DHT, in two acts.
 
-   Act 1 — data plane: load records through the versioned store API, grow
-   the cluster while serving, verify every key survives the rebalancing
-   and that conflicting writes resolve by last-writer-wins.
+   Act 1 — data plane: load records into a 16-snode runtime, double the
+   cluster while serving (donors stream partitions and their keys to each
+   new vnode) and verify every key survives the rebalancing.
 
    Act 2 — replication: a 3-snode runtime with rfactor=3 and quorum-2
-   reads/writes; one snode crashes and reads still succeed, then the
-   restarted replica re-converges.
+   reads/writes; conflicting writes resolve by last-writer-wins, one
+   snode crashes and reads still succeed, then the restarted replica
+   re-converges.
 
    Run with: dune exec examples/kv_store.exe *)
 
 open Dht_core
-module Store = Dht_kv.Store
-module Versioned = Dht_kv.Versioned
-module Local_store = Dht_kv.Local_store
 module Runtime = Dht_snode.Runtime
-module Rng = Dht_prng.Rng
+module Engine = Dht_event_sim.Engine
 
-let vid i = Vnode_id.make ~snode:i ~vnode:0
+(* Each stored key's owning vnode, and the key-load sigma (% about the
+   ideal keys per vnode), from a snapshot of the cluster. *)
+let key_load rt =
+  let owners = Hashtbl.create 4096 and counts = ref [] in
+  List.iter
+    (fun (sn : Runtime.View.snode_view) ->
+      List.iter
+        (fun (vn : Runtime.View.vnode_view) ->
+          counts := float_of_int (List.length vn.data) :: !counts;
+          List.iter (fun (k, _) -> Hashtbl.replace owners k vn.vid) vn.data)
+        sn.vnodes)
+    (Runtime.view rt).snodes;
+  let counts = Array.of_list !counts in
+  let ideal =
+    float_of_int (Hashtbl.length owners) /. float_of_int (Array.length counts)
+  in
+  (owners, 100. *. Dht_stats.Descriptive.rel_stddev_about counts ~about:ideal)
 
 let () =
   Dht_core.Log.setup_from_env ();
-  let rng = Rng.of_int 42 in
-  let store = Local_store.create ~pmin:32 ~vmin:16 ~rng ~first:(vid 0) () in
+  (* ---- Act 1: the data plane on the message-level snode runtime. ---- *)
+  let snodes = 16 in
+  let rt =
+    Runtime.create ~pmin:32 ~approach:(Runtime.Local { vmin = 16 }) ~snodes
+      ~seed:42 ()
+  in
+  (* Vnode i lives on snode i mod 16; each creation runs to completion. *)
+  let grow upto =
+    for i = Runtime.vnode_count rt to upto - 1 do
+      Runtime.create_vnode rt
+        ~id:(Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes))
+        ();
+      Runtime.run rt
+    done
+  in
+  grow 32;
 
-  (* Start with 32 vnodes. *)
-  for i = 1 to 31 do
-    ignore (Local_store.add_vnode store ~id:(vid i))
-  done;
-
-  (* Load 50k user records. Cells carry a version — a logical write stamp
-     plus the writer's id — so replicated copies can merge later. *)
+  (* Load 50k user records, each write coordinated by one of the snodes. *)
   let n = 50_000 in
-  let kv = Local_store.store store in
+  let record i = Printf.sprintf "{\"id\":%d}" i in
   for i = 0 to n - 1 do
-    Store.put_cell kv
-      ~key:(Printf.sprintf "user:%d" i)
-      (Versioned.cell
-         ~value:(Printf.sprintf "{\"id\":%d}" i)
-         ~ts:1.0 ~origin:0 ())
+    Runtime.put rt ~via:(i mod snodes) ~key:(Printf.sprintf "user:%d" i)
+      ~value:(record i) ()
   done;
-  let dht = Local_store.dht store in
-  Printf.printf "loaded %d keys on %d vnodes\n" (Store.size kv)
-    (Local_dht.vnode_count dht);
+  Runtime.run rt;
+  let before, sigma = key_load rt in
+  Printf.printf "loaded %d keys on %d vnodes\n" (Hashtbl.length before)
+    (Runtime.vnode_count rt);
   Printf.printf "quota sigma: %.2f %%, key-load sigma: %.2f %%\n"
-    (Local_dht.sigma_qv dht)
-    (Store.load_sigma kv ~vnodes:(Local_dht.vnodes dht));
-
-  (* Conflicting writes to one key resolve deterministically: the higher
-     (ts, seq, origin) stamp wins, whatever the merge order. *)
-  Store.put_cell kv ~key:"user:0"
-    (Versioned.cell ~value:"{\"id\":0,\"v\":2}" ~ts:2.0 ~origin:1 ());
-  Store.put_cell kv ~key:"user:0"
-    (Versioned.cell ~value:"stale" ~ts:1.5 ~origin:7 ());
-  assert (Store.get kv ~key:"user:0" = Some "{\"id\":0,\"v\":2}");
-  print_endline "conflicting writes resolved by last-writer-wins";
+    (Runtime.sigma_qv rt) sigma;
 
   (* The cluster doubles while the store keeps answering. *)
   print_endline "doubling the cluster to 64 vnodes...";
-  for i = 32 to 63 do
-    ignore (Local_store.add_vnode store ~id:(vid i));
-    (* Reads keep working mid-growth. *)
-    assert (Local_store.get store ~key:"user:1" = Some "{\"id\":1}")
+  for upto = 33 to 64 do
+    (* A read rides along with every creation. *)
+    Runtime.get rt ~via:(upto mod snodes) ~key:"user:1" (fun v ->
+        assert (v = Some (record 1)));
+    grow upto
   done;
-  Printf.printf "keys migrated by rebalancing: %d\n" (Store.migrations kv);
+  let after, sigma = key_load rt in
+  let moved =
+    Hashtbl.fold
+      (fun key vid acc ->
+        match Hashtbl.find_opt before key with
+        | Some v when not (Vnode_id.equal v vid) -> acc + 1
+        | _ -> acc)
+      after 0
+  in
+  Printf.printf "keys that changed owner: %d\n" moved;
 
-  (* Full audit: every key still reachable, with its value intact. *)
+  (* Full audit: every key at its owner with its value intact, and the
+     invariant battery over the whole cluster. *)
   let lost = ref 0 in
-  for i = 1 to n - 1 do
-    match Local_store.get store ~key:(Printf.sprintf "user:%d" i) with
-    | Some v when v = Printf.sprintf "{\"id\":%d}" i -> ()
-    | Some _ | None -> incr lost
+  for i = 0 to n - 1 do
+    if Runtime.peek rt ~key:(Printf.sprintf "user:%d" i) <> Some (record i)
+    then incr lost
   done;
   Printf.printf "keys lost or corrupted: %d\n" !lost;
   Printf.printf "quota sigma: %.2f %%, key-load sigma: %.2f %%\n"
-    (Local_dht.sigma_qv dht)
-    (Store.load_sigma kv ~vnodes:(Local_dht.vnodes dht));
-  if !lost > 0 then exit 1;
+    (Runtime.sigma_qv rt) sigma;
+  let findings = Dht_check.Invariants.(to_strings (check_runtime rt)) in
+  List.iter print_endline findings;
+  if !lost > 0 || findings <> [] then exit 1;
 
   (* ---- Act 2: replication on the message-level snode runtime. ---- *)
   print_endline "\nreplication: 3 snodes, rfactor=3, R=W=2";
@@ -94,6 +115,19 @@ let () =
   Runtime.run rt;
   Printf.printf "stored 10 keys, %d acknowledged at W=2\n" !acked;
 
+  (* Each coordinator stamps a write as it issues it, and replicas merge
+     cells by last-writer-wins on that stamp: snode 2 writes k0 first,
+     snode 0 a microsecond later, and the later write wins wherever the
+     two land first. *)
+  let e = Runtime.engine rt in
+  let t = Engine.now e in
+  Runtime.put rt ~via:2 ~key:"k0" ~value:"stale" ();
+  Engine.at e ~time:(t +. 1e-6) (fun () ->
+      Runtime.put rt ~via:0 ~key:"k0" ~value:"v0" ());
+  Runtime.run rt;
+  assert (Runtime.peek rt ~key:"k0" = Some "v0");
+  print_endline "conflicting writes to k0 resolved by last-writer-wins";
+
   (* Kill one replica: every partition still has 2 of its 3 copies, which
      meets both quorums, so reads (and writes) keep succeeding. *)
   Runtime.crash_snode rt 2;
@@ -102,8 +136,7 @@ let () =
     Runtime.get rt ~via:(i mod 2) ~key:(Printf.sprintf "k%d" i) (fun v ->
         if v = Some (Printf.sprintf "v%d" i) then incr ok)
   done;
-  let e = Runtime.engine rt in
-  Runtime.run ~until:(Dht_event_sim.Engine.now e +. 0.5) rt;
+  Runtime.run ~until:(Engine.now e +. 0.5) rt;
   Printf.printf "snode 2 down: %d/10 reads still correct\n" !ok;
 
   (* Restart it; reliable delivery and anti-entropy re-converge the

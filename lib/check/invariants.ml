@@ -65,10 +65,10 @@ let check_snode ~space (sn : Runtime.View.snode_view) =
 (* The full paper-invariant battery over one cluster snapshot. Meaningful
    at quiescence (no balancing event mid-flight): G1' global coverage,
    LPDR-copy agreement, G2'-G5', L1, L2, quota conservation, per-snode
-   cache coverage and data placement. [vmax] is the group capacity
-   (2·Vmin; [max_int] under the global approach, making every group the
-   sole root group as far as L2 is concerned). *)
-let check_view ~space ~pmin ~vmax (v : Runtime.View.t) =
+   cache coverage and bound, and data placement. [vmax] is the group
+   capacity (2·Vmin; [max_int] under the global approach, making every
+   group the sole root group as far as L2 is concerned). *)
+let check_view ?(route_cap = 0) ~space ~pmin ~vmax (v : Runtime.View.t) =
   let issues = ref [] in
   let fail inv fmt = Format.kasprintf (fun d -> issues := { inv; detail = d } :: !issues) fmt in
   let vnodes =
@@ -194,18 +194,22 @@ let check_view ~space ~pmin ~vmax (v : Runtime.View.t) =
       | l ->
           fail "L1" "%a listed in %d groups" Vnode_id.pp vn.vid (List.length l))
     vnodes;
-  (* Per-snode checks on every live snode. *)
-  let snode_issues =
-    List.concat_map
-      (fun (sn : Runtime.View.snode_view) ->
-        if sn.up then check_snode ~space sn else [])
-      v.snodes
-  in
-  List.rev !issues @ snode_issues
+  (* With bounded routing armed, no routing cache exceeds its cap. *)
+  List.iter
+    (fun (sn : Runtime.View.snode_view) ->
+      let entries = List.length sn.cache in
+      if route_cap > 0 && entries > route_cap then
+        fail "cache" "snode %d routing cache: %d entries exceed the cap %d"
+          sn.sid entries route_cap)
+    v.snodes;
+  (* Per-snode checks on every snode: a crashed snode's routing cache,
+     replica map and stored keys are durable, so they must stay
+     well-formed while it is down. *)
+  List.rev !issues @ List.concat_map (check_snode ~space) v.snodes
 
 let check_runtime rt =
-  check_view ~space:(Runtime.space rt) ~pmin:(Runtime.pmin rt)
-    ~vmax:(Runtime.vmax rt) (Runtime.view rt)
+  check_view ~route_cap:(Runtime.route_cap rt) ~space:(Runtime.space rt)
+    ~pmin:(Runtime.pmin rt) ~vmax:(Runtime.vmax rt) (Runtime.view rt)
 
 (* Overload discipline: the degradation layer's queue accounting must
    never drift — every bounded window holds at most [max_inflight] live

@@ -14,8 +14,8 @@
     implies equal counts), L1 (groups partition the vnode set), L2
     ([Vmin <= Vg <= Vmax = 2·Vmin], group 0 exempt while sole), plus
     [LPDR] (copy agreement and quota-vs-ownership consistency), [quota]
-    (ΣQv = 1), [cache]/[rmap] (full routing coverage) and [data] (keys
-    live at their owner). *)
+    (ΣQv = 1), [cache]/[rmap] (full routing coverage; [cache] also the
+    entry bound) and [data] (keys live at their owner). *)
 
 open Dht_core
 module Runtime := Dht_snode.Runtime
@@ -44,19 +44,24 @@ val check_snode :
     {!Dht_snode.Runtime.set_on_commit} hook. *)
 
 val check_view :
+  ?route_cap:int ->
   space:Dht_hashspace.Space.t ->
   pmin:int ->
   vmax:int ->
   Runtime.View.t ->
   finding list
 (** The full battery over one cluster snapshot: G1', LPDR agreement
-    across live snodes' copies, G2'-G5', L1, L2, quota conservation, and
-    {!check_snode} on every live snode. Meaningful at quiescence — LPDR
-    copies legitimately diverge while a commit is in flight. *)
+    across live snodes' copies, G2'-G5', L1, L2, quota conservation, the
+    routing-cache entry bound [route_cap] ([0], the default, means
+    unbounded), and {!check_snode} on every snode, up or down (a crashed
+    snode's durable state must stay well-formed). Meaningful at
+    quiescence — LPDR copies legitimately diverge while a commit is in
+    flight. *)
 
 val check_runtime : Runtime.t -> finding list
 (** {!check_view} over [Runtime.view rt] with the runtime's own
-    parameters. *)
+    parameters, including {!Dht_snode.Runtime.route_cap}. This is the
+    runtime's one invariant battery. *)
 
 val check_overload : Runtime.t -> finding list
 (** Queue-discipline audit of the graceful-degradation layer

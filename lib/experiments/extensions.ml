@@ -2,6 +2,13 @@ open Dht_core
 module Rng = Dht_prng.Rng
 module Cluster = Dht_cluster
 module Space = Dht_hashspace.Space
+module Invariants = Dht_check.Invariants
+module Runtime = Dht_snode.Runtime
+module Engine = Dht_event_sim.Engine
+module Network = Dht_event_sim.Network
+
+(* The runtime's one invariant battery holds. *)
+let battery_ok rt = Invariants.check_runtime rt = []
 
 type parallel_row = {
   label : string;
@@ -17,9 +24,6 @@ type parallel_row = {
 
 let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 20_000.) ?(pmin = 32)
     ?(vmins = [ 16; 32; 64 ]) ~seed () =
-  let module Runtime = Dht_snode.Runtime in
-  let module Engine = Dht_event_sim.Engine in
-  let module Network = Dht_event_sim.Network in
   if vnodes < 1 then invalid_arg "Extensions.parallel: vnodes < 1";
   let arrivals =
     Dht_workload.Trace.poisson ~rng:(Rng.of_int seed) ~n:vnodes ~rate
@@ -53,7 +57,7 @@ let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 20_000.) ?(pmin = 32)
       par_messages = Network.messages net;
       par_bytes = Network.bytes_sent net;
       par_per_tag = Network.per_tag net;
-      par_audit_ok = Result.is_ok (Runtime.audit rt);
+      par_audit_ok = battery_ok rt;
     }
   in
   run Runtime.Global "global"
@@ -137,19 +141,76 @@ type kv_report = {
   quota_sigma_after : float;
   migrations : int;
   lost : int;
+  findings : string list;
 }
+
+(* Every stored key's owning vnode, and the key count of every vnode, as
+   the runtime's snapshot shows them. *)
+let key_owners rt =
+  let owners = Hashtbl.create 4096 and counts = ref [] in
+  List.iter
+    (fun (sn : Runtime.View.snode_view) ->
+      List.iter
+        (fun (vn : Runtime.View.vnode_view) ->
+          counts := float_of_int (List.length vn.data) :: !counts;
+          List.iter (fun (key, _) -> Hashtbl.replace owners key vn.vid) vn.data)
+        sn.vnodes)
+    (Runtime.view rt).snodes;
+  (owners, Array.of_list !counts)
+
+(* Keys whose owning vnode changed between two {!key_owners} snapshots. *)
+let moved ~owners_before owners_after =
+  Hashtbl.fold
+    (fun key vid n ->
+      match Hashtbl.find_opt owners_before key with
+      | Some before when not (Vnode_id.equal before vid) -> n + 1
+      | Some _ | None -> n)
+    owners_after 0
+
+(* Relative standard deviation (%) of the per-vnode key counts about the
+   ideal [keys / vnodes]; needs at least one key. *)
+let load_sigma counts =
+  let total = Array.fold_left ( +. ) 0. counts in
+  100.
+  *. Dht_stats.Descriptive.rel_stddev_about counts
+       ~about:(total /. float_of_int (Array.length counts))
+
+(* Vnode [i] lives on snode [i mod snodes]; vnode 0.0 is the runtime's
+   bootstrap vnode. *)
+let vid ~snodes i = Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes)
+
+(* Creates vnodes [from .. upto - 1], each run to completion before the
+   next. *)
+let grow rt ~snodes ~from ~upto =
+  for i = from to upto - 1 do
+    Runtime.create_vnode rt ~id:(vid ~snodes i) ();
+    Runtime.run rt
+  done
+
+(* Stores [keys] through the runtime and drains the writes. *)
+let load rt ~snodes keys =
+  Array.iteri
+    (fun i key ->
+      Runtime.put rt ~via:(i mod snodes) ~key ~value:(string_of_int i) ())
+    keys;
+  Runtime.run rt
+
+(* Keys whose authoritative copy no longer holds the value loaded. *)
+let lost_keys rt keys =
+  let lost = ref 0 in
+  Array.iteri
+    (fun i key ->
+      if Runtime.peek rt ~key <> Some (string_of_int i) then incr lost)
+    keys;
+  !lost
 
 let kvload ?(keys = 100_000) ?(initial_vnodes = 64) ?(final_vnodes = 128)
     ?(pmin = 32) ?(vmin = 16) ?(zipf = false) ~seed () =
   if final_vnodes < initial_vnodes || initial_vnodes < 1 then
     invalid_arg "Extensions.kvload: need 1 <= initial <= final";
-  let rng = Rng.of_int seed in
-  let key_rng = Rng.split rng in
-  let vid i = Vnode_id.make ~snode:i ~vnode:0 in
-  let store = Dht_kv.Local_store.create ~pmin ~vmin ~rng ~first:(vid 0) () in
-  for i = 1 to initial_vnodes - 1 do
-    ignore (Dht_kv.Local_store.add_vnode store ~id:(vid i))
-  done;
+  if keys < 1 then invalid_arg "Extensions.kvload: keys < 1";
+  let snodes = 16 in
+  let key_rng = Rng.split (Rng.of_int seed) in
   let zipf_gen = Dht_workload.Keygen.Zipf.create ~n:(10 * keys) ~s:0.99 in
   let all_keys =
     Array.init keys (fun i ->
@@ -161,34 +222,24 @@ let kvload ?(keys = 100_000) ?(initial_vnodes = 64) ?(final_vnodes = 128)
             i
         else Dht_workload.Keygen.uniform key_rng)
   in
-  Array.iteri
-    (fun i key -> Dht_kv.Local_store.put store ~key ~value:(string_of_int i))
-    all_keys;
-  let kv = Dht_kv.Local_store.store store in
-  let dht = Dht_kv.Local_store.dht store in
-  let load_sigma_before =
-    Dht_kv.Store.load_sigma kv ~vnodes:(Local_dht.vnodes dht)
+  let rt =
+    Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ~snodes ~seed ()
   in
-  for i = initial_vnodes to final_vnodes - 1 do
-    ignore (Dht_kv.Local_store.add_vnode store ~id:(vid i))
-  done;
-  let lost = ref 0 in
-  Array.iteri
-    (fun i key ->
-      match Dht_kv.Local_store.get store ~key with
-      | Some v when v = string_of_int i -> ()
-      | Some _ | None -> incr lost)
-    all_keys;
+  grow rt ~snodes ~from:1 ~upto:initial_vnodes;
+  load rt ~snodes all_keys;
+  let owners_before, counts_before = key_owners rt in
+  grow rt ~snodes ~from:initial_vnodes ~upto:final_vnodes;
+  let owners_after, counts_after = key_owners rt in
   {
     keys;
     initial_vnodes;
     final_vnodes;
-    load_sigma_before;
-    load_sigma_after =
-      Dht_kv.Store.load_sigma kv ~vnodes:(Local_dht.vnodes dht);
-    quota_sigma_after = Local_dht.sigma_qv dht;
-    migrations = Dht_kv.Store.migrations kv;
-    lost = !lost;
+    load_sigma_before = load_sigma counts_before;
+    load_sigma_after = load_sigma counts_after;
+    quota_sigma_after = Runtime.sigma_qv rt;
+    migrations = moved ~owners_before owners_after;
+    lost = lost_keys rt all_keys;
+    findings = Invariants.to_strings (Invariants.check_runtime rt);
   }
 
 type churn_report = {
@@ -198,6 +249,7 @@ type churn_report = {
   blocked_leaves : int;
   final_vnodes : int;
   sigma_qv_curve : float array;
+  churn_keys_moved : int;
   churn_keys_lost : int;
   audit_failures : int;
 }
@@ -206,68 +258,64 @@ let churn ?(initial_vnodes = 128) ?(operations = 400) ?(leave_fraction = 0.4)
     ?(keys = 20_000) ?(pmin = 32) ?(vmin = 16) ~seed () =
   if leave_fraction < 0. || leave_fraction > 1. then
     invalid_arg "Extensions.churn: leave_fraction outside [0, 1]";
+  if operations < 1 || initial_vnodes < 1 then
+    invalid_arg "Extensions.churn: operations and initial_vnodes must be >= 1";
+  let snodes = 32 in
   let rng = Rng.of_int seed in
   let key_rng = Rng.split rng in
-  let vid i = Vnode_id.make ~snode:i ~vnode:0 in
-  let store = Dht_kv.Local_store.create ~pmin ~vmin ~rng ~first:(vid 0) () in
-  let dht = Dht_kv.Local_store.dht store in
-  for i = 1 to initial_vnodes - 1 do
-    ignore (Dht_kv.Local_store.add_vnode store ~id:(vid i))
-  done;
+  let rt =
+    Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ~snodes ~seed ()
+  in
+  grow rt ~snodes ~from:1 ~upto:initial_vnodes;
   let all_keys = Array.init keys (fun _ -> Dht_workload.Keygen.uniform key_rng) in
-  Array.iteri
-    (fun i key -> Dht_kv.Local_store.put store ~key ~value:(string_of_int i))
-    all_keys;
+  load rt ~snodes all_keys;
+  let owners_before, _ = key_owners rt in
   (* Track the live vnode ids so leaves target existing vnodes uniformly. *)
-  let live = ref (List.init initial_vnodes (fun i -> vid i)) in
+  let live = ref (List.init initial_vnodes (vid ~snodes)) in
   let live_count = ref initial_vnodes in
-  let next_id = ref initial_vnodes in
+  let next = ref initial_vnodes in
   let joins = ref 0 and leaves = ref 0 and blocked = ref 0 in
   let audit_failures = ref 0 in
+  let audit () =
+    audit_failures :=
+      !audit_failures + List.length (Invariants.check_runtime rt)
+  in
   let curve = Array.make operations 0. in
   for op = 0 to operations - 1 do
-    let leave = Rng.float rng < leave_fraction && !live_count > 2 in
-    if leave then begin
+    if Rng.float rng < leave_fraction && !live_count > 2 then begin
       let arr = Array.of_list !live in
       let target = arr.(Rng.int rng (Array.length arr)) in
-      match Local_dht.remove_vnode dht ~id:target with
-      | Ok () ->
-          incr leaves;
-          live := List.filter (fun i -> not (Vnode_id.equal i target)) !live;
-          decr live_count
-      | Error (Local_dht.Last_vnode | Local_dht.Group_at_minimum _
-              | Local_dht.Group_capacity _) ->
-          incr blocked
+      let departed = ref false in
+      Runtime.remove_vnode rt ~id:target (fun ok -> departed := ok);
+      Runtime.run rt;
+      if !departed then begin
+        incr leaves;
+        live := List.filter (fun i -> not (Vnode_id.equal i target)) !live;
+        decr live_count
+      end
+      else incr blocked
     end
     else begin
-      let id = vid !next_id in
-      incr next_id;
-      ignore (Dht_kv.Local_store.add_vnode store ~id);
+      grow rt ~snodes ~from:!next ~upto:(!next + 1);
+      live := vid ~snodes !next :: !live;
+      incr next;
       incr joins;
-      live := id :: !live;
       incr live_count
     end;
-    curve.(op) <- Local_dht.sigma_qv dht;
-    if op mod 50 = 0 then
-      match Audit.check_local dht with
-      | Ok () -> ()
-      | Error _ -> incr audit_failures
+    curve.(op) <- Runtime.sigma_qv rt;
+    if op mod 50 = 0 then audit ()
   done;
-  (match Audit.check_local dht with Ok () -> () | Error _ -> incr audit_failures);
-  let lost = ref 0 in
-  Array.iteri
-    (fun i key ->
-      if Dht_kv.Local_store.get store ~key <> Some (string_of_int i) then
-        incr lost)
-    all_keys;
+  audit ();
+  let owners_after, counts_after = key_owners rt in
   {
     operations;
     joins = !joins;
     leaves = !leaves;
     blocked_leaves = !blocked;
-    final_vnodes = Local_dht.vnode_count dht;
+    final_vnodes = Array.length counts_after;
     sigma_qv_curve = curve;
-    churn_keys_lost = !lost;
+    churn_keys_moved = moved ~owners_before owners_after;
+    churn_keys_lost = lost_keys rt all_keys;
     audit_failures = !audit_failures;
   }
 
@@ -399,7 +447,6 @@ type distributed_report = {
 
 let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
     ?(vmin = 16) ?metrics ?trace ~seed () =
-  let module Runtime = Dht_snode.Runtime in
   let rt =
     Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ?metrics ?trace
       ~snodes ~seed ()
@@ -452,7 +499,7 @@ let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
     dist_bytes = burst_bytes;
     dist_retries = Runtime.retries rt;
     dist_keys_wrong = !wrong;
-    dist_audit_ok = (match Runtime.audit rt with Ok () -> true | Error _ -> false);
+    dist_audit_ok = battery_ok rt;
     makespan;
   }
 
@@ -499,7 +546,6 @@ let chaos ?(snodes = 12) ?(vnodes = 40) ?(keys = 600) ?(pmin = 8) ?(vmin = 4)
     ?(downtime = 0.05) ?(rfactor = 1) ?(read_quorum = 1) ?(write_quorum = 1)
     ?(linger = 0.) ?(route_cap = 0) ?max_hops ?metrics ?trace
     ?(causal = false) ~seed () =
-  let module Runtime = Dht_snode.Runtime in
   let module Fault = Dht_event_sim.Fault in
   if crashes < 0 then invalid_arg "chaos: crashes < 0";
   if downtime <= 0. then invalid_arg "chaos: downtime must be positive";
@@ -678,8 +724,7 @@ let chaos ?(snodes = 12) ?(vnodes = 40) ?(keys = 600) ?(pmin = 8) ?(vmin = 4)
       Dht_event_sim.Network.messages (Runtime.network base_rt);
     chaos_keys_wrong = !wrong;
     chaos_pending = Runtime.pending_operations rt;
-    chaos_audit_ok =
-      (match Runtime.audit rt with Ok () -> true | Error _ -> false);
+    chaos_audit_ok = battery_ok rt;
     chaos_stats = Runtime.stats rt;
     chaos_per_tag = Dht_event_sim.Network.per_tag (Runtime.network rt);
     chaos_recovery_p50 = mq "runtime.recovery.downtime" 0.5;
@@ -747,9 +792,7 @@ let overload ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4)
     ?(write_quorum = 2) ?(retry_budget = 3) ?(max_inflight = 8)
     ?(ingress_limit = 64) ?(admission_deadline = 0.02) ?metrics ?trace
     ?(causal = false) ~seed () =
-  let module Runtime = Dht_snode.Runtime in
   let module Fault = Dht_event_sim.Fault in
-  let module Engine = Dht_event_sim.Engine in
   if rate <= 0. then invalid_arg "overload: rate must be positive";
   if overload_factor < 1. then invalid_arg "overload: factor < 1";
   if phase <= 0. then invalid_arg "overload: phase must be positive";
@@ -917,8 +960,7 @@ let overload ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4)
     ov_lost_acked = lost;
     ov_busy_total = busy_total;
     ov_pending = Runtime.pending_operations rt;
-    ov_audit_ok =
-      (match Runtime.audit rt with Ok () -> true | Error _ -> false);
+    ov_audit_ok = battery_ok rt;
     ov_queue_audit = queue_audit;
     ov_busy_violations = violations;
     ov_overload = ov_stats;
@@ -992,8 +1034,6 @@ let skew ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4) ?(keys = 1000)
     ?(max_inflight = 4) ?(heat_tau = 0.3) ?(crash = false)
     ?(link = Dht_event_sim.Network.link ~base_latency:8e-4 ~byte_time:1e-8)
     ?policy ?metrics ~seed () =
-  let module Runtime = Dht_snode.Runtime in
-  let module Engine = Dht_event_sim.Engine in
   let module Fault = Dht_event_sim.Fault in
   let module Heat = Dht_obsv.Heat in
   if keys < 1 then invalid_arg "skew: need at least one key";
@@ -1102,8 +1142,8 @@ let skew ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4) ?(keys = 1000)
       durability @ Dht_check.Linear.busy_never_committed ~peek entries
     in
     let findings =
-      Dht_check.Invariants.to_strings
-        (Dht_check.Invariants.check_balance
+      Invariants.to_strings
+        (Invariants.check_balance
            ~acked:(Hashtbl.fold (fun k () l -> k :: l) acked [])
            rt)
     in
@@ -1150,7 +1190,7 @@ type routing_run = {
   rs_cache : Dht_snode.Runtime.route_cache_stats;
   rs_retries : int;  (* hop-limit backoffs over the whole run *)
   rs_sigma : float;  (* sigma-bar(Qv), percent, at quiescence *)
-  rs_findings : string list;  (* audit + invariant battery *)
+  rs_findings : string list;  (* invariant battery + durability oracle *)
   rs_linear : string list;  (* durability findings *)
 }
 
@@ -1165,9 +1205,6 @@ let routing_scaling ?vnodes ?(pmin = 8) ?(vmin = 4) ?(route_cap = 128)
     ?(read_fraction = 0.5) ?(churn = true)
     ?(link = Dht_event_sim.Network.link ~base_latency:8e-4 ~byte_time:1e-8)
     ?metrics ~snodes ~seed () =
-  let module Runtime = Dht_snode.Runtime in
-  let module Engine = Dht_event_sim.Engine in
-  let module Network = Dht_event_sim.Network in
   let module Fault = Dht_event_sim.Fault in
   let vnodes = Option.value vnodes ~default:snodes in
   if vnodes < 1 then invalid_arg "routing_scaling: vnodes < 1";
@@ -1296,11 +1333,10 @@ let routing_scaling ?vnodes ?(pmin = 8) ?(vmin = 4) ?(route_cap = 128)
     if n > !entries_max then entries_max := n
   done;
   let findings =
-    (match Runtime.audit rt with Ok () -> [] | Error l -> l)
-    @ Dht_check.Invariants.to_strings
-        (Dht_check.Invariants.check_balance
-           ~acked:(Hashtbl.fold (fun k () l -> k :: l) acked [])
-           rt)
+    Invariants.to_strings
+      (Invariants.check_balance
+         ~acked:(Hashtbl.fold (fun k () l -> k :: l) acked [])
+         rt)
   in
   let peek key = Runtime.peek rt ~key in
   let linear = Dht_check.Linear.durability ~peek (Dht_check.History.entries hist) in

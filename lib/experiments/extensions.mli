@@ -3,8 +3,9 @@
     - {!parallel} quantifies §3's serialization-vs-parallelism argument on
       the message-level snode runtime.
     - {!hetero} exercises the heterogeneous-enrollment feature of §1/§2.1.2.
-    - {!kvload} checks that quota balance translates into data balance and
-      that rebalancing never loses keys (data plane). *)
+    - {!kvload} and {!churn} check on the snode runtime that quota balance
+      translates into data balance and that rebalancing never loses keys
+      (data plane). *)
 
 type parallel_row = {
   label : string;
@@ -17,7 +18,7 @@ type parallel_row = {
   par_per_tag : (string * int * int) list;
       (** fabric traffic by wire tag: [(tag, messages, bytes)], sorted by
           tag *)
-  par_audit_ok : bool;  (** {!Dht_snode.Runtime.audit} after the run *)
+  par_audit_ok : bool;  (** {!Dht_check.Invariants.check_runtime} finds nothing *)
 }
 
 val parallel :
@@ -66,8 +67,10 @@ type kv_report = {
   load_sigma_before : float;  (** keys-per-vnode σ̄ (%) before growth *)
   load_sigma_after : float;
   quota_sigma_after : float;  (** σ̄(Qv) (%) after growth, for comparison *)
-  migrations : int;  (** keys moved by rebalancing during growth *)
-  lost : int;  (** keys unreachable after growth (must be 0) *)
+  migrations : int;  (** keys whose owning vnode changed during growth *)
+  lost : int;  (** keys not at their owner after growth (must be 0) *)
+  findings : string list;
+      (** {!Dht_check.Invariants.check_runtime} after growth (must be []) *)
 }
 
 val kvload :
@@ -81,19 +84,27 @@ val kvload :
   unit ->
   kv_report
 (** Loads [keys] (default 100_000, uniform; [zipf] draws keys from a Zipf
-    popularity law instead) into a local-approach store of
-    [initial_vnodes] (default 64), grows it to [final_vnodes] (default
-    128), and audits data balance and key reachability. *)
+    popularity law instead) into a {!Dht_snode.Runtime} of 16 snodes
+    holding [initial_vnodes] (default 64) local-approach vnodes, grows it
+    to [final_vnodes] (default 128) one creation at a time — donors
+    stream partitions and their keys to each newcomer — and audits data
+    balance, key reachability ({!Dht_snode.Runtime.peek}) and the
+    invariant battery. Vnode [i] lives on snode [i mod 16].
+    @raise Invalid_argument unless [1 <= initial_vnodes <= final_vnodes]
+    and [keys >= 1]. *)
 
 type churn_report = {
   operations : int;  (** join/leave operations attempted *)
   joins : int;
   leaves : int;
   blocked_leaves : int;  (** leaves refused (L2 floor or capacity) *)
-  final_vnodes : int;
+  final_vnodes : int;  (** vnodes hosted at the end *)
   sigma_qv_curve : float array;  (** σ̄(Qv) after each operation *)
-  churn_keys_lost : int;  (** keys unreachable at the end (must be 0) *)
-  audit_failures : int;  (** invariant violations observed (must be 0) *)
+  churn_keys_moved : int;
+      (** keys whose owning vnode changed between loading and the end *)
+  churn_keys_lost : int;  (** keys not at their owner at the end (must be 0) *)
+  audit_failures : int;
+      (** invariant findings over every periodic audit (must be 0) *)
 }
 
 val churn :
@@ -107,12 +118,17 @@ val churn :
   unit ->
   churn_report
 (** Dynamic joins {e and leaves} ("cluster nodes may dynamically join or
-    leave the DHT", §1): starting from [initial_vnodes] (default 128) with
-    [keys] (default 20_000) stored, performs [operations] (default 400)
-    random operations, each a leave with probability [leave_fraction]
-    (default 0.4) of a uniformly chosen vnode, otherwise a join. Leaves
-    blocked by the L2 floor are counted, the balance trace recorded, the
-    invariants audited periodically, and every key re-read at the end. *)
+    leave the DHT", §1) on a {!Dht_snode.Runtime} of 32 snodes: starting
+    from [initial_vnodes] (default 128) with [keys] (default 20_000)
+    stored, performs [operations] (default 400) random operations, each
+    a leave ({!Dht_snode.Runtime.remove_vnode}) with probability
+    [leave_fraction] (default 0.4) of a uniformly chosen vnode, otherwise
+    a join; each runs to completion before the next. Leaves the runtime
+    refuses (L2 floor or capacity) are counted, the balance trace recorded, the
+    invariant battery run every 50 operations and at the end, and every
+    key re-read at its owner.
+    @raise Invalid_argument if [leave_fraction] is outside [\[0, 1\]] or
+    [operations] or [initial_vnodes] is below 1. *)
 
 type ablation_report = {
   quota_sigma_qv : float;  (** final σ̄(Qv) with the paper's §3.6 selection *)
@@ -490,7 +506,8 @@ type routing_run = {
   rs_cache : Dht_snode.Runtime.route_cache_stats;
   rs_retries : int;  (** hop-limit backoffs over the whole run *)
   rs_sigma : float;  (** sigma-bar(Qv) (%) at quiescence *)
-  rs_findings : string list;  (** audit + invariant battery; must be [] *)
+  rs_findings : string list;
+      (** invariant battery + durability oracle; must be [] *)
   rs_linear : string list;  (** durability findings; must be [] *)
 }
 

@@ -4421,135 +4421,17 @@ let completed_gets t = t.done_gets
 let completed_ranges t = t.done_ranges
 let retries t = t.retried
 
-(* ------------------------------------------------------------------ *)
-(* Global verification                                                  *)
-
-let all_locals t =
-  Array.to_list t.snodes
-  |> List.concat_map (fun sn -> Vtbl.fold (fun _ v acc -> v :: acc) sn.locals [])
-
 let sigma_qv t =
-  let locals = all_locals t in
   let quotas =
-    List.map
-      (fun v ->
-        Dht_stats.Descriptive.sum
-          (Array.of_list (List.map (Span.quota t.space) v.spans)))
-      locals
+    Array.to_list t.snodes
+    |> List.concat_map (fun sn ->
+           Vtbl.fold (fun _ v acc -> v :: acc) sn.locals [])
+    |> List.map (fun v ->
+           Dht_stats.Descriptive.sum
+             (Array.of_list (List.map (Span.quota t.space) v.spans)))
     |> Array.of_list
   in
   Metrics.sigma_percent quotas
-
-let audit t =
-  let issues = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
-  let locals = all_locals t in
-  (* G1': global coverage of the union of all local partitions. *)
-  (match Coverage.check t.space (List.concat_map (fun v -> v.spans) locals) with
-  | Ok () -> ()
-  | Error e -> fail "coverage: %a" Coverage.pp_error e);
-  (* Gather the LPDR copies per group, from the snodes hosting members. *)
-  let views = Gtbl.create 16 in
-  Array.iter
-    (fun sn ->
-      Gtbl.iter
-        (fun gid lp ->
-          Gtbl.replace views gid ((sn.sid, lp) :: Option.value ~default:[] (Gtbl.find_opt views gid)))
-        sn.lpdrs)
-    t.snodes;
-  let group_count = Gtbl.length views in
-  let vmax = t.vmax in
-  Gtbl.iter
-    (fun gid copies ->
-      (match copies with
-      | [] -> ()
-      | (_, ref_lp) :: rest ->
-          List.iter
-            (fun (sid, lp) ->
-              if lp.level <> ref_lp.level then
-                fail "group %a: snode %d sees level %d, others %d" Group_id.pp
-                  gid sid lp.level ref_lp.level;
-              if lp.epoch <> ref_lp.epoch then
-                fail "group %a: snode %d at epoch %d, others %d" Group_id.pp
-                  gid sid lp.epoch ref_lp.epoch;
-              if lp.counts <> ref_lp.counts then
-                fail "group %a: snode %d has a divergent LPDR copy" Group_id.pp
-                  gid sid)
-            rest;
-          (* L2 (with the sole-group exception). *)
-          let vg = List.length ref_lp.counts in
-          if group_count = 1 then begin
-            if vg < 1 || vg > vmax then
-              fail "L2: sole group %a has Vg=%d" Group_id.pp gid vg
-          end
-          else if vg < vmax / 2 || vg > vmax then
-            fail "L2: group %a has Vg=%d outside [%d, %d]" Group_id.pp gid vg
-              (vmax / 2) vmax;
-          (* G2'/G4' plus LPDR-vs-reality agreement. *)
-          let total = List.fold_left (fun acc (_, c) -> acc + c) 0 ref_lp.counts in
-          if not (Params.is_power_of_two total) then
-            fail "G2: group %a has %d partitions" Group_id.pp gid total;
-          List.iter
-            (fun (id, c) ->
-              if c < t.pmin || c > 2 * t.pmin then
-                fail "G4: group %a vnode %a count %d" Group_id.pp gid
-                  Vnode_id.pp id c;
-              let owner_sn = t.snodes.(id.Vnode_id.snode) in
-              match Vtbl.find_opt owner_sn.locals id with
-              | None -> fail "L1: %a in LPDR of %a but not hosted" Vnode_id.pp id Group_id.pp gid
-              | Some v ->
-                  if List.length v.spans <> c then
-                    fail "LPDR: %a registered with %d partitions, owns %d"
-                      Vnode_id.pp id c (List.length v.spans);
-                  if not (Group_id.equal v.group gid) then
-                    fail "L1: %a group field %a but listed in %a" Vnode_id.pp
-                      id Group_id.pp v.group Group_id.pp gid;
-                  List.iter
-                    (fun s ->
-                      if Span.level s <> ref_lp.level then
-                        fail "G3: %a has %a at level <> %d" Vnode_id.pp id
-                          Span.pp s ref_lp.level)
-                    v.spans)
-            ref_lp.counts;
-          (* Removal-tolerant G5: power-of-two population, equal counts. *)
-          if Params.is_power_of_two vg then begin
-            match ref_lp.counts with
-            | (_, c0) :: _ ->
-                List.iter
-                  (fun (_, c) ->
-                    if c <> c0 then
-                      fail "G5: group %a uneven at Vg=%d" Group_id.pp gid vg)
-                  ref_lp.counts
-            | [] -> ()
-          end))
-    views;
-  (* Every routing cache must still cover the whole range, and — when
-     bounded routing is armed — respect the entry cap. *)
-  Array.iter
-    (fun sn ->
-      (match Coverage.check t.space (Point_map.spans sn.cache) with
-      | Ok () -> ()
-      | Error e -> fail "snode %d cache: %a" sn.sid Coverage.pp_error e);
-      if t.route_cap > 0 && Point_map.cardinal sn.cache > t.route_cap then
-        fail "snode %d cache: %d entries exceed the cap %d" sn.sid
-          (Point_map.cardinal sn.cache) t.route_cap)
-    t.snodes;
-  (* Data placement: every key lives with the owner of its hash point. *)
-  Array.iter
-    (fun sn ->
-      Vtbl.iter
-        (fun vid v ->
-          Hashtbl.iter
-            (fun key _ ->
-              let point = Hash.string t.space key in
-              if not (List.exists (fun s -> Span.contains t.space s point) v.spans)
-              then
-                fail "data: key %S stored at %a which does not own it" key
-                  Vnode_id.pp vid)
-            v.data)
-        sn.locals)
-    t.snodes;
-  match !issues with [] -> Ok () | l -> Error (List.rev l)
 
 (* ------------------------------------------------------------------ *)
 (* Verification hooks                                                   *)

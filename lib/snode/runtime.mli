@@ -19,8 +19,9 @@
     and lets donors stream partitions (with their keys) straight to the
     newcomer's snode. Creations on different groups proceed concurrently.
 
-    {!audit} gathers the distributed state and verifies global coverage,
-    LPDR-copy convergence, the model invariants and data placement. *)
+    {!view} exports the distributed state; [Dht_check.Invariants.check_runtime]
+    verifies global coverage, LPDR-copy convergence, the model invariants,
+    routing-cache bounds and data placement over it. *)
 
 open Dht_core
 module Engine = Dht_event_sim.Engine
@@ -614,15 +615,6 @@ val record_metrics : t -> Dht_telemetry.Registry.t -> unit
 val sigma_qv : t -> float
 (** σ̄(Qv) (%) computed from the distributed state (all snodes' local
     partitions). *)
-
-val audit : t -> (unit, string list) result
-(** Global verification by gathering every snode's slice:
-    - the union of all local partitions tiles [R_h] exactly (G1');
-    - all LPDR copies of a group agree (level, membership, counts);
-    - LPDR counts equal the owners' real partition counts; G2'–G5' and L2
-      hold per group; L1 holds globally;
-    - every routing cache still covers the whole range;
-    - every stored key lives at the vnode owning its hash point. *)
 
 (** {2 Verification hooks}
 

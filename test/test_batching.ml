@@ -11,9 +11,9 @@ module Rng = Dht_prng.Rng
 let check = Alcotest.check
 
 let audit_ok rt what =
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error es -> Alcotest.fail (what ^ ":\n" ^ String.concat "\n" es)
+  match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+  | [] -> ()
+  | es -> Alcotest.fail (what ^ ":\n" ^ String.concat "\n" es)
 
 (* --- Wire.size_bytes over Batch --- *)
 

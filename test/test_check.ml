@@ -168,16 +168,11 @@ let build_cluster ?(linger = 0.) ~seed () =
 
 let test_healthy_view_passes () =
   let rt = build_cluster ~seed:3 () in
-  (match Invariants.check_runtime rt with
+  match Invariants.check_runtime rt with
   | [] -> ()
   | fs ->
       Alcotest.failf "healthy cluster flagged:@.%s"
-        (String.concat "\n" (Invariants.to_strings fs)));
-  (* The snapshot battery and the model-level audit agree on health. *)
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error msgs ->
-      Alcotest.failf "Runtime.audit disagrees:@.%s" (String.concat "\n" msgs)
+        (String.concat "\n" (Invariants.to_strings fs))
 
 let test_tampered_view_detected () =
   let rt = build_cluster ~seed:4 () in
@@ -214,6 +209,56 @@ let test_tampered_view_detected () =
     }
   in
   Alcotest.(check bool) "blank cache detected" true (check tampered2 <> [])
+
+(* The routing-cache entry bound is part of the battery: a view whose
+   fullest cache holds [m] entries passes at cap [m] and is flagged at
+   cap [m - 1]; cap 0 means unbounded. *)
+let test_cache_over_cap_flagged () =
+  let rt = build_cluster ~seed:5 () in
+  let v = Runtime.view rt in
+  let check route_cap =
+    Invariants.check_view ~route_cap ~space:(Runtime.space rt)
+      ~pmin:(Runtime.pmin rt) ~vmax:(Runtime.vmax rt) v
+  in
+  let m =
+    List.fold_left
+      (fun acc (s : Runtime.View.snode_view) -> max acc (List.length s.cache))
+      0 v.Runtime.View.snodes
+  in
+  Alcotest.(check bool) "several cache entries" true (m > 1);
+  Alcotest.(check int) "unbounded passes" 0 (List.length (check 0));
+  Alcotest.(check int) "at the cap passes" 0 (List.length (check m));
+  match check (m - 1) with
+  | [] -> Alcotest.fail "cache over its cap not flagged"
+  | fs ->
+      List.iter
+        (fun (f : Invariants.finding) ->
+          Alcotest.(check string) "cache finding" "cache" f.inv)
+        fs
+
+(* A crashed snode's routing cache is durable: a hole in it is flagged
+   even while the snode is down. *)
+let test_down_snode_cache_checked () =
+  let rt = build_cluster ~seed:6 () in
+  let v = Runtime.view rt in
+  let tampered =
+    {
+      v with
+      Runtime.View.snodes =
+        List.map
+          (fun (s : Runtime.View.snode_view) ->
+            if s.sid = 1 then { s with up = false; cache = [] } else s)
+          v.Runtime.View.snodes;
+    }
+  in
+  match
+    Invariants.check_view ~space:(Runtime.space rt) ~pmin:(Runtime.pmin rt)
+      ~vmax:(Runtime.vmax rt) tampered
+  with
+  | [] -> Alcotest.fail "down snode's blank cache not flagged"
+  | fs ->
+      Alcotest.(check bool) "cache finding" true
+        (List.exists (fun (f : Invariants.finding) -> f.inv = "cache") fs)
 
 (* ------------------------------------------------------------------ *)
 (* Per-commit audit hook: the snode-local battery holds after every
@@ -354,6 +399,10 @@ let suite =
       test_healthy_view_passes;
     Alcotest.test_case "tampered views are detected" `Quick
       test_tampered_view_detected;
+    Alcotest.test_case "routing cache over its cap is flagged" `Quick
+      test_cache_over_cap_flagged;
+    Alcotest.test_case "down snode's cache is checked" `Quick
+      test_down_snode_cache_checked;
     Alcotest.test_case "per-commit snode audit holds" `Quick
       test_per_commit_hook;
     Alcotest.test_case "linger batching is schedule-transparent" `Slow

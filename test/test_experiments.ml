@@ -238,10 +238,13 @@ let test_hetero_report () =
   check Alcotest.bool "fast node holds more" true
     (r.Extensions.actual_quotas.(13) > 2. *. r.Extensions.actual_quotas.(0))
 
+(* kvload runs on the snode runtime: growth streams partitions and their
+   keys between snodes, and nothing may be lost or misplaced. *)
 let test_kvload_report () =
   let r = Extensions.kvload ~keys:5000 ~initial_vnodes:16 ~final_vnodes:32 ~seed:10 () in
   check Alcotest.int "no key lost" 0 r.Extensions.lost;
-  check Alcotest.bool "migrations happened" true (r.Extensions.migrations > 0);
+  check Alcotest.(list string) "no invariant finding" [] r.Extensions.findings;
+  check Alcotest.bool "keys changed owner" true (r.Extensions.migrations > 0);
   check Alcotest.bool "load sigma sane" true
     (r.Extensions.load_sigma_after > 0. && r.Extensions.load_sigma_after < 50.)
 
@@ -251,7 +254,24 @@ let test_kvload_zipf () =
       ~seed:11 ()
   in
   check Alcotest.int "no key lost (zipf)" 0 r.Extensions.lost;
+  check Alcotest.(list string) "no invariant finding" [] r.Extensions.findings;
+  check Alcotest.bool "keys changed owner" true (r.Extensions.migrations > 0);
   check Alcotest.int "all keys stored" 2000 r.Extensions.keys
+
+(* churn too: joins and leaves through the runtime's protocols. *)
+let test_churn_experiment () =
+  let r = Extensions.churn ~initial_vnodes:64 ~operations:120 ~keys:2000 ~pmin:8 ~vmin:8 ~seed:4 () in
+  check Alcotest.int "ops" 120 r.Extensions.operations;
+  check Alcotest.int "no key lost" 0 r.Extensions.churn_keys_lost;
+  check Alcotest.int "no invariant finding" 0 r.Extensions.audit_failures;
+  check Alcotest.bool "vnodes left" true (r.Extensions.leaves > 0);
+  check Alcotest.bool "keys changed owner" true
+    (r.Extensions.churn_keys_moved > 0);
+  check Alcotest.int "joins + leaves <= ops" r.Extensions.operations
+    (r.Extensions.joins + r.Extensions.leaves + r.Extensions.blocked_leaves);
+  check Alcotest.int "population bookkeeping" r.Extensions.final_vnodes
+    (64 + r.Extensions.joins - r.Extensions.leaves);
+  check Alcotest.int "curve length" 120 (Array.length r.Extensions.sigma_qv_curve)
 
 let test_chaos_recovers () =
   (* Small chaos run: drops, duplicates, jitter and one mid-burst crash —
@@ -298,17 +318,6 @@ let test_chaos_replicated_durable () =
     (rs.Runtime.hints_flushed = rs.Runtime.hints_stored)
 
 (* --- Model-level extension drivers --- *)
-
-let test_churn_experiment () =
-  let r = Extensions.churn ~initial_vnodes:64 ~operations:120 ~keys:2000 ~pmin:8 ~vmin:8 ~seed:4 () in
-  check Alcotest.int "ops" 120 r.Extensions.operations;
-  check Alcotest.int "no key lost" 0 r.Extensions.churn_keys_lost;
-  check Alcotest.int "no audit failure" 0 r.Extensions.audit_failures;
-  check Alcotest.int "joins + leaves <= ops" r.Extensions.operations
-    (r.Extensions.joins + r.Extensions.leaves + r.Extensions.blocked_leaves);
-  check Alcotest.int "population bookkeeping" r.Extensions.final_vnodes
-    (64 + r.Extensions.joins - r.Extensions.leaves);
-  check Alcotest.int "curve length" 120 (Array.length r.Extensions.sigma_qv_curve)
 
 let test_ablation_experiment () =
   let r = Extensions.ablation_selection ~runs:6 ~vnodes:256 ~pmin:8 ~vmin:8 ~seed:5 () in

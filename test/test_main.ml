@@ -16,7 +16,6 @@ let () =
       ("cluster", Test_cluster.suite);
       ("event-sim", Test_event_sim.suite);
       ("protocol", Test_protocol.suite);
-      ("kv", Test_kv.suite);
       ("removal", Test_removal.suite);
       ("workload", Test_workload.suite);
       ("experiments", Test_experiments.suite);

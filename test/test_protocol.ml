@@ -109,9 +109,9 @@ let test_bulk_arrivals () =
   Runtime.run rt;
   check Alcotest.int "all done" 32 (Runtime.completed_creations rt);
   check Alcotest.int "each reported once" 32 !done_;
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error es -> Alcotest.fail (String.concat "\n" es)
+  match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+  | [] -> ()
+  | es -> Alcotest.fail (String.concat "\n" es)
 
 let suite =
   [

@@ -14,9 +14,9 @@ module Trace = Dht_telemetry.Trace
 let check = Alcotest.check
 
 let audit_ok rt what =
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error es -> Alcotest.fail (what ^ ":\n" ^ String.concat "\n" es)
+  match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+  | [] -> ()
+  | es -> Alcotest.fail (what ^ ":\n" ^ String.concat "\n" es)
 
 (* --- Placement --- *)
 
@@ -139,9 +139,9 @@ let prop_read_your_writes =
       if !wrong > 0 then QCheck.Test.fail_reportf "%d stale reads" !wrong;
       if Runtime.pending_operations rt <> 0 then
         QCheck.Test.fail_reportf "pending ops left";
-      match Runtime.audit rt with
-      | Ok () -> true
-      | Error es -> QCheck.Test.fail_reportf "%s" (String.concat "\n" es))
+      match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+      | [] -> true
+      | es -> QCheck.Test.fail_reportf "%s" (String.concat "\n" es))
 
 (* --- Quorum basics --- *)
 

@@ -175,9 +175,9 @@ let test_churn_convergence_100_seeds () =
         (Runtime.route_cache_entries rt sid <= route_cap)
     done;
     (* The audit re-checks coverage and the cap from the outside. *)
-    (match Runtime.audit rt with
-    | Ok () -> ()
-    | Error l -> Alcotest.failf "seed %d: audit: %s" seed (String.concat "; " l))
+    (match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+    | [] -> ()
+    | l -> Alcotest.failf "seed %d: audit: %s" seed (String.concat "; " l))
   done;
   check Alcotest.bool
     (Printf.sprintf "%d of %d lookups over the %d-hop bound (≤1%% allowed)"

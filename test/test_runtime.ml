@@ -74,9 +74,9 @@ let prop_plan_matches_live_balancer =
 (* --- Runtime --- *)
 
 let audit_ok rt label =
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "%s:\n%s" label (String.concat "\n" es)
+  match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+  | [] -> ()
+  | es -> Alcotest.failf "%s:\n%s" label (String.concat "\n" es)
 
 let test_runtime_bootstrap () =
   let rt = Runtime.create ~pmin:8 ~approach:(Runtime.Local { vmin = 4 }) ~snodes:4 ~seed:1 () in
@@ -514,9 +514,9 @@ let prop_random_interleavings =
       if Runtime.completed_creations rt <> !creations then
         QCheck.Test.fail_reportf "creations lost";
       if !wrong > 0 then QCheck.Test.fail_reportf "%d wrong reads" !wrong;
-      match Runtime.audit rt with
-      | Ok () -> true
-      | Error es -> QCheck.Test.fail_reportf "%s" (String.concat "\n" es))
+      match Dht_check.Invariants.(to_strings (check_runtime rt)) with
+      | [] -> true
+      | es -> QCheck.Test.fail_reportf "%s" (String.concat "\n" es))
 
 (* --- Fault injection and crash recovery --- *)
 
@@ -559,9 +559,7 @@ let test_runtime_reliable_under_faults () =
   check Alcotest.bool "drops occurred" true (s.Runtime.drops > 0);
   check Alcotest.bool "timeouts fired" true (s.Runtime.timeouts > 0);
   check Alcotest.bool "retransmissions sent" true (s.Runtime.retransmits > 0);
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error es -> Alcotest.fail (String.concat "\n" es)
+  audit_ok rt "after faults cease"
 
 let test_runtime_crash_recovery () =
   (* Crash-stop a loaded snode, keep operating around it, bring it back:
@@ -604,9 +602,7 @@ let test_runtime_crash_recovery () =
   let s = Runtime.stats rt in
   check Alcotest.int "one crash" 1 s.Runtime.crashes;
   check Alcotest.int "one recovery" 1 s.Runtime.recoveries;
-  match Runtime.audit rt with
-  | Ok () -> ()
-  | Error es -> Alcotest.fail (String.concat "\n" es)
+  audit_ok rt "after recovery"
 
 let test_runtime_create_on_done () =
   (* [create_vnode ?on_done] fires exactly once per creation, as
