@@ -14,10 +14,6 @@ module Trace = Dht_telemetry.Trace
 (* ------------------------------------------------------------------ *)
 (* Common options                                                      *)
 
-let runs_arg default =
-  let doc = "Number of independent runs to average." in
-  Arg.(value & opt int default & info [ "runs" ] ~docv:"N" ~doc)
-
 let seed_arg =
   let doc = "Master random seed (results are reproducible per seed)." in
   Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -46,6 +42,10 @@ let probability =
     (fun p -> p >= 0. && p <= 1.)
     Format.pp_print_float
 
+let runs_arg default =
+  let doc = "Number of independent runs to average." in
+  Arg.(value & opt positive_int default & info [ "runs" ] ~docv:"N" ~doc)
+
 let vnodes_arg default =
   let doc = "Number of vnodes (or nodes) to create." in
   Arg.(value & opt positive_int default & info [ "vnodes" ] ~docv:"V" ~doc)
@@ -54,17 +54,27 @@ let snodes_arg default =
   let doc = "Number of snodes in the simulated cluster." in
   Arg.(value & opt positive_int default & info [ "snodes" ] ~docv:"S" ~doc)
 
-let rfactor_arg default =
-  let doc = "Replicas per partition (1 disables replication)." in
-  Arg.(value & opt int default & info [ "rfactor" ] ~docv:"N" ~doc)
-
-let read_quorum_arg default =
-  let doc = "Replica replies required before a get is answered." in
-  Arg.(value & opt int default & info [ "read-quorum" ] ~docv:"R" ~doc)
-
-let write_quorum_arg default =
-  let doc = "Replica acks required before a put is acknowledged." in
-  Arg.(value & opt int default & info [ "write-quorum" ] ~docv:"W" ~doc)
+(* --rfactor, --read-quorum and --write-quorum are cross-checked as one
+   term: R and W in [1, rfactor] with R + W > rfactor, or a usage error. *)
+let replication_term ~rfactor ~read ~write =
+  let rfactor =
+    let doc = "Replicas per partition (1 disables replication)." in
+    Arg.(value & opt positive_int rfactor & info [ "rfactor" ] ~docv:"N" ~doc)
+  in
+  let read =
+    let doc = "Replica replies required before a get is answered." in
+    Arg.(value & opt int read & info [ "read-quorum" ] ~docv:"R" ~doc)
+  in
+  let write =
+    let doc = "Replica acks required before a put is acknowledged." in
+    Arg.(value & opt int write & info [ "write-quorum" ] ~docv:"W" ~doc)
+  in
+  let check rfactor read_quorum write_quorum =
+    match Dht_core.Params.check_quorum ~rfactor ~read_quorum ~write_quorum with
+    | () -> `Ok (rfactor, read_quorum, write_quorum)
+    | exception Invalid_argument msg -> `Error (true, msg)
+  in
+  Term.(ret (const check $ rfactor $ read $ write))
 
 (* One network-latency quantum on the default gigabit link: traffic to one
    destination coalesces for at most one hop worth of latency. *)
@@ -269,7 +279,7 @@ let fig5_cmd =
     finish_telemetry tel
   in
   let alpha =
-    Arg.(value & opt float 0.5 & info [ "alpha" ] ~docv:"A"
+    Arg.(value & opt probability 0.5 & info [ "alpha" ] ~docv:"A"
            ~doc:"Weight of the Vmin term (beta = 1 - alpha).")
   in
   let term =
@@ -357,11 +367,23 @@ let zones_cmd =
             ])
       [ 0; 7; 15; 31; 47; 63 ];
     Table.print table;
-    finish_telemetry tel
+    let max_diff = ref 0. in
+    Array.iteri
+      (fun i y ->
+        max_diff := Float.max !max_diff (abs_float (y -. global.Curve.ys.(i))))
+      local.Curve.ys;
+    let ok = !max_diff <= 1e-12 in
+    Printf.printf "max |local - global| over V = 1..%d: %g (%s, bound 1e-12)\n" n
+      !max_diff (if ok then "ok" else "FAILED");
+    finish_telemetry tel;
+    if not ok then exit 1
   in
   let term = Term.(const run $ telemetry_term $ runs_arg 100 $ seed_arg) in
   Cmd.v
-    (Cmd.info "zones" ~doc:"Check the zone-1 claim: local = global while V <= Vmax.")
+    (Cmd.info "zones"
+       ~doc:
+         "Check the zone-1 claim: local = global while V <= Vmax. Compares \
+          every V and exits 1 if any |local - global| exceeds 1e-12.")
     term
 
 let ratios_cmd =
@@ -779,7 +801,7 @@ let chaos_cmd =
     then exit 1
   in
   let run tel overload slow retry_budget snodes vnodes keys drop dup jitter
-      crashes downtime rfactor read_quorum write_quorum linger route_cap
+      crashes downtime (rfactor, read_quorum, write_quorum) linger route_cap
       seed =
     if overload then run_overload tel slow retry_budget seed
     else begin
@@ -879,7 +901,12 @@ let chaos_cmd =
                 fixed-RTO baseline). Exits non-zero if any gate fails.")
   in
   let slow =
-    Arg.(value & opt float 100. & info [ "slow" ] ~docv:"F"
+    let factor =
+      checked "a number >= 1" float_of_string_opt
+        (fun x -> x >= 1. && Float.is_finite x)
+        Format.pp_print_float
+    in
+    Arg.(value & opt factor 100. & info [ "slow" ] ~docv:"F"
            ~doc:
              "Service-time inflation of the gray-failed snode during the \
               overload burst (with --overload).")
@@ -911,7 +938,7 @@ let chaos_cmd =
            ~doc:"Snodes crash-stopped (and restarted) mid-burst.")
   in
   let downtime =
-    Arg.(value & opt float 0.05 & info [ "downtime" ] ~docv:"S"
+    Arg.(value & opt positive_float 0.05 & info [ "downtime" ] ~docv:"S"
            ~doc:"Virtual seconds each crashed snode stays down.")
   in
   let route_cap =
@@ -931,8 +958,8 @@ let chaos_cmd =
   let term =
     Term.(const run $ telemetry_term $ overload $ slow $ retry_budget
           $ snodes_arg 12 $ vnodes_arg 40 $ keys $ drop
-          $ dup $ jitter $ crashes $ downtime $ rfactor_arg 1
-          $ read_quorum_arg 1 $ write_quorum_arg 1 $ linger_arg $ route_cap
+          $ dup $ jitter $ crashes $ downtime
+          $ replication_term ~rfactor:1 ~read:1 ~write:1 $ linger_arg $ route_cap
           $ seed_arg)
   in
   Cmd.v
@@ -953,7 +980,7 @@ let kv_cmd =
   let module Runtime = Dht_snode.Runtime in
   let module Engine = Dht_event_sim.Engine in
   let module Invariants = Dht_check.Invariants in
-  let run tel audit snodes rfactor read_quorum write_quorum keys linger seed =
+  let run tel audit snodes (rfactor, read_quorum, write_quorum) keys linger seed =
     let faults = Runtime.Fault.create ~seed () in
     let rt =
       Runtime.create ~faults ~rfactor ~read_quorum ~write_quorum ~linger
@@ -1057,8 +1084,8 @@ let kv_cmd =
            ~doc:"Number of key/value pairs written before the crash.")
   in
   let term =
-    Term.(const run $ telemetry_term $ audit_flag $ snodes_arg 3 $ rfactor_arg 3
-          $ read_quorum_arg 2 $ write_quorum_arg 2 $ keys $ linger_arg
+    Term.(const run $ telemetry_term $ audit_flag $ snodes_arg 3
+          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ keys $ linger_arg
           $ seed_arg)
   in
   Cmd.v
@@ -1080,7 +1107,7 @@ let range_cmd =
   let module Hash = Dht_hashes.Hash in
   let module Space = Dht_hashspace.Space in
   let module Rng = Dht_prng.Rng in
-  let run tel snodes rfactor read_quorum write_quorum keys queries seed =
+  let run tel snodes (rfactor, read_quorum, write_quorum) keys queries seed =
     let rt =
       Runtime.create ~rfactor ~read_quorum ~write_quorum ~heat:true
         ~metrics:tel.tel_reg ~trace:tel.tel_trace ~causal:tel.tel_causal
@@ -1169,8 +1196,8 @@ let range_cmd =
            ~doc:"Random hash-interval range reads to issue and verify.")
   in
   let term =
-    Term.(const run $ telemetry_term $ snodes_arg 5 $ rfactor_arg 3
-          $ read_quorum_arg 2 $ write_quorum_arg 2 $ keys $ queries
+    Term.(const run $ telemetry_term $ snodes_arg 5
+          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ keys $ queries
           $ seed_arg)
   in
   Cmd.v
@@ -1196,8 +1223,9 @@ let explore_cmd =
         print_endline "verdict: FAIL";
         List.iter (fun m -> Printf.printf "  %s\n" m) fs
   in
-  let run tel scenario mutate snodes vnodes keys grow removes rfactor
-      read_quorum write_quorum linger seeds seed rounds max_tweaks out replay =
+  let run tel scenario mutate snodes vnodes keys grow removes
+      (rfactor, read_quorum, write_quorum) linger seeds seed rounds max_tweaks
+      out replay =
     let name = if mutate then scenario ^ "-mutate" else scenario in
     let sc =
       match scenario with
@@ -1324,8 +1352,8 @@ let explore_cmd =
   in
   let term =
     Term.(const run $ telemetry_term $ scenario $ mutate $ snodes_arg 5
-          $ vnodes_arg 3 $ keys $ grow $ removes $ rfactor_arg 3
-          $ read_quorum_arg 2 $ write_quorum_arg 2 $ linger_zero $ seeds
+          $ vnodes_arg 3 $ keys $ grow $ removes
+          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ linger_zero $ seeds
           $ seed_arg $ rounds $ max_tweaks $ out $ replay)
   in
   Cmd.v
@@ -1366,7 +1394,12 @@ let coexist_cmd =
     finish_telemetry tel
   in
   let load =
-    Arg.(value & opt float 0.6 & info [ "load" ] ~docv:"F"
+    let fraction =
+      checked "a fraction in [0, 1)" float_of_string_opt
+        (fun f -> f >= 0. && f < 1.)
+        Format.pp_print_float
+    in
+    Arg.(value & opt fraction 0.6 & info [ "load" ] ~docv:"F"
            ~doc:"External load fraction on the loaded nodes.")
   in
   let term = Term.(const run $ telemetry_term $ load $ seed_arg) in
@@ -1385,8 +1418,8 @@ let heat_cmd =
   let module Span = Dht_hashspace.Span in
   let module Hash = Dht_hashes.Hash in
   let module Heat = Dht_obsv.Heat in
-  let run tel snodes vnodes nkeys s ops duration top tau rfactor read_quorum
-      write_quorum json seed =
+  let run tel snodes vnodes nkeys s ops duration top tau
+      (rfactor, read_quorum, write_quorum) json seed =
     let rt =
       Runtime.create ~metrics:tel.tel_reg ~trace:tel.tel_trace
         ~causal:tel.tel_causal ~heat:true ~heat_tau:tau ~rfactor ~read_quorum
@@ -1564,7 +1597,7 @@ let heat_cmd =
            ~doc:"Hot partitions shown in the report.")
   in
   let tau =
-    Arg.(value & opt float 1.0 & info [ "tau" ] ~docv:"S"
+    Arg.(value & opt positive_float 1.0 & info [ "tau" ] ~docv:"S"
            ~doc:"EWMA time constant of the heat counters (virtual seconds).")
   in
   let json =
@@ -1576,8 +1609,8 @@ let heat_cmd =
   in
   let term =
     Term.(const run $ telemetry_term $ snodes_arg 8 $ vnodes_arg 24 $ nkeys
-          $ zipf_s $ ops $ duration $ top $ tau $ rfactor_arg 3
-          $ read_quorum_arg 2 $ write_quorum_arg 2 $ json $ seed_arg)
+          $ zipf_s $ ops $ duration $ top $ tau
+          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ json $ seed_arg)
   in
   Cmd.v
     (Cmd.info "heat"
@@ -1668,11 +1701,11 @@ let balance_cmd =
            ~doc:"Zipf skew exponent of the access mix.")
   in
   let rate =
-    Arg.(value & opt float 20000. & info [ "rate" ] ~docv:"OPS"
+    Arg.(value & opt positive_float 20000. & info [ "rate" ] ~docv:"OPS"
            ~doc:"Operations per virtual second.")
   in
   let duration =
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"S"
+    Arg.(value & opt positive_float 1.0 & info [ "duration" ] ~docv:"S"
            ~doc:"Virtual seconds of paced load.")
   in
   let max_inflight =
@@ -1682,7 +1715,7 @@ let balance_cmd =
               fabric this is what makes latency respond to placement.")
   in
   let tau =
-    Arg.(value & opt float 0.3 & info [ "tau" ] ~docv:"S"
+    Arg.(value & opt positive_float 0.3 & info [ "tau" ] ~docv:"S"
            ~doc:"EWMA time constant of the heat counters (virtual seconds).")
   in
   let crash =
@@ -1836,7 +1869,7 @@ let route_cmd =
              ~doc:"Comma-separated cluster sizes to sweep.")
   in
   let vnodes =
-    Arg.(value & opt (some int) None & info [ "vnodes" ] ~docv:"V"
+    Arg.(value & opt (some positive_int) None & info [ "vnodes" ] ~docv:"V"
            ~doc:"Vnodes in each cluster (default: one per snode).")
   in
   let route_cap =
@@ -1844,21 +1877,21 @@ let route_cmd =
            ~doc:"Per-snode routing-cache entry bound (LRU pair-folds above it).")
   in
   let max_hops =
-    Arg.(value & opt int 32 & info [ "max-hops" ] ~docv:"H"
+    Arg.(value & opt positive_int 32 & info [ "max-hops" ] ~docv:"H"
            ~doc:"Forwarding limit before a routed op backs off and restarts.")
   in
   let keys =
-    Arg.(value & opt int 1_000_000 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt positive_int 1_000_000 & info [ "keys" ] ~docv:"K"
            ~doc:
              "Size of the derived key population the workload samples \
               (keys are computed, never materialized).")
   in
   let ops =
-    Arg.(value & opt int 4000 & info [ "ops" ] ~docv:"N"
+    Arg.(value & opt positive_int 4000 & info [ "ops" ] ~docv:"N"
            ~doc:"Paced data operations per cluster size.")
   in
   let rate =
-    Arg.(value & opt float 20000. & info [ "rate" ] ~docv:"OPS"
+    Arg.(value & opt positive_float 20000. & info [ "rate" ] ~docv:"OPS"
            ~doc:"Operations per virtual second.")
   in
   let read_fraction =

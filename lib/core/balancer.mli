@@ -2,13 +2,11 @@
     local approach, §3.1).
 
     A balancer owns the vnodes of one group and maintains the group's common
-    partition split level (invariant G3'). Creating a vnode follows the
-    paper's algorithm: if no vnode can hand over a partition without
-    violating [Pv >= Pmin] (which, by G5/G5', happens exactly when the vnode
-    count is a power of two and all vnodes hold [Pmin] partitions), every
-    vnode first binary-splits all its partitions; then partitions move one at
-    a time from the currently most-loaded vnode (the {e victim}) to the
-    newcomer for as long as this decreases σ(Pv).
+    partition split level (invariant G3'). It executes the decisions of
+    {!Plan} on live vnodes: each creation or departure reads the group's
+    LPDR, asks {!Plan} which vnodes give how many partitions to whom, then
+    moves that many spans, splitting every partition first when the plan
+    says so.
 
     The global approach is this balancer applied to a single group over the
     whole table (built with {!Params.global}). *)
@@ -47,9 +45,11 @@ val of_vnodes :
     outside [\[Pmin, Pmax\]]. *)
 
 val add_vnode : t -> Vnode.t -> unit
-(** Runs the creation algorithm for a vnode that currently owns no
-    partitions, emitting [Split] and [Transfer] events as they happen.
-    @raise Invalid_argument if the vnode already owns partitions. *)
+(** Runs the creation algorithm ({!Plan.creation}) for a vnode that
+    currently owns no partitions, emitting [Split] and [Transfer] events as
+    they happen.
+    @raise Invalid_argument if the vnode already owns partitions or its id
+    is already a member's. *)
 
 val params : t -> Params.t
 
@@ -66,25 +66,28 @@ val total_partitions : t -> int
     invariant G2'). *)
 
 val vnodes : t -> Vnode.t array
-(** Snapshot of the group's vnodes (fresh array, shared vnode records). *)
+(** Snapshot of the group's vnodes in vnode-id order (fresh array, shared
+    vnode records). *)
 
 val iter_vnodes : t -> (Vnode.t -> unit) -> unit
 (** Iterates over the group's vnodes without copying (hot path for metric
     sampling). *)
 
 val counts : t -> int array
-(** Partition counts per vnode, in internal order. *)
+(** Partition counts per vnode, in vnode-id order. *)
+
+val lpdr : t -> Plan.lpdr
+(** The group's LPDR: partition counts keyed by vnode id. *)
 
 val quota : t -> float
 (** The group quota [Qg = Pg / 2^lg] (§4.2.1). *)
 
 val remove_vnode : t -> Vnode.t -> (unit, [ `Insufficient_capacity | `Last_vnode ]) result
 (** Departure of a vnode (the model's "cluster nodes may dynamically leave
-    the DHT"). The paper does not spell the algorithm out; we use the
-    symmetric inverse of creation: the departing vnode's partitions go one
-    at a time to the currently least-loaded vnode, followed by max→min
-    transfers while they decrease σ(Pv), so the group ends within one
-    partition of perfectly even.
+    the DHT"), planned by {!Plan.removal}: the departing vnode's partitions
+    go one at a time to the currently least-loaded vnode, followed by
+    max→min transfers while they decrease σ(Pv), so the group ends within
+    one partition of perfectly even.
 
     Removal relaxes G5/G5' from "all counts equal [Pmin]" to "all counts
     equal" (same perfect quota balance, possibly at a deeper split level);
@@ -109,9 +112,3 @@ val transfer_span :
     [`Dst_at_pmax]); emits the usual [Transfer] event on success. Note that
     a successful move intentionally trades σ(Pv) balance for whatever the
     caller is optimising — it may un-do G5's perfect balance. *)
-
-val move_decreases_sigma : from_count:int -> to_count:int -> bool
-(** The paper's step-4 test: does moving one partition from a vnode holding
-    [from_count] to one holding [to_count] decrease σ(Pv)? Since the total
-    is unchanged, σ decreases iff the sum of squares does, i.e. iff
-    [to_count < from_count - 1]. *)

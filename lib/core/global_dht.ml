@@ -90,8 +90,7 @@ let quotas t =
 let sigma_qv t = Metrics.sigma_percent (quotas t)
 let sigma_pv t = Metrics.sigma_counts_percent (counts t)
 
-let gpdr t =
-  Distribution_record.of_balancer ~scope:Distribution_record.Global t.balancer
+let gpdr t = Balancer.lpdr t.balancer
 
 let lookup t p = Point_map.find_point t.map p
 let map t = t.map

@@ -53,13 +53,13 @@ val level : t -> int
 (** Common split level of all partitions (invariant G3). *)
 
 val vnodes : t -> Vnode.t array
-(** Snapshot, in creation order. *)
+(** Snapshot, in vnode-id order. *)
 
 val counts : t -> int array
-(** Partitions per vnode (the GPDR content), in creation order. *)
+(** Partitions per vnode (the GPDR content), in vnode-id order. *)
 
 val quotas : t -> float array
-(** [Qv] per vnode, in creation order. *)
+(** [Qv] per vnode, in vnode-id order. *)
 
 val sigma_qv : t -> float
 (** σ̄(Qv, Q̄v) in percent — the paper's quality metric. *)
@@ -68,8 +68,9 @@ val sigma_pv : t -> float
 (** σ̄(Pv, P̄v) in percent; equal to {!sigma_qv} in the global approach
     (§2.4). *)
 
-val gpdr : t -> Distribution_record.t
-(** Snapshot of the global partition distribution record. *)
+val gpdr : t -> Plan.lpdr
+(** The global partition distribution record: partition counts keyed by
+    vnode id. *)
 
 val lookup : t -> int -> Span.t * Vnode.t
 (** [lookup t p] routes hash index [p] to its partition and owner.

@@ -113,26 +113,22 @@ let restore ?space ?(on_event = fun _ -> ()) ?(on_group_split = fun _ -> ())
   t
 
 (* §3.7: a full victim group splits into two groups of Vmin vnodes each,
-   randomly selected; the newcomer's destination is one of the two, chosen
-   at random. *)
+   randomly selected ({!Plan.split}); the newcomer's destination is one of
+   the two, chosen at random. *)
 let split_group t b =
   let g = Balancer.group b in
-  let members = Balancer.vnodes b in
-  let vmin = t.params.Params.vmin in
-  assert (Array.length members = Params.vmax t.params);
-  Rng.shuffle t.rng members;
-  let left_members = Array.sub members 0 vmin in
-  let right_members = Array.sub members vmin vmin in
+  assert (Balancer.vnode_count b = Params.vmax t.params);
+  let halves =
+    Plan.split ~rng:t.rng ~vmin:t.params.Params.vmin (Balancer.lpdr b)
+  in
   let gl, gr = Group_id.split g in
   let level = Balancer.level b in
-  let bl =
-    Balancer.of_vnodes ~params:t.params ~group:gl ~level ~notify:t.notify
-      left_members
+  let balancer group members =
+    Balancer.of_vnodes ~params:t.params ~group ~level ~notify:t.notify
+      (Array.of_list (List.map (fun (id, _) -> Vtbl.find t.index id) members))
   in
-  let br =
-    Balancer.of_vnodes ~params:t.params ~group:gr ~level ~notify:t.notify
-      right_members
-  in
+  let bl = balancer gl halves.Plan.left in
+  let br = balancer gr halves.Plan.right in
   t.groups <- Gmap.add gl bl (Gmap.add gr br (Gmap.remove g t.groups));
   Log.L.debug (fun m ->
       m "group %a split into %a and %a at V=%d" Group_id.pp g Group_id.pp gl
@@ -140,7 +136,7 @@ let split_group t b =
   let info = { parent = g; left = gl; right = gr; at_vnodes = t.vnode_total } in
   t.splits <- info :: t.splits;
   t.on_group_split info;
-  if Rng.bool t.rng then bl else br
+  if halves.Plan.newcomer_left then bl else br
 
 type creation_report = {
   vnode : Vnode.t;
@@ -282,11 +278,7 @@ let group_quotas t = groups t |> List.map Balancer.quota |> Array.of_list
 
 let sigma_qg t = Metrics.sigma_percent (group_quotas t)
 
-let lpdr t g =
-  Option.map
-    (fun b ->
-      Distribution_record.of_balancer ~scope:(Distribution_record.Local g) b)
-    (find_group t g)
+let lpdr t g = Option.map Balancer.lpdr (find_group t g)
 
 let lookup t p = Point_map.find_point t.map p
 let map t = t.map

@@ -150,8 +150,9 @@ val sigma_qg : t -> float
 (** σ̄(Qg, Q̄g) in percent — quality of the balancement between groups
     (§4.2.1, figure 8). *)
 
-val lpdr : t -> Group_id.t -> Distribution_record.t option
-(** Snapshot of one group's LPDR. *)
+val lpdr : t -> Group_id.t -> Plan.lpdr option
+(** One group's LPDR: partition counts keyed by vnode id, the same shape
+    as the snode runtime's replicated LPDR copies. *)
 
 val lookup : t -> int -> Span.t * Vnode.t
 (** Routes a hash index to its partition and owning vnode. *)

@@ -167,7 +167,8 @@ let cost ?(runs = 20) ?(vnodes = 1024) ?(pmin = 32)
         vmin;
         mean_group_size;
         group_count = Dht_stats.Welford.mean acc_count;
-        (* 16-byte header + 16 bytes per record (Distribution_record). *)
+        (* 16-byte header + one 16-byte entry (vnode id, count) per member:
+           the LPDR entry size the runtime's wire charges. *)
         lpdr_bytes = 16. +. (16. *. mean_group_size);
         (* One vnode per snode: every group member's snode synchronizes. *)
         sync_snodes = mean_group_size;

@@ -47,7 +47,7 @@ type lpdr = {
   mutable epoch : int;
       (* bumped once per committed balancing event on the group; all copies
          move in lockstep, which fences stale Lpdr_push replies *)
-  mutable counts : (Vnode_id.t * int) list;
+  mutable counts : Plan.lpdr;
 }
 
 (* Coordinator-side state of one in-flight balancing event (creation,
@@ -80,7 +80,7 @@ type pending_prepare =
       r_leaving : Vnode_id.t;
       r_group : Group_id.t;
       r_epoch : int;  (* the group's epoch the event was planned at *)
-      r_remaining : (Vnode_id.t * int) list;
+      r_remaining : Plan.lpdr;
     }
 
 (* Reliable-delivery state toward/from one remote snode. The sender side
@@ -2093,18 +2093,15 @@ and start_balancing t sn group lpdr ~newcomer ~origin =
   let split, target, target_counts =
     if List.length lpdr.counts = vmax then begin
       (* §3.7: full victim group splits into two random halves of Vmin. *)
-      let arr = Array.of_list lpdr.counts in
-      Rng.shuffle sn.rng arr;
-      let vmin = vmax / 2 in
-      let sorted l = List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b) l in
-      let left_members = sorted (Array.to_list (Array.sub arr 0 vmin)) in
-      let right_members = sorted (Array.to_list (Array.sub arr vmin vmin)) in
+      let halves = Plan.split ~rng:sn.rng ~vmin:(vmax / 2) lpdr.counts in
+      let left_members = halves.Plan.left
+      and right_members = halves.Plan.right in
       let gl, gr = Group_id.split group in
       let split =
         { Wire.parent = group; left = gl; left_members; right = gr;
           right_members }
       in
-      if Rng.bool sn.rng then (Some split, gl, left_members)
+      if halves.Plan.newcomer_left then (Some split, gl, left_members)
       else (Some split, gr, right_members)
     end
     else (None, group, lpdr.counts)
@@ -4469,7 +4466,7 @@ module View = struct
     group : Group_id.t;
     level : int;
     epoch : int;
-    counts : (Vnode_id.t * int) list;
+    counts : Plan.lpdr;
   }
 
   type vnode_view = {

@@ -15,9 +15,10 @@
     routed to the victim vnode's snode, handed to the victim group's
     manager (the snode hosting the group's smallest member — its request
     queue is the group lock), which plans the balancing from its LPDR copy
-    alone ({!Plan}), runs a prepare/commit round among the group's snodes,
-    and lets donors stream partitions (with their keys) straight to the
-    newcomer's snode. Creations on different groups proceed concurrently.
+    alone ({!Dht_core.Plan}), runs a prepare/commit round among the group's
+    snodes, and lets donors stream partitions (with their keys) straight to
+    the newcomer's snode. Creations on different groups proceed
+    concurrently.
 
     {!view} exports the distributed state; [Dht_check.Invariants.check_runtime]
     verifies global coverage, LPDR-copy convergence, the model invariants,
@@ -681,7 +682,7 @@ module View : sig
     group : Dht_core.Group_id.t;
     level : int;
     epoch : int;
-    counts : (Dht_core.Vnode_id.t * int) list;
+    counts : Plan.lpdr;
   }
 
   type vnode_view = {

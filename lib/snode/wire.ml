@@ -11,9 +11,9 @@ type routed_op =
 type group_split = {
   parent : Group_id.t;
   left : Group_id.t;
-  left_members : (Vnode_id.t * int) list;
+  left_members : Plan.lpdr;
   right : Group_id.t;
-  right_members : (Vnode_id.t * int) list;
+  right_members : Plan.lpdr;
 }
 
 type prepare = {
@@ -61,7 +61,7 @@ type msg =
       leaving : Vnode_id.t;
       epoch_before : int;
       moves : Plan.move list;
-      remaining : (Vnode_id.t * int) list;
+      remaining : Plan.lpdr;
     }
   | Remove_done of { token : int; ok : bool }
   | Put_ack of { token : int; hint : (Span.t * Vnode_id.t) option }
@@ -118,7 +118,7 @@ type msg =
   | Lpdr_pull of { group : Group_id.t }
   | Lpdr_push of {
       group : Group_id.t;
-      view : (int * int * (Vnode_id.t * int) list) option;
+      view : (int * int * Plan.lpdr) option;
     }
   | Lb_report of {
       origin : int;

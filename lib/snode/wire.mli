@@ -22,9 +22,9 @@ type routed_op =
 type group_split = {
   parent : Group_id.t;
   left : Group_id.t;
-  left_members : (Vnode_id.t * int) list;  (** member, partition count *)
+  left_members : Plan.lpdr;  (** member, partition count *)
   right : Group_id.t;
-  right_members : (Vnode_id.t * int) list;
+  right_members : Plan.lpdr;
 }
 
 type prepare = {
@@ -92,7 +92,7 @@ type msg =
           (** the group's LPDR epoch when the departure was planned; the
               event commits at [epoch_before + 1] (see {!prepare}) *)
       moves : Plan.move list;
-      remaining : (Vnode_id.t * int) list;  (** LPDR after the departure *)
+      remaining : Plan.lpdr;  (** LPDR after the departure *)
     }
   | Remove_done of { token : int; ok : bool }
       (** to the origin; [ok = false] when the model refuses the departure
@@ -225,7 +225,7 @@ type msg =
           fresh LPDR copy *)
   | Lpdr_push of {
       group : Group_id.t;
-      view : (int * int * (Vnode_id.t * int) list) option;
+      view : (int * int * Plan.lpdr) option;
     }
       (** manager's reply: [(level, epoch, counts)], or [None] when the
           manager no longer carries the group (it split away; the puller's

@@ -179,7 +179,7 @@ let test_move_decreases_sigma_matches_float () =
       after.(src) <- after.(src) - 1;
       after.(dst) <- after.(dst) + 1;
       let predicted =
-        Balancer.move_decreases_sigma ~from_count:counts.(src)
+        Plan.move_decreases_sigma ~from_count:counts.(src)
           ~to_count:counts.(dst)
       in
       check Alcotest.bool
@@ -206,7 +206,7 @@ let prop_move_predicate =
       let after = Array.copy counts in
       after.(src) <- after.(src) - 1;
       after.(dst) <- after.(dst) + 1;
-      Balancer.move_decreases_sigma ~from_count:counts.(src)
+      Plan.move_decreases_sigma ~from_count:counts.(src)
         ~to_count:counts.(dst)
       = (float_sigma after < before -. 1e-12))
 

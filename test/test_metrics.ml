@@ -1,4 +1,4 @@
-(* Tests for Dht_core.Metrics and Dht_core.Distribution_record. *)
+(* Tests for Dht_core.Metrics. *)
 
 open Dht_core
 
@@ -32,50 +32,6 @@ let test_gideal_validation () =
   check Alcotest.int "just above vmax doubles" 2 (Metrics.gideal ~vnodes:17 ~vmax:16);
   check Alcotest.int "power-of-two ladder" 8 (Metrics.gideal ~vnodes:100 ~vmax:16)
 
-(* --- Distribution_record --- *)
-
-let record_of_counts counts =
-  let sp = Dht_hashspace.Space.create ~bits:20 in
-  let params = Params.global ~space:sp ~pmin:(Array.length counts |> fun _ -> 8) () in
-  ignore params;
-  (* Build a record through a balancer to exercise of_balancer: grow a
-     global DHT until it has as many vnodes as requested. *)
-  let dht =
-    Global_dht.create ~space:sp ~pmin:8
-      ~first:(Vnode_id.make ~snode:0 ~vnode:0)
-      ()
-  in
-  for i = 1 to Array.length counts - 1 do
-    ignore (Global_dht.add_vnode dht ~id:(Vnode_id.make ~snode:i ~vnode:0))
-  done;
-  Global_dht.gpdr dht
-
-let test_record_find_and_size () =
-  let r = record_of_counts (Array.make 5 0) in
-  check Alcotest.int "cardinal" 5 (Distribution_record.cardinal r);
-  check Alcotest.int "size bytes" (16 + (16 * 5)) (Distribution_record.size_bytes r);
-  (match Distribution_record.find r (Vnode_id.make ~snode:2 ~vnode:0) with
-  | Some n -> check Alcotest.bool "positive count" true (n > 0)
-  | None -> Alcotest.fail "vnode missing from record");
-  check Alcotest.bool "absent vnode" true
-    (Distribution_record.find r (Vnode_id.make ~snode:99 ~vnode:0) = None)
-
-let test_record_empty_victim () =
-  let sp = Dht_hashspace.Space.create ~bits:20 in
-  let params = Params.global ~space:sp ~pmin:8 () in
-  let v = Vnode.make ~id:(Vnode_id.make ~snode:0 ~vnode:0) ~group:Group_id.root in
-  let b = Balancer.bootstrap ~params ~group:Group_id.root ~vnode:v ~notify:(fun _ -> ()) in
-  let r = Distribution_record.of_balancer ~scope:Distribution_record.Global b in
-  match Distribution_record.victim r with
-  | Some e -> check Alcotest.int "victim count" 8 e.Distribution_record.partitions
-  | None -> Alcotest.fail "bootstrap record has a victim"
-
-let test_record_pp () =
-  let r = record_of_counts (Array.make 3 0) in
-  let s = Format.asprintf "%a" Distribution_record.pp r in
-  check Alcotest.bool "mentions GPDR" true
-    (String.length s > 4 && String.sub s 0 4 = "GPDR")
-
 let suite =
   [
     Alcotest.test_case "sigma_percent known values" `Quick test_sigma_percent_known;
@@ -83,7 +39,4 @@ let suite =
       test_sigma_counts_vs_quotas;
     Alcotest.test_case "sigma counts edge cases" `Quick test_sigma_counts_edge;
     Alcotest.test_case "gideal validation" `Quick test_gideal_validation;
-    Alcotest.test_case "record find/size" `Quick test_record_find_and_size;
-    Alcotest.test_case "record victim" `Quick test_record_empty_victim;
-    Alcotest.test_case "record pretty-printing" `Quick test_record_pp;
   ]

@@ -1,7 +1,6 @@
 (* Tests for Dht_snode: the pure planner and the distributed runtime. *)
 
 open Dht_core
-module Plan = Dht_snode.Plan
 module Runtime = Dht_snode.Runtime
 module Engine = Dht_event_sim.Engine
 module Rng = Dht_prng.Rng
@@ -41,35 +40,133 @@ let test_plan_validation () =
     (Invalid_argument "Plan.creation: count outside [Pmin, Pmax]") (fun () ->
       ignore (Plan.creation ~pmin:8 ~counts:[ (vid 0, 20) ] ~newcomer:(vid 1)))
 
-let prop_plan_matches_live_balancer =
-  (* Growing a group vnode-by-vnode: the pure planner's final count
-     multiset must equal the live Balancer's at every step. *)
-  QCheck.Test.make ~name:"plan = live balancer (count multisets)" ~count:50
-    QCheck.(pair (int_range 1 60) (int_range 0 2))
-    (fun (n, pmin_exp) ->
-      let pmin = 8 lsl pmin_exp in
-      let sp = Dht_hashspace.Space.create ~bits:40 in
-      let params = Params.global ~space:sp ~pmin () in
-      let v0 = Vnode.make ~id:(vid 0) ~group:Group_id.root in
-      let b =
-        Balancer.bootstrap ~params ~group:Group_id.root ~vnode:v0
-          ~notify:(fun _ -> ())
-      in
-      let ok = ref true in
-      for i = 1 to n do
-        let counts =
-          Array.to_list
-            (Array.map (fun v -> (v.Vnode.id, v.Vnode.count)) (Balancer.vnodes b))
-        in
-        let plan = Plan.creation ~pmin ~counts ~newcomer:(vid i) in
-        Balancer.add_vnode b (Vnode.make ~id:(vid i) ~group:Group_id.root);
-        let live =
-          Balancer.counts b |> Array.to_list |> List.sort compare
-        in
-        let planned = List.map snd plan.Plan.final_counts |> List.sort compare in
-        if live <> planned then ok := false
-      done;
-      !ok)
+let test_plan_tie_break () =
+  (* Among vnodes holding the extreme count, the smallest id moves first:
+     1 and 2 give from 11, then 0..3 from 10, then 0 and 1 from 9. *)
+  let counts = [ (vid 0, 10); (vid 1, 11); (vid 2, 11); (vid 3, 10) ] in
+  let p = Plan.creation ~pmin:8 ~counts ~newcomer:(vid 9) in
+  check Alcotest.(list (pair int int)) "donors"
+    [ (0, 2); (1, 3); (2, 2); (3, 1) ]
+    (List.map
+       (fun a -> (a.Plan.donor.Vnode_id.snode, a.Plan.give))
+       p.Plan.assignments);
+  check Alcotest.(list (pair int int)) "final counts"
+    [ (0, 8); (1, 8); (2, 9); (3, 9); (9, 8) ]
+    (List.map (fun (id, c) -> (id.Vnode_id.snode, c)) p.Plan.final_counts);
+  (* Departure: the drain fills the smallest ids first, level by level,
+     merging consecutive moves to the same survivor; equalization then
+     moves 3 -> 1. *)
+  match
+    Plan.removal ~pmin:8
+      ~counts:[ (vid 0, 8); (vid 1, 8); (vid 2, 12); (vid 3, 16) ]
+      ~leaving:(vid 0)
+  with
+  | Error _ -> Alcotest.fail "refused"
+  | Ok r ->
+      check Alcotest.(list (triple int int int)) "moves"
+        [ (0, 1, 5); (0, 2, 1); (0, 1, 1); (0, 2, 1); (3, 1, 1) ]
+        (List.map
+           (fun m ->
+             (m.Plan.src.Vnode_id.snode, m.Plan.dst.Vnode_id.snode, m.Plan.n))
+           r.Plan.moves);
+      check Alcotest.(list (pair int int)) "survivors"
+        [ (1, 15); (2, 14); (3, 15) ]
+        (List.map (fun (id, c) -> (id.Vnode_id.snode, c)) r.Plan.removal_counts)
+
+let test_plan_split () =
+  let members = List.init 16 (fun i -> (vid i, 8 + (i mod 3))) in
+  let split seed = Plan.split ~rng:(Rng.of_int seed) ~vmin:8 members in
+  let by_id = List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b) in
+  let s = split 7 in
+  List.iter
+    (fun (side, half) ->
+      check Alcotest.int (side ^ " holds Vmin") 8 (List.length half);
+      check Alcotest.bool (side ^ " sorted by id") true (by_id half = half))
+    [ ("left", s.Plan.left); ("right", s.Plan.right) ];
+  check Alcotest.bool "halves are disjoint" true
+    (List.for_all (fun m -> not (List.mem m s.Plan.right)) s.Plan.left);
+  check Alcotest.bool "union is the group" true
+    (by_id (s.Plan.left @ s.Plan.right) = members);
+  check Alcotest.bool "same seed, same halves and side" true (split 7 = s);
+  check Alcotest.bool "seeds vary the halves" true
+    (List.exists
+       (fun seed -> (split seed).Plan.left <> s.Plan.left)
+       [ 1; 2; 3 ]);
+  Alcotest.check_raises "group not full"
+    (Invalid_argument "Plan.split: the group does not hold 2*Vmin vnodes")
+    (fun () -> ignore (Plan.split ~rng:(Rng.of_int 1) ~vmin:9 members))
+
+(* The core model and the runtime run the one planner, so fed the same
+   creations and departures they must agree vnode by vnode: after every
+   step each runtime LPDR copy equals the core's record of that group,
+   and σ(Qv) agrees. *)
+let vnode_id = Alcotest.testable Vnode_id.pp Vnode_id.equal
+
+let check_differential ~label ~core_lpdr ~core_sigma ~core_add ~core_remove rt
+    steps =
+  List.iteri
+    (fun k step ->
+      let where = Printf.sprintf "%s, step %d" label k in
+      (match step with
+      | `Add id ->
+          core_add id;
+          Runtime.create_vnode rt ~id ()
+      | `Remove id ->
+          core_remove id;
+          Runtime.remove_vnode rt ~id (fun ok ->
+              if not ok then Alcotest.failf "%s: runtime refused" where));
+      Runtime.run rt;
+      let copies = ref 0 in
+      List.iter
+        (fun (sn : Runtime.View.snode_view) ->
+          List.iter
+            (fun (lp : Runtime.View.lpdr_copy) ->
+              incr copies;
+              check
+                Alcotest.(list (pair vnode_id int))
+                (Printf.sprintf "%s: snode %d LPDR copy" where sn.sid)
+                (core_lpdr lp.group) lp.counts)
+            sn.lpdrs)
+        (Runtime.view rt).Runtime.View.snodes;
+      check Alcotest.bool (where ^ ": LPDR copies compared") true (!copies > 0);
+      check (Alcotest.float 1e-9) (where ^ ": sigma(Qv)") (core_sigma ())
+        (Runtime.sigma_qv rt))
+    steps
+
+let sid i = Vnode_id.make ~snode:(i mod 8) ~vnode:(i / 8)
+
+let test_differential_local () =
+  (* One group (Vmax = 128): 100 creations, then 7 departures. *)
+  let dht =
+    Local_dht.create ~pmin:8 ~vmin:64 ~rng:(Rng.of_int 5) ~first:(sid 0) ()
+  in
+  let rt =
+    Runtime.create ~pmin:8 ~approach:(Runtime.Local { vmin = 64 }) ~snodes:8
+      ~seed:5 ()
+  in
+  check_differential ~label:"local" rt
+    ~core_lpdr:(fun g -> Option.get (Local_dht.lpdr dht g))
+    ~core_sigma:(fun () -> Local_dht.sigma_qv dht)
+    ~core_add:(fun id -> ignore (Local_dht.add_vnode dht ~id))
+    ~core_remove:(fun id -> Result.get_ok (Local_dht.remove_vnode dht ~id))
+    (List.init 100 (fun i -> `Add (sid (i + 1)))
+    @ List.map (fun i -> `Remove (sid i)) [ 3; 17; 40; 41; 77; 90; 100 ])
+
+let test_differential_global () =
+  (* Growth interleaved with departures in the single global domain. *)
+  let dht = Global_dht.create ~pmin:8 ~first:(sid 0) () in
+  let rt =
+    Runtime.create ~pmin:8 ~approach:Runtime.Global ~snodes:8 ~seed:6 ()
+  in
+  check_differential ~label:"global" rt
+    ~core_lpdr:(fun _ -> Global_dht.gpdr dht)
+    ~core_sigma:(fun () -> Global_dht.sigma_qv dht)
+    ~core_add:(fun id -> ignore (Global_dht.add_vnode dht ~id))
+    ~core_remove:(fun id -> Result.get_ok (Global_dht.remove_vnode dht ~id))
+    (List.init 45 (fun i -> `Add (sid (i + 1)))
+    @ List.concat_map
+        (fun i -> [ `Remove (sid i); `Add (sid (50 + i)) ])
+        [ 2; 9; 23; 24; 31; 44 ])
 
 (* --- Runtime --- *)
 
@@ -278,43 +375,6 @@ let test_plan_removal_errors () =
   Alcotest.check_raises "absent vnode"
     (Invalid_argument "Plan.removal: leaving vnode not in LPDR") (fun () ->
       ignore (Plan.removal ~pmin:8 ~counts:[ (vid 0, 8) ] ~leaving:(vid 9)))
-
-let prop_plan_removal_matches_live =
-  QCheck.Test.make ~name:"removal plan = live balancer (count multisets)"
-    ~count:40
-    QCheck.(pair (int_range 3 50) small_int)
-    (fun (n, pick) ->
-      let pmin = 8 in
-      let sp = Dht_hashspace.Space.create ~bits:40 in
-      let params = Params.global ~space:sp ~pmin () in
-      let v0 = Vnode.make ~id:(vid 0) ~group:Group_id.root in
-      let b =
-        Balancer.bootstrap ~params ~group:Group_id.root ~vnode:v0
-          ~notify:(fun _ -> ())
-      in
-      let all = ref [ v0 ] in
-      for i = 1 to n - 1 do
-        let v = Vnode.make ~id:(vid i) ~group:Group_id.root in
-        Balancer.add_vnode b v;
-        all := v :: !all
-      done;
-      let victim = List.nth !all (pick mod n) in
-      let counts =
-        Array.to_list
-          (Array.map (fun v -> (v.Vnode.id, v.Vnode.count)) (Balancer.vnodes b))
-      in
-      match
-        ( Plan.removal ~pmin ~counts ~leaving:victim.Vnode.id,
-          Balancer.remove_vnode b victim )
-      with
-      | Ok plan, Ok () ->
-          let live = Balancer.counts b |> Array.to_list |> List.sort compare in
-          let planned =
-            List.map snd plan.Plan.removal_counts |> List.sort compare
-          in
-          live = planned
-      | Error _, Error _ -> true
-      | _ -> QCheck.Test.fail_reportf "plan and live balancer disagree")
 
 (* --- Distributed removal --- *)
 
@@ -795,7 +855,12 @@ let suite =
     Alcotest.test_case "plan: bootstrap growth" `Quick test_plan_bootstrap_growth;
     Alcotest.test_case "plan: uneven counts" `Quick test_plan_no_split_when_uneven;
     Alcotest.test_case "plan: validation" `Quick test_plan_validation;
-    QCheck_alcotest.to_alcotest prop_plan_matches_live_balancer;
+    Alcotest.test_case "plan: smallest-id tie-break" `Quick test_plan_tie_break;
+    Alcotest.test_case "plan: split halves" `Quick test_plan_split;
+    Alcotest.test_case "plan: local model = runtime, per vnode" `Quick
+      test_differential_local;
+    Alcotest.test_case "plan: global model = runtime, per vnode" `Quick
+      test_differential_global;
     Alcotest.test_case "runtime: bootstrap" `Quick test_runtime_bootstrap;
     Alcotest.test_case "runtime: sequential growth audits" `Quick
       test_runtime_sequential_growth;
@@ -813,7 +878,6 @@ let suite =
     Alcotest.test_case "wire sizes and tags" `Quick test_wire_sizes;
     Alcotest.test_case "plan: removal basic" `Quick test_plan_removal_basic;
     Alcotest.test_case "plan: removal errors" `Quick test_plan_removal_errors;
-    QCheck_alcotest.to_alcotest prop_plan_removal_matches_live;
     Alcotest.test_case "runtime: vnode departure" `Quick
       test_runtime_remove_vnode;
     Alcotest.test_case "runtime: departure refusals" `Quick

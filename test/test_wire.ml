@@ -13,7 +13,6 @@
    coverage test fails at runtime if [all_messages] misses one. *)
 
 module Wire = Dht_snode.Wire
-module Plan = Dht_snode.Plan
 module Versioned = Dht_kv.Versioned
 open Dht_core
 open Dht_hashspace
