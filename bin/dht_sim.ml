@@ -55,8 +55,9 @@ let snodes_arg default =
   Arg.(value & opt positive_int default & info [ "snodes" ] ~docv:"S" ~doc)
 
 (* --rfactor, --read-quorum and --write-quorum are cross-checked as one
-   term: R and W in [1, rfactor] with R + W > rfactor, or a usage error. *)
-let replication_term ~rfactor ~read ~write =
+   term with the command's [snodes] term: R and W in [1, rfactor] with
+   R + W > rfactor, and rfactor <= snodes, or a usage error. *)
+let replication_term ~snodes ~rfactor ~read ~write =
   let rfactor =
     let doc = "Replicas per partition (1 disables replication)." in
     Arg.(value & opt positive_int rfactor & info [ "rfactor" ] ~docv:"N" ~doc)
@@ -69,12 +70,15 @@ let replication_term ~rfactor ~read ~write =
     let doc = "Replica acks required before a put is acknowledged." in
     Arg.(value & opt int write & info [ "write-quorum" ] ~docv:"W" ~doc)
   in
-  let check rfactor read_quorum write_quorum =
+  let check snodes rfactor read_quorum write_quorum =
     match Dht_core.Params.check_quorum ~rfactor ~read_quorum ~write_quorum with
+    | () when rfactor > snodes ->
+        `Error
+          (true, Printf.sprintf "--rfactor %d exceeds --snodes %d" rfactor snodes)
     | () -> `Ok (rfactor, read_quorum, write_quorum)
     | exception Invalid_argument msg -> `Error (true, msg)
   in
-  Term.(ret (const check $ rfactor $ read $ write))
+  Term.(ret (const check $ snodes $ rfactor $ read $ write))
 
 (* One network-latency quantum on the default gigabit link: traffic to one
    destination coalesces for at most one hop worth of latency. *)
@@ -956,10 +960,12 @@ let chaos_cmd =
               the same fault mix as the data plane.")
   in
   let term =
+    let snodes = snodes_arg 12 in
     Term.(const run $ telemetry_term $ overload $ slow $ retry_budget
-          $ snodes_arg 12 $ vnodes_arg 40 $ keys $ drop
+          $ snodes $ vnodes_arg 40 $ keys $ drop
           $ dup $ jitter $ crashes $ downtime
-          $ replication_term ~rfactor:1 ~read:1 ~write:1 $ linger_arg $ route_cap
+          $ replication_term ~snodes ~rfactor:1 ~read:1 ~write:1 $ linger_arg
+          $ route_cap
           $ seed_arg)
   in
   Cmd.v
@@ -1084,8 +1090,9 @@ let kv_cmd =
            ~doc:"Number of key/value pairs written before the crash.")
   in
   let term =
-    Term.(const run $ telemetry_term $ audit_flag $ snodes_arg 3
-          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ keys $ linger_arg
+    let snodes = snodes_arg 3 in
+    Term.(const run $ telemetry_term $ audit_flag $ snodes
+          $ replication_term ~snodes ~rfactor:3 ~read:2 ~write:2 $ keys $ linger_arg
           $ seed_arg)
   in
   Cmd.v
@@ -1196,8 +1203,9 @@ let range_cmd =
            ~doc:"Random hash-interval range reads to issue and verify.")
   in
   let term =
-    Term.(const run $ telemetry_term $ snodes_arg 5
-          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ keys $ queries
+    let snodes = snodes_arg 5 in
+    Term.(const run $ telemetry_term $ snodes
+          $ replication_term ~snodes ~rfactor:3 ~read:2 ~write:2 $ keys $ queries
           $ seed_arg)
   in
   Cmd.v
@@ -1351,9 +1359,10 @@ let explore_cmd =
                 runs instead.")
   in
   let term =
-    Term.(const run $ telemetry_term $ scenario $ mutate $ snodes_arg 5
+    let snodes = snodes_arg 5 in
+    Term.(const run $ telemetry_term $ scenario $ mutate $ snodes
           $ vnodes_arg 3 $ keys $ grow $ removes
-          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ linger_zero $ seeds
+          $ replication_term ~snodes ~rfactor:3 ~read:2 ~write:2 $ linger_zero $ seeds
           $ seed_arg $ rounds $ max_tweaks $ out $ replay)
   in
   Cmd.v
@@ -1608,9 +1617,10 @@ let heat_cmd =
               partition rows instead of the human tables.")
   in
   let term =
-    Term.(const run $ telemetry_term $ snodes_arg 8 $ vnodes_arg 24 $ nkeys
+    let snodes = snodes_arg 8 in
+    Term.(const run $ telemetry_term $ snodes $ vnodes_arg 24 $ nkeys
           $ zipf_s $ ops $ duration $ top $ tau
-          $ replication_term ~rfactor:3 ~read:2 ~write:2 $ json $ seed_arg)
+          $ replication_term ~snodes ~rfactor:3 ~read:2 ~write:2 $ json $ seed_arg)
   in
   Cmd.v
     (Cmd.info "heat"

@@ -417,6 +417,9 @@ type t = {
   mutable recorder : (Oplog.event -> unit) option;
 }
 
+(* Call sites test [recording t] first, so no event is built while no
+   recorder is attached. *)
+let recording t = Option.is_some t.recorder
 let record t ev = match t.recorder with Some f -> f ev | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -1629,8 +1632,8 @@ and qput_record t sn q sid =
       q.q_done <- true;
       finish_op t ~kind:`Qput ~token:q.q_token ~tid:sn.sid;
       causal_op_end t ~token:q.q_token ~tid:sn.sid ~outcome:"ok";
-      record t
-        (Oplog.Ack { token = q.q_token; at = Engine.now t.engine });
+      if recording t then
+        record t (Oplog.Ack { token = q.q_token; at = Engine.now t.engine });
       (match Hashtbl.find_opt t.callbacks q.q_token with
       | Some (Cb_put k) ->
           Hashtbl.remove t.callbacks q.q_token;
@@ -1747,7 +1750,8 @@ and qput_deadline t sn q =
           ~name:"repl.qput.abort" [ ("token", Trace.Int q.q_token) ];
       Hashtbl.remove t.op_starts q.q_token;
       Hashtbl.remove t.callbacks q.q_token;
-      record t (Oplog.Fail { token = q.q_token; at = Engine.now t.engine });
+      if recording t then
+        record t (Oplog.Fail { token = q.q_token; at = Engine.now t.engine });
       with_ctx t q.q_ctx (fun () ->
           causal_op_end t ~token:q.q_token ~tid:sn.sid ~outcome:"fail");
       qput_finalize t sn q;
@@ -1828,13 +1832,14 @@ and qget_record t sn q sid cell =
                 g.q_replies);
           finish_op t ~kind:`Qget ~token:q.q_token ~tid:sn.sid;
           causal_op_end t ~token:q.q_token ~tid:sn.sid ~outcome:"ok";
-          record t
-            (Oplog.Reply
-               {
-                 token = q.q_token;
-                 value = Option.map (fun c -> c.Versioned.value) winner;
-                 at = Engine.now t.engine;
-               });
+          if recording t then
+            record t
+              (Oplog.Reply
+                 {
+                   token = q.q_token;
+                   value = Option.map (fun c -> c.Versioned.value) winner;
+                   at = Engine.now t.engine;
+                 });
           (match Hashtbl.find_opt t.callbacks q.q_token with
           | Some (Cb_get k) ->
               Hashtbl.remove t.callbacks q.q_token;
@@ -2844,7 +2849,8 @@ and handle t sn ~from msg =
       | None -> ());
       finish_op t ~kind:`Put ~token ~tid:sn.sid;
       causal_op_end t ~token ~tid:sn.sid ~outcome:"ok";
-      record t (Oplog.Ack { token; at = Engine.now t.engine });
+      if recording t then
+        record t (Oplog.Ack { token; at = Engine.now t.engine });
       (match Hashtbl.find_opt t.callbacks token with
       | Some (Cb_put k) ->
           Hashtbl.remove t.callbacks token;
@@ -2859,7 +2865,8 @@ and handle t sn ~from msg =
       | None -> ());
       finish_op t ~kind:`Get ~token ~tid:sn.sid;
       causal_op_end t ~token ~tid:sn.sid ~outcome:"ok";
-      record t (Oplog.Reply { token; value; at = Engine.now t.engine });
+      if recording t then
+        record t (Oplog.Reply { token; value; at = Engine.now t.engine });
       (match Hashtbl.find_opt t.callbacks token with
       | Some (Cb_get k) ->
           Hashtbl.remove t.callbacks token;
@@ -2878,14 +2885,16 @@ and handle t sn ~from msg =
           t.busy_rejections <- t.busy_rejections + 1;
           Hashtbl.remove t.op_starts token;
           causal_op_end t ~token ~tid:sn.sid ~outcome:"busy";
-          record t (Oplog.Busy { token; at = Engine.now t.engine });
+          if recording t then
+            record t (Oplog.Busy { token; at = Engine.now t.engine });
           t.pending <- t.pending - 1
       | Some (Cb_get k) ->
           Hashtbl.remove t.callbacks token;
           t.busy_rejections <- t.busy_rejections + 1;
           Hashtbl.remove t.op_starts token;
           causal_op_end t ~token ~tid:sn.sid ~outcome:"busy";
-          record t (Oplog.Busy { token; at = Engine.now t.engine });
+          if recording t then
+            record t (Oplog.Busy { token; at = Engine.now t.engine });
           t.pending <- t.pending - 1;
           k None
       | Some (Cb_remove _ | Cb_range _) -> failwith "Runtime: bad busy token"
@@ -4180,9 +4189,10 @@ let live_coordinator t via =
 let put t ?(via = 0) ?on_done ~key ~value () =
   let token = fresh_token t (Cb_put on_done) in
   t.pending <- t.pending + 1;
-  record t
-    (Oplog.Invoke
-       { token; via; op = Oplog.Op_put { key; value }; at = Engine.now t.engine });
+  if recording t then
+    record t
+      (Oplog.Invoke
+         { token; via; op = Oplog.Op_put { key; value }; at = Engine.now t.engine });
   let point = Hash.string t.space key in
   Engine.schedule t.engine ~delay:0. (fun () ->
       causal_root t ~token ~tid:via
@@ -4204,9 +4214,10 @@ let put t ?(via = 0) ?on_done ~key ~value () =
 let get t ?(via = 0) ~key k =
   let token = fresh_token t (Cb_get k) in
   t.pending <- t.pending + 1;
-  record t
-    (Oplog.Invoke
-       { token; via; op = Oplog.Op_get { key }; at = Engine.now t.engine });
+  if recording t then
+    record t
+      (Oplog.Invoke
+         { token; via; op = Oplog.Op_get { key }; at = Engine.now t.engine });
   let point = Hash.string t.space key in
   Engine.schedule t.engine ~delay:0. (fun () ->
       causal_root t ~token ~tid:via

@@ -31,6 +31,7 @@ let () =
       ("check", Test_check.suite);
       ("active-balance", Test_balance.suite);
       ("linear", Test_linear.suite);
+      ("history", Test_history.suite);
       ("routing", Test_routing.suite);
       ("explorer", Test_explorer.suite);
       ("merkle", Test_merkle.suite);
