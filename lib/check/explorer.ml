@@ -17,6 +17,14 @@ type outcome = {
   snodes : int;
 }
 
+(* Virtual-time bound on one run, across every [Runtime.run] the
+   scenario's [drive] makes. The longest passing run over the standard
+   sweeps (kv seeds 100-109 but 107, kv-mutate 1-5, mt-ae 200-204, the
+   test suite's sweeps and the committed repros) ends at 3.2 s, so this
+   leaves ~19x headroom: a schedule that never quiesces fails fast
+   instead of hanging the sweep. *)
+let horizon = 60.
+
 (* Execute one schedule: build the scenario's runtime for the schedule's
    seed, install a probe that applies the tweaks at their decision sites,
    drive the workload to quiescence and verify. The probe consumes no
@@ -64,20 +72,28 @@ let run sc (sched : Schedule.t) =
           if d > 0. then Network.Defer d else Network.Pass
   in
   Network.set_probe net (Some probe);
+  Engine.set_horizon engine horizon;
   (* A perturbed run may trip a runtime canary (e.g. the routing
-     convergence bound under mutation-mode message loss); that IS a
-     detected failure, not a checker crash. *)
+     convergence bound under mutation-mode message loss) or never
+     quiesce; either IS a detected failure, not a checker crash. *)
   let aborted =
     try
       sc.drive rt;
       Runtime.run rt;
       None
-    with e -> Some (Printexc.to_string e)
+    with
+    | Engine.Past_horizon h ->
+        Some
+          (Printf.sprintf
+             "liveness: scenario %s seed %d (%d tweaks) still busy at the \
+              %g s virtual-time horizon"
+             sc.name sched.seed (Schedule.length sched) h)
+    | e -> Some ("exception: " ^ Printexc.to_string e)
   in
   Network.set_probe net None;
   let failures =
     match aborted with
-    | Some msg -> [ "exception: " ^ msg ]
+    | Some msg -> [ msg ]
     | None -> (
         try sc.verify rt
         with e -> [ "exception in verify: " ^ Printexc.to_string e ])

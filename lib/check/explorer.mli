@@ -32,7 +32,11 @@ type outcome = {
 
 val run : scenario -> Schedule.t -> outcome
 (** Execute one schedule: build at its seed, apply its tweaks at their
-    decision sites, drive to quiescence, verify. *)
+    decision sites, drive to quiescence, verify. A run still busy at 60 s
+    of virtual time (across every [Runtime.run] its [drive] makes; ~19x
+    the longest passing run of the standard sweeps) is a liveness
+    failure: its message names the scenario, the seed and the tweak
+    count, and the verifier is skipped. *)
 
 val shrink : scenario -> Schedule.t -> Schedule.t
 (** Greedily remove tweaks while the failure persists; the result is

@@ -4,11 +4,14 @@ type t = {
   mutable seq : int;
   mutable dispatched : int;
   mutable max_pending : int;
+  mutable horizon : float;  (* [run] never dispatches past this time *)
 }
+
+exception Past_horizon of float
 
 let create () =
   { queue = Heap.create ~dummy:ignore (); clock = 0.; seq = 0; dispatched = 0;
-    max_pending = 0 }
+    max_pending = 0; horizon = infinity }
 
 let now t = t.clock
 
@@ -90,13 +93,21 @@ let step t =
       f ();
       true
 
+let set_horizon t horizon =
+  if Float.is_nan horizon then invalid_arg "Engine.set_horizon: NaN";
+  t.horizon <- horizon
+
 let run ?(until = infinity) ?(max_events = max_int) t =
+  let stop = Float.min until t.horizon in
   let dispatched = ref 0 in
   let continue = ref true in
   while !continue && !dispatched < max_events do
     match Heap.peek_time t.queue with
-    | Some time when time <= until ->
+    | Some time when time <= stop ->
         ignore (step t);
         incr dispatched
-    | Some _ | None -> continue := false
+    | Some time ->
+        continue := false;
+        if time <= until then raise (Past_horizon t.horizon)
+    | None -> continue := false
   done

@@ -72,7 +72,19 @@ val max_pending : t -> int
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Dispatches events in order until the queue drains, the next event lies
     beyond [until], or [max_events] have been dispatched. The clock advances
-    to each dispatched event's time. *)
+    to each dispatched event's time.
+    @raise Past_horizon if the next event lies beyond the horizon (and not
+    beyond [until]); that event stays queued. *)
+
+exception Past_horizon of float
+(** Carries the horizon a {!run} refused to cross. *)
+
+val set_horizon : t -> float -> unit
+(** [set_horizon t h] bounds every later {!run} at virtual time [h]
+    (default [infinity]: unbounded): a simulation still busy at [h] fails
+    with {!Past_horizon} instead of running on. A liveness check for
+    callers that expect the simulation to quiesce.
+    @raise Invalid_argument if [h] is NaN. *)
 
 val step : t -> bool
 (** Dispatches exactly one event; [false] if the queue was empty. *)

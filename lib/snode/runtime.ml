@@ -19,11 +19,28 @@ module Gtbl = Hashtbl.Make (Group_id)
 
 (* Forwarding limit: a routed operation bounces through at most [max_hops]
    stale caches, then backs off and retries from scratch; convergence is
-   guaranteed once the in-flight balancing event commits. The retry budget
-   and backoff delay are per-runtime (see [create]), and [max_hops] itself
-   is a [create] parameter with this default — scaling sweeps raise it so
-   the hop distribution is measurable instead of retry-truncated. *)
+   guaranteed once the in-flight balancing event commits. [max_hops] is a
+   [create] parameter with this default — scaling sweeps raise it so the
+   hop distribution is measurable instead of retry-truncated. *)
 let default_max_hops = 4
+
+(* Routing back-off: at most [max_retries] retries of one operation (a
+   livelock canary, enforced only on a reliable network with unbounded
+   caches), spaced [backoff] seconds apart. *)
+let max_retries = 50
+let backoff = 1e-3
+
+(* Reliable-delivery ceiling: retransmission backoff never exceeds
+   [rto_cap] (also the probe cadence of a poisoned route), and a route is
+   poisoned after [poison_after] consecutive timeouts. *)
+let rto_cap = 0.05
+let poison_after = 5
+
+(* Per-round liveness watchdog of a balancing event. *)
+let event_timeout = 1.0
+
+(* Write-ack patience of a quorum put before it hints silent replicas. *)
+let handoff_timeout = 0.02
 
 let log_src = Logs.Src.create "dht.snode" ~doc:"Distributed snode runtime"
 
@@ -268,6 +285,17 @@ type callback =
   | Cb_range of ((string * string) list -> unit)
       (* key-sorted (key, value) bindings of a completed range read *)
 
+(* How a data operation settled at its origin. *)
+type outcome =
+  | Acked of [ `Put | `Qput ]  (* owner ack (routed) or W replica acks *)
+  | Answered of [ `Get | `Qget ] * string option
+  | Scanned of (string * string) list  (* range read complete, key-sorted *)
+  | Departed of bool  (* vnode removal done; [false] = refused *)
+  | Failed
+      (* settled unacknowledged: a put that could not assemble W, a range
+         read with every snode down *)
+  | Shed  (* refused by admission control before touching any replica *)
+
 (* Operation-history events for external consistency checkers: every data
    operation's invocation and outcome, stamped with the virtual clock. The
    runtime only emits them (through an optional recorder callback); the
@@ -323,23 +351,17 @@ type t = {
   space : Space.t;
   pmin : int;
   vmax : int;  (* group capacity; [max_int] under the global approach *)
-  max_retries : int;  (* routing backoff budget *)
-  backoff : float;  (* routing backoff delay, seconds *)
   rto : float;  (* initial retransmission timeout *)
-  rto_cap : float;  (* retransmission backoff ceiling; also probe cadence *)
   retry_budget : int;  (* fast retransmissions per message; 0 = unlimited *)
   adaptive_rto : bool;  (* Jacobson/Karn RTO from per-route RTT samples *)
   max_inflight : int;  (* per-peer transmission window; 0 = unbounded *)
   admission_deadline : float;  (* quorum-op shed threshold; 0 = off *)
-  poison_after : int;  (* consecutive timeouts before a route is poisoned *)
-  event_timeout : float;  (* per-round watchdog for balancing events *)
   rfactor : int;  (* copies per partition; 1 = no replication *)
   route_cap : int;  (* routing-cache entry bound; 0 = unbounded (legacy) *)
   max_hops : int;  (* forwarding limit before a routed op backs off *)
   rlevel : int;  (* finger level: ceil(log2 snodes), clamped to the space *)
   read_quorum : int;  (* R *)
   write_quorum : int;  (* W; R + W > rfactor *)
-  handoff_timeout : float;  (* write-ack patience before hinting *)
   linger : float;  (* coalescing window; 0 = batching off *)
   mt_threshold : int;
       (* anti-entropy protocol switch: a span probe whose local cell count
@@ -423,19 +445,6 @@ let recording t = Option.is_some t.recorder
 let record t ev = match t.recorder with Some f -> f ev | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Cache maintenance                                                    *)
-
-(* Learn [span -> value] without ever leaving a hole: evicted entries that
-   are strictly coarser than [span] have their remainder kept under the old
-   value (dyadic path decomposition). Shared by the routing cache and the
-   replica map; one in-place trie pass. *)
-let map_learn space map span value =
-  ignore space;
-  Point_map.learn map span value
-
-let rmap_learn t sn span sids = map_learn t.space sn.rmap span sids
-
-(* ------------------------------------------------------------------ *)
 (* Bounded routing cache                                                *)
 
 (* LRU-stamp a cache span. Stamps are soft state: a span [learn]
@@ -480,7 +489,7 @@ let cache_evict_to_cap t sn =
     done
 
 let cache_learn t sn span vid =
-  map_learn t.space sn.cache span vid;
+  Point_map.learn sn.cache span vid;
   if t.route_cap > 0 then begin
     cache_touch t sn span;
     cache_evict_to_cap t sn;
@@ -495,6 +504,10 @@ let local_exn sn vid =
   match Vtbl.find_opt sn.locals vid with
   | Some v -> v
   | None -> failwith "Runtime: vnode expected on this snode"
+
+(* The snodes hosting a group's members, sorted. *)
+let group_snodes counts =
+  List.sort_uniq compare (List.map (fun (id, _) -> id.Vnode_id.snode) counts)
 
 let install_spans sn v spans =
   v.spans <- spans @ v.spans;
@@ -790,6 +803,11 @@ let finish_op t ~kind ~token ~tid =
         Trace.span t.trace ~ts:t0 ~dur ~tid ~name:"op"
           [ ("op", Trace.Str op); ("token", Trace.Int token) ]
 
+let event_kind_name = function
+  | `Create -> "create"
+  | `Remove -> "remove"
+  | `Balance -> "balance"
+
 (* ---------------- causal tracing ---------------- *)
 
 (* Span ids come from one runtime-global monotonic counter, so a child is
@@ -848,6 +866,66 @@ let causal_op_end t ~token ~tid ~outcome =
           ~name:"op.end"
           [ ("trace", Trace.Int token); ("span", Trace.Int (fresh_span t));
             ("parent", Trace.Int parent); ("outcome", Trace.Str outcome) ]
+
+(* The one place a data operation settles at its origin: latency span,
+   causal [op.end], history record, completion counter, [pending] slot
+   and callback, in that order. A failed or shed op records no latency
+   and its callback hears nothing: a put's [on_done] never fires, a get
+   answers [None], a range [[]]. [ctx] is the op's causal context when
+   the settle runs outside its own dispatch (a timer). A [Busy] for a
+   token already settled is ignored. *)
+let settle t ?(ctx = t.cur) ~tid ~token outcome =
+  match Hashtbl.find_opt t.callbacks token with
+  | None -> (
+      match outcome with
+      | Shed -> ()
+      | _ -> failwith "Runtime: settle of an unknown token")
+  | Some cb ->
+      (match (cb, outcome) with
+      | Cb_put _, (Acked _ | Failed | Shed)
+      | Cb_get _, (Answered _ | Shed)
+      | Cb_range _, (Scanned _ | Failed)
+      | Cb_remove _, Departed _ ->
+          ()
+      | _ -> failwith "Runtime: bad operation token");
+      Hashtbl.remove t.callbacks token;
+      (match outcome with
+      | Acked kind -> finish_op t ~kind ~token ~tid
+      | Answered (kind, _) -> finish_op t ~kind ~token ~tid
+      | Scanned _ -> finish_op t ~kind:`Qrange ~token ~tid
+      | Departed _ -> finish_op t ~kind:`Remove ~token ~tid
+      | Failed | Shed -> Hashtbl.remove t.op_starts token);
+      let label =
+        match outcome with Failed -> "fail" | Shed -> "busy" | _ -> "ok"
+      in
+      if t.causal then
+        with_ctx t ctx (fun () -> causal_op_end t ~token ~tid ~outcome:label);
+      (* Range reads and removals stay out of the operation history. *)
+      (if recording t then
+         let at = Engine.now t.engine in
+         match (cb, outcome) with
+         | (Cb_range _ | Cb_remove _), _ -> ()
+         | _, Acked _ -> record t (Oplog.Ack { token; at })
+         | _, Answered (_, value) -> record t (Oplog.Reply { token; value; at })
+         | _, Shed -> record t (Oplog.Busy { token; at })
+         | _, (Failed | Scanned _ | Departed _) ->
+             record t (Oplog.Fail { token; at }));
+      (match outcome with
+      | Acked _ -> t.done_puts <- t.done_puts + 1
+      | Answered _ -> t.done_gets <- t.done_gets + 1
+      | Scanned _ -> t.done_ranges <- t.done_ranges + 1
+      | Departed _ -> t.done_removals <- t.done_removals + 1
+      | Shed -> t.busy_rejections <- t.busy_rejections + 1
+      | Failed -> ());
+      t.pending <- t.pending - 1;
+      match (cb, outcome) with
+      | Cb_put (Some f), Acked _ -> f ()
+      | Cb_get k, Answered (_, v) -> k v
+      | Cb_get k, _ -> k None
+      | Cb_range k, Scanned r -> k r
+      | Cb_range k, _ -> k []
+      | Cb_remove k, Departed ok -> k ok
+      | (Cb_put _ | Cb_remove _), _ -> ()
 
 (* Wrap an outgoing protocol message in the on-wire span context when an
    op's context is ambient: one [msg.send] event marks the edge entering
@@ -1020,24 +1098,22 @@ let admission_estimate t sn ~set ~need =
    would never converge). *)
 let rec send t ~src ~dst msg =
   let msg = if t.causal then causal_wrap t ~src ~dst msg else msg in
-  if src = dst then begin
-    (* Loopback pays no queueing layer: the edge transmits as it is sent. *)
-    if t.causal then emit_xmit t ~tid:src ~attempt:1 msg;
-    Network.send t.net ~tag:(Wire.describe msg) ~src ~dst
-      ~bytes:(Wire.size_bytes msg) (fun () ->
-        receive t t.snodes.(dst) ~from:src msg)
-  end
+  (* Loopback pays no queueing layer: the edge transmits as it is sent. *)
+  if src = dst then transmit_raw t ~src ~dst msg
   else if t.linger > 0. then stage t t.snodes.(src) ~dst msg
-  else transmit_now t ~src ~dst msg
-
-and transmit_now t ~src ~dst msg =
-  if t.faults = None then begin
-    if t.causal then emit_xmit t ~tid:src ~attempt:1 msg;
-    Network.send t.net ~tag:(Wire.describe msg) ~src ~dst
-      ~bytes:(Wire.size_bytes msg) (fun () ->
-        receive t t.snodes.(dst) ~from:src msg)
-  end
+  else if t.faults = None then transmit_raw t ~src ~dst msg
   else reliable_send t t.snodes.(src) ~dst msg
+
+(* One unframed transmission of [msg], its traced edges logged as sent once. *)
+and transmit_raw t ~src ~dst msg =
+  if t.causal then emit_xmit t ~tid:src ~attempt:1 msg;
+  wire t ~src ~dst msg
+
+(* [msg] onto the simulated network, delivered to [dst]'s [receive]. *)
+and wire t ~src ~dst msg =
+  Network.send t.net ~tag:(Wire.describe msg) ~src ~dst
+    ~bytes:(Wire.size_bytes msg) (fun () ->
+      receive t t.snodes.(dst) ~from:src msg)
 
 (* ---------------- transmission batching ---------------- *)
 
@@ -1099,11 +1175,7 @@ and flush_obuf t sn ob =
 and send_coalesced t sn ~dst parts =
   match parts with
   | [] -> ()
-  | [ msg ] ->
-      if t.causal then emit_xmit t ~tid:sn.sid ~attempt:1 msg;
-      Network.send t.net ~tag:(Wire.describe msg) ~src:sn.sid ~dst
-        ~bytes:(Wire.size_bytes msg) (fun () ->
-          receive t t.snodes.(dst) ~from:sn.sid msg)
+  | [ msg ] -> transmit_raw t ~src:sn.sid ~dst msg
   | parts ->
       if t.causal then
         List.iter (emit_xmit t ~tid:sn.sid ~attempt:1) parts;
@@ -1155,7 +1227,7 @@ and reliable_send ?(acks = []) t sn ~dst msg =
          capped cadence; an ack (or any traffic from the peer) flushes the
          whole outbox at once. *)
       if acks <> [] then send_coalesced t sn ~dst acks;
-      arm_retransmit t sn ~dst ~seq entry ~delay:t.rto_cap
+      arm_retransmit t sn ~dst ~seq entry ~delay:rto_cap
     end
     else transmit ~acks t sn ~dst ~seq entry
   end
@@ -1181,10 +1253,7 @@ and transmit ?(acks = []) ?(probe = false) t sn ~dst ~seq entry =
     (match entry.o_payload with Wire.Batch l -> List.length l | _ -> 1)
     + List.length acks
   in
-  if nparts = 1 then
-    Network.send t.net ~tag:(Wire.describe frame) ~src:sn.sid ~dst
-      ~bytes:(Wire.size_bytes frame) (fun () ->
-        receive t t.snodes.(dst) ~from:sn.sid frame)
+  if nparts = 1 then wire t ~src:sn.sid ~dst frame
   else begin
     (* Unbatched, each protocol part would have paid its own [Req] frame
        and each ack its own envelope. *)
@@ -1222,7 +1291,7 @@ and rto_for t sn ~dst attempts =
       if p.srtt > 0. then Float.max t.rto (p.srtt +. (4. *. p.rttvar))
       else t.rto
   in
-  let base = Float.min (rto0 *. (2. ** exp)) t.rto_cap in
+  let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
   base *. (1. +. (0.5 *. Rng.float sn.rng))
 
 and arm_retransmit t sn ~dst ~seq entry ~delay =
@@ -1251,7 +1320,7 @@ and on_rto t sn ~dst ~seq entry =
     t.timeouts <- t.timeouts + 1;
     let p = peer_of sn dst in
     p.strikes <- p.strikes + 1;
-    if (not p.suspect) && p.strikes >= t.poison_after then begin
+    if (not p.suspect) && p.strikes >= poison_after then begin
       p.suspect <- true;
       if Trace.enabled t.trace then
         Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
@@ -1312,7 +1381,7 @@ and refill_window t sn ~pid =
           entry.o_live <- true;
           p.live <- p.live + 1;
           if p.suspect then
-            arm_retransmit t sn ~dst:pid ~seq entry ~delay:t.rto_cap
+            arm_retransmit t sn ~dst:pid ~seq entry ~delay:rto_cap
           else transmit t sn ~dst:pid ~seq entry
     done
   end
@@ -1365,10 +1434,7 @@ and receive t sn ~from msg =
            payload provokes just below. *)
         let ack = Wire.Ack { seq; floor = p.floor } in
         if t.linger > 0. then stage t sn ~dst:from ack
-        else
-          Network.send t.net ~tag:(Wire.describe ack) ~src:sn.sid ~dst:from
-            ~bytes:(Wire.size_bytes ack) (fun () ->
-              receive t t.snodes.(from) ~from:sn.sid ack);
+        else wire t ~src:sn.sid ~dst:from ack;
         peer_answered t sn ~pid:from;
         if fresh then begin
           match payload with
@@ -1411,9 +1477,9 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
              operation legitimately backs off for as long as a crashed
              snode stays down, and under bounded routing a fold can leave a
              transient cycle even with no faults at all. *)
-          if retries >= t.max_retries then
+          if retries >= max_retries then
             failwith "Runtime: routing failed to converge";
-          Engine.schedule t.engine ~delay:t.backoff (fun () ->
+          Engine.schedule t.engine ~delay:backoff (fun () ->
               with_ctx t ctx (fun () -> deliver_local t sn msg))
         end
         else begin
@@ -1430,7 +1496,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
              round to repair the stewards rather than spin restarts
              through the same cycle at full tilt. *)
           let delay =
-            t.backoff *. (2. ** float_of_int (min retries 7))
+            backoff *. (2. ** float_of_int (min retries 7))
           in
           Engine.schedule t.engine ~delay (fun () ->
               with_ctx t ctx (fun () ->
@@ -1474,7 +1540,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
         if dst = sn.sid then
           (* Our own cache points at us but we do not own the point: the
              placement is in flight; back off. *)
-          Engine.schedule t.engine ~delay:t.backoff (fun () ->
+          Engine.schedule t.engine ~delay:backoff (fun () ->
               with_ctx t ctx (fun () -> deliver_local t sn msg))
         else send t ~src:sn.sid ~dst msg
       end
@@ -1549,47 +1615,67 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
           (* Transient: the group identity is switching (between Prepare
              and Commit). Back off and retry the lookup. *)
           t.retried <- t.retried + 1;
-          if t.faults = None && retries >= t.max_retries then
+          if t.faults = None && retries >= max_retries then
             failwith "Runtime: group resolution failed to converge";
-          Engine.schedule t.engine ~delay:t.backoff (fun () ->
+          Engine.schedule t.engine ~delay:backoff (fun () ->
               deliver_local t sn
                 (Wire.Routed
                    { point; hops = 0; retries = retries + 1; origin; op }))
       | Some lpdr ->
-          let manager = manager_of lpdr in
-          let msg =
-            Wire.Create_at_group { group = v.group; point; newcomer; origin }
-          in
-          if manager = sn.sid then deliver_local t sn msg
-          else send t ~src:sn.sid ~dst:manager msg)
+          to_manager t sn lpdr
+            (Wire.Create_at_group { group = v.group; point; newcomer; origin }))
 
 and manager_of lpdr =
   match lpdr.counts with
   | [] -> invalid_arg "Runtime: empty LPDR"
   | (first, _) :: _ -> first.Vnode_id.snode
 
+(* Hand a group-level request to the group's manager (maybe ourselves). *)
+and to_manager t sn lpdr msg =
+  let manager = manager_of lpdr in
+  if manager = sn.sid then deliver_local t sn msg
+  else send t ~src:sn.sid ~dst:manager msg
+
+(* Admission of a placement change at the manager of [group]: forward
+   [msg] if we no longer manage the group, queue it behind the event
+   holding the group lock, or take the lock and [start] the event. [gone]
+   handles a group that no longer exists here (it split away). *)
+and admit t sn ~group msg ~gone start =
+  match Gtbl.find_opt sn.lpdrs group with
+  | None -> gone ()
+  | Some lpdr ->
+      let manager = manager_of lpdr in
+      if manager <> sn.sid then send t ~src:sn.sid ~dst:manager msg
+      else
+        let busy, q = qlock sn group in
+        if !busy then Queue.add msg q
+        else begin
+          busy := true;
+          start lpdr
+        end
+
 (* ---------------- quorum coordinator ---------------- *)
 
-and start_qput t sn ~token ~origin ~key ~point cell =
-  let set = Point_map.find_owner_exn sn.rmap point in
+(* Deadline-aware admission of a quorum op over replica [set]: [true]
+   when [need] replies look reachable in time. Otherwise the op is
+   refused before touching any replica: an explicit [Busy] to the origin
+   settles it immediately — never a silent drop, and since no copy was
+   written a shed op trivially cannot lose an acked write. *)
+and admit_quorum t sn ~token ~origin ~set ~need =
   if
     t.admission_deadline > 0.
-    && admission_estimate t sn ~set ~need:t.write_quorum
-       > t.admission_deadline
-  then shed_quorum_op t sn ~token ~origin
-  else start_qput_admitted t sn ~token ~key ~point ~set cell
+    && admission_estimate t sn ~set ~need > t.admission_deadline
+  then begin
+    t.sheds <- t.sheds + 1;
+    if Trace.enabled t.trace then
+      Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
+        ~name:"admission.shed" [ ("token", Trace.Int token) ];
+    send t ~src:sn.sid ~dst:origin (Wire.Busy { token });
+    false
+  end
+  else true
 
-(* Refuse the operation before touching any replica: an explicit [Busy]
-   to the origin settles it immediately — never a silent drop, and since
-   no copy was written a shed op trivially cannot lose an acked write. *)
-and shed_quorum_op t sn ~token ~origin =
-  t.sheds <- t.sheds + 1;
-  if Trace.enabled t.trace then
-    Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
-      ~name:"admission.shed" [ ("token", Trace.Int token) ];
-  send t ~src:sn.sid ~dst:origin (Wire.Busy { token })
-
-and start_qput_admitted t sn ~token ~key ~point ~set cell =
+and start_qput t sn ~token ~key ~point ~set cell =
   let q =
     {
       q_token = token;
@@ -1611,7 +1697,7 @@ and start_qput_admitted t sn ~token ~key ~point ~set cell =
   | Q_put p ->
       p.q_hint <-
         Some
-          (Engine.schedule_cancellable t.engine ~delay:t.handoff_timeout
+          (Engine.schedule_cancellable t.engine ~delay:handoff_timeout
              (fun () -> fire_hints t sn q))
   | Q_get _ -> ());
   List.iter
@@ -1630,26 +1716,14 @@ and qput_record t sn q sid =
     q.q_acked <- sid :: q.q_acked;
     if (not q.q_done) && List.length q.q_acked >= t.write_quorum then begin
       q.q_done <- true;
-      finish_op t ~kind:`Qput ~token:q.q_token ~tid:sn.sid;
-      causal_op_end t ~token:q.q_token ~tid:sn.sid ~outcome:"ok";
-      if recording t then
-        record t (Oplog.Ack { token = q.q_token; at = Engine.now t.engine });
-      (match Hashtbl.find_opt t.callbacks q.q_token with
-      | Some (Cb_put k) ->
-          Hashtbl.remove t.callbacks q.q_token;
-          (match k with Some f -> f () | None -> ())
-      | Some (Cb_get _ | Cb_remove _ | Cb_range _) | None ->
-          failwith "Runtime: bad quorum put token");
-      t.done_puts <- t.done_puts + 1;
-      t.pending <- t.pending - 1
+      settle t ~tid:sn.sid ~token:q.q_token (Acked `Qput)
     end;
     (* Every copy placed: nothing left for the hint timer to cover. *)
     if q.q_done && List.length q.q_acked >= List.length q.q_set then
-      qput_finalize t sn q
+      qput_finalize sn q
   end
 
-and qput_finalize t sn q =
-  ignore t;
+and qput_finalize sn q =
   (match q.q_kind with
   | Q_put p ->
       (match p.q_hint with Some h -> Engine.cancel h | None -> ());
@@ -1712,7 +1786,7 @@ and fire_hints t sn q =
        with no recovery coming, or we crashed ourselves) nothing else
        will ever close this quorum — give it one more window, then
        settle it. *)
-    Engine.schedule t.engine ~delay:t.handoff_timeout (fun () ->
+    Engine.schedule t.engine ~delay:handoff_timeout (fun () ->
         qput_deadline t sn q)
   end
 
@@ -1742,31 +1816,17 @@ and park_hint t sn ~target ~key ~point cell =
    callback is never invoked, so the write counts as unacknowledged. *)
 and qput_deadline t sn q =
   if Hashtbl.mem sn.quorums q.q_token then
-    if q.q_done then qput_finalize t sn q
+    if q.q_done then qput_finalize sn q
     else begin
       t.timeouts <- t.timeouts + 1;
       if Trace.enabled t.trace then
         Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
           ~name:"repl.qput.abort" [ ("token", Trace.Int q.q_token) ];
-      Hashtbl.remove t.op_starts q.q_token;
-      Hashtbl.remove t.callbacks q.q_token;
-      if recording t then
-        record t (Oplog.Fail { token = q.q_token; at = Engine.now t.engine });
-      with_ctx t q.q_ctx (fun () ->
-          causal_op_end t ~token:q.q_token ~tid:sn.sid ~outcome:"fail");
-      qput_finalize t sn q;
-      t.pending <- t.pending - 1
+      settle t ~ctx:q.q_ctx ~tid:sn.sid ~token:q.q_token Failed;
+      qput_finalize sn q
     end
 
-and start_qget t sn ~token ~origin ~key ~point =
-  let set = Point_map.find_owner_exn sn.rmap point in
-  if
-    t.admission_deadline > 0.
-    && admission_estimate t sn ~set ~need:t.read_quorum > t.admission_deadline
-  then shed_quorum_op t sn ~token ~origin
-  else start_qget_admitted t sn ~token ~key ~point ~set
-
-and start_qget_admitted t sn ~token ~key ~point ~set =
+and start_qget t sn ~token ~key ~point ~set =
   let q =
     {
       q_token = token;
@@ -1830,24 +1890,8 @@ and qget_record t sn q sid cell =
                            { key = q.q_key; point = q.q_point; cell = w })
                   end)
                 g.q_replies);
-          finish_op t ~kind:`Qget ~token:q.q_token ~tid:sn.sid;
-          causal_op_end t ~token:q.q_token ~tid:sn.sid ~outcome:"ok";
-          if recording t then
-            record t
-              (Oplog.Reply
-                 {
-                   token = q.q_token;
-                   value = Option.map (fun c -> c.Versioned.value) winner;
-                   at = Engine.now t.engine;
-                 });
-          (match Hashtbl.find_opt t.callbacks q.q_token with
-          | Some (Cb_get k) ->
-              Hashtbl.remove t.callbacks q.q_token;
-              k (Option.map (fun c -> c.Versioned.value) winner)
-          | Some (Cb_put _ | Cb_remove _ | Cb_range _) | None ->
-              failwith "Runtime: bad quorum get token");
-          t.done_gets <- t.done_gets + 1;
-          t.pending <- t.pending - 1;
+          settle t ~tid:sn.sid ~token:q.q_token
+            (Answered (`Qget, Option.map (fun c -> c.Versioned.value) winner));
           Hashtbl.remove sn.quorums q.q_token
         end
       end
@@ -1940,17 +1984,7 @@ and finish_range t sn st =
       st.r_cells []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  finish_op t ~kind:`Qrange ~token:st.r_token ~tid:sn.sid;
-  with_ctx t st.r_ctx (fun () ->
-      causal_op_end t ~token:st.r_token ~tid:sn.sid ~outcome:"ok");
-  (match Hashtbl.find_opt t.callbacks st.r_token with
-  | Some (Cb_range k) ->
-      Hashtbl.remove t.callbacks st.r_token;
-      k result
-  | Some (Cb_put _ | Cb_get _ | Cb_remove _) | None ->
-      failwith "Runtime: bad range token");
-  t.done_ranges <- t.done_ranges + 1;
-  t.pending <- t.pending - 1
+  settle t ~ctx:st.r_ctx ~tid:sn.sid ~token:st.r_token (Scanned result)
 
 (* ---------------- anti-entropy ---------------- *)
 
@@ -2112,25 +2146,43 @@ and start_balancing t sn group lpdr ~newcomer ~origin =
     else (None, group, lpdr.counts)
   in
   let plan = Plan.creation ~pmin:t.pmin ~counts:target_counts ~newcomer in
-  let member_snodes =
-    List.map (fun (id, _) -> id.Vnode_id.snode) lpdr.counts
-  in
-  let participants =
-    List.sort_uniq compare (newcomer.Vnode_id.snode :: member_snodes)
-  in
+  open_event t sn ~group ~kind:`Create
+    ~done_msg:(Some (Wire.Create_done { newcomer }))
+    ~origin ~waits:1
+    ~participants:(newcomer.Vnode_id.snode :: group_snodes lpdr.counts)
+    (fun event ->
+      Wire.Prepare
+        {
+          event;
+          split;
+          target;
+          level_before = lpdr.level;
+          epoch_before = lpdr.epoch;
+          plan;
+          newcomer;
+          donor_batches = List.length plan.Plan.assignments;
+        })
+
+(* Open a balancing event at the group manager, which holds [group]'s
+   lock: allocate its id, record the coordinator state, arm the watchdog
+   and send the prepare [msg event] to every participant. [waits] is the
+   number of All_received notices the event completes on; [done_msg], if
+   any, goes to [origin] when it does. *)
+and open_event t sn ~group ~kind ~done_msg ~origin ~waits ~participants msg =
+  let participants = List.sort_uniq compare participants in
   let ev = t.next_event in
   t.next_event <- t.next_event + 1;
   let st =
     {
-      ev_done = Some (Wire.Create_done { newcomer });
+      ev_done = done_msg;
       ev_origin = origin;
       ev_lock = group;
-      ev_kind = `Create;
+      ev_kind = kind;
       ev_start = Engine.now t.engine;
       ev_acks = List.length participants;
       ev_moved = [];
       ev_participants = participants;
-      ev_waits = 1;
+      ev_waits = waits;
       ev_committed = false;
       ev_watch = None;
     }
@@ -2138,22 +2190,10 @@ and start_balancing t sn group lpdr ~newcomer ~origin =
   Hashtbl.add sn.events ev st;
   arm_watchdog t sn ev st;
   Log.debug (fun m ->
-      m "snode %d coordinates event %d: %a -> group %a (%d participants)"
-        sn.sid ev Vnode_id.pp newcomer Group_id.pp target
+      m "snode %d coordinates %s event %d on group %a (%d participants)"
+        sn.sid (event_kind_name kind) ev Group_id.pp group
         (List.length participants));
-  let prepare =
-    Wire.Prepare
-      {
-        event = ev;
-        split;
-        target;
-        level_before = lpdr.level;
-        epoch_before = lpdr.epoch;
-        plan;
-        newcomer;
-        donor_batches = List.length plan.Plan.assignments;
-      }
-  in
+  let prepare = msg ev in
   List.iter (fun p -> send t ~src:sn.sid ~dst:p prepare) participants
 
 (* Per-round watchdog (armed only under a fault plan): if the event has not
@@ -2167,7 +2207,7 @@ and arm_watchdog t sn ev st =
   if t.faults <> None then
     st.ev_watch <-
       Some
-        (Engine.schedule_cancellable t.engine ~delay:t.event_timeout
+        (Engine.schedule_cancellable t.engine ~delay:event_timeout
            (fun () ->
              if Hashtbl.mem sn.events ev then begin
                if sn.alive then begin
@@ -2202,12 +2242,7 @@ and maybe_complete t sn ev st =
         ~tid:sn.sid ~name:"2pc.event"
         [
           ("event", Trace.Int ev);
-          ( "kind",
-            Trace.Str
-              (match st.ev_kind with
-              | `Create -> "create"
-              | `Remove -> "remove"
-              | `Balance -> "balance") );
+          ("kind", Trace.Str (event_kind_name st.ev_kind));
         ];
     if st.ev_kind = `Balance then t.lb_transfers <- t.lb_transfers + 1;
     (match st.ev_done with
@@ -2242,6 +2277,29 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
         if t.rfactor > 1 then
           List.iter (fun s -> ae_push_span t sn s) spans
       end
+
+(* Donor side of every placement change: send the donated [spans] and
+   their cells to [dst] for [event], point our own routing cache at it,
+   and return the moved placements for the Prepare_ack — each span with
+   its new owner and replica set over the group's [members] snodes. *)
+and ship t sn ~event ~members ~dst (spans, data) =
+  send t ~src:sn.sid ~dst:dst.Vnode_id.snode
+    (Wire.Transfer { event; to_vnode = dst; spans; data });
+  let reps =
+    Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
+      ~primary:dst.Vnode_id.snode ~group_snodes:members
+  in
+  List.iter (fun s -> cache_learn t sn s dst) spans;
+  List.map (fun s -> (s, dst, reps)) spans
+
+(* Receiver side: expect [want] Transfer batches for [event] (reported to
+   [coordinator] once all landed), then apply any that overtook the
+   prepare. *)
+and expect t sn ~event ~want ~coordinator =
+  if want > 0 then begin
+    Hashtbl.replace sn.incomings event { got = 0; want; coordinator };
+    drain_stash t sn event
+  end
 
 and drain_stash t sn event =
   (* Transfers that overtook the announcement of [event]. *)
@@ -2293,36 +2351,12 @@ and start_lb_swap t sn group lpdr ~hot ~from_vnode ~to_snode =
     match to_vnode with
     | None -> abort ()
     | Some to_vnode ->
-        let participants =
-          List.sort_uniq compare [ from_vnode.Vnode_id.snode; to_snode ]
-        in
-        let ev = t.next_event in
-        t.next_event <- t.next_event + 1;
-        let st =
-          {
-            ev_done = None;
-            ev_origin = sn.sid;
-            ev_lock = group;
-            ev_kind = `Balance;
-            ev_start = Engine.now t.engine;
-            ev_acks = List.length participants;
-            ev_moved = [];
-            ev_participants = participants;
-            (* one Transfer lands at each side, so each side reports one
-               All_received *)
-            ev_waits = List.length participants;
-            ev_committed = false;
-            ev_watch = None;
-          }
-        in
-        Hashtbl.add sn.events ev st;
-        arm_watchdog t sn ev st;
-        Log.debug (fun m ->
-            m "snode %d coordinates swap event %d: %a of %a -> %a (group %a)"
-              sn.sid ev Span.pp hot Vnode_id.pp from_vnode Vnode_id.pp to_vnode
-              Group_id.pp group);
-        let swap = Wire.Lb_swap { event = ev; hot; from_vnode; to_vnode } in
-        List.iter (fun p -> send t ~src:sn.sid ~dst:p swap) participants
+        (* One Transfer lands at each side, so each side reports one
+           All_received. *)
+        open_event t sn ~group ~kind:`Balance ~done_msg:None ~origin:sn.sid
+          ~waits:2
+          ~participants:[ from_vnode.Vnode_id.snode; to_snode ]
+          (fun event -> Wire.Lb_swap { event; hot; from_vnode; to_vnode })
 
 (* Participant side of a swap: the prepare. Donations happen now (like
    [apply_prepare]); the group lock held at the manager keeps [v.spans]
@@ -2332,11 +2366,9 @@ and start_lb_swap t sn group lpdr ~hot ~from_vnode ~to_snode =
 and apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode =
   let hosts_from = from_vnode.Vnode_id.snode = sn.sid in
   let v = local_exn sn (if hosts_from then from_vnode else to_vnode) in
-  let group_snodes =
+  let members =
     match Gtbl.find_opt sn.lpdrs v.group with
-    | Some lp ->
-        List.sort_uniq compare
-          (List.map (fun (id, _) -> id.Vnode_id.snode) lp.counts)
+    | Some lp -> group_snodes lp.counts
     | None ->
         List.sort_uniq compare
           [ from_vnode.Vnode_id.snode; to_vnode.Vnode_id.snode ]
@@ -2348,18 +2380,12 @@ and apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode =
     else pick_span t ~hottest:false v.spans
   in
   let receiver = if hosts_from then to_vnode else from_vnode in
-  let data = donate_span t sn v span in
-  send t ~src:sn.sid ~dst:receiver.Vnode_id.snode
-    (Wire.Transfer { event; to_vnode = receiver; spans = [ span ]; data });
-  let reps =
-    Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
-      ~primary:receiver.Vnode_id.snode ~group_snodes
+  let moved =
+    ship t sn ~event ~members ~dst:receiver
+      ([ span ], donate_span t sn v span)
   in
-  cache_learn t sn span receiver;
-  Hashtbl.replace sn.incomings event { got = 0; want = 1; coordinator = from };
-  drain_stash t sn event;
-  send t ~src:sn.sid ~dst:from
-    (Wire.Prepare_ack { event; moved = [ (span, receiver, reps) ] })
+  expect t sn ~event ~want:1 ~coordinator:from;
+  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved })
 
 (* A directory proposal landing at the heavy snode: pick the hottest
    locally-owned partition whose group has a member hosted on the light
@@ -2409,13 +2435,9 @@ and handle_lb_proposal t sn ~to_snode =
             | None -> t.lb_skipped <- t.lb_skipped + 1
             | Some lp ->
                 sn.lb_last_transfer <- now;
-                let manager = manager_of lp in
-                let msg =
-                  Wire.Lb_transfer
-                    { group; hot; from_vnode; to_snode; origin = sn.sid }
-                in
-                if manager = sn.sid then deliver_local t sn msg
-                else send t ~src:sn.sid ~dst:manager msg)
+                to_manager t sn lp
+                  (Wire.Lb_transfer
+                     { group; hot; from_vnode; to_snode; origin = sn.sid }))
       end
 
 (* Emergency path: a report so far above the cluster average that waiting
@@ -2451,81 +2473,44 @@ and start_removal t sn group lpdr ~leaving ~origin ~token =
     match Plan.removal ~pmin:t.pmin ~counts:lpdr.counts ~leaving with
     | Error (`Last_vnode | `Insufficient_capacity) -> refuse ()
     | Ok plan ->
-        let participants =
-          List.sort_uniq compare
-            (List.map (fun (id, _) -> id.Vnode_id.snode) lpdr.counts)
-        in
+        (* One All_received per snode hosting a receiving vnode. *)
         let receivers =
           List.sort_uniq compare
             (List.map (fun m -> m.Plan.dst.Vnode_id.snode) plan.Plan.moves)
         in
-        let ev = t.next_event in
-        t.next_event <- t.next_event + 1;
-        Log.debug (fun m ->
-            m "snode %d coordinates removal event %d: %a leaves group %a"
-              sn.sid ev Vnode_id.pp leaving Group_id.pp group);
-        let st =
-          {
-            ev_done = Some (Wire.Remove_done { token; ok = true });
-            ev_origin = origin;
-            ev_lock = group;
-            ev_kind = `Remove;
-            ev_start = Engine.now t.engine;
-            ev_acks = List.length participants;
-            ev_moved = [];
-            ev_participants = participants;
-            ev_waits = List.length receivers;
-            ev_committed = false;
-            ev_watch = None;
-          }
-        in
-        Hashtbl.add sn.events ev st;
-        arm_watchdog t sn ev st;
-        let prepare =
-          Wire.Remove_prepare
-            {
-              event = ev;
-              group;
-              leaving;
-              epoch_before = lpdr.epoch;
-              moves = plan.Plan.moves;
-              remaining = plan.Plan.removal_counts;
-            }
-        in
-        List.iter (fun pt -> send t ~src:sn.sid ~dst:pt prepare) participants
+        open_event t sn ~group ~kind:`Remove
+          ~done_msg:(Some (Wire.Remove_done { token; ok = true }))
+          ~origin ~waits:(List.length receivers)
+          ~participants:(group_snodes lpdr.counts)
+          (fun event ->
+            Wire.Remove_prepare
+              {
+                event;
+                group;
+                leaving;
+                epoch_before = lpdr.epoch;
+                moves = plan.Plan.moves;
+                remaining = plan.Plan.removal_counts;
+              })
 
 and apply_remove_prepare t sn ~from ~event ~group ~leaving ~epoch_before
     ~moves ~remaining =
   (* Ship every movement whose source vnode lives here. *)
-  let group_snodes =
-    List.sort_uniq compare
-      (List.map (fun (id, _) -> id.Vnode_id.snode) remaining)
+  let members = group_snodes remaining in
+  let moved =
+    List.fold_left
+      (fun moved { Plan.src; dst; n } ->
+        if src.Vnode_id.snode = sn.sid then
+          ship t sn ~event ~members ~dst (donate_spans t sn (local_exn sn src) n)
+          @ moved
+        else moved)
+      [] moves
   in
-  let moved = ref [] in
-  List.iter
-    (fun { Plan.src; dst; n } ->
-      if src.Vnode_id.snode = sn.sid then begin
-        let v = local_exn sn src in
-        let spans, data = donate_spans t sn v n in
-        send t ~src:sn.sid ~dst:dst.Vnode_id.snode
-          (Wire.Transfer { event; to_vnode = dst; spans; data });
-        let reps =
-          Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
-            ~primary:dst.Vnode_id.snode ~group_snodes
-        in
-        List.iter (fun s -> cache_learn t sn s dst) spans;
-        moved := List.map (fun s -> (s, dst, reps)) spans @ !moved
-      end)
-    moves;
   (* Expect one batch per movement targeting a vnode hosted here. *)
-  let want =
-    List.length
-      (List.filter (fun m -> m.Plan.dst.Vnode_id.snode = sn.sid) moves)
-  in
-  if want > 0 then begin
-    Hashtbl.replace sn.incomings event { got = 0; want; coordinator = from };
-    drain_stash t sn event
-  end;
+  expect t sn ~event ~coordinator:from
+    ~want:
+      (List.length
+         (List.filter (fun m -> m.Plan.dst.Vnode_id.snode = sn.sid) moves));
   Hashtbl.replace sn.pendings event
     (P_remove
        {
@@ -2534,10 +2519,10 @@ and apply_remove_prepare t sn ~from ~event ~group ~leaving ~epoch_before
          r_epoch = epoch_before;
          r_remaining = remaining;
        });
-  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved = !moved })
+  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved })
 
 and apply_prepare t sn ~from (p : Wire.prepare) =
-  let plan = p.Wire.plan in
+  let plan = p.Wire.plan and event = p.Wire.event in
   (* Physical changes happen now; identity changes (LPDRs, group fields)
      wait for Commit so concurrent requests keep serializing through the
      parent group's manager. *)
@@ -2558,35 +2543,22 @@ and apply_prepare t sn ~from (p : Wire.prepare) =
         spans = [];
         data = Hashtbl.create 16;
       };
-    Hashtbl.replace sn.incomings p.Wire.event
-      { got = 0; want = p.Wire.donor_batches; coordinator = from };
-    drain_stash t sn p.Wire.event
+    expect t sn ~event ~want:p.Wire.donor_batches ~coordinator:from
   end;
   (* Donations from locally-hosted donors. *)
-  let group_snodes =
-    List.sort_uniq compare
-      (List.map (fun (id, _) -> id.Vnode_id.snode) plan.Plan.final_counts)
+  let members = group_snodes plan.Plan.final_counts in
+  let moved =
+    List.fold_left
+      (fun moved { Plan.donor; give } ->
+        if donor.Vnode_id.snode = sn.sid then
+          ship t sn ~event ~members ~dst:p.Wire.newcomer
+            (donate_spans t sn (local_exn sn donor) give)
+          @ moved
+        else moved)
+      [] plan.Plan.assignments
   in
-  let reps =
-    Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
-      ~primary:p.Wire.newcomer.Vnode_id.snode ~group_snodes
-  in
-  let moved = ref [] in
-  List.iter
-    (fun { Plan.donor; give } ->
-      if donor.Vnode_id.snode = sn.sid then begin
-        let v = local_exn sn donor in
-        let spans, data = donate_spans t sn v give in
-        send t ~src:sn.sid ~dst:p.Wire.newcomer.Vnode_id.snode
-          (Wire.Transfer
-             { event = p.Wire.event; to_vnode = p.Wire.newcomer; spans; data });
-        List.iter (fun s -> cache_learn t sn s p.Wire.newcomer) spans;
-        moved := List.map (fun s -> (s, p.Wire.newcomer, reps)) spans @ !moved
-      end)
-    plan.Plan.assignments;
-  Hashtbl.replace sn.pendings p.Wire.event (P_create p);
-  send t ~src:sn.sid ~dst:from
-    (Wire.Prepare_ack { event = p.Wire.event; moved = !moved })
+  Hashtbl.replace sn.pendings event (P_create p);
+  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved })
 
 and apply_commit t sn ~moved ev =
   (match Hashtbl.find_opt sn.pendings ev with
@@ -2679,8 +2651,8 @@ and apply_commit t sn ~moved ev =
           if fev < ev then begin
             let part = if Span.level fs > Span.level s then fs else s in
             cache_learn t sn part owner;
-            rmap_learn t sn part reps;
-            map_learn t.space sn.pfence part ev
+            Point_map.learn sn.rmap part reps;
+            Point_map.learn sn.pfence part ev
           end)
         (Point_map.overlapping sn.pfence s))
     moved;
@@ -2703,26 +2675,16 @@ and handle t sn ~from msg =
   match msg with
   | Wire.Routed { point; hops; retries; origin; op } ->
       route_or_forward t sn (point, hops, retries, origin, op)
-  | Wire.Create_at_group { group; point; newcomer; origin } -> (
-      match Gtbl.find_opt sn.lpdrs group with
-      | None ->
+  | Wire.Create_at_group { group; point; newcomer; origin } ->
+      admit t sn ~group msg
+        ~gone:(fun () ->
           (* The group split away since the request was routed: resolve the
              victim again from the original point. *)
           deliver_local t sn
             (Wire.Routed
                { point; hops = 0; retries = 0; origin;
-                 op = Wire.Op_create { newcomer } })
-      | Some lpdr ->
-          let manager = manager_of lpdr in
-          if manager <> sn.sid then send t ~src:sn.sid ~dst:manager msg
-          else begin
-            let busy, q = qlock sn group in
-            if !busy then Queue.add msg q
-            else begin
-              busy := true;
-              start_balancing t sn group lpdr ~newcomer ~origin
-            end
-          end)
+                 op = Wire.Op_create { newcomer } }))
+        (fun lpdr -> start_balancing t sn group lpdr ~newcomer ~origin)
   | Wire.Prepare p -> apply_prepare t sn ~from p
   | Wire.Prepare_ack { event; moved } -> (
       match Hashtbl.find_opt sn.events event with
@@ -2803,102 +2765,35 @@ and handle t sn ~from msg =
               (* Group identity switching (between Prepare and Commit):
                  retry shortly. *)
               t.retried <- t.retried + 1;
-              Engine.schedule t.engine ~delay:t.backoff (fun () ->
+              Engine.schedule t.engine ~delay:backoff (fun () ->
                   deliver_local t sn msg)
           | Some lpdr ->
-              let manager = manager_of lpdr in
-              let fwd =
-                Wire.Remove_at_group { group = v.group; leaving; origin; token }
-              in
-              if manager = sn.sid then deliver_local t sn fwd
-              else send t ~src:sn.sid ~dst:manager fwd))
-  | Wire.Remove_at_group { group; leaving; origin; token } -> (
-      match Gtbl.find_opt sn.lpdrs group with
-      | None ->
+              to_manager t sn lpdr
+                (Wire.Remove_at_group { group = v.group; leaving; origin; token })))
+  | Wire.Remove_at_group { group; leaving; origin; token } ->
+      admit t sn ~group msg
+        ~gone:(fun () ->
           (* The group split away: resolve again at the hosting snode. *)
           send t ~src:sn.sid ~dst:leaving.Vnode_id.snode
-            (Wire.Remove_request { leaving; origin; token })
-      | Some lpdr ->
-          let manager = manager_of lpdr in
-          if manager <> sn.sid then send t ~src:sn.sid ~dst:manager msg
-          else begin
-            let busy, q = qlock sn group in
-            if !busy then Queue.add msg q
-            else begin
-              busy := true;
-              start_removal t sn group lpdr ~leaving ~origin ~token
-            end
-          end)
+            (Wire.Remove_request { leaving; origin; token }))
+        (fun lpdr -> start_removal t sn group lpdr ~leaving ~origin ~token)
   | Wire.Remove_prepare { event; group; leaving; epoch_before; moves; remaining }
     ->
       apply_remove_prepare t sn ~from ~event ~group ~leaving ~epoch_before
         ~moves ~remaining
   | Wire.Remove_done { token; ok } ->
-      finish_op t ~kind:`Remove ~token ~tid:sn.sid;
-      (match Hashtbl.find_opt t.callbacks token with
-      | Some (Cb_remove k) ->
-          Hashtbl.remove t.callbacks token;
-          k ok
-      | Some (Cb_put _ | Cb_get _ | Cb_range _) | None ->
-          failwith "Runtime: bad remove token");
-      t.done_removals <- t.done_removals + 1;
-      t.pending <- t.pending - 1
+      settle t ~tid:sn.sid ~token (Departed ok)
   | Wire.Put_ack { token; hint } ->
-      (match hint with
-      | Some (span, vid) -> cache_learn t sn span vid
-      | None -> ());
-      finish_op t ~kind:`Put ~token ~tid:sn.sid;
-      causal_op_end t ~token ~tid:sn.sid ~outcome:"ok";
-      if recording t then
-        record t (Oplog.Ack { token; at = Engine.now t.engine });
-      (match Hashtbl.find_opt t.callbacks token with
-      | Some (Cb_put k) ->
-          Hashtbl.remove t.callbacks token;
-          (match k with Some f -> f () | None -> ())
-      | Some (Cb_get _ | Cb_remove _ | Cb_range _) | None ->
-          failwith "Runtime: bad put token");
-      t.done_puts <- t.done_puts + 1;
-      t.pending <- t.pending - 1
+      Option.iter (fun (span, vid) -> cache_learn t sn span vid) hint;
+      settle t ~tid:sn.sid ~token (Acked `Put)
   | Wire.Get_reply { token; value; hint } ->
-      (match hint with
-      | Some (span, vid) -> cache_learn t sn span vid
-      | None -> ());
-      finish_op t ~kind:`Get ~token ~tid:sn.sid;
-      causal_op_end t ~token ~tid:sn.sid ~outcome:"ok";
-      if recording t then
-        record t (Oplog.Reply { token; value; at = Engine.now t.engine });
-      (match Hashtbl.find_opt t.callbacks token with
-      | Some (Cb_get k) ->
-          Hashtbl.remove t.callbacks token;
-          k value
-      | Some (Cb_put _ | Cb_remove _ | Cb_range _) | None ->
-          failwith "Runtime: bad get token");
-      t.done_gets <- t.done_gets + 1;
-      t.pending <- t.pending - 1
+      Option.iter (fun (span, vid) -> cache_learn t sn span vid) hint;
+      settle t ~tid:sn.sid ~token (Answered (`Get, value))
   | Wire.Busy { token } ->
       (* Admission rejection landing at the origin: settle the operation
          now, unacknowledged. The write was applied nowhere; the read
          answers nothing. *)
-      (match Hashtbl.find_opt t.callbacks token with
-      | Some (Cb_put _) ->
-          Hashtbl.remove t.callbacks token;
-          t.busy_rejections <- t.busy_rejections + 1;
-          Hashtbl.remove t.op_starts token;
-          causal_op_end t ~token ~tid:sn.sid ~outcome:"busy";
-          if recording t then
-            record t (Oplog.Busy { token; at = Engine.now t.engine });
-          t.pending <- t.pending - 1
-      | Some (Cb_get k) ->
-          Hashtbl.remove t.callbacks token;
-          t.busy_rejections <- t.busy_rejections + 1;
-          Hashtbl.remove t.op_starts token;
-          causal_op_end t ~token ~tid:sn.sid ~outcome:"busy";
-          if recording t then
-            record t (Oplog.Busy { token; at = Engine.now t.engine });
-          t.pending <- t.pending - 1;
-          k None
-      | Some (Cb_remove _ | Cb_range _) -> failwith "Runtime: bad busy token"
-      | None -> ())
+      settle t ~tid:sn.sid ~token Shed
   | Wire.Repl_put { token; key; point; cell } ->
       heat_charge t sn ~point ~kind:`Write
         ~bytes:(String.length key + Versioned.size_bytes cell);
@@ -2981,8 +2876,7 @@ and handle t sn ~from msg =
         end
       end
   | Wire.Mt_root { round; span; count; vhash } -> (
-      let tree = mtree_for_round t sn ~owner:from ~round in
-      ignore tree;
+      ignore (mtree_for_round t sn ~owner:from ~round);
       match ae_frame_compare t sn ~dst:from (span, count, vhash, false) with
       | Some s ->
           t.ae_requests <- t.ae_requests + 1;
@@ -3159,23 +3053,13 @@ and handle t sn ~from msg =
       end
   | Wire.Lb_proposal { to_snode; emergency = _ } ->
       handle_lb_proposal t sn ~to_snode
-  | Wire.Lb_transfer { group; hot; from_vnode; to_snode; origin = _ } -> (
-      match Gtbl.find_opt sn.lpdrs group with
-      | None ->
+  | Wire.Lb_transfer { group; hot; from_vnode; to_snode; origin = _ } ->
+      admit t sn ~group msg
+        ~gone:(fun () ->
           (* The group split away since the proposal: drop — the next
              balance round re-proposes from fresh reports. *)
-          t.lb_skipped <- t.lb_skipped + 1
-      | Some lpdr ->
-          let manager = manager_of lpdr in
-          if manager <> sn.sid then send t ~src:sn.sid ~dst:manager msg
-          else begin
-            let busy, q = qlock sn group in
-            if !busy then Queue.add msg q
-            else begin
-              busy := true;
-              start_lb_swap t sn group lpdr ~hot ~from_vnode ~to_snode
-            end
-          end)
+          t.lb_skipped <- t.lb_skipped + 1)
+        (fun lpdr -> start_lb_swap t sn group lpdr ~hot ~from_vnode ~to_snode)
   | Wire.Lb_swap { event; hot; from_vnode; to_vnode } ->
       apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode
   | Wire.Req _ | Wire.Ack _ | Wire.Batch _ ->
@@ -3554,13 +3438,11 @@ let arm_route_refresh t ~interval ~until =
 (* Construction and public API                                          *)
 
 let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
-    ?(approach = Local { vmin = 16 }) ?faults ?(max_retries = 50)
-    ?(backoff = 1e-3) ?(rto = 1e-3) ?(rto_cap = 0.05) ?(retry_budget = 0)
-    ?(adaptive_rto = false) ?(max_inflight = 0) ?(admission_deadline = 0.)
-    ?(ingress_limit = 0) ?(poison_after = 5) ?(event_timeout = 1.0)
-    ?(rfactor = 1) ?(read_quorum = 1) ?(write_quorum = 1)
-    ?(handoff_timeout = 0.02) ?(linger = 0.) ?(mt_threshold = 128)
-    ?(mt_leaf = 16) ?metrics ?(trace = Trace.noop) ?(causal = false)
+    ?(approach = Local { vmin = 16 }) ?faults ?(rto = 1e-3)
+    ?(retry_budget = 0) ?(adaptive_rto = false) ?(max_inflight = 0)
+    ?(admission_deadline = 0.) ?(ingress_limit = 0) ?(rfactor = 1)
+    ?(read_quorum = 1) ?(write_quorum = 1) ?(linger = 0.)
+    ?(mt_threshold = 128) ?(mt_leaf = 16) ?metrics ?(trace = Trace.noop) ?(causal = false)
     ?(heat = false) ?(heat_tau = 1.0) ?balance ?(route_cap = 0)
     ?(max_hops = default_max_hops) ~snodes ~seed () =
   if snodes < 1 then invalid_arg "Runtime.create: need at least one snode";
@@ -3577,11 +3459,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   let heat = heat || balance <> None in
   if not (Params.is_power_of_two pmin) then
     invalid_arg "Runtime.create: pmin must be a power of two";
-  if max_retries < 1 then invalid_arg "Runtime.create: max_retries < 1";
-  if poison_after < 1 then invalid_arg "Runtime.create: poison_after < 1";
-  if backoff <= 0. || rto <= 0. || event_timeout <= 0. then
-    invalid_arg "Runtime.create: delays must be positive";
-  if rto_cap < rto then invalid_arg "Runtime.create: rto_cap < rto";
+  if rto <= 0. || rto > rto_cap then
+    invalid_arg "Runtime.create: rto must lie in (0, 50 ms]";
   if retry_budget < 0 then invalid_arg "Runtime.create: retry_budget < 0";
   if max_inflight < 0 then invalid_arg "Runtime.create: max_inflight < 0";
   if ingress_limit < 0 then invalid_arg "Runtime.create: ingress_limit < 0";
@@ -3590,8 +3469,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   Params.check_quorum ~rfactor ~read_quorum ~write_quorum;
   if rfactor > snodes then
     invalid_arg "Runtime.create: rfactor exceeds the snode count";
-  if handoff_timeout <= 0. then
-    invalid_arg "Runtime.create: handoff_timeout must be positive";
   if mt_threshold < 0 then invalid_arg "Runtime.create: mt_threshold < 0";
   if mt_leaf < 1 then invalid_arg "Runtime.create: mt_leaf < 1";
   if linger < 0. || not (Float.is_finite linger) then
@@ -3722,23 +3599,17 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       space;
       pmin;
       vmax;
-      max_retries;
-      backoff;
       rto;
-      rto_cap;
       retry_budget;
       adaptive_rto;
       max_inflight;
       admission_deadline;
-      poison_after;
-      event_timeout;
       rfactor;
       route_cap;
       max_hops;
       rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
       read_quorum;
       write_quorum;
-      handoff_timeout;
       linger;
       mt_threshold;
       mt_leaf;
@@ -4200,8 +4071,10 @@ let put t ?(via = 0) ?on_done ~key ~value () =
       @@ fun () ->
       match if t.rfactor > 1 then live_coordinator t via else None with
       | Some sn ->
-          start_qput t sn ~token ~origin:via ~key ~point
-            (stamp_cell t sn ~value)
+          let cell = stamp_cell t sn ~value in
+          let set = Point_map.find_owner_exn sn.rmap point in
+          if admit_quorum t sn ~token ~origin:via ~set ~need:t.write_quorum
+          then start_qput t sn ~token ~key ~point ~set cell
       | None ->
           (* Replication off, or every snode is down: fall back to the
              single-copy routed path. It parks until a restart; the owner
@@ -4224,7 +4097,10 @@ let get t ?(via = 0) ~key k =
         ~op:(if t.rfactor > 1 then "qget" else "get")
       @@ fun () ->
       match if t.rfactor > 1 then live_coordinator t via else None with
-      | Some sn -> start_qget t sn ~token ~origin:via ~key ~point
+      | Some sn ->
+          let set = Point_map.find_owner_exn sn.rmap point in
+          if admit_quorum t sn ~token ~origin:via ~set ~need:t.read_quorum
+          then start_qget t sn ~token ~key ~point ~set
       | None ->
           deliver_local t t.snodes.(via)
             (Wire.Routed
@@ -4241,15 +4117,9 @@ let range_get t ?(via = 0) ~lo ~hi k =
       match live_coordinator t via with
       | Some sn -> start_range t sn ~token ~lo ~hi
       | None ->
-          (* Every snode is down: settle empty rather than park — a range
-             read carries no single owner to wake it on restart. *)
-          finish_op t ~kind:`Qrange ~token ~tid:via;
-          (match Hashtbl.find_opt t.callbacks token with
-          | Some (Cb_range k) ->
-              Hashtbl.remove t.callbacks token;
-              k []
-          | _ -> ());
-          t.pending <- t.pending - 1)
+          (* Every snode is down: settle failed (empty) rather than park —
+             a range read carries no single owner to wake it on restart. *)
+          settle t ~tid:via ~token Failed)
 
 (* Synchronous test oracle: the authoritative copy at the partition owner,
    read without any messaging. *)

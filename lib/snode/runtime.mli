@@ -46,21 +46,15 @@ val create :
   ?pmin:int ->
   ?approach:approach ->
   ?faults:Fault.t ->
-  ?max_retries:int ->
-  ?backoff:float ->
   ?rto:float ->
-  ?rto_cap:float ->
   ?retry_budget:int ->
   ?adaptive_rto:bool ->
   ?max_inflight:int ->
   ?admission_deadline:float ->
   ?ingress_limit:int ->
-  ?poison_after:int ->
-  ?event_timeout:float ->
   ?rfactor:int ->
   ?read_quorum:int ->
   ?write_quorum:int ->
-  ?handoff_timeout:float ->
   ?linger:float ->
   ?mt_threshold:int ->
   ?mt_leaf:int ->
@@ -81,21 +75,20 @@ val create :
     routing cache starts seeded with that placement. Defaults: [pmin = 32],
     [approach = Local { vmin = 16 }], gigabit {!Network.link}.
 
-    [max_retries] (default 50) bounds the routing back-off retries of one
-    operation and [backoff] (default 1 ms) spaces them. The bound is a
-    livelock canary and only enforced on a reliable network — under a
-    fault plan an operation legitimately backs off for as long as a
-    crashed snode stays down, so retries are unbounded (still counted by
-    {!retries}).
+    A routed operation backs off 1 ms between retries, at most 50 times.
+    Both are constants. The bound is a livelock canary and only enforced
+    on a reliable network — under a fault plan an operation legitimately
+    backs off for as long as a crashed snode stays down, so retries are
+    unbounded (still counted by {!retries}).
 
     Passing [faults] arms the robustness layer: every remote message is
     carried by a reliable request layer (sequence numbers, acknowledgement,
-    deduplication, retransmission with exponential backoff between [rto]
-    (default 1 ms) and [rto_cap] (default 50 ms)); a route suffering
-    [poison_after] (default 5) consecutive timeouts is poisoned — new
+    deduplication, retransmission with exponential backoff from [rto]
+    (default 1 ms, at most 50 ms) up to a constant 50 ms cap); a route
+    suffering 5 consecutive timeouts (a constant) is poisoned — new
     traffic toward it is queued and probed at the capped cadence until the
     peer answers. Balancing events carry a liveness watchdog re-armed every
-    [event_timeout] (default 1 s). The plan's crash schedule is installed on
+    second (a constant). The plan's crash schedule is installed on
     the engine ({!Fault.crash_plan}); every crash must name a restart time
     or retransmission toward the dead snode never ends. Without [faults]
     the runtime behaves {e exactly} as before: same messages, same bytes,
@@ -105,13 +98,13 @@ val create :
     behaviour bit-for-bit intact. [retry_budget] (default 0: unlimited)
     caps the fast retransmissions of any one reliable message: past the
     budget further attempts still go out — a silently-restarted peer must
-    eventually hear the message — but only at the [rto_cap] cadence, and
+    eventually hear the message — but only at the 50 ms cap cadence, and
     they count as {e probes}, not retransmissions, so
     [retransmits <= retry_budget * reliable_messages] holds by
     construction ({!overload_stats}). [adaptive_rto] (default false)
     replaces the fixed [rto] ladder base with a per-route Jacobson/Karn
     estimate (SRTT + 4·RTTVAR from samples of never-retransmitted
-    messages, floored at [rto], capped at [rto_cap]): a gray-failed route
+    messages, floored at [rto], capped at 50 ms): a gray-failed route
     whose true round trip exceeds [rto] stops provoking spurious
     retransmissions. RTT estimates are soft state and die with a crash.
     [max_inflight] (default 0: unbounded) bounds each peer's transmission
@@ -122,8 +115,9 @@ val create :
     that estimates it cannot assemble the quorum within the deadline —
     from per-route smoothed RTTs scaled by queue pressure and the route's
     graded suspicion level (its timeout strike count, the same scale whose
-    top is [poison_after]) — sheds the operation {e before} touching any
-    replica and answers the origin with an explicit {!Wire.Busy}; the op
+    top is the poisoning threshold) — sheds the operation {e before}
+    touching any replica and answers the origin with an explicit
+    {!Wire.Busy}; the op
     settles immediately as unacknowledged (a put's [on_done] never fires,
     a get answers [None]), never a silent drop. [ingress_limit] (default
     0: unbounded) bounds every snode's network ingress queue
@@ -139,7 +133,7 @@ val create :
     [read_quorum] replicas answer (the freshest version wins and stale
     repliers are read-repaired). [read_quorum + write_quorum > rfactor] is
     enforced ({!Dht_core.Params.check_quorum}). A put still short of W
-    after [handoff_timeout] (default 20 ms) hints the silent replicas'
+    after a constant 20 ms handoff timeout hints the silent replicas'
     copies to their ring successors (sloppy quorum); the fallback drains
     the hint to its owner when it restarts. A put that cannot assemble W
     even through fallbacks settles as failed one window later ([on_done]
@@ -295,7 +289,9 @@ val range_get :
     admission control (a busy range would be indistinguishable from an
     empty one) and never appear in the operation log: linearizability is
     checked over point operations only. Per-leg heat is charged to each
-    touched partition at every serving replica.
+    touched partition at every serving replica. With every snode down the
+    read fails at once: the callback sees [[]] and {!completed_ranges}
+    does not count it.
     @raise Invalid_argument unless [0 <= lo <= hi <= Space.size]. *)
 
 val remove_vnode : t -> ?via:int -> id:Vnode_id.t -> (bool -> unit) -> unit
@@ -323,7 +319,8 @@ val completed_puts : t -> int
 val completed_gets : t -> int
 
 val completed_ranges : t -> int
-(** Range reads settled (including empty results). *)
+(** Range reads completed (including empty results; a read failed with
+    every snode down is not counted). *)
 
 val retries : t -> int
 (** Operations that exhausted the forwarding hop limit and backed off —

@@ -98,6 +98,19 @@ let test_engine_run_until () =
   Engine.run e;
   check Alcotest.int "drained" 10 !count
 
+let test_engine_horizon () =
+  (* A timer that re-arms itself forever never quiesces. *)
+  let e = Engine.create () in
+  let rec tick () = Engine.schedule e ~delay:1. tick in
+  tick ();
+  Engine.set_horizon e 10.;
+  Engine.run ~until:5. e;
+  check (Alcotest.float 0.) "until below the horizon stops quietly" 5.
+    (Engine.now e);
+  Alcotest.check_raises "busy at the horizon" (Engine.Past_horizon 10.)
+    (fun () -> Engine.run e);
+  check (Alcotest.float 0.) "stopped at the horizon" 10. (Engine.now e)
+
 let test_engine_max_events () =
   let e = Engine.create () in
   for i = 1 to 10 do
@@ -411,6 +424,7 @@ let suite =
       test_engine_nested_scheduling;
     Alcotest.test_case "engine validation" `Quick test_engine_validation;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
+    Alcotest.test_case "engine horizon" `Quick test_engine_horizon;
     Alcotest.test_case "engine max events" `Quick test_engine_max_events;
     Alcotest.test_case "engine step on empty" `Quick test_engine_step_empty;
     Alcotest.test_case "network latency model" `Quick test_network_latency_model;

@@ -1,8 +1,9 @@
 (* The schedule explorer end to end: the mutation-mode self-test must
    find a planted-loss schedule and shrink it to a small replayable
    repro; the protected sweep must come back clean; committed repro
-   artifacts must replay to the same failure; shrinking must strip
-   superfluous tweaks. *)
+   artifacts must replay to the same failure (a lost write, a livelock
+   caught by the virtual-time horizon); shrinking must strip superfluous
+   tweaks. *)
 
 module Explorer = Dht_check.Explorer
 module Scenarios = Dht_check.Scenarios
@@ -10,10 +11,11 @@ module Schedule = Dht_check.Schedule
 
 (* Under `dune runtest` the cwd is the test directory (the artifact is a
    declared dep); under `dune exec` from the project root it is not. *)
-let repro_path =
-  if Sys.file_exists "repros/lost-acked-write.sched" then
-    "repros/lost-acked-write.sched"
-  else "test/repros/lost-acked-write.sched"
+let repro name =
+  let local = Filename.concat "repros" name in
+  if Sys.file_exists local then local else Filename.concat "test/repros" name
+
+let repro_path = repro "lost-acked-write.sched"
 
 let test_mutation_selftest () =
   let sc = Scenarios.kv ~name:"kv-mutate" ~protect:false () in
@@ -44,15 +46,20 @@ let test_protected_sweep () =
         (Schedule.to_string o.schedule)
         (String.concat "\n" o.failures)
 
-let load_repro () =
-  match Schedule.load ~path:repro_path with
-  | Error m -> Alcotest.failf "cannot load %s: %s" repro_path m
+let load_repro ?(path = repro_path) () =
+  match Schedule.load ~path with
+  | Error m -> Alcotest.failf "cannot load %s: %s" path m
   | Ok sched -> (
       match Scenarios.by_name sched.Schedule.scenario with
       | None ->
           Alcotest.failf "unknown scenario %S in repro"
             sched.Schedule.scenario
       | Some sc -> (sc, sched))
+
+let contains ~affix m =
+  let n = String.length affix and len = String.length m in
+  let rec go i = i + n <= len && (String.sub m i n = affix || go (i + 1)) in
+  go 0
 
 let test_repro_replays () =
   let sc, sched = load_repro () in
@@ -62,17 +69,22 @@ let test_repro_replays () =
   | msgs ->
       (* The committed artifact pins a lost acknowledged write. *)
       let mentions_loss m =
-        let has affix =
-          let n = String.length affix and len = String.length m in
-          let rec go i =
-            i + n <= len && (String.sub m i n = affix || go (i + 1))
-          in
-          go 0
-        in
-        has "durability" || has "lost" || has "exception"
+        List.exists
+          (fun affix -> contains ~affix m)
+          [ "durability"; "lost"; "exception" ]
       in
       Alcotest.(check bool) "failure is a lost write" true
         (List.exists mentions_loss msgs)
+
+(* A creation coordinator crashed mid-round waits forever after restart
+   (its watchdog re-arms every second); the horizon turns the hang into a
+   liveness failure. Fails until the coordinator-recovery fix lands. *)
+let test_livelock_repro_fails () =
+  let path = repro "creation-coordinator-livelock.sched" in
+  let sc, sched = load_repro ~path () in
+  let o = Explorer.run sc sched in
+  Alcotest.(check bool) "replay reports a liveness failure" true
+    (List.exists (contains ~affix:"liveness") o.Explorer.failures)
 
 let test_shrink_strips_superfluous () =
   let sc, sched = load_repro () in
@@ -96,6 +108,8 @@ let suite =
       test_mutation_selftest;
     Alcotest.test_case "protected sweep is clean" `Slow test_protected_sweep;
     Alcotest.test_case "committed repro replays" `Quick test_repro_replays;
+    Alcotest.test_case "committed livelock repro hits the horizon" `Quick
+      test_livelock_repro_fails;
     Alcotest.test_case "shrink strips superfluous tweaks" `Quick
       test_shrink_strips_superfluous;
   ]

@@ -30,6 +30,11 @@ let check = Alcotest.check
 let nonempty_lines s =
   String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
 
+let contains sub line =
+  let n = String.length line and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+  go 0
+
 (* One seeded quorum workload with causal tracing to a buffer: a few
    balancing events, then replicated puts and gets. Returns the parsed
    span log, the recorder's op tokens, and the raw trace lines. *)
@@ -103,12 +108,7 @@ let test_span_trees_faulty_seeds () =
   for seed = 60 to 99 do
     let ((_, _, lines) as r) = run_traced ~drop:0.15 ~seed () in
     ignore (assert_well_formed ~seed r);
-    let contains line sub =
-      let n = String.length line and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-      go 0
-    in
-    let count sub = List.length (List.filter (fun l -> contains l sub) lines) in
+    let count sub = List.length (List.filter (contains sub) lines) in
     let sends = count "\"name\":\"msg.send\""
     and xmits = count "\"name\":\"msg.xmit\"" in
     check Alcotest.bool
@@ -123,6 +123,51 @@ let test_trace_determinism_with_causal () =
   (* Same seed, same causal trace, byte for byte. *)
   let _, _, a = run_traced ~seed:7 () and _, _, b = run_traced ~seed:7 () in
   check Alcotest.(list string) "causal traces identical" a b
+
+(* Every op's causal tree closes, whatever its outcome: each [op.begin]
+   is matched by exactly one [op.end] — acked and answered ops, ops shed
+   by admission control, a put that cannot assemble W (two of three
+   replicas down, no fallback on the ring), and a range read with every
+   snode down. *)
+let test_every_outcome_closes () =
+  let closes ?admission_deadline ~outcomes drive =
+    let buf = Buffer.create 8192 in
+    let trace = Trace.to_buffer Trace.Jsonl buf in
+    let rt =
+      Runtime.create ?admission_deadline ~rfactor:3 ~read_quorum:2
+        ~write_quorum:2 ~trace ~causal:true ~snodes:3 ~seed:5 ()
+    in
+    drive rt ~whole:(Dht_hashspace.Space.size (Runtime.space rt));
+    Trace.close trace;
+    let lines = nonempty_lines (Buffer.contents buf) in
+    let t = Causal.of_lines lines in
+    let a = Causal.analyze t in
+    check Alcotest.(list string) "no malformed lines" [] (Causal.malformed t);
+    check Alcotest.int "no op left open" 0 a.Causal.unfinished;
+    check Alcotest.int "one op.end per op" (Causal.op_count t)
+      (List.length (List.filter (contains "\"name\":\"op.end\"") lines));
+    check Alcotest.(list string) "outcomes" outcomes
+      (List.sort compare
+         (List.map (fun o -> o.Causal.a_outcome) a.Causal.complete))
+  in
+  closes ~outcomes:[ "fail"; "fail"; "ok"; "ok"; "ok" ] (fun rt ~whole ->
+      Runtime.put rt ~via:0 ~key:"a" ~value:"1" ();
+      Runtime.run rt;
+      Runtime.get rt ~via:1 ~key:"a" ignore;
+      Runtime.range_get rt ~via:2 ~lo:0 ~hi:whole ignore;
+      Runtime.run rt;
+      Runtime.crash_snode rt 1;
+      Runtime.crash_snode rt 2;
+      Runtime.put rt ~via:0 ~key:"b" ~value:"2" ();
+      Runtime.run rt;
+      Runtime.crash_snode rt 0;
+      Runtime.range_get rt ~via:0 ~lo:0 ~hi:whole ignore;
+      Runtime.run rt);
+  closes ~admission_deadline:1e-9 ~outcomes:[ "busy"; "busy" ]
+    (fun rt ~whole:_ ->
+      Runtime.put rt ~via:0 ~key:"a" ~value:"1" ();
+      Runtime.get rt ~via:1 ~key:"a" ignore;
+      Runtime.run rt)
 
 (* ------------------------------------------------------------------ *)
 (* Analyzer units on a hand-built trace                                 *)
@@ -392,6 +437,8 @@ let suite =
       test_span_trees_faulty_seeds;
     Alcotest.test_case "causal trace is deterministic" `Quick
       test_trace_determinism_with_causal;
+    Alcotest.test_case "every outcome closes its causal tree" `Quick
+      test_every_outcome_closes;
     Alcotest.test_case "decomposition on a hand-built trace" `Quick
       test_analyzer_hand_built;
     Alcotest.test_case "analyzer reports breakage" `Quick
