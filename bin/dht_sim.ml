@@ -32,6 +32,11 @@ let positive_int =
   checked "a positive integer" int_of_string_opt (fun n -> n > 0)
     Format.pp_print_int
 
+let at_least n =
+  checked (Printf.sprintf "an integer >= %d" n) int_of_string_opt
+    (fun x -> x >= n)
+    Format.pp_print_int
+
 let positive_float =
   checked "a positive number" float_of_string_opt
     (fun x -> x > 0. && Float.is_finite x)
@@ -552,7 +557,9 @@ let hetero_cmd =
     finish_telemetry tel
   in
   let total =
-    Arg.(value & opt int 128 & info [ "total-vnodes" ] ~docv:"V"
+    (* Every node of the 14-node (8 + 4 + 2) cluster enrolls at least one
+       vnode. *)
+    Arg.(value & opt (at_least 14) 128 & info [ "total-vnodes" ] ~docv:"V"
            ~doc:"Total vnodes apportioned across the cluster.")
   in
   let term = Term.(const run $ telemetry_term $ total $ seed_arg) in
@@ -1321,7 +1328,7 @@ let explore_cmd =
            ~doc:"Vnodes removed after the second growth wave.")
   in
   let seeds =
-    Arg.(value & opt int 10 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt positive_int 10 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of consecutive seeds to sweep.")
   in
   let rounds =
@@ -1874,7 +1881,7 @@ let route_cmd =
     if !failed then exit 1
   in
   let sizes =
-    Arg.(value & opt (list int) [ 100; 1000; 10000 ]
+    Arg.(value & opt (list positive_int) [ 100; 1000; 10000 ]
          & info [ "snodes" ] ~docv:"N,N,..."
              ~doc:"Comma-separated cluster sizes to sweep.")
   in
@@ -1883,7 +1890,9 @@ let route_cmd =
            ~doc:"Vnodes in each cluster (default: one per snode).")
   in
   let route_cap =
-    Arg.(value & opt int 128 & info [ "route-cap" ] ~docv:"E"
+    (* A bounded cache must hold at least the Pmin = 8 partitions of one
+       vnode. *)
+    Arg.(value & opt (at_least 8) 128 & info [ "route-cap" ] ~docv:"E"
            ~doc:"Per-snode routing-cache entry bound (LRU pair-folds above it).")
   in
   let max_hops =
@@ -1905,7 +1914,7 @@ let route_cmd =
            ~doc:"Operations per virtual second.")
   in
   let read_fraction =
-    Arg.(value & opt float 0.5 & info [ "read-fraction" ] ~docv:"F"
+    Arg.(value & opt probability 0.5 & info [ "read-fraction" ] ~docv:"F"
            ~doc:"Fraction of operations that are gets.")
   in
   let no_churn =

@@ -169,6 +169,52 @@ let test_every_outcome_closes () =
       Runtime.get rt ~via:1 ~key:"a" ignore;
       Runtime.run rt)
 
+(* Causal tracing adds bytes, never messages: the same batched quorum
+   workload (48 creations, 512 puts, 512 gets on 8 snodes, one-quantum
+   linger) sends exactly as many messages traced as untraced, and every
+   wire edge ([msg.send]) carries one span context of
+   [Wire.trace_context] bytes. At seed 2004: 799 messages both ways,
+   600,116 -> 705,956 bytes over 5,292 sends. *)
+let test_causal_context_bytes () =
+  let workload ~causal =
+    let buf = Buffer.create (if causal then 1 lsl 20 else 16) in
+    let trace = if causal then Trace.to_buffer Trace.Jsonl buf else Trace.noop in
+    let rt =
+      Runtime.create ~pmin:8
+        ~approach:(Runtime.Local { vmin = 4 })
+        ~rfactor:3 ~read_quorum:2 ~write_quorum:2
+        ~linger:Runtime.Network.gigabit.base_latency ~trace ~causal ~snodes:8
+        ~seed:2004 ()
+    in
+    for i = 1 to 48 do
+      Runtime.create_vnode rt ~id:(Vnode_id.make ~snode:(i mod 8) ~vnode:(i / 8)) ()
+    done;
+    Runtime.run rt;
+    for i = 0 to 511 do
+      Runtime.put rt ~via:(i mod 8) ~key:("bench-" ^ string_of_int i) ~value:"v" ()
+    done;
+    Runtime.run rt;
+    for i = 0 to 511 do
+      Runtime.get rt ~via:(i mod 8) ~key:("bench-" ^ string_of_int i) ignore
+    done;
+    Runtime.run rt;
+    Trace.close trace;
+    let net = Runtime.network rt in
+    let sends =
+      List.length
+        (List.filter (contains "\"name\":\"msg.send\"")
+           (nonempty_lines (Buffer.contents buf)))
+    in
+    (Runtime.Network.messages net, Runtime.Network.bytes_sent net, sends)
+  in
+  let msgs, bytes, _ = workload ~causal:false in
+  let tmsgs, tbytes, sends = workload ~causal:true in
+  check Alcotest.bool "traced run sends edges" true (sends > 0);
+  check Alcotest.int "same message count" msgs tmsgs;
+  check Alcotest.int "one span context per sent edge"
+    (bytes + (Dht_snode.Wire.trace_context * sends))
+    tbytes
+
 (* ------------------------------------------------------------------ *)
 (* Analyzer units on a hand-built trace                                 *)
 
@@ -439,6 +485,8 @@ let suite =
       test_trace_determinism_with_causal;
     Alcotest.test_case "every outcome closes its causal tree" `Quick
       test_every_outcome_closes;
+    Alcotest.test_case "causal context adds bytes, not messages" `Quick
+      test_causal_context_bytes;
     Alcotest.test_case "decomposition on a hand-built trace" `Quick
       test_analyzer_hand_built;
     Alcotest.test_case "analyzer reports breakage" `Quick
