@@ -1,6 +1,10 @@
+(* An all-float record is stored flat, so advancing the clock on every
+   dispatch writes an unboxed float instead of allocating one. *)
+type clock = { mutable now : float }
+
 type t = {
   queue : (unit -> unit) Heap.t;
-  mutable clock : float;
+  clock : clock;
   mutable seq : int;
   mutable dispatched : int;
   mutable max_pending : int;
@@ -10,14 +14,14 @@ type t = {
 exception Past_horizon of float
 
 let create () =
-  { queue = Heap.create ~dummy:ignore (); clock = 0.; seq = 0; dispatched = 0;
-    max_pending = 0; horizon = infinity }
+  { queue = Heap.create ~dummy:ignore (); clock = { now = 0. }; seq = 0;
+    dispatched = 0; max_pending = 0; horizon = infinity }
 
-let now t = t.clock
+let now t = t.clock.now
 
-let at t ~time f =
+let[@inline] at t ~time f =
   if not (Float.is_finite time) then invalid_arg "Engine.at: non-finite time";
-  if time < t.clock then invalid_arg "Engine.at: time in the past";
+  if time < t.clock.now then invalid_arg "Engine.at: time in the past";
   Heap.push t.queue ~time ~seq:t.seq f;
   t.seq <- t.seq + 1;
   let len = Heap.length t.queue in
@@ -26,10 +30,12 @@ let at t ~time f =
 let schedule t ~delay f =
   if not (Float.is_finite delay) || delay < 0. then
     invalid_arg "Engine.schedule: negative or non-finite delay";
-  at t ~time:(t.clock +. delay) f
+  at t ~time:(t.clock.now +. delay) f
 
 (* Cancellable timers: cancellation marks the handle dead; the queue entry
-   stays and fires as a no-op (lazy deletion keeps the heap simple). *)
+   stays and fires as a no-op. Deletion stays lazy because [run] advances
+   the clock over the dead entry, and later [now]-relative schedules see
+   that clock. *)
 type handle = { mutable state : [ `Pending | `Fired | `Cancelled ] }
 
 let schedule_cancellable t ~delay f =
@@ -63,7 +69,7 @@ let timer t f =
   in
   tm.trampoline <-
     (fun () ->
-      if tm.tm_armed && t.clock >= tm.deadline then begin
+      if tm.tm_armed && t.clock.now >= tm.deadline then begin
         tm.tm_armed <- false;
         tm.tm_cb ()
       end);
@@ -73,7 +79,7 @@ let arm tm ~delay =
   if not (Float.is_finite delay) || delay < 0. then
     invalid_arg "Engine.arm: negative or non-finite delay";
   let t = tm.tm_engine in
-  tm.deadline <- t.clock +. delay;
+  tm.deadline <- t.clock.now +. delay;
   tm.tm_armed <- true;
   at t ~time:tm.deadline tm.trampoline
 
@@ -84,30 +90,35 @@ let pending t = Heap.length t.queue
 let dispatched t = t.dispatched
 let max_pending t = t.max_pending
 
+(* Dispatch the queue's head, which is due at [time]. Inlined, so neither
+   [step] nor [run] allocates: the time stays unboxed from [min_time] to the
+   clock. *)
+let[@inline] dispatch t time =
+  t.clock.now <- time;
+  let f = Heap.pop_min t.queue in
+  t.dispatched <- t.dispatched + 1;
+  f ()
+
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, _, f) ->
-      t.clock <- time;
-      t.dispatched <- t.dispatched + 1;
-      f ();
-      true
+  if Heap.is_empty t.queue then false
+  else begin
+    dispatch t (Heap.min_time t.queue);
+    true
+  end
 
 let set_horizon t horizon =
   if Float.is_nan horizon then invalid_arg "Engine.set_horizon: NaN";
   t.horizon <- horizon
 
-let run ?(until = infinity) ?(max_events = max_int) t =
+let run ?(until = infinity) t =
   let stop = Float.min until t.horizon in
-  let dispatched = ref 0 in
+  let q = t.queue in
   let continue = ref true in
-  while !continue && !dispatched < max_events do
-    match Heap.peek_time t.queue with
-    | Some time when time <= stop ->
-        ignore (step t);
-        incr dispatched
-    | Some time ->
-        continue := false;
-        if time <= until then raise (Past_horizon t.horizon)
-    | None -> continue := false
+  while !continue && not (Heap.is_empty q) do
+    let time = Heap.min_time q in
+    if time <= stop then dispatch t time
+    else begin
+      continue := false;
+      if time <= until then raise (Past_horizon t.horizon)
+    end
   done

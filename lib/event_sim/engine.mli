@@ -2,7 +2,19 @@
 
     The engine owns a virtual clock and an event queue. Callbacks scheduled
     at a virtual time run in [(time, insertion)] order; a callback may
-    schedule further events. Time never flows backwards. *)
+    schedule further events. Time never flows backwards.
+
+    The queue is a struct-of-arrays binary heap ({!Heap}): times unboxed in
+    a float array, insertion numbers and payload-slot ids in int arrays,
+    callbacks in a slot pool. The clock is a flat float. Scheduling costs
+    the caller's closure and nothing per queue entry; {!step} and {!run}
+    allocate nothing themselves.
+
+    Cancellation is lazy on purpose: a cancelled or superseded timer keeps
+    its queue entry, which dispatches as a no-op. {!run} therefore advances
+    the clock over dead entries, and a callback that later schedules
+    relative to {!now} depends on that clock. Removing dead entries eagerly
+    would move those times. *)
 
 type t
 
@@ -69,10 +81,9 @@ val max_pending : t -> int
 (** High-water mark of the event-queue depth — the telemetry layer exposes
     it as a gauge to spot event storms. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Dispatches events in order until the queue drains, the next event lies
-    beyond [until], or [max_events] have been dispatched. The clock advances
-    to each dispatched event's time.
+val run : ?until:float -> t -> unit
+(** Dispatches events in order until the queue drains or the next event lies
+    beyond [until]. The clock advances to each dispatched event's time.
     @raise Past_horizon if the next event lies beyond the horizon (and not
     beyond [until]); that event stays queued. *)
 

@@ -104,6 +104,53 @@ let max_ingress_high_water t =
 
 let ingress_overflows t = t.overflows
 
+(* Bounded ingress: each delivery occupies one slot toward its destination
+   from schedule time to landing. A delivery that would exceed the bound is
+   dropped at the door and counted as an overflow — overload is loss, which
+   the reliable layer turns into retransmissions, which is exactly the
+   amplification loop the runtime's retry budgets must tame. [admit] takes
+   the slot, or counts the refusal and returns [false]. *)
+let admit t c =
+  if c.depth >= t.ingress_limit then begin
+    t.overflows <- t.overflows + 1;
+    false
+  end
+  else begin
+    c.depth <- c.depth + 1;
+    if c.depth > c.high_water then c.high_water <- c.depth;
+    true
+  end
+
+(* Each delivery schedules exactly one closure: [k] itself when nothing
+   has to happen on landing. *)
+let deliver t ~dst ~delay k =
+  if t.ingress_limit = 0 then Engine.schedule t.engine ~delay k
+  else
+    let c = ingress_cell t dst in
+    if admit t c then
+      Engine.schedule t.engine ~delay (fun () ->
+          c.depth <- c.depth - 1;
+          k ())
+
+(* Under a fault plan each delivery — the original and a possible injected
+   duplicate — gets its own jitter, and evaporates if the destination is
+   down when it lands. A gray-failed (slow) destination stretches the whole
+   delivery latency by its service-time factor. The ingress check comes
+   before the jitter draw: a refused delivery draws nothing. *)
+let deliver_faulty t f ~dst ~delay ~factor k =
+  if t.ingress_limit = 0 then
+    Engine.schedule t.engine
+      ~delay:((delay +. Fault.delay_noise f) *. factor)
+      (fun () -> if not (Fault.absorb f ~dst) then k ())
+  else
+    let c = ingress_cell t dst in
+    if admit t c then
+      Engine.schedule t.engine
+        ~delay:((delay +. Fault.delay_noise f) *. factor)
+        (fun () ->
+          c.depth <- c.depth - 1;
+          if not (Fault.absorb f ~dst) then k ())
+
 let send t ?tag ~src ~dst ~bytes k =
   let delay = transit_time t ~src ~dst ~bytes in
   if src = dst then begin
@@ -125,59 +172,18 @@ let send t ?tag ~src ~dst ~bytes k =
     in
     match verdict with
     | Sink -> ()
-    | Pass | Defer _ ->
+    | Pass | Defer _ -> (
         let delay =
           match verdict with Defer extra -> delay +. extra | _ -> delay
         in
-        (* Bounded ingress: each delivery occupies one slot toward its
-           destination from schedule time to landing. A delivery that would
-           exceed the bound is dropped at the door and counted as an
-           overflow — overload is loss, which the reliable layer turns into
-           retransmissions, which is exactly the amplification loop the
-           runtime's retry budgets must tame. *)
-        let admit () =
-          if t.ingress_limit = 0 then Some (fun () -> ())
-          else begin
-            let c = ingress_cell t dst in
-            if c.depth >= t.ingress_limit then begin
-              t.overflows <- t.overflows + 1;
-              None
-            end
-            else begin
-              c.depth <- c.depth + 1;
-              if c.depth > c.high_water then c.high_water <- c.depth;
-              Some (fun () -> c.depth <- c.depth - 1)
-            end
-          end
-        in
-        (match t.faults with
-        | None -> (
-            match admit () with
-            | None -> ()
-            | Some release ->
-                Engine.schedule t.engine ~delay (fun () ->
-                    release ();
-                    k ()))
+        match t.faults with
+        | None -> deliver t ~dst ~delay k
         | Some f ->
-            (* Loss at send time (severed link or drop roll); otherwise each
-               delivery — the original and a possible injected duplicate —
-               gets its own jitter, and evaporates if the destination is down
-               when it lands. A gray-failed (slow) destination stretches the
-               whole delivery latency by its service-time factor. *)
+            (* Loss at send time: a severed link or a drop roll. *)
             if not (Fault.cut f ~src ~dst) then begin
               let factor = Fault.slow_factor f ~dst in
-              let deliver () =
-                match admit () with
-                | None -> ()
-                | Some release ->
-                    Engine.schedule t.engine
-                      ~delay:((delay +. Fault.delay_noise f) *. factor)
-                      (fun () ->
-                        release ();
-                        if not (Fault.absorb f ~dst) then k ())
-              in
-              deliver ();
-              if Fault.duplicate f then deliver ()
+              deliver_faulty t f ~dst ~delay ~factor k;
+              if Fault.duplicate f then deliver_faulty t f ~dst ~delay ~factor k
             end)
   end
 

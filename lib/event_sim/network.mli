@@ -93,7 +93,12 @@ val send :
     counted by the fault plan itself ({!Fault.duplicates}), not by the
     network. A gray-failed destination ({!Fault.set_slow}) stretches the
     delivery latency by its service-time factor. Loopback deliveries are
-    never subjected to faults or ingress bounds.
+    never subjected to faults or ingress bounds. Each delivery schedules
+    one engine event: [k] itself when neither an ingress slot nor a fault
+    plan has to act on landing. Random draws happen in a fixed order: the
+    drop roll, the delivery's jitter, the duplicate roll, then the
+    duplicate's jitter; a delivery refused by the ingress bound draws no
+    jitter.
     @raise Invalid_argument if [bytes < 0]. *)
 
 val transit_time : t -> src:int -> dst:int -> bytes:int -> float

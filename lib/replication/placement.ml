@@ -15,17 +15,21 @@ let replicas ~rfactor ~n ~primary ~group_snodes =
   if rfactor <= 0 then invalid_arg "Placement.replicas: rfactor must be >= 1";
   let primary = norm ~n primary in
   let in_group s = List.exists (fun g -> norm ~n g = s) group_snodes in
-  let preferred = ref [] and backfill = ref [] in
-  for i = n - 1 downto 1 do
-    let s = (primary + i) mod n in
-    if in_group s then backfill := s :: !backfill
-    else preferred := s :: !preferred
-  done;
-  let rec take k = function
-    | [] -> []
-    | x :: tl -> if k <= 0 then [] else x :: take (k - 1) tl
+  (* Walk the ring from the primary's successor and keep the first [k]
+     snodes that [keep] accepts, consed onto [acc] (so reversed). Returns
+     how many are still missing. *)
+  let rec walk keep i k acc =
+    if k = 0 || i >= n then (k, acc)
+    else
+      let s = (primary + i) mod n in
+      if keep s then walk keep (i + 1) (k - 1) (s :: acc)
+      else walk keep (i + 1) k acc
   in
-  primary :: take (min rfactor n - 1) (!preferred @ !backfill)
+  let short, picked = walk (fun s -> not (in_group s)) 1 (min rfactor n - 1) [] in
+  (* Too few out-of-group snodes: the first pass walked the whole ring, so
+     [picked] holds all of them; backfill in-group snodes in ring order. *)
+  let picked = if short = 0 then picked else snd (walk in_group 1 short picked) in
+  primary :: List.rev picked
 
 let successor ~n ~avoid ~start =
   if n <= 0 then invalid_arg "Placement.successor: empty cluster";

@@ -16,7 +16,9 @@ val replicas :
     [n] snodes, where [group_snodes] are the snodes hosting members of
     the owner's group (the correlated-failure unit to spread away from;
     [primary] itself may appear in it). The result has
-    [min rfactor n] distinct elements and starts with [primary].
+    [min rfactor n] distinct elements and starts with [primary]. The ring
+    walk stops as soon as the set is full, so the cost does not grow with
+    [n] while out-of-group snodes are plentiful.
     @raise Invalid_argument if [n <= 0] or [rfactor <= 0]. *)
 
 val successor : n:int -> avoid:int list -> start:int -> int option

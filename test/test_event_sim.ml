@@ -12,23 +12,20 @@ let check = Alcotest.check
 
 let test_heap_orders_random_input () =
   let rng = Rng.of_int 1 in
-  let h = Heap.create ~dummy:0 () in
-  for i = 0 to 499 do
-    Heap.push h ~time:(Rng.float rng) ~seq:i i
-  done;
+  let h = Heap.create ~dummy:(-1) () in
+  let times = Array.init 500 (fun _ -> Rng.float rng) in
+  Array.iteri (fun i time -> Heap.push h ~time ~seq:i i) times;
   check Alcotest.int "length" 500 (Heap.length h);
   let last = ref neg_infinity in
   let popped = ref 0 in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (t, _, _) ->
-        check Alcotest.bool "non-decreasing" true (t >= !last);
-        last := t;
-        incr popped;
-        drain ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    let t = Heap.min_time h in
+    let v = Heap.pop_min h in
+    check Alcotest.bool "non-decreasing" true (t >= !last);
+    check (Alcotest.float 0.) "payload travels with its time" times.(v) t;
+    last := t;
+    incr popped
+  done;
   check Alcotest.int "all popped" 500 !popped;
   check Alcotest.bool "empty" true (Heap.is_empty h)
 
@@ -38,17 +35,43 @@ let test_heap_fifo_at_equal_times () =
     Heap.push h ~time:1. ~seq:i i
   done;
   for i = 0 to 9 do
-    match Heap.pop h with
-    | Some (_, _, v) -> check Alcotest.int "fifo" i v
-    | None -> Alcotest.fail "heap drained early"
+    check Alcotest.int "fifo" i (Heap.pop_min h)
   done
 
 let test_heap_peek () =
   let h = Heap.create ~dummy:() () in
-  check Alcotest.bool "empty peek" true (Heap.peek_time h = None);
+  Alcotest.check_raises "empty min_time"
+    (Invalid_argument "Heap.min_time: empty heap") (fun () ->
+      ignore (Heap.min_time h));
+  Alcotest.check_raises "empty pop_min"
+    (Invalid_argument "Heap.pop_min: empty heap") (fun () -> Heap.pop_min h);
   Heap.push h ~time:3. ~seq:0 ();
   Heap.push h ~time:1. ~seq:1 ();
-  check (Alcotest.option (Alcotest.float 0.)) "min time" (Some 1.) (Heap.peek_time h)
+  check (Alcotest.float 0.) "min time" 1. (Heap.min_time h);
+  check Alcotest.int "min_time does not pop" 2 (Heap.length h)
+
+(* The dummy-slot promise of [Heap.create]: once popped, a payload is no
+   longer reachable through the heap, while the payloads still queued are. *)
+let test_heap_popped_payload_unreachable () =
+  let h = Heap.create ~dummy:(ref (-1)) () in
+  let n = 40 in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = ref i in
+    Weak.set weak i (Some payload);
+    (* Reverse times, so the popped half is not the first half pushed. *)
+    Heap.push h ~time:(float_of_int (n - i)) ~seq:i payload
+  done;
+  for _ = 1 to n / 2 do
+    ignore (Sys.opaque_identity (Heap.pop_min h))
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "payload %d reachable iff still queued" i)
+      (i < n / 2) (Weak.check weak i)
+  done;
+  check Alcotest.int "half left" (n / 2) (Heap.length h)
 
 (* --- Engine --- *)
 
@@ -111,17 +134,225 @@ let test_engine_horizon () =
     (fun () -> Engine.run e);
   check (Alcotest.float 0.) "stopped at the horizon" 10. (Engine.now e)
 
-let test_engine_max_events () =
-  let e = Engine.create () in
-  for i = 1 to 10 do
-    Engine.schedule e ~delay:(float_of_int i) (fun () -> ())
-  done;
-  Engine.run ~max_events:3 e;
-  check Alcotest.int "seven left" 7 (Engine.pending e)
-
 let test_engine_step_empty () =
   let e = Engine.create () in
   check Alcotest.bool "step on empty" false (Engine.step e)
+
+(* --- Engine against a sorted-list reference model --- *)
+
+(* Scripts of scheduling, cancellation, timer and dispatch operations. All
+   delays are dyadic, so times add exactly and collide often: the FIFO
+   tie-break among equal times is exercised on most scripts. *)
+type op =
+  | At of float
+  | Schedule of float
+  | Chain of float * float  (* the callback schedules a follow-up *)
+  | Cancellable of float
+  | Cancel of int
+  | Arm of int * float
+  | Disarm of int
+  | Step
+  | Run_until of float
+
+let pp_op = function
+  | At d -> Printf.sprintf "at+%g" d
+  | Schedule d -> Printf.sprintf "schedule %g" d
+  | Chain (a, b) -> Printf.sprintf "chain %g %g" a b
+  | Cancellable d -> Printf.sprintf "cancellable %g" d
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Arm (i, d) -> Printf.sprintf "arm %d %g" i d
+  | Disarm i -> Printf.sprintf "disarm %d" i
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run-until+%g" d
+
+let n_timers = 3
+
+let script_arb =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.; 0.25; 0.5; 1. ] in
+  let op =
+    frequency
+      [
+        (3, map (fun d -> At d) delay);
+        (3, map (fun d -> Schedule d) delay);
+        (1, map2 (fun a b -> Chain (a, b)) delay delay);
+        (2, map (fun d -> Cancellable d) delay);
+        (2, map (fun i -> Cancel i) (int_bound 7));
+        (2, map2 (fun i d -> Arm (i, d)) (int_bound (n_timers - 1)) delay);
+        (1, map (fun i -> Disarm i) (int_bound (n_timers - 1)));
+        (3, return Step);
+        (1, map (fun d -> Run_until d) delay);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    (list_size (int_range 0 60) op)
+
+(* What a script shows: every dispatch as (callback id, clock), the queue
+   depth and [step]'s result after each operation, the final clock and the
+   dispatch count. Timer [i] logs as id [-1 - i]. *)
+type observed = {
+  log : (int * float) list;
+  depths : (int * bool) list;
+  clock : float;
+  count : int;
+}
+
+let run_engine script =
+  let e = Engine.create () in
+  let log = ref [] and depths = ref [] and next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let fire id () = log := (id, Engine.now e) :: !log in
+  let timers = Array.init n_timers (fun i -> Engine.timer e (fire (-1 - i))) in
+  let handles = ref [] in
+  List.iter
+    (fun op ->
+      let stepped =
+        match op with
+        | At d ->
+            Engine.at e ~time:(Engine.now e +. d) (fire (fresh ()));
+            false
+        | Schedule d ->
+            Engine.schedule e ~delay:d (fire (fresh ()));
+            false
+        | Chain (a, b) ->
+            let id = fresh () in
+            let id' = fresh () in
+            Engine.schedule e ~delay:a (fun () ->
+                fire id ();
+                Engine.schedule e ~delay:b (fire id'));
+            false
+        | Cancellable d ->
+            let h = Engine.schedule_cancellable e ~delay:d (fire (fresh ())) in
+            handles := !handles @ [ h ];
+            false
+        | Cancel i ->
+            (match !handles with
+            | [] -> ()
+            | hs -> Engine.cancel (List.nth hs (i mod List.length hs)));
+            false
+        | Arm (i, d) ->
+            Engine.arm timers.(i) ~delay:d;
+            false
+        | Disarm i ->
+            Engine.disarm timers.(i);
+            false
+        | Step -> Engine.step e
+        | Run_until d ->
+            Engine.run ~until:(Engine.now e +. d) e;
+            false
+      in
+      depths := (Engine.pending e, stepped) :: !depths)
+    script;
+  Engine.run e;
+  { log = List.rev !log; depths = List.rev !depths; clock = Engine.now e;
+    count = Engine.dispatched e }
+
+type entry =
+  | Plain of int
+  | Chained of int * int * float
+  | Guarded of int * int  (* handle index, callback id *)
+  | Trampoline of int
+
+let run_model script =
+  let clock = ref 0. and seq = ref 0 and count = ref 0 in
+  (* Kept sorted by (time, seq): the reference for the heap. *)
+  let queue = ref [] in
+  let push time entry =
+    let key = (time, !seq) in
+    incr seq;
+    let rec insert = function
+      | ((k, _) as x) :: rest when compare k key < 0 -> x :: insert rest
+      | l -> (key, entry) :: l
+    in
+    queue := insert !queue
+  in
+  let log = ref [] and depths = ref [] and next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let handles = ref [||] (* `Pending | `Fired | `Cancelled *) in
+  let armed = Array.make n_timers false and deadline = Array.make n_timers 0. in
+  let fire id = log := (id, !clock) :: !log in
+  let step () =
+    match !queue with
+    | [] -> false
+    | ((time, _), entry) :: rest ->
+        queue := rest;
+        clock := time;
+        incr count;
+        (match entry with
+        | Plain id -> fire id
+        | Chained (id, id', b) ->
+            fire id;
+            push (!clock +. b) (Plain id')
+        | Guarded (h, id) ->
+            if !handles.(h) = `Pending then begin
+              !handles.(h) <- `Fired;
+              fire id
+            end
+        | Trampoline i ->
+            if armed.(i) && !clock >= deadline.(i) then begin
+              armed.(i) <- false;
+              fire (-1 - i)
+            end);
+        true
+  in
+  let rec run_until until =
+    match !queue with
+    | ((time, _), _) :: _ when time <= until ->
+        ignore (step ());
+        run_until until
+    | _ -> ()
+  in
+  List.iter
+    (fun op ->
+      let stepped =
+        match op with
+        | At d | Schedule d ->
+            push (!clock +. d) (Plain (fresh ()));
+            false
+        | Chain (a, b) ->
+            let id = fresh () in
+            let id' = fresh () in
+            push (!clock +. a) (Chained (id, id', b));
+            false
+        | Cancellable d ->
+            let h = Array.length !handles in
+            handles := Array.append !handles [| `Pending |];
+            push (!clock +. d) (Guarded (h, fresh ()));
+            false
+        | Cancel i ->
+            let n = Array.length !handles in
+            if n > 0 && !handles.(i mod n) = `Pending then
+              !handles.(i mod n) <- `Cancelled;
+            false
+        | Arm (i, d) ->
+            deadline.(i) <- !clock +. d;
+            armed.(i) <- true;
+            push deadline.(i) (Trampoline i);
+            false
+        | Disarm i ->
+            armed.(i) <- false;
+            false
+        | Step -> step ()
+        | Run_until d ->
+            run_until (!clock +. d);
+            false
+      in
+      depths := (List.length !queue, stepped) :: !depths)
+    script;
+  run_until infinity;
+  { log = List.rev !log; depths = List.rev !depths; clock = !clock;
+    count = !count }
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine dispatch matches a sorted-list model"
+    ~count:500 script_arb (fun script -> run_engine script = run_model script)
 
 (* --- Network --- *)
 
@@ -412,6 +643,62 @@ let test_network_ingress_bound () =
   check Alcotest.int "no overflows when unbounded" 0
     (Network.ingress_overflows net)
 
+(* Pins [Network.send]'s random draws under a bounded ingress: the drop roll,
+   then per admitted delivery its jitter, then the duplicate roll; a
+   delivery refused at the door draws no jitter. The delivery times, the
+   overflow count and the drop count below were recorded from the original
+   closure-per-stage implementation and must not move. *)
+let test_network_rng_draw_order () =
+  let e = Engine.create () in
+  let f = Fault.create ~drop:0.15 ~duplicate:0.4 ~jitter:2e-4 ~seed:2004 () in
+  let link = Network.link ~base_latency:1e-4 ~byte_time:1e-7 in
+  let net = Network.create ~faults:f e link in
+  Network.set_ingress_limit net 3;
+  Fault.set_slow f 2 4.;
+  let log = ref [] in
+  let send i =
+    Network.send net ~src:0 ~dst:(1 + (i mod 2)) ~bytes:(10 * i) (fun () ->
+        log := (i, Engine.now e) :: !log)
+  in
+  for i = 0 to 11 do
+    send i
+  done;
+  Engine.schedule e ~delay:5e-4 (fun () ->
+      for i = 12 to 23 do
+        send i
+      done);
+  Engine.run e;
+  (* The same plan with the ingress unbounded again. *)
+  Network.set_ingress_limit net 0;
+  for i = 24 to 29 do
+    send i
+  done;
+  Engine.run e;
+  check
+    Alcotest.(list (pair int (float 0.)))
+    "seeded deliveries"
+    [
+      (2, 0x1.e9931f5ad6a9ep-14);
+      (2, 0x1.f6cb5710b917ep-13);
+      (0, 0x1.1fa808109f345p-12);
+      (3, 0x1.1506ac58459b6p-11);
+      (9, 0x1.1c1e157d9b173p-11);
+      (7, 0x1.448f99f42add8p-11);
+      (14, 0x1.47fd1551f1898p-11);
+      (12, 0x1.7bf8dbfae764p-11);
+      (12, 0x1.9d2cd9728b214p-11);
+      (26, 0x1.1b5ee060ee21cp-10);
+      (24, 0x1.207edf034bd2cp-10);
+      (27, 0x1.be228cdaba341p-10);
+      (25, 0x1.dee4d1953ff08p-10);
+      (29, 0x1.0278676420e84p-9);
+      (25, 0x1.0620abfb1274ep-9);
+    ]
+    (List.rev !log);
+  check Alcotest.int "overflows" 19 (Network.ingress_overflows net);
+  check Alcotest.int "drops" 7 (Fault.drops f);
+  check Alcotest.int "duplicates" 11 (Fault.duplicates f)
+
 let suite =
   [
     Alcotest.test_case "heap orders random input" `Quick
@@ -419,13 +706,14 @@ let suite =
     Alcotest.test_case "heap FIFO at equal times" `Quick
       test_heap_fifo_at_equal_times;
     Alcotest.test_case "heap peek" `Quick test_heap_peek;
+    Alcotest.test_case "heap drops popped payloads" `Quick
+      test_heap_popped_payload_unreachable;
     Alcotest.test_case "engine dispatch order" `Quick test_engine_dispatch_order;
     Alcotest.test_case "engine nested scheduling" `Quick
       test_engine_nested_scheduling;
     Alcotest.test_case "engine validation" `Quick test_engine_validation;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine horizon" `Quick test_engine_horizon;
-    Alcotest.test_case "engine max events" `Quick test_engine_max_events;
     Alcotest.test_case "engine step on empty" `Quick test_engine_step_empty;
     Alcotest.test_case "network latency model" `Quick test_network_latency_model;
     Alcotest.test_case "network counters" `Quick test_network_counters;
@@ -452,4 +740,7 @@ let suite =
       test_network_slow_destination;
     Alcotest.test_case "network bounded ingress" `Quick
       test_network_ingress_bound;
+    Alcotest.test_case "network RNG draw order" `Quick
+      test_network_rng_draw_order;
+    QCheck_alcotest.to_alcotest prop_engine_matches_model;
   ]

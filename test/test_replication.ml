@@ -38,6 +38,48 @@ let prop_placement =
         QCheck.Test.fail_reportf "duplicate snode";
       true)
 
+(* The full-walk placement [Placement.replicas] computed before it learned
+   to stop early: every snode sorted into out-of-group and in-group lists,
+   concatenated, then cut to [rfactor - 1] backups. *)
+let reference_replicas ~rfactor ~n ~primary ~group_snodes =
+  let norm s = ((s mod n) + n) mod n in
+  let primary = norm primary in
+  let in_group s = List.exists (fun g -> norm g = s) group_snodes in
+  let preferred = ref [] and backfill = ref [] in
+  for i = n - 1 downto 1 do
+    let s = (primary + i) mod n in
+    if in_group s then backfill := s :: !backfill
+    else preferred := s :: !preferred
+  done;
+  let rec take k = function
+    | [] -> []
+    | x :: tl -> if k <= 0 then [] else x :: take (k - 1) tl
+  in
+  primary :: take (min rfactor n - 1) (!preferred @ !backfill)
+
+let prop_placement_matches_full_walk =
+  QCheck.Test.make ~name:"placement: early stop equals the full ring walk"
+    ~count:500
+    QCheck.(
+      quad
+        (oneof [ int_range 1 12; int_range 1 300 ])
+        (int_range 1 8) (int_range (-600) 600) small_int)
+    (fun (n, rfactor, primary, salt) ->
+      let rng = Rng.of_int salt in
+      (* Unnormalised ids: negative and beyond [n], sometimes covering most
+         of a small ring so the backfill runs. *)
+      let group_snodes =
+        List.init (Rng.int rng (min n 12 + 1)) (fun _ -> Rng.int rng (4 * n) - (2 * n))
+      in
+      let got = Placement.replicas ~rfactor ~n ~primary ~group_snodes in
+      let want = reference_replicas ~rfactor ~n ~primary ~group_snodes in
+      if got <> want then
+        QCheck.Test.fail_reportf "n=%d rfactor=%d primary=%d: got %s, want %s" n
+          rfactor primary
+          (Format.asprintf "%a" Placement.pp got)
+          (Format.asprintf "%a" Placement.pp want);
+      true)
+
 let test_placement_prefers_other_groups () =
   (* Plenty of snodes outside the owner group: every backup must come from
      outside it (crash-domain diversity, the cluster model's point). *)
@@ -443,6 +485,7 @@ let test_replicated_trace_deterministic () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_placement;
+    QCheck_alcotest.to_alcotest prop_placement_matches_full_walk;
     Alcotest.test_case "placement: crash-domain diversity" `Quick
       test_placement_prefers_other_groups;
     Alcotest.test_case "placement: ring successor" `Quick
