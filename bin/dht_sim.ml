@@ -42,6 +42,11 @@ let positive_float =
     (fun x -> x > 0. && Float.is_finite x)
     Format.pp_print_float
 
+let non_negative_float =
+  checked "a finite number >= 0" float_of_string_opt
+    (fun x -> x >= 0. && Float.is_finite x)
+    Format.pp_print_float
+
 let probability =
   checked "a probability in [0, 1]" float_of_string_opt
     (fun p -> p >= 0. && p <= 1.)
@@ -96,7 +101,8 @@ let linger_arg =
      disables batching and reproduces the pre-batching message flow \
      byte-for-byte. Default: one network-latency quantum (50 µs)."
   in
-  Arg.(value & opt float default_linger & info [ "linger" ] ~docv:"S" ~doc)
+  Arg.(value & opt non_negative_float default_linger
+       & info [ "linger" ] ~docv:"S" ~doc)
 
 let csv_arg =
   let doc = "Also write the series to $(docv)." in
@@ -929,7 +935,7 @@ let chaos_cmd =
               --overload); past it the sender falls back to slow probing.")
   in
   let keys =
-    Arg.(value & opt int 600 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt positive_int 600 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs stored before the burst.")
   in
   let drop =
@@ -1093,7 +1099,7 @@ let kv_cmd =
                 the end). Exits non-zero on any finding.")
   in
   let keys =
-    Arg.(value & opt int 12 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt positive_int 12 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs written before the crash.")
   in
   let term =
@@ -1202,11 +1208,11 @@ let range_cmd =
     if !failures > 0 || Runtime.completed_ranges rt <> queries then exit 1
   in
   let keys =
-    Arg.(value & opt int 60 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt positive_int 60 & info [ "keys" ] ~docv:"K"
            ~doc:"Number of key/value pairs written before querying.")
   in
   let queries =
-    Arg.(value & opt int 20 & info [ "queries" ] ~docv:"Q"
+    Arg.(value & opt positive_int 20 & info [ "queries" ] ~docv:"Q"
            ~doc:"Random hash-interval range reads to issue and verify.")
   in
   let term =
@@ -1316,7 +1322,7 @@ let explore_cmd =
                 if nothing is found.")
   in
   let keys =
-    Arg.(value & opt int 12 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt positive_int 12 & info [ "keys" ] ~docv:"K"
            ~doc:"Keys written (then overwritten and read) by the workload.")
   in
   let grow =
@@ -1332,11 +1338,11 @@ let explore_cmd =
            ~doc:"Number of consecutive seeds to sweep.")
   in
   let rounds =
-    Arg.(value & opt int 20 & info [ "rounds" ] ~docv:"N"
+    Arg.(value & opt positive_int 20 & info [ "rounds" ] ~docv:"N"
            ~doc:"Perturbation rounds per seed.")
   in
   let max_tweaks =
-    Arg.(value & opt int 4 & info [ "max-tweaks" ] ~docv:"N"
+    Arg.(value & opt positive_int 4 & info [ "max-tweaks" ] ~docv:"N"
            ~doc:"Maximum perturbations per explored schedule.")
   in
   let out =
@@ -1350,7 +1356,7 @@ let explore_cmd =
               non-zero iff the replay fails its verifier.")
   in
   let linger_zero =
-    Arg.(value & opt float 0. & info [ "linger" ] ~docv:"S"
+    Arg.(value & opt non_negative_float 0. & info [ "linger" ] ~docv:"S"
            ~doc:
              "Transmission-batching window for the scenario (0 disables \
               batching; flush tweaks only matter when > 0).")
@@ -1597,19 +1603,19 @@ let heat_cmd =
            ~doc:"Number of distinct keys (Zipf ranks).")
   in
   let zipf_s =
-    Arg.(value & opt float 0.99 & info [ "zipf" ] ~docv:"S"
+    Arg.(value & opt non_negative_float 0.99 & info [ "zipf" ] ~docv:"S"
            ~doc:"Zipf skew exponent of the access mix.")
   in
   let ops =
-    Arg.(value & opt int 10000 & info [ "ops" ] ~docv:"N"
+    Arg.(value & opt positive_int 10000 & info [ "ops" ] ~docv:"N"
            ~doc:"Accesses issued (80% reads, 20% overwrites).")
   in
   let duration =
-    Arg.(value & opt float 2.0 & info [ "duration" ] ~docv:"S"
+    Arg.(value & opt positive_float 2.0 & info [ "duration" ] ~docv:"S"
            ~doc:"Virtual seconds the access mix is paced across.")
   in
   let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K"
+    Arg.(value & opt (at_least 0) 10 & info [ "top" ] ~docv:"K"
            ~doc:"Hot partitions shown in the report.")
   in
   let tau =
@@ -1714,7 +1720,7 @@ let balance_cmd =
            ~doc:"Number of distinct keys (Zipf ranks).")
   in
   let zipf_s =
-    Arg.(value & opt float 0.99 & info [ "zipf" ] ~docv:"S"
+    Arg.(value & opt non_negative_float 0.99 & info [ "zipf" ] ~docv:"S"
            ~doc:"Zipf skew exponent of the access mix.")
   in
   let rate =
@@ -1726,7 +1732,7 @@ let balance_cmd =
            ~doc:"Virtual seconds of paced load.")
   in
   let max_inflight =
-    Arg.(value & opt int 4 & info [ "max-inflight" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 4 & info [ "max-inflight" ] ~docv:"N"
            ~doc:
              "Per-peer window bound of the reliable layer; with the slow \
               fabric this is what makes latency respond to placement.")
@@ -2033,7 +2039,7 @@ let trace_cmd =
                 (Chrome-format traces are not analyzable).")
   in
   let top =
-    Arg.(value & opt int 5 & info [ "top" ] ~docv:"K"
+    Arg.(value & opt (at_least 0) 5 & info [ "top" ] ~docv:"K"
            ~doc:"Slowest ops whose critical paths are printed.")
   in
   let tolerance =

@@ -30,12 +30,6 @@ let default_max_hops = 4
 let max_retries = 50
 let backoff = 1e-3
 
-(* Reliable-delivery ceiling: retransmission backoff never exceeds
-   [rto_cap] (also the probe cadence of a poisoned route), and a route is
-   poisoned after [poison_after] consecutive timeouts. *)
-let rto_cap = 0.05
-let poison_after = 5
-
 (* Per-round liveness watchdog of a balancing event. *)
 let event_timeout = 1.0
 
@@ -100,52 +94,6 @@ type pending_prepare =
       r_remaining : Plan.lpdr;
     }
 
-(* Reliable-delivery state toward/from one remote snode. The sender side
-   (sequence counter, outbox of unacked messages) and the receiver side
-   (dedup window) live in one record keyed by the peer's sid. All of it is
-   modelled as durable (write-ahead-logged): a crash only kills the
-   retransmission timers, which restart re-arms from the outbox. *)
-type outmsg = {
-  o_payload : Wire.msg;
-  mutable o_attempts : int;
-  mutable o_sent : float;  (* virtual time of the last transmission *)
-  mutable o_live : bool;
-      (* inside the bounded transmission window (timer armed); [false]
-         while parked in the peer's backlog waiting for a slot *)
-  mutable o_timer : Engine.timer option;
-      (* reusable slot, allocated at the first arming; every retransmission
-         re-arms it instead of building a fresh closure + handle *)
-}
-
-type peer = {
-  mutable next_seq : int;
-  outbox : (int, outmsg) Hashtbl.t;  (* seq -> unacked message *)
-  backlog : int Queue.t;
-      (* seqs staged past the inflight window, promoted in order as acks
-         retire window entries; entries stay in [outbox] (durable) *)
-  mutable live : int;  (* outbox entries currently inside the window *)
-  mutable floor : int;  (* every seq <= floor from this peer was processed *)
-  seen : (int, unit) Hashtbl.t;  (* processed seqs above the floor *)
-  mutable suspect : bool;  (* route poisoned after repeated timeouts *)
-  mutable strikes : int;
-      (* consecutive retransmission timeouts — the route's graded suspicion
-         level; poisoning at [poison_after] is just the top of the scale,
-         and admission control reads the raw level below it *)
-  mutable srtt : float;  (* smoothed RTT (Jacobson); 0 = no sample yet *)
-  mutable rttvar : float;
-}
-
-(* Per-destination transmission-coalescing buffer: protocol messages (and
-   piggybacked acks) addressed to one peer wait here for at most one
-   linger window, then leave as a single envelope ([Wire.Batch]). Staged
-   parts are modelled as durable, like the reliable outbox they feed; only
-   the flush timer dies with a crash (restart re-arms it). *)
-type obuf = {
-  ob_dst : int;
-  mutable ob_parts : Wire.msg list;  (* newest first *)
-  mutable ob_timer : Engine.timer option;  (* created once, re-armed *)
-}
-
 (* Coordinator-side state of one in-flight quorum operation. Writes count
    distinct snodes that stored a copy (sloppy W: hinted fallbacks count);
    reads collect distinct repliers until R and resolve by LWW. *)
@@ -207,8 +155,6 @@ type snode = {
      flush is already in the reliable outbox; the entry survives until the
      target acknowledges it. *)
   hints : (int * string, slot) Hashtbl.t;
-  (* Transmission batching: one coalescing buffer per destination. *)
-  obufs : (int, obuf) Hashtbl.t;
   quorums : (int, qstate) Hashtbl.t;  (* token -> in-flight quorum op *)
   (* Monotonic write-stamp counter: the engine dispatches many events at
      one virtual instant, so [Engine.now] alone cannot order two writes
@@ -237,7 +183,6 @@ type snode = {
      fresher replica set (a quorum read through it would miss every
      up-to-date copy). Covers the whole space, like [rmap]. *)
   pfence : int Point_map.t;
-  peers : (int, peer) Hashtbl.t;
   (* Self-addressed work (routing backoffs, queued operations) that fired
      while the snode was down; drained on restart. Durable, like the rest
      of the protocol state. *)
@@ -328,11 +273,9 @@ type instruments = {
   i_ev_remove : Histogram.t;
   i_ev_balance : Histogram.t;  (* load-driven hot-partition swaps *)
   i_downtime : Histogram.t;  (* crash -> restart per recovery *)
-  i_rto : Histogram.t;  (* retransmission-timer delays as armed *)
   i_q_put : Histogram.t;  (* quorum write, issue to W-th ack *)
   i_q_get : Histogram.t;  (* quorum read, issue to R-th reply *)
   i_q_range : Histogram.t;  (* range read, issue to last leg's quorum *)
-  i_batch : Histogram.t;  (* batch occupancy: messages per envelope *)
 }
 
 (* One partition's heat accumulators: decayed access counts per traffic
@@ -351,10 +294,7 @@ type t = {
   space : Space.t;
   pmin : int;
   vmax : int;  (* group capacity; [max_int] under the global approach *)
-  rto : float;  (* initial retransmission timeout *)
-  retry_budget : int;  (* fast retransmissions per message; 0 = unlimited *)
-  adaptive_rto : bool;  (* Jacobson/Karn RTO from per-route RTT samples *)
-  max_inflight : int;  (* per-peer transmission window; 0 = unbounded *)
+  tr : Transport.t;  (* batching, reliable delivery, backpressure *)
   admission_deadline : float;  (* quorum-op shed threshold; 0 = off *)
   rfactor : int;  (* copies per partition; 1 = no replication *)
   route_cap : int;  (* routing-cache entry bound; 0 = unbounded (legacy) *)
@@ -362,7 +302,6 @@ type t = {
   rlevel : int;  (* finger level: ceil(log2 snodes), clamped to the space *)
   read_quorum : int;  (* R *)
   write_quorum : int;  (* W; R + W > rfactor *)
-  linger : float;  (* coalescing window; 0 = batching off *)
   mt_threshold : int;
       (* anti-entropy protocol switch: a span probe whose local cell count
          is <= this goes out as a legacy full-span digest; above it the
@@ -396,14 +335,8 @@ type t = {
   mutable done_puts : int;
   mutable done_gets : int;
   mutable retried : int;
-  mutable timeouts : int;
-  mutable retransmits : int;
-  mutable probes : int;  (* rate-limited retransmissions past the budget *)
   mutable sheds : int;  (* quorum ops refused by admission control *)
   mutable busy_rejections : int;  (* Busy replies settled at the origin *)
-  mutable backpressured : int;  (* messages parked by a full window *)
-  mutable reliable_msgs : int;  (* messages entered into reliable delivery *)
-  mutable outbox_peak : int;  (* deepest any peer outbox has been *)
   mutable crashes : int;
   mutable recoveries : int;
   mutable hints_stored : int;  (* cells parked on a hinted fallback *)
@@ -1023,430 +956,16 @@ let pick_span t ~hottest spans =
 (* ------------------------------------------------------------------ *)
 (* Messaging                                                            *)
 
-let peer_of sn pid =
-  match Hashtbl.find_opt sn.peers pid with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          next_seq = 0;
-          outbox = Hashtbl.create 4;
-          backlog = Queue.create ();
-          live = 0;
-          floor = -1;
-          seen = Hashtbl.create 4;
-          suspect = false;
-          strikes = 0;
-          srtt = 0.;
-          rttvar = 0.;
-        }
-      in
-      Hashtbl.add sn.peers pid p;
-      p
-
-(* One Jacobson estimator update (RFC 6298 gains). The first sample seeds
-   the estimator; Karn's rule (the caller samples only never-retransmitted
-   messages) keeps retransmission ambiguity out of it. *)
-let rtt_sample p s =
-  if p.srtt <= 0. then begin
-    p.srtt <- s;
-    p.rttvar <- s /. 2.
-  end
-  else begin
-    p.rttvar <- (0.75 *. p.rttvar) +. (0.25 *. Float.abs (p.srtt -. s));
-    p.srtt <- (0.875 *. p.srtt) +. (0.125 *. s)
-  end
-
-(* Deadline-aware admission: the time to assemble a quorum of [need] acks
-   over [set] is estimated as the [need]-th smallest per-route completion
-   estimate — a route's smoothed round trip (the configured [rto] before
-   any sample exists) scaled by its queue pressure and graded suspicion
-   level. The local replica is free. Deliberately cheap and pessimistic:
-   it reads only sender-side state the coordinator already has. *)
-let admission_estimate t sn ~set ~need =
-  let route_est sid =
-    if sid = sn.sid then 0.
-    else
-      match Hashtbl.find_opt sn.peers sid with
-      | None -> t.rto
-      | Some p ->
-          let rtt = if p.srtt > 0. then p.srtt +. (4. *. p.rttvar) else t.rto in
-          let pressure = float_of_int (Hashtbl.length p.outbox + 1) in
-          rtt *. pressure *. float_of_int (1 + p.strikes)
-  in
-  let ests = List.sort compare (List.map route_est set) in
-  let rec nth i = function
-    | [] -> infinity
-    | e :: rest -> if i <= 1 then e else nth (i - 1) rest
-  in
-  nth need ests
-
-(* Without a fault plan the network is reliable and messages flow exactly
-   as in the original runtime (same messages, same bytes, same timings).
-   With one, every remote message goes through the reliable request layer:
-   wrapped in [Req { seq }], deduplicated by [(sender, seq)] at the
-   receiver, acknowledged, and retransmitted with exponential backoff and
-   jitter until acknowledged. Routes that keep timing out are poisoned
-   (probed at the capped cadence only) until the peer answers again.
-
-   A positive linger window inserts the transmission-batching layer in
-   front of both paths: outgoing messages stage in a per-destination
-   coalescing buffer for at most one window and leave as a single
-   [Wire.Batch] envelope. Under faults the batch's protocol messages share
-   one [Req] frame — one sequence number, one retransmission timer, one
-   ack — while acks ride piggyback outside the frame (acknowledging an ack
-   would never converge). *)
-let rec send t ~src ~dst msg =
-  let msg = if t.causal then causal_wrap t ~src ~dst msg else msg in
-  (* Loopback pays no queueing layer: the edge transmits as it is sent. *)
-  if src = dst then transmit_raw t ~src ~dst msg
-  else if t.linger > 0. then stage t t.snodes.(src) ~dst msg
-  else if t.faults = None then transmit_raw t ~src ~dst msg
-  else reliable_send t t.snodes.(src) ~dst msg
-
-(* One unframed transmission of [msg], its traced edges logged as sent once. *)
-and transmit_raw t ~src ~dst msg =
-  if t.causal then emit_xmit t ~tid:src ~attempt:1 msg;
-  wire t ~src ~dst msg
-
-(* [msg] onto the simulated network, delivered to [dst]'s [receive]. *)
-and wire t ~src ~dst msg =
-  Network.send t.net ~tag:(Wire.describe msg) ~src ~dst
-    ~bytes:(Wire.size_bytes msg) (fun () ->
-      receive t t.snodes.(dst) ~from:src msg)
-
-(* ---------------- transmission batching ---------------- *)
-
-(* Stage [msg] in the coalescing buffer toward [dst]; the first part arms
-   the flush timer one linger window out. A new cumulative ack supersedes
-   any staged ack it covers, so an envelope never carries redundant
-   acks. *)
-and stage t sn ~dst msg =
-  let ob =
-    match Hashtbl.find_opt sn.obufs dst with
-    | Some ob -> ob
-    | None ->
-        let ob = { ob_dst = dst; ob_parts = []; ob_timer = None } in
-        Hashtbl.add sn.obufs dst ob;
-        ob
-  in
-  (match msg with
-  | Wire.Ack { floor; _ } ->
-      ob.ob_parts <-
-        List.filter
-          (function Wire.Ack { seq; _ } -> seq > floor | _ -> true)
-          ob.ob_parts
-  | _ -> ());
-  ob.ob_parts <- msg :: ob.ob_parts;
-  let tm =
-    match ob.ob_timer with
-    | Some tm -> tm
-    | None ->
-        let tm = Engine.timer t.engine (fun () -> flush_obuf t sn ob) in
-        ob.ob_timer <- Some tm;
-        tm
-  in
-  if not (Engine.armed tm) then Engine.arm tm ~delay:t.linger
-
-(* Everything staged toward one destination leaves as one envelope: raw on
-   a reliable network; under faults the protocol parts share one [Req]
-   frame and the piggybacked acks travel outside it, unreliably (a lost
-   ack just provokes one more retransmission). If the flush timer somehow
-   fires on a crashed snode the parts stay staged — restart re-arms. *)
-and flush_obuf t sn ob =
-  if sn.alive then
-    match List.rev ob.ob_parts with
-    | [] -> ()
-    | parts -> (
-        ob.ob_parts <- [];
-        let dst = ob.ob_dst in
-        if t.faults = None then send_coalesced t sn ~dst parts
-        else
-          let acks, protos =
-            List.partition (function Wire.Ack _ -> true | _ -> false) parts
-          in
-          match protos with
-          | [] -> send_coalesced t sn ~dst acks
-          | [ payload ] -> reliable_send ~acks t sn ~dst payload
-          | protos -> reliable_send ~acks t sn ~dst (Wire.Batch protos))
-
-(* Send [parts] toward [dst] without reliability framing: a lone message
-   goes as itself, several coalesce into one [Wire.Batch]. *)
-and send_coalesced t sn ~dst parts =
-  match parts with
-  | [] -> ()
-  | [ msg ] -> transmit_raw t ~src:sn.sid ~dst msg
-  | parts ->
-      if t.causal then
-        List.iter (emit_xmit t ~tid:sn.sid ~attempt:1) parts;
-      let alone =
-        List.fold_left (fun acc m -> acc + Wire.size_bytes m) 0 parts
-      in
-      emit_batch t sn ~dst ~parts:(List.length parts) ~alone
-        (Wire.Batch parts)
-
-(* One coalesced envelope onto the wire, with batching telemetry: [alone]
-   is what the [parts] messages would have cost sent separately. *)
-and emit_batch t sn ~dst ~parts ~alone msg =
-  let bytes = Wire.size_bytes msg in
-  Network.send t.net ~tag:(Wire.describe msg) ~src:sn.sid ~dst ~bytes
-    (fun () -> receive t t.snodes.(dst) ~from:sn.sid msg);
-  Network.account_batch t.net ~parts ~saved:(max 0 (alone - bytes));
-  match t.instr with
-  | Some i -> Histogram.observe i.i_batch (float_of_int parts)
-  | None -> ()
-
-(* ---------------- reliable delivery ---------------- *)
-
-and reliable_send ?(acks = []) t sn ~dst msg =
-  let p = peer_of sn dst in
-  let seq = p.next_seq in
-  p.next_seq <- seq + 1;
-  t.reliable_msgs <- t.reliable_msgs + 1;
-  let entry =
-    { o_payload = msg; o_attempts = 0; o_sent = 0.; o_live = false;
-      o_timer = None }
-  in
-  Hashtbl.add p.outbox seq entry;
-  let depth = Hashtbl.length p.outbox in
-  if depth > t.outbox_peak then t.outbox_peak <- depth;
-  if t.max_inflight > 0 && p.live >= t.max_inflight then begin
-    (* Window full: backpressure. The entry stays durably in the outbox
-       but pays no transmission and arms no timer until an ack retires a
-       window entry and promotes it. Piggybacked acks are unreliable and
-       must not wait — let them go now. *)
-    t.backpressured <- t.backpressured + 1;
-    Queue.add seq p.backlog;
-    if acks <> [] then send_coalesced t sn ~dst acks
-  end
-  else begin
-    entry.o_live <- true;
-    p.live <- p.live + 1;
-    if p.suspect then begin
-      (* Poisoned route: do not pay the immediate transmission, probe at the
-         capped cadence; an ack (or any traffic from the peer) flushes the
-         whole outbox at once. *)
-      if acks <> [] then send_coalesced t sn ~dst acks;
-      arm_retransmit t sn ~dst ~seq entry ~delay:rto_cap
-    end
-    else transmit ~acks t sn ~dst ~seq entry
-  end
-
-and transmit ?(acks = []) ?(probe = false) t sn ~dst ~seq entry =
-  entry.o_attempts <- entry.o_attempts + 1;
-  entry.o_sent <- Engine.now t.engine;
-  if entry.o_attempts > 1 then begin
-    if probe then t.probes <- t.probes + 1
-    else t.retransmits <- t.retransmits + 1;
-    if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
-        ~name:(if probe then "retry.probe" else "retransmit")
-        [
-          ("dst", Trace.Int dst);
-          ("seq", Trace.Int seq);
-          ("attempt", Trace.Int entry.o_attempts);
-        ]
-  end;
-  let frame = Wire.Req { seq; payload = entry.o_payload } in
-  if t.causal then emit_xmit t ~tid:sn.sid ~attempt:entry.o_attempts frame;
-  let nparts =
-    (match entry.o_payload with Wire.Batch l -> List.length l | _ -> 1)
-    + List.length acks
-  in
-  if nparts = 1 then wire t ~src:sn.sid ~dst frame
-  else begin
-    (* Unbatched, each protocol part would have paid its own [Req] frame
-       and each ack its own envelope. *)
-    let alone =
-      List.fold_left
-        (fun acc a -> acc + Wire.size_bytes a)
-        (match entry.o_payload with
-        | Wire.Batch l ->
-            List.fold_left
-              (fun acc m ->
-                acc + Wire.size_bytes (Wire.Req { seq; payload = m }))
-              0 l
-        | m -> Wire.size_bytes (Wire.Req { seq; payload = m }))
-        acks
-    in
-    let outer =
-      match acks with [] -> frame | _ -> Wire.Batch (acks @ [ frame ])
-    in
-    emit_batch t sn ~dst ~parts:nparts ~alone outer
-  end;
-  arm_retransmit t sn ~dst ~seq entry ~delay:(rto_for t sn ~dst entry.o_attempts)
-
-and rto_for t sn ~dst attempts =
-  (* Exponential backoff with multiplicative jitter, capped. The adaptive
-     path replaces the fixed [rto] base with the route's Jacobson estimate
-     (SRTT + 4·RTTVAR, floored at [rto]) once a sample exists, so a route
-     whose true round trip exceeds the configured ladder stops provoking
-     spurious retransmissions. Exactly one RNG draw either way, keeping
-     faulty schedules bit-identical when the feature is off. *)
-  let exp = float_of_int (min (attempts - 1) 16) in
-  let rto0 =
-    if not t.adaptive_rto then t.rto
-    else
-      let p = peer_of sn dst in
-      if p.srtt > 0. then Float.max t.rto (p.srtt +. (4. *. p.rttvar))
-      else t.rto
-  in
-  let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
-  base *. (1. +. (0.5 *. Rng.float sn.rng))
-
-and arm_retransmit t sn ~dst ~seq entry ~delay =
-  (match t.instr with
-  | Some i -> Histogram.observe i.i_rto delay
-  | None -> ());
-  (* One timer slot per outbox entry, allocated at the first arming and
-     re-armed for every retransmission — no fresh closure per attempt. *)
-  let tm =
-    match entry.o_timer with
-    | Some tm -> tm
-    | None ->
-        let tm =
-          Engine.timer t.engine (fun () -> on_rto t sn ~dst ~seq entry)
-        in
-        entry.o_timer <- Some tm;
-        tm
-  in
-  Engine.arm tm ~delay
-
-and on_rto t sn ~dst ~seq entry =
-  (* Timer fired with the message still unacknowledged. A crashed sender's
-     timers are cancelled; restart re-arms them from the (durable) outbox,
-     so the alive check is belt-and-braces. *)
-  if sn.alive && Hashtbl.mem (peer_of sn dst).outbox seq then begin
-    t.timeouts <- t.timeouts + 1;
-    let p = peer_of sn dst in
-    p.strikes <- p.strikes + 1;
-    if (not p.suspect) && p.strikes >= poison_after then begin
-      p.suspect <- true;
-      if Trace.enabled t.trace then
-        Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
-          ~name:"route.poisoned"
-          [ ("dst", Trace.Int dst); ("strikes", Trace.Int p.strikes) ];
-      Log.debug (fun m ->
-          m "snode %d: route to snode %d poisoned after %d timeouts" sn.sid
-            dst p.strikes)
-    end;
-    (* Retry budget: past it, further retransmissions become rate-limited
-       probes — still sent (a silently-restarted peer must eventually hear
-       the message) but at the capped cadence only and counted apart, so
-       a retry storm's amplification stays bounded by construction. *)
-    let probe = t.retry_budget > 0 && entry.o_attempts > t.retry_budget in
-    transmit ~probe t sn ~dst ~seq entry
-  end
-
-and on_ack t sn ~from ~seq ~floor =
-  let p = peer_of sn from in
-  let answered = ref false in
-  let retire s =
-    match Hashtbl.find_opt p.outbox s with
-    | None -> ()  (* duplicate ack *)
-    | Some entry ->
-        Hashtbl.remove p.outbox s;
-        (match entry.o_timer with Some tm -> Engine.disarm tm | None -> ());
-        if entry.o_live then begin
-          entry.o_live <- false;
-          p.live <- p.live - 1
-        end;
-        (* Karn's rule: only a never-retransmitted message yields an
-           unambiguous RTT sample. *)
-        if t.adaptive_rto && entry.o_attempts = 1 then
-          rtt_sample p (Engine.now t.engine -. entry.o_sent);
-        answered := true
-  in
-  retire seq;
-  (* Cumulative: the peer has processed every seq up to [floor], so also
-     retire older entries whose own ack was lost. *)
-  Hashtbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc) p.outbox []
-  |> List.iter retire;
-  if !answered then begin
-    peer_answered t sn ~pid:from;
-    refill_window t sn ~pid:from
-  end
-
-(* Acks freed window slots: promote backlogged messages in issue order.
-   Entries retired while waiting (a cumulative ack can cover them) are
-   skipped. *)
-and refill_window t sn ~pid =
-  if t.max_inflight > 0 then begin
-    let p = peer_of sn pid in
-    while p.live < t.max_inflight && not (Queue.is_empty p.backlog) do
-      let seq = Queue.pop p.backlog in
-      match Hashtbl.find_opt p.outbox seq with
-      | None -> ()
-      | Some entry ->
-          entry.o_live <- true;
-          p.live <- p.live + 1;
-          if p.suspect then
-            arm_retransmit t sn ~dst:pid ~seq entry ~delay:rto_cap
-          else transmit t sn ~dst:pid ~seq entry
-    done
-  end
-
-(* Any message from a peer proves it alive: clear the strikes and, if the
-   route was poisoned, retry everything still inside the window for it
-   immediately (backlogged entries keep waiting for a slot). *)
-and peer_answered t sn ~pid =
-  let p = peer_of sn pid in
-  p.strikes <- 0;
-  if p.suspect then begin
-    p.suspect <- false;
-    Log.debug (fun m ->
-        m "snode %d: snode %d answered; flushing %d queued messages" sn.sid
-          pid (Hashtbl.length p.outbox));
-    Hashtbl.fold
-      (fun seq e acc -> if e.o_live then (seq, e) :: acc else acc)
-      p.outbox []
-    |> List.sort compare
-    |> List.iter (fun (seq, e) ->
-           (match e.o_timer with Some tm -> Engine.disarm tm | None -> ());
-           transmit t sn ~dst:pid ~seq e)
-  end
-
-(* Every network delivery lands here: a down snode absorbs everything (the
-   sender keeps retransmitting), link-layer frames are unwrapped and
-   deduplicated, protocol messages go to [handle]. *)
-and receive t sn ~from msg =
-  if sn.alive then
-    match msg with
-    | Wire.Batch parts ->
-        (* Coalesced envelope: parts are processed in issue order, so
-           per-(src, dst) FIFO is preserved through batching. *)
-        List.iter (fun part -> receive t sn ~from part) parts
-    | Wire.Ack { seq; floor } -> on_ack t sn ~from ~seq ~floor
-    | Wire.Req { seq; payload } ->
-        let p = peer_of sn from in
-        let fresh = seq > p.floor && not (Hashtbl.mem p.seen seq) in
-        if fresh then begin
-          Hashtbl.replace p.seen seq ();
-          while Hashtbl.mem p.seen (p.floor + 1) do
-            Hashtbl.remove p.seen (p.floor + 1);
-            p.floor <- p.floor + 1
-          done
-        end;
-        (* Always (re-)acknowledge — the previous ack may have been lost —
-           and cumulatively, with the floor advanced by this very frame.
-           With a linger window the ack stages toward the peer and rides
-           the next envelope out, usually alongside the replies the
-           payload provokes just below. *)
-        let ack = Wire.Ack { seq; floor = p.floor } in
-        if t.linger > 0. then stage t sn ~dst:from ack
-        else wire t ~src:sn.sid ~dst:from ack;
-        peer_answered t sn ~pid:from;
-        if fresh then begin
-          match payload with
-          | Wire.Batch parts ->
-              List.iter (fun part -> handle t sn ~from part) parts
-          | payload -> handle t sn ~from payload
-        end
-    | msg -> handle t sn ~from msg
+(* Every protocol message leaves through the transport (batching,
+   reliable delivery, backpressure: {!Transport}), which hands each fresh
+   message to [handle] at its destination. *)
+let send t ~src ~dst msg =
+  Transport.send t.tr ~src ~dst
+    (if t.causal then causal_wrap t ~src ~dst msg else msg)
 
 (* Process a message locally, as if self-delivered. Work addressed to a
    down snode is parked (durably) and drained on restart. *)
-and deliver_local t sn msg =
+let rec deliver_local t sn msg =
   if sn.alive then handle t sn ~from:sn.sid msg
   else
     (* Park as a traced self-edge when an op context is ambient: the drain
@@ -1664,7 +1183,8 @@ and admit t sn ~group msg ~gone start =
 and admit_quorum t sn ~token ~origin ~set ~need =
   if
     t.admission_deadline > 0.
-    && admission_estimate t sn ~set ~need > t.admission_deadline
+    && Transport.admission_estimate t.tr ~src:sn.sid ~set ~need
+       > t.admission_deadline
   then begin
     t.sheds <- t.sheds + 1;
     if Trace.enabled t.trace then
@@ -1818,7 +1338,7 @@ and qput_deadline t sn q =
   if Hashtbl.mem sn.quorums q.q_token then
     if q.q_done then qput_finalize sn q
     else begin
-      t.timeouts <- t.timeouts + 1;
+      Transport.note_timeout t.tr;
       if Trace.enabled t.trace then
         Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
           ~name:"repl.qput.abort" [ ("token", Trace.Int q.q_token) ];
@@ -2211,7 +1731,7 @@ and arm_watchdog t sn ev st =
            (fun () ->
              if Hashtbl.mem sn.events ev then begin
                if sn.alive then begin
-                 t.timeouts <- t.timeouts + 1;
+                 Transport.note_timeout t.tr;
                  Log.debug (fun m ->
                      m
                        "snode %d: event %d round timeout (%d acks, %d \
@@ -3063,7 +2583,7 @@ and handle t sn ~from msg =
   | Wire.Lb_swap { event; hot; from_vnode; to_vnode } ->
       apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode
   | Wire.Req _ | Wire.Ack _ | Wire.Batch _ ->
-      (* Unwrapped in [receive]; reaching the protocol layer is a bug. *)
+      (* Unwrapped by [Transport]; reaching the protocol layer is a bug. *)
       failwith "Runtime: link-layer frame in protocol handler"
 
 (* ------------------------------------------------------------------ *)
@@ -3090,10 +2610,11 @@ let pending_touches sn gid =
     sn.pendings false
 
 (* Crash-stop: the snode absorbs every delivery until restart. Protocol
-   state (vnode data, LPDR copies, prepared events, reliable-layer outbox
-   and dedup window) is modelled as durable — the classic 2PC stable log —
-   so only genuinely volatile state dies: retransmission timers, route
-   suspicions, and the routing cache (rebuilt on restart). *)
+   state (vnode data, LPDR copies, prepared events, the transport's
+   outboxes and dedup windows) is modelled as durable — the classic 2PC
+   stable log — so only genuinely volatile state dies: transport timers,
+   route suspicions and RTT estimates, and the routing cache (rebuilt on
+   restart). *)
 let crash_snode t sid =
   let sn = t.snodes.(sid) in
   if sn.alive then begin
@@ -3103,25 +2624,7 @@ let crash_snode t sid =
     if Trace.enabled t.trace then
       Trace.instant t.trace ~ts:sn.down_since ~tid:sid ~name:"crash" [];
     (match t.faults with Some f -> Fault.set_down f sid | None -> ());
-    Hashtbl.iter
-      (fun _ p ->
-        p.suspect <- false;
-        p.strikes <- 0;
-        (* RTT estimates are soft state, like suspicions. *)
-        p.srtt <- 0.;
-        p.rttvar <- 0.;
-        Hashtbl.iter
-          (fun _ e ->
-            (match e.o_timer with Some tm -> Engine.disarm tm | None -> ());
-            e.o_attempts <- 0)
-          p.outbox)
-      sn.peers;
-    (* Coalescing buffers are durable (pre-outbox staging) but their flush
-       timers are not; restart re-arms them. *)
-    Hashtbl.iter
-      (fun _ ob ->
-        match ob.ob_timer with Some tm -> Engine.disarm tm | None -> ())
-      sn.obufs;
+    Transport.crash t.tr sid;
     (* Heat cells of the partitions this snode owns are soft state too: a
        restarted snode re-learns its load rather than acting on pre-crash
        history (same contract as the RTT estimators). The table may hold
@@ -3174,34 +2677,8 @@ let restart_snode t sid =
     Vtbl.iter
       (fun vid v -> List.iter (fun s -> cache_learn t sn s vid) v.spans)
       sn.locals;
-    (* Re-arm retransmission for everything still unacknowledged. With a
-       bounded window the whole outbox re-enters through the backlog so
-       the restart burst respects the window too. *)
-    Hashtbl.iter
-      (fun pid p ->
-        if t.max_inflight = 0 then
-          Hashtbl.fold (fun seq e acc -> (seq, e) :: acc) p.outbox []
-          |> List.sort compare
-          |> List.iter (fun (seq, e) -> transmit t sn ~dst:pid ~seq e)
-        else begin
-          Queue.clear p.backlog;
-          p.live <- 0;
-          Hashtbl.iter (fun _ e -> e.o_live <- false) p.outbox;
-          Hashtbl.fold (fun seq _ acc -> seq :: acc) p.outbox []
-          |> List.sort compare
-          |> List.iter (fun seq -> Queue.add seq p.backlog);
-          refill_window t sn ~pid
-        end)
-      sn.peers;
-    (* Flush timers died with the crash; anything still staged goes out
-       one linger window from now. *)
-    Hashtbl.iter
-      (fun _ ob ->
-        if ob.ob_parts <> [] then
-          match ob.ob_timer with
-          | Some tm -> Engine.arm tm ~delay:t.linger
-          | None -> ())
-      sn.obufs;
+    (* Re-send everything unacknowledged and re-arm staged flushes. *)
+    Transport.restart t.tr sid;
     (* Replay self-addressed work that fired while down. *)
     while not (Queue.is_empty sn.parked) do
       deliver_local t sn (Queue.pop sn.parked)
@@ -3251,11 +2728,7 @@ let lb_refresh_summary t sn =
   let partitions =
     Vtbl.fold (fun _ v acc -> acc + List.length v.spans) sn.locals 0
   in
-  let queue =
-    Hashtbl.fold
-      (fun _ p acc -> acc + Hashtbl.length p.outbox + Queue.length p.backlog)
-      sn.peers 0
-  in
+  let queue = Transport.queue_depth t.tr sn.sid in
   sn.lb_version <- sn.lb_version + 1;
   let s =
     Balance.Summary.make ~origin:sn.sid ~version:sn.lb_version ~heat ~queue
@@ -3459,7 +2932,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   let heat = heat || balance <> None in
   if not (Params.is_power_of_two pmin) then
     invalid_arg "Runtime.create: pmin must be a power of two";
-  if rto <= 0. || rto > rto_cap then
+  if rto <= 0. || rto > Transport.rto_cap then
     invalid_arg "Runtime.create: rto must lie in (0, 50 ms]";
   if retry_budget < 0 then invalid_arg "Runtime.create: retry_budget < 0";
   if max_inflight < 0 then invalid_arg "Runtime.create: max_inflight < 0";
@@ -3514,15 +2987,10 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
             i_ev_balance =
               lat ~labels:[ ("kind", "balance") ] "runtime.2pc.event";
             i_downtime = lat "runtime.recovery.downtime";
-            i_rto = lat "runtime.rto.delay";
             i_q_put = lat ~labels:[ ("op", "put") ] "runtime.quorum.latency";
             i_q_get = lat ~labels:[ ("op", "get") ] "runtime.quorum.latency";
             i_q_range =
               lat ~labels:[ ("op", "range") ] "runtime.quorum.latency";
-            (* Batch occupancy is a small count, like hops. *)
-            i_batch =
-              Registry.histogram reg ~lo:1.0 ~growth:2.0 ~bins:10
-                "runtime.batch.occupancy";
           }
   in
   let replicas0 =
@@ -3551,8 +3019,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
         pendings = Hashtbl.create 8;
         stashed = Hashtbl.create 8;
         gepochs = Gtbl.create 8;
-        peers = Hashtbl.create 8;
-        obufs = Hashtbl.create 8;
         parked = Queue.create ();
         lb_view = Balance.Gossip.create ();
         lb_dir = Balance.Directory.create ();
@@ -3591,6 +3057,21 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   Gtbl.replace sn0.lpdrs Group_id.root
     { level = level0; epoch = 0; counts = [ (first, pmin) ] };
   Gtbl.replace sn0.gepochs Group_id.root 0;
+  (* Causal propagation changes wire bytes (the Traced wrapper), so it is
+     opt-in on top of tracing rather than implied by it: a plain trace must
+     observe the exact schedule an untraced run produces. *)
+  let causal = causal && Trace.enabled trace in
+  (* The transport hands messages up to [handle] (and traced edges to
+     [emit_xmit]), which need the runtime built around it: tie the knot. *)
+  let self = ref None in
+  let rt () = Option.get !self in
+  let xmit ~tid ~attempt msg = emit_xmit (rt ()) ~tid ~attempt msg in
+  let deliver ~dst ~from msg = handle (rt ()) snodes_arr.(dst) ~from msg in
+  let tr =
+    Transport.create engine net ~rngs:(Array.map (fun sn -> sn.rng) snodes_arr)
+      ~rto ~retry_budget ~adaptive_rto ~max_inflight ~linger ~metrics ~trace
+      ~xmit:(if causal then Some xmit else None) ~deliver
+  in
   let t =
     {
       engine;
@@ -3599,10 +3080,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       space;
       pmin;
       vmax;
-      rto;
-      retry_budget;
-      adaptive_rto;
-      max_inflight;
+      tr;
       admission_deadline;
       rfactor;
       route_cap;
@@ -3610,16 +3088,12 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
       read_quorum;
       write_quorum;
-      linger;
       mt_threshold;
       mt_leaf;
       bootstrap = (spans0, first);
       instr;
       trace;
-      (* Causal propagation changes wire bytes (the Traced wrapper), so it
-         is opt-in on top of tracing rather than implied by it: a plain
-         trace must observe the exact schedule an untraced run produces. *)
-      causal = causal && Trace.enabled trace;
+      causal;
       cur = None;
       next_span = 0;
       op_roots = Hashtbl.create 64;
@@ -3638,14 +3112,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       done_puts = 0;
       done_gets = 0;
       retried = 0;
-      timeouts = 0;
-      retransmits = 0;
-      probes = 0;
       sheds = 0;
       busy_rejections = 0;
-      backpressured = 0;
-      reliable_msgs = 0;
-      outbox_peak = 0;
       crashes = 0;
       recoveries = 0;
       hints_stored = 0;
@@ -3677,6 +3145,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       recorder = None;
     }
   in
+  self := Some t;
   (* Crash-stop/restart schedule from the fault plan. Every crash must come
      with a restart or retransmission toward the dead snode never ends. *)
   (match faults with
@@ -3712,11 +3181,12 @@ let stats t =
     | None -> (0, 0)
     | Some f -> (Fault.drops f, Fault.duplicates f)
   in
+  let c = Transport.counters t.tr in
   {
     drops;
     duplicates;
-    timeouts = t.timeouts;
-    retransmits = t.retransmits;
+    timeouts = c.timeouts;
+    retransmits = c.retransmits;
     crashes = t.crashes;
     recoveries = t.recoveries;
   }
@@ -3733,40 +3203,21 @@ type overload_stats = {
 }
 
 let overload_stats (t : t) =
+  let c = Transport.counters t.tr in
   {
     sheds = t.sheds;
     busy_rejections = t.busy_rejections;
-    probes = t.probes;
-    backpressured = t.backpressured;
-    reliable_messages = t.reliable_msgs;
-    outbox_peak = t.outbox_peak;
+    probes = c.probes;
+    backpressured = c.backpressured;
+    reliable_messages = c.reliable_msgs;
+    outbox_peak = c.outbox_peak;
     ingress_overflows = Network.ingress_overflows t.net;
     ingress_peak = Network.max_ingress_high_water t.net;
   }
 
 (* Bounded-queue audit: the structural invariants of the degradation layer.
    Cheap enough to run at every explorer step. *)
-let queue_audit t =
-  let issues = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
-  Array.iter
-    (fun sn ->
-      Hashtbl.iter
-        (fun pid p ->
-          let live =
-            Hashtbl.fold
-              (fun _ e acc -> if e.o_live then acc + 1 else acc)
-              p.outbox 0
-          in
-          if live <> p.live then
-            fail "snode %d -> %d: window accounting drift (%d counted, %d live)"
-              sn.sid pid p.live live;
-          if t.max_inflight > 0 && p.live > t.max_inflight then
-            fail "snode %d -> %d: %d in flight exceeds the window of %d"
-              sn.sid pid p.live t.max_inflight)
-        sn.peers)
-    t.snodes;
-  List.rev !issues
+let queue_audit t = Transport.audit t.tr
 
 type repl_stats = {
   hints_stored : int;
@@ -3836,37 +3287,12 @@ let heat_rows t =
                hr_repl_count = Heat.count e.h_repl;
              })
 
-type peer_sample = {
-  ps_observer : int;
-  ps_peer : int;
-  ps_srtt : float;
-  ps_rttvar : float;
-  ps_strikes : int;
-  ps_suspect : bool;
-  ps_outbox : int;
-  ps_backlog : int;
+type peer_sample = Transport.peer_sample = {
+  ps_observer : int; ps_peer : int; ps_srtt : float; ps_rttvar : float;
+  ps_strikes : int; ps_suspect : bool; ps_outbox : int; ps_backlog : int;
 }
 
-(* Every observer's link-estimator state toward every peer it has talked
-   to, in deterministic (observer, peer) order — the health scorer's
-   input, sampled live (mid-run snapshots see gray failures the end-of-run
-   state has already forgotten). *)
-let peer_samples t =
-  Array.to_list t.snodes
-  |> List.concat_map (fun sn ->
-         Hashtbl.fold (fun pid p acc -> (pid, p) :: acc) sn.peers []
-         |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-         |> List.map (fun (pid, p) ->
-                {
-                  ps_observer = sn.sid;
-                  ps_peer = pid;
-                  ps_srtt = p.srtt;
-                  ps_rttvar = p.rttvar;
-                  ps_strikes = p.strikes;
-                  ps_suspect = p.suspect;
-                  ps_outbox = Hashtbl.length p.outbox;
-                  ps_backlog = Queue.length p.backlog;
-                }))
+let peer_samples t = Transport.peer_samples t.tr
 
 (* ------------------------------------------------------------------ *)
 (* Load-balancer exports                                                *)
@@ -3958,12 +3384,13 @@ let record_metrics t reg =
   c "runtime.crashes" s.crashes;
   c "runtime.recoveries" s.recoveries;
   c "runtime.retries" t.retried;
-  c "runtime.retry.probes" t.probes;
-  c "runtime.reliable_messages" t.reliable_msgs;
+  let tc = Transport.counters t.tr in
+  c "runtime.retry.probes" tc.probes;
+  c "runtime.reliable_messages" tc.reliable_msgs;
   c "runtime.admission.shed" t.sheds;
   c "runtime.admission.busy" t.busy_rejections;
-  c "runtime.backpressured" t.backpressured;
-  g "runtime.outbox.peak" (float_of_int t.outbox_peak);
+  c "runtime.backpressured" tc.backpressured;
+  g "runtime.outbox.peak" (float_of_int tc.outbox_peak);
   c "net.ingress.overflows" (Network.ingress_overflows t.net);
   g "net.ingress.peak" (float_of_int (Network.max_ingress_high_water t.net));
   c "runtime.repl.hint.stored" t.hints_stored;
@@ -3981,10 +3408,7 @@ let record_metrics t reg =
   c "runtime.route.cache.evictions" t.rc_evictions;
   c "runtime.route.refreshes" t.route_refreshes;
   g "runtime.route.cache.entries"
-    (float_of_int
-       (Array.fold_left
-          (fun acc sn -> acc + Point_map.cardinal sn.cache)
-          0 t.snodes));
+    (float_of_int (route_cache_stats t).rcs_entries);
   g "runtime.route.cache.peak" (float_of_int t.rc_peak);
   g "runtime.route.hops.peak" (float_of_int t.hops_peak);
   c ~labels:[ ("op", "create") ] "runtime.ops" t.done_creations;
@@ -4320,22 +3744,7 @@ let vmax t = t.vmax
 let set_on_commit t f = t.on_commit <- f
 let set_recorder t f = t.recorder <- f
 
-(* Force every live snode's coalescing buffers onto the wire now, in
-   (snode, destination) order — deterministic, so a schedule explorer can
-   inject flush points without perturbing the numbering of later decision
-   sites between runs. *)
-let flush_lingering t =
-  Array.iter
-    (fun sn ->
-      if sn.alive then
-        Hashtbl.fold (fun dst ob acc -> (dst, ob) :: acc) sn.obufs []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.iter (fun (_, ob) ->
-               (match ob.ob_timer with
-               | Some tm -> Engine.disarm tm
-               | None -> ());
-               flush_obuf t sn ob))
-    t.snodes
+let flush_lingering t = Transport.flush_lingering t.tr
 
 (* A [View] is the cluster's logical state as pure, canonically-ordered
    data: what the paper's invariants and the schedule-transparency tests

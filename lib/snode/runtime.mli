@@ -82,7 +82,8 @@ val create :
     unbounded (still counted by {!retries}).
 
     Passing [faults] arms the robustness layer: every remote message is
-    carried by a reliable request layer (sequence numbers, acknowledgement,
+    carried by the reliable request layer of {!Transport} (sequence
+    numbers, acknowledgement,
     deduplication, retransmission with exponential backoff from [rto]
     (default 1 ms, at most 50 ms) up to a constant 50 ms cap); a route
     suffering 5 consecutive timeouts (a constant) is poisoned — new
@@ -95,7 +96,10 @@ val create :
     same clock, same random draws.
 
     The graceful-degradation knobs all default to off, leaving the legacy
-    behaviour bit-for-bit intact. [retry_budget] (default 0: unlimited)
+    behaviour bit-for-bit intact. [rto], [retry_budget], [adaptive_rto],
+    [max_inflight] and [linger] configure {!Transport}, which owns the
+    batching, reliable-delivery and backpressure state they govern.
+    [retry_budget] (default 0: unlimited)
     caps the fast retransmissions of any one reliable message: past the
     budget further attempts still go out — a silently-restarted peer must
     eventually hear the message — but only at the 50 ms cap cadence, and
@@ -144,7 +148,7 @@ val create :
     when [rfactor > 1], fans out to every snode.
 
     [linger] (default 0: batching off, byte-identical to the original
-    message flow) arms transmission batching: every remote message stages
+    message flow) arms {!Transport}'s batching: every remote message stages
     in a per-destination coalescing buffer for at most [linger] seconds of
     virtual time and leaves as a single {!Wire.Batch} envelope, amortizing
     the fixed envelope cost. Per-(src, dst) delivery order is preserved —

@@ -1,0 +1,130 @@
+(** Snode-to-snode transport: transmission batching, reliable delivery and
+    backpressure between the snodes of one cluster, over a simulated
+    {!Dht_event_sim.Network}. The runtime above it only sends protocol
+    messages and receives fresh ones through the [deliver] function given
+    at {!create}; every link-layer concern lives here:
+
+    - {b batching}: with a positive [linger], remote messages stage in a
+      per-destination coalescing buffer for at most one window and leave
+      as a single {!Wire.Batch} envelope; per-(src, dst) order is kept;
+    - {b reliable delivery}: when the network has a fault plan, every
+      remote message is framed in a {!Wire.Req} with a per-peer sequence
+      number, deduplicated at the receiver, acknowledged cumulatively
+      ({!Wire.Ack}) and retransmitted with capped exponential backoff and
+      jitter until acknowledged. Under batching the protocol parts of one
+      envelope share one frame and the acks ride outside it. A route with
+      5 consecutive timeouts is poisoned: probed at the 50 ms cap only
+      until the peer answers;
+    - {b backpressure}: a positive [max_inflight] bounds each peer's
+      transmission window; excess messages wait in a backlog and promote
+      in issue order as acks retire window entries;
+    - a retry budget (fast retransmissions per message, then rate-limited
+      probes) and an adaptive, Jacobson/Karn RTO per route.
+
+    Without a fault plan remote messages go unframed, so a fault-free run
+    pays no sequence numbers, acks or timers. Outboxes, dedup windows and
+    staged parts model durable state; timers, route suspicions and RTT
+    estimates die with a {!crash}. *)
+
+module Engine = Dht_event_sim.Engine
+module Network = Dht_event_sim.Network
+
+type t
+
+val rto_cap : float
+(** Ceiling of every retransmission delay, and the probe cadence of a
+    poisoned route: 50 ms. *)
+
+val create :
+  Engine.t ->
+  Network.t ->
+  rngs:Dht_prng.Rng.t array ->
+  rto:float ->
+  retry_budget:int ->
+  adaptive_rto:bool ->
+  max_inflight:int ->
+  linger:float ->
+  metrics:Dht_telemetry.Registry.t option ->
+  trace:Dht_telemetry.Trace.t ->
+  xmit:(tid:int -> attempt:int -> Wire.msg -> unit) option ->
+  deliver:(dst:int -> from:int -> Wire.msg -> unit) ->
+  t
+(** [create engine net ~rngs ...] connects one endpoint per element of
+    [rngs] (endpoint [i] is snode [i]; retransmission jitter draws from
+    [rngs.(i)]). Messages are framed for reliable delivery exactly when
+    [net] has a fault plan ({!Network.faults}). [rto] is the initial
+    retransmission timeout, [retry_budget] the fast retransmissions per
+    message (0: unlimited), [adaptive_rto] arms per-route Jacobson/Karn
+    estimates, [max_inflight] bounds each peer's window (0: unbounded)
+    and [linger] is the coalescing window (0: batching off); the runtime
+    validates them ({!Runtime.create}). With [metrics], the histograms
+    [runtime.rto.delay] and [runtime.batch.occupancy] are registered. With
+    an enabled [trace], [retransmit]/[retry.probe]/[route.poisoned]
+    instants are emitted. [xmit], when given, is called once per actual
+    transmission of every message (each part of an envelope, each
+    attempt of a frame). [deliver ~dst ~from msg] receives every fresh
+    protocol message at snode [dst], once, in per-(src, dst) send order
+    on a fault-free network. *)
+
+val send : t -> src:int -> dst:int -> Wire.msg -> unit
+(** Send a protocol message. [src = dst] is a loopback delivery that
+    skips every queueing layer. *)
+
+val crash : t -> int -> unit
+(** Take a snode's endpoint down: it absorbs every delivery and its
+    timers stop; durable queues are kept. *)
+
+val restart : t -> int -> unit
+(** Bring an endpoint back: everything still unacknowledged is re-sent
+    (through the window when it is bounded) and staged parts flush one
+    linger window later. *)
+
+val flush_lingering : t -> unit
+(** Force every up endpoint's staged coalescing buffers onto the wire now,
+    in (snode, destination) order. *)
+
+val admission_estimate : t -> src:int -> set:int list -> need:int -> float
+(** Estimated time for [src] to collect [need] answers from [set]: the
+    [need]-th smallest per-route estimate, each a smoothed round trip
+    ([rto] before any sample) scaled by the route's queue depth and
+    timeout strikes; [src] itself costs 0. *)
+
+val queue_depth : t -> int -> int
+(** A snode's egress pressure, as its load summary reports it: outbox
+    plus backlog lengths over all its peers (a backlogged message is also
+    in the outbox, so it weighs twice). *)
+
+val audit : t -> string list
+(** Window bookkeeping findings: every peer's inflight count must match
+    its outbox and stay within [max_inflight]. Empty when sound. *)
+
+type counters = private {
+  mutable timeouts : int;
+      (** retransmission timeouts, plus protocol timeouts noted by the
+          runtime ({!note_timeout}) *)
+  mutable retransmits : int;  (** fast retransmissions *)
+  mutable probes : int;  (** rate-limited retransmissions past the budget *)
+  mutable backpressured : int;  (** messages parked by a full window *)
+  mutable reliable_msgs : int;  (** messages entered into reliable delivery *)
+  mutable outbox_peak : int;  (** deepest any peer outbox has been *)
+}
+
+val counters : t -> counters
+(** The live counters (read-only outside this module). *)
+
+val note_timeout : t -> unit
+(** Count one protocol-level timeout in {!counters}[.timeouts]. *)
+
+type peer_sample = {
+  ps_observer : int;  (** the snode whose estimator this is *)
+  ps_peer : int;
+  ps_srtt : float;  (** smoothed RTT toward the peer, 0 if no sample *)
+  ps_rttvar : float;
+  ps_strikes : int;  (** consecutive timeout strikes (suspicion level) *)
+  ps_suspect : bool;  (** route poisoned *)
+  ps_outbox : int;  (** unacknowledged reliable messages toward the peer *)
+  ps_backlog : int;  (** messages parked by the inflight window *)
+}
+
+val peer_samples : t -> peer_sample list
+(** Every endpoint's per-peer estimator state, sorted by (observer, peer). *)

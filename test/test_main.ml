@@ -23,6 +23,7 @@ let () =
       ("wire", Test_wire.suite);
       ("replication", Test_replication.suite);
       ("batching", Test_batching.suite);
+      ("transport", Test_transport.suite);
       ("snode-runtime", Test_runtime.suite);
       ("snapshot", Test_snapshot.suite);
       ("registry", Test_registry.suite);
