@@ -32,6 +32,7 @@ mkdir -p "$out"
 smokes=(
   "chaos-metrics-trace|chaos --snodes 8 --vnodes 24 --keys 200 --seed 2004 --metrics --trace chaos-trace.json"
   "chaos-rf3|chaos --snodes 8 --vnodes 24 --keys 200 --seed 2004 --rfactor 3 --read-quorum 2 --write-quorum 2"
+  "chaos-route-cap|chaos --snodes 8 --vnodes 24 --keys 200 --seed 2004 --route-cap 16"
   "chaos-overload|chaos --overload --seed 2004"
   "chaos-overload-causal|chaos --overload --seed 2004 --causal --trace overload-causal.jsonl"
   "kv-audit|kv --audit"

@@ -92,11 +92,6 @@ let routing_json () =
   in
   let open Extensions in
   let run r =
-    let probes = r.rs_cache.R.rcs_hits + r.rs_cache.R.rcs_misses in
-    let hit_pct =
-      if probes = 0 then 0.
-      else 100. *. float_of_int r.rs_cache.R.rcs_hits /. float_of_int probes
-    in
     Printf.sprintf
       "    \"n%d\": {\"snodes\": %d, \"vnodes\": %d, \"level\": %d, \
        \"route_cap\": %d, \"ops\": %d, \"hops_p50\": %.1f, \
@@ -106,7 +101,7 @@ let routing_json () =
        \"sigma_pct\": %.3f, \"findings\": %d}"
       r.rs_snodes r.rs_snodes r.rs_vnodes r.rs_level r.rs_cap r.rs_ops
       r.rs_hops_p50 r.rs_hops_p99 r.rs_hops_max r.rs_msgs_per_op
-      r.rs_cache_entries_max r.rs_cache_bytes_max hit_pct
+      r.rs_cache_entries_max r.rs_cache_bytes_max (routing_hit_pct r)
       r.rs_cache.R.rcs_evictions r.rs_sigma
       (List.length r.rs_findings + List.length r.rs_linear)
   in

@@ -1789,14 +1789,6 @@ let route_cmd =
           [ "N"; "level"; "ops"; "p50"; "p99"; "max"; "msgs/op"; "cache max";
             "bytes"; "hit%"; "evict"; "sigma"; "findings" ]
     in
-    let hit_pct (r : Extensions.routing_run) =
-      let module R = Dht_snode.Runtime in
-      let probes = r.Extensions.rs_cache.R.rcs_hits + r.Extensions.rs_cache.R.rcs_misses in
-      if probes = 0 then 0.
-      else
-        100. *. float_of_int r.Extensions.rs_cache.R.rcs_hits
-        /. float_of_int probes
-    in
     List.iter
       (fun (r : Extensions.routing_run) ->
         let module R = Dht_snode.Runtime in
@@ -1810,7 +1802,7 @@ let route_cmd =
             Printf.sprintf "%.2f" r.Extensions.rs_msgs_per_op;
             string_of_int r.Extensions.rs_cache_entries_max;
             string_of_int r.Extensions.rs_cache_bytes_max;
-            Printf.sprintf "%.1f" (hit_pct r);
+            Printf.sprintf "%.1f" (Extensions.routing_hit_pct r);
             string_of_int r.Extensions.rs_cache.R.rcs_evictions;
             Printf.sprintf "%.1f%%" r.Extensions.rs_sigma;
             string_of_int
@@ -1874,7 +1866,7 @@ let route_cmd =
               r.Extensions.rs_hops_p50 r.Extensions.rs_hops_p99
               r.Extensions.rs_hops_max r.Extensions.rs_msgs_per_op
               r.Extensions.rs_cache_entries_max r.Extensions.rs_cache_bytes_max
-              (hit_pct r) r.Extensions.rs_cache.R.rcs_evictions
+              (Extensions.routing_hit_pct r) r.Extensions.rs_cache.R.rcs_evictions
               r.Extensions.rs_cache.R.rcs_refreshes r.Extensions.rs_sigma
               (List.length r.Extensions.rs_findings
               + List.length r.Extensions.rs_linear))
@@ -1902,8 +1894,17 @@ let route_cmd =
            ~doc:"Per-snode routing-cache entry bound (LRU pair-folds above it).")
   in
   let max_hops =
-    Arg.(value & opt positive_int 32 & info [ "max-hops" ] ~docv:"H"
-           ~doc:"Forwarding limit before a routed op backs off and restarts.")
+    let ceiling = Dht_snode.Route.max_hops_ceiling in
+    let hops =
+      checked (Printf.sprintf "an integer in [1, %d]" ceiling) int_of_string_opt
+        (fun h -> h >= 1 && h <= ceiling)
+        Format.pp_print_int
+    in
+    Arg.(value & opt hops 32 & info [ "max-hops" ] ~docv:"H"
+           ~doc:
+             (Printf.sprintf
+                "Forwarding limit before a routed op backs off and restarts \
+                 (at most %d)." ceiling))
   in
   let keys =
     Arg.(value & opt positive_int 1_000_000 & info [ "keys" ] ~docv:"K"

@@ -1364,6 +1364,11 @@ let routing_scaling ?vnodes ?(pmin = 8) ?(vmin = 4) ?(route_cap = 128)
     rs_linear = linear;
   }
 
+let routing_hit_pct r =
+  let hits = r.rs_cache.Runtime.rcs_hits in
+  let probes = hits + r.rs_cache.Runtime.rcs_misses in
+  if probes = 0 then 0. else 100. *. float_of_int hits /. float_of_int probes
+
 type coexist_report = {
   dht_names : string list;
   error_before : float list;

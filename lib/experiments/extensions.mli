@@ -546,6 +546,10 @@ val routing_scaling :
     2 * log2 snodes], [rs_cache_entries_max <= route_cap], empty
     [rs_findings] and [rs_linear]. *)
 
+val routing_hit_pct : routing_run -> float
+(** Cache probes answered by a fine entry, in percent of all probes
+    ([rs_cache] hits over hits + misses); 0 when nothing was probed. *)
+
 val hetero_compare :
   ?nodes_generations:(int * float) list ->
   ?total_vnodes:int ->

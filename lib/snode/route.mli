@@ -1,0 +1,128 @@
+(** Request routing between the snodes of one cluster: every snode's
+    routing cache, the next-hop choice, hop accounting and steward
+    refresh. The runtime above it schedules and sends; every routing
+    decision and every piece of routing state lives here:
+
+    - {b routing caches}: one per snode, global placement advice that may
+      be stale, seeded with the bootstrap placement and corrected by
+      commits, reply hints and refresh reports ({!learn});
+    - {b bounded caches}: with a positive [route_cap], an over-cap cache
+      folds its coldest sibling leaf-pair (LRU by last probe or learn)
+      into one coarser parent binding, so coverage is never broken;
+    - {b prefix routing} over {!Dht_cluster.Fingers} geometry when
+      bounded: a cache entry at least [ceil(log2 snodes)] levels deep is
+      trusted as advice, and a coarser one diverts the origin hop to the
+      point's region steward ({!next_hop}), which {!refresh} rounds keep
+      supplied with fine placements;
+    - {b hop accounting}: executed routed operations per hop count.
+
+    Caches and LRU stamps are volatile: {!crash} drops the stamps and
+    {!restart} rebuilds the cache from the bootstrap placement. *)
+
+open Dht_core
+open Dht_hashspace
+
+type t
+
+val default_max_hops : int
+(** The forwarding limit when none is given: 4. *)
+
+val max_hops_ceiling : int
+(** The largest accepted forwarding limit: 1,024, far above any
+    O(log N) walk in a 52-bit space. *)
+
+val create :
+  space:Space.t ->
+  pmin:int ->
+  snodes:int ->
+  route_cap:int ->
+  max_hops:int ->
+  bootstrap:Span.t list * Vnode_id.t ->
+  t
+(** One routing cache per snode, each holding the [bootstrap] placement
+    (its spans, all owned by one vnode). [route_cap] bounds every cache
+    (0: unbounded, the legacy path, which counts no probes); [max_hops]
+    is the forwarding limit.
+    @raise Invalid_argument (worded for {!Runtime.create}, the caller)
+    unless [1 <= max_hops <= max_hops_ceiling] and [route_cap] is 0 or
+    at least [pmin]. *)
+
+val bounded : t -> bool
+(** Whether the caches are bounded ([route_cap > 0]). *)
+
+val learn : t -> int -> Span.t -> Vnode_id.t -> unit
+(** [learn r sid span vid] records in snode [sid]'s cache that [vid] owns
+    [span]. When bounded, the span is stamped most recent and the cache
+    folds back under its cap. *)
+
+val next_hop : t -> sid:int -> hops:int -> int -> int
+(** [next_hop r ~sid ~hops point] is the snode that snode [sid], which
+    does not own [point], forwards a routed operation to after [hops]
+    hops: the cache's advice, or on a bounded miss at the origin hop
+    ([hops = 0]) the point's region steward. Counts the probe as a hit or
+    a miss when bounded. *)
+
+val executed : t -> hops:int -> bool
+(** Count one routed operation executed at its owner after [hops]
+    forwarding hops ([hops <= max_hops]). [true] when the reply should
+    carry the owner's exact placement back to the origin as a repair
+    hint: the operation was forwarded and the caches are bounded. *)
+
+val refresh :
+  t ->
+  sid:int ->
+  ((Span.t -> Vnode_id.t -> unit) -> unit) ->
+  (int -> (Span.t * Vnode_id.t) list -> unit) ->
+  unit
+(** [refresh r ~sid owned report] files every placement [owned]
+    enumerates (snode [sid]'s exact owned spans) with the steward of
+    every region it intersects, then calls [report steward placements]
+    once per distinct steward other than [sid]. A no-op unless
+    bounded. *)
+
+val crash : t -> int -> unit
+(** Drop a crashed snode's LRU stamps. *)
+
+val restart : t -> int -> ((Span.t -> Vnode_id.t -> unit) -> unit) -> unit
+(** [restart r sid owned] rebuilds snode [sid]'s cache from the bootstrap
+    placement, then learns every placement [owned] enumerates. *)
+
+(** {2 Inspection} *)
+
+val level : t -> int
+(** The finger level routed at: ceil(log2 snodes), clamped to the space
+    ({!Dht_cluster.Fingers}). *)
+
+val route_cap : t -> int
+val max_hops : t -> int
+
+val entries : t -> int -> int
+(** One snode's current cache entry count. *)
+
+val snapshot : t -> int -> (Span.t * Vnode_id.t) list
+(** One snode's cache entries, in span order. *)
+
+val stamp : t -> int -> Span.t -> int
+(** A cache span's LRU stamp on one snode; 0 (oldest) when unstamped. *)
+
+val hops : t -> int array
+(** Executed routed operations per hop count (length [max_hops + 1]); a
+    fresh copy. *)
+
+type stats = {
+  rcs_hits : int;  (** cache probes answered by a region-fine entry *)
+  rcs_misses : int;  (** probes that fell back to steward or chain *)
+  rcs_evictions : int;  (** LRU pair-folds forced by the cap *)
+  rcs_refreshes : int;  (** steward refresh reports sent *)
+  rcs_entries : int;  (** current total entries across all caches *)
+  rcs_peak : int;  (** highest post-learn occupancy of any one cache *)
+}
+
+val stats : t -> stats
+(** Bounded-cache counters (all zero when unbounded). *)
+
+val record_metrics : t -> Dht_telemetry.Registry.t -> unit
+(** Add the routing counters ([runtime.route.cache.hits], [.misses],
+    [.evictions], [runtime.route.refreshes]) and gauges
+    ([runtime.route.cache.entries], [.peak], and [runtime.route.hops.peak],
+    the highest hop count any executed operation took). *)

@@ -13,16 +13,8 @@ module Merkle = Dht_merkle.Merkle
 module Placement = Dht_replication.Placement
 module Heat = Dht_obsv.Heat
 module Balance = Dht_balance
-module Fingers = Dht_cluster.Fingers
 module Vtbl = Hashtbl.Make (Vnode_id)
 module Gtbl = Hashtbl.Make (Group_id)
-
-(* Forwarding limit: a routed operation bounces through at most [max_hops]
-   stale caches, then backs off and retries from scratch; convergence is
-   guaranteed once the in-flight balancing event commits. [max_hops] is a
-   [create] parameter with this default — scaling sweeps raise it so the
-   hop distribution is measurable instead of retry-truncated. *)
-let default_max_hops = 4
 
 (* Routing back-off: at most [max_retries] retries of one operation (a
    livelock canary, enforced only on a reliable network with unbounded
@@ -144,7 +136,6 @@ type snode = {
   locals : vnode_local Vtbl.t;
   lpdrs : lpdr Gtbl.t;
   owned : Vnode_id.t Point_map.t;  (* exact local ownership *)
-  cache : Vnode_id.t Point_map.t;  (* global placement; may be stale *)
   (* Replica map: span -> replica snodes (owner's snode first). Updated by
      the same epoch-fenced commit that moves a partition, so the copy set
      never straddles a stale LPDR epoch. *)
@@ -196,10 +187,6 @@ type snode = {
   lb_is_dir : bool;  (* hash-located, fixed for the cluster's lifetime *)
   mutable lb_version : int;
   mutable lb_last_transfer : float;  (* donor-side transfer rate limit *)
-  (* LRU stamps for the bounded routing cache (span -> last-touch tick).
-     Soft state, like route suspicions: reset on crash, and a missing
-     stamp reads as oldest. Maintained only when [route_cap > 0]. *)
-  rstamps : (Span.t, int) Hashtbl.t;
   (* Live hash tree over every cell this snode holds, owner partitions
      and replica copies alike, kept in step with the tables by [hold] and
      [drop]. It answers span digests, span scans and range legs, and AE
@@ -295,11 +282,9 @@ type t = {
   pmin : int;
   vmax : int;  (* group capacity; [max_int] under the global approach *)
   tr : Transport.t;  (* batching, reliable delivery, backpressure *)
+  route : Route.t;  (* routing caches, next-hop choice, hop accounting *)
   admission_deadline : float;  (* quorum-op shed threshold; 0 = off *)
   rfactor : int;  (* copies per partition; 1 = no replication *)
-  route_cap : int;  (* routing-cache entry bound; 0 = unbounded (legacy) *)
-  max_hops : int;  (* forwarding limit before a routed op backs off *)
-  rlevel : int;  (* finger level: ceil(log2 snodes), clamped to the space *)
   read_quorum : int;  (* R *)
   write_quorum : int;  (* W; R + W > rfactor *)
   mt_threshold : int;
@@ -307,7 +292,6 @@ type t = {
          is <= this goes out as a legacy full-span digest; above it the
          pusher opens a hash-tree descent. [max_int] disables the trees. *)
   mt_leaf : int;  (* hash-tree bucket capacity *)
-  bootstrap : Span.t list * Vnode_id.t;  (* for rebuilding crashed caches *)
   instr : instruments option;
   trace : Trace.t;
   causal : bool;  (* propagate span context on the wire, emit causal events *)
@@ -356,15 +340,6 @@ type t = {
   mutable lb_emergencies : int;  (* proposals via the emergency path *)
   mutable lb_skipped : int;  (* proposals dropped by validation/rate limit *)
   mutable lb_reports : int;  (* gossip + directory report messages sent *)
-  (* Bounded-routing-cache accounting (all zero when [route_cap = 0]). *)
-  mutable rclock : int;  (* LRU clock: bumped on every touch *)
-  mutable rc_hits : int;  (* cache probes answered by a fine entry *)
-  mutable rc_misses : int;  (* probes that fell back to steward/chain *)
-  mutable rc_evictions : int;  (* LRU pair-folds forced by the cap *)
-  mutable rc_peak : int;  (* highest post-learn occupancy of any cache *)
-  mutable route_refreshes : int;  (* steward refresh reports sent *)
-  mutable hops_peak : int;  (* most hops any executed routed op took *)
-  hop_counts : int array;  (* executed routed ops per hop count *)
   (* Verification hooks, both passive: [on_commit] fires after a snode has
      fully applied a balancing Commit (audits run there), [recorder] sees
      every data operation's invocation and outcome. *)
@@ -376,59 +351,6 @@ type t = {
    recorder is attached. *)
 let recording t = Option.is_some t.recorder
 let record t ev = match t.recorder with Some f -> f ev | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Bounded routing cache                                                *)
-
-(* LRU-stamp a cache span. Stamps are soft state: a span [learn]
-   decomposed away leaves its stamp orphaned (harmless — stamps are read
-   through the live span set), and a missing stamp reads as 0, i.e.
-   oldest. *)
-let cache_touch t sn span =
-  if t.route_cap > 0 then begin
-    t.rclock <- t.rclock + 1;
-    Hashtbl.replace sn.rstamps span t.rclock
-  end
-
-let cache_stamp sn span =
-  match Hashtbl.find_opt sn.rstamps span with Some s -> s | None -> 0
-
-(* Shrink [sn.cache] back under the cap without ever leaving a hole: fold
-   the coldest sibling leaf-pair into one parent-level binding (keeping
-   the fresher child's owner as the coarse guess — it is advice, not
-   truth, so coarsening is always safe). Full coverage guarantees a
-   foldable pair exists whenever the cardinality exceeds one, so the loop
-   always terminates. *)
-let cache_evict_to_cap t sn =
-  if t.route_cap > 0 then
-    while Point_map.cardinal sn.cache > t.route_cap do
-      let best = ref None in
-      Point_map.iter_pairs sn.cache (fun parent lo_v hi_v ->
-          let lo_s, hi_s = Span.split t.space parent in
-          let a = cache_stamp sn lo_s and b = cache_stamp sn hi_s in
-          let stamp = if a >= b then a else b in
-          let keep = if a >= b then lo_v else hi_v in
-          match !best with
-          | Some (s, _, _, _, _) when s <= stamp -> ()
-          | _ -> best := Some (stamp, parent, lo_s, hi_s, keep));
-      match !best with
-      | None -> failwith "Runtime: routing cache lost coverage"
-      | Some (stamp, parent, lo_s, hi_s, keep) ->
-          Point_map.learn sn.cache parent keep;
-          Hashtbl.remove sn.rstamps lo_s;
-          Hashtbl.remove sn.rstamps hi_s;
-          Hashtbl.replace sn.rstamps parent stamp;
-          t.rc_evictions <- t.rc_evictions + 1
-    done
-
-let cache_learn t sn span vid =
-  Point_map.learn sn.cache span vid;
-  if t.route_cap > 0 then begin
-    cache_touch t sn span;
-    cache_evict_to_cap t sn;
-    let n = Point_map.cardinal sn.cache in
-    if n > t.rc_peak then t.rc_peak <- n
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Local state operations                                               *)
@@ -981,7 +903,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
   match Point_map.find_owner_exn sn.owned point with
   | vid -> execute_op t sn ~owner:vid ~point ~origin ~retries ~hops op
   | exception Not_found ->
-      if hops >= t.max_hops then begin
+      if hops >= Route.max_hops t.route then begin
         t.retried <- t.retried + 1;
         if Trace.enabled t.trace then
           Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
@@ -990,7 +912,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
         let msg =
           Wire.Routed { point; hops = 0; retries = retries + 1; origin; op }
         in
-        if t.faults = None && t.route_cap = 0 then begin
+        if t.faults = None && not (Route.bounded t.route) then begin
           (* The retry budget is a livelock canary, meaningful only on a
              reliable network with legacy unbounded caches: under faults an
              operation legitimately backs off for as long as a crashed
@@ -1024,37 +946,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
         end
       end
       else begin
-        let advice = Point_map.find_owner_exn sn.cache point in
-        let dst =
-          if t.route_cap = 0 then advice.Vnode_id.snode
-          else begin
-            (* Prefix routing: an entry at least [rlevel] deep is {e fine}
-               — it names one snode's slice of one region, so we trust it
-               like a legacy advice hop. A coarser entry is a miss; the
-               origin hop diverts it to the region's steward (which
-               accumulates fine placements for the region via refresh
-               rounds), while intermediate hops keep walking the coarse
-               advice chain — the chain converges by the commit-learning
-               induction, and never diverting mid-chain rules out a
-               deterministic steward/peer ping-pong. *)
-            let depth = Point_map.probe_depth sn.cache point in
-            if depth >= t.rlevel then begin
-              t.rc_hits <- t.rc_hits + 1;
-              cache_touch t sn (Span.of_point t.space ~level:depth point);
-              advice.Vnode_id.snode
-            end
-            else begin
-              t.rc_misses <- t.rc_misses + 1;
-              if hops > 0 then advice.Vnode_id.snode
-              else
-                let region = Fingers.region ~bits:(Space.bits t.space) ~level:t.rlevel point in
-                let steward =
-                  Fingers.steward ~snodes:(Array.length t.snodes) ~region
-                in
-                if steward = sn.sid then advice.Vnode_id.snode else steward
-            end
-          end
-        in
+        let dst = Route.next_hop t.route ~sid:sn.sid ~hops point in
         let msg = Wire.Routed { point; hops = hops + 1; retries; origin; op } in
         if dst = sn.sid then
           (* Our own cache points at us but we do not own the point: the
@@ -1065,20 +957,15 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
       end
 
 and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
-  (match t.instr with
-  | Some i -> Histogram.observe i.i_hops (float_of_int hops)
-  | None -> ());
-  let h = if hops > t.max_hops then t.max_hops else hops in
-  t.hop_counts.(h) <- t.hop_counts.(h) + 1;
-  if hops > t.hops_peak then t.hops_peak <- hops;
+  Option.iter (fun i -> Histogram.observe i.i_hops (float_of_int hops)) t.instr;
   (* Piggybacked stale-entry repair: when the op needed forwarding, the
      owner rides its exact owned placement back on the reply so the origin
      repairs whatever stale cache entry misrouted the op — no dedicated
      repair message. Only when bounded routing is on; legacy replies stay
      byte-identical. *)
+  let hint = Route.executed t.route ~hops in
   let reply_hint () =
-    if hops > 0 && t.route_cap > 0 then
-      Some (fst (Point_map.find_point sn.owned point), owner)
+    if hint then Some (fst (Point_map.find_point sn.owned point), owner)
     else None
   in
   match op with
@@ -1784,7 +1671,7 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
   (* Cells we already replicated for these spans move into the partition
      table, so the owner's holdings (and digests) see one copy. *)
   absorb_replica_cells t sn v spans;
-  List.iter (fun s -> cache_learn t sn s to_vnode) spans;
+  List.iter (fun s -> Route.learn t.route sn.sid s to_vnode) spans;
   match Hashtbl.find_opt sn.incomings event with
   | None -> failwith "Runtime: transfer applied without expectation"
   | Some inc ->
@@ -1809,7 +1696,7 @@ and ship t sn ~event ~members ~dst (spans, data) =
     Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
       ~primary:dst.Vnode_id.snode ~group_snodes:members
   in
-  List.iter (fun s -> cache_learn t sn s dst) spans;
+  List.iter (fun s -> Route.learn t.route sn.sid s dst) spans;
   List.map (fun s -> (s, dst, reps)) spans
 
 (* Receiver side: expect [want] Transfer batches for [event] (reported to
@@ -2170,7 +2057,7 @@ and apply_commit t sn ~moved ev =
         (fun (fs, fev) ->
           if fev < ev then begin
             let part = if Span.level fs > Span.level s then fs else s in
-            cache_learn t sn part owner;
+            Route.learn t.route sn.sid part owner;
             Point_map.learn sn.rmap part reps;
             Point_map.learn sn.pfence part ev
           end)
@@ -2304,10 +2191,10 @@ and handle t sn ~from msg =
   | Wire.Remove_done { token; ok } ->
       settle t ~tid:sn.sid ~token (Departed ok)
   | Wire.Put_ack { token; hint } ->
-      Option.iter (fun (span, vid) -> cache_learn t sn span vid) hint;
+      Option.iter (fun (span, vid) -> Route.learn t.route sn.sid span vid) hint;
       settle t ~tid:sn.sid ~token (Acked `Put)
   | Wire.Get_reply { token; value; hint } ->
-      Option.iter (fun (span, vid) -> cache_learn t sn span vid) hint;
+      Option.iter (fun (span, vid) -> Route.learn t.route sn.sid span vid) hint;
       settle t ~tid:sn.sid ~token (Answered (`Get, value))
   | Wire.Busy { token } ->
       (* Admission rejection landing at the origin: settle the operation
@@ -2551,7 +2438,7 @@ and handle t sn ~from msg =
       ignore (Balance.Gossip.merge sn.lb_view entries);
       (* Routing maintenance riding the same message: the sender's exact
          owned placements for regions we steward. *)
-      List.iter (fun (span, vid) -> cache_learn t sn span vid) owns;
+      List.iter (fun (span, vid) -> Route.learn t.route sn.sid span vid) owns;
       (match t.balance with
       | Some policy when sn.lb_is_dir ->
           List.iter
@@ -2609,6 +2496,11 @@ let pending_touches sn gid =
       | P_remove { r_group; _ } -> Group_id.equal r_group gid)
     sn.pendings false
 
+(* Every placement a snode owns, in table order: what a restart re-learns
+   and a refresh round reports. *)
+let iter_owned sn f =
+  Vtbl.iter (fun vid v -> List.iter (fun s -> f s vid) v.spans) sn.locals
+
 (* Crash-stop: the snode absorbs every delivery until restart. Protocol
    state (vnode data, LPDR copies, prepared events, the transport's
    outboxes and dedup windows) is modelled as durable — the classic 2PC
@@ -2643,8 +2535,7 @@ let crash_snode t sid =
        everything it gossiped before the crash. *)
     Balance.Gossip.reset sn.lb_view;
     Balance.Directory.reset sn.lb_dir;
-    (* LRU stamps die with the routing cache they describe. *)
-    Hashtbl.reset sn.rstamps;
+    Route.crash t.route sid;
     (* The live tree, the anti-entropy snapshot and the per-peer round
        markers are soft state: a restarted snode rebuilds and re-snapshots
        on first use. *)
@@ -2668,15 +2559,7 @@ let restart_snode t sid =
         ~name:"recovery.downtime" [];
     (match t.faults with Some f -> Fault.set_up f sid | None -> ());
     Log.debug (fun m -> m "snode %d restarts at %g" sid (Engine.now t.engine));
-    (* The routing cache was volatile: restart from the bootstrap placement,
-       then overlay what we durably own (everything else converges through
-       normal forwarding and commits). *)
-    let spans0, first = t.bootstrap in
-    List.iter (fun s -> Point_map.remove sn.cache s) (Point_map.spans sn.cache);
-    List.iter (fun s -> Point_map.add sn.cache s first) spans0;
-    Vtbl.iter
-      (fun vid v -> List.iter (fun s -> cache_learn t sn s vid) v.spans)
-      sn.locals;
+    Route.restart t.route sid (iter_owned sn);
     (* Re-send everything unacknowledged and re-arm staged flushes. *)
     Transport.restart t.tr sid;
     (* Replay self-addressed work that fired while down. *)
@@ -2815,19 +2698,20 @@ let lb_balance_round t =
       end)
     t.snodes
 
-(* Pre-schedule bounded balancer rounds up to [until] — explicit like
-   [anti_entropy], never a self-rescheduling timer, so [run] without a
-   horizon still drains the queue. *)
+(* Pre-schedule [round] every [interval] up to [until] — explicit
+   occurrences like [anti_entropy], never a self-rescheduling timer, so
+   [run] without a horizon still drains the queue. *)
+let arm_rounds t ~interval ~until round =
+  let now = Engine.now t.engine in
+  let steps = int_of_float ((until -. now) /. interval) in
+  for i = 1 to steps do
+    Engine.at t.engine ~time:(now +. (float_of_int i *. interval)) (fun () ->
+        round t)
+  done
+
 let arm_balancer t ~until =
   let policy = lb_policy_exn t in
-  let now = Engine.now t.engine in
-  let arm interval f =
-    let steps = int_of_float ((until -. now) /. interval) in
-    for i = 1 to steps do
-      Engine.at t.engine ~time:(now +. (float_of_int i *. interval))
-        (fun () -> f t)
-    done
-  in
+  let arm interval round = arm_rounds t ~interval ~until round in
   arm policy.Balance.Policy.gossip_interval lb_gossip_round;
   arm policy.Balance.Policy.report_interval lb_report_round;
   arm policy.Balance.Policy.balance_interval lb_balance_round
@@ -2835,77 +2719,22 @@ let arm_balancer t ~until =
 (* ------------------------------------------------------------------ *)
 (* Routing maintenance: steward refresh rounds                          *)
 
-(* One refresh round: every live snode reports its exact owned placements
-   to the stewards of every region they intersect, riding the balancer's
-   report message class ([entries = []]) so maintenance adds no new wire
-   tag. A span coarser than a region is filed with each covered region's
-   steward — filing by start-region only leaves every steward blind to
-   points that fall mid-span, and those walks degrade to stale advice
-   chains. The total filing volume per round stays O(regions + spans):
-   a level-[l] span covers [2^(rlevel-l)] regions, and those counts sum
-   to at most the region count across a partition of the space. No-op
-   unless bounded routing is armed. *)
+(* One refresh round ({!Route.refresh}), riding the balancer's report
+   message class ([entries = []]) so maintenance adds no new wire tag. *)
 let route_refresh_round t =
-  if t.route_cap > 0 then begin
-    let n = Array.length t.snodes in
-    let bits = Space.bits t.space in
-    Array.iter
-      (fun sn ->
-        if sn.alive then begin
-          let by_steward = Hashtbl.create 8 in
-          Vtbl.iter
-            (fun vid v ->
-              List.iter
-                (fun span ->
-                  let region0 =
-                    Fingers.region ~bits ~level:t.rlevel
-                      (Span.start t.space span)
-                  in
-                  let covered =
-                    let l = Span.level span in
-                    if l >= t.rlevel then 1 else 1 lsl (t.rlevel - l)
-                  in
-                  (* Distinct stewards only: consecutive regions can hash
-                     to the same steward, and the steward's own [owned]
-                     map already resolves its local placements. *)
-                  let seen = Hashtbl.create 4 in
-                  for region = region0 to region0 + covered - 1 do
-                    let sd = Fingers.steward ~snodes:n ~region in
-                    if sd <> sn.sid && not (Hashtbl.mem seen sd) then begin
-                      Hashtbl.add seen sd ();
-                      let prev =
-                        match Hashtbl.find_opt by_steward sd with
-                        | Some l -> l
-                        | None -> []
-                      in
-                      Hashtbl.replace by_steward sd ((span, vid) :: prev)
-                    end
-                  done)
-                v.spans)
-            sn.locals;
-          Hashtbl.iter
-            (fun sd owns ->
-              t.route_refreshes <- t.route_refreshes + 1;
-              send t ~src:sn.sid ~dst:sd
-                (Wire.Lb_report
-                   { origin = sn.sid; pull = false; entries = []; owns }))
-            by_steward
-        end)
-      t.snodes
-  end
+  Array.iter
+    (fun sn ->
+      if sn.alive then
+        Route.refresh t.route ~sid:sn.sid (iter_owned sn) (fun sd owns ->
+            send t ~src:sn.sid ~dst:sd
+              (Wire.Lb_report
+                 { origin = sn.sid; pull = false; entries = []; owns })))
+    t.snodes
 
-(* Pre-schedule bounded refresh rounds up to [until], mirroring
-   [arm_balancer]: explicit occurrences, never a self-rescheduling
-   timer. *)
 let arm_route_refresh t ~interval ~until =
   if interval <= 0. || not (Float.is_finite interval) then
     invalid_arg "Runtime.arm_route_refresh: interval must be positive";
-  let now = Engine.now t.engine in
-  let steps = int_of_float ((until -. now) /. interval) in
-  for i = 1 to steps do
-    Engine.at t.engine ~time:(now +. (float_of_int i *. interval)) (fun () ->
-        route_refresh_round t)
-  done
+  arm_rounds t ~interval ~until route_refresh_round
 
 (* ------------------------------------------------------------------ *)
 (* Construction and public API                                          *)
@@ -2917,14 +2746,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
     ?(read_quorum = 1) ?(write_quorum = 1) ?(linger = 0.)
     ?(mt_threshold = 128) ?(mt_leaf = 16) ?metrics ?(trace = Trace.noop) ?(causal = false)
     ?(heat = false) ?(heat_tau = 1.0) ?balance ?(route_cap = 0)
-    ?(max_hops = default_max_hops) ~snodes ~seed () =
+    ?(max_hops = Route.default_max_hops) ~snodes ~seed () =
   if snodes < 1 then invalid_arg "Runtime.create: need at least one snode";
-  if max_hops < 1 then invalid_arg "Runtime.create: max_hops < 1";
-  if route_cap < 0 then invalid_arg "Runtime.create: route_cap < 0";
-  (* A restarting snode rebuilds its cache from the [pmin]-span bootstrap
-     placement; a cap below that could not even hold the rebuild. *)
-  if route_cap > 0 && route_cap < pmin then
-    invalid_arg "Runtime.create: route_cap must be 0 or >= pmin";
   (match balance with
   | Some p -> Balance.Policy.validate p
   | None -> ());
@@ -2963,6 +2786,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   let first = Vnode_id.make ~snode:0 ~vnode:0 in
   let level0 = Params.log2_exact pmin in
   let spans0 = List.init pmin (fun i -> Span.make space ~level:level0 ~index:i) in
+  let bootstrap = (spans0, first) in
+  let route = Route.create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap in
   let instr =
     match metrics with
     | None -> None
@@ -3005,7 +2830,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
         locals = Vtbl.create 8;
         lpdrs = Gtbl.create 8;
         owned = Point_map.create space;
-        cache = Point_map.create space;
         rmap = Point_map.create space;
         pfence = Point_map.create space;
         replicas = Hashtbl.create 16;
@@ -3031,7 +2855,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
                    ~count:p.Balance.Policy.directories));
         lb_version = 0;
         lb_last_transfer = neg_infinity;
-        rstamps = Hashtbl.create 16;
         live = None;
         live_writes = 0;
         mtree = None;
@@ -3040,10 +2863,8 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
         ranges = Hashtbl.create 8;
       }
     in
-    (* Every cache starts with the bootstrap placement, every replica map
-       with the bootstrap replica set (all partitions primaried at snode
-       0, backups on its ring successors). *)
-    List.iter (fun s -> Point_map.add sn.cache s first) spans0;
+    (* Every replica map starts with the bootstrap replica set (all
+       partitions primaried at snode 0, backups on its ring successors). *)
     List.iter (fun s -> Point_map.add sn.rmap s replicas0) spans0;
     (* Fence below any real event id: the first commit always applies. *)
     List.iter (fun s -> Point_map.add sn.pfence s (-1)) spans0;
@@ -3081,16 +2902,13 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       pmin;
       vmax;
       tr;
+      route;
       admission_deadline;
       rfactor;
-      route_cap;
-      max_hops;
-      rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
       read_quorum;
       write_quorum;
       mt_threshold;
       mt_leaf;
-      bootstrap = (spans0, first);
       instr;
       trace;
       causal;
@@ -3133,14 +2951,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       lb_emergencies = 0;
       lb_skipped = 0;
       lb_reports = 0;
-      rclock = 0;
-      rc_hits = 0;
-      rc_misses = 0;
-      rc_evictions = 0;
-      rc_peak = 0;
-      route_refreshes = 0;
-      hops_peak = 0;
-      hop_counts = Array.make (max_hops + 1) 0;
       on_commit = None;
       recorder = None;
     }
@@ -3324,35 +3134,18 @@ let lb_version t sid = t.snodes.(sid).lb_version
 
 (* ---------------- scalable-routing exports ---------------- *)
 
-let route_level t = t.rlevel
-let route_cap t = t.route_cap
-let max_hops t = t.max_hops
+let route_level t = Route.level t.route
+let route_cap t = Route.route_cap t.route
+let max_hops t = Route.max_hops t.route
 
-type route_cache_stats = {
-  rcs_hits : int;
-  rcs_misses : int;
-  rcs_evictions : int;
-  rcs_refreshes : int;
-  rcs_entries : int;
-  rcs_peak : int;
+type route_cache_stats = Route.stats = {
+  rcs_hits : int; rcs_misses : int; rcs_evictions : int;
+  rcs_refreshes : int; rcs_entries : int; rcs_peak : int;
 }
 
-let route_cache_stats t =
-  {
-    rcs_hits = t.rc_hits;
-    rcs_misses = t.rc_misses;
-    rcs_evictions = t.rc_evictions;
-    rcs_refreshes = t.route_refreshes;
-    rcs_entries =
-      Array.fold_left
-        (fun acc sn -> acc + Point_map.cardinal sn.cache)
-        0 t.snodes;
-    rcs_peak = t.rc_peak;
-  }
-
-let route_cache_entries t sid = Point_map.cardinal t.snodes.(sid).cache
-let route_hops t = Array.copy t.hop_counts
-let route_hops_peak t = t.hops_peak
+let route_cache_stats t = Route.stats t.route
+let route_cache_entries t sid = Route.entries t.route sid
+let route_hops t = Route.hops t.route
 
 (* One post-run dump of every counter the engine, network and runtime kept
    on their own. Histograms registered at [create] are already in the
@@ -3403,14 +3196,7 @@ let record_metrics t reg =
   c "runtime.lb.emergencies" t.lb_emergencies;
   c "runtime.lb.skipped" t.lb_skipped;
   c "runtime.lb.reports" t.lb_reports;
-  c "runtime.route.cache.hits" t.rc_hits;
-  c "runtime.route.cache.misses" t.rc_misses;
-  c "runtime.route.cache.evictions" t.rc_evictions;
-  c "runtime.route.refreshes" t.route_refreshes;
-  g "runtime.route.cache.entries"
-    (float_of_int (route_cache_stats t).rcs_entries);
-  g "runtime.route.cache.peak" (float_of_int t.rc_peak);
-  g "runtime.route.hops.peak" (float_of_int t.hops_peak);
+  Route.record_metrics t.route reg;
   c ~labels:[ ("op", "create") ] "runtime.ops" t.done_creations;
   c ~labels:[ ("op", "remove") ] "runtime.ops" t.done_removals;
   c ~labels:[ ("op", "put") ] "runtime.ops" t.done_puts;
@@ -3828,7 +3614,7 @@ let view t =
           sn.lpdrs []
         |> List.sort (fun (a : View.lpdr_copy) (b : View.lpdr_copy) ->
                Group_id.compare a.group b.group);
-      cache = Point_map.to_list sn.cache;
+      cache = Route.snapshot t.route sn.sid;
       rmap = Point_map.to_list sn.rmap;
       replicas = kv_sorted sn.replicas;
       hints = Hashtbl.length sn.hints;

@@ -220,13 +220,13 @@ val create :
     nothing until rounds run.
 
     [route_cap] (default 0: unbounded, the legacy behaviour) arms the
-    scalable routing layer: every snode's routing cache is bounded to at
-    most [route_cap] entries — over-cap caches fold their coldest sibling
-    leaf-pair into one coarser parent binding (LRU by last probe/learn,
-    hole-free, so coverage audits still hold) — and lookups run prefix
-    routing over {!Dht_cluster.Fingers} geometry: a cache entry at least
-    [ceil(log2 snodes)] levels deep is trusted like legacy advice; a
-    coarser entry diverts the {e origin} hop to the point's region
+    scalable routing layer ({!Route}): every snode's routing cache is
+    bounded to at most [route_cap] entries — over-cap caches fold their
+    coldest sibling leaf-pair into one coarser parent binding (LRU by last
+    probe/learn, hole-free, so coverage audits still hold) — and lookups
+    run prefix routing over {!Dht_cluster.Fingers} geometry: a cache
+    entry at least [ceil(log2 snodes)] levels deep is trusted like legacy
+    advice; a coarser entry diverts the {e origin} hop to the point's region
     steward, a deterministic snode that accumulates fine placements for
     the region through {!route_refresh_round}s and learns corrected-owner
     hints piggybacked on {!Wire.Put_ack}/{!Wire.Get_reply} replies.
@@ -234,7 +234,8 @@ val create :
     O(route_cap). Must be [>= pmin] when positive (a restarting snode
     rebuilds from the [pmin]-span bootstrap placement).
 
-    [max_hops] (default 4) is the forwarding limit: a routed operation
+    [max_hops] (default 4, at most {!Route.max_hops_ceiling} = 1,024) is
+    the forwarding limit ({!Route.next_hop}): a routed operation
     bouncing through more than [max_hops] stale-cache hops backs off and
     retries. Raise it together with [route_cap] at cluster scale so the
     hop distribution is observable rather than truncated by retries.
@@ -554,8 +555,8 @@ val lb_version : t -> int -> int
 (** {2 Scalable routing} *)
 
 val route_level : t -> int
-(** The finger level the runtime routes at:
-    [Dht_cluster.Fingers.level ~bits ~snodes]. Fixed at creation. *)
+(** The finger level the runtime routes at ({!Route.level}): ceil(log2
+    snodes), clamped to the space. Fixed at creation. *)
 
 val route_cap : t -> int
 (** The per-snode routing-cache entry bound; [0] = unbounded (legacy). *)
@@ -565,7 +566,7 @@ val max_hops : t -> int
 
 val route_refresh_round : t -> unit
 (** One routing-maintenance round: every live snode reports its exact
-    owned placements to the stewards of the regions they start in, riding
+    owned placements to the stewards of the regions they intersect, riding
     the balancer's {!Wire.Lb_report} message class ([entries = \[\]]) so
     maintenance adds no new wire tag. A no-op when [route_cap = 0]. *)
 
@@ -575,7 +576,7 @@ val arm_route_refresh : t -> interval:float -> until:float -> unit
     without a horizon still drains the queue.
     @raise Invalid_argument if [interval] is not positive and finite. *)
 
-type route_cache_stats = {
+type route_cache_stats = Route.stats = {
   rcs_hits : int;  (** cache probes answered by a region-fine entry *)
   rcs_misses : int;  (** probes that fell back to steward or chain *)
   rcs_evictions : int;  (** LRU pair-folds forced by the cap *)
@@ -597,9 +598,6 @@ val route_hops : t -> int array
     hops (length [max_hops + 1]). A fresh copy; diff two snapshots to
     window a measurement. Counts the routed (single-copy) path only —
     quorum rounds do not forward. *)
-
-val route_hops_peak : t -> int
-(** Most forwarding hops any executed routed operation took. *)
 
 val record_metrics : t -> Dht_telemetry.Registry.t -> unit
 (** Dump the scalar counters and gauges — engine ([engine.dispatched],

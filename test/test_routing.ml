@@ -5,6 +5,7 @@
    ever exceeds its entry bound. The property runs over 100 seeds. *)
 
 module Runtime = Dht_snode.Runtime
+module Route = Dht_snode.Route
 module Engine = Dht_event_sim.Engine
 module Fault = Dht_event_sim.Fault
 module Fingers = Dht_cluster.Fingers
@@ -59,34 +60,85 @@ let test_population () =
     (Invalid_argument "Keygen.Population.nth: index") (fun () ->
       ignore (Keygen.Population.nth a 1_000_000))
 
-(* The eviction step in isolation: folding sibling leaf-pairs with
-   [learn] shrinks the cardinality one entry at a time and never breaks
-   coverage — the exact loop the runtime runs when a cache overflows. *)
-let test_fold_keeps_coverage () =
-  let space = Space.default in
-  let m = Point_map.create space in
-  for i = 0 to 15 do
-    Point_map.add m (Span.make space ~level:4 ~index:i) i
-  done;
-  let folds = ref 0 in
-  while Point_map.cardinal m > 1 do
-    let picked = ref None in
-    Point_map.iter_pairs m (fun parent lo _hi ->
-        if !picked = None then picked := Some (parent, lo));
-    (match !picked with
-    | None -> Alcotest.fail "coverage guarantees a foldable pair"
-    | Some (parent, keep) ->
-        let before = Point_map.cardinal m in
-        Point_map.learn m parent keep;
-        incr folds;
-        check Alcotest.int "each fold drops exactly one entry" (before - 1)
-          (Point_map.cardinal m));
-    match Coverage.check space (Point_map.spans m) with
-    | Ok () -> ()
-    | Error e ->
-        Alcotest.failf "coverage broken after fold: %a" Coverage.pp_error e
-  done;
-  check Alcotest.int "16 leaves fold in 15 steps" 15 !folds
+(* The eviction fold, driven through [Route.learn] itself: random learns
+   of random-level spans into one bounded cache (cap >= Pmin). After every
+   learn the cache still covers the whole space, holds at most [route_cap]
+   entries (exactly that many when the insertion overflowed it, each fold
+   dropping one entry), and folded coldest first: no sibling pair left in
+   it is colder than a pair the learn folded. A pair's warmth is its
+   fresher child's stamp; a fold hands it to the parent it installs, so
+   the pairs a learn folded are the spans its result holds that the
+   learn's own insertion (replayed on a plain [Point_map]) did not. *)
+let prop_fold_keeps_coverage =
+  let space = Space.default and pmin = 8 in
+  let bootstrap =
+    ( List.init pmin (fun i -> Span.make space ~level:3 ~index:i),
+      Vnode_id.make ~snode:0 ~vnode:0 )
+  in
+  let map_of entries =
+    let m = Point_map.create space in
+    List.iter (fun (s, v) -> Point_map.add m s v) entries;
+    m
+  in
+  let learn_gen =
+    QCheck.Gen.(
+      map3
+        (fun level raw vnode ->
+          (Span.make space ~level ~index:(raw land ((1 lsl level) - 1)),
+           Vnode_id.make ~snode:0 ~vnode))
+        (int_range 0 10) (int_bound 1023) (int_bound 7))
+  in
+  let print (cap, learns) =
+    Printf.sprintf "cap %d: %s" cap
+      (String.concat "; "
+         (List.map
+            (fun (s, v) -> Format.asprintf "%a -> %d" Span.pp s v.Vnode_id.vnode)
+            learns))
+  in
+  QCheck.Test.make ~name:"pair-folds preserve coverage" ~count:300
+    (QCheck.make ~print
+       QCheck.Gen.(pair (int_range pmin 24) (list_size (int_range 1 60) learn_gen)))
+    (fun (route_cap, learns) ->
+      let r =
+        Route.create ~space ~pmin ~snodes:1 ~route_cap ~max_hops:4 ~bootstrap
+      in
+      List.for_all
+        (fun (span, vid) ->
+          let inserted = map_of (Route.snapshot r 0) in
+          Point_map.learn inserted span vid;
+          let before = Point_map.spans inserted in
+          let evictions () = (Route.stats r).Route.rcs_evictions in
+          let ev0 = evictions () in
+          Route.learn r 0 span vid;
+          let after = Route.snapshot r 0 in
+          let n = List.length after and n0 = List.length before in
+          let warmth parent =
+            let lo, hi = Span.split space parent in
+            Int.max (Route.stamp r 0 lo) (Route.stamp r 0 hi)
+          in
+          let folded =
+            List.filter_map
+              (fun (s, _) ->
+                if List.exists (Span.equal s) before then None
+                else Some (Route.stamp r 0 s))
+              after
+          in
+          let coldest_first =
+            match folded with
+            | [] -> true
+            | _ ->
+                let w = List.fold_left Int.max 0 folded in
+                let ok = ref true in
+                Point_map.iter_pairs (map_of after) (fun parent _ _ ->
+                    if warmth parent < w then ok := false);
+                !ok
+          in
+          Coverage.check space (List.map fst after) = Ok ()
+          && n <= route_cap
+          && n = Int.min route_cap n0
+          && evictions () - ev0 = n0 - n
+          && coldest_first)
+        learns)
 
 (* Shared churn harness: grow a cluster with bounded routing, then crash
    a snode, restart it, and land a vnode join — all inside the window the
@@ -211,7 +263,14 @@ let test_create_validation () =
         (Runtime.create ~pmin:32 ~route_cap:16 ~snodes:2 ~seed:0 ()));
   Alcotest.check_raises "max_hops floor"
     (Invalid_argument "Runtime.create: max_hops < 1") (fun () ->
-      ignore (Runtime.create ~max_hops:0 ~snodes:2 ~seed:0 ()))
+      ignore (Runtime.create ~max_hops:0 ~snodes:2 ~seed:0 ()));
+  (* The hop table is sized by the limit, so a huge one must be refused
+     up front rather than exhaust memory. *)
+  Alcotest.check_raises "max_hops ceiling"
+    (Invalid_argument "Runtime.create: max_hops > 1024") (fun () ->
+      ignore (Runtime.create ~max_hops:1025 ~snodes:2 ~seed:0 ()));
+  check Alcotest.int "the ceiling itself is accepted" 1024
+    (Runtime.max_hops (Runtime.create ~max_hops:1024 ~snodes:2 ~seed:0 ()))
 
 let test_routing_scaling_smoke () =
   (* The sweep entry end-to-end at a small size: gates must hold and the
@@ -233,12 +292,25 @@ let test_routing_scaling_smoke () =
   check (Alcotest.list Alcotest.string) "battery clean" [] r.rs_findings;
   check (Alcotest.list Alcotest.string) "durability clean" [] r.rs_linear
 
+(* The routing cliff, pinned before it is fixed. At 100 snodes the
+   seed-2004 sweep point (the [n100] block of BENCH_runtime.json) has a
+   walk of 31 hops against its 32-hop limit, folds 14,140 times and pays
+   34.504 messages per op, against 6.6 at 1k snodes. The "remove the
+   routing cliff" work must move these numbers, and update them here;
+   until then this case guards that nothing else changes routing. *)
+let test_routing_cliff_pinned () =
+  let r = Dht_experiments.Extensions.routing_scaling ~snodes:100 ~seed:2004 () in
+  let open Dht_experiments.Extensions in
+  check Alcotest.int "hops_max (max_hops 32)" 31 r.rs_hops_max;
+  check Alcotest.int "evictions" 14_140 r.rs_cache.Runtime.rcs_evictions;
+  check Alcotest.string "msgs_per_op" "34.504"
+    (Printf.sprintf "%.3f" r.rs_msgs_per_op)
+
 let suite =
   [
     Alcotest.test_case "finger geometry" `Quick test_finger_geometry;
     Alcotest.test_case "derived key population" `Quick test_population;
-    Alcotest.test_case "pair-folds preserve coverage" `Quick
-      test_fold_keeps_coverage;
+    QCheck_alcotest.to_alcotest prop_fold_keeps_coverage;
     Alcotest.test_case "churn convergence over 100 seeds" `Slow
       test_churn_convergence_100_seeds;
     Alcotest.test_case "route_cap=0 is the legacy path" `Quick
@@ -246,4 +318,6 @@ let suite =
     Alcotest.test_case "create validates routing params" `Quick
       test_create_validation;
     Alcotest.test_case "scaling sweep smoke" `Slow test_routing_scaling_smoke;
+    Alcotest.test_case "routing cliff pinned (n100, seed 2004)" `Slow
+      test_routing_cliff_pinned;
   ]
