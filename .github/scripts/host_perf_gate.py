@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Host perf gate: compare perfbench result lines of a change with its parent's.
 
-    python3 .github/scripts/host_perf_gate.py CHANGE.jsonl PARENT.jsonl
+    python3 .github/scripts/host_perf_gate.py CHANGE PARENT CHANGE_HEAP PARENT_HEAP
 
-Each file holds one perfbench result line per run (the last line that
+Each file (JSONL) holds one perfbench result line per run (the last line that
 perfbench/run.py prints). The gate fails (exit 1) unless every run of both
 trees reports "correct": true and the change's median host_ops_per_s is at
 least RATIO times the parent's. Both sides must come from the same runner,
 so host speed cancels out of the ratio.
+
+The second pair holds routed-256 runs: there the change's median
+peak_heap_mb must also be at most HEAP_RATIO times the parent's. Peak heap
+is deterministic for a given build and seed, so one run per tree is enough.
 """
 
 import json
@@ -16,6 +20,8 @@ import sys
 
 RATIO = 0.8
 METRIC = "host_ops_per_s"
+HEAP_RATIO = 1.10
+HEAP_METRIC = "peak_heap_mb"
 
 
 def load(path):
@@ -31,26 +37,36 @@ def load(path):
     return runs
 
 
-def main():
-    if len(sys.argv) != 3:
-        sys.exit(__doc__.strip().split("\n\n")[1])
+def gate(paths, metric, ratio_bound, higher_is_better):
+    """Print both sides' values of METRIC and return whether the change's
+    median passes RATIO_BOUND against the parent's."""
     ok = True
     medians = {}
-    for side, path in zip(("change", "parent"), sys.argv[1:]):
+    for side, path in zip(("change", "parent"), paths):
         runs = load(path)
         if not all(r.get("correct") is True for r in runs):
             print("::error::a %s run failed its output checks" % side)
             ok = False
-        values = [r["metrics"][METRIC]["value"] for r in runs]
+        values = [r["metrics"][metric]["value"] for r in runs]
         medians[side] = statistics.median(values)
-        print("%s %s: %s, median %.0f" % (
-            side, METRIC, ", ".join("%.0f" % v for v in values), medians[side]))
+        print("%s %s: %s, median %.6g" % (
+            side, metric, ", ".join("%.6g" % v for v in values), medians[side]))
     ratio = medians["change"] / medians["parent"]
-    print("change / parent = %.3f (gate: >= %.2f)" % (ratio, RATIO))
-    if ratio < RATIO:
+    bound = ">=" if higher_is_better else "<="
+    print("change / parent = %.3f (gate: %s %.2f)" % (ratio, bound, ratio_bound))
+    failed = ratio < ratio_bound if higher_is_better else ratio > ratio_bound
+    if failed:
         print("::error::host perf gate failed: median %s is %.1f%% of the parent's"
-              % (METRIC, 100 * ratio))
+              % (metric, 100 * ratio))
         ok = False
+    return ok
+
+
+def main():
+    if len(sys.argv) != 5:
+        sys.exit(__doc__.strip().split("\n\n")[1])
+    ok = gate(sys.argv[1:3], METRIC, RATIO, True)
+    ok = gate(sys.argv[3:5], HEAP_METRIC, HEAP_RATIO, False) and ok
     return 0 if ok else 1
 
 

@@ -93,12 +93,19 @@ let sever t a b = Hashtbl.replace t.severed (key a b) ()
    on an absent key changes nothing, and callers (recovery sweeps healing
    whole neighbourhoods) rely on that. *)
 let heal t a b = Hashtbl.remove t.severed (key a b)
-let severed t a b = Hashtbl.mem t.severed (key a b)
+
+(* The lookups below run for every remote send or delivery, and a fault
+   plan usually severs, slows and downs nothing: an empty table answers
+   without building and hashing a key. *)
+let severed t a b =
+  Hashtbl.length t.severed > 0 && Hashtbl.mem t.severed (key a b)
 
 (* One-way faults are directed: only src -> dst traffic is cut. *)
 let sever_oneway t ~src ~dst = Hashtbl.replace t.oneway (src, dst) ()
 let heal_oneway t ~src ~dst = Hashtbl.remove t.oneway (src, dst)
-let severed_oneway t ~src ~dst = Hashtbl.mem t.oneway (src, dst)
+
+let severed_oneway t ~src ~dst =
+  Hashtbl.length t.oneway > 0 && Hashtbl.mem t.oneway (src, dst)
 
 let set_slow t s factor =
   if not (Float.is_finite factor) || factor < 1. then
@@ -107,12 +114,15 @@ let set_slow t s factor =
   Hashtbl.replace t.slow s factor
 
 let clear_slow t s = Hashtbl.remove t.slow s
-let slow_factor t ~dst = Option.value ~default:1. (Hashtbl.find_opt t.slow dst)
+let slow_factor t ~dst =
+  if Hashtbl.length t.slow = 0 then 1.
+  else Option.value ~default:1. (Hashtbl.find_opt t.slow dst)
+
 let is_slow t s = Hashtbl.mem t.slow s
 
 let set_down t s = Hashtbl.replace t.down s ()
 let set_up t s = Hashtbl.remove t.down s
-let is_down t s = Hashtbl.mem t.down s
+let is_down t s = Hashtbl.length t.down > 0 && Hashtbl.mem t.down s
 
 let cut t ~src ~dst =
   if severed t src dst || severed_oneway t ~src ~dst then begin

@@ -1,3 +1,19 @@
+(* Monomorphic tables with the generic table's hash: bucket and iteration
+   order are exactly a generic table's, without its polymorphic compare. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type link = { base_latency : float; byte_time : float }
 
 let link ~base_latency ~byte_time =
@@ -33,9 +49,9 @@ type t = {
   mutable overflows : int;
   mutable probe :
     (site:int -> src:int -> dst:int -> tag:string option -> verdict) option;
-  tags : (string, cell) Hashtbl.t;
-  dests : (int, cell) Hashtbl.t;
-  ingress : (int, ingress) Hashtbl.t;
+  tags : cell Stbl.t;
+  dests : cell Itbl.t;
+  ingress : ingress Itbl.t;
 }
 
 let create ?(loopback = 1e-6) ?faults engine link =
@@ -55,9 +71,9 @@ let create ?(loopback = 1e-6) ?faults engine link =
     ingress_limit = 0;
     overflows = 0;
     probe = None;
-    tags = Hashtbl.create 32;
-    dests = Hashtbl.create 32;
-    ingress = Hashtbl.create 32;
+    tags = Stbl.create 32;
+    dests = Itbl.create 32;
+    ingress = Itbl.create 32;
   }
 
 let faults t = t.faults
@@ -69,13 +85,20 @@ let transit_time t ~src ~dst ~bytes =
   if src = dst then t.loopback
   else t.link.base_latency +. (t.link.byte_time *. float_of_int bytes)
 
-let account tbl key bytes =
-  (match Hashtbl.find_opt tbl key with
-  | Some c ->
-      c.m <- c.m + 1;
-      c.b <- c.b + bytes
-  | None -> Hashtbl.add tbl key { m = 1; b = bytes })
+let charge c bytes =
+  c.m <- c.m + 1;
+  c.b <- c.b + bytes
   [@@inline]
+
+let account_tag t tag bytes =
+  match Stbl.find_opt t.tags tag with
+  | Some c -> charge c bytes
+  | None -> Stbl.add t.tags tag { m = 1; b = bytes }
+
+let account_dest t dst bytes =
+  match Itbl.find_opt t.dests dst with
+  | Some c -> charge c bytes
+  | None -> Itbl.add t.dests dst { m = 1; b = bytes }
 
 let set_probe t probe = t.probe <- probe
 
@@ -86,21 +109,21 @@ let set_ingress_limit t n =
   t.ingress_limit <- n
 
 let ingress_cell t dst =
-  match Hashtbl.find_opt t.ingress dst with
+  match Itbl.find_opt t.ingress dst with
   | Some c -> c
   | None ->
       let c = { depth = 0; high_water = 0 } in
-      Hashtbl.add t.ingress dst c;
+      Itbl.add t.ingress dst c;
       c
 
 let ingress_depth t ~dst =
-  match Hashtbl.find_opt t.ingress dst with Some c -> c.depth | None -> 0
+  match Itbl.find_opt t.ingress dst with Some c -> c.depth | None -> 0
 
 let ingress_high_water t ~dst =
-  match Hashtbl.find_opt t.ingress dst with Some c -> c.high_water | None -> 0
+  match Itbl.find_opt t.ingress dst with Some c -> c.high_water | None -> 0
 
 let max_ingress_high_water t =
-  Hashtbl.fold (fun _ c acc -> max acc c.high_water) t.ingress 0
+  Itbl.fold (fun _ c acc -> max acc c.high_water) t.ingress 0
 
 let ingress_overflows t = t.overflows
 
@@ -160,8 +183,8 @@ let send t ?tag ~src ~dst ~bytes k =
   else begin
     t.messages <- t.messages + 1;
     t.bytes <- t.bytes + bytes;
-    (match tag with Some tag -> account t.tags tag bytes | None -> ());
-    account t.dests dst bytes;
+    (match tag with Some tag -> account_tag t tag bytes | None -> ());
+    account_dest t dst bytes;
     (* Every remote send is a numbered decision site; a schedule explorer's
        probe may perturb it. The verdict only shapes delivery — all the
        accounting above already counted the send. *)
@@ -205,18 +228,18 @@ let batched_parts t = t.batched_parts
 let batch_bytes_saved t = t.batch_saved
 
 let per_tag t =
-  Hashtbl.fold (fun tag c acc -> (tag, c.m, c.b) :: acc) t.tags []
+  Stbl.fold (fun tag c acc -> (tag, c.m, c.b) :: acc) t.tags []
   |> List.sort compare
 
 let per_destination t =
-  Hashtbl.fold (fun dst c acc -> (dst, c.m, c.b) :: acc) t.dests []
+  Itbl.fold (fun dst c acc -> (dst, c.m, c.b) :: acc) t.dests []
   |> List.sort compare
 
 let messages_to t ~dst =
-  match Hashtbl.find_opt t.dests dst with Some c -> c.m | None -> 0
+  match Itbl.find_opt t.dests dst with Some c -> c.m | None -> 0
 
 let bytes_to t ~dst =
-  match Hashtbl.find_opt t.dests dst with Some c -> c.b | None -> 0
+  match Itbl.find_opt t.dests dst with Some c -> c.b | None -> 0
 
 let reset_counters t =
   t.messages <- 0;
@@ -228,6 +251,6 @@ let reset_counters t =
   t.overflows <- 0;
   (* Occupancy is live state (in-flight deliveries still hold slots), so
      only the high-water marks rebase — to the current depth, not zero. *)
-  Hashtbl.iter (fun _ c -> c.high_water <- c.depth) t.ingress;
-  Hashtbl.reset t.tags;
-  Hashtbl.reset t.dests
+  Itbl.iter (fun _ c -> c.high_water <- c.depth) t.ingress;
+  Stbl.reset t.tags;
+  Itbl.reset t.dests

@@ -3,6 +3,15 @@ open Dht_hashspace
 module Registry = Dht_telemetry.Registry
 module Fingers = Dht_cluster.Fingers
 
+(* Span-keyed table with the generic table's hash, so bucket order is a
+   generic table's; equality is [Span.equal], not polymorphic compare. *)
+module Span_tbl = Hashtbl.Make (struct
+  type t = Span.t
+
+  let equal = Span.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Forwarding limit: a routed operation bounces through at most [max_hops]
    stale caches, then backs off and retries from scratch; convergence is
    guaranteed once the in-flight balancing event commits. [max_hops] is a
@@ -26,7 +35,7 @@ type t = {
   caches : Vnode_id.t Point_map.t array;  (* global placement; may be stale *)
   (* Per-snode LRU stamps (span -> last-touch tick), bounded caches only.
      Soft state, like route suspicions: reset on crash. *)
-  rstamps : (Span.t, int) Hashtbl.t array;
+  rstamps : int Span_tbl.t array;
   (* Bounded-routing-cache accounting (all zero when unbounded). *)
   mutable rclock : int;  (* LRU clock: bumped on every touch *)
   mutable rc_hits : int;  (* cache probes answered by a fine entry *)
@@ -61,7 +70,7 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
     rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
     bootstrap;
     caches = Array.init snodes (fun _ -> bootstrap_cache space bootstrap);
-    rstamps = Array.init snodes (fun _ -> Hashtbl.create 16);
+    rstamps = Array.init snodes (fun _ -> Span_tbl.create 16);
     rclock = 0; rc_hits = 0; rc_misses = 0; rc_evictions = 0; rc_peak = 0;
     route_refreshes = 0;
     hop_counts = Array.make (max_hops + 1) 0;
@@ -76,10 +85,10 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
    oldest. *)
 let cache_touch r sid span =
   r.rclock <- r.rclock + 1;
-  Hashtbl.replace r.rstamps.(sid) span r.rclock
+  Span_tbl.replace r.rstamps.(sid) span r.rclock
 
 let stamp r sid span =
-  match Hashtbl.find_opt r.rstamps.(sid) span with Some s -> s | None -> 0
+  match Span_tbl.find_opt r.rstamps.(sid) span with Some s -> s | None -> 0
 
 (* Shrink the cache back under the cap without ever leaving a hole: fold
    the coldest sibling leaf-pair into one parent-level binding (keeping
@@ -103,9 +112,9 @@ let cache_evict_to_cap r sid =
     | None -> failwith "Route: routing cache lost coverage"
     | Some (stamp, parent, lo_s, hi_s, keep) ->
         Point_map.learn cache parent keep;
-        Hashtbl.remove stamps lo_s;
-        Hashtbl.remove stamps hi_s;
-        Hashtbl.replace stamps parent stamp;
+        Span_tbl.remove stamps lo_s;
+        Span_tbl.remove stamps hi_s;
+        Span_tbl.replace stamps parent stamp;
         r.rc_evictions <- r.rc_evictions + 1
   done
 
@@ -192,7 +201,7 @@ let refresh r ~sid owned report =
   end
 
 (* LRU stamps die with the routing cache they describe. *)
-let crash r sid = Hashtbl.reset r.rstamps.(sid)
+let crash r sid = Span_tbl.reset r.rstamps.(sid)
 
 (* The routing cache was volatile: restart from the bootstrap placement,
    then overlay what the snode durably owns (everything else converges

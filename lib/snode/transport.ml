@@ -16,11 +16,26 @@ let log_src =
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Int-keyed tables with the generic table's hash, so bucket and iteration
+   order are exactly those of a [(int, _) Hashtbl.t]; only the polymorphic
+   compare on every probe goes. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Reliable-delivery state toward/from one remote snode. The sender side
    (sequence counter, outbox of unacked messages) and the receiver side
    (dedup window) live in one record keyed by the peer's sid. All of it is
    modelled as durable (write-ahead-logged): a crash only kills the
-   retransmission timers, which restart re-arms from the outbox. *)
+   retransmission timers, which restart re-arms from the outbox.
+
+   A snode meets far more peers over a run than it has conversations
+   open with, so the three queues are allocated on first write and
+   released when drained: an idle peer shares the empty sentinels below,
+   which nothing ever inserts into, and costs only its record. *)
 type outmsg = {
   o_payload : Wire.msg;
   mutable o_attempts : int;
@@ -35,13 +50,14 @@ type outmsg = {
 
 type peer = {
   mutable next_seq : int;
-  outbox : (int, outmsg) Hashtbl.t;  (* seq -> unacked message *)
-  backlog : int Queue.t;
+  mutable outbox : outmsg Itbl.t;  (* seq -> unacked message *)
+  mutable grown : bool;  (* [outbox] has resized past its initial buckets *)
+  mutable backlog : int Queue.t;
       (* seqs staged past the inflight window, promoted in order as acks
          retire window entries; entries stay in [outbox] (durable) *)
   mutable live : int;  (* outbox entries currently inside the window *)
   mutable floor : int;  (* every seq <= floor from this peer was processed *)
-  seen : (int, unit) Hashtbl.t;  (* processed seqs above the floor *)
+  mutable seen : unit Itbl.t;  (* processed seqs above the floor *)
   mutable suspect : bool;  (* route poisoned after repeated timeouts *)
   mutable strikes : int;
       (* consecutive retransmission timeouts — the route's graded suspicion
@@ -67,8 +83,8 @@ type endpoint = {
   sid : int;
   rng : Rng.t;  (* the snode's stream: retransmission jitter draws here *)
   mutable up : bool;  (* a down endpoint absorbs every delivery *)
-  peers : (int, peer) Hashtbl.t;
-  obufs : (int, obuf) Hashtbl.t;
+  peers : peer Itbl.t;
+  obufs : obuf Itbl.t;
 }
 
 type counters = {
@@ -114,8 +130,7 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
     eps =
       Array.mapi
         (fun sid rng ->
-          { sid; rng; up = true; peers = Hashtbl.create 8;
-            obufs = Hashtbl.create 8 })
+          { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8 })
         rngs;
     c =
       { timeouts = 0; retransmits = 0; probes = 0; backpressured = 0;
@@ -125,21 +140,67 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
 let counters tr = tr.c
 let note_timeout tr = tr.c.timeouts <- tr.c.timeouts + 1
 
+(* ---------------- per-peer queue lifecycle ---------------- *)
+
+(* The shared empty queues of every peer without traffic in flight.
+   Nothing is ever inserted into them: each insertion below first swaps
+   in a real queue, created with the size the eager tables had, so a
+   peer's bucket layout is what it always was. They are still walked, and
+   a [Hashtbl] walk briefly flips a field of its table, so these
+   process-wide sentinels keep the transport on one domain. *)
+let table_size = 4
+let no_outbox : outmsg Itbl.t = Itbl.create table_size
+let no_seen : unit Itbl.t = Itbl.create table_size
+let no_backlog : int Queue.t = Queue.create ()
+
+(* A table resizes once it holds more than twice its bucket count, so an
+   outbox created with 16 buckets first grows at its 33rd entry. *)
+let grow_threshold = 2 * (Itbl.stats no_outbox).num_buckets
+
+let outbox_add p seq entry =
+  if p.outbox == no_outbox then p.outbox <- Itbl.create table_size;
+  Itbl.add p.outbox seq entry;
+  if Itbl.length p.outbox > grow_threshold then p.grown <- true
+
+let seen_add p seq =
+  if p.seen == no_seen then p.seen <- Itbl.create table_size;
+  Itbl.replace p.seen seq ()
+
+let backlog_add p seq =
+  if p.backlog == no_backlog then p.backlog <- Queue.create ();
+  Queue.add seq p.backlog
+
+(* Whether a drain left a queue empty but still allocated. [seen] is only
+   probed, never iterated, so it may always go; the backlog is a FIFO; the
+   outbox only if it never grew. The cumulative retire in [on_ack] folds
+   the outbox in bucket order, and under an adaptive RTO that order feeds
+   the RTT estimator, so an emptied grown table keeps its wider layout
+   rather than give way to a fresh one. *)
+let stale_seen p = Itbl.length p.seen = 0 && p.seen != no_seen
+let stale_backlog p = Queue.is_empty p.backlog && p.backlog != no_backlog
+
+let stale_outbox p =
+  Itbl.length p.outbox = 0 && p.outbox != no_outbox && not p.grown
+
+let release_seen p = if stale_seen p then p.seen <- no_seen
+let release_backlog p = if stale_backlog p then p.backlog <- no_backlog
+let release_outbox p = if stale_outbox p then p.outbox <- no_outbox
+
 let peer_of ep pid =
-  match Hashtbl.find_opt ep.peers pid with
+  match Itbl.find_opt ep.peers pid with
   | Some p -> p
   | None ->
       let p =
-        { next_seq = 0; outbox = Hashtbl.create 4; backlog = Queue.create ();
-          live = 0; floor = -1; seen = Hashtbl.create 4; suspect = false;
-          strikes = 0; srtt = 0.; rttvar = 0. }
+        { next_seq = 0; outbox = no_outbox; grown = false; backlog = no_backlog;
+          live = 0; floor = -1; seen = no_seen; suspect = false; strikes = 0;
+          srtt = 0.; rttvar = 0. }
       in
-      Hashtbl.add ep.peers pid p;
+      Itbl.add ep.peers pid p;
       p
 
 (* The outbox entries that pass [keep], in seq (= issue) order. *)
 let in_seq_order p keep =
-  Hashtbl.fold (fun seq e acc -> if keep e then (seq, e) :: acc else acc) p.outbox []
+  Itbl.fold (fun seq e acc -> if keep e then (seq, e) :: acc else acc) p.outbox []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* One Jacobson estimator update (RFC 6298 gains). The first sample seeds
@@ -165,11 +226,11 @@ let admission_estimate tr ~src ~set ~need =
   let route_est sid =
     if sid = src then 0.
     else
-      match Hashtbl.find_opt tr.eps.(src).peers sid with
+      match Itbl.find_opt tr.eps.(src).peers sid with
       | None -> tr.rto
       | Some p ->
           let rtt = if p.srtt > 0. then p.srtt +. (4. *. p.rttvar) else tr.rto in
-          let pressure = float_of_int (Hashtbl.length p.outbox + 1) in
+          let pressure = float_of_int (Itbl.length p.outbox + 1) in
           rtt *. pressure *. float_of_int (1 + p.strikes)
   in
   let ests = List.sort compare (List.map route_est set) in
@@ -223,11 +284,11 @@ and wire tr ~src ~dst ~attempt ~bytes msg =
    acks. *)
 and stage tr ep ~dst msg =
   let ob =
-    match Hashtbl.find_opt ep.obufs dst with
+    match Itbl.find_opt ep.obufs dst with
     | Some ob -> ob
     | None ->
         let ob = { ob_dst = dst; ob_parts = []; ob_timer = None } in
-        Hashtbl.add ep.obufs dst ob;
+        Itbl.add ep.obufs dst ob;
         ob
   in
   (match msg with
@@ -301,8 +362,8 @@ and reliable_send tr ep ~dst ~acks msg =
     { o_payload = msg; o_attempts = 0; o_sent = 0.; o_live = false;
       o_timer = None }
   in
-  Hashtbl.add p.outbox seq entry;
-  let depth = Hashtbl.length p.outbox in
+  outbox_add p seq entry;
+  let depth = Itbl.length p.outbox in
   if depth > tr.c.outbox_peak then tr.c.outbox_peak <- depth;
   if tr.max_inflight > 0 && p.live >= tr.max_inflight then begin
     (* Window full: backpressure. The entry stays durably in the outbox
@@ -310,7 +371,7 @@ and reliable_send tr ep ~dst ~acks msg =
        window entry and promotes it. Piggybacked acks are unreliable and
        must not wait — let them go now. *)
     tr.c.backpressured <- tr.c.backpressured + 1;
-    Queue.add seq p.backlog;
+    backlog_add p seq;
     send_coalesced tr ep ~dst acks
   end
   else enter_window tr ep p ~dst ~acks ~seq entry
@@ -324,11 +385,11 @@ and enter_window tr ep p ~dst ~acks ~seq entry =
   p.live <- p.live + 1;
   if p.suspect then begin
     send_coalesced tr ep ~dst acks;
-    arm_retransmit tr ep ~dst ~seq entry ~delay:rto_cap
+    arm_retransmit tr ep p ~dst ~seq entry ~delay:rto_cap
   end
-  else transmit tr ep ~dst ~acks ~probe:false ~seq entry
+  else transmit tr ep p ~dst ~acks ~probe:false ~seq entry
 
-and transmit tr ep ~dst ~acks ~probe ~seq entry =
+and transmit tr ep p ~dst ~acks ~probe ~seq entry =
   entry.o_attempts <- entry.o_attempts + 1;
   entry.o_sent <- Engine.now tr.engine;
   if entry.o_attempts > 1 then begin
@@ -356,10 +417,9 @@ and transmit tr ep ~dst ~acks ~probe ~seq entry =
       emit_batch tr ep ~dst ~attempt:entry.o_attempts
         ~unbatched:(acks @ List.map req protos)
         (match acks with [] -> frame | _ -> Wire.Batch (acks @ [ frame ])));
-  arm_retransmit tr ep ~dst ~seq entry
-    ~delay:(rto_for tr ep ~dst entry.o_attempts)
+  arm_retransmit tr ep p ~dst ~seq entry ~delay:(rto_for tr ep p entry.o_attempts)
 
-and rto_for tr ep ~dst attempts =
+and rto_for tr ep p attempts =
   (* Exponential backoff with multiplicative jitter, capped. The adaptive
      path replaces the fixed [rto] base with the route's Jacobson estimate
      (SRTT + 4·RTTVAR, floored at [rto]) once a sample exists, so a route
@@ -369,15 +429,13 @@ and rto_for tr ep ~dst attempts =
   let exp = float_of_int (min (attempts - 1) 16) in
   let rto0 =
     if not tr.adaptive_rto then tr.rto
-    else
-      let p = peer_of ep dst in
-      if p.srtt > 0. then Float.max tr.rto (p.srtt +. (4. *. p.rttvar))
-      else tr.rto
+    else if p.srtt > 0. then Float.max tr.rto (p.srtt +. (4. *. p.rttvar))
+    else tr.rto
   in
   let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
   base *. (1. +. (0.5 *. Rng.float ep.rng))
 
-and arm_retransmit tr ep ~dst ~seq entry ~delay =
+and arm_retransmit tr ep p ~dst ~seq entry ~delay =
   (match tr.i_rto with Some h -> Histogram.observe h delay | None -> ());
   (* One timer slot per outbox entry, allocated at the first arming and
      re-armed for every retransmission — no fresh closure per attempt. *)
@@ -385,18 +443,17 @@ and arm_retransmit tr ep ~dst ~seq entry ~delay =
     match entry.o_timer with
     | Some tm -> tm
     | None ->
-        let tm = Engine.timer tr.engine (fun () -> on_rto tr ep ~dst ~seq entry) in
+        let tm = Engine.timer tr.engine (fun () -> on_rto tr ep p ~dst ~seq entry) in
         entry.o_timer <- Some tm;
         tm
   in
   Engine.arm tm ~delay
 
-and on_rto tr ep ~dst ~seq entry =
+and on_rto tr ep p ~dst ~seq entry =
   (* Timer fired with the message still unacknowledged. A crashed sender's
      timers are cancelled; restart re-arms them from the (durable) outbox,
      so the up check is belt-and-braces. *)
-  let p = peer_of ep dst in
-  if ep.up && Hashtbl.mem p.outbox seq then begin
+  if ep.up && Itbl.mem p.outbox seq then begin
     tr.c.timeouts <- tr.c.timeouts + 1;
     p.strikes <- p.strikes + 1;
     if (not p.suspect) && p.strikes >= poison_after then begin
@@ -414,17 +471,17 @@ and on_rto tr ep ~dst ~seq entry =
        the message) but at the capped cadence only and counted apart, so
        a retry storm's amplification stays bounded by construction. *)
     let probe = tr.retry_budget > 0 && entry.o_attempts > tr.retry_budget in
-    transmit tr ep ~dst ~acks:[] ~probe ~seq entry
+    transmit tr ep p ~dst ~acks:[] ~probe ~seq entry
   end
 
 and on_ack tr ep ~from ~seq ~floor =
   let p = peer_of ep from in
   let answered = ref false in
   let retire s =
-    match Hashtbl.find_opt p.outbox s with
+    match Itbl.find_opt p.outbox s with
     | None -> ()  (* duplicate ack *)
     | Some entry ->
-        Hashtbl.remove p.outbox s;
+        Itbl.remove p.outbox s;
         Option.iter Engine.disarm entry.o_timer;
         if entry.o_live then begin
           entry.o_live <- false;
@@ -439,44 +496,44 @@ and on_ack tr ep ~from ~seq ~floor =
   retire seq;
   (* Cumulative: the peer has processed every seq up to [floor], so also
      retire older entries whose own ack was lost. *)
-  Hashtbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc) p.outbox []
+  Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc) p.outbox []
   |> List.iter retire;
+  release_outbox p;
   if !answered then begin
-    peer_answered tr ep ~pid:from;
-    refill_window tr ep ~pid:from
+    peer_answered tr ep p ~pid:from;
+    refill_window tr ep p ~pid:from
   end
 
 (* Acks freed window slots: promote backlogged messages in issue order.
    Entries retired while waiting (a cumulative ack can cover them) are
    skipped. An unbounded window ([max_inflight = 0]) never fills, so only
    a restart puts entries in its backlog. *)
-and refill_window tr ep ~pid =
-  let p = peer_of ep pid in
+and refill_window tr ep p ~pid =
   while
     (tr.max_inflight = 0 || p.live < tr.max_inflight)
     && not (Queue.is_empty p.backlog)
   do
     let seq = Queue.pop p.backlog in
-    match Hashtbl.find_opt p.outbox seq with
+    match Itbl.find_opt p.outbox seq with
     | None -> ()
     | Some entry -> enter_window tr ep p ~dst:pid ~acks:[] ~seq entry
-  done
+  done;
+  release_backlog p
 
 (* Any message from a peer proves it alive: clear the strikes and, if the
    route was poisoned, retry everything still inside the window for it
    immediately (backlogged entries keep waiting for a slot). *)
-and peer_answered tr ep ~pid =
-  let p = peer_of ep pid in
+and peer_answered tr ep p ~pid =
   p.strikes <- 0;
   if p.suspect then begin
     p.suspect <- false;
     Log.debug (fun m ->
         m "snode %d: snode %d answered; flushing %d queued messages" ep.sid
-          pid (Hashtbl.length p.outbox));
+          pid (Itbl.length p.outbox));
     in_seq_order p (fun e -> e.o_live)
     |> List.iter (fun (seq, e) ->
            Option.iter Engine.disarm e.o_timer;
-           transmit tr ep ~dst:pid ~acks:[] ~probe:false ~seq e)
+           transmit tr ep p ~dst:pid ~acks:[] ~probe:false ~seq e)
   end
 
 (* Every network delivery lands here: a down endpoint absorbs everything
@@ -492,21 +549,30 @@ and receive tr ep ~from msg =
     | Wire.Ack { seq; floor } -> on_ack tr ep ~from ~seq ~floor
     | Wire.Req { seq; payload } ->
         let p = peer_of ep from in
-        let fresh = seq > p.floor && not (Hashtbl.mem p.seen seq) in
-        if fresh then begin
-          Hashtbl.replace p.seen seq ();
-          while Hashtbl.mem p.seen (p.floor + 1) do
-            Hashtbl.remove p.seen (p.floor + 1);
-            p.floor <- p.floor + 1
-          done
-        end;
+        let fresh =
+          if seq = p.floor + 1 && Itbl.length p.seen = 0 then begin
+            (* In order with no gap pending: the floor just moves up. *)
+            p.floor <- seq;
+            true
+          end
+          else if seq > p.floor && not (Itbl.mem p.seen seq) then begin
+            seen_add p seq;
+            while Itbl.mem p.seen (p.floor + 1) do
+              Itbl.remove p.seen (p.floor + 1);
+              p.floor <- p.floor + 1
+            done;
+            release_seen p;
+            true
+          end
+          else false
+        in
         (* Always (re-)acknowledge — the previous ack may have been lost —
            and cumulatively, with the floor advanced by this very frame.
            With a linger window the ack stages toward the peer and rides
            the next envelope out, usually alongside the replies the
            payload provokes just below. *)
         post tr ep ~dst:from (Wire.Ack { seq; floor = p.floor });
-        peer_answered tr ep ~pid:from;
+        peer_answered tr ep p ~pid:from;
         if fresh then begin
           match payload with
           | Wire.Batch parts ->
@@ -524,39 +590,39 @@ and receive tr ep ~from msg =
 let crash tr sid =
   let ep = tr.eps.(sid) in
   ep.up <- false;
-  Hashtbl.iter
+  Itbl.iter
     (fun _ p ->
       p.suspect <- false;
       p.strikes <- 0;
       (* RTT estimates are soft state, like suspicions. *)
       p.srtt <- 0.;
       p.rttvar <- 0.;
-      Hashtbl.iter
+      Itbl.iter
         (fun _ e ->
           Option.iter Engine.disarm e.o_timer;
           e.o_attempts <- 0)
         p.outbox)
     ep.peers;
-  Hashtbl.iter (fun _ ob -> Option.iter Engine.disarm ob.ob_timer) ep.obufs
+  Itbl.iter (fun _ ob -> Option.iter Engine.disarm ob.ob_timer) ep.obufs
 
 let restart tr sid =
   let ep = tr.eps.(sid) in
   ep.up <- true;
   (* Re-send everything still unacknowledged. The whole outbox re-enters
      through the backlog, so the restart burst respects the window too. *)
-  Hashtbl.iter
+  Itbl.iter
     (fun pid p ->
-      Queue.clear p.backlog;
+      p.backlog <- no_backlog;
       p.live <- 0;
       in_seq_order p (fun _ -> true)
       |> List.iter (fun (seq, e) ->
              e.o_live <- false;
-             Queue.add seq p.backlog);
-      refill_window tr ep ~pid)
+             backlog_add p seq);
+      refill_window tr ep p ~pid)
     ep.peers;
   (* Flush timers died with the crash; anything still staged goes out
      one linger window from now. *)
-  Hashtbl.iter
+  Itbl.iter
     (fun _ ob ->
       if ob.ob_parts <> [] then
         Option.iter (fun tm -> Engine.arm tm ~delay:tr.linger) ob.ob_timer)
@@ -573,7 +639,7 @@ let flush_lingering tr =
   Array.iter
     (fun ep ->
       if ep.up then
-        Hashtbl.fold (fun dst ob acc -> (dst, ob) :: acc) ep.obufs []
+        Itbl.fold (fun dst ob acc -> (dst, ob) :: acc) ep.obufs []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         |> List.iter (fun (_, ob) ->
                Option.iter Engine.disarm ob.ob_timer;
@@ -583,21 +649,28 @@ let flush_lingering tr =
 (* Outbox plus backlog lengths over all peers; a backlogged message is
    still in the outbox, so it weighs twice. *)
 let queue_depth tr sid =
-  Hashtbl.fold
-    (fun _ p acc -> acc + Hashtbl.length p.outbox + Queue.length p.backlog)
+  Itbl.fold
+    (fun _ p acc -> acc + Itbl.length p.outbox + Queue.length p.backlog)
     tr.eps.(sid).peers 0
 
-(* Bounded-queue audit: the structural invariants of the degradation layer.
-   Cheap enough to run at every explorer step. *)
+(* Bounded-queue audit: the structural invariants of the degradation layer,
+   and the footprint rule that a drained queue is released. Cheap enough to
+   run at every explorer step. *)
 let audit tr =
   let issues = ref [] in
   let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
   Array.iter
     (fun ep ->
-      Hashtbl.iter
+      Itbl.iter
         (fun pid p ->
+          let unreleased what =
+            fail "snode %d -> %d: drained %s not released" ep.sid pid what
+          in
+          if stale_seen p then unreleased "dedup window";
+          if stale_backlog p then unreleased "backlog";
+          if stale_outbox p then unreleased "outbox";
           let live =
-            Hashtbl.fold
+            Itbl.fold
               (fun _ e acc -> if e.o_live then acc + 1 else acc)
               p.outbox 0
           in
@@ -629,10 +702,10 @@ type peer_sample = {
 let peer_samples tr =
   Array.to_list tr.eps
   |> List.concat_map (fun ep ->
-         Hashtbl.fold (fun pid p acc -> (pid, p) :: acc) ep.peers []
+         Itbl.fold (fun pid p acc -> (pid, p) :: acc) ep.peers []
          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
          |> List.map (fun (pid, p) ->
                 { ps_observer = ep.sid; ps_peer = pid; ps_srtt = p.srtt;
                   ps_rttvar = p.rttvar; ps_strikes = p.strikes;
-                  ps_suspect = p.suspect; ps_outbox = Hashtbl.length p.outbox;
+                  ps_suspect = p.suspect; ps_outbox = Itbl.length p.outbox;
                   ps_backlog = Queue.length p.backlog }))

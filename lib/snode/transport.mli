@@ -96,7 +96,10 @@ val queue_depth : t -> int -> int
 
 val audit : t -> string list
 (** Window bookkeeping findings: every peer's inflight count must match
-    its outbox and stay within [max_inflight]. Empty when sound. *)
+    its outbox and stay within [max_inflight]. Also the footprint rule:
+    a peer's drained dedup window and backlog, and its drained outbox
+    unless that table grew, are released back to the shared empty
+    sentinel. Empty when sound. *)
 
 type counters = private {
   mutable timeouts : int;

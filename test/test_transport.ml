@@ -146,8 +146,117 @@ let test_crash_restart () =
   check Alcotest.(list string) "window bookkeeping sound" [] (Transport.audit tr);
   check Alcotest.int "outboxes drained" 0 (Transport.queue_depth tr 0)
 
+(* The dedup window's slow path on its own: the first frame (seq 0) is
+   held back, so seq 1 lands first, is delivered and is remembered above
+   the floor; when seq 0 fills the gap it is delivered too, the floor
+   moves past both and the drained window is released (the audit's
+   footprint rule, checked after every event). *)
+let test_gap_fill () =
+  let engine = Engine.create () in
+  let faults = Fault.create ~seed:1 () in
+  let net = Network.create ~faults engine Network.gigabit in
+  Network.set_probe net
+    (Some
+       (fun ~site ~src:_ ~dst:_ ~tag:_ ->
+         if site = 0 then Network.Defer 2e-4 else Network.Pass));
+  let got = ref [] in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ msg ->
+        match msg with
+        | Wire.Busy { token } -> got := token :: !got
+        | _ -> Alcotest.fail "deliver saw a non-payload message")
+  in
+  Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token = 0 });
+  Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token = 1 });
+  let early = ref ([], 0) in
+  while Engine.step engine do
+    if Engine.now engine < 2e-4 then early := (!got, Network.messages net);
+    check Alcotest.(list string) "audit after every event" [] (Transport.audit tr)
+  done;
+  (* Before seq 0 lands, seq 1 has landed: delivered, and acked as the
+     third message. *)
+  check Alcotest.(pair (list int) int) "seq 1 lands first" ([ 1 ], 3) !early;
+  check Alcotest.(list int) "each delivered once" [ 1; 0 ] (List.rev !got);
+  check Alcotest.int "no retransmission needed" 0
+    (Transport.counters tr).Transport.retransmits;
+  check Alcotest.int "outboxes drained" 0 (Transport.queue_depth tr 0)
+
+(* A drained outbox that grew keeps its wider bucket layout. Forty
+   payloads toward a crashed snode grow one outbox past its 32-entry
+   resize threshold; after the restart they are all acked, retransmitted
+   and so never sampled. Then a burst of six, issued 10 us apart, loses
+   its first five acks: the sixth ack's cumulative floor retires the other
+   five in the outbox's bucket order, and under the adaptive RTO each
+   retire feeds one RTT sample, so the estimate depends on that order.
+   The srtt/rttvar pinned below are the eager-table transport's, where
+   every outbox kept its layout for good; a grown outbox given back to a
+   fresh 16-bucket table would fold 40..44 in another order. *)
+let test_grown_outbox_order () =
+  let engine = Engine.create () in
+  let faults = Fault.create ~seed:1 () in
+  let net = Network.create ~faults engine Network.gigabit in
+  let lost_acks = ref 0 in
+  Network.set_probe net
+    (Some
+       (fun ~site:_ ~src ~dst ~tag ->
+         if src = 1 && dst = 0 && tag = Some "ack" && !lost_acks > 0 then begin
+           decr lost_acks;
+           Network.Sink
+         end
+         else Network.Pass));
+  let got = ref 0 in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:true ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> incr got)
+  in
+  let drain () =
+    while Engine.step engine do
+      check Alcotest.(list string) "audit after every event" [] (Transport.audit tr)
+    done
+  in
+  Transport.crash tr 1;
+  for token = 0 to 39 do
+    Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token })
+  done;
+  Engine.run ~until:0.1 engine;
+  Transport.restart tr 1;
+  drain ();
+  check Alcotest.int "outbox grew past 32" 40
+    (Transport.counters tr).Transport.outbox_peak;
+  check Alcotest.int "first wave delivered and drained" 40 !got;
+  check Alcotest.int "outboxes drained" 0 (Transport.queue_depth tr 0);
+  lost_acks := 5;
+  let resent = (Transport.counters tr).Transport.retransmits in
+  let t0 = Engine.now engine in
+  for i = 0 to 5 do
+    Engine.at engine
+      ~time:(t0 +. 1e-3 +. (float_of_int i *. 1e-5))
+      (fun () -> Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token = 40 + i }))
+  done;
+  drain ();
+  check Alcotest.int "burst delivered" 46 !got;
+  check Alcotest.int "five acks lost" 0 !lost_acks;
+  check Alcotest.int "burst needed no retransmission" resent
+    (Transport.counters tr).Transport.retransmits;
+  let p =
+    List.find
+      (fun (p : Transport.peer_sample) -> p.ps_observer = 0 && p.ps_peer = 1)
+      (Transport.peer_samples tr)
+  in
+  check Alcotest.(pair string string) "RTT estimate in the eager tables' order"
+    ("0x1.e37212b962522p-14", "0x1.b9405639fbadap-16")
+    (Printf.sprintf "%h" p.ps_srtt, Printf.sprintf "%h" p.ps_rttvar)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
     Alcotest.test_case "crash absorbs, restart re-sends" `Quick test_crash_restart;
+    Alcotest.test_case "out-of-order frame, then the gap fills" `Quick test_gap_fill;
+    Alcotest.test_case "a grown outbox keeps its fold order" `Quick
+      test_grown_outbox_order;
   ]
