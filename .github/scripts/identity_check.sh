@@ -5,9 +5,10 @@
 #
 # PARENT_DIR is a checkout of the parent commit, made with
 # `git clone` (not `git worktree`). Both trees are built, then each runs
-# the seed-2004 CI smokes and the deterministic bench snapshot in its own
-# scratch directory. The script compares, tree against tree:
-#   - every smoke's exit code, stdout and the trace/metrics files it writes;
+# the seed-2004 CI smokes, CI's explorer sweeps and repro replays, and the
+# deterministic bench snapshot in its own scratch directory. The script
+# compares, tree against tree:
+#   - every run's exit code, stdout and the trace/metrics files it writes;
 #   - BENCH_runtime.json with every "cpu_seconds" field removed (the only
 #     host-timed fields).
 # BENCH_ROUTING_SIZES and BENCH_AE_KEYS pass through to both bench runs
@@ -41,9 +42,16 @@ smokes=(
   "balance|balance --zipf 0.99 --seed 2004"
   "route|route --snodes 100,1000 --seed 2004 --json route-sweep.json --metrics-csv route-metrics.csv"
   "explore-protected|explore --seed 100 --seeds 10 --rounds 20 --max-tweaks 4"
+  "explore-mt-ae|explore --scenario mt-ae --seed 200 --seeds 5 --rounds 10 --max-tweaks 3"
+  "explore-mutate|explore --mutate --seed 1 --seeds 5 --rounds 30 --max-tweaks 3"
 )
-# Run from the tree root, so the repro path is the same on both sides.
-replay="explore --replay test/repros/creation-coordinator-livelock.sched"
+# name|repro; each replays from the tree root, so the repro path is the
+# same on both sides.
+replays=(
+  "livelock-replay|test/repros/creation-coordinator-livelock.sched"
+  "mt-race-replay|test/repros/mt-reconciliation-race.sched"
+  "lost-ack-replay|test/repros/lost-acked-write.sched"
+)
 
 for side in parent change; do
   if [ "$side" = parent ]; then tree=$parent; else tree=$change; fi
@@ -64,10 +72,12 @@ for side in parent change; do
     (cd "$dir/run" && "$exe" $args > "../$name.stdout" 2> /dev/null)
     echo $? > "$dir/$name.code"
   done
-  echo "   livelock-replay"
-  # shellcheck disable=SC2086
-  (cd "$tree" && "$exe" $replay > "$dir/livelock-replay.stdout" 2> /dev/null)
-  echo $? > "$dir/livelock-replay.code"
+  for entry in "${replays[@]}"; do
+    name=${entry%%|*}
+    echo "   $name"
+    (cd "$tree" && "$exe" explore --replay "${entry#*|}" > "$dir/$name.stdout" 2> /dev/null)
+    echo $? > "$dir/$name.code"
+  done
   echo "   bench"
   (cd "$dir/bench" && "$tree/_build/default/bench/main.exe" > /dev/null 2>&1)
   echo $? > "$dir/bench.code"

@@ -9,7 +9,6 @@ module Trace = Dht_telemetry.Trace
 module Rng = Dht_prng.Rng
 module Hash = Dht_hashes.Hash
 module Versioned = Dht_kv.Versioned
-module Merkle = Dht_merkle.Merkle
 module Placement = Dht_replication.Placement
 module Heat = Dht_obsv.Heat
 module Balance = Dht_balance
@@ -32,17 +31,11 @@ let log_src = Logs.Src.create "dht.snode" ~doc:"Distributed snode runtime"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* One mutable slot per stored key: an LWW update lands with a single
-   table probe (find, then overwrite in place) instead of the
-   find-then-replace double hash. Slots are per-table; the immutable cell
-   inside may be shared across snodes, the slot never is. *)
-type slot = { mutable cell : Versioned.cell }
-
 type vnode_local = {
   vid : Vnode_id.t;
   mutable group : Group_id.t;
   mutable spans : Span.t list;
-  data : (string, slot) Hashtbl.t;  (* authoritative copies *)
+  data : Store.table;  (* authoritative copies *)
 }
 
 type lpdr = {
@@ -140,12 +133,10 @@ type snode = {
      the same epoch-fenced commit that moves a partition, so the copy set
      never straddles a stale LPDR epoch. *)
   rmap : int list Point_map.t;
-  (* Cells held as a non-owner replica (including hinted parking). *)
-  replicas : (string, slot) Hashtbl.t;
   (* Hinted handoff owed to crashed replicas: (target snode, key). The
      flush is already in the reliable outbox; the entry survives until the
      target acknowledges it. *)
-  hints : (int * string, slot) Hashtbl.t;
+  hints : (int * string, Versioned.cell ref) Hashtbl.t;
   quorums : (int, qstate) Hashtbl.t;  (* token -> in-flight quorum op *)
   (* Monotonic write-stamp counter: the engine dispatches many events at
      one virtual instant, so [Engine.now] alone cannot order two writes
@@ -187,25 +178,6 @@ type snode = {
   lb_is_dir : bool;  (* hash-located, fixed for the cluster's lifetime *)
   mutable lb_version : int;
   mutable lb_last_transfer : float;  (* donor-side transfer rate limit *)
-  (* Live hash tree over every cell this snode holds, owner partitions
-     and replica copies alike, kept in step with the tables by [hold] and
-     [drop]. It answers span digests, span scans and range legs, and AE
-     snapshots are O(1) copies of it. Built lazily on first read, dropped
-     when the writes since its last read outnumber its cells (a rebuild
-     on next use is then cheaper than upkeep). Soft state, like [mtree]. *)
-  mutable live : Versioned.cell Merkle.t option;
-  mutable live_writes : int;  (* tree updates since the last read *)
-  (* Anti-entropy snapshot: the live tree as it stood when the current
-     push round opened ([Merkle.frame_at] clips per-partition frames out
-     of it). Persistent nodes make it immune to later writes. Soft state
-     — losing it to a crash costs one snapshot. *)
-  mutable mtree : Versioned.cell Merkle.t option;
-  (* Push-round counter stamped into [Mt_root] frames. Durable, like
-     [wseq]: a restarted pusher must keep superseding its old rounds. *)
-  mutable ae_round : int;
-  (* Last round snapshotted per pushing peer, so one rebuild serves every
-     span that peer pushes in a round. Soft state, like the tree. *)
-  ae_seen : (int, int) Hashtbl.t;
   (* In-flight coordinated range reads, token -> state. *)
   ranges : (int, rstate) Hashtbl.t;
 }
@@ -287,11 +259,7 @@ type t = {
   rfactor : int;  (* copies per partition; 1 = no replication *)
   read_quorum : int;  (* R *)
   write_quorum : int;  (* W; R + W > rfactor *)
-  mt_threshold : int;
-      (* anti-entropy protocol switch: a span probe whose local cell count
-         is <= this goes out as a legacy full-span digest; above it the
-         pusher opens a hash-tree descent. [max_int] disables the trees. *)
-  mt_leaf : int;  (* hash-tree bucket capacity *)
+  store : Store.t;  (* held cells, hash trees, anti-entropy frames *)
   instr : instruments option;
   trace : Trace.t;
   causal : bool;  (* propagate span context on the wire, emit causal events *)
@@ -326,15 +294,7 @@ type t = {
   mutable hints_stored : int;  (* cells parked on a hinted fallback *)
   mutable hints_flushed : int;  (* hints drained to their restarted target *)
   mutable read_repairs : int;  (* stale repliers repaired after a read *)
-  mutable sync_cells : int;  (* cells freshened by anti-entropy syncs *)
-  mutable orphans : int;  (* replica-table cells routed back to an owner *)
   mutable done_ranges : int;  (* completed coordinated range reads *)
-  mutable ae_digests : int;  (* legacy full-span digests pushed *)
-  mutable ae_roots : int;  (* hash-tree descents opened (Mt_root sent) *)
-  mutable ae_requests : int;  (* descent rounds (Mt_request messages) *)
-  mutable ae_frames : int;  (* child frames shipped in Mt_frames *)
-  mutable ae_leaves : int;  (* divergent leaves key-listed (Mt_leaf) *)
-  mutable ae_keys_sent : int;  (* cells shipped by anti-entropy syncs *)
   mutable lb_transfers : int;  (* completed hot-partition swap events *)
   mutable lb_proposals : int;  (* directory proposals issued *)
   mutable lb_emergencies : int;  (* proposals via the emergency path *)
@@ -368,72 +328,18 @@ let install_spans sn v spans =
   v.spans <- spans @ v.spans;
   List.iter (fun s -> Point_map.add sn.owned s v.vid) spans
 
-(* The one update point for held cells. Every write to or removal from a
-   partition table or [sn.replicas] goes through [hold] or [drop], which
-   keep the live hash tree in step with the tables. A tree that has
-   absorbed more updates since its last read than it holds cells is
-   dropped instead: rebuilding it on next use is then the cheaper path
-   (bulk key loads into a store nobody reads pay no upkeep at all). *)
-let live_for_update sn =
-  match sn.live with
-  | None -> None
-  | Some tree as live ->
-      sn.live_writes <- sn.live_writes + 1;
-      if sn.live_writes > Merkle.count tree then begin
-        sn.live <- None;
-        None
-      end
-      else live
+(* Every placement a snode owns, in table order: what a restart re-learns,
+   a refresh round reports and an anti-entropy round pushes. *)
+let iter_owned sn f =
+  Vtbl.iter (fun vid v -> List.iter (fun s -> f s vid) v.spans) sn.locals
 
-(* Store [cell] under [key] in [tbl]: unconditionally with [~lww:false],
-   otherwise only when strictly fresher than the held copy (LWW, biased
-   to the incumbent). Single probe on the update path. Returns [true]
-   when the held cell changed (new key or replaced version). *)
-let hold ?(lww = true) sn tbl ~point ~key cell =
-  let changed =
-    match Hashtbl.find_opt tbl key with
-    | None ->
-        Hashtbl.add tbl key { cell };
-        true
-    | Some s ->
-        if
-          lww
-          && not
-               (Versioned.newer cell.Versioned.version s.cell.Versioned.version)
-        then false
-        else begin
-          s.cell <- cell;
-          true
-        end
-  in
-  (if changed then
-     match live_for_update sn with
-     | Some tree ->
-         Merkle.insert tree ~key ~point ~digest:(Versioned.digest key cell) cell
-     | None -> ());
-  changed
-
-let drop sn tbl ~point ~key =
-  Hashtbl.remove tbl key;
-  match live_for_update sn with
-  | Some tree -> ignore (Merkle.remove tree ~key ~point)
-  | None -> ()
+let owned_spans sn =
+  List.concat (List.rev (Vtbl.fold (fun _ v acc -> v.spans :: acc) sn.locals []))
 
 (* Remove from [v]'s table every key whose point satisfies [leaving] and
    return those cells, key-unsorted, as a [Transfer] payload. *)
-let give_away t sn v leaving =
-  let moved =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if leaving point then (key, point, s.cell) :: acc else acc)
-      v.data []
-  in
-  List.map
-    (fun (key, point, cell) ->
-      drop sn v.data ~point ~key;
-      (key, cell))
-    moved
+let give_away t v leaving =
+  List.map (fun (key, _, cell) -> (key, cell)) (Store.take t.store v.data leaving)
 
 let donate_spans t sn v give =
   let rec take n acc rest =
@@ -448,7 +354,7 @@ let donate_spans t sn v give =
   List.iter (fun s -> Point_map.remove sn.owned s) taken;
   (* Keys inside the donated partitions migrate with them. *)
   let moved_data =
-    give_away t sn v (fun point ->
+    give_away t v (fun point ->
         List.exists (fun sp -> Span.contains t.space sp point) taken)
   in
   (taken, moved_data)
@@ -460,7 +366,7 @@ let donate_span t sn v span =
     invalid_arg "Runtime: donor does not own the requested span";
   v.spans <- List.filter (fun s -> Span.compare s span <> 0) v.spans;
   Point_map.remove sn.owned span;
-  give_away t sn v (Span.contains t.space span)
+  give_away t v (Span.contains t.space span)
 
 (* [true] when [e] is fresher than everything applied for [gid] so far; the
    high-water mark advances as a side effect. *)
@@ -482,139 +388,12 @@ let split_all_local t sn v =
   in
   v.spans <- halves
 
-(* ------------------------------------------------------------------ *)
-(* Replica storage                                                      *)
-
-(* Accept-and-store: an owner keeps the cell in its partition table, any
-   other snode in its replica table; both merge by LWW. Returns [true]
-   when the stored cell changed (new key or strictly fresher version). *)
-let store_replica sn ~point ~key cell =
-  let tbl =
-    match Point_map.find_owner_exn sn.owned point with
-    | vid -> (local_exn sn vid).data
-    | exception Not_found -> sn.replicas
-  in
-  hold sn tbl ~point ~key cell
-
-let replica_lookup sn ~point ~key =
-  let slot =
-    match Point_map.find_owner_exn sn.owned point with
-    | vid -> Hashtbl.find_opt (local_exn sn vid).data key
-    | exception Not_found -> Hashtbl.find_opt sn.replicas key
-  in
-  Option.map (fun s -> s.cell) slot
-
 (* Stamp a fresh write at this snode: virtual time plus the snode's own
    sequence counter, so two writes stamped in the same engine tick are
    still totally ordered in issue order. *)
 let stamp_cell t sn ~value =
   sn.wseq <- sn.wseq + 1;
   Versioned.cell ~value ~ts:(Engine.now t.engine) ~seq:sn.wseq ~origin:sn.sid ()
-
-(* Every held cell as a [Merkle.build] tuple. The per-cell digest is
-   [Versioned.digest] and tree hashes combine by XOR, so a tree frame for
-   any span equals the flat digest a scan of that span would fold. That
-   keeps tree frames and legacy digests interchangeable on the wire. *)
-let held_cells t sn =
-  let cells = ref [] in
-  let consider key s =
-    let point = Hash.string t.space key in
-    cells := (key, point, Versioned.digest key s.cell, s.cell) :: !cells
-  in
-  Hashtbl.iter consider sn.replicas;
-  Vtbl.iter (fun _ v -> Hashtbl.iter consider v.data) sn.locals;
-  !cells
-
-(* The live tree, rebuilt over the tables if a crash or the stale-drop
-   rule discarded it. Every read restarts the stale-drop count. *)
-let live_tree t sn =
-  sn.live_writes <- 0;
-  match sn.live with
-  | Some tree -> tree
-  | None ->
-      let tree =
-        Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root
-          (held_cells t sn)
-      in
-      sn.live <- Some tree;
-      tree
-
-(* Every cell this snode holds (own partitions and replica copies) whose
-   key hashes into [span], sorted by key: hash-table order depends on
-   insertion history, which differs between owner and replica. *)
-let span_cells t sn span =
-  List.map (fun (k, _, c) -> (k, c)) (Merkle.entries_at (live_tree t sn) span)
-
-(* Order-insensitive digest of [span]: cell count and XOR-folded per-cell
-   hashes. Two snodes agree iff they hold the same cells for the span. *)
-let span_digest t sn span =
-  let f = Merkle.frame_at (live_tree t sn) span in
-  (f.Merkle.f_count, f.Merkle.f_hash)
-
-(* A snode that just gained ownership of [spans] absorbs any copies it
-   already held as a mere replica (they may be fresher than the
-   transferred data if a quorum write landed mid-migration). *)
-let absorb_replica_cells t sn v spans =
-  let moving =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        if List.exists (fun sp -> Span.contains t.space sp point) spans then
-          (key, point, s.cell) :: acc
-        else acc)
-      sn.replicas []
-  in
-  List.iter
-    (fun (key, point, cell) ->
-      (* The tree keeps one cell per key: after the drop, re-insert
-         whichever copy wins even when the partition's copy stays. *)
-      drop sn sn.replicas ~point ~key;
-      let cell =
-        match Hashtbl.find_opt v.data key with
-        | Some s -> Versioned.merge ~mine:s.cell ~theirs:cell
-        | None -> cell
-      in
-      ignore (hold ~lww:false sn v.data ~point ~key cell))
-    moving
-
-(* Every cell this snode holds whose key hashes into [lo, hi), sorted by
-   key — the replica-side scan behind one range-read leg. *)
-let range_cells t sn ~lo ~hi = Merkle.range (live_tree t sn) ~lo ~hi
-
-(* ------------------------------------------------------------------ *)
-(* Anti-entropy hash trees                                              *)
-
-(* Snapshot the live tree for anti-entropy: O(1), and later writes never
-   reach it (persistent nodes). *)
-let snapshot_mtree t sn =
-  let tree = Merkle.snapshot (live_tree t sn) in
-  sn.mtree <- Some tree;
-  tree
-
-(* The session snapshot, re-taken only if a crash wiped it. Mid-descent
-   writes are invisible until the next round re-snapshots — anti-entropy
-   reconciles snapshots, quorum replication covers the live traffic. *)
-let mtree t sn =
-  match sn.mtree with Some tree -> tree | None -> snapshot_mtree t sn
-
-(* A pusher opens every AE round from a fresh snapshot... *)
-let refresh_mtree t sn =
-  sn.ae_round <- sn.ae_round + 1;
-  ignore (snapshot_mtree t sn)
-
-(* ...and a receiver re-snapshots the first time it sees that round, so
-   one snapshot serves every span the peer pushes in it. *)
-let mtree_for_round t sn ~owner ~round =
-  let stale =
-    match Hashtbl.find_opt sn.ae_seen owner with
-    | Some r -> r <> round
-    | None -> true
-  in
-  if stale then begin
-    Hashtbl.replace sn.ae_seen owner round;
-    snapshot_mtree t sn
-  end
-  else mtree t sn
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                            *)
@@ -848,6 +627,12 @@ let heat_charge t sn ~point ~kind ~bytes =
           Heat.charge cell ~now ();
           Heat.charge e.h_bytes ~now ~weight:(float_of_int bytes) ())
 
+(* Accept-and-store one replicated cell ({!Store.store}), charged to its
+   partition's heat first. *)
+let accept t sn ~kind ~point ~key cell =
+  heat_charge t sn ~point ~kind ~bytes:(String.length key + Versioned.size_bytes cell);
+  ignore (Store.store t.store sn.sid ~point ~key cell)
+
 (* Total decayed heat of one partition (reads + writes + replica traffic),
    0 when the partition was never accessed or heat accounting is off. *)
 let span_heat t span =
@@ -978,7 +763,7 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       let cell = stamp_cell t sn ~value in
       heat_charge t sn ~point ~kind:`Write
         ~bytes:(String.length key + String.length value);
-      ignore (hold ~lww:false sn v.data ~point ~key cell);
+      ignore (Store.hold ~lww:false t.store v.data ~point ~key cell);
       (* Replication on but the write arrived on the routed single-copy
          path (issued while the whole cluster was down, then parked):
          seed the other replicas immediately so the acked write does not
@@ -1000,18 +785,13 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       let v = local_exn sn owner in
       heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
       let value =
-        Option.map
-          (fun s -> s.cell.Versioned.value)
-          (Hashtbl.find_opt v.data key)
+        Option.map (fun c -> c.Versioned.value) (Store.find v.data key)
       in
       send t ~src:sn.sid ~dst:origin
         (Wire.Get_reply { token; value; hint = reply_hint () })
   | Wire.Op_sync { key; cell } ->
       (* Anti-entropy orphan coming home: merge, no reply. *)
-      let v = local_exn sn owner in
-      heat_charge t sn ~point ~kind:`Repl
-        ~bytes:(String.length key + Versioned.size_bytes cell);
-      ignore (hold sn v.data ~point ~key cell)
+      accept t sn ~kind:`Repl ~point ~key cell
   | Wire.Op_create { newcomer } -> (
       (* The owner of the point is the victim vnode; its group is the
          victim group. Hand the request to that group's manager. *)
@@ -1110,9 +890,7 @@ and start_qput t sn ~token ~key ~point ~set cell =
   List.iter
     (fun sid ->
       if sid = sn.sid then begin
-        heat_charge t sn ~point ~kind:`Write
-          ~bytes:(String.length key + Versioned.size_bytes cell);
-        ignore (store_replica sn ~point ~key cell);
+        accept t sn ~kind:`Write ~point ~key cell;
         qput_record t sn q sn.sid
       end
       else send t ~src:sn.sid ~dst:sid (Wire.Repl_put { token; key; point; cell }))
@@ -1167,11 +945,7 @@ and fire_hints t sn q =
                          [ ("target", Trace.Int target); ("via", Trace.Int fb) ];
                      if fb = sn.sid then begin
                        (* We are our own fallback: park locally. *)
-                       heat_charge t sn ~point:q.q_point ~kind:`Repl
-                         ~bytes:
-                           (String.length q.q_key + Versioned.size_bytes q_cell);
-                       ignore
-                         (store_replica sn ~point:q.q_point ~key:q.q_key q_cell);
+                       accept t sn ~kind:`Repl ~point:q.q_point ~key:q.q_key q_cell;
                        park_hint t sn ~target ~key:q.q_key ~point:q.q_point
                          q_cell;
                        qput_record t sn q sn.sid
@@ -1205,12 +979,12 @@ and park_hint t sn ~target ~key ~point cell =
   let cell =
     match Hashtbl.find_opt sn.hints (target, key) with
     | Some s ->
-        let merged = Versioned.merge ~mine:s.cell ~theirs:cell in
-        s.cell <- merged;
+        let merged = Versioned.merge ~mine:!s ~theirs:cell in
+        s := merged;
         merged
     | None ->
         t.hints_stored <- t.hints_stored + 1;
-        Hashtbl.add sn.hints (target, key) { cell };
+        Hashtbl.add sn.hints (target, key) (ref cell);
         cell
   in
   send t ~src:sn.sid ~dst:target (Wire.Hint_flush { key; point; cell })
@@ -1251,7 +1025,7 @@ and start_qget t sn ~token ~key ~point ~set =
     (fun sid ->
       if sid = sn.sid then begin
         heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
-        qget_record t sn q sn.sid (replica_lookup sn ~point ~key)
+        qget_record t sn q sn.sid (Store.lookup t.store sn.sid ~point ~key)
       end
       else send t ~src:sn.sid ~dst:sid (Wire.Repl_get { token; key; point }))
     set
@@ -1290,7 +1064,7 @@ and qget_record t sn q sid cell =
                     t.read_repairs <- t.read_repairs + 1;
                     if rsid = sn.sid then
                       ignore
-                        (store_replica sn ~point:q.q_point ~key:q.q_key w)
+                        (Store.store t.store sn.sid ~point:q.q_point ~key:q.q_key w)
                     else
                       send t ~src:sn.sid ~dst:rsid
                         (Wire.Repl_repair
@@ -1352,7 +1126,7 @@ and start_range t sn ~token ~lo ~hi =
         List.iter
           (fun sid ->
             if sid = sn.sid then begin
-              let cells = range_cells t sn ~lo:leg.rl_lo ~hi:leg.rl_hi in
+              let cells = Store.range t.store sn.sid ~lo:leg.rl_lo ~hi:leg.rl_hi in
               heat_charge t sn ~point:leg.rl_lo ~kind:`Read
                 ~bytes:(Wire.cells_size cells);
               range_record t sn st ~leg_lo:leg.rl_lo ~sid:sn.sid cells
@@ -1395,114 +1169,37 @@ and finish_range t sn st =
 
 (* ---------------- anti-entropy ---------------- *)
 
-(* Owner-side probe of one partition span toward one replica. Tiny spans
-   go out as a legacy full-span digest (so seed-scale traffic is
-   byte-identical to the pre-tree protocol); anything above
-   [mt_threshold] opens a hash-tree descent instead. Both frames are cut
-   from the round's snapshot of the live tree, taken once per round. *)
-and ae_probe t sn ~dst span =
-  let f = Merkle.frame_at (mtree t sn) span in
-  if f.Merkle.f_count <= t.mt_threshold then begin
-    t.ae_digests <- t.ae_digests + 1;
-    send t ~src:sn.sid ~dst
-      (Wire.Repl_digest
-         { span; count = f.Merkle.f_count; vhash = f.Merkle.f_hash })
-  end
-  else begin
-    t.ae_roots <- t.ae_roots + 1;
-    send t ~src:sn.sid ~dst
-      (Wire.Mt_root
-         {
-           round = sn.ae_round;
-           span;
-           count = f.Merkle.f_count;
-           vhash = f.Merkle.f_hash;
-         })
-  end
-
-(* Receiver-side comparison of one pushed frame against our own tree.
-   Equal frames prune the whole subtree; a divergent frame either
-   descends (both sides still have finer frames) or, at a leaf, ships our
-   per-key digests so only the symmetric difference crosses the wire
-   afterwards. Returns the span to request children for, if any. *)
-and ae_frame_compare t sn ~dst (span, count, hash, leaf) =
-  let mine = Merkle.frame_at (mtree t sn) span in
-  if mine.Merkle.f_count = count && mine.Merkle.f_hash = hash then None
-  else if
-    leaf || mine.Merkle.f_leaf || Span.level span >= Space.max_level t.space
-  then begin
-    let keys =
-      List.map (fun (k, d, _) -> (k, d)) (Merkle.entries_at (mtree t sn) span)
-    in
-    t.ae_leaves <- t.ae_leaves + 1;
-    send t ~src:sn.sid ~dst (Wire.Mt_leaf { span; keys });
-    None
-  end
-  else Some span
-
-(* Probe every replica map entry covering one locally-owned span where we
-   are the primary. Replicas whose frame differs either pull a full-span
-   sync (legacy) or walk the tree down to the divergent leaves. *)
-and ae_push_span t sn span =
+(* Probe every replica map entry covering [spans] where we are the
+   primary, toward each other replica or only [target] (the recovery path
+   behind [Ae_request]). Replicas whose frame differs either pull a
+   full-span sync (legacy) or walk the tree down to the divergent leaves;
+   {!Store.answer} carries both exchanges. *)
+and ae_push t sn ?target ~fresh spans =
+  let probes =
+    List.concat_map
+      (fun span ->
+        List.concat_map
+          (fun (s', set) ->
+            match set with
+            | head :: rest when head = sn.sid ->
+                let span = if Span.level s' > Span.level span then s' else span in
+                List.filter (fun sid -> sid <> sn.sid && (target = None || target = Some sid)) rest
+                |> List.map (fun sid -> (sid, span))
+            | _ -> [])
+          (Point_map.overlapping sn.rmap span))
+      spans
+  in
   List.iter
-    (fun (s', set) ->
-      match set with
-      | head :: rest when head = sn.sid ->
-          let target_span =
-            if Span.level s' > Span.level span then s' else span
-          in
-          List.iter
-            (fun sid -> if sid <> sn.sid then ae_probe t sn ~dst:sid target_span)
-            rest
-      | _ -> ())
-    (Point_map.overlapping sn.rmap span)
-
-(* Probe every span we own whose replica set includes [target] — the
-   recovery path behind [Ae_request]. Opens a fresh push round: the
-   requester just restarted, so a stale snapshot is exactly what must
-   not drive this exchange. *)
-and ae_push_for t sn ~target =
-  refresh_mtree t sn;
-  Vtbl.iter
-    (fun _ v ->
-      List.iter
-        (fun span ->
-          List.iter
-            (fun (s', set) ->
-              match set with
-              | head :: rest when head = sn.sid && List.mem target rest ->
-                  let target_span =
-                    if Span.level s' > Span.level span then s' else span
-                  in
-                  ae_probe t sn ~dst:target target_span
-              | _ -> ())
-            (Point_map.overlapping sn.rmap span))
-        v.spans)
-    sn.locals
+    (fun (dst, msg) -> send t ~src:sn.sid ~dst msg)
+    (Store.push t.store sn.sid ~fresh probes)
 
 (* One full anti-entropy round for this snode: probe every owned span to
    its replicas, and route cells we hold for partitions we are no longer
    a replica of back to their owner. *)
 and ae_snode t sn =
-  refresh_mtree t sn;
-  Vtbl.iter
-    (fun _ v -> List.iter (fun span -> ae_push_span t sn span) v.spans)
-    sn.locals;
-  let orphans =
-    Hashtbl.fold
-      (fun key s acc ->
-        let point = Hash.string t.space key in
-        match Point_map.find_point sn.rmap point with
-        | _, set when List.mem sn.sid set -> acc
-        | _ -> (key, point, s.cell) :: acc
-        | exception Not_found -> (key, point, s.cell) :: acc)
-      sn.replicas []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-  in
+  ae_push t sn ~fresh:true (owned_spans sn);
   List.iter
     (fun (key, point, cell) ->
-      t.orphans <- t.orphans + 1;
-      drop sn sn.replicas ~point ~key;
       deliver_local t sn
         (Wire.Routed
            {
@@ -1512,7 +1209,10 @@ and ae_snode t sn =
              origin = sn.sid;
              op = Wire.Op_sync { key; cell };
            }))
-    orphans
+    (Store.take_orphans t.store sn.sid (fun point ->
+         match Point_map.find_point sn.rmap point with
+         | _, set -> not (List.mem sn.sid set)
+         | exception Not_found -> true))
 
 (* ---------------- coordinator ---------------- *)
 
@@ -1666,11 +1366,12 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
   List.iter
     (fun (key, cell) ->
       let point = Hash.string t.space key in
-      ignore (hold sn v.data ~point ~key cell))
+      ignore (Store.hold t.store v.data ~point ~key cell))
     data;
   (* Cells we already replicated for these spans move into the partition
      table, so the owner's holdings (and digests) see one copy. *)
-  absorb_replica_cells t sn v spans;
+  Store.absorb t.store v.data (fun point ->
+      List.exists (fun sp -> Span.contains t.space sp point) spans);
   List.iter (fun s -> Route.learn t.route sn.sid s to_vnode) spans;
   match Hashtbl.find_opt sn.incomings event with
   | None -> failwith "Runtime: transfer applied without expectation"
@@ -1681,8 +1382,7 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
         send t ~src:sn.sid ~dst:inc.coordinator (Wire.All_received { event });
         (* If the commit already installed the replica map for these spans
            (Commit overtook the Transfer), seed the replicas now. *)
-        if t.rfactor > 1 then
-          List.iter (fun s -> ae_push_span t sn s) spans
+        if t.rfactor > 1 then ae_push t sn ~fresh:false spans
       end
 
 (* Donor side of every placement change: send the donated [spans] and
@@ -1948,7 +1648,7 @@ and apply_prepare t sn ~from (p : Wire.prepare) =
         vid = p.Wire.newcomer;
         group = p.Wire.target;
         spans = [];
-        data = Hashtbl.create 16;
+        data = Store.table sn.sid;
       };
     expect t sn ~event ~want:p.Wire.donor_batches ~coordinator:from
   end;
@@ -2067,11 +1767,13 @@ and apply_commit t sn ~moved ev =
      seed the freshly-assigned replicas now. The symmetric hook in
      [apply_transfer] covers the Commit-first ordering. *)
   if t.rfactor > 1 then
-    List.iter
-      (fun (s, owner, _) ->
-        if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then
-          ae_push_span t sn s)
-      moved;
+    ae_push t sn ~fresh:false
+      (List.filter_map
+         (fun (s, owner, _) ->
+           if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then
+             Some s
+           else None)
+         moved);
   match t.on_commit with
   | Some f -> f ~event:ev ~snode:sn.sid
   | None -> ()
@@ -2202,9 +1904,7 @@ and handle t sn ~from msg =
          answers nothing. *)
       settle t ~tid:sn.sid ~token Shed
   | Wire.Repl_put { token; key; point; cell } ->
-      heat_charge t sn ~point ~kind:`Write
-        ~bytes:(String.length key + Versioned.size_bytes cell);
-      ignore (store_replica sn ~point ~key cell);
+      accept t sn ~kind:`Write ~point ~key cell;
       send t ~src:sn.sid ~dst:from (Wire.Repl_put_ack { token })
   | Wire.Repl_put_ack { token } -> (
       match Hashtbl.find_opt sn.quorums token with
@@ -2213,7 +1913,7 @@ and handle t sn ~from msg =
   | Wire.Repl_get { token; key; point } ->
       heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
       send t ~src:sn.sid ~dst:from
-        (Wire.Repl_get_reply { token; cell = replica_lookup sn ~point ~key })
+        (Wire.Repl_get_reply { token; cell = Store.lookup t.store sn.sid ~point ~key })
   | Wire.Repl_get_reply { token; cell } -> (
       match Hashtbl.find_opt sn.quorums token with
       | None -> ()
@@ -2221,158 +1921,28 @@ and handle t sn ~from msg =
   | Wire.Repl_hinted { token; target; key; point; cell } ->
       (* Sloppy-quorum fallback: park the cell for the crashed [target],
          ack toward W, and owe the target a flush. *)
-      heat_charge t sn ~point ~kind:`Repl
-        ~bytes:(String.length key + Versioned.size_bytes cell);
-      ignore (store_replica sn ~point ~key cell);
+      accept t sn ~kind:`Repl ~point ~key cell;
       park_hint t sn ~target ~key ~point cell;
       send t ~src:sn.sid ~dst:from (Wire.Repl_put_ack { token })
   | Wire.Hint_flush { key; point; cell } ->
-      heat_charge t sn ~point ~kind:`Repl
-        ~bytes:(String.length key + Versioned.size_bytes cell);
-      ignore (store_replica sn ~point ~key cell);
+      accept t sn ~kind:`Repl ~point ~key cell;
       send t ~src:sn.sid ~dst:from (Wire.Hint_ack { key })
   | Wire.Hint_ack { key } ->
       if Hashtbl.mem sn.hints (from, key) then begin
         Hashtbl.remove sn.hints (from, key);
         t.hints_flushed <- t.hints_flushed + 1
       end
-  | Wire.Repl_repair { key; point; cell } ->
-      heat_charge t sn ~point ~kind:`Repl
-        ~bytes:(String.length key + Versioned.size_bytes cell);
-      ignore (store_replica sn ~point ~key cell)
-  | Wire.Repl_digest { span; count; vhash } ->
-      let my_count, my_vhash = span_digest t sn span in
-      if my_count <> count || my_vhash <> vhash then
-        send t ~src:sn.sid ~dst:from (Wire.Repl_sync_request { span })
-  | Wire.Repl_sync_request { span } ->
-      let cells = span_cells t sn span in
-      t.ae_keys_sent <- t.ae_keys_sent + List.length cells;
-      send t ~src:sn.sid ~dst:from (Wire.Repl_sync { span; cells; reply = true })
-  | Wire.Repl_sync { span; cells; reply } ->
-      let fresher = ref [] in
-      List.iter
-        (fun (key, cell) ->
-          let point = Hash.string t.space key in
-          (match replica_lookup sn ~point ~key with
-          | Some mine
-            when Versioned.newer mine.Versioned.version cell.Versioned.version
-            ->
-              if reply then fresher := (key, mine) :: !fresher
-          | _ -> ());
-          if store_replica sn ~point ~key cell then begin
-            heat_charge t sn ~point ~kind:`Repl
-              ~bytes:(String.length key + Versioned.size_bytes cell);
-            t.sync_cells <- t.sync_cells + 1
-          end)
-        cells;
-      (* Bidirectional repair: ship back anything we hold strictly fresher
-         (or that the sender is missing entirely). *)
-      if reply then begin
-        let theirs = Hashtbl.create (List.length cells + 1) in
-        List.iter (fun (key, _) -> Hashtbl.replace theirs key ()) cells;
-        List.iter
-          (fun (key, cell) ->
-            if not (Hashtbl.mem theirs key) then
-              fresher := (key, cell) :: !fresher)
-          (span_cells t sn span);
-        if !fresher <> [] then begin
-          t.ae_keys_sent <- t.ae_keys_sent + List.length !fresher;
-          send t ~src:sn.sid ~dst:from
-            (Wire.Repl_sync
-               { span; cells = List.rev !fresher; reply = false })
-        end
-      end
-  | Wire.Mt_root { round; span; count; vhash } -> (
-      ignore (mtree_for_round t sn ~owner:from ~round);
-      match ae_frame_compare t sn ~dst:from (span, count, vhash, false) with
-      | Some s ->
-          t.ae_requests <- t.ae_requests + 1;
-          send t ~src:sn.sid ~dst:from (Wire.Mt_request { spans = [ s ] })
-      | None -> ())
-  | Wire.Mt_request { spans } ->
-      (* Pusher side of one descent round: answer each divergent span
-         with its two children's frames (or its own, marked leaf, when
-         the space cannot split further). *)
-      let tree = mtree t sn in
-      let frames =
-        List.concat_map
-          (fun s ->
-            if Span.level s >= Space.max_level t.space then begin
-              let f = Merkle.frame_at tree s in
-              [ (s, f.Merkle.f_count, f.Merkle.f_hash, true) ]
-            end
-            else begin
-              let a, b = Merkle.children tree s in
-              [
-                (a.Merkle.f_span, a.Merkle.f_count, a.Merkle.f_hash,
-                 a.Merkle.f_leaf);
-                (b.Merkle.f_span, b.Merkle.f_count, b.Merkle.f_hash,
-                 b.Merkle.f_leaf);
-              ]
-            end)
-          spans
+  | Wire.Repl_repair { key; point; cell } -> accept t sn ~kind:`Repl ~point ~key cell
+  | Wire.Repl_digest _ | Wire.Repl_sync_request _ | Wire.Repl_sync _
+  | Wire.Mt_root _ | Wire.Mt_request _ | Wire.Mt_frames _ | Wire.Mt_leaf _
+  | Wire.Mt_want _ ->
+      let synced key point cell =
+        heat_charge t sn ~point ~kind:`Repl
+          ~bytes:(String.length key + Versioned.size_bytes cell)
       in
-      t.ae_frames <- t.ae_frames + List.length frames;
-      send t ~src:sn.sid ~dst:from (Wire.Mt_frames { frames })
-  | Wire.Mt_frames { frames } ->
-      let deeper =
-        List.filter_map (fun fr -> ae_frame_compare t sn ~dst:from fr) frames
-      in
-      if deeper <> [] then begin
-        t.ae_requests <- t.ae_requests + 1;
-        send t ~src:sn.sid ~dst:from (Wire.Mt_request { spans = deeper })
-      end
-  | Wire.Mt_leaf { span; keys } ->
-      (* A divergent leaf, as the peer's (key, digest) list. Ship every
-         cell it lacks or holds differently (LWW at the receiver keeps
-         whichever is fresher), and ask for its copy of everything we
-         lack or hold differently — so exactly the symmetric difference
-         crosses the wire. *)
-      let mine = Merkle.entries_at (mtree t sn) span in
-      let theirs = Hashtbl.create (List.length keys + 1) in
-      List.iter (fun (k, d) -> Hashtbl.replace theirs k d) keys;
-      let to_send =
-        List.filter_map
-          (fun (k, d, cell) ->
-            match Hashtbl.find_opt theirs k with
-            | Some d' when d' = d -> None
-            | _ -> Some (k, cell))
-          mine
-      in
-      if to_send <> [] then begin
-        t.ae_keys_sent <- t.ae_keys_sent + List.length to_send;
-        send t ~src:sn.sid ~dst:from
-          (Wire.Repl_sync { span; cells = to_send; reply = false })
-      end;
-      let mine_tbl = Hashtbl.create (List.length mine + 1) in
-      List.iter (fun (k, d, _) -> Hashtbl.replace mine_tbl k d) mine;
-      let want =
-        List.filter_map
-          (fun (k, d) ->
-            match Hashtbl.find_opt mine_tbl k with
-            | Some d' when d' = d -> None
-            | _ -> Some k)
-          keys
-      in
-      if want <> [] then
-        send t ~src:sn.sid ~dst:from (Wire.Mt_want { span; keys = want })
-  | Wire.Mt_want { span; keys } ->
-      (* Answer from the live store: these are our freshest copies, and a
-         key dropped since the snapshot is simply omitted. *)
-      let cells =
-        List.filter_map
-          (fun key ->
-            let point = Hash.string t.space key in
-            Option.map (fun c -> (key, c)) (replica_lookup sn ~point ~key))
-          keys
-      in
-      if cells <> [] then begin
-        t.ae_keys_sent <- t.ae_keys_sent + List.length cells;
-        send t ~src:sn.sid ~dst:from
-          (Wire.Repl_sync { span; cells; reply = false })
-      end
+      List.iter (send t ~src:sn.sid ~dst:from) (Store.answer t.store sn.sid ~from ~synced msg)
   | Wire.Range_get { token; lo; hi } ->
-      let cells = range_cells t sn ~lo ~hi in
+      let cells = Store.range t.store sn.sid ~lo ~hi in
       heat_charge t sn ~point:lo ~kind:`Read ~bytes:(Wire.cells_size cells);
       send t ~src:sn.sid ~dst:from (Wire.Range_reply { token; lo; cells })
   | Wire.Range_reply { token; lo; cells } -> (
@@ -2387,13 +1957,13 @@ and handle t sn ~from msg =
          merges by LWW and a second ack finds the binding already gone. *)
       Hashtbl.fold
         (fun (target, key) s acc ->
-          if target = from then (key, s.cell) :: acc else acc)
+          if target = from then (key, !s) :: acc else acc)
         sn.hints []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       |> List.iter (fun (key, cell) ->
              let point = Hash.string t.space key in
              send t ~src:sn.sid ~dst:from (Wire.Hint_flush { key; point; cell }));
-      ae_push_for t sn ~target:from
+      ae_push t sn ~target:from ~fresh:true (owned_spans sn)
   | Wire.Lpdr_pull { group } ->
       (* Crash recovery: a restarted member asks for a fresh copy. Reply
          with ours (we may not be the manager any more if the group moved;
@@ -2496,11 +2066,6 @@ let pending_touches sn gid =
       | P_remove { r_group; _ } -> Group_id.equal r_group gid)
     sn.pendings false
 
-(* Every placement a snode owns, in table order: what a restart re-learns
-   and a refresh round reports. *)
-let iter_owned sn f =
-  Vtbl.iter (fun vid v -> List.iter (fun s -> f s vid) v.spans) sn.locals
-
 (* Crash-stop: the snode absorbs every delivery until restart. Protocol
    state (vnode data, LPDR copies, prepared events, the transport's
    outboxes and dedup windows) is modelled as durable — the classic 2PC
@@ -2536,12 +2101,7 @@ let crash_snode t sid =
     Balance.Gossip.reset sn.lb_view;
     Balance.Directory.reset sn.lb_dir;
     Route.crash t.route sid;
-    (* The live tree, the anti-entropy snapshot and the per-peer round
-       markers are soft state: a restarted snode rebuilds and re-snapshots
-       on first use. *)
-    sn.live <- None;
-    sn.mtree <- None;
-    Hashtbl.reset sn.ae_seen;
+    Store.crash t.store sid;
     Log.debug (fun m -> m "snode %d crashed at %g" sid (Engine.now t.engine))
   end
 
@@ -2765,8 +2325,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
   Params.check_quorum ~rfactor ~read_quorum ~write_quorum;
   if rfactor > snodes then
     invalid_arg "Runtime.create: rfactor exceeds the snode count";
-  if mt_threshold < 0 then invalid_arg "Runtime.create: mt_threshold < 0";
-  if mt_leaf < 1 then invalid_arg "Runtime.create: mt_leaf < 1";
   if linger < 0. || not (Float.is_finite linger) then
     invalid_arg "Runtime.create: linger must be finite and non-negative";
   if heat_tau <= 0. || not (Float.is_finite heat_tau) then
@@ -2832,7 +2390,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
         owned = Point_map.create space;
         rmap = Point_map.create space;
         pfence = Point_map.create space;
-        replicas = Hashtbl.create 16;
         hints = Hashtbl.create 8;
         quorums = Hashtbl.create 8;
         wseq = 0;
@@ -2855,11 +2412,6 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
                    ~count:p.Balance.Policy.directories));
         lb_version = 0;
         lb_last_transfer = neg_infinity;
-        live = None;
-        live_writes = 0;
-        mtree = None;
-        ae_round = 0;
-        ae_seen = Hashtbl.create 8;
         ranges = Hashtbl.create 8;
       }
     in
@@ -2871,9 +2423,17 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
     sn
   in
   let snodes_arr = Array.init snodes mk_snode in
+  let store =
+    Store.create ~space ~mt_threshold ~mt_leaf ~snodes
+      ~owner:(fun sid point ->
+        let sn = snodes_arr.(sid) in
+        (local_exn sn (Point_map.find_owner_exn sn.owned point)).data)
+      ~tables:(fun sid f ->
+        Vtbl.iter (fun vid v -> f vid v.data) snodes_arr.(sid).locals)
+  in
   let sn0 = snodes_arr.(0) in
   Vtbl.replace sn0.locals first
-    { vid = first; group = Group_id.root; spans = spans0; data = Hashtbl.create 16 };
+    { vid = first; group = Group_id.root; spans = spans0; data = Store.table 0 };
   List.iter (fun s -> Point_map.add sn0.owned s first) spans0;
   Gtbl.replace sn0.lpdrs Group_id.root
     { level = level0; epoch = 0; counts = [ (first, pmin) ] };
@@ -2907,8 +2467,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       rfactor;
       read_quorum;
       write_quorum;
-      mt_threshold;
-      mt_leaf;
+      store;
       instr;
       trace;
       causal;
@@ -2937,15 +2496,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
       hints_stored = 0;
       hints_flushed = 0;
       read_repairs = 0;
-      sync_cells = 0;
-      orphans = 0;
       done_ranges = 0;
-      ae_digests = 0;
-      ae_roots = 0;
-      ae_requests = 0;
-      ae_frames = 0;
-      ae_leaves = 0;
-      ae_keys_sent = 0;
       lb_transfers = 0;
       lb_proposals = 0;
       lb_emergencies = 0;
@@ -3042,8 +2593,8 @@ let repl_stats (t : t) =
     hints_stored = t.hints_stored;
     hints_flushed = t.hints_flushed;
     read_repairs = t.read_repairs;
-    sync_cells = t.sync_cells;
-    orphans = t.orphans;
+    sync_cells = Store.sync_cells t.store;
+    orphans = Store.orphans t.store;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -3189,8 +2740,6 @@ let record_metrics t reg =
   c "runtime.repl.hint.stored" t.hints_stored;
   c "runtime.repl.hint.flushed" t.hints_flushed;
   c "runtime.repl.repair.read" t.read_repairs;
-  c "runtime.repl.sync.cells" t.sync_cells;
-  c "runtime.repl.sync.orphans" t.orphans;
   c "runtime.lb.transfers" t.lb_transfers;
   c "runtime.lb.proposals" t.lb_proposals;
   c "runtime.lb.emergencies" t.lb_emergencies;
@@ -3202,12 +2751,7 @@ let record_metrics t reg =
   c ~labels:[ ("op", "put") ] "runtime.ops" t.done_puts;
   c ~labels:[ ("op", "get") ] "runtime.ops" t.done_gets;
   c ~labels:[ ("op", "range") ] "runtime.ops" t.done_ranges;
-  c "runtime.ae.digests" t.ae_digests;
-  c "runtime.ae.roots" t.ae_roots;
-  c "runtime.ae.requests" t.ae_requests;
-  c "runtime.ae.frames" t.ae_frames;
-  c "runtime.ae.leaves" t.ae_leaves;
-  c "runtime.ae.keys_sent" t.ae_keys_sent;
+  Store.record_metrics t.store reg;
   if t.causal then c "runtime.causal.spans" t.next_span;
   (* Per-partition heat series, one labeled row group per partition; the
      registry sorts rows by (name, labels), so the dump is deterministic. *)
@@ -3341,9 +2885,7 @@ let peek t ~key =
       let sn = t.snodes.(sid) in
       match Point_map.find_point sn.owned point with
       | _, vid -> (
-          match Hashtbl.find_opt (local_exn sn vid).data key with
-          | Some s -> Some s.cell.Versioned.value
-          | None -> None)
+          Option.map (fun c -> c.Versioned.value) (Store.find (local_exn sn vid).data key))
       | exception Not_found -> scan (sid + 1)
   in
   scan 0
@@ -3361,82 +2903,14 @@ let plant t ~snode ?(origin = -1) ~key ~value ~ts () =
   if snode < 0 || snode >= Array.length t.snodes then
     invalid_arg "Runtime.plant: snode out of range";
   let origin = if origin < 0 then snode else origin in
-  let sn = t.snodes.(snode) in
   let point = Hash.string t.space key in
-  ignore (store_replica sn ~point ~key (Versioned.cell ~value ~ts ~origin ()))
+  ignore (Store.store t.store snode ~point ~key (Versioned.cell ~value ~ts ~origin ()))
 
-(* Hash-tree consistency audit over every live snode, free of side
-   effects (an in-flight descent keeps reading the snapshot it had).
-   - No key may be held both as a replica copy and in a partition table:
-     the tree holds one cell per key, so the live tree must never depend
-     on which copy a rebuild happens to keep.
-   - A private rebuild over the tables must pass the structural check,
-     and so must the live tree, which must equal the rebuild.
-   - The tree's frame for every replicated partition span must reproduce
-     the flat digest a table scan folds — tree frames and legacy digests
-     interchangeable. *)
+(* {!Store.audit} of every live snode, in snode order. *)
 let merkle_audit t =
-  let findings = ref [] in
-  let bad fmt = Format.kasprintf (fun s -> findings := s :: !findings) fmt in
-  Array.iter
-    (fun sn ->
-      if sn.alive then begin
-        Hashtbl.iter
-          (fun key _ ->
-            Vtbl.iter
-              (fun _ v ->
-                if Hashtbl.mem v.data key then
-                  bad "snode %d: key %S held as a replica and by vnode %a"
-                    sn.sid key Vnode_id.pp v.vid)
-              sn.locals)
-          sn.replicas;
-        let cells = held_cells t sn in
-        let rebuilt =
-          Merkle.build ~leaf_cap:t.mt_leaf ~space:t.space ~span:Span.root cells
-        in
-        List.iter
-          (fun issue -> bad "snode %d: %s" sn.sid issue)
-          (Merkle.check rebuilt);
-        let tree =
-          match sn.live with
-          | None -> rebuilt
-          | Some live ->
-              List.iter
-                (fun issue -> bad "snode %d: live tree: %s" sn.sid issue)
-                (Merkle.check live);
-              if not (Merkle.equal live rebuilt) then
-                bad "snode %d: live tree differs from a rebuild over its \
-                     tables" sn.sid;
-              live
-        in
-        (* Flat scan digests per replica-map span, one pass over the
-           tables (a key held twice counts twice). *)
-        let scan = Hashtbl.create 64 in
-        List.iter
-          (fun (_, point, digest, _) ->
-            match Point_map.find_point sn.rmap point with
-            | span, _ ->
-                let c, h =
-                  Option.value (Hashtbl.find_opt scan span) ~default:(0, 0)
-                in
-                Hashtbl.replace scan span (c + 1, h lxor digest)
-            | exception Not_found -> ())
-          cells;
-        List.iter
-          (fun (span, _) ->
-            let f = Merkle.frame_at tree span in
-            let count, vhash =
-              Option.value (Hashtbl.find_opt scan span) ~default:(0, 0)
-            in
-            if f.Merkle.f_count <> count || f.Merkle.f_hash <> vhash then
-              bad
-                "snode %d span %a: tree frame (%d, %x) <> scan digest (%d, %x)"
-                sn.sid Span.pp span f.Merkle.f_count f.Merkle.f_hash count
-                vhash)
-          (Point_map.to_list sn.rmap)
-      end)
-    t.snodes;
-  List.rev !findings
+  Array.to_list t.snodes
+  |> List.concat_map (fun sn ->
+         if sn.alive then Store.audit t.store sn.sid ~rmap:sn.rmap else [])
 
 (* Per-span replica agreement: every replica of every partition must
    hold an identical cell set. Empty iff anti-entropy has converged. *)
@@ -3455,10 +2929,10 @@ let replica_divergence t =
               match live with
               | [] | [ _ ] -> ()
               | first :: rest ->
-                  let ref_digest = span_digest t t.snodes.(first) span in
+                  let ref_digest = Store.digest t.store first span in
                   List.iter
                     (fun sid ->
-                      let d = span_digest t t.snodes.(sid) span in
+                      let d = Store.digest t.store sid span in
                       if d <> ref_digest then
                         bad "span %a: snode %d digest %x/%d <> snode %d %x/%d"
                           Span.pp span sid (snd d) (fst d) first
@@ -3469,24 +2943,12 @@ let replica_divergence t =
     t.snodes;
   List.rev !findings
 
-type ae_stats = {
-  ae_digests : int;
-  ae_roots : int;
-  ae_requests : int;
-  ae_frames : int;
-  ae_leaves : int;
-  ae_keys_sent : int;
+type ae_stats = Store.ae_stats = {
+  ae_digests : int; ae_roots : int; ae_requests : int;
+  ae_frames : int; ae_leaves : int; ae_keys_sent : int;
 }
 
-let ae_stats (t : t) =
-  {
-    ae_digests = t.ae_digests;
-    ae_roots = t.ae_roots;
-    ae_requests = t.ae_requests;
-    ae_frames = t.ae_frames;
-    ae_leaves = t.ae_leaves;
-    ae_keys_sent = t.ae_keys_sent;
-  }
+let ae_stats t = Store.ae_stats t.store
 
 let remove_vnode t ?(via = 0) ~id k =
   let host = id.Vnode_id.snode in
@@ -3581,16 +3043,12 @@ module View = struct
 end
 
 let view t =
-  let kv_sorted tbl =
-    Hashtbl.fold (fun k s acc -> (k, s.cell.Versioned.value) :: acc) tbl []
-    |> List.sort compare
-  in
   let vnode_of v =
     {
       View.vid = v.vid;
       group = v.group;
       spans = List.sort Span.compare v.spans;
-      data = kv_sorted v.data;
+      data = Store.bindings v.data;
     }
   in
   let snode_of sn =
@@ -3616,7 +3074,7 @@ let view t =
                Group_id.compare a.group b.group);
       cache = Route.snapshot t.route sn.sid;
       rmap = Point_map.to_list sn.rmap;
-      replicas = kv_sorted sn.replicas;
+      replicas = Store.replica_bindings t.store sn.sid;
       hints = Hashtbl.length sn.hints;
     }
   in

@@ -453,7 +453,7 @@ val replica_divergence : t -> string list
     replica's span digest must match. Empty iff anti-entropy has
     converged (given quiesced traffic). *)
 
-type ae_stats = {
+type ae_stats = Store.ae_stats = {
   ae_digests : int;  (** legacy flat digests pushed (spans at or under the threshold) *)
   ae_roots : int;  (** Merkle root frames pushed *)
   ae_requests : int;  (** descent rounds: [Mt_request] messages sent *)
