@@ -1174,7 +1174,7 @@ and finish_range t sn st =
    behind [Ae_request]). Replicas whose frame differs either pull a
    full-span sync (legacy) or walk the tree down to the divergent leaves;
    {!Store.answer} carries both exchanges. *)
-and ae_push t sn ?target ~fresh spans =
+and ae_push t sn ?target spans =
   let probes =
     List.concat_map
       (fun span ->
@@ -1191,13 +1191,13 @@ and ae_push t sn ?target ~fresh spans =
   in
   List.iter
     (fun (dst, msg) -> send t ~src:sn.sid ~dst msg)
-    (Store.push t.store sn.sid ~fresh probes)
+    (Store.push t.store sn.sid probes)
 
 (* One full anti-entropy round for this snode: probe every owned span to
    its replicas, and route cells we hold for partitions we are no longer
    a replica of back to their owner. *)
 and ae_snode t sn =
-  ae_push t sn ~fresh:true (owned_spans sn);
+  ae_push t sn (owned_spans sn);
   List.iter
     (fun (key, point, cell) ->
       deliver_local t sn
@@ -1382,7 +1382,7 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
         send t ~src:sn.sid ~dst:inc.coordinator (Wire.All_received { event });
         (* If the commit already installed the replica map for these spans
            (Commit overtook the Transfer), seed the replicas now. *)
-        if t.rfactor > 1 then ae_push t sn ~fresh:false spans
+        if t.rfactor > 1 then ae_push t sn spans
       end
 
 (* Donor side of every placement change: send the donated [spans] and
@@ -1766,14 +1766,15 @@ and apply_commit t sn ~moved ev =
   (* New owner already holds the data (Transfer preceded this Commit):
      seed the freshly-assigned replicas now. The symmetric hook in
      [apply_transfer] covers the Commit-first ordering. *)
-  if t.rfactor > 1 then
-    ae_push t sn ~fresh:false
-      (List.filter_map
-         (fun (s, owner, _) ->
-           if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then
-             Some s
-           else None)
-         moved);
+  (match
+     List.filter_map
+       (fun (s, owner, _) ->
+         if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then Some s
+         else None)
+       moved
+   with
+  | _ :: _ as seeds when t.rfactor > 1 -> ae_push t sn seeds
+  | _ -> ());
   match t.on_commit with
   | Some f -> f ~event:ev ~snode:sn.sid
   | None -> ()
@@ -1963,7 +1964,7 @@ and handle t sn ~from msg =
       |> List.iter (fun (key, cell) ->
              let point = Hash.string t.space key in
              send t ~src:sn.sid ~dst:from (Wire.Hint_flush { key; point; cell }));
-      ae_push t sn ~target:from ~fresh:true (owned_spans sn)
+      ae_push t sn ~target:from (owned_spans sn)
   | Wire.Lpdr_pull { group } ->
       (* Crash recovery: a restarted member asks for a fresh copy. Reply
          with ours (we may not be the manager any more if the group moved;

@@ -296,12 +296,13 @@ let probe st sid span =
       }
   end
 
-let push st sid ~fresh probes =
-  if fresh then begin
-    let n = st.nodes.(sid) in
-    n.ae_round <- n.ae_round + 1;
-    ignore (snapshot st sid)
-  end;
+(* Every push opens a fresh round: a probe cut from an older snapshot
+   could miss cells that arrived since (a seeding push right after a
+   transfer would then find the new, empty replicas in agreement). *)
+let push st sid probes =
+  let n = st.nodes.(sid) in
+  n.ae_round <- n.ae_round + 1;
+  ignore (snapshot st sid);
   List.map (fun (dst, span) -> (dst, probe st sid span)) probes
 
 (* Receiver-side comparison of one pushed frame against our snapshot.

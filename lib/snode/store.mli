@@ -100,12 +100,12 @@ val range : t -> int -> lo:int -> hi:int -> (string * Dht_kv.Versioned.cell) lis
 
 (** {2 Anti-entropy} *)
 
-val push : t -> int -> fresh:bool -> (int * Span.t) list -> (int * Wire.msg) list
-(** Snode [sid]'s probes, one per [(destination, span)]: a
+val push : t -> int -> (int * Span.t) list -> (int * Wire.msg) list
+(** Open a new push round on snode [sid], from a fresh snapshot of its
+    live tree, and cut one probe per [(destination, span)] from it: a
     {!Wire.Repl_digest} for a span holding at most [mt_threshold] cells,
-    else a {!Wire.Mt_root} opening a hash-tree descent. With [~fresh] a
-    new push round opens first, from a fresh snapshot of the live tree;
-    without it the probes are cut from the snapshot kept last. *)
+    else a {!Wire.Mt_root} opening a hash-tree descent. No probe is ever
+    cut from an older snapshot. *)
 
 val answer :
   t -> int -> from:int -> synced:(string -> int -> Dht_kv.Versioned.cell -> unit) ->

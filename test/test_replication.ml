@@ -455,10 +455,76 @@ let test_reads_after_growth_pinned () =
   Runtime.run rt;
   check Alcotest.int "grown to 64 vnodes" 64 (Runtime.vnode_count rt);
   check Alcotest.int "every owner copy intact" 1000 !peeked;
-  (* The defect, pinned at the count the code has today. The handover fix
-     (seed new replicas with the moved keys before the placement commits)
-     must change this expectation to 0. *)
-  check Alcotest.int "quorum gets missing an acked key" 301 !misses
+  (* The defect, pinned at the count the code has today. Seeding pushes
+     open a fresh anti-entropy round (cut from a snapshot that holds the
+     cells just transferred), which took this from 301 to 25. The handover
+     fix (seed new replicas with every key the event moved before the
+     placement commits; a transfer's completion seeds only its last
+     batch's spans today) must change this expectation to 0. *)
+  check Alcotest.int "quorum gets missing an acked key" 25 !misses
+
+(* Commit-time replica seeding: one creation on a loaded rfactor-3
+   cluster moves partitions, and with no anti-entropy round every replica
+   newly assigned to a span must already hold the owner's cells for it.
+   Seeding from the anti-entropy snapshot kept from before the transfer
+   fails this: the owner's stale frame matches the empty new replicas. *)
+let test_growth_seeds_new_replicas () =
+  let module Span = Dht_hashspace.Span in
+  let snodes = 6 in
+  let rt =
+    Runtime.create ~pmin:8
+      ~approach:(Runtime.Local { vmin = 4 })
+      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~snodes ~seed:2004 ()
+  in
+  let space = Runtime.space rt in
+  let create i =
+    Runtime.create_vnode rt
+      ~id:(Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes)) ();
+    Runtime.run rt
+  in
+  for i = 1 to 7 do
+    create i
+  done;
+  for i = 0 to 299 do
+    Runtime.put rt ~via:(i mod snodes) ~key:(Printf.sprintf "g%d" i)
+      ~value:(string_of_int i) ()
+  done;
+  Runtime.run rt;
+  let placement () = (List.hd (Runtime.view rt).Runtime.View.snodes).rmap in
+  let before = placement () in
+  create 8;
+  let view = Runtime.view rt in
+  let held sid =
+    let sv = List.nth view.Runtime.View.snodes sid in
+    sv.replicas @ List.concat_map (fun vn -> vn.Runtime.View.data) sv.vnodes
+  in
+  let checked = ref 0 and missing = ref 0 in
+  List.iter
+    (fun (span, set) ->
+      let _, old_set =
+        List.find
+          (fun (s, _) -> Span.contains space s (Span.start space span))
+          before
+      in
+      let owner = List.hd set in
+      let cells =
+        List.filter
+          (fun (k, _) -> Span.contains space span (Dht_hashes.Hash.string space k))
+          (held owner)
+      in
+      List.iter
+        (fun r ->
+          if not (List.mem r old_set) then
+            let copies = held r in
+            List.iter
+              (fun (k, v) ->
+                incr checked;
+                if List.assoc_opt k copies <> Some v then incr missing)
+              cells)
+        set)
+    (placement ());
+  check Alcotest.bool "new replicas of moved spans were checked" true (!checked > 0);
+  check Alcotest.int "owner cells missing on new replicas" 0 !missing
 
 let test_anti_entropy_noop_when_converged () =
   (* On a converged cluster a second round must not move a single cell:
@@ -555,6 +621,8 @@ let suite =
       test_anti_entropy_after_growth;
     Alcotest.test_case "reads after growth: defect pinned" `Slow
       test_reads_after_growth_pinned;
+    Alcotest.test_case "growth seeds new replicas" `Quick
+      test_growth_seeds_new_replicas;
     Alcotest.test_case "anti-entropy idle when converged" `Quick
       test_anti_entropy_noop_when_converged;
     Alcotest.test_case "replicated trace deterministic" `Quick
