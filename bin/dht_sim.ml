@@ -929,7 +929,7 @@ let chaos_cmd =
               overload burst (with --overload).")
   in
   let retry_budget =
-    Arg.(value & opt int 3 & info [ "retry-budget" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 3 & info [ "retry-budget" ] ~docv:"N"
            ~doc:
              "Per-message retransmission budget of the degraded run (with \
               --overload); past it the sender falls back to slow probing.")
@@ -947,11 +947,11 @@ let chaos_cmd =
            ~doc:"Per-message duplication probability.")
   in
   let jitter =
-    Arg.(value & opt float 2e-4 & info [ "jitter" ] ~docv:"S"
+    Arg.(value & opt non_negative_float 2e-4 & info [ "jitter" ] ~docv:"S"
            ~doc:"Maximum extra delivery latency (seconds, uniform).")
   in
   let crashes =
-    Arg.(value & opt int 2 & info [ "crashes" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 2 & info [ "crashes" ] ~docv:"N"
            ~doc:"Snodes crash-stopped (and restarted) mid-burst.")
   in
   let downtime =
@@ -1249,17 +1249,12 @@ let explore_cmd =
       out replay =
     let name = if mutate then scenario ^ "-mutate" else scenario in
     let sc =
-      match scenario with
-      | "kv" ->
-          Scenarios.kv ~name ~protect:(not mutate) ~snodes ~vnodes ~grow
-            ~removes ~keys ~rfactor ~read_quorum ~write_quorum ~linger ()
-      | "mt-ae" ->
-          Scenarios.mt_ae ~name ~protect:(not mutate) ~snodes ~keys ~rfactor
-            ~read_quorum ~write_quorum ~linger ()
-      | other ->
-          prerr_endline ("unknown scenario: " ^ other);
-          finish_telemetry tel;
-          exit 2
+      if scenario = "kv" then
+        Scenarios.kv ~name ~protect:(not mutate) ~snodes ~vnodes ~grow
+          ~removes ~keys ~rfactor ~read_quorum ~write_quorum ~linger ()
+      else
+        Scenarios.mt_ae ~name ~protect:(not mutate) ~snodes ~keys ~rfactor
+          ~read_quorum ~write_quorum ~linger ()
     in
     (match replay with
     | Some path -> (
@@ -1326,11 +1321,11 @@ let explore_cmd =
            ~doc:"Keys written (then overwritten and read) by the workload.")
   in
   let grow =
-    Arg.(value & opt int 2 & info [ "grow" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 2 & info [ "grow" ] ~docv:"N"
            ~doc:"Vnodes created after the first write wave (migrates live data).")
   in
   let removes =
-    Arg.(value & opt int 1 & info [ "removes" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 1 & info [ "removes" ] ~docv:"N"
            ~doc:"Vnodes removed after the second growth wave.")
   in
   let seeds =
@@ -1362,7 +1357,7 @@ let explore_cmd =
               batching; flush tweaks only matter when > 0).")
   in
   let scenario =
-    Arg.(value & opt string "kv"
+    Arg.(value & opt (enum [ ("kv", "kv"); ("mt-ae", "mt-ae") ]) "kv"
          & info [ "scenario" ] ~docv:"NAME"
              ~doc:
                "Scenario to explore: $(b,kv) (grow/write/migrate/overwrite) \
