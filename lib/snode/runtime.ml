@@ -336,11 +336,6 @@ let iter_owned sn f =
 let owned_spans sn =
   List.concat (List.rev (Vtbl.fold (fun _ v acc -> v.spans :: acc) sn.locals []))
 
-(* Remove from [v]'s table every key whose point satisfies [leaving] and
-   return those cells, key-unsorted, as a [Transfer] payload. *)
-let give_away t v leaving =
-  List.map (fun (key, _, cell) -> (key, cell)) (Store.take t.store v.data leaving)
-
 let donate_spans t sn v give =
   let rec take n acc rest =
     if n = 0 then (acc, rest)
@@ -354,7 +349,7 @@ let donate_spans t sn v give =
   List.iter (fun s -> Point_map.remove sn.owned s) taken;
   (* Keys inside the donated partitions migrate with them. *)
   let moved_data =
-    give_away t v (fun point ->
+    Store.take t.store v.data (fun point ->
         List.exists (fun sp -> Span.contains t.space sp point) taken)
   in
   (taken, moved_data)
@@ -366,7 +361,7 @@ let donate_span t sn v span =
     invalid_arg "Runtime: donor does not own the requested span";
   v.spans <- List.filter (fun s -> Span.compare s span <> 0) v.spans;
   Point_map.remove sn.owned span;
-  give_away t v (Span.contains t.space span)
+  Store.take t.store v.data (Span.contains t.space span)
 
 (* [true] when [e] is fresher than everything applied for [gid] so far; the
    high-water mark advances as a side effect. *)
@@ -627,10 +622,13 @@ let heat_charge t sn ~point ~kind ~bytes =
           Heat.charge cell ~now ();
           Heat.charge e.h_bytes ~now ~weight:(float_of_int bytes) ())
 
-(* Accept-and-store one replicated cell ({!Store.store}), charged to its
-   partition's heat first. *)
+(* Charge one stored cell, key and versioned value, to its partition. *)
+let charge_cell t sn ~kind ~point ~key cell =
+  heat_charge t sn ~point ~kind ~bytes:(String.length key + Versioned.size_bytes cell)
+
+(* Accept-and-store one replicated cell ({!Store.store}), charged first. *)
 let accept t sn ~kind ~point ~key cell =
-  heat_charge t sn ~point ~kind ~bytes:(String.length key + Versioned.size_bytes cell);
+  charge_cell t sn ~kind ~point ~key cell;
   ignore (Store.store t.store sn.sid ~point ~key cell)
 
 (* Total decayed heat of one partition (reads + writes + replica traffic),
@@ -784,9 +782,7 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
   | Wire.Op_get { key; token } ->
       let v = local_exn sn owner in
       heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
-      let value =
-        Option.map (fun c -> c.Versioned.value) (Store.find v.data key)
-      in
+      let value = Store.value v.data key in
       send t ~src:sn.sid ~dst:origin
         (Wire.Get_reply { token; value; hint = reply_hint () })
   | Wire.Op_sync { key; cell } ->
@@ -1183,7 +1179,9 @@ and ae_push t sn ?target spans =
             match set with
             | head :: rest when head = sn.sid ->
                 let span = if Span.level s' > Span.level span then s' else span in
-                List.filter (fun sid -> sid <> sn.sid && (target = None || target = Some sid)) rest
+                List.filter
+                  (fun sid -> sid <> sn.sid && (target = None || target = Some sid))
+                  rest
                 |> List.map (fun sid -> (sid, span))
             | _ -> [])
           (Point_map.overlapping sn.rmap span))
@@ -1766,15 +1764,14 @@ and apply_commit t sn ~moved ev =
   (* New owner already holds the data (Transfer preceded this Commit):
      seed the freshly-assigned replicas now. The symmetric hook in
      [apply_transfer] covers the Commit-first ordering. *)
-  (match
-     List.filter_map
-       (fun (s, owner, _) ->
-         if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then Some s
-         else None)
-       moved
-   with
-  | _ :: _ as seeds when t.rfactor > 1 -> ae_push t sn seeds
-  | _ -> ());
+  let seeds =
+    List.filter_map
+      (fun (s, owner, _) ->
+        if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then Some s
+        else None)
+      moved
+  in
+  if t.rfactor > 1 && seeds <> [] then ae_push t sn seeds;
   match t.on_commit with
   | Some f -> f ~event:ev ~snode:sn.sid
   | None -> ()
@@ -1937,11 +1934,9 @@ and handle t sn ~from msg =
   | Wire.Repl_digest _ | Wire.Repl_sync_request _ | Wire.Repl_sync _
   | Wire.Mt_root _ | Wire.Mt_request _ | Wire.Mt_frames _ | Wire.Mt_leaf _
   | Wire.Mt_want _ ->
-      let synced key point cell =
-        heat_charge t sn ~point ~kind:`Repl
-          ~bytes:(String.length key + Versioned.size_bytes cell)
-      in
-      List.iter (send t ~src:sn.sid ~dst:from) (Store.answer t.store sn.sid ~from ~synced msg)
+      List.iter
+        (send t ~src:sn.sid ~dst:from)
+        (Store.answer t.store sn.sid ~from ~synced:(charge_cell t sn ~kind:`Repl) msg)
   | Wire.Range_get { token; lo; hi } ->
       let cells = Store.range t.store sn.sid ~lo ~hi in
       heat_charge t sn ~point:lo ~kind:`Read ~bytes:(Wire.cells_size cells);
@@ -2885,8 +2880,7 @@ let peek t ~key =
     else
       let sn = t.snodes.(sid) in
       match Point_map.find_point sn.owned point with
-      | _, vid -> (
-          Option.map (fun c -> c.Versioned.value) (Store.find (local_exn sn vid).data key))
+      | _, vid -> Store.value (local_exn sn vid).data key
       | exception Not_found -> scan (sid + 1)
   in
   scan 0
@@ -2926,8 +2920,8 @@ let replica_divergence t =
           (fun (span, set) ->
             if not (Hashtbl.mem seen span) then begin
               Hashtbl.add seen span ();
-              let live = List.filter (fun sid -> t.snodes.(sid).alive) set in
-              match live with
+              let up = List.filter (fun sid -> t.snodes.(sid).alive) set in
+              match up with
               | [] | [ _ ] -> ()
               | first :: rest ->
                   let ref_digest = Store.digest t.store first span in
@@ -2945,8 +2939,12 @@ let replica_divergence t =
   List.rev !findings
 
 type ae_stats = Store.ae_stats = {
-  ae_digests : int; ae_roots : int; ae_requests : int;
-  ae_frames : int; ae_leaves : int; ae_keys_sent : int;
+  ae_digests : int;
+  ae_roots : int;
+  ae_requests : int;
+  ae_frames : int;
+  ae_leaves : int;
+  ae_keys_sent : int;
 }
 
 let ae_stats t = Store.ae_stats t.store

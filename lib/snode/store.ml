@@ -13,7 +13,10 @@ type slot = { mutable cell : Versioned.cell }
 
 (* A held-cell table — one vnode's partition data or a snode's replica
    copies — tagged with the snode whose hash tree it feeds. *)
-type table = { sid : int; cells : (string, slot) Hashtbl.t }
+type table = {
+  sid : int;  (* the snode whose tree the table feeds *)
+  cells : (string, slot) Hashtbl.t;
+}
 
 type node = {
   (* Cells held as a non-owner replica (including hinted parking). *)
@@ -40,12 +43,12 @@ type node = {
 }
 
 type ae_stats = {
-  ae_digests : int;
-  ae_roots : int;
-  ae_requests : int;
-  ae_frames : int;
-  ae_leaves : int;
-  ae_keys_sent : int;
+  ae_digests : int;  (* legacy full-span digests pushed *)
+  ae_roots : int;  (* hash-tree descents opened (Mt_root sent) *)
+  ae_requests : int;  (* descent rounds (Mt_request messages) *)
+  ae_frames : int;  (* child frames shipped in Mt_frames *)
+  ae_leaves : int;  (* divergent leaves key-listed (Mt_leaf) *)
+  ae_keys_sent : int;  (* cells shipped by anti-entropy syncs *)
 }
 
 type t = {
@@ -60,12 +63,7 @@ type t = {
   nodes : node array;
   mutable sync_cells : int;  (* cells freshened by anti-entropy syncs *)
   mutable orphans : int;  (* replica-table cells routed back to an owner *)
-  mutable ae_digests : int;  (* legacy full-span digests pushed *)
-  mutable ae_roots : int;  (* hash-tree descents opened (Mt_root sent) *)
-  mutable ae_requests : int;  (* descent rounds (Mt_request messages) *)
-  mutable ae_frames : int;  (* child frames shipped in Mt_frames *)
-  mutable ae_leaves : int;  (* divergent leaves key-listed (Mt_leaf) *)
-  mutable ae_keys_sent : int;  (* cells shipped by anti-entropy syncs *)
+  mutable ae : ae_stats;  (* immutable, replaced per count: [ae_stats] hands it out *)
 }
 
 let create ~space ~mt_threshold ~mt_leaf ~snodes ~owner ~tables =
@@ -82,10 +80,23 @@ let create ~space ~mt_threshold ~mt_leaf ~snodes ~owner ~tables =
     }
   in
   {
-    space; mt_threshold; mt_leaf; owner; tables;
+    space;
+    mt_threshold;
+    mt_leaf;
+    owner;
+    tables;
     nodes = Array.init snodes node;
-    sync_cells = 0; orphans = 0; ae_digests = 0; ae_roots = 0;
-    ae_requests = 0; ae_frames = 0; ae_leaves = 0; ae_keys_sent = 0;
+    sync_cells = 0;
+    orphans = 0;
+    ae =
+      {
+        ae_digests = 0;
+        ae_roots = 0;
+        ae_requests = 0;
+        ae_frames = 0;
+        ae_leaves = 0;
+        ae_keys_sent = 0;
+      };
   }
 
 let table sid = { sid; cells = Hashtbl.create 16 }
@@ -146,7 +157,7 @@ let drop st tbl ~point ~key =
 
 (* Remove from [tbl] every key whose point satisfies [leaving] and return
    those cells as (key, point, cell), in reverse table order. *)
-let take st tbl leaving =
+let take_cells st tbl leaving =
   let moved =
     Hashtbl.fold
       (fun key s acc ->
@@ -156,6 +167,9 @@ let take st tbl leaving =
   in
   List.iter (fun (key, point, _) -> drop st tbl ~point ~key) moved;
   moved
+
+let take st tbl leaving =
+  List.map (fun (key, _, cell) -> (key, cell)) (take_cells st tbl leaving)
 
 (* A snode that just gained ownership of [tbl]'s new spans absorbs any
    copies it already held as a mere replica (they may be fresher than the
@@ -171,17 +185,17 @@ let absorb st tbl moving =
         | None -> cell
       in
       ignore (hold ~lww:false st tbl ~point ~key cell))
-    (take st st.nodes.(tbl.sid).replicas moving)
+    (take_cells st st.nodes.(tbl.sid).replicas moving)
 
 (* Replica copies whose point satisfies [stray] leave the snode, counted
    as orphans and sorted by key for the caller to route home. *)
 let take_orphans st sid stray =
-  let gone = take st st.nodes.(sid).replicas stray in
+  let gone = take_cells st st.nodes.(sid).replicas stray in
   st.orphans <- st.orphans + List.length gone;
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) gone
 
-(* Accept-and-store: an owner keeps the cell in its partition table, any
-   other snode in its replica table; both merge by LWW. *)
+(* The table choice, one for reads and writes: an owner keeps a cell in
+   its partition table, any other snode in its replica table. *)
 let table_for st sid point =
   match st.owner sid point with
   | tbl -> tbl
@@ -189,6 +203,7 @@ let table_for st sid point =
 
 let store st sid ~point ~key cell = hold st (table_for st sid point) ~point ~key cell
 let find tbl key = Option.map (fun s -> s.cell) (Hashtbl.find_opt tbl.cells key)
+let value tbl key = Option.map (fun c -> c.Versioned.value) (find tbl key)
 let lookup st sid ~point ~key = find (table_for st sid point) key
 
 let bindings tbl =
@@ -214,6 +229,9 @@ let held_cells st sid =
   st.tables sid (fun _ tbl -> Hashtbl.iter consider tbl.cells);
   !cells
 
+let build st cells =
+  Merkle.build ~leaf_cap:st.mt_leaf ~space:st.space ~span:Span.root cells
+
 (* The live tree, rebuilt over the tables if a crash or the stale-drop
    rule discarded it. Every read restarts the stale-drop count. *)
 let live_tree st sid =
@@ -222,10 +240,7 @@ let live_tree st sid =
   match n.live with
   | Some tree -> tree
   | None ->
-      let tree =
-        Merkle.build ~leaf_cap:st.mt_leaf ~space:st.space ~span:Span.root
-          (held_cells st sid)
-      in
+      let tree = build st (held_cells st sid) in
       n.live <- Some tree;
       tree
 
@@ -265,12 +280,7 @@ let mtree st sid =
    one snapshot serves every span the peer pushes in it. *)
 let mtree_for_round st sid ~owner ~round =
   let n = st.nodes.(sid) in
-  let stale =
-    match Hashtbl.find_opt n.ae_seen owner with
-    | Some r -> r <> round
-    | None -> true
-  in
-  if stale then begin
+  if Hashtbl.find_opt n.ae_seen owner <> Some round then begin
     Hashtbl.replace n.ae_seen owner round;
     ignore (snapshot st sid)
   end
@@ -282,11 +292,11 @@ let mtree_for_round st sid ~owner ~round =
 let probe st sid span =
   let f = Merkle.frame_at (mtree st sid) span in
   if f.Merkle.f_count <= st.mt_threshold then begin
-    st.ae_digests <- st.ae_digests + 1;
+    st.ae <- { st.ae with ae_digests = st.ae.ae_digests + 1 };
     Wire.Repl_digest { span; count = f.Merkle.f_count; vhash = f.Merkle.f_hash }
   end
   else begin
-    st.ae_roots <- st.ae_roots + 1;
+    st.ae <- { st.ae with ae_roots = st.ae.ae_roots + 1 };
     Wire.Mt_root
       {
         round = st.nodes.(sid).ae_round;
@@ -318,7 +328,7 @@ let compare_frame st sid (span, count, hash, leaf) =
     leaf || mine.Merkle.f_leaf || Span.level span >= Space.max_level st.space
   then begin
     let keys = List.map (fun (k, d, _) -> (k, d)) (Merkle.entries_at tree span) in
-    st.ae_leaves <- st.ae_leaves + 1;
+    st.ae <- { st.ae with ae_leaves = st.ae.ae_leaves + 1 };
     Some (Either.Left (Wire.Mt_leaf { span; keys }))
   end
   else Some (Either.Right span)
@@ -331,14 +341,14 @@ let descend st sid frames =
   in
   if deeper = [] then leaves
   else begin
-    st.ae_requests <- st.ae_requests + 1;
+    st.ae <- { st.ae with ae_requests = st.ae.ae_requests + 1 };
     leaves @ [ Wire.Mt_request { spans = deeper } ]
   end
 
 let sync_reply st cells span =
   if cells = [] then []
   else begin
-    st.ae_keys_sent <- st.ae_keys_sent + List.length cells;
+    st.ae <- { st.ae with ae_keys_sent = st.ae.ae_keys_sent + List.length cells };
     [ Wire.Repl_sync { span; cells; reply = false } ]
   end
 
@@ -351,7 +361,7 @@ let answer st sid ~from ~synced msg =
       else []
   | Wire.Repl_sync_request { span } ->
       let cells = span_cells st sid span in
-      st.ae_keys_sent <- st.ae_keys_sent + List.length cells;
+      st.ae <- { st.ae with ae_keys_sent = st.ae.ae_keys_sent + List.length cells };
       [ Wire.Repl_sync { span; cells; reply = true } ]
   | Wire.Repl_sync { span; cells; reply } ->
       let fresher = ref [] in
@@ -366,7 +376,7 @@ let answer st sid ~from ~synced msg =
               if reply then fresher := (key, mine) :: !fresher
           | _ -> ());
           if hold st tbl ~point ~key cell then begin
-            synced key point cell;
+            synced ~point ~key cell;
             st.sync_cells <- st.sync_cells + 1
           end)
         cells;
@@ -405,7 +415,7 @@ let answer st sid ~from ~synced msg =
               [ frame a; frame b ])
           spans
       in
-      st.ae_frames <- st.ae_frames + List.length frames;
+      st.ae <- { st.ae with ae_frames = st.ae.ae_frames + List.length frames };
       [ Wire.Mt_frames { frames } ]
   | Wire.Mt_frames { frames } -> descend st sid frames
   | Wire.Mt_leaf { span; keys } ->
@@ -476,9 +486,7 @@ let audit st sid ~rmap =
               Vnode_id.pp vid))
     n.replicas.cells;
   let cells = held_cells st sid in
-  let rebuilt =
-    Merkle.build ~leaf_cap:st.mt_leaf ~space:st.space ~span:Span.root cells
-  in
+  let rebuilt = build st cells in
   List.iter (fun issue -> bad "snode %d: %s" sid issue) (Merkle.check rebuilt);
   let tree =
     match n.live with
@@ -514,15 +522,7 @@ let audit st sid ~rmap =
     (Point_map.to_list rmap);
   List.rev !findings
 
-let ae_stats st =
-  {
-    ae_digests = st.ae_digests;
-    ae_roots = st.ae_roots;
-    ae_requests = st.ae_requests;
-    ae_frames = st.ae_frames;
-    ae_leaves = st.ae_leaves;
-    ae_keys_sent = st.ae_keys_sent;
-  }
+let ae_stats st = st.ae
 
 let sync_cells st = st.sync_cells
 let orphans st = st.orphans
@@ -531,9 +531,9 @@ let record_metrics st reg =
   let c name v = Registry.inc (Registry.counter reg name) v in
   c "runtime.repl.sync.cells" st.sync_cells;
   c "runtime.repl.sync.orphans" st.orphans;
-  c "runtime.ae.digests" st.ae_digests;
-  c "runtime.ae.roots" st.ae_roots;
-  c "runtime.ae.requests" st.ae_requests;
-  c "runtime.ae.frames" st.ae_frames;
-  c "runtime.ae.leaves" st.ae_leaves;
-  c "runtime.ae.keys_sent" st.ae_keys_sent
+  c "runtime.ae.digests" st.ae.ae_digests;
+  c "runtime.ae.roots" st.ae.ae_roots;
+  c "runtime.ae.requests" st.ae.ae_requests;
+  c "runtime.ae.frames" st.ae.ae_frames;
+  c "runtime.ae.leaves" st.ae.ae_leaves;
+  c "runtime.ae.keys_sent" st.ae.ae_keys_sent

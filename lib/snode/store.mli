@@ -63,9 +63,9 @@ val store : t -> int -> point:int -> key:string -> Dht_kv.Versioned.cell -> bool
     [sid] owns [point], else into its replica table; LWW either way.
     [true] when the held cell changed. *)
 
-val take : t -> table -> (int -> bool) -> (string * int * Dht_kv.Versioned.cell) list
-(** Remove every cell whose point satisfies the predicate, returning
-    [(key, point, cell)] in reverse table order. *)
+val take : t -> table -> (int -> bool) -> (string * Dht_kv.Versioned.cell) list
+(** Remove every cell whose point satisfies the predicate and return
+    them, in reverse table order, as a [Transfer] payload. *)
 
 val absorb : t -> table -> (int -> bool) -> unit
 (** Move the table's snode's replica copies whose point satisfies the
@@ -80,7 +80,9 @@ val take_orphans :
 
 (** {2 Reads} *)
 
-val find : table -> string -> Dht_kv.Versioned.cell option
+val value : table -> string -> string option
+(** The value the table holds under a key. *)
+
 val lookup : t -> int -> point:int -> key:string -> Dht_kv.Versioned.cell option
 (** Snode [sid]'s copy of [key], from whichever table {!store} uses. *)
 
@@ -108,12 +110,16 @@ val push : t -> int -> (int * Span.t) list -> (int * Wire.msg) list
     cut from an older snapshot. *)
 
 val answer :
-  t -> int -> from:int -> synced:(string -> int -> Dht_kv.Versioned.cell -> unit) ->
-  Wire.msg -> Wire.msg list
+  t ->
+  int ->
+  from:int ->
+  synced:(point:int -> key:string -> Dht_kv.Versioned.cell -> unit) ->
+  Wire.msg ->
+  Wire.msg list
 (** Snode [sid]'s answer to one anti-entropy message from [from]
     ([Repl_digest], [Repl_sync_request], [Repl_sync], [Mt_root],
     [Mt_request], [Mt_frames], [Mt_leaf] or [Mt_want]): its replies to
-    [from], in send order. [synced key point cell] runs right after a
+    [from], in send order. [synced ~point ~key cell] runs right after a
     sync freshened a held cell.
     @raise Invalid_argument on any other message. *)
 

@@ -455,12 +455,12 @@ let test_reads_after_growth_pinned () =
   Runtime.run rt;
   check Alcotest.int "grown to 64 vnodes" 64 (Runtime.vnode_count rt);
   check Alcotest.int "every owner copy intact" 1000 !peeked;
-  (* The defect, pinned at the count the code has today. Seeding pushes
-     open a fresh anti-entropy round (cut from a snapshot that holds the
-     cells just transferred), which took this from 301 to 25. The handover
-     fix (seed new replicas with every key the event moved before the
-     placement commits; a transfer's completion seeds only its last
-     batch's spans today) must change this expectation to 0. *)
+  (* The defect, pinned at the count the code has today: a transfer's
+     completion seeds only its last batch's spans, so spans that arrived
+     in earlier batches after the commit reach their new replicas only
+     through anti-entropy. The handover fix (seed new replicas with every
+     key the event moved before the placement commits) must change this
+     expectation to 0. *)
   check Alcotest.int "quorum gets missing an acked key" 25 !misses
 
 (* Commit-time replica seeding: one creation on a loaded rfactor-3
