@@ -57,19 +57,19 @@ let is_pending h = h.state = `Pending
 type timer = {
   tm_engine : t;
   tm_cb : unit -> unit;
-  mutable deadline : float;
+  deadline : clock;  (* flat, like the engine's clock: re-arming boxes nothing *)
   mutable tm_armed : bool;
   mutable trampoline : unit -> unit;
 }
 
 let timer t f =
   let tm =
-    { tm_engine = t; tm_cb = f; deadline = 0.; tm_armed = false;
+    { tm_engine = t; tm_cb = f; deadline = { now = 0. }; tm_armed = false;
       trampoline = ignore }
   in
   tm.trampoline <-
     (fun () ->
-      if tm.tm_armed && t.clock.now >= tm.deadline then begin
+      if tm.tm_armed && t.clock.now >= tm.deadline.now then begin
         tm.tm_armed <- false;
         tm.tm_cb ()
       end);
@@ -79,9 +79,10 @@ let arm tm ~delay =
   if not (Float.is_finite delay) || delay < 0. then
     invalid_arg "Engine.arm: negative or non-finite delay";
   let t = tm.tm_engine in
-  tm.deadline <- t.clock.now +. delay;
+  let time = t.clock.now +. delay in
+  tm.deadline.now <- time;
   tm.tm_armed <- true;
-  at t ~time:tm.deadline tm.trampoline
+  at t ~time tm.trampoline
 
 let disarm tm = tm.tm_armed <- false
 let armed tm = tm.tm_armed

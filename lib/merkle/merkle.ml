@@ -10,35 +10,54 @@ type 'a entry = {
   e_payload : 'a;
 }
 
-(* Nodes are immutable. An update copies only its root path — one leaf
-   array plus one interior record per level — so every root ever
-   published stays a valid, unchanging snapshot. Leaf members are sorted
-   by key (binary-searched on update, already ordered on transfer). *)
+(* Every node carries the stamp of the handle that created it. A handle
+   updates the nodes bearing its own stamp in place and path-copies the
+   rest, stamping the copies as its own. [snapshot] gives both handles
+   fresh stamps, so every node that existed at that point is frozen: each
+   handle copies a shared node before its first change to it, and neither
+   ever sees the other's later updates. Invariants: an owned node's
+   ancestors are owned too (copies are made from the root down), a frozen
+   node only points at frozen nodes, and no bucket array is shared by two
+   leaves (copying a leaf copies its array). Leaf members are sorted by
+   key (binary-searched on update, already ordered on transfer). *)
 type 'a node =
-  | Leaf of { l_hash : int; cells : 'a entry array }
-  | Node of { n_count : int; n_hash : int; left : 'a node; right : 'a node }
+  | Leaf of { l_owner : int; mutable l_hash : int; mutable cells : 'a entry array }
+  | Node of {
+      n_owner : int;
+      mutable n_count : int;
+      mutable n_hash : int;
+      mutable left : 'a node;
+      mutable right : 'a node;
+    }
 
 type 'a t = {
   space : Space.t;
   tspan : Span.t;
   cap : int;
   mutable root : 'a node;
+  mutable stamp : int;  (* owner stamp of the nodes this handle may mutate *)
 }
+
+let stamps = Atomic.make 0
+let fresh_stamp () = Atomic.fetch_and_add stamps 1
 
 type frame = { f_span : Span.t; f_count : int; f_hash : int; f_leaf : bool }
 
 let node_count = function Leaf l -> Array.length l.cells | Node n -> n.n_count
 let node_hash = function Leaf l -> l.l_hash | Node n -> n.n_hash
 let is_bucket = function Leaf _ -> true | Node _ -> false
-let empty_leaf = Leaf { l_hash = 0; cells = [||] }
-
-let leaf_of cells =
+let leaf_of stamp cells =
   Leaf
-    { l_hash = Array.fold_left (fun h e -> h lxor e.e_digest) 0 cells; cells }
+    {
+      l_owner = stamp;
+      l_hash = Array.fold_left (fun h e -> h lxor e.e_digest) 0 cells;
+      cells;
+    }
 
-let join left right =
+let join stamp left right =
   Node
     {
+      n_owner = stamp;
       n_count = node_count left + node_count right;
       n_hash = node_hash left lxor node_hash right;
       left;
@@ -52,9 +71,12 @@ let goes_left space level point =
 
 let create ?(leaf_cap = 16) ~space ~span () =
   if leaf_cap < 1 then invalid_arg "Merkle.create: leaf_cap must be >= 1";
-  { space; tspan = span; cap = leaf_cap; root = empty_leaf }
+  let stamp = fresh_stamp () in
+  { space; tspan = span; cap = leaf_cap; root = leaf_of stamp [||]; stamp }
 
-let snapshot t = { t with root = t.root }
+let snapshot t =
+  t.stamp <- fresh_stamp ();
+  { t with stamp = fresh_stamp () }
 let space t = t.space
 let span t = t.tspan
 let leaf_cap t = t.cap
@@ -71,11 +93,11 @@ let by_point a b =
 (* Canonical subtree over [members.(lo .. hi-1)], sorted by point: every
    dyadic subspan is then a contiguous slice, found by binary search on
    the midpoint, and only each bucket pays a (short) sort by key. *)
-let rec of_point_sorted space cap level start members lo hi =
+let rec of_point_sorted stamp space cap level start members lo hi =
   if hi - lo <= cap || level >= Space.max_level space then begin
     let cells = Array.sub members lo (hi - lo) in
     Array.sort by_key cells;
-    leaf_of cells
+    leaf_of stamp cells
   end
   else begin
     let mid = start + (1 lsl (Space.bits space - level - 1)) in
@@ -86,9 +108,9 @@ let rec of_point_sorted space cap level start members lo hi =
         if members.(m).e_point < mid then first (m + 1) hi' else first lo' m
     in
     let cut = first lo hi in
-    join
-      (of_point_sorted space cap (level + 1) start members lo cut)
-      (of_point_sorted space cap (level + 1) mid members cut hi)
+    join stamp
+      (of_point_sorted stamp space cap (level + 1) start members lo cut)
+      (of_point_sorted stamp space cap (level + 1) mid members cut hi)
   end
 
 let build ?(leaf_cap = 16) ~space ~span cells =
@@ -121,28 +143,92 @@ let build ?(leaf_cap = 16) ~space ~span cells =
         incr kept
       end)
     members;
+  let stamp = fresh_stamp () in
   {
     space;
     tspan = span;
     cap = leaf_cap;
     root =
-      of_point_sorted space leaf_cap (Span.level span) (Span.start space span)
-        members 0 !kept;
+      of_point_sorted stamp space leaf_cap (Span.level span)
+        (Span.start space span) members 0 !kept;
+    stamp;
   }
 
-(* First index whose key is >= [key]. *)
-let lower_bound cells key =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if String.compare cells.(mid).e_key key < 0 then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 (Array.length cells)
+(* First index whose key is >= [key]. The update paths below are
+   top-level recursions with every input passed explicitly, so no call
+   builds a closure. *)
+let rec lower_bound_in cells key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if String.compare cells.(mid).e_key key < 0 then
+      lower_bound_in cells key (mid + 1) hi
+    else lower_bound_in cells key lo mid
+
+let lower_bound cells key = lower_bound_in cells key 0 (Array.length cells)
 
 let holds cells i key =
   i < Array.length cells && String.equal cells.(i).e_key key
+
+(* [node] after writing [e] beneath it: the node itself, updated in place
+   when [t] owns it (or unchanged), else a fresh copy stamped as [t]'s. *)
+let rec insert_at t e level node =
+  match node with
+  | Leaf l ->
+      let cells = l.cells in
+      let i = lower_bound cells e.e_key in
+      if holds cells i e.e_key then begin
+        let old = cells.(i) in
+        if old.e_digest = e.e_digest && old.e_payload == e.e_payload then node
+        else begin
+          let l_hash = l.l_hash lxor old.e_digest lxor e.e_digest in
+          if l.l_owner = t.stamp then begin
+            cells.(i) <- e;
+            l.l_hash <- l_hash;
+            node
+          end
+          else begin
+            let cells = Array.copy cells in
+            cells.(i) <- e;
+            Leaf { l_owner = t.stamp; l_hash; cells }
+          end
+        end
+      end
+      else begin
+        let n = Array.length cells in
+        let grown = Array.make (n + 1) e in
+        Array.blit cells 0 grown 0 i;
+        Array.blit cells i grown (i + 1) (n - i);
+        if n + 1 > t.cap && level < Space.max_level t.space then begin
+          (* Overfull and splittable: re-shape this span canonically. *)
+          let shift = Space.bits t.space - level in
+          Array.sort by_point grown;
+          of_point_sorted t.stamp t.space t.cap level
+            ((e.e_point lsr shift) lsl shift)
+            grown 0 (n + 1)
+        end
+        else if l.l_owner = t.stamp then begin
+          l.cells <- grown;
+          l.l_hash <- l.l_hash lxor e.e_digest;
+          node
+        end
+        else Leaf { l_owner = t.stamp; l_hash = l.l_hash lxor e.e_digest; cells = grown }
+      end
+  | Node n ->
+      let go_left = goes_left t.space level e.e_point in
+      let child = if go_left then n.left else n.right in
+      let child' = insert_at t e (level + 1) child in
+      if n.n_owner = t.stamp then begin
+        if child' != child then
+          if go_left then n.left <- child' else n.right <- child';
+        n.n_count <- node_count n.left + node_count n.right;
+        n.n_hash <- node_hash n.left lxor node_hash n.right;
+        node
+      end
+      (* A frozen node's children are frozen: identity means unchanged. *)
+      else if child' == child then node
+      else if go_left then join t.stamp child' n.right
+      else join t.stamp n.left child'
 
 let insert t ~key ~point ~digest payload =
   if not (Span.contains t.space t.tspan point) then
@@ -150,84 +236,70 @@ let insert t ~key ~point ~digest payload =
   let e =
     { e_key = key; e_point = point; e_digest = digest; e_payload = payload }
   in
-  let rec go level node =
-    match node with
-    | Leaf { l_hash; cells } ->
-        let i = lower_bound cells key in
-        if holds cells i key then begin
-          let old = cells.(i) in
-          if old.e_digest = digest && old.e_payload == payload then node
-          else begin
-            let cells = Array.copy cells in
-            cells.(i) <- e;
-            Leaf { l_hash = l_hash lxor old.e_digest lxor digest; cells }
-          end
-        end
-        else begin
-          let n = Array.length cells in
-          let grown = Array.make (n + 1) e in
-          Array.blit cells 0 grown 0 i;
-          Array.blit cells i grown (i + 1) (n - i);
-          if n + 1 > t.cap && level < Space.max_level t.space then begin
-            (* Overfull and splittable: re-shape this span canonically. *)
-            let shift = Space.bits t.space - level in
-            Array.sort by_point grown;
-            of_point_sorted t.space t.cap level
-              ((point lsr shift) lsl shift)
-              grown 0 (n + 1)
-          end
-          else Leaf { l_hash = l_hash lxor digest; cells = grown }
-        end
-    | Node n ->
-        if goes_left t.space level point then
-          let left = go (level + 1) n.left in
-          if left == n.left then node else join left n.right
-        else
-          let right = go (level + 1) n.right in
-          if right == n.right then node else join n.left right
-  in
-  t.root <- go (Span.level t.tspan) t.root
+  let root = insert_at t e (Span.level t.tspan) t.root in
+  if root != t.root then t.root <- root
 
 let rec collect node acc =
   match node with
   | Leaf l -> Array.fold_left (fun acc e -> e :: acc) acc l.cells
   | Node n -> collect n.left (collect n.right acc)
 
+(* [node] after dropping [key] beneath it, owned or copied as in
+   [insert_at]. A miss returns [node] untouched. *)
+let rec remove_at t key point level node =
+  match node with
+  | Leaf l ->
+      let cells = l.cells in
+      let i = lower_bound cells key in
+      if not (holds cells i key) then node
+      else begin
+        let n = Array.length cells in
+        let shrunk = Array.make (n - 1) cells.(0) in
+        Array.blit cells 0 shrunk 0 i;
+        Array.blit cells (i + 1) shrunk i (n - 1 - i);
+        let l_hash = l.l_hash lxor cells.(i).e_digest in
+        if l.l_owner = t.stamp then begin
+          l.cells <- shrunk;
+          l.l_hash <- l_hash;
+          node
+        end
+        else Leaf { l_owner = t.stamp; l_hash; cells = shrunk }
+      end
+  | Node n ->
+      let go_left = goes_left t.space level point in
+      let child = if go_left then n.left else n.right in
+      let before = node_count child in
+      let child' = remove_at t key point (level + 1) child in
+      if node_count child' = before then node  (* a miss changes nothing *)
+      else begin
+        let left = if go_left then child' else n.left in
+        let right = if go_left then n.right else child' in
+        if n.n_count - 1 <= t.cap then begin
+          (* Keep the shape canonical: an interior node that no longer
+             exceeds the bucket cap collapses back into a leaf. *)
+          let members = Array.of_list (collect left (collect right [])) in
+          Array.sort by_key members;
+          leaf_of t.stamp members
+        end
+        else if n.n_owner = t.stamp then begin
+          if child' != child then
+            if go_left then n.left <- child' else n.right <- child';
+          n.n_count <- n.n_count - 1;
+          n.n_hash <- node_hash left lxor node_hash right;
+          node
+        end
+        else join t.stamp left right
+      end
+
+(* The hit is read off the key count: the root's identity no longer
+   changes when an owned path is updated in place. *)
 let remove t ~key ~point =
   if not (Span.contains t.space t.tspan point) then false
   else begin
-    let rec go level node =
-      match node with
-      | Leaf { l_hash; cells } ->
-          let i = lower_bound cells key in
-          if not (holds cells i key) then node
-          else
-            let n = Array.length cells in
-            let shrunk =
-              Array.init (n - 1) (fun j ->
-                  if j < i then cells.(j) else cells.(j + 1))
-            in
-            Leaf { l_hash = l_hash lxor cells.(i).e_digest; cells = shrunk }
-      | Node n ->
-          let left, right =
-            if goes_left t.space level point then
-              (go (level + 1) n.left, n.right)
-            else (n.left, go (level + 1) n.right)
-          in
-          if left == n.left && right == n.right then node
-          else if n.n_count - 1 <= t.cap then begin
-            (* Keep the shape canonical: an interior node that no longer
-               exceeds the bucket cap collapses back into a leaf. *)
-            let members = Array.of_list (collect left (collect right [])) in
-            Array.sort by_key members;
-            leaf_of members
-          end
-          else join left right
-    in
-    let root = go (Span.level t.tspan) t.root in
-    let hit = root != t.root in
-    t.root <- root;
-    hit
+    let before = node_count t.root in
+    let root = remove_at t key point (Span.level t.tspan) t.root in
+    if root != t.root then t.root <- root;
+    node_count root < before
   end
 
 let node_frame q node =

@@ -1,15 +1,18 @@
+(* All fields are floats, so the record is stored flat and a charge
+   writes unboxed numbers. The charge count is a float too: it is exact
+   up to 2^53 and leaves through [count] as an [int]. *)
 type cell = {
   tau : float;
   mutable value : float;
   mutable last : float;
-  mutable count : int;
+  mutable count : float;
 }
 
 let cell ~tau =
   if tau <= 0. then invalid_arg "Heat.cell: tau must be positive";
-  { tau; value = 0.; last = neg_infinity; count = 0 }
+  { tau; value = 0.; last = neg_infinity; count = 0. }
 
-let decayed c ~now =
+let[@inline] decayed c ~now =
   if c.last = neg_infinity || c.value = 0. then 0.
   else if now <= c.last then c.value
   else c.value *. exp (-.(now -. c.last) /. c.tau)
@@ -17,10 +20,10 @@ let decayed c ~now =
 let charge c ~now ?(weight = 1.) () =
   c.value <- decayed c ~now +. weight;
   c.last <- (if c.last = neg_infinity then now else Float.max c.last now);
-  c.count <- c.count + 1
+  c.count <- c.count +. 1.
 
 let value c ~now = decayed c ~now
-let count c = c.count
+let count c = int_of_float c.count
 
 (* ------------------------------------------------------------------ *)
 (* Skew summaries over a load vector. *)

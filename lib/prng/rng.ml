@@ -1,4 +1,22 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256++ state: four 64-bit words in 32 raw bytes, read and
+   written in native byte order. Mutable [int64] record fields would box
+   every store (a fresh block and a write barrier per word per draw);
+   byte-level access keeps each word unboxed, so a draw allocates
+   nothing once [bits64] is inlined into its caller. *)
+type t = Bytes.t
+
+let[@inline] s0 t = Bytes.get_int64_ne t 0
+let[@inline] s1 t = Bytes.get_int64_ne t 8
+let[@inline] s2 t = Bytes.get_int64_ne t 16
+let[@inline] s3 t = Bytes.get_int64_ne t 24
+
+let of_words a b c d =
+  let t = Bytes.create 32 in
+  Bytes.set_int64_ne t 0 a;
+  Bytes.set_int64_ne t 8 b;
+  Bytes.set_int64_ne t 16 c;
+  Bytes.set_int64_ne t 24 d;
+  t
 
 (* SplitMix64: used only to expand the seed into the 256-bit xoshiro state.
    Constants from Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -20,26 +38,30 @@ let create ~seed =
   (* The all-zero state is a fixed point of xoshiro; SplitMix64 cannot emit
      four zero words in a row, but guard anyway. *)
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let of_int seed = create ~seed:(Int64.of_int seed)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256++ next step. *)
-let bits64 t =
+(* xoshiro256++ next step, on locals: each word is read once and written
+   once. *)
+let[@inline] bits64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = s0 t and s1 = s1 t and s2 = s2 t and s3 = s3 t in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
 let split t = create ~seed:(bits64 t)
@@ -50,17 +72,17 @@ let int t bound =
   let mask = 0x3FFF_FFFF_FFFF_FFFFL in
   let bound64 = Int64.of_int bound in
   let limit = Int64.sub mask (Int64.rem mask bound64) in
-  let rec draw () =
-    let r = Int64.logand (bits64 t) mask in
-    if r > limit then draw () else Int64.to_int (Int64.rem r bound64)
-  in
-  draw ()
+  let r = ref (Int64.logand (bits64 t) mask) in
+  while Int64.compare !r limit > 0 do
+    r := Int64.logand (bits64 t) mask
+  done;
+  Int64.to_int (Int64.rem !r bound64)
 
 let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t =
+let[@inline] float t =
   (* 53 top bits scaled into [0, 1). *)
   let r = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float r *. 0x1.0p-53
@@ -94,4 +116,4 @@ let exponential t ~rate =
   -.log (1. -. float t) /. rate
 
 let pp ppf t =
-  Format.fprintf ppf "xoshiro256++{%Lx;%Lx;%Lx;%Lx}" t.s0 t.s1 t.s2 t.s3
+  Format.fprintf ppf "xoshiro256++{%Lx;%Lx;%Lx;%Lx}" (s0 t) (s1 t) (s2 t) (s3 t)

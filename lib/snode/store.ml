@@ -5,6 +5,16 @@ module Hash = Dht_hashes.Hash
 module Versioned = Dht_kv.Versioned
 module Merkle = Dht_merkle.Merkle
 
+(* String-keyed tables with the generic table's hash, so bucket and
+   iteration order are exactly those of a [(string, _) Hashtbl.t]; only
+   the polymorphic compare on every probe goes. *)
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 (* One mutable slot per stored key: an LWW update lands with a single
    table probe (find, then overwrite in place) instead of the
    find-then-replace double hash. Slots are per-table; the immutable cell
@@ -15,7 +25,7 @@ type slot = { mutable cell : Versioned.cell }
    copies — tagged with the snode whose hash tree it feeds. *)
 type table = {
   sid : int;  (* the snode whose tree the table feeds *)
-  cells : (string, slot) Hashtbl.t;
+  cells : slot Stbl.t;
 }
 
 type node = {
@@ -71,7 +81,7 @@ let create ~space ~mt_threshold ~mt_leaf ~snodes ~owner ~tables =
   if mt_leaf < 1 then invalid_arg "Runtime.create: mt_leaf < 1";
   let node sid =
     {
-      replicas = { sid; cells = Hashtbl.create 16 };
+      replicas = { sid; cells = Stbl.create 16 };
       live = None;
       live_writes = 0;
       mtree = None;
@@ -99,7 +109,7 @@ let create ~space ~mt_threshold ~mt_leaf ~snodes ~owner ~tables =
       };
   }
 
-let table sid = { sid; cells = Hashtbl.create 16 }
+let table sid = { sid; cells = Stbl.create 16 }
 
 (* ------------------------------------------------------------------ *)
 (* Writes                                                               *)
@@ -127,11 +137,11 @@ let live_for_update n =
    when the held cell changed (new key or replaced version). *)
 let hold ?(lww = true) st tbl ~point ~key cell =
   let changed =
-    match Hashtbl.find_opt tbl.cells key with
-    | None ->
-        Hashtbl.add tbl.cells key { cell };
+    match Stbl.find tbl.cells key with
+    | exception Not_found ->
+        Stbl.add tbl.cells key { cell };
         true
-    | Some s ->
+    | s ->
         if
           lww
           && not
@@ -150,7 +160,7 @@ let hold ?(lww = true) st tbl ~point ~key cell =
   changed
 
 let drop st tbl ~point ~key =
-  Hashtbl.remove tbl.cells key;
+  Stbl.remove tbl.cells key;
   match live_for_update st.nodes.(tbl.sid) with
   | Some tree -> ignore (Merkle.remove tree ~key ~point)
   | None -> ()
@@ -159,7 +169,7 @@ let drop st tbl ~point ~key =
    those cells as (key, point, cell), in reverse table order. *)
 let take_cells st tbl leaving =
   let moved =
-    Hashtbl.fold
+    Stbl.fold
       (fun key s acc ->
         let point = Hash.string st.space key in
         if leaving point then (key, point, s.cell) :: acc else acc)
@@ -180,7 +190,7 @@ let absorb st tbl moving =
   List.iter
     (fun (key, point, cell) ->
       let cell =
-        match Hashtbl.find_opt tbl.cells key with
+        match Stbl.find_opt tbl.cells key with
         | Some s -> Versioned.merge ~mine:s.cell ~theirs:cell
         | None -> cell
       in
@@ -202,12 +212,15 @@ let table_for st sid point =
   | exception Not_found -> st.nodes.(sid).replicas
 
 let store st sid ~point ~key cell = hold st (table_for st sid point) ~point ~key cell
-let find tbl key = Option.map (fun s -> s.cell) (Hashtbl.find_opt tbl.cells key)
+let find tbl key =
+  match Stbl.find tbl.cells key with
+  | s -> Some s.cell
+  | exception Not_found -> None
 let value tbl key = Option.map (fun c -> c.Versioned.value) (find tbl key)
 let lookup st sid ~point ~key = find (table_for st sid point) key
 
 let bindings tbl =
-  Hashtbl.fold (fun k s acc -> (k, s.cell.Versioned.value) :: acc) tbl.cells []
+  Stbl.fold (fun k s acc -> (k, s.cell.Versioned.value) :: acc) tbl.cells []
   |> List.sort compare
 
 let replica_bindings st sid = bindings st.nodes.(sid).replicas
@@ -225,8 +238,8 @@ let held_cells st sid =
     let point = Hash.string st.space key in
     cells := (key, point, Versioned.digest key s.cell, s.cell) :: !cells
   in
-  Hashtbl.iter consider st.nodes.(sid).replicas.cells;
-  st.tables sid (fun _ tbl -> Hashtbl.iter consider tbl.cells);
+  Stbl.iter consider st.nodes.(sid).replicas.cells;
+  st.tables sid (fun _ tbl -> Stbl.iter consider tbl.cells);
   !cells
 
 let build st cells =
@@ -383,11 +396,11 @@ let answer st sid ~from ~synced msg =
       (* Bidirectional repair: ship back anything we hold strictly fresher
          (or that the sender is missing entirely). *)
       if reply then begin
-        let theirs = Hashtbl.create (List.length cells + 1) in
-        List.iter (fun (key, _) -> Hashtbl.replace theirs key ()) cells;
+        let theirs = Stbl.create (List.length cells + 1) in
+        List.iter (fun (key, _) -> Stbl.replace theirs key ()) cells;
         List.iter
           (fun (key, cell) ->
-            if not (Hashtbl.mem theirs key) then
+            if not (Stbl.mem theirs key) then
               fresher := (key, cell) :: !fresher)
           (span_cells st sid span);
         sync_reply st (List.rev !fresher) span
@@ -425,22 +438,22 @@ let answer st sid ~from ~synced msg =
          lack or hold differently — so exactly the symmetric difference
          crosses the wire. *)
       let mine = Merkle.entries_at (mtree st sid) span in
-      let theirs = Hashtbl.create (List.length keys + 1) in
-      List.iter (fun (k, d) -> Hashtbl.replace theirs k d) keys;
+      let theirs = Stbl.create (List.length keys + 1) in
+      List.iter (fun (k, d) -> Stbl.replace theirs k d) keys;
       let to_send =
         List.filter_map
           (fun (k, d, cell) ->
-            match Hashtbl.find_opt theirs k with
+            match Stbl.find_opt theirs k with
             | Some d' when d' = d -> None
             | _ -> Some (k, cell))
           mine
       in
-      let mine_tbl = Hashtbl.create (List.length mine + 1) in
-      List.iter (fun (k, d, _) -> Hashtbl.replace mine_tbl k d) mine;
+      let mine_tbl = Stbl.create (List.length mine + 1) in
+      List.iter (fun (k, d, _) -> Stbl.replace mine_tbl k d) mine;
       let want =
         List.filter_map
           (fun (k, d) ->
-            match Hashtbl.find_opt mine_tbl k with
+            match Stbl.find_opt mine_tbl k with
             | Some d' when d' = d -> None
             | _ -> Some k)
           keys
@@ -478,10 +491,10 @@ let audit st sid ~rmap =
   let findings = ref [] in
   let bad fmt = Format.kasprintf (fun s -> findings := s :: !findings) fmt in
   let n = st.nodes.(sid) in
-  Hashtbl.iter
+  Stbl.iter
     (fun key _ ->
       st.tables sid (fun vid tbl ->
-          if Hashtbl.mem tbl.cells key then
+          if Stbl.mem tbl.cells key then
             bad "snode %d: key %S held as a replica and by vnode %a" sid key
               Vnode_id.pp vid))
     n.replicas.cells;

@@ -48,9 +48,18 @@ type outmsg = {
          re-arms it instead of building a fresh closure + handle *)
 }
 
+(* A route's Jacobson estimator. All-float, so it is stored flat and an
+   update writes unboxed numbers; a peer points at the shared [no_rtt]
+   until its first sample. *)
+type rtt = { mutable srtt : float; mutable rttvar : float }
+
 type peer = {
   mutable next_seq : int;
   mutable outbox : outmsg Itbl.t;  (* seq -> unacked message *)
+  mutable oldest : int;
+      (* no seq below this is in [outbox]: a lower bound, advanced lazily
+         by [on_ack] so a cumulative ack with nothing older outstanding
+         retires without walking the table *)
   mutable grown : bool;  (* [outbox] has resized past its initial buckets *)
   mutable backlog : int Queue.t;
       (* seqs staged past the inflight window, promoted in order as acks
@@ -63,8 +72,7 @@ type peer = {
       (* consecutive retransmission timeouts — the route's graded suspicion
          level; poisoning at [poison_after] is just the top of the scale,
          and admission control reads the raw level below it *)
-  mutable srtt : float;  (* smoothed RTT (Jacobson); 0 = no sample yet *)
-  mutable rttvar : float;
+  mutable rtt : rtt;  (* smoothed RTT and its variance; 0 = no sample yet *)
 }
 
 (* Per-destination transmission-coalescing buffer: protocol messages (and
@@ -75,6 +83,7 @@ type peer = {
 type obuf = {
   ob_dst : int;
   mutable ob_parts : Wire.msg list;  (* newest first *)
+  mutable ob_acked : bool;  (* an ack may be among [ob_parts] *)
   mutable ob_timer : Engine.timer option;  (* created once, re-armed *)
 }
 
@@ -85,6 +94,9 @@ type endpoint = {
   mutable up : bool;  (* a down endpoint absorbs every delivery *)
   peers : peer Itbl.t;
   obufs : obuf Itbl.t;
+  mutable spare : outmsg Itbl.t;
+      (* one drained, never-grown outbox kept for the next peer that needs
+         one, or [no_outbox]; it equals a fresh table *)
 }
 
 type counters = {
@@ -114,6 +126,26 @@ type t = {
   c : counters;
 }
 
+(* ---------------- per-peer queue lifecycle ---------------- *)
+
+(* The shared empty queues of every peer without traffic in flight.
+   Nothing is ever inserted into them: each insertion below first swaps
+   in a real queue, created with the size the eager tables had, so a
+   peer's bucket layout is what it always was. They are still walked, and
+   a [Hashtbl] walk briefly flips a field of its table, so these
+   process-wide sentinels keep the transport on one domain. A route
+   without an RTT sample reads [no_rtt]'s zeros; [rtt_sample] swaps in a
+   real estimator before its first write. *)
+let table_size = 4
+let no_outbox : outmsg Itbl.t = Itbl.create table_size
+let no_seen : unit Itbl.t = Itbl.create table_size
+let no_backlog : int Queue.t = Queue.create ()
+let no_rtt = { srtt = 0.; rttvar = 0. }
+
+(* A table resizes once it holds more than twice its bucket count, so an
+   outbox created with 16 buckets first grows at its 33rd entry. *)
+let grow_threshold = 2 * (Itbl.stats no_outbox).num_buckets
+
 let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
     ~linger ~metrics ~trace ~xmit ~deliver =
   let hist f = Option.map f metrics in
@@ -130,7 +162,8 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
     eps =
       Array.mapi
         (fun sid rng ->
-          { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8 })
+          { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
+            spare = no_outbox })
         rngs;
     c =
       { timeouts = 0; retransmits = 0; probes = 0; backpressured = 0;
@@ -140,25 +173,13 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
 let counters tr = tr.c
 let note_timeout tr = tr.c.timeouts <- tr.c.timeouts + 1
 
-(* ---------------- per-peer queue lifecycle ---------------- *)
-
-(* The shared empty queues of every peer without traffic in flight.
-   Nothing is ever inserted into them: each insertion below first swaps
-   in a real queue, created with the size the eager tables had, so a
-   peer's bucket layout is what it always was. They are still walked, and
-   a [Hashtbl] walk briefly flips a field of its table, so these
-   process-wide sentinels keep the transport on one domain. *)
-let table_size = 4
-let no_outbox : outmsg Itbl.t = Itbl.create table_size
-let no_seen : unit Itbl.t = Itbl.create table_size
-let no_backlog : int Queue.t = Queue.create ()
-
-(* A table resizes once it holds more than twice its bucket count, so an
-   outbox created with 16 buckets first grows at its 33rd entry. *)
-let grow_threshold = 2 * (Itbl.stats no_outbox).num_buckets
-
-let outbox_add p seq entry =
-  if p.outbox == no_outbox then p.outbox <- Itbl.create table_size;
+let outbox_add ep p seq entry =
+  if p.outbox == no_outbox then
+    if ep.spare != no_outbox then begin
+      p.outbox <- ep.spare;
+      ep.spare <- no_outbox
+    end
+    else p.outbox <- Itbl.create table_size;
   Itbl.add p.outbox seq entry;
   if Itbl.length p.outbox > grow_threshold then p.grown <- true
 
@@ -184,16 +205,22 @@ let stale_outbox p =
 
 let release_seen p = if stale_seen p then p.seen <- no_seen
 let release_backlog p = if stale_backlog p then p.backlog <- no_backlog
-let release_outbox p = if stale_outbox p then p.outbox <- no_outbox
+(* A drained outbox that never grew is indistinguishable from a fresh one,
+   so it becomes the endpoint's spare if that slot is free. *)
+let release_outbox ep p =
+  if stale_outbox p then begin
+    if ep.spare == no_outbox then ep.spare <- p.outbox;
+    p.outbox <- no_outbox
+  end
 
 let peer_of ep pid =
   match Itbl.find_opt ep.peers pid with
   | Some p -> p
   | None ->
       let p =
-        { next_seq = 0; outbox = no_outbox; grown = false; backlog = no_backlog;
-          live = 0; floor = -1; seen = no_seen; suspect = false; strikes = 0;
-          srtt = 0.; rttvar = 0. }
+        { next_seq = 0; outbox = no_outbox; oldest = 0; grown = false;
+          backlog = no_backlog; live = 0; floor = -1; seen = no_seen;
+          suspect = false; strikes = 0; rtt = no_rtt }
       in
       Itbl.add ep.peers pid p;
       p
@@ -207,13 +234,17 @@ let in_seq_order p keep =
    the estimator; Karn's rule (the caller samples only never-retransmitted
    messages) keeps retransmission ambiguity out of it. *)
 let rtt_sample p s =
-  if p.srtt <= 0. then begin
-    p.srtt <- s;
-    p.rttvar <- s /. 2.
-  end
+  if p.rtt == no_rtt then p.rtt <- { srtt = s; rttvar = s /. 2. }
   else begin
-    p.rttvar <- (0.75 *. p.rttvar) +. (0.25 *. Float.abs (p.srtt -. s));
-    p.srtt <- (0.875 *. p.srtt) +. (0.125 *. s)
+    let r = p.rtt in
+    if r.srtt <= 0. then begin
+      r.srtt <- s;
+      r.rttvar <- s /. 2.
+    end
+    else begin
+      r.rttvar <- (0.75 *. r.rttvar) +. (0.25 *. Float.abs (r.srtt -. s));
+      r.srtt <- (0.875 *. r.srtt) +. (0.125 *. s)
+    end
   end
 
 (* Deadline-aware admission: the time to assemble a quorum of [need] acks
@@ -229,7 +260,8 @@ let admission_estimate tr ~src ~set ~need =
       match Itbl.find_opt tr.eps.(src).peers sid with
       | None -> tr.rto
       | Some p ->
-          let rtt = if p.srtt > 0. then p.srtt +. (4. *. p.rttvar) else tr.rto in
+          let r = p.rtt in
+          let rtt = if r.srtt > 0. then r.srtt +. (4. *. r.rttvar) else tr.rto in
           let pressure = float_of_int (Itbl.length p.outbox + 1) in
           rtt *. pressure *. float_of_int (1 + p.strikes)
   in
@@ -287,16 +319,18 @@ and stage tr ep ~dst msg =
     match Itbl.find_opt ep.obufs dst with
     | Some ob -> ob
     | None ->
-        let ob = { ob_dst = dst; ob_parts = []; ob_timer = None } in
+        let ob = { ob_dst = dst; ob_parts = []; ob_acked = false; ob_timer = None } in
         Itbl.add ep.obufs dst ob;
         ob
   in
   (match msg with
   | Wire.Ack { floor; _ } ->
-      ob.ob_parts <-
-        List.filter
-          (function Wire.Ack { seq; _ } -> seq > floor | _ -> true)
-          ob.ob_parts
+      if ob.ob_acked then
+        ob.ob_parts <-
+          List.filter
+            (function Wire.Ack { seq; _ } -> seq > floor | _ -> true)
+            ob.ob_parts;
+      ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
   let tm =
@@ -316,20 +350,25 @@ and stage tr ep ~dst msg =
    fires on a crashed snode the parts stay staged — restart re-arms. *)
 and flush_obuf tr ep ob =
   if ep.up then
-    match List.rev ob.ob_parts with
+    match ob.ob_parts with
     | [] -> ()
-    | parts -> (
+    | staged -> (
         ob.ob_parts <- [];
+        ob.ob_acked <- false;
         let dst = ob.ob_dst in
-        if not tr.reliable then send_coalesced tr ep ~dst parts
+        if not tr.reliable then send_coalesced tr ep ~dst (List.rev staged)
         else
-          let acks, protos =
-            List.partition (function Wire.Ack _ -> true | _ -> false) parts
+          (* One pass over the newest-first list: consing each part onto
+             its side leaves both sides oldest first. *)
+          let rec split acks protos = function
+            | [] -> (acks, protos)
+            | (Wire.Ack _ as m) :: rest -> split (m :: acks) protos rest
+            | m :: rest -> split acks (m :: protos) rest
           in
-          match protos with
-          | [] -> send_coalesced tr ep ~dst acks
-          | [ payload ] -> reliable_send tr ep ~dst ~acks payload
-          | protos -> reliable_send tr ep ~dst ~acks (Wire.Batch protos))
+          match split [] [] staged with
+          | acks, [] -> send_coalesced tr ep ~dst acks
+          | acks, [ payload ] -> reliable_send tr ep ~dst ~acks payload
+          | acks, protos -> reliable_send tr ep ~dst ~acks (Wire.Batch protos))
 
 (* Send [parts] toward [dst] without reliability framing: a lone message
    goes as itself, several coalesce into one [Wire.Batch]. *)
@@ -362,7 +401,7 @@ and reliable_send tr ep ~dst ~acks msg =
     { o_payload = msg; o_attempts = 0; o_sent = 0.; o_live = false;
       o_timer = None }
   in
-  outbox_add p seq entry;
+  outbox_add ep p seq entry;
   let depth = Itbl.length p.outbox in
   if depth > tr.c.outbox_peak then tr.c.outbox_peak <- depth;
   if tr.max_inflight > 0 && p.live >= tr.max_inflight then begin
@@ -405,14 +444,17 @@ and transmit tr ep p ~dst ~acks ~probe ~seq entry =
         ]
   end;
   let frame = Wire.Req { seq; payload = entry.o_payload } in
-  let protos = match entry.o_payload with Wire.Batch l -> l | m -> [ m ] in
-  (match (acks, protos) with
-  | [], [ _ ] ->
+  let single =
+    match entry.o_payload with Wire.Batch [ _ ] -> true | Wire.Batch _ -> false | _ -> true
+  in
+  (match acks with
+  | [] when single ->
       wire tr ~src:ep.sid ~dst ~attempt:entry.o_attempts
         ~bytes:(Wire.size_bytes frame) frame
   | _ ->
       (* Unbatched, each protocol part would have paid its own [Req] frame
          and each ack its own envelope. *)
+      let protos = match entry.o_payload with Wire.Batch l -> l | m -> [ m ] in
       let req m = Wire.Req { seq; payload = m } in
       emit_batch tr ep ~dst ~attempt:entry.o_attempts
         ~unbatched:(acks @ List.map req protos)
@@ -429,7 +471,7 @@ and rto_for tr ep p attempts =
   let exp = float_of_int (min (attempts - 1) 16) in
   let rto0 =
     if not tr.adaptive_rto then tr.rto
-    else if p.srtt > 0. then Float.max tr.rto (p.srtt +. (4. *. p.rttvar))
+    else if p.rtt.srtt > 0. then Float.max tr.rto (p.rtt.srtt +. (4. *. p.rtt.rttvar))
     else tr.rto
   in
   let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
@@ -476,33 +518,41 @@ and on_rto tr ep p ~dst ~seq entry =
 
 and on_ack tr ep ~from ~seq ~floor =
   let p = peer_of ep from in
-  let answered = ref false in
-  let retire s =
-    match Itbl.find_opt p.outbox s with
-    | None -> ()  (* duplicate ack *)
-    | Some entry ->
-        Itbl.remove p.outbox s;
-        Option.iter Engine.disarm entry.o_timer;
-        if entry.o_live then begin
-          entry.o_live <- false;
-          p.live <- p.live - 1
-        end;
-        (* Karn's rule: only a never-retransmitted message yields an
-           unambiguous RTT sample. *)
-        if tr.adaptive_rto && entry.o_attempts = 1 then
-          rtt_sample p (Engine.now tr.engine -. entry.o_sent);
-        answered := true
-  in
-  retire seq;
+  let answered = retire tr p seq in
   (* Cumulative: the peer has processed every seq up to [floor], so also
-     retire older entries whose own ack was lost. *)
-  Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc) p.outbox []
-  |> List.iter retire;
-  release_outbox p;
-  if !answered then begin
+     retire older entries whose own ack was lost — walking the table only
+     when one may be outstanding. *)
+  while p.oldest < p.next_seq && not (Itbl.mem p.outbox p.oldest) do
+    p.oldest <- p.oldest + 1
+  done;
+  let answered =
+    if p.oldest > floor then answered
+    else
+      Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc) p.outbox []
+      |> List.fold_left (fun answered s -> retire tr p s || answered) answered
+  in
+  release_outbox ep p;
+  if answered then begin
     peer_answered tr ep p ~pid:from;
     refill_window tr ep p ~pid:from
   end
+
+(* Retire outbox entry [s] on its ack; [false] for a duplicate ack. *)
+and retire tr p s =
+  match Itbl.find p.outbox s with
+  | exception Not_found -> false
+  | entry ->
+      Itbl.remove p.outbox s;
+      Option.iter Engine.disarm entry.o_timer;
+      if entry.o_live then begin
+        entry.o_live <- false;
+        p.live <- p.live - 1
+      end;
+      (* Karn's rule: only a never-retransmitted message yields an
+         unambiguous RTT sample. *)
+      if tr.adaptive_rto && entry.o_attempts = 1 then
+        rtt_sample p (Engine.now tr.engine -. entry.o_sent);
+      true
 
 (* Acks freed window slots: promote backlogged messages in issue order.
    Entries retired while waiting (a cumulative ack can cover them) are
@@ -595,8 +645,7 @@ let crash tr sid =
       p.suspect <- false;
       p.strikes <- 0;
       (* RTT estimates are soft state, like suspicions. *)
-      p.srtt <- 0.;
-      p.rttvar <- 0.;
+      p.rtt <- no_rtt;
       Itbl.iter
         (fun _ e ->
           Option.iter Engine.disarm e.o_timer;
@@ -661,6 +710,9 @@ let audit tr =
   let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
   Array.iter
     (fun ep ->
+      if Itbl.length ep.spare > 0 then
+        fail "snode %d: spare outbox holds %d entries" ep.sid
+          (Itbl.length ep.spare);
       Itbl.iter
         (fun pid p ->
           let unreleased what =
@@ -705,7 +757,7 @@ let peer_samples tr =
          Itbl.fold (fun pid p acc -> (pid, p) :: acc) ep.peers []
          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
          |> List.map (fun (pid, p) ->
-                { ps_observer = ep.sid; ps_peer = pid; ps_srtt = p.srtt;
-                  ps_rttvar = p.rttvar; ps_strikes = p.strikes;
+                { ps_observer = ep.sid; ps_peer = pid; ps_srtt = p.rtt.srtt;
+                  ps_rttvar = p.rtt.rttvar; ps_strikes = p.strikes;
                   ps_suspect = p.suspect; ps_outbox = Itbl.length p.outbox;
                   ps_backlog = Queue.length p.backlog }))

@@ -49,16 +49,16 @@ module Population = struct
      [(salt, i)], so a million-key population costs nothing until a key
      is materialized, and two populations with the same salt and size
      agree across processes and runs. *)
-  type t = { salt : string; size : int }
+  type t = { prefix : string; size : int }  (* [prefix] is [salt ^ "-"] *)
 
   let create ?(salt = "pop") ~size () =
     if size < 1 then invalid_arg "Keygen.Population.create: size < 1";
-    { salt; size }
+    { prefix = salt ^ "-"; size }
 
   let size t = t.size
   let nth t i =
     if i < 0 || i >= t.size then invalid_arg "Keygen.Population.nth: index";
-    t.salt ^ "-" ^ string_of_int i
+    t.prefix ^ string_of_int i
 
   let sample t rng = nth t (Rng.int rng t.size)
 end
