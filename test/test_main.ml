@@ -36,4 +36,5 @@ let () =
       ("routing", Test_routing.suite);
       ("explorer", Test_explorer.suite);
       ("merkle", Test_merkle.suite);
+      ("hot-path", Test_alloc.suite);
     ]

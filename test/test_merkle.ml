@@ -194,6 +194,66 @@ let prop_snapshot_isolation =
       payloads snap
       = List.sort compare (List.map (fun (k, _, d, _) -> (k, d)) at_snap))
 
+(* Updates mutate the nodes a handle owns in place and copy only what it
+   shares with a snapshot. Random interleavings of inserts, removes and
+   snapshots, on the live tree and on every snapshot taken from it (and
+   from those), must keep each handle equal to a rebuild over its own
+   cell set after every step: frames, entries and structure alike. *)
+let prop_snapshot_interleavings =
+  QCheck.Test.make
+    ~name:"merkle: in-place updates never leak across snapshot handles"
+    ~count:150 QCheck.small_int (fun salt ->
+      let rng = Rng.of_int ((salt * 389) + 71) in
+      let cap = 1 + Rng.int rng 4 in
+      let rebuild model =
+        Merkle.build ~leaf_cap:cap ~space ~span:Span.root (model_cells model)
+      in
+      let probes =
+        Span.root
+        :: List.init 6 (fun i ->
+               let level = 1 + (i mod 3) in
+               Span.make space ~level ~index:(Rng.int rng (1 lsl level)))
+      in
+      let agrees (t, model) =
+        let r = rebuild model in
+        Merkle.check t = []
+        && Merkle.equal t r
+        && List.for_all
+             (fun q ->
+               Merkle.frame_at t q = Merkle.frame_at r q
+               && Merkle.entries_at t q = Merkle.entries_at r q)
+             probes
+      in
+      (* handles.(0) is the live tree; each handle has its own model. *)
+      let handles =
+        ref [| (Merkle.create ~leaf_cap:cap ~space ~span:Span.root (),
+                Hashtbl.create 64) |]
+      in
+      for step = 1 to 40 + Rng.int rng 60 do
+        let hs = !handles in
+        let i = Rng.int rng (Array.length hs) in
+        let t, model = hs.(i) in
+        (match Rng.int rng 8 with
+        | 0 when Array.length hs < 6 ->
+            handles := Array.append hs [| (Merkle.snapshot t, Hashtbl.copy model) |]
+        | 0 | 1 | 2 -> random_ops rng t model 1
+        | _ ->
+            (* Bias toward inserts so buckets fill, split and collapse. *)
+            let key = Printf.sprintf "key-%d" (Rng.int rng 60) in
+            let point = Hash.string space key in
+            let digest = Rng.int rng 1_000_000 in
+            Hashtbl.replace model key (point, digest);
+            Merkle.insert t ~key ~point ~digest digest);
+        Array.iteri
+          (fun j h ->
+            if not (agrees h) then
+              QCheck.Test.fail_reportf
+                "step %d: handle %d differs from a rebuild over its cells \
+                 (cap %d)" step j cap)
+          !handles
+      done;
+      true)
+
 let prop_range_query =
   QCheck.Test.make
     ~name:"merkle: range lo hi equals the model filtered to [lo, hi), by key"
@@ -807,6 +867,7 @@ let suite =
     to_alcotest prop_incremental_rehash;
     to_alcotest prop_subrange_frames;
     to_alcotest prop_snapshot_isolation;
+    to_alcotest prop_snapshot_interleavings;
     to_alcotest prop_range_query;
     to_alcotest prop_live_tree_sweep;
     to_alcotest prop_reconciliation;
