@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Host perf gate: compare perfbench result lines of a change with its parent's.
 
-    python3 .github/scripts/host_perf_gate.py CHANGE PARENT CHANGE_HEAP PARENT_HEAP
+    python3 .github/scripts/host_perf_gate.py CHANGE PARENT CHANGE_HEAP PARENT_HEAP CHANGE_ALLOC PARENT_ALLOC
 
 Each file (JSONL) holds one perfbench result line per run (the last line that
 perfbench/run.py prints). The gate fails (exit 1) unless every run of both
@@ -12,6 +12,12 @@ so host speed cancels out of the ratio.
 The second pair holds routed-256 runs: there the change's median
 peak_heap_mb must also be at most HEAP_RATIO times the parent's. Peak heap
 is deterministic for a given build and seed, so one run per tree is enough.
+
+The third pair holds --trace 1 runs, one line per workload, each wrapped as
+{"workload": NAME, "result": RESULT_LINE}. For every workload both trees
+ran, the change's gc.minor_words_per_op must be at most ALLOC_RATIO times
+the parent's. Each workload runs a fixed number of operations at a fixed
+seed, so the count repeats exactly and one run per tree is enough.
 """
 
 import json
@@ -22,6 +28,8 @@ RATIO = 0.8
 METRIC = "host_ops_per_s"
 HEAP_RATIO = 1.10
 HEAP_METRIC = "peak_heap_mb"
+ALLOC_RATIO = 1.02
+ALLOC_METRIC = "gc.minor_words_per_op"
 
 
 def load(path):
@@ -62,11 +70,45 @@ def gate(paths, metric, ratio_bound, higher_is_better):
     return ok
 
 
+def alloc_gate(paths):
+    """Compare ALLOC_METRIC workload by workload; return whether every
+    workload of the change stays within ALLOC_RATIO of the parent's."""
+    sides = {}
+    for side, path in zip(("change", "parent"), paths):
+        lines = load(path)
+        try:
+            sides[side] = {l["workload"]: l["result"] for l in lines}
+        except (KeyError, TypeError):
+            sys.exit("%s: lines must be {\"workload\": ..., \"result\": ...}" % path)
+    if set(sides["change"]) != set(sides["parent"]):
+        print("::error::allocation gate: the trees ran different workloads")
+        return False
+    ok = True
+    for w in sorted(sides["change"]):
+        runs = {side: sides[side][w] for side in sides}
+        if not all(r.get("correct") is True for r in runs.values()):
+            print("::error::a %s run failed its output checks" % w)
+            ok = False
+            continue
+        change, parent = (runs[s]["metrics"][ALLOC_METRIC]["value"]
+                          for s in ("change", "parent"))
+        ratio = change / parent
+        print("%s %s: change %.6g, parent %.6g, change / parent = %.4f "
+              "(gate: <= %.2f)" % (w, ALLOC_METRIC, change, parent, ratio,
+                                   ALLOC_RATIO))
+        if ratio > ALLOC_RATIO:
+            print("::error::allocation gate failed: %s %s is %.1f%% of the "
+                  "parent's" % (w, ALLOC_METRIC, 100 * ratio))
+            ok = False
+    return ok
+
+
 def main():
-    if len(sys.argv) != 5:
+    if len(sys.argv) != 7:
         sys.exit(__doc__.strip().split("\n\n")[1])
     ok = gate(sys.argv[1:3], METRIC, RATIO, True)
     ok = gate(sys.argv[3:5], HEAP_METRIC, HEAP_RATIO, False) and ok
+    ok = alloc_gate(sys.argv[5:7]) and ok
     return 0 if ok else 1
 
 
