@@ -54,22 +54,25 @@ let is_pending h = h.state = `Pending
    allocated when the slot is created; re-arming only pushes a queue entry.
    Lazy deletion again — a stale entry fires as a no-op because either the
    slot is disarmed or the clock has not reached the latest deadline. *)
+(* Flat like [clock], so re-arming writes the deadline unboxed. *)
+type deadline = { mutable due : float }
+
 type timer = {
   tm_engine : t;
   tm_cb : unit -> unit;
-  deadline : clock;  (* flat, like the engine's clock: re-arming boxes nothing *)
+  deadline : deadline;
   mutable tm_armed : bool;
   mutable trampoline : unit -> unit;
 }
 
 let timer t f =
   let tm =
-    { tm_engine = t; tm_cb = f; deadline = { now = 0. }; tm_armed = false;
+    { tm_engine = t; tm_cb = f; deadline = { due = 0. }; tm_armed = false;
       trampoline = ignore }
   in
   tm.trampoline <-
     (fun () ->
-      if tm.tm_armed && t.clock.now >= tm.deadline.now then begin
+      if tm.tm_armed && t.clock.now >= tm.deadline.due then begin
         tm.tm_armed <- false;
         tm.tm_cb ()
       end);
@@ -80,7 +83,7 @@ let arm tm ~delay =
     invalid_arg "Engine.arm: negative or non-finite delay";
   let t = tm.tm_engine in
   let time = t.clock.now +. delay in
-  tm.deadline.now <- time;
+  tm.deadline.due <- time;
   tm.tm_armed <- true;
   at t ~time tm.trampoline
 

@@ -17,7 +17,8 @@ let[@inline] decayed c ~now =
   else if now <= c.last then c.value
   else c.value *. exp (-.(now -. c.last) /. c.tau)
 
-let charge c ~now ?(weight = 1.) () =
+let[@inline] charge c ~now ?weight () =
+  let weight = match weight with Some w -> w | None -> 1. in
   c.value <- decayed c ~now +. weight;
   c.last <- (if c.last = neg_infinity then now else Float.max c.last now);
   c.count <- c.count +. 1.

@@ -73,7 +73,7 @@ let int t bound =
   let bound64 = Int64.of_int bound in
   let limit = Int64.sub mask (Int64.rem mask bound64) in
   let r = ref (Int64.logand (bits64 t) mask) in
-  while Int64.compare !r limit > 0 do
+  while !r > limit do
     r := Int64.logand (bits64 t) mask
   done;
   Int64.to_int (Int64.rem !r bound64)
