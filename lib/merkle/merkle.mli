@@ -24,12 +24,14 @@
     from scratch over the same cells — the invariant the incremental-
     rehash property test pins down.
 
-    Nodes are {e persistent}: buckets are immutable key-sorted arrays and
-    an update path-copies only the root path it touches (O(depth) fresh
-    nodes plus one bucket of at most [leaf_cap] members). A handle is a
-    mutable pointer to the current root, so {!snapshot} is O(1) and a
-    snapshot never observes later {!insert}s or {!remove}s on the tree
-    it was taken from. *)
+    Handles share nodes. Each node is stamped with the handle that
+    created it; an update mutates in place the nodes on its root path
+    that its handle owns and path-copies the rest (O(depth) fresh nodes
+    plus one bucket of at most [leaf_cap] members), so between snapshots
+    an overwrite allocates only its new entry. {!snapshot} is O(1): it
+    re-stamps both handles, so every node that existed at that moment is
+    shared and frozen, and neither handle ever observes the other's later
+    {!insert}s or {!remove}s. *)
 
 open Dht_hashspace
 

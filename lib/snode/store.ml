@@ -41,7 +41,8 @@ type node = {
   mutable live_writes : int;  (* tree updates since the last read *)
   (* Anti-entropy snapshot: the live tree as it stood when the current
      push round opened ([Merkle.frame_at] clips per-partition frames out
-     of it). Persistent nodes make it immune to later writes. Soft state
+     of it). Later writes to the live tree copy any node they share with
+     it, so they never reach it. Soft state
      — losing it to a crash costs one snapshot. *)
   mutable mtree : Versioned.cell Merkle.t option;
   (* Push-round counter stamped into [Mt_root] frames. Durable: a
@@ -277,7 +278,7 @@ let range st sid ~lo ~hi = Merkle.range (live_tree st sid) ~lo ~hi
 (* Anti-entropy snapshots and the frame protocol                        *)
 
 (* Snapshot the live tree for anti-entropy: O(1), and later writes never
-   reach it (persistent nodes). *)
+   reach it ([Merkle.snapshot] freezes every node the two handles share). *)
 let snapshot st sid =
   let tree = Merkle.snapshot (live_tree st sid) in
   st.nodes.(sid).mtree <- Some tree;
