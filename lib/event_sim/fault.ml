@@ -142,7 +142,8 @@ let duplicate t =
   end
   else false
 
-let[@inline] delay_noise t = if t.jitter > 0. then Rng.float t.rng *. t.jitter else 0.
+let[@inline] delay_noise t =
+  if t.jitter > 0. then Rng.float t.rng *. t.jitter else 0.
 
 let absorb t ~dst =
   if is_down t dst then begin

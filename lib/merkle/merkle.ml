@@ -21,7 +21,11 @@ type 'a entry = {
    leaves (copying a leaf copies its array). Leaf members are sorted by
    key (binary-searched on update, already ordered on transfer). *)
 type 'a node =
-  | Leaf of { l_owner : int; mutable l_hash : int; mutable cells : 'a entry array }
+  | Leaf of {
+      l_owner : int;
+      mutable l_hash : int;
+      mutable cells : 'a entry array;
+    }
   | Node of {
       n_owner : int;
       mutable n_count : int;
@@ -77,6 +81,7 @@ let create ?(leaf_cap = 16) ~space ~span () =
 let snapshot t =
   t.stamp <- fresh_stamp ();
   { t with stamp = fresh_stamp () }
+
 let space t = t.space
 let span t = t.tspan
 let leaf_cap t = t.cap
@@ -170,6 +175,16 @@ let lower_bound cells key = lower_bound_in cells key 0 (Array.length cells)
 let holds cells i key =
   i < Array.length cells && String.equal cells.(i).e_key key
 
+(* The leaf [node] holding [cells] under [l_hash]: [node] itself, updated
+   in place, when [t] owns it, else a fresh leaf stamped as [t]'s. *)
+let set_leaf t node ~l_hash cells =
+  match node with
+  | Leaf l when l.l_owner = t.stamp ->
+      l.cells <- cells;
+      l.l_hash <- l_hash;
+      node
+  | _ -> Leaf { l_owner = t.stamp; l_hash; cells }
+
 (* [node] after writing [e] beneath it: the node itself, updated in place
    when [t] owns it (or unchanged), else a fresh copy stamped as [t]'s. *)
 let rec insert_at t e level node =
@@ -181,17 +196,10 @@ let rec insert_at t e level node =
         let old = cells.(i) in
         if old.e_digest = e.e_digest && old.e_payload == e.e_payload then node
         else begin
-          let l_hash = l.l_hash lxor old.e_digest lxor e.e_digest in
-          if l.l_owner = t.stamp then begin
-            cells.(i) <- e;
-            l.l_hash <- l_hash;
-            node
-          end
-          else begin
-            let cells = Array.copy cells in
-            cells.(i) <- e;
-            Leaf { l_owner = t.stamp; l_hash; cells }
-          end
+          let cells = if l.l_owner = t.stamp then cells else Array.copy cells in
+          cells.(i) <- e;
+          set_leaf t node ~l_hash:(l.l_hash lxor old.e_digest lxor e.e_digest)
+            cells
         end
       end
       else begin
@@ -207,12 +215,7 @@ let rec insert_at t e level node =
             ((e.e_point lsr shift) lsl shift)
             grown 0 (n + 1)
         end
-        else if l.l_owner = t.stamp then begin
-          l.cells <- grown;
-          l.l_hash <- l.l_hash lxor e.e_digest;
-          node
-        end
-        else Leaf { l_owner = t.stamp; l_hash = l.l_hash lxor e.e_digest; cells = grown }
+        else set_leaf t node ~l_hash:(l.l_hash lxor e.e_digest) grown
       end
   | Node n ->
       let go_left = goes_left t.space level e.e_point in
@@ -257,13 +260,7 @@ let rec remove_at t key point level node =
         let shrunk = Array.make (n - 1) cells.(0) in
         Array.blit cells 0 shrunk 0 i;
         Array.blit cells (i + 1) shrunk i (n - 1 - i);
-        let l_hash = l.l_hash lxor cells.(i).e_digest in
-        if l.l_owner = t.stamp then begin
-          l.cells <- shrunk;
-          l.l_hash <- l_hash;
-          node
-        end
-        else Leaf { l_owner = t.stamp; l_hash; cells = shrunk }
+        set_leaf t node ~l_hash:(l.l_hash lxor cells.(i).e_digest) shrunk
       end
   | Node n ->
       let go_left = goes_left t.space level point in

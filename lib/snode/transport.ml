@@ -261,7 +261,9 @@ let admission_estimate tr ~src ~set ~need =
       | None -> tr.rto
       | Some p ->
           let r = p.rtt in
-          let rtt = if r.srtt > 0. then r.srtt +. (4. *. r.rttvar) else tr.rto in
+          let rtt =
+            if r.srtt > 0. then r.srtt +. (4. *. r.rttvar) else tr.rto
+          in
           let pressure = float_of_int (Itbl.length p.outbox + 1) in
           rtt *. pressure *. float_of_int (1 + p.strikes)
   in
@@ -319,7 +321,9 @@ and stage tr ep ~dst msg =
     match Itbl.find_opt ep.obufs dst with
     | Some ob -> ob
     | None ->
-        let ob = { ob_dst = dst; ob_parts = []; ob_acked = false; ob_timer = None } in
+        let ob =
+          { ob_dst = dst; ob_parts = []; ob_acked = false; ob_timer = None }
+        in
         Itbl.add ep.obufs dst ob;
         ob
   in
@@ -445,7 +449,10 @@ and transmit tr ep p ~dst ~acks ~probe ~seq entry =
   end;
   let frame = Wire.Req { seq; payload = entry.o_payload } in
   let single =
-    match entry.o_payload with Wire.Batch [ _ ] -> true | Wire.Batch _ -> false | _ -> true
+    match entry.o_payload with
+    | Wire.Batch [ _ ] -> true
+    | Wire.Batch _ -> false
+    | _ -> true
   in
   (match acks with
   | [] when single ->
@@ -471,7 +478,8 @@ and rto_for tr ep p attempts =
   let exp = float_of_int (min (attempts - 1) 16) in
   let rto0 =
     if not tr.adaptive_rto then tr.rto
-    else if p.rtt.srtt > 0. then Float.max tr.rto (p.rtt.srtt +. (4. *. p.rtt.rttvar))
+    else if p.rtt.srtt > 0. then
+      Float.max tr.rto (p.rtt.srtt +. (4. *. p.rtt.rttvar))
     else tr.rto
   in
   let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
@@ -528,7 +536,8 @@ and on_ack tr ep ~from ~seq ~floor =
   let answered =
     if p.oldest > floor then answered
     else
-      Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc) p.outbox []
+      Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc)
+        p.outbox []
       |> List.fold_left (fun answered s -> retire tr p s || answered) answered
   in
   release_outbox ep p;

@@ -60,7 +60,8 @@ let test_hash_golden () =
   List.iter
     (fun (key, fnv, point) ->
       check Alcotest.int64 ("fnv1a64 " ^ key) fnv (Hash.fnv1a64 key);
-      check Alcotest.int ("string " ^ key) point (Hash.string Space.default key))
+      check Alcotest.int ("string " ^ key) point
+        (Hash.string Space.default key))
     [
       ("", 0xcbf29ce484222325L, 4218834538703250);
       ("a", 0xaf63dc4c8601ec8cL, 2298162199567340);

@@ -235,7 +235,8 @@ let prop_snapshot_interleavings =
         let t, model = hs.(i) in
         (match Rng.int rng 8 with
         | 0 when Array.length hs < 6 ->
-            handles := Array.append hs [| (Merkle.snapshot t, Hashtbl.copy model) |]
+            handles :=
+              Array.append hs [| (Merkle.snapshot t, Hashtbl.copy model) |]
         | 0 | 1 | 2 -> random_ops rng t model 1
         | _ ->
             (* Bias toward inserts so buckets fill, split and collapse. *)
