@@ -194,10 +194,11 @@ let telemetry_term =
                 trace is byte-identical across runs with the same seed.")
   in
   let trace_limit =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "trace-limit" ] ~docv:"N"
              ~doc:
-               "Cap the trace sink at $(docv) events; the excess is counted \
+               "Cap the trace sink at $(docv) events (at least 1; the sink \
+                is unbounded without this option); the excess is counted \
                 by the trace_dropped_total metric instead of written, \
                 bounding sink memory and file size.")
   in
@@ -2039,10 +2040,10 @@ let trace_cmd =
            ~doc:"Slowest ops whose critical paths are printed.")
   in
   let tolerance =
-    Arg.(value & opt float 1e-9 & info [ "tolerance" ] ~docv:"T"
+    Arg.(value & opt non_negative_float 1e-9 & info [ "tolerance" ] ~docv:"T"
            ~doc:
              "Relative tolerance for the decomposition-sums-to-latency \
-              gate.")
+              gate: a finite number >= 0.")
   in
   let analyze_cmd =
     Cmd.v

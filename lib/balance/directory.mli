@@ -17,8 +17,6 @@ val note : t -> Summary.t -> bool
 val reports : t -> Summary.t list
 (** Every report, sorted by origin. *)
 
-val report_count : t -> int
-
 val reset : t -> unit
 (** Forget everything (crash semantics — directory state is soft). *)
 
@@ -30,9 +28,6 @@ val locate : snodes:int -> count:int -> int list
 val directory_for : snodes:int -> count:int -> origin:int -> int
 (** The directory snode [origin] reports to (round-robin over
     {!locate}). *)
-
-val average : t -> float
-(** Mean reported heat; [0.] with no reports. *)
 
 val classify : t -> Policy.t -> Summary.t list * Summary.t list
 (** [(light, heavy)]: lights ascending by heat, heavies descending.

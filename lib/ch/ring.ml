@@ -16,7 +16,6 @@ let create ?(space = Space.default) ~rng () =
 
 let space t = t.space
 let node_count t = Hashtbl.length t.nodes
-let point_count t = Imap.cardinal t.points
 
 (* Wrapping distance along the ring from [a] (exclusive) to [b] (inclusive);
    the full ring when a = b. *)

@@ -27,11 +27,10 @@ val add_node : t -> ?points:int -> id:int -> k:int -> unit -> unit
 
 val remove_node : t -> id:int -> unit
 (** Removes a node; its arcs merge into their successors' owners.
+    Needed by test_ch, which checks that departures conserve the quotas.
     @raise Not_found if [id] is not present. *)
 
 val node_count : t -> int
-
-val point_count : t -> int
 
 val quota : t -> id:int -> float
 (** Current [Qn] of one node. @raise Not_found if absent. *)

@@ -211,12 +211,6 @@ let check_runtime rt =
   check_view ~route_cap:(Runtime.route_cap rt) ~space:(Runtime.space rt)
     ~pmin:(Runtime.pmin rt) ~vmax:(Runtime.vmax rt) (Runtime.view rt)
 
-(* Overload discipline: the degradation layer's queue accounting must
-   never drift — every bounded window holds at most [max_inflight] live
-   entries and the live counters match the outbox contents. *)
-let check_overload rt =
-  List.map (fun detail -> { inv = "overload"; detail }) (Runtime.queue_audit rt)
-
 (* Hash-tree consistency: every live snode's snapshot tree must be
    structurally sound and reproduce the flat scan digest for every
    replicated partition span — the predicate that keeps tree frames and

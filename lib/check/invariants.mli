@@ -22,12 +22,7 @@ module Runtime := Dht_snode.Runtime
 
 type finding = { inv : string;  (** invariant name, e.g. ["G4"] *) detail : string }
 
-val pp_finding : Format.formatter -> finding -> unit
-
 val to_strings : finding list -> string list
-
-val of_messages : string list -> finding list
-(** Lift ["G4: ..."]-style audit messages into structured findings. *)
 
 val check_local : Local_dht.t -> finding list
 (** G1'-G5', L1, L2 and quota conservation over the local-model oracle
@@ -56,19 +51,13 @@ val check_view :
     unbounded), and {!check_snode} on every snode, up or down (a crashed
     snode's durable state must stay well-formed). Meaningful at
     quiescence — LPDR copies legitimately diverge while a commit is in
-    flight. *)
+    flight.
+    Needed by test_check, which runs the battery on hand-corrupted views. *)
 
 val check_runtime : Runtime.t -> finding list
 (** {!check_view} over [Runtime.view rt] with the runtime's own
     parameters, including {!Dht_snode.Runtime.route_cap}. This is the
     runtime's one invariant battery. *)
-
-val check_overload : Runtime.t -> finding list
-(** Queue-discipline audit of the graceful-degradation layer
-    ({!Dht_snode.Runtime.queue_audit}): every bounded per-peer window
-    holds at most [max_inflight] live entries and the window counters
-    match the outbox contents exactly. Findings carry the ["overload"]
-    invariant name. Valid at any instant. *)
 
 val check_merkle : Runtime.t -> finding list
 (** Hash-tree consistency audit ({!Dht_snode.Runtime.merkle_audit}):

@@ -15,11 +15,9 @@ val max_ops : int
 (** Per-key operation bound of the search (the state bitmask fits an
     OCaml [int]). *)
 
-val check_key : key:string -> History.entry list -> string option
-(** Linearizability of one key's history; [None] when linearizable. *)
-
 val check : History.entry list -> string list
-(** {!check_key} over every key of the history. *)
+(** Linearizability, checked key by key: one message per key whose history
+    is not linearizable. *)
 
 val read_your_writes : History.entry list -> string list
 (** A session that completed a put on a key must never again read [None]

@@ -32,11 +32,7 @@ val length : t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val pp_perturbation : Format.formatter -> perturbation -> unit
-
 val to_string : t -> string
-
-val of_string : string -> (t, string) result
 
 val save : path:string -> t -> unit
 

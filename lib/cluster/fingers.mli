@@ -28,7 +28,3 @@ val steward : snodes:int -> region:int -> int
     the region index, spread so adjacent regions land on unrelated
     snodes.
     @raise Invalid_argument if [snodes < 1]. *)
-
-val mix : int -> int
-(** The underlying 63-bit mix (exposed for tests): deterministic,
-    non-negative. *)

@@ -22,10 +22,6 @@ let score t =
   let s = t.storage_gb /. reference.storage_gb in
   (c *. m *. s) ** (1. /. 3.)
 
-let with_storage t ~storage_gb =
-  if storage_gb <= 0. then invalid_arg "Profile.with_storage: must be positive";
-  { t with storage_gb }
-
 let pp ppf t =
   Format.fprintf ppf "%s{cpu=%.2f mem=%.1fGB disk=%.0fGB score=%.3f}" t.name
     t.cpu t.memory_gb t.storage_gb (score t)

@@ -28,8 +28,4 @@ val score : t -> float
 (** Scalar enrollment score: geometric mean of the resources normalized to
     {!reference}. Strictly positive. *)
 
-val with_storage : t -> storage_gb:float -> t
-(** Same node with a different amount of storage bound to the DHT (the
-    paper's on-line repartitioning / hot-swap scenario). *)
-
 val pp : Format.formatter -> t -> unit

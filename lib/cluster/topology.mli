@@ -8,7 +8,9 @@
 type t = { nodes : Profile.t array }
 
 val homogeneous : n:int -> Profile.t -> t
-(** [n] identical nodes. @raise Invalid_argument if [n <= 0]. *)
+(** [n] identical nodes. Needed by test_cluster and test_registry
+    (uniform test clusters).
+    @raise Invalid_argument if [n <= 0]. *)
 
 val generations : counts:(int * float) list -> t
 (** [generations ~counts] builds a cluster from [(count, scale)] pairs: each
@@ -23,7 +25,5 @@ val random :
 val size : t -> int
 
 val scores : t -> float array
-
-val total_score : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -4,14 +4,6 @@
     state (never from cached counters) and report all violations found. They
     are meant for tests and debugging; they are O(total partitions). *)
 
-val check_balancer : Balancer.t -> string list
-(** Violations of the per-group invariants: G2'/G2 (group partition total a
-    power of two), G3'/G3 (all partitions at the group's split level, hence
-    equal-sized), G4'/G4 (counts within [\[Pmin, Pmax\]]), G5'/G5 (vnode
-    count a power of two ⇒ all counts equal, i.e. perfect quota balance —
-    the removal-tolerant form, see {!Balancer.remove_vnode}), plus internal
-    consistency ([count] = number of spans, vnode [group] field matches). *)
-
 val check_global : Global_dht.t -> (unit, string list) result
 (** All balancer checks plus G1 (the routing map tiles [R_h] exactly) and
     map/ownership consistency. *)

@@ -111,4 +111,6 @@ val transfer_span :
     access). Refuses moves that would violate G4' ([`Src_at_pmin],
     [`Dst_at_pmax]); emits the usual [Transfer] event on success. Note that
     a successful move intentionally trades σ(Pv) balance for whatever the
-    caller is optimising — it may un-do G5's perfect balance. *)
+    caller is optimising — it may un-do G5's perfect balance.
+    Needed by test_removal, which checks the G4' guards and the routing
+    of a move. *)

@@ -27,18 +27,6 @@ val add_vnode : t -> id:Vnode_id.t -> Vnode.t
 val find_vnode : t -> Vnode_id.t -> Vnode.t option
 (** The live vnode with this canonical name, if any. *)
 
-val restore :
-  ?space:Space.t ->
-  ?on_event:(Balancer.event -> unit) ->
-  pmin:int ->
-  level:int ->
-  vnodes:(Vnode_id.t * Span.t list) list ->
-  unit ->
-  t
-(** Rebuilds a DHT from persisted state (see {!Snapshot}): one member per
-    entry, all partitions at the given split [level].
-    @raise Invalid_argument on structurally inconsistent state. *)
-
 val remove_vnode :
   t -> id:Vnode_id.t -> (unit, [ `Insufficient_capacity | `Last_vnode ]) result
 (** Departure of a vnode: partitions are handed to the least-loaded
@@ -63,14 +51,6 @@ val quotas : t -> float array
 
 val sigma_qv : t -> float
 (** σ̄(Qv, Q̄v) in percent — the paper's quality metric. *)
-
-val sigma_pv : t -> float
-(** σ̄(Pv, P̄v) in percent; equal to {!sigma_qv} in the global approach
-    (§2.4). *)
-
-val gpdr : t -> Plan.lpdr
-(** The global partition distribution record: partition counts keyed by
-    vnode id. *)
 
 val lookup : t -> int -> Span.t * Vnode.t
 (** [lookup t p] routes hash index [p] to its partition and owner.

@@ -23,7 +23,6 @@ type t = {
   index : Vnode.t Vtbl.t;  (* canonical name -> live vnode *)
   mutable groups : Balancer.t Gmap.t;
   mutable vnode_total : int;
-  mutable splits : split_info list;
 }
 
 let create ?space ?(on_event = fun _ -> ()) ?(on_group_split = fun _ -> ())
@@ -46,75 +45,11 @@ let create ?space ?(on_event = fun _ -> ()) ?(on_group_split = fun _ -> ())
     index;
     groups = Gmap.singleton Group_id.root b;
     vnode_total = 1;
-    splits = [];
   }
-
-let restore ?space ?(on_event = fun _ -> ()) ?(on_group_split = fun _ -> ())
-    ?(selection = Quota_lookup) ~pmin ~vmin ~rng ~groups:group_specs () =
-  if group_specs = [] then invalid_arg "Local_dht.restore: no groups";
-  let params = Params.make ?space ~pmin ~vmin () in
-  let map = Point_map.create params.Params.space in
-  let notify = Routing.chain (Routing.apply map) on_event in
-  let index = Vtbl.create 64 in
-  let total = ref 0 in
-  let groups =
-    List.fold_left
-      (fun acc (gid, level, members) ->
-        if Gmap.mem gid acc then
-          invalid_arg "Local_dht.restore: duplicate group id";
-        let vnodes =
-          List.map
-            (fun (id, spans) ->
-              if Vtbl.mem index id then
-                invalid_arg "Local_dht.restore: duplicate vnode id";
-              let v = Vnode.make ~id ~group:gid in
-              List.iter
-                (fun s ->
-                  if Span.level s <> level then
-                    invalid_arg "Local_dht.restore: span level mismatch";
-                  Vnode.add_span v s)
-                spans;
-              Vtbl.add index id v;
-              (* Point_map.add rejects overlaps, covering G1' partially. *)
-              Routing.register_vnode map v;
-              incr total;
-              v)
-            members
-        in
-        let b =
-          Balancer.of_vnodes ~params ~group:gid ~level ~notify
-            (Array.of_list vnodes)
-        in
-        Gmap.add gid b acc)
-      Gmap.empty group_specs
-  in
-  let t =
-    {
-      params;
-      rng;
-      selection;
-      notify;
-      on_group_split;
-      map;
-      index;
-      groups;
-      vnode_total = !total;
-      splits = [];
-    }
-  in
-  (* Full-coverage check (gaps are not caught by pairwise overlap tests). *)
-  (match Dht_hashspace.Coverage.check params.Params.space (Point_map.spans map)
-   with
-  | Ok () -> ()
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Local_dht.restore: %a" Dht_hashspace.Coverage.pp_error
-           e));
-  t
 
 (* §3.7: a full victim group splits into two groups of Vmin vnodes each,
    randomly selected ({!Plan.split}); the newcomer's destination is one of
-   the two, chosen at random. *)
+   the two, chosen at random. Returns the destination and the split. *)
 let split_group t b =
   let g = Balancer.group b in
   assert (Balancer.vnode_count b = Params.vmax t.params);
@@ -134,9 +69,8 @@ let split_group t b =
       m "group %a split into %a and %a at V=%d" Group_id.pp g Group_id.pp gl
         Group_id.pp gr t.vnode_total);
   let info = { parent = g; left = gl; right = gr; at_vnodes = t.vnode_total } in
-  t.splits <- info :: t.splits;
   t.on_group_split info;
-  if halves.Plan.newcomer_left then bl else br
+  ((if halves.Plan.newcomer_left then bl else br), info)
 
 type creation_report = {
   vnode : Vnode.t;
@@ -156,20 +90,15 @@ let add_vnode_routed t ~id ~victim =
   let v = Vnode.make ~id ~group:Group_id.root in
   let victim_gid = victim.Vnode.group in
   let victim_group = Gmap.find victim_gid t.groups in
-  let split_before = t.splits in
-  let target =
+  let target, split =
     if Balancer.vnode_count victim_group = Params.vmax t.params then
-      split_group t victim_group
-    else victim_group
+      let target, info = split_group t victim_group in
+      (target, Some info)
+    else (victim_group, None)
   in
   Balancer.add_vnode target v;
   Vtbl.add t.index id v;
   t.vnode_total <- t.vnode_total + 1;
-  let split =
-    match t.splits with
-    | info :: _ when t.splits != split_before -> Some info
-    | _ -> None
-  in
   {
     vnode = v;
     victim_group = victim_gid;
@@ -201,16 +130,6 @@ type removal_error =
   | Last_vnode
   | Group_at_minimum of Group_id.t
   | Group_capacity of Group_id.t
-
-let pp_removal_error ppf = function
-  | Last_vnode -> Format.fprintf ppf "the DHT cannot become empty"
-  | Group_at_minimum g ->
-      Format.fprintf ppf "group %a is at Vmin and may not shrink (L2)"
-        Group_id.pp g
-  | Group_capacity g ->
-      Format.fprintf ppf
-        "group %a cannot absorb the departing partitions within Pmax"
-        Group_id.pp g
 
 let remove_vnode t ~id =
   match Vtbl.find_opt t.index id with
@@ -245,7 +164,6 @@ let group_count t = Gmap.cardinal t.groups
 let gideal t =
   Metrics.gideal ~vnodes:t.vnode_total ~vmax:(Params.vmax t.params)
 
-let group_splits t = t.splits
 let groups t = List.map snd (Gmap.bindings t.groups)
 let find_group t g = Gmap.find_opt g t.groups
 

@@ -52,25 +52,6 @@ val add_vnode : t -> id:Vnode_id.t -> Vnode.t
     {!add_vnode_routed} (under the default {!Quota_lookup} selection).
     @raise Invalid_argument if a vnode with this id already exists. *)
 
-val restore :
-  ?space:Space.t ->
-  ?on_event:(Balancer.event -> unit) ->
-  ?on_group_split:(split_info -> unit) ->
-  ?selection:selection ->
-  pmin:int ->
-  vmin:int ->
-  rng:Rng.t ->
-  groups:(Group_id.t * int * (Vnode_id.t * Dht_hashspace.Span.t list) list) list ->
-  unit ->
-  t
-(** [restore ~groups ()] rebuilds a DHT from persisted state: one
-    [(group id, split level, members)] triple per group, each member with
-    its partitions. Used by {!Snapshot}. The state is validated
-    structurally (full coverage, no overlap, count bounds, level
-    consistency); callers wanting the complete invariant battery should run
-    {!Audit.check_local} on the result.
-    @raise Invalid_argument on any inconsistent state. *)
-
 val find_vnode : t -> Vnode_id.t -> Vnode.t option
 (** The live vnode with this canonical name, if any. *)
 
@@ -84,8 +65,6 @@ type removal_error =
       (** the surviving vnodes of the group cannot absorb the partitions
           within [Pmax] *)
 
-val pp_removal_error : Format.formatter -> removal_error -> unit
-
 val remove_vnode : t -> id:Vnode_id.t -> (unit, removal_error) result
 (** Departure of a vnode (dynamic leave, §1): its partitions are handed to
     the least-loaded vnodes of its group and the group re-equalizes (see
@@ -97,6 +76,7 @@ val remove_vnode : t -> id:Vnode_id.t -> (unit, removal_error) result
 val select_victim : t -> point:int -> Vnode.t
 (** [select_victim t ~point] is the vnode owning the hash index [point] —
     the {e victim vnode} of §3.6; its current group is the victim group.
+    Needed by test_local, which checks the victim law of §3.6.
     @raise Invalid_argument if [point] is outside the space. *)
 
 type creation_report = {
@@ -110,9 +90,10 @@ type creation_report = {
 }
 
 val add_vnode_routed : t -> id:Vnode_id.t -> victim:Vnode.t -> creation_report
-(** The execution half of a creation, for callers (such as the protocol
-    simulator) that perform the victim lookup themselves: balances the
-    victim vnode's current group, splitting it first if full. *)
+(** The execution half of a creation, for a caller that performs the
+    victim lookup itself: balances the victim vnode's current group,
+    splitting it first if full.
+    Needed by test_local, which checks the creation report of a split. *)
 
 val params : t -> Params.t
 
@@ -125,13 +106,8 @@ val group_count : t -> int
 val gideal : t -> int
 (** [Gideal] for the current vnode count (figure 7). *)
 
-val group_splits : t -> split_info list
-(** History of group splits, most recent first. *)
-
 val groups : t -> Balancer.t list
 (** The live balancing domains, in ascending group-id order. *)
-
-val find_group : t -> Group_id.t -> Balancer.t option
 
 val vnodes : t -> Vnode.t array
 (** All vnodes of the DHT, grouped by group, ascending group-id order. *)

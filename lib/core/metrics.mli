@@ -13,7 +13,9 @@ val sigma_percent : float array -> float
 
 val sigma_counts_percent : int array -> float
 (** σ̄(Pv, P̄v) over partition counts — valid as a quality metric only under
-    the global approach, where all partitions share one size (§2.4). *)
+    the global approach, where all partitions share one size (§2.4).
+    Needed by test_metrics and test_global, the reference for the §2.4
+    equivalence σ̄(Qv) = σ̄(Pv). *)
 
 val gideal : vnodes:int -> vmax:int -> int
 (** The ideal number of groups after [vnodes] creations (figure 7): 1 while

@@ -20,7 +20,8 @@ val move_decreases_sigma : from_count:int -> to_count:int -> bool
 (** The paper's step-4 test: does moving one partition from a vnode holding
     [from_count] to one holding [to_count] decrease σ(Pv)? Since the total
     is unchanged, σ decreases iff the sum of squares does, i.e. iff
-    [to_count < from_count - 1]. *)
+    [to_count < from_count - 1].
+    Needed by test_balancer, which checks it against a float recomputation. *)
 
 type assignment = { donor : Vnode_id.t; give : int }
 

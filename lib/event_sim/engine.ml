@@ -36,19 +36,18 @@ let schedule t ~delay f =
    stays and fires as a no-op. Deletion stays lazy because [run] advances
    the clock over the dead entry, and later [now]-relative schedules see
    that clock. *)
-type handle = { mutable state : [ `Pending | `Fired | `Cancelled ] }
+type handle = { mutable pending : bool }
 
 let schedule_cancellable t ~delay f =
-  let h = { state = `Pending } in
+  let h = { pending = true } in
   schedule t ~delay (fun () ->
-      if h.state = `Pending then begin
-        h.state <- `Fired;
+      if h.pending then begin
+        h.pending <- false;
         f ()
       end);
   h
 
-let cancel h = if h.state = `Pending then h.state <- `Cancelled
-let is_pending h = h.state = `Pending
+let cancel h = h.pending <- false
 
 (* Reusable timer slots: one callback closure and one trampoline are
    allocated when the slot is created; re-arming only pushes a queue entry.

@@ -45,9 +45,6 @@ val cancel : handle -> unit
 (** Retract a timer. Cancelling one that already fired (or was already
     cancelled) is a no-op. *)
 
-val is_pending : handle -> bool
-(** [true] while the timer has neither fired nor been cancelled. *)
-
 type timer
 (** A reusable cancellable timer slot. Where {!schedule_cancellable}
     allocates a fresh closure and handle per arming, a [timer] allocates

@@ -5,8 +5,6 @@ type t = {
   mutable drop_p : float;
   mutable dup_p : float;
   mutable jitter : float;
-  severed : (int * int, unit) Hashtbl.t;
-  oneway : (int * int, unit) Hashtbl.t;  (* directed (src, dst) *)
   slow : (int, float) Hashtbl.t;  (* snode -> service-time factor, > 1 *)
   down : (int, unit) Hashtbl.t;
   crash_plan : (int * float * float) list;
@@ -61,8 +59,6 @@ let create ?(drop = 0.) ?(duplicate = 0.) ?(jitter = 0.) ?(crashes = []) ~seed
     drop_p = drop;
     dup_p = duplicate;
     jitter;
-    severed = Hashtbl.create 8;
-    oneway = Hashtbl.create 8;
     slow = Hashtbl.create 8;
     down = Hashtbl.create 8;
     crash_plan = crashes;
@@ -84,29 +80,6 @@ let set_jitter t j =
 
 let crash_plan t = t.crash_plan
 
-(* Links are symmetric: store the endpoint pair normalized. *)
-let key a b = if a <= b then (a, b) else (b, a)
-
-let sever t a b = Hashtbl.replace t.severed (key a b) ()
-
-(* Healing a pair that was never severed is an explicit no-op: Hashtbl.remove
-   on an absent key changes nothing, and callers (recovery sweeps healing
-   whole neighbourhoods) rely on that. *)
-let heal t a b = Hashtbl.remove t.severed (key a b)
-
-(* The lookups below run for every remote send or delivery, and a fault
-   plan usually severs, slows and downs nothing: an empty table answers
-   without building and hashing a key. *)
-let severed t a b =
-  Hashtbl.length t.severed > 0 && Hashtbl.mem t.severed (key a b)
-
-(* One-way faults are directed: only src -> dst traffic is cut. *)
-let sever_oneway t ~src ~dst = Hashtbl.replace t.oneway (src, dst) ()
-let heal_oneway t ~src ~dst = Hashtbl.remove t.oneway (src, dst)
-
-let severed_oneway t ~src ~dst =
-  Hashtbl.length t.oneway > 0 && Hashtbl.mem t.oneway (src, dst)
-
 let set_slow t s factor =
   if not (Float.is_finite factor) || factor < 1. then
     invalid_arg "Fault.set_slow: factor must be finite and >= 1";
@@ -114,22 +87,19 @@ let set_slow t s factor =
   Hashtbl.replace t.slow s factor
 
 let clear_slow t s = Hashtbl.remove t.slow s
+
+(* The lookups below run for every remote send or delivery, and a fault
+   plan usually slows and downs nothing: an empty table answers without
+   hashing a key. *)
 let slow_factor t ~dst =
   if Hashtbl.length t.slow = 0 then 1.
   else Option.value ~default:1. (Hashtbl.find_opt t.slow dst)
 
-let is_slow t s = Hashtbl.mem t.slow s
-
 let set_down t s = Hashtbl.replace t.down s ()
 let set_up t s = Hashtbl.remove t.down s
-let is_down t s = Hashtbl.length t.down > 0 && Hashtbl.mem t.down s
 
-let cut t ~src ~dst =
-  if severed t src dst || severed_oneway t ~src ~dst then begin
-    t.drops <- t.drops + 1;
-    true
-  end
-  else if t.drop_p > 0. && Rng.float t.rng < t.drop_p then begin
+let cut t =
+  if t.drop_p > 0. && Rng.float t.rng < t.drop_p then begin
     t.drops <- t.drops + 1;
     true
   end
@@ -146,7 +116,7 @@ let[@inline] delay_noise t =
   if t.jitter > 0. then Rng.float t.rng *. t.jitter else 0.
 
 let absorb t ~dst =
-  if is_down t dst then begin
+  if Hashtbl.length t.down > 0 && Hashtbl.mem t.down dst then begin
     t.drops <- t.drops + 1;
     true
   end

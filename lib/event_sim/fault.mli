@@ -2,7 +2,7 @@
 
     A plan bundles the failure model one run is subjected to: independent
     per-message drop and duplication probabilities, uniform latency jitter,
-    severed links (partitions), and a crash-stop/restart schedule per snode.
+    slow (gray-failed) snodes, and a crash-stop/restart schedule per snode.
     {!Network.send} consults the plan on every remote message; the runtime
     layers (reliable delivery, crash recovery) consume the crash schedule
     and the down-set. All randomness comes from an internal generator seeded
@@ -39,28 +39,7 @@ val set_drop : t -> float -> unit
 val set_duplicate : t -> float -> unit
 val set_jitter : t -> float -> unit
 
-(** {2 Topology state} *)
-
-val sever : t -> int -> int -> unit
-(** Cut the (symmetric) link between two nodes: messages in both directions
-    are dropped until {!heal}. *)
-
-val heal : t -> int -> int -> unit
-(** Undo a {!sever}. Healing a pair that was never severed is an explicit
-    no-op — callers healing whole neighbourhoods need not track which links
-    were actually cut. *)
-
-val severed : t -> int -> int -> bool
-
-val sever_oneway : t -> src:int -> dst:int -> unit
-(** Cut only the [src -> dst] direction: an asymmetric (gray) link fault.
-    Traffic from [dst] to [src] still flows. Independent of the symmetric
-    {!sever} table — {!cut} drops a message when either applies. *)
-
-val heal_oneway : t -> src:int -> dst:int -> unit
-(** Undo a {!sever_oneway}; a no-op when the direction was never cut. *)
-
-val severed_oneway : t -> src:int -> dst:int -> bool
+(** {2 Node state} *)
 
 val set_slow : t -> int -> float -> unit
 (** [set_slow t s factor] marks snode [s] as gray-failed: it still
@@ -79,14 +58,11 @@ val slow_factor : t -> dst:int -> float
     by {!set_slow}, or [1.] when the snode is healthy. Consulted by
     {!Network.send} on every remote delivery. *)
 
-val is_slow : t -> int -> bool
-
 val set_down : t -> int -> unit
 (** Mark a node crashed: deliveries to it are absorbed (dropped and
     counted) until {!set_up}. *)
 
 val set_up : t -> int -> unit
-val is_down : t -> int -> bool
 
 val crash_plan : t -> (int * float * float) list
 (** The [(snode, at, back_at)] schedule given at {!create}. *)
@@ -94,9 +70,9 @@ val crash_plan : t -> (int * float * float) list
 (** {2 Network hooks} — called by {!Network.send}. Each call may advance the
     internal generator and bump the counters. *)
 
-val cut : t -> src:int -> dst:int -> bool
-(** [true] when the message is to be dropped at send time (severed link or
-    drop roll); counted in {!drops}. *)
+val cut : t -> bool
+(** [true] when the message is to be dropped at send time (drop roll);
+    counted in {!drops}. *)
 
 val duplicate : t -> bool
 (** [true] when the message is to be delivered twice; counted in
@@ -112,8 +88,8 @@ val absorb : t -> dst:int -> bool
 (** {2 Counters} *)
 
 val drops : t -> int
-(** Messages lost so far (drop rolls, severed links, deliveries absorbed by
-    a down node). *)
+(** Messages lost so far (drop rolls and deliveries absorbed by a down
+    node). *)
 
 val duplicates : t -> int
 (** Extra deliveries injected so far. *)

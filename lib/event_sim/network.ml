@@ -23,8 +23,7 @@ let link ~base_latency ~byte_time =
 
 let gigabit = link ~base_latency:50e-6 ~byte_time:8e-9
 
-(* One message/byte pair, used for both the per-tag and the per-destination
-   breakdowns. *)
+(* One message/byte pair of the per-tag breakdown. *)
 type cell = { mutable m : int; mutable b : int }
 
 type verdict = Pass | Defer of float | Sink
@@ -50,7 +49,6 @@ type t = {
   mutable probe :
     (site:int -> src:int -> dst:int -> tag:string option -> verdict) option;
   tags : cell Stbl.t;
-  dests : cell Itbl.t;
   ingress : ingress Itbl.t;
 }
 
@@ -72,18 +70,12 @@ let create ?(loopback = 1e-6) ?faults engine link =
     overflows = 0;
     probe = None;
     tags = Stbl.create 32;
-    dests = Itbl.create 32;
     ingress = Itbl.create 32;
   }
 
 let faults t = t.faults
 
 let quantum t = t.link.base_latency
-
-let transit_time t ~src ~dst ~bytes =
-  if bytes < 0 then invalid_arg "Network.transit_time: negative size";
-  if src = dst then t.loopback
-  else t.link.base_latency +. (t.link.byte_time *. float_of_int bytes)
 
 let charge c bytes =
   c.m <- c.m + 1;
@@ -94,11 +86,6 @@ let account_tag t tag bytes =
   match Stbl.find_opt t.tags tag with
   | Some c -> charge c bytes
   | None -> Stbl.add t.tags tag { m = 1; b = bytes }
-
-let account_dest t dst bytes =
-  match Itbl.find_opt t.dests dst with
-  | Some c -> charge c bytes
-  | None -> Itbl.add t.dests dst { m = 1; b = bytes }
 
 let set_probe t probe = t.probe <- probe
 
@@ -115,12 +102,6 @@ let ingress_cell t dst =
       let c = { depth = 0; high_water = 0 } in
       Itbl.add t.ingress dst c;
       c
-
-let ingress_depth t ~dst =
-  match Itbl.find_opt t.ingress dst with Some c -> c.depth | None -> 0
-
-let ingress_high_water t ~dst =
-  match Itbl.find_opt t.ingress dst with Some c -> c.high_water | None -> 0
 
 let max_ingress_high_water t =
   Itbl.fold (fun _ c acc -> max acc c.high_water) t.ingress 0
@@ -175,16 +156,18 @@ let deliver_faulty t f ~dst ~delay ~factor k =
           if not (Fault.absorb f ~dst) then k ())
 
 let send t ?tag ~src ~dst ~bytes k =
-  let delay = transit_time t ~src ~dst ~bytes in
+  if bytes < 0 then invalid_arg "Network.send: negative size";
   if src = dst then begin
     t.locals <- t.locals + 1;
-    Engine.schedule t.engine ~delay k
+    Engine.schedule t.engine ~delay:t.loopback k
   end
   else begin
+    let delay =
+      t.link.base_latency +. (t.link.byte_time *. float_of_int bytes)
+    in
     t.messages <- t.messages + 1;
     t.bytes <- t.bytes + bytes;
     (match tag with Some tag -> account_tag t tag bytes | None -> ());
-    account_dest t dst bytes;
     (* Every remote send is a numbered decision site; a schedule explorer's
        probe may perturb it. The verdict only shapes delivery — all the
        accounting above already counted the send. *)
@@ -202,8 +185,8 @@ let send t ?tag ~src ~dst ~bytes k =
         match t.faults with
         | None -> deliver t ~dst ~delay k
         | Some f ->
-            (* Loss at send time: a severed link or a drop roll. *)
-            if not (Fault.cut f ~src ~dst) then begin
+            (* Loss at send time: a drop roll. *)
+            if not (Fault.cut f) then begin
               let factor = Fault.slow_factor f ~dst in
               deliver_faulty t f ~dst ~delay ~factor k;
               if Fault.duplicate f then deliver_faulty t f ~dst ~delay ~factor k
@@ -231,16 +214,6 @@ let per_tag t =
   Stbl.fold (fun tag c acc -> (tag, c.m, c.b) :: acc) t.tags []
   |> List.sort compare
 
-let per_destination t =
-  Itbl.fold (fun dst c acc -> (dst, c.m, c.b) :: acc) t.dests []
-  |> List.sort compare
-
-let messages_to t ~dst =
-  match Itbl.find_opt t.dests dst with Some c -> c.m | None -> 0
-
-let bytes_to t ~dst =
-  match Itbl.find_opt t.dests dst with Some c -> c.b | None -> 0
-
 let reset_counters t =
   t.messages <- 0;
   t.bytes <- 0;
@@ -252,5 +225,4 @@ let reset_counters t =
   (* Occupancy is live state (in-flight deliveries still hold slots), so
      only the high-water marks rebase — to the current depth, not zero. *)
   Itbl.iter (fun _ c -> c.high_water <- c.depth) t.ingress;
-  Stbl.reset t.tags;
-  Itbl.reset t.dests
+  Stbl.reset t.tags

@@ -64,16 +64,10 @@ val set_ingress_limit : t -> int -> unit
     ingress unbounded, preserving the historical model exactly.
     @raise Invalid_argument on a negative limit. *)
 
-val ingress_depth : t -> dst:int -> int
-(** Deliveries currently in flight toward [dst]. *)
-
-val ingress_high_water : t -> dst:int -> int
-(** The deepest [dst]'s ingress queue has been (since the last
-    {!reset_counters}, which rebases high-water marks to current depth). *)
-
 val max_ingress_high_water : t -> int
-(** The deepest any ingress queue has been — the bound the overload audit
-    checks against the configured limit. *)
+(** The deepest any ingress queue has been (since the last
+    {!reset_counters}, which rebases high-water marks to current depth) —
+    the bound the overload audit checks against the configured limit. *)
 
 val ingress_overflows : t -> int
 (** Deliveries refused because the destination's ingress queue was full. *)
@@ -84,15 +78,14 @@ val send :
     and then runs [k]. Counts one message and [bytes] bytes (loopback
     deliveries count separately). When [tag] is given (protocol layers pass
     their wire-message tag, e.g. {!Dht_snode.Wire.describe}), the send is
-    also accounted in the per-tag breakdown ({!per_tag}); every remote send
-    is accounted per destination ({!messages_to}, {!bytes_to}). Under a
-    fault plan the message may be dropped (severed link, drop roll, or
-    destination down at delivery time), duplicated, or delayed by jitter;
-    {e all} counters — totals, per-tag and per-destination — count the
-    {e send}, whatever its fate: an injected duplicate is one send, and is
-    counted by the fault plan itself ({!Fault.duplicates}), not by the
-    network. A gray-failed destination ({!Fault.set_slow}) stretches the
-    delivery latency by its service-time factor. Loopback deliveries are
+    also accounted in the per-tag breakdown ({!per_tag}). Under a fault
+    plan the message may be dropped (drop roll, or destination down at
+    delivery time), duplicated, or delayed by jitter; {e all} counters —
+    totals and per-tag — count the {e send}, whatever its fate: an
+    injected duplicate is one send, and is counted by the fault plan itself
+    ({!Fault.duplicates}), not by the network. A gray-failed destination
+    ({!Fault.set_slow}) stretches the delivery latency by its service-time
+    factor. Loopback deliveries are
     never subjected to faults or ingress bounds. Each delivery schedules
     one engine event: [k] itself when neither an ingress slot nor a fault
     plan has to act on landing. Random draws happen in a fixed order: the
@@ -100,10 +93,6 @@ val send :
     duplicate's jitter; a delivery refused by the ingress bound draws no
     jitter.
     @raise Invalid_argument if [bytes < 0]. *)
-
-val transit_time : t -> src:int -> dst:int -> bytes:int -> float
-(** The nominal delay {!send} would apply (excluding jitter), without
-    sending. *)
 
 val account_batch : t -> parts:int -> saved:int -> unit
 (** Record that the remote message just counted by {!send} was a coalesced
@@ -134,15 +123,5 @@ val per_tag : t -> (string * int * int) list
     [(tag, messages, bytes)], sorted by tag. Untagged sends appear only in
     the totals. *)
 
-val per_destination : t -> (int * int * int) list
-(** Remote traffic per destination node: [(dst, messages, bytes)], sorted
-    by destination. *)
-
-val messages_to : t -> dst:int -> int
-(** Remote messages sent toward [dst] so far. *)
-
-val bytes_to : t -> dst:int -> int
-(** Remote bytes sent toward [dst] so far. *)
-
 val reset_counters : t -> unit
-(** Zero the totals and clear the per-tag and per-destination breakdowns. *)
+(** Zero the totals and clear the per-tag breakdown. *)

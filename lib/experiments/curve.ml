@@ -9,12 +9,3 @@ let of_ys ~label ?(x0 = 1.) ys =
   make ~label ~xs:(Array.init (Array.length ys) (fun i -> x0 +. float_of_int i)) ~ys
 
 let last t = t.ys.(Array.length t.ys - 1)
-
-let at_x t x =
-  let n = Array.length t.xs in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if t.xs.(i) >= x then t.ys.(i)
-    else go (i + 1)
-  in
-  go 0

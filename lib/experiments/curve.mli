@@ -10,7 +10,3 @@ val of_ys : label:string -> ?x0:float -> float array -> t
 
 val last : t -> float
 (** Final y value. *)
-
-val at_x : t -> float -> float
-(** The y of the first point with x >= the given value.
-    @raise Not_found if none. *)

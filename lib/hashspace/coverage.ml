@@ -35,6 +35,3 @@ let check sp spans =
                 else walk (Span.stop sp s) rest
           in
           walk 0 sorted)
-
-let total_quota sp spans =
-  List.fold_left (fun acc s -> acc +. Span.quota sp s) 0. spans

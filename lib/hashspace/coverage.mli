@@ -16,6 +16,3 @@ val pp_error : Format.formatter -> error -> unit
 val check : Space.t -> Span.t list -> (unit, error) result
 (** [check sp spans] is [Ok ()] iff [spans] tile the whole of [R_h] exactly:
     no overlap, no gap, full coverage. *)
-
-val total_quota : Space.t -> Span.t list -> float
-(** Sum of the quotas of the spans (1.0 for an exact tiling). *)

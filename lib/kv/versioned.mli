@@ -24,9 +24,6 @@ type cell = { value : string; version : version }
 val cell : value:string -> ts:float -> ?seq:int -> origin:int -> unit -> cell
 (** [seq] defaults to [0] for callers whose [ts] is already monotonic. *)
 
-val compare_version : version -> version -> int
-(** Total order: by [ts], then [seq], then [origin]. *)
-
 val newer : version -> version -> bool
 (** [newer a b] iff [a] strictly dominates [b]. *)
 

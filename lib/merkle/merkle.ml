@@ -462,8 +462,3 @@ let equal t1 t2 =
     | _ -> false
   in
   eq t1.root t2.root
-
-let pp_frame ppf f =
-  Format.fprintf ppf "%a#%d:%x%s" Span.pp f.f_span f.f_count
-    (f.f_hash land 0xffffff)
-    (if f.f_leaf then "!" else "")

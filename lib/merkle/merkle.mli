@@ -116,5 +116,3 @@ val check : 'a t -> string list
 val equal : 'a t -> 'a t -> bool
 (** Structural equality over spans, counts, hashes and bucket contents
     (keys and digests; payloads are not compared). *)
-
-val pp_frame : Format.formatter -> frame -> unit

@@ -126,11 +126,6 @@ let add_line t line =
           t.malformed <- Printf.sprintf "%s: %s" msg line :: t.malformed)
   end
 
-let of_lines lines =
-  let t = create () in
-  List.iter (add_line t) lines;
-  t
-
 let load path =
   match open_in path with
   | exception Sys_error msg -> Error msg
@@ -208,14 +203,6 @@ let audit t =
             note "op %d: end parent span %d does not exist" trace parent)
     t.ops;
   List.rev !findings
-
-let check_roots t ~expected =
-  let have = roots t in
-  let expected = List.sort_uniq compare expected in
-  let missing = List.filter (fun tok -> not (List.mem tok have)) expected in
-  let extra = List.filter (fun tr -> not (List.mem tr expected)) have in
-  List.map (Printf.sprintf "op token %d has no op.begin root") missing
-  @ List.map (Printf.sprintf "trace %d matches no recorded op token") extra
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path decomposition. *)

@@ -25,7 +25,6 @@
 
 type t
 
-val of_lines : string list -> t
 val load : string -> (t, string) result
 (** Read a JSONL trace file (one event per line). Chrome-format traces are
     not supported — analysis needs the JSONL sink. *)
@@ -49,10 +48,6 @@ val audit : t -> string list
     parent exists and is older (spans come from one monotonic counter, so
     parent ≥ child means a cycle), parents share the child's trace id,
     every edge walks up to its op root, receives do not precede sends. *)
-
-val check_roots : t -> expected:int list -> string list
-(** Findings for op roots vs an external op-token list (one per recorded
-    client op): tokens with no root, roots matching no token. *)
 
 type breakdown = {
   queue : float;

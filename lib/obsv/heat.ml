@@ -60,9 +60,3 @@ let sigma_pct loads =
       100. *. sqrt var /. mean
     end
   end
-
-let top_k ~k items =
-  let sorted =
-    List.stable_sort (fun (_, a) (_, b) -> compare (b : float) a) items
-  in
-  List.filteri (fun i _ -> i < k) sorted

@@ -35,6 +35,3 @@ val gini : float array -> float
 val sigma_pct : float array -> float
 (** Relative standard deviation (σ / mean, in percent) of a load vector —
     the same σ̄ shape the paper's balance figures use, applied to load. *)
-
-val top_k : k:int -> ('a * float) list -> ('a * float) list
-(** The [k] hottest entries, hottest first (stable for ties). *)

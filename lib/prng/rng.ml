@@ -78,10 +78,6 @@ let int t bound =
   done;
   Int64.to_int (Int64.rem !r bound64)
 
-let int_in t ~lo ~hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let[@inline] float t =
   (* 53 top bits scaled into [0, 1). *)
   let r = Int64.shift_right_logical (bits64 t) 11 in
@@ -103,7 +99,7 @@ let sample t a ~k =
   let pool = Array.copy a in
   (* Partial Fisher–Yates: after i swaps, pool.(0..i-1) is a uniform sample. *)
   for i = 0 to k - 1 do
-    let j = int_in t ~lo:i ~hi:(n - 1) in
+    let j = i + int t (n - i) in
     let tmp = pool.(i) in
     pool.(i) <- pool.(j);
     pool.(j) <- tmp

@@ -28,16 +28,13 @@ val split : t -> t
     each run of a multi-run experiment its own stream. *)
 
 val bits64 : t -> int64
-(** [bits64 t] is the next raw 64-bit output. *)
+(** [bits64 t] is the next raw 64-bit output.
+    Needed by test_alloc (golden values) and test_prng. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive;
     rejection sampling removes modulo bias.
     @raise Invalid_argument if [bound <= 0]. *)
-
-val int_in : t -> lo:int -> hi:int -> int
-(** [int_in t ~lo ~hi] is uniform in the inclusive range [\[lo, hi\]].
-    @raise Invalid_argument if [hi < lo]. *)
 
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)], with 53 bits of precision. *)

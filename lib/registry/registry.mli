@@ -33,9 +33,6 @@ val set_external_load : t -> node:int -> float -> unit
     busy). Takes effect at the next {!retarget}.
     @raise Invalid_argument unless [0 <= f < 1]. *)
 
-val effective_shares : t -> float array
-(** Current per-node share of the cluster's free capacity (sums to 1). *)
-
 val add_dht :
   t -> name:string -> pmin:int -> vmin:int -> total_vnodes:int -> unit
 (** Registers a DHT and enrolls every node proportionally to its current
@@ -59,9 +56,6 @@ val retarget : t -> name:string -> total_vnodes:int -> retarget_report
 (** Re-apportions the DHT's [total_vnodes] to the current effective shares
     and applies the difference (creations, then best-effort removals).
     @raise Not_found if unknown. *)
-
-val node_quota : t -> name:string -> node:int -> float
-(** The fraction of the named DHT currently hosted by [node]. *)
 
 val enrollment : t -> name:string -> int array
 (** Current vnodes per node for the named DHT. *)

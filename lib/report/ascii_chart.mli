@@ -16,6 +16,7 @@ val render :
 (** Plots the series on a [width]×[height] (default 72×20) character grid
     with axis ranges spanning all series, y-axis tick labels, and a legend
     mapping each series to its glyph.
+    Needed by test_report, which inspects the rendered text.
     @raise Invalid_argument on an empty series list. *)
 
 val print :

@@ -9,9 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: width mismatch";
   t.rows <- row :: t.rows
 
-let add_rowf t row = add_row t (List.map (Printf.sprintf "%.3f") row)
-let row_count t = List.length t.rows
-
 let to_string t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in

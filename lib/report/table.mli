@@ -8,11 +8,6 @@ val create : headers:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the headers. *)
 
-val add_rowf : t -> float list -> unit
-(** Row of floats rendered with [%.3f]. *)
-
-val row_count : t -> int
-
 val to_string : t -> string
 (** The rendered table, columns padded, header underlined. *)
 

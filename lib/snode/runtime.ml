@@ -2964,7 +2964,6 @@ let remove_vnode t ?(via = 0) ~id k =
 let run ?until t = Engine.run ?until t.engine
 let pending_operations t = t.pending
 let completed_creations t = t.done_creations
-let completed_removals t = t.done_removals
 let completed_puts t = t.done_puts
 let completed_gets t = t.done_gets
 let completed_ranges t = t.done_ranges

@@ -228,8 +228,9 @@ val create :
     entry at least [ceil(log2 snodes)] levels deep is trusted like legacy
     advice; a coarser entry diverts the {e origin} hop to the point's region
     steward, a deterministic snode that accumulates fine placements for
-    the region through {!route_refresh_round}s and learns corrected-owner
-    hints piggybacked on {!Wire.Put_ack}/{!Wire.Get_reply} replies.
+    the region through refresh rounds ({!arm_route_refresh}) and learns
+    corrected-owner hints piggybacked on {!Wire.Put_ack}/{!Wire.Get_reply}
+    replies.
     Expected hops stay O(log snodes) while per-snode routing state stays
     O(route_cap). Must be [>= pmin] when positive (a restarting snode
     rebuilds from the [pmin]-span bootstrap placement).
@@ -315,9 +316,6 @@ val pending_operations : t -> int
 (** Creations and data operations issued but not yet completed. *)
 
 val completed_creations : t -> int
-
-val completed_removals : t -> int
-(** Departures resolved (accepted or refused). *)
 
 val completed_puts : t -> int
 
@@ -509,25 +507,14 @@ val peer_samples : t -> peer_sample list
 
 (** {2 Active load balancing} *)
 
-val lb_gossip_round : t -> unit
-(** One push-pull gossip round: every live snode refreshes its own load
-    summary under a fresh version stamp and pushes its whole view to
-    [fanout] distinct random peers; each recipient merges (version-fenced)
-    and replies with its own view. Requires [create ~balance]. *)
-
-val lb_report_round : t -> unit
-(** One directory-report round: every live snode sends its fresh summary
-    to its hash-located directory snode. Requires [create ~balance]. *)
-
-val lb_balance_round : t -> unit
-(** One balance round: every live directory snode classifies reporters
-    into light/heavy against the cluster-average heat and proposes a
-    hot-partition swap from the k-th heaviest toward the k-th lightest,
-    rate-limited per heavy snode. Requires [create ~balance]. *)
-
 val arm_balancer : t -> until:float -> unit
 (** Pre-schedule gossip, report and balance rounds at their policy
-    cadences up to virtual time [until] — explicit and bounded, like
+    cadences up to virtual time [until]. A gossip round has every live
+    snode push its view to [fanout] random peers, which reply with theirs;
+    a report round sends each live snode's fresh summary to its directory
+    snode; a balance round has every directory propose rate-limited
+    hot-partition swaps from its heaviest reporters toward its lightest.
+    The rounds are explicit and bounded, like
     {!anti_entropy}, so {!run} without a horizon still drains the queue.
     Requires [create ~balance].
     @raise Invalid_argument when the balancer is not armed. *)
@@ -546,11 +533,13 @@ val lb_stats : t -> lb_stats
 val lb_views : t -> (int * Dht_balance.Summary.t list) list
 (** Every snode's gossip view (sorted by origin), in snode order — the
     convergence property's input. A crashed snode reports its reset
-    view. *)
+    view.
+    Needed by test_balance (gossip convergence and staleness oracles). *)
 
 val lb_version : t -> int -> int
 (** The snode's durable summary version counter — gossip ground truth for
-    {!Dht_balance.Gossip.staleness}. *)
+    {!Dht_balance.Gossip.staleness}.
+    Needed by test_balance (the staleness oracle's ground truth). *)
 
 (** {2 Scalable routing} *)
 
@@ -564,16 +553,14 @@ val route_cap : t -> int
 val max_hops : t -> int
 (** The forwarding limit a routed operation backs off at. *)
 
-val route_refresh_round : t -> unit
-(** One routing-maintenance round: every live snode reports its exact
-    owned placements to the stewards of the regions they intersect, riding
-    the balancer's {!Wire.Lb_report} message class ([entries = \[\]]) so
-    maintenance adds no new wire tag. A no-op when [route_cap = 0]. *)
-
 val arm_route_refresh : t -> interval:float -> until:float -> unit
-(** Pre-schedule refresh rounds every [interval] up to virtual time
-    [until] — explicit and bounded, like {!arm_balancer}, so {!run}
-    without a horizon still drains the queue.
+(** Pre-schedule routing-maintenance rounds every [interval] up to virtual
+    time [until]. In a round every live snode reports its exact owned
+    placements to the stewards of the regions they intersect, riding the
+    balancer's {!Wire.Lb_report} message class ([entries = \[\]]) so
+    maintenance adds no new wire tag; a round is a no-op when
+    [route_cap = 0]. The rounds are explicit and bounded, like
+    {!arm_balancer}, so {!run} without a horizon still drains the queue.
     @raise Invalid_argument if [interval] is not positive and finite. *)
 
 type route_cache_stats = Route.stats = {

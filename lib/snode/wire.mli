@@ -280,7 +280,8 @@ type msg =
 
 val trace_context : int
 (** Bytes a {!Traced} wrapper adds to its payload (trace id + span id +
-    hop count). *)
+    hop count).
+    Needed by test_obsv, which predicts the bytes causal tracing adds. *)
 
 val cells_size : (string * Versioned.cell) list -> int
 (** Serialized size of a [(key, cell)] payload list, as charged inside

@@ -15,13 +15,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else sum xs /. float_of_int n
 
-let min_max xs =
-  if Array.length xs = 0 then invalid_arg "Descriptive.min_max: empty array";
-  Array.fold_left
-    (fun (mn, mx) x -> ((if x < mn then x else mn), if x > mx then x else mx))
-    (xs.(0), xs.(0))
-    xs
-
 let moment2_about xs about =
   let acc = Array.map (fun x -> (x -. about) *. (x -. about)) xs in
   sum acc
@@ -37,10 +30,6 @@ let stddev_sample xs =
 let stddev_about xs ~about =
   let n = Array.length xs in
   if n < 1 then 0. else sqrt (moment2_about xs about /. float_of_int n)
-
-let rel_stddev xs =
-  let m = mean xs in
-  if m = 0. then 0. else stddev_population xs /. m
 
 let rel_stddev_about xs ~about =
   if about = 0. then invalid_arg "Descriptive.rel_stddev_about: about = 0";

@@ -10,28 +10,17 @@ val sum : float array -> float
 val mean : float array -> float
 (** Arithmetic mean; [0.] for an empty array. *)
 
-val min_max : float array -> float * float
-(** Smallest and largest elements.
-    @raise Invalid_argument on an empty array. *)
-
 val stddev_population : float array -> float
 (** Population standard deviation (divide by [n]); [0.] when [n < 1]. *)
 
 val stddev_sample : float array -> float
 (** Sample standard deviation (divide by [n - 1]); [0.] when [n < 2]. *)
 
-val stddev_about : float array -> about:float -> float
-(** [stddev_about xs ~about] is the root mean square deviation of [xs] from
-    the fixed value [about] — the paper measures deviation from the ideal
-    average quota rather than the empirical mean. *)
-
-val rel_stddev : float array -> float
-(** [σ(x)/x̄] using the population σ and the empirical mean; [0.] when the
-    mean is [0.]. *)
-
 val rel_stddev_about : float array -> about:float -> float
-(** [stddev_about xs ~about /. about] — the paper's σ̄(Qv, Q̄v) with
-    Q̄v the ideal average. Expressed as a fraction (multiply by 100 for %).
+(** The root mean square deviation of [xs] from the fixed value [about],
+    divided by [about] — the paper's σ̄(Qv, Q̄v) with Q̄v the ideal
+    average rather than the empirical mean. Expressed as a fraction
+    (multiply by 100 for %).
     @raise Invalid_argument if [about = 0.]. *)
 
 val percentile : float array -> p:float -> float

@@ -17,5 +17,3 @@ let fit ~xs ~ys =
   let intercept = my -. (slope *. mx) in
   let r2 = if !syy = 0. then 1. else !sxy *. !sxy /. (!sxx *. !syy) in
   { slope; intercept; r2 }
-
-let predict f x = (f.slope *. x) +. f.intercept

@@ -9,6 +9,3 @@ val fit : xs:float array -> ys:float array -> fit
 (** Least-squares fit of [ys] against [xs].
     @raise Invalid_argument if lengths differ, fewer than 2 points are given,
     or all [xs] are equal. *)
-
-val predict : fit -> float -> float
-(** [predict f x] is [f.slope *. x +. f.intercept]. *)

@@ -29,4 +29,5 @@ val stddev : t -> float array
 
 val ci95_halfwidth : t -> float array
 (** Per-index half-width of a normal-approximation 95% confidence interval
-    ([1.96 · sd / sqrt runs]); zeros when fewer than 2 runs. *)
+    ([1.96 · sd / sqrt runs]); zeros when fewer than 2 runs.
+    Needed by test_stats. *)

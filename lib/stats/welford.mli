@@ -18,17 +18,13 @@ val count : t -> int
 val mean : t -> float
 (** Arithmetic mean of the observations; [0.] when empty. *)
 
-val variance_population : t -> float
-(** Population variance (divide by [n]); [0.] when fewer than 1 observation. *)
-
-val variance_sample : t -> float
-(** Sample variance (divide by [n - 1]); [0.] when fewer than 2 observations. *)
-
 val stddev_population : t -> float
-(** Square root of {!variance_population}. *)
+(** Population standard deviation (divide by [n]); [0.] when fewer than 1
+    observation. *)
 
 val stddev_sample : t -> float
-(** Square root of {!variance_sample}. *)
+(** Sample standard deviation (divide by [n - 1]); [0.] when fewer than 2
+    observations. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator equivalent to having folded all

@@ -8,7 +8,6 @@ type t = {
   mutable underflow : int;
   mutable overflow : int;
   mutable moments : Welford.t;
-  mutable vmin : float;
   mutable vmax : float;
 }
 
@@ -26,7 +25,6 @@ let create ?(lo = 1e-6) ?(growth = 2.) ?(bins = 64) () =
     underflow = 0;
     overflow = 0;
     moments = Welford.create ();
-    vmin = nan;
     vmax = nan;
   }
 
@@ -62,14 +60,12 @@ let observe t x =
   | i when i >= bins t -> t.overflow <- t.overflow + 1
   | i -> t.counts.(i) <- t.counts.(i) + 1);
   Welford.add t.moments x;
-  if Float.is_nan t.vmin || x < t.vmin then t.vmin <- x;
   if Float.is_nan t.vmax || x > t.vmax then t.vmax <- x
 
 let count t = Welford.count t.moments
 let sum t = Welford.mean t.moments *. float_of_int (count t)
 let mean t = Welford.mean t.moments
 let stddev t = Welford.stddev_population t.moments
-let min_value t = t.vmin
 let max_value t = t.vmax
 
 let buckets t =
@@ -119,23 +115,11 @@ let merge a b =
   t.underflow <- a.underflow + b.underflow;
   t.overflow <- a.overflow + b.overflow;
   t.moments <- Welford.merge a.moments b.moments;
-  t.vmin <-
-    (if Float.is_nan a.vmin then b.vmin
-     else if Float.is_nan b.vmin then a.vmin
-     else Float.min a.vmin b.vmin);
   t.vmax <-
     (if Float.is_nan a.vmax then b.vmax
      else if Float.is_nan b.vmax then a.vmax
      else Float.max a.vmax b.vmax);
   t
-
-let clear t =
-  Array.fill t.counts 0 (bins t) 0;
-  t.underflow <- 0;
-  t.overflow <- 0;
-  t.moments <- Welford.create ();
-  t.vmin <- nan;
-  t.vmax <- nan
 
 let pp ppf t =
   Format.fprintf ppf "lhist{n=%d; mean=%g; p50=%g; p99=%g; max=%g}" (count t)

@@ -21,10 +21,6 @@ val create : ?lo:float -> ?growth:float -> ?bins:int -> unit -> t
     both participate in totals and quantiles.
     @raise Invalid_argument if [lo <= 0.], [growth <= 1.] or [bins <= 0]. *)
 
-val same_shape : t -> t -> bool
-(** Whether the two histograms share [lo], [growth] and [bins] (the
-    precondition of {!merge}). *)
-
 val observe : t -> float -> unit
 (** Record one observation.
     @raise Invalid_argument on negative or non-finite values. *)
@@ -40,26 +36,16 @@ val mean : t -> float
 val stddev : t -> float
 (** Exact population standard deviation (Welford). *)
 
-val min_value : t -> float
-(** Smallest observation; [nan] when empty. *)
-
 val max_value : t -> float
 (** Largest observation; [nan] when empty. *)
 
-val bucket_index : t -> float -> int
-(** The bucket an observation would land in: [-1] for underflow, [bins]
-    for overflow, otherwise the bucket number. Boundary values land in the
-    bucket whose lower edge they equal (half-open buckets), which is pinned
-    by tests against floating-point drift in the log computation. *)
-
-val bucket_bounds : t -> int -> float * float
-(** [bucket_bounds t i] is the half-open range [\[lo·growth^i,
-    lo·growth^(i+1))] of bucket [i].
-    @raise Invalid_argument if [i] is outside [0, bins). *)
-
 val buckets : t -> (float * float * int) list
 (** Non-empty buckets as [(lo, hi, count)], in increasing order; underflow
-    appears as [(0., lo, n)] and overflow as [(top, infinity, n)]. *)
+    appears as [(0., lo, n)] and overflow as [(top, infinity, n)]. Bucket
+    [i] is the half-open range [\[lo·growth^i, lo·growth^(i+1))]: a
+    boundary value lands in the bucket whose lower edge it equals, which
+    is pinned by tests against floating-point drift in the log
+    computation. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [\[0, 1\]]: the upper edge of the bucket
@@ -72,7 +58,5 @@ val merge : t -> t -> t
 (** Bucket-wise sum into a fresh histogram. Counts merge exactly (and thus
     associatively); mean/stddev merge by Welford combination.
     @raise Invalid_argument if the two histograms differ in shape. *)
-
-val clear : t -> unit
 
 val pp : Format.formatter -> t -> unit

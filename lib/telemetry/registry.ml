@@ -39,7 +39,6 @@ let counter t ?(labels = []) name =
     ~cast:(function Counter c -> Some c | Gauge _ | Hist _ -> None)
 
 let inc c by = c.c <- c.c + by
-let counter_value c = c.c
 
 let gauge t ?(labels = []) name =
   find_or_add t ~name ~labels ~kind:"gauge"
@@ -49,7 +48,6 @@ let gauge t ?(labels = []) name =
     ~cast:(function Gauge g -> Some g | Counter _ | Hist _ -> None)
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram t ?(labels = []) ?lo ?growth ?bins name =
   find_or_add t ~name ~labels ~kind:"histogram"

@@ -27,11 +27,8 @@ val inc : counter -> int -> unit
 (** Add to the counter (negative increments are allowed: some counters
     track outstanding work). *)
 
-val counter_value : counter -> int
-
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   t ->
@@ -47,16 +44,9 @@ val histogram :
 
 val is_empty : t -> bool
 
-val histograms :
-  t -> ?labels:(string * string) list -> string -> Histogram.t list
-(** Every histogram already registered under [name] whose label set
-    includes all of [labels] (default: every shard of the metric), in
-    deterministic label order. Read-only: unlike {!histogram} nothing is
-    created, so report code can look up series without inventing empty
-    instruments that would then leak into {!rows} and the CSV. *)
-
 val merged : t -> ?labels:(string * string) list -> string -> Histogram.t option
-(** The {!Histogram.merge} of every shard {!histograms} selects — the one
+(** The {!Histogram.merge} of every shard registered under [name] whose
+    label set includes all of [labels] (default: every shard) — the one
     sanctioned way for reports to derive quantiles, guaranteeing they
     agree with the per-shard rows the CSV carries. [None] when nothing
     matching was registered (a single matching shard is returned as-is;

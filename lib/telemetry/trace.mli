@@ -39,7 +39,9 @@ val to_buffer : ?limit:int -> format -> Buffer.t -> t
 (** Collect the trace in memory (used by the determinism tests). [limit]
     (default [0]: unbounded) caps the events the sink accepts; events past
     the cap are counted by {!dropped} instead of written, bounding sink
-    growth on long chaos runs. *)
+    growth on long chaos runs.
+    Needed by test_obsv, test_replication and test_telemetry (in-memory
+    trace sinks). *)
 
 val to_channel : ?limit:int -> format -> out_channel -> t
 (** Stream the trace to a channel. {!close} flushes (and for [Chrome]

@@ -30,7 +30,8 @@ module Zipf : sig
   (** ["item<rank>"] for a sampled rank. *)
 
   val expected_frequency : t -> rank:int -> float
-  (** Theoretical probability of [rank]. *)
+  (** Theoretical probability of [rank].
+      Needed by test_workload, which compares the sampler with this law. *)
 end
 
 module Population : sig
@@ -60,5 +61,6 @@ end
 val hotspot : Rng.t -> hot:string array -> hot_fraction:float -> cold:(unit -> string) -> string
 (** With probability [hot_fraction], one of the [hot] keys (uniformly);
     otherwise a key from [cold].
+    Needed by test_workload.
     @raise Invalid_argument if [hot] is empty or the fraction is outside
     [\[0, 1\]]. *)

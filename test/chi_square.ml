@@ -1,3 +1,12 @@
+(* Fixed-width-bin histograms and a chi-square uniformity check: the
+   reference the uniformity tests of the PRNG and the key hash compare
+   against.
+
+   [create ~lo ~hi ~bins] covers [lo, hi) with [bins] equal bins; values
+   outside the range are counted as underflow or overflow. For [b] bins
+   the statistic has [b - 1] degrees of freedom under the null
+   hypothesis. *)
+
 type t = {
   lo : float;
   hi : float;
@@ -8,8 +17,8 @@ type t = {
 }
 
 let create ~lo ~hi ~bins =
-  if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-  if hi <= lo then invalid_arg "Histogram.create: hi <= lo";
+  if bins <= 0 then invalid_arg "Chi_square.create: bins must be positive";
+  if hi <= lo then invalid_arg "Chi_square.create: hi <= lo";
   { lo; hi; counts = Array.make bins 0; total = 0; underflow = 0; overflow = 0 }
 
 let add t x =
@@ -31,8 +40,8 @@ let total t = t.total
 let underflow t = t.underflow
 let overflow t = t.overflow
 
-let chi_square_uniform t =
-  if t.total = 0 then invalid_arg "Histogram.chi_square_uniform: empty";
+let uniform t =
+  if t.total = 0 then invalid_arg "Chi_square.uniform: empty";
   let bins = Array.length t.counts in
   let expected = float_of_int t.total /. float_of_int bins in
   Array.fold_left
@@ -40,7 +49,3 @@ let chi_square_uniform t =
       let d = float_of_int c -. expected in
       acc +. (d *. d /. expected))
     0. t.counts
-
-let pp ppf t =
-  Format.fprintf ppf "hist[%g,%g) n=%d under=%d over=%d" t.lo t.hi t.total
-    t.underflow t.overflow

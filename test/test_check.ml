@@ -28,9 +28,18 @@ let sample_schedule =
       ];
   }
 
+(* Schedules are parsed from files, the way the explorer replays them. *)
+let parse_schedule text =
+  let path = Filename.temp_file "dht-sched" ".sched" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Schedule.load ~path)
+
 let test_schedule_roundtrip () =
   let s = Schedule.to_string sample_schedule in
-  (match Schedule.of_string s with
+  (match parse_schedule s with
   | Ok back -> Alcotest.(check bool) "text round-trip" true (back = sample_schedule)
   | Error m -> Alcotest.failf "round-trip parse failed: %s" m);
   let path = Filename.temp_file "dht-sched" ".sched" in
@@ -45,7 +54,7 @@ let test_schedule_roundtrip () =
 
 let test_schedule_parse_errors () =
   let bad s =
-    match Schedule.of_string s with
+    match parse_schedule s with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "accepted malformed schedule %S" s
   in
@@ -55,7 +64,7 @@ let test_schedule_parse_errors () =
   bad "crash 1 2";
   bad "drop many";
   (* Comments and blank lines are fine. *)
-  match Schedule.of_string "# comment\n\nseed 5\ndrop 3\n" with
+  match parse_schedule "# comment\n\nseed 5\ndrop 3\n" with
   | Ok t ->
       Alcotest.(check int) "seed" 5 t.Schedule.seed;
       Alcotest.(check int) "tweaks" 1 (Schedule.length t)

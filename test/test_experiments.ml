@@ -17,9 +17,6 @@ let test_curve_basics () =
   let c = Curve.of_ys ~label:"c" [| 1.; 2.; 3. |] in
   check (Alcotest.float 0.) "last" 3. (Curve.last c);
   check (Alcotest.float 0.) "x starts at 1" 1. c.Curve.xs.(0);
-  check (Alcotest.float 0.) "at_x" 2. (Curve.at_x c 2.);
-  Alcotest.check_raises "beyond range" Not_found (fun () ->
-      ignore (Curve.at_x c 10.));
   Alcotest.check_raises "empty" (Invalid_argument "Curve.make: empty or mismatched arrays")
     (fun () -> ignore (Curve.make ~label:"x" ~xs:[||] ~ys:[||]))
 
@@ -146,8 +143,9 @@ let test_fig7_fig8 () =
   let d = Figures.fig7_fig8 ~runs:3 ~vnodes:128 ~pmin:8 ~vmin:8 ~seed:4 () in
   check (Alcotest.float 0.) "greal starts at 1" 1. d.Figures.greal.Curve.ys.(0);
   check (Alcotest.float 0.) "gideal starts at 1" 1. d.Figures.gideal.Curve.ys.(0);
+  (* x runs 1..128, so x = 128 is the last point. *)
   check (Alcotest.float 0.) "gideal at 128 with vmax 16" 8.
-    (Curve.at_x d.Figures.gideal 128.);
+    d.Figures.gideal.Curve.ys.(127);
   check Alcotest.bool "greal grows" true (Curve.last d.Figures.greal > 4.);
   check Alcotest.int "sigma_qg same length" 128
     (Array.length d.Figures.sigma_qg.Curve.ys)

@@ -24,7 +24,8 @@ let test_sigma_equivalence () =
     check
       (Alcotest.float 1e-9)
       (Printf.sprintf "sigma(Qv) = sigma(Pv) at V=%d" (i + 1))
-      (Global_dht.sigma_pv dht) (Global_dht.sigma_qv dht)
+      (Metrics.sigma_counts_percent (Global_dht.counts dht))
+      (Global_dht.sigma_qv dht)
   done
 
 let test_audit_through_growth () =
@@ -67,7 +68,7 @@ let test_lookup_rejects_outside () =
 
 let test_gpdr () =
   let dht = grow 10 in
-  let gpdr = Global_dht.gpdr dht in
+  let gpdr = Balancer.lpdr (Global_dht.balancer dht) in
   check Alcotest.int "one entry per vnode" 10 (List.length gpdr);
   check Alcotest.(list int) "counts, in vnode-id order"
     (Array.to_list (Global_dht.counts dht))

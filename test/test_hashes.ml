@@ -49,21 +49,21 @@ let test_to_space_bounds () =
 let test_string_distribution () =
   (* Sequential keys must spread evenly across 16 buckets of the space. *)
   let sp = Space.create ~bits:32 in
-  let hist = Dht_stats.Histogram.create ~lo:0. ~hi:1. ~bins:16 in
+  let hist = Chi_square.create ~lo:0. ~hi:1. ~bins:16 in
   for i = 0 to 15_999 do
     let h = Hash.string sp (Printf.sprintf "user:%d" i) in
-    Dht_stats.Histogram.add hist (Space.quota sp h)
+    Chi_square.add hist (Space.quota sp h)
   done;
-  let chi2 = Dht_stats.Histogram.chi_square_uniform hist in
+  let chi2 = Chi_square.uniform hist in
   check Alcotest.bool (Printf.sprintf "chi2 %.1f < 45" chi2) true (chi2 < 45.)
 
 let test_int_distribution () =
   let sp = Space.create ~bits:32 in
-  let hist = Dht_stats.Histogram.create ~lo:0. ~hi:1. ~bins:16 in
+  let hist = Chi_square.create ~lo:0. ~hi:1. ~bins:16 in
   for i = 0 to 15_999 do
-    Dht_stats.Histogram.add hist (Space.quota sp (Hash.int sp i))
+    Chi_square.add hist (Space.quota sp (Hash.int sp i))
   done;
-  let chi2 = Dht_stats.Histogram.chi_square_uniform hist in
+  let chi2 = Chi_square.uniform hist in
   check Alcotest.bool (Printf.sprintf "chi2 %.1f < 45" chi2) true (chi2 < 45.)
 
 let prop_string_stable =

@@ -129,7 +129,8 @@ let test_coverage_ok () =
   (match Coverage.check sp (level_tiling 4) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "unexpected: %a" Coverage.pp_error e);
-  check (Alcotest.float 1e-12) "quota 1" 1. (Coverage.total_quota sp (level_tiling 3))
+  check (Alcotest.float 1e-12) "quota 1" 1.
+    (List.fold_left (fun acc s -> acc +. Span.quota sp s) 0. (level_tiling 3))
 
 let test_coverage_mixed_levels () =
   (* Root split into [0, 1/2) at level 1 and two level-2 quarters. *)

@@ -49,8 +49,11 @@ let test_group_count_bounds () =
     (g >= 1000 / 16 && g <= 1000 / 8)
 
 let test_single_group_until_vmax () =
+  let splits = ref [] in
   let dht =
-    Local_dht.create ~space:sp ~pmin:8 ~vmin:8 ~rng:(Rng.of_int 3) ~first:(vid 0) ()
+    Local_dht.create ~space:sp ~pmin:8 ~vmin:8 ~rng:(Rng.of_int 3)
+      ~first:(vid 0) ~on_group_split:(fun info -> splits := info :: !splits)
+      ()
   in
   for i = 1 to 15 do
     ignore (Local_dht.add_vnode dht ~id:(vid i));
@@ -61,7 +64,7 @@ let test_single_group_until_vmax () =
   (* The 17th vnode finds group 0 full and forces the first split. *)
   ignore (Local_dht.add_vnode dht ~id:(vid 16));
   check Alcotest.int "two groups at V=17" 2 (Local_dht.group_count dht);
-  match Local_dht.group_splits dht with
+  match !splits with
   | [ info ] ->
       check Alcotest.bool "split of group 0" true
         (Group_id.equal info.Local_dht.parent Group_id.root);
@@ -167,7 +170,12 @@ let test_creation_report () =
        report.Local_dht.group_members);
   check Alcotest.int "members = target group size"
     (Array.length report.Local_dht.group_members)
-    (match Local_dht.find_group dht report.Local_dht.target_group with
+    (match
+       List.find_opt
+         (fun b ->
+           Group_id.equal (Balancer.group b) report.Local_dht.target_group)
+         (Local_dht.groups dht)
+     with
     | Some b -> Balancer.vnode_count b
     | None -> -1)
 
@@ -234,8 +242,16 @@ let test_determinism () =
     (g1 <> g2 || abs_float (s1 -. s2) > 1e-12)
 
 let test_split_history_chains () =
-  let dht = grow ~pmin:8 ~vmin:8 600 in
-  let splits = Local_dht.group_splits dht in
+  let splits = ref [] in
+  let dht =
+    Local_dht.create ~space:sp ~pmin:8 ~vmin:8 ~rng:(Rng.of_int 42)
+      ~first:(vid 0) ~on_group_split:(fun info -> splits := info :: !splits)
+      ()
+  in
+  for i = 1 to 599 do
+    ignore (Local_dht.add_vnode dht ~id:(vid i))
+  done;
+  let splits = !splits in
   check Alcotest.bool "many splits happened" true (List.length splits > 10);
   List.iter
     (fun info ->

@@ -25,7 +25,6 @@ let () =
       ("batching", Test_batching.suite);
       ("transport", Test_transport.suite);
       ("snode-runtime", Test_runtime.suite);
-      ("snapshot", Test_snapshot.suite);
       ("registry", Test_registry.suite);
       ("telemetry", Test_telemetry.suite);
       ("obsv", Test_obsv.suite);

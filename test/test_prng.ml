@@ -56,15 +56,21 @@ let test_int_invalid () =
     (Invalid_argument "Rng.int: bound must be positive") (fun () ->
       ignore (Rng.int rng (-5)))
 
+(* [sample] draws the swap index of each step uniformly in the inclusive
+   range [i, n - 1]. An index outside it would raise on the pool; an
+   exclusive upper end would never draw the last element. *)
 let test_int_in_bounds () =
   let rng = Rng.of_int 5 in
+  let pool = Array.init 11 (fun i -> i - 3) in
+  let seen = Array.make 11 0 in
   for _ = 1 to 1000 do
-    let x = Rng.int_in rng ~lo:(-3) ~hi:7 in
-    check Alcotest.bool "within [-3, 7]" true (x >= -3 && x <= 7)
+    let x = (Rng.sample rng pool ~k:1).(0) in
+    seen.(x + 3) <- seen.(x + 3) + 1
   done;
-  check Alcotest.int "degenerate range" 4 (Rng.int_in rng ~lo:4 ~hi:4);
-  Alcotest.check_raises "hi < lo" (Invalid_argument "Rng.int_in: hi < lo")
-    (fun () -> ignore (Rng.int_in rng ~lo:2 ~hi:1))
+  check Alcotest.bool "every value of [-3, 7] drawn" true
+    (Array.for_all (fun c -> c > 0) seen);
+  check Alcotest.(array int) "degenerate range" [| 4 |]
+    (Rng.sample rng [| 4 |] ~k:1)
 
 let test_int_covers_range () =
   let rng = Rng.of_int 13 in
@@ -83,11 +89,11 @@ let test_float_range () =
 
 let test_float_uniformity () =
   let rng = Rng.of_int 23 in
-  let hist = Dht_stats.Histogram.create ~lo:0. ~hi:1. ~bins:16 in
+  let hist = Chi_square.create ~lo:0. ~hi:1. ~bins:16 in
   for _ = 1 to 16_000 do
-    Dht_stats.Histogram.add hist (Rng.float rng)
+    Chi_square.add hist (Rng.float rng)
   done;
-  let chi2 = Dht_stats.Histogram.chi_square_uniform hist in
+  let chi2 = Chi_square.uniform hist in
   (* 15 dof: p = 0.001 critical value is 37.7; allow margin. *)
   check Alcotest.bool (Printf.sprintf "chi2 %.1f < 45" chi2) true (chi2 < 45.)
 

@@ -54,11 +54,13 @@ let test_external_load_validation () =
 let test_effective_shares () =
   let reg = make_registry ~n:4 () in
   Registry.set_external_load reg ~node:0 0.5;
-  let shares = Registry.effective_shares reg in
-  check (Alcotest.float 1e-9) "sum 1" 1. (Dht_stats.Descriptive.sum shares);
-  (* Node 0 retains 0.5 capacity of 3.5 total. *)
-  check (Alcotest.float 1e-9) "loaded node share" (0.5 /. 3.5) shares.(0);
-  check (Alcotest.float 1e-9) "idle node share" (1. /. 3.5) shares.(1)
+  (* Node 0 retains 0.5 capacity of 3.5 total, so a DHT of 70 vnodes
+     enrolls it for 70 × 0.5/3.5 = 10 and every idle node for 20. *)
+  Registry.add_dht reg ~name:"a" ~pmin:8 ~vmin:8 ~total_vnodes:70;
+  let e = Registry.enrollment reg ~name:"a" in
+  check Alcotest.int "sum" 70 (Array.fold_left ( + ) 0 e);
+  check Alcotest.int "loaded node share" 10 e.(0);
+  check Alcotest.int "idle node share" 20 e.(1)
 
 let test_retarget_shifts_enrollment () =
   let reg = make_registry () in

@@ -156,9 +156,11 @@ let churned_lookups ~snodes ~vnodes ~route_cap ~max_hops ~lookups ~seed =
       ()
   done;
   Runtime.run rt;
-  Runtime.route_refresh_round rt;
-  Runtime.run rt;
+  (* One refresh round, a microsecond after the growth settles. *)
   let engine = Runtime.engine rt in
+  Runtime.arm_route_refresh rt ~interval:1e-6
+    ~until:(Engine.now engine +. 1.5e-6);
+  Runtime.run rt;
   let t0 = Engine.now engine +. 0.01 in
   let victim = 1 mod snodes in
   Engine.at engine ~time:t0 (fun () -> Runtime.crash_snode rt victim);

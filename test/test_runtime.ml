@@ -159,7 +159,7 @@ let test_differential_global () =
     Runtime.create ~pmin:8 ~approach:Runtime.Global ~snodes:8 ~seed:6 ()
   in
   check_differential ~label:"global" rt
-    ~core_lpdr:(fun _ -> Global_dht.gpdr dht)
+    ~core_lpdr:(fun _ -> Balancer.lpdr (Global_dht.balancer dht))
     ~core_sigma:(fun () -> Global_dht.sigma_qv dht)
     ~core_add:(fun id -> ignore (Global_dht.add_vnode dht ~id))
     ~core_remove:(fun id -> Result.get_ok (Global_dht.remove_vnode dht ~id))

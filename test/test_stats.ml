@@ -1,9 +1,10 @@
-(* Tests for Dht_stats: Welford, Descriptive, Series, Histogram, Regression. *)
+(* Tests for Dht_stats (Welford, Descriptive, Series, Regression) and the
+   chi-square helper the uniformity tests use. *)
 
 module W = Dht_stats.Welford
 module D = Dht_stats.Descriptive
 module Series = Dht_stats.Series
-module H = Dht_stats.Histogram
+module H = Chi_square
 module R = Dht_stats.Regression
 
 let check = Alcotest.check
@@ -17,23 +18,23 @@ let test_welford_known () =
   List.iter (W.add w) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   check Alcotest.int "count" 8 (W.count w);
   checkf "mean" 5. (W.mean w);
-  checkf "population variance" 4. (W.variance_population w);
+  checkf "population variance" 4. (W.stddev_population w ** 2.);
   checkf "population sd" 2. (W.stddev_population w);
-  checkf "sample variance" (32. /. 7.) (W.variance_sample w)
+  checkf "sample variance" (32. /. 7.) (W.stddev_sample w ** 2.)
 
 let test_welford_empty () =
   let w = W.create () in
   check Alcotest.int "count" 0 (W.count w);
   checkf "mean" 0. (W.mean w);
-  checkf "var pop" 0. (W.variance_population w);
-  checkf "var sample" 0. (W.variance_sample w)
+  checkf "sd pop" 0. (W.stddev_population w);
+  checkf "sd sample" 0. (W.stddev_sample w)
 
 let test_welford_single () =
   let w = W.create () in
   W.add w 42.;
   checkf "mean" 42. (W.mean w);
-  checkf "pop variance" 0. (W.variance_population w);
-  checkf "sample variance undefined -> 0" 0. (W.variance_sample w)
+  checkf "pop sd" 0. (W.stddev_population w);
+  checkf "sample sd undefined -> 0" 0. (W.stddev_sample w)
 
 let prop_welford_matches_direct =
   QCheck.Test.make ~name:"welford matches two-pass formulas" ~count:200
@@ -56,7 +57,9 @@ let prop_welford_merge =
       let m = W.merge wa wb in
       W.count m = W.count wc
       && abs_float (W.mean m -. W.mean wc) < 1e-6
-      && abs_float (W.variance_population m -. W.variance_population wc) < 1e-6)
+      && abs_float
+           ((W.stddev_population m ** 2.) -. (W.stddev_population wc ** 2.))
+         < 1e-6)
 
 (* --- Descriptive --- *)
 
@@ -64,12 +67,7 @@ let test_descriptive_basics () =
   let xs = [| 1.; 2.; 3.; 4. |] in
   checkf "sum" 10. (D.sum xs);
   checkf "mean" 2.5 (D.mean xs);
-  check (Alcotest.pair (Alcotest.float 0.) (Alcotest.float 0.)) "min max" (1., 4.)
-    (D.min_max xs);
-  checkf "mean empty" 0. (D.mean [||]);
-  Alcotest.check_raises "min_max empty"
-    (Invalid_argument "Descriptive.min_max: empty array") (fun () ->
-      ignore (D.min_max [||]))
+  checkf "mean empty" 0. (D.mean [||])
 
 let test_kahan_sum () =
   (* Naive summation of 1e8 copies of 1e-8 drifts; Kahan should stay exact
@@ -82,7 +80,7 @@ let test_stddev_known () =
   checkf "population" 2. (D.stddev_population xs);
   checkf "sample" (sqrt (32. /. 7.)) (D.stddev_sample xs);
   checkf "about mean equals population" (D.stddev_population xs)
-    (D.stddev_about xs ~about:(D.mean xs));
+    (D.rel_stddev_about xs ~about:(D.mean xs) *. D.mean xs);
   checkf "singleton population" 0. (D.stddev_population [| 3. |]);
   checkf "singleton sample" 0. (D.stddev_sample [| 3. |])
 
@@ -106,7 +104,8 @@ let prop_rel_stddev_scale_invariant =
     (fun (xs, c) ->
       let arr = Array.of_list xs in
       let scaled = Array.map (fun x -> c *. x) arr in
-      abs_float (D.rel_stddev arr -. D.rel_stddev scaled) < 1e-9)
+      let rel_stddev xs = D.rel_stddev_about xs ~about:(D.mean xs) in
+      abs_float (rel_stddev arr -. rel_stddev scaled) < 1e-9)
 
 let test_percentile () =
   let xs = [| 15.; 20.; 35.; 40.; 50. |] in
@@ -169,15 +168,17 @@ let test_histogram () =
 let test_histogram_chi2 () =
   let h = H.create ~lo:0. ~hi:4. ~bins:4 in
   List.iter (H.add h) [ 0.5; 1.5; 2.5; 3.5 ];
-  checkf "uniform -> 0" 0. (H.chi_square_uniform h);
+  checkf "uniform -> 0" 0. (H.uniform h);
   let empty = H.create ~lo:0. ~hi:1. ~bins:2 in
-  Alcotest.check_raises "empty" (Invalid_argument "Histogram.chi_square_uniform: empty")
-    (fun () -> ignore (H.chi_square_uniform empty))
+  Alcotest.check_raises "empty" (Invalid_argument "Chi_square.uniform: empty")
+    (fun () -> ignore (H.uniform empty))
 
 let test_histogram_validation () =
-  Alcotest.check_raises "bins 0" (Invalid_argument "Histogram.create: bins must be positive")
+  Alcotest.check_raises "bins 0"
+    (Invalid_argument "Chi_square.create: bins must be positive")
     (fun () -> ignore (H.create ~lo:0. ~hi:1. ~bins:0));
-  Alcotest.check_raises "hi <= lo" (Invalid_argument "Histogram.create: hi <= lo")
+  Alcotest.check_raises "hi <= lo"
+    (Invalid_argument "Chi_square.create: hi <= lo")
     (fun () -> ignore (H.create ~lo:1. ~hi:1. ~bins:4))
 
 (* --- Regression --- *)
@@ -188,8 +189,7 @@ let test_regression_exact_line () =
   let f = R.fit ~xs ~ys in
   checkf "slope" 2.5 f.R.slope;
   checkf "intercept" (-1.) f.R.intercept;
-  checkf "r2" 1. f.R.r2;
-  checkf "predict" 9. (R.predict f 4.)
+  checkf "r2" 1. f.R.r2
 
 let test_regression_flat () =
   let f = R.fit ~xs:[| 1.; 2.; 3. |] ~ys:[| 5.; 5.; 5. |] in
