@@ -6,12 +6,13 @@
 Run from the repository root (or pass it). The scan has two parts.
 
 Values. Every `val NAME` declared in a `lib/**/*.mli` is searched for as a
-word in the `.ml` files under lib/, bin/, bench/, perfbench/ and examples/,
-leaving out the value's own `.ml`. A value found nowhere there is listed,
-marked "test-only" when a test/ file names it and "unused" otherwise. The
-search is by name alone, comments included, so a value whose name some
-other file also uses is never listed: the scan under-reports and never
-flags a live value.
+word in the code of the `.ml` files under lib/, bin/, bench/, perfbench/ and
+examples/, leaving out the value's own `.ml`. Comments and the contents of
+string literals are stripped first, so a name that only prose or a message
+mentions is not a caller. A value found nowhere there is listed, marked
+"test-only" when the code of a test/ file names it and "unused" otherwise.
+The search is by name alone, so a value whose name some other file also
+uses is never listed: the scan under-reports and never flags a live value.
 
 Modules. A module of a lib/ library is referred to by a non-test file when
 that file names it by its library-qualified path (`Dht_core.Plan`), or
@@ -119,8 +120,8 @@ def library_name(lib_dir):
     return m.group(1).capitalize() if m else None
 
 
-def scan_values(sources, tests):
-    ml_code = {p: t for p, t in sources.items() if p.endswith(".ml")}
+def scan_values(sources, code, tests):
+    ml_code = {p: t for p, t in code.items() if p.endswith(".ml")}
     listed = []
     interfaces = (p for p in sources
                   if p.startswith("lib" + os.sep) and p.endswith(".mli"))
@@ -175,9 +176,11 @@ def main():
     if len(sys.argv) > 1:
         os.chdir(sys.argv[1])
     sources = read_tree(SOURCE_ROOTS, (".ml", ".mli"))
-    tests = read_tree((TEST_ROOT,), (".ml",))
-    values = scan_values(sources, tests)
-    modules = scan_modules({p: strip_comments(t) for p, t in sources.items()})
+    code = {p: strip_comments(t) for p, t in sources.items()}
+    tests = {p: strip_comments(t)
+             for p, t in read_tree((TEST_ROOT,), (".ml",)).items()}
+    values = scan_values(sources, code, tests)
+    modules = scan_modules(code)
     ok = True
     for mli, name, kind, documented in values:
         note = "" if documented else "  <- no \"%s\" line" % NEEDED_BY

@@ -4,10 +4,11 @@
     python3 .github/scripts/host_perf_gate.py CHANGE PARENT CHANGE_HEAP PARENT_HEAP CHANGE_ALLOC PARENT_ALLOC
 
 Each file (JSONL) holds one perfbench result line per run (the last line that
-perfbench/run.py prints). The gate fails (exit 1) unless every run of both
-trees reports "correct": true and the change's median host_ops_per_s is at
-least RATIO times the parent's. Both sides must come from the same runner,
-so host speed cancels out of the ratio.
+perfbench/run.py prints). The first pair holds point-read runs. The gate fails
+(exit 1) unless every run of both trees reports "correct": true, the change's
+median host_ops_per_s is at least RATIO times the parent's, and the change's
+median peak_heap_mb is at most HEAP_RATIO times the parent's. Both sides must
+come from the same runner, so host speed cancels out of the throughput ratio.
 
 The second pair holds routed-256 runs: there the change's median
 peak_heap_mb must also be at most HEAP_RATIO times the parent's. Peak heap
@@ -45,9 +46,9 @@ def load(path):
     return runs
 
 
-def gate(paths, metric, ratio_bound, higher_is_better):
-    """Print both sides' values of METRIC and return whether the change's
-    median passes RATIO_BOUND against the parent's."""
+def gate(paths, workload, metric, ratio_bound, higher_is_better):
+    """Print both sides' values of METRIC on WORKLOAD and return whether the
+    change's median passes RATIO_BOUND against the parent's."""
     ok = True
     medians = {}
     for side, path in zip(("change", "parent"), paths):
@@ -57,15 +58,16 @@ def gate(paths, metric, ratio_bound, higher_is_better):
             ok = False
         values = [r["metrics"][metric]["value"] for r in runs]
         medians[side] = statistics.median(values)
-        print("%s %s: %s, median %.6g" % (
-            side, metric, ", ".join("%.6g" % v for v in values), medians[side]))
+        print("%s %s %s: %s, median %.6g" % (
+            workload, side, metric, ", ".join("%.6g" % v for v in values),
+            medians[side]))
     ratio = medians["change"] / medians["parent"]
     bound = ">=" if higher_is_better else "<="
     print("change / parent = %.3f (gate: %s %.2f)" % (ratio, bound, ratio_bound))
     failed = ratio < ratio_bound if higher_is_better else ratio > ratio_bound
     if failed:
-        print("::error::host perf gate failed: median %s is %.1f%% of the parent's"
-              % (metric, 100 * ratio))
+        print("::error::host perf gate failed: %s median %s is %.1f%% of the "
+              "parent's" % (workload, metric, 100 * ratio))
         ok = False
     return ok
 
@@ -106,8 +108,9 @@ def alloc_gate(paths):
 def main():
     if len(sys.argv) != 7:
         sys.exit(__doc__.strip().split("\n\n")[1])
-    ok = gate(sys.argv[1:3], METRIC, RATIO, True)
-    ok = gate(sys.argv[3:5], HEAP_METRIC, HEAP_RATIO, False) and ok
+    ok = gate(sys.argv[1:3], "point-read", METRIC, RATIO, True)
+    ok = gate(sys.argv[1:3], "point-read", HEAP_METRIC, HEAP_RATIO, False) and ok
+    ok = gate(sys.argv[3:5], "routed-256", HEAP_METRIC, HEAP_RATIO, False) and ok
     ok = alloc_gate(sys.argv[5:7]) and ok
     return 0 if ok else 1
 

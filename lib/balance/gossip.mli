@@ -36,4 +36,5 @@ val staleness : t -> origins:int list -> version_of:(int -> int) -> int * int
 (** [(missing, lag)] against ground truth: how many of [origins] the view
     has never heard of, and the largest version gap
     [version_of o - (view entry).version] over the rest. A converged view
-    has [missing = 0] and [lag] at most one gossip round. *)
+    has [missing = 0] and [lag] at most one gossip round.
+    Needed by test_balance (the gossip staleness oracle). *)

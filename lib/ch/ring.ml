@@ -2,7 +2,7 @@ open Dht_hashspace
 module Rng = Dht_prng.Rng
 module Imap = Map.Make (Int)
 
-type node = { mutable owned : int; mutable positions : int list }
+type node = { mutable owned : int }
 
 type t = {
   space : Space.t;
@@ -55,36 +55,16 @@ let add_point t id =
     (node_state t succ_node).owned <- (node_state t succ_node).owned - len;
     node.owned <- node.owned + len
   end;
-  t.points <- Imap.add p id t.points;
-  node.positions <- p :: node.positions
-
-let remove_point t id p =
-  let node = node_state t id in
-  t.points <- Imap.remove p t.points;
-  if Imap.is_empty t.points then node.owned <- node.owned - Space.size t.space
-  else begin
-    let pred_pos, _ = pred_point t p in
-    let _, succ_node = succ_point_incl t p in
-    let len = arc_len t pred_pos p in
-    node.owned <- node.owned - len;
-    (node_state t succ_node).owned <- (node_state t succ_node).owned + len
-  end;
-  node.positions <- List.filter (fun q -> q <> p) node.positions
+  t.points <- Imap.add p id t.points
 
 let add_node t ?points ~id ~k () =
   let count = Option.value points ~default:k in
   if count <= 0 then invalid_arg "Ring.add_node: point count must be positive";
   if Hashtbl.mem t.nodes id then invalid_arg "Ring.add_node: duplicate node id";
-  Hashtbl.add t.nodes id { owned = 0; positions = [] };
+  Hashtbl.add t.nodes id { owned = 0 };
   for _ = 1 to count do
     add_point t id
   done
-
-let remove_node t ~id =
-  let node = node_state t id in
-  List.iter (fun p -> remove_point t id p) node.positions;
-  assert (node.owned = 0);
-  Hashtbl.remove t.nodes id
 
 let quota t ~id =
   Space.quota t.space (node_state t id).owned

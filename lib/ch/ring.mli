@@ -25,11 +25,6 @@ val add_node : t -> ?points:int -> id:int -> k:int -> unit -> unit
     @raise Invalid_argument if [id] is already present or the effective
     point count is not positive. *)
 
-val remove_node : t -> id:int -> unit
-(** Removes a node; its arcs merge into their successors' owners.
-    Needed by test_ch, which checks that departures conserve the quotas.
-    @raise Not_found if [id] is not present. *)
-
 val node_count : t -> int
 
 val quota : t -> id:int -> float

@@ -41,7 +41,9 @@ val run : scenario -> Schedule.t -> outcome
 val shrink : scenario -> Schedule.t -> Schedule.t
 (** Greedily remove tweaks while the failure persists; the result is
     1-minimal (every remaining tweak is necessary). A schedule that does
-    not fail is returned unchanged. *)
+    not fail is returned unchanged. {!explore} shrinks every failure it
+    finds this way.
+    Needed by test_explorer, which shrinks a padded repro. *)
 
 type kind = [ `Delay | `Drop | `Crash | `Flush ]
 

@@ -49,9 +49,10 @@ val attach : t -> Runtime.t -> unit
 (** Install this history as the runtime's operation recorder. *)
 
 val feed : t -> Runtime.Oplog.event -> unit
-(** Record one event directly (used by tests to pin hand-written
-    histories). [Invoke] tokens must be unique; outcome events on a token
-    with no [Invoke] yet are ignored. *)
+(** Record one event directly; {!attach} feeds every runtime event here.
+    [Invoke] tokens must be unique; outcome events on a token with no
+    [Invoke] yet are ignored.
+    Needed by test_history, which pins hand-written histories. *)
 
 val entries : t -> entry list
 (** All entries, in invocation order. Each call allocates fresh entry

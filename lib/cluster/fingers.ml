@@ -33,8 +33,6 @@ let level ~bits ~snodes =
   in
   min bits (max 1 (ceil_log2 0 snodes))
 
-let regions ~level = 1 lsl level
-
 let region ~bits ~level point =
   if level < 1 || level > bits then invalid_arg "Fingers.region: bad level";
   point lsr (bits - level)

@@ -15,9 +15,6 @@ val level : bits:int -> snodes:int -> int
     per snode.
     @raise Invalid_argument if [bits < 1] or [snodes < 1]. *)
 
-val regions : level:int -> int
-(** [2{^level}]. *)
-
 val region : bits:int -> level:int -> int -> int
 (** [region ~bits ~level p] is the prefix region of point [p]: its top
     [level] bits.

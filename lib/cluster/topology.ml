@@ -2,10 +2,6 @@ module Rng = Dht_prng.Rng
 
 type t = { nodes : Profile.t array }
 
-let homogeneous ~n profile =
-  if n <= 0 then invalid_arg "Topology.homogeneous: n must be positive";
-  { nodes = Array.make n profile }
-
 let generations ~counts =
   if counts = [] then invalid_arg "Topology.generations: empty cluster";
   let groups =

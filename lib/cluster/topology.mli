@@ -1,16 +1,11 @@
 (** Cluster compositions used by the experiments.
 
-    Builders for common cluster shapes: homogeneous racks and
-    mixed-generation clusters (the paper's economic-heterogeneity scenario:
-    "economical reasons may impose the coexistence of machines from
-    different generations"). *)
+    A cluster is an array of node profiles. Builders: mixed-generation
+    clusters (the paper's economic-heterogeneity scenario: "economical
+    reasons may impose the coexistence of machines from different
+    generations") and randomly scaled ones. *)
 
 type t = { nodes : Profile.t array }
-
-val homogeneous : n:int -> Profile.t -> t
-(** [n] identical nodes. Needed by test_cluster and test_registry
-    (uniform test clusters).
-    @raise Invalid_argument if [n <= 0]. *)
 
 val generations : counts:(int * float) list -> t
 (** [generations ~counts] builds a cluster from [(count, scale)] pairs: each
@@ -20,7 +15,8 @@ val generations : counts:(int * float) list -> t
 
 val random :
   rng:Dht_prng.Rng.t -> n:int -> min_scale:float -> max_scale:float -> t
-(** [n] nodes with scales drawn uniformly in [\[min_scale, max_scale\]]. *)
+(** [n] nodes with scales drawn uniformly in [\[min_scale, max_scale\]].
+    Needed by test_cluster (random heterogeneous clusters). *)
 
 val size : t -> int
 

@@ -170,14 +170,3 @@ let remove_vnode t v =
       Array.blit t.vnodes (i + 1) t.vnodes i (t.nv - i - 1);
       t.nv <- t.nv - 1;
       Ok ()
-
-let transfer_span t ~src ~dst span =
-  if not (member t src && member t dst) then Error `Not_member
-  else if src.Vnode.count <= t.params.Params.pmin then Error `Src_at_pmin
-  else if dst.Vnode.count >= Params.pmax t.params then Error `Dst_at_pmax
-  else if Vnode.remove_span src span then begin
-    Vnode.add_span dst span;
-      t.notify (Transfer { src; dst; span });
-    Ok ()
-  end
-  else Error `Not_owner

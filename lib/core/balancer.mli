@@ -99,18 +99,3 @@ val remove_vnode : t -> Vnode.t -> (unit, [ `Insufficient_capacity | `Last_vnode
     partitions within [Pmax] (only reachable after repeated removals at tiny
     populations — the caller should grow the DHT first).
     @raise Invalid_argument if the vnode is not a member of this group. *)
-
-val transfer_span :
-  t ->
-  src:Vnode.t ->
-  dst:Vnode.t ->
-  Dht_hashspace.Span.t ->
-  (unit, [ `Src_at_pmin | `Dst_at_pmax | `Not_owner | `Not_member ]) result
-(** Policy-driven fine-grain move of one specific partition between two
-    vnodes of the group (the §6 future-work hook: reacting to non-uniform
-    access). Refuses moves that would violate G4' ([`Src_at_pmin],
-    [`Dst_at_pmax]); emits the usual [Transfer] event on success. Note that
-    a successful move intentionally trades σ(Pv) balance for whatever the
-    caller is optimising — it may un-do G5's perfect balance.
-    Needed by test_removal, which checks the G4' guards and the routing
-    of a move. *)

@@ -49,7 +49,7 @@ let create ?space ?(on_event = fun _ -> ()) ?(on_group_split = fun _ -> ())
 
 (* §3.7: a full victim group splits into two groups of Vmin vnodes each,
    randomly selected ({!Plan.split}); the newcomer's destination is one of
-   the two, chosen at random. Returns the destination and the split. *)
+   the two, chosen at random. Returns the destination. *)
 let split_group t b =
   let g = Balancer.group b in
   assert (Balancer.vnode_count b = Params.vmax t.params);
@@ -70,42 +70,9 @@ let split_group t b =
         Group_id.pp gr t.vnode_total);
   let info = { parent = g; left = gl; right = gr; at_vnodes = t.vnode_total } in
   t.on_group_split info;
-  ((if halves.Plan.newcomer_left then bl else br), info)
-
-type creation_report = {
-  vnode : Vnode.t;
-  victim_group : Group_id.t;
-  target_group : Group_id.t;
-  split : split_info option;
-  group_members : Vnode.t array;
-}
-
-let select_victim t ~point = snd (Point_map.find_point t.map point)
+  if halves.Plan.newcomer_left then bl else br
 
 let find_vnode t id = Vtbl.find_opt t.index id
-
-let add_vnode_routed t ~id ~victim =
-  if Vtbl.mem t.index id then
-    invalid_arg "Local_dht: duplicate vnode id";
-  let v = Vnode.make ~id ~group:Group_id.root in
-  let victim_gid = victim.Vnode.group in
-  let victim_group = Gmap.find victim_gid t.groups in
-  let target, split =
-    if Balancer.vnode_count victim_group = Params.vmax t.params then
-      let target, info = split_group t victim_group in
-      (target, Some info)
-    else (victim_group, None)
-  in
-  Balancer.add_vnode target v;
-  Vtbl.add t.index id v;
-  t.vnode_total <- t.vnode_total + 1;
-  {
-    vnode = v;
-    victim_group = victim_gid;
-    target_group = Balancer.group target;
-    split;
-    group_members = Balancer.vnodes target;
-  }
 
 let add_vnode t ~id =
   let victim =
@@ -114,7 +81,7 @@ let add_vnode t ~id =
         (* §3.6: draw r uniformly in R_h; the owner of r is the victim
            vnode, its group the victim group. *)
         let r = Rng.int t.rng (Space.size t.params.Params.space) in
-        select_victim t ~point:r
+        snd (Point_map.find_point t.map r)
     | Uniform_group ->
         (* Ablation: every live group equally likely, whatever its quota. *)
         let n = Gmap.cardinal t.groups in
@@ -124,7 +91,21 @@ let add_vnode t ~id =
         in
         (Balancer.vnodes b).(0)
   in
-  (add_vnode_routed t ~id ~victim).vnode
+  (* The victim vnode's current group takes the newcomer, split first if
+     it is full. *)
+  if Vtbl.mem t.index id then
+    invalid_arg "Local_dht: duplicate vnode id";
+  let v = Vnode.make ~id ~group:Group_id.root in
+  let victim_group = Gmap.find victim.Vnode.group t.groups in
+  let target =
+    if Balancer.vnode_count victim_group = Params.vmax t.params then
+      split_group t victim_group
+    else victim_group
+  in
+  Balancer.add_vnode target v;
+  Vtbl.add t.index id v;
+  t.vnode_total <- t.vnode_total + 1;
+  v
 
 type removal_error =
   | Last_vnode

@@ -47,9 +47,10 @@ val create :
     {!Quota_lookup}. *)
 
 val add_vnode : t -> id:Vnode_id.t -> Vnode.t
-(** Creates a vnode per §3.6/§3.7 and rebalances its victim group.
-    Equivalent to {!select_victim} on a fresh uniform point followed by
-    {!add_vnode_routed} (under the default {!Quota_lookup} selection).
+(** Creates a vnode per §3.6/§3.7 and rebalances its victim group: under
+    the default {!Quota_lookup} selection the victim is the owner of a
+    fresh uniform hash index ({!lookup}), and its current group takes the
+    newcomer, splitting first if full.
     @raise Invalid_argument if a vnode with this id already exists. *)
 
 val find_vnode : t -> Vnode_id.t -> Vnode.t option
@@ -72,28 +73,6 @@ val remove_vnode : t -> id:Vnode_id.t -> (unit, removal_error) result
     shrink to a single vnode (the L2 exception); otherwise groups never go
     below [Vmin].
     @raise Invalid_argument if no vnode has this id. *)
-
-val select_victim : t -> point:int -> Vnode.t
-(** [select_victim t ~point] is the vnode owning the hash index [point] —
-    the {e victim vnode} of §3.6; its current group is the victim group.
-    Needed by test_local, which checks the victim law of §3.6.
-    @raise Invalid_argument if [point] is outside the space. *)
-
-type creation_report = {
-  vnode : Vnode.t;  (** the vnode that was created *)
-  victim_group : Group_id.t;  (** group of the victim at selection time *)
-  target_group : Group_id.t;  (** group that received the newcomer *)
-  split : split_info option;  (** set when the victim group was full *)
-  group_members : Vnode.t array;
-      (** members of the target group after the creation (the vnodes whose
-          snodes take part in the balancing event) *)
-}
-
-val add_vnode_routed : t -> id:Vnode_id.t -> victim:Vnode.t -> creation_report
-(** The execution half of a creation, for a caller that performs the
-    victim lookup itself: balances the victim vnode's current group,
-    splitting it first if full.
-    Needed by test_local, which checks the creation report of a split. *)
 
 val params : t -> Params.t
 

@@ -26,14 +26,6 @@ let take_span t =
       t.count <- t.count - 1;
       s
 
-let remove_span t span =
-  if List.exists (Span.equal span) t.spans then begin
-    t.spans <- List.filter (fun s -> not (Span.equal s span)) t.spans;
-    t.count <- t.count - 1;
-    true
-  end
-  else false
-
 let split_spans space t ~previous =
   let halves =
     List.concat_map

@@ -30,10 +30,6 @@ val take_span : t -> Span.t
     partition" of the creation algorithm, §2.5 step 4a).
     @raise Invalid_argument if the vnode has no partitions. *)
 
-val remove_span : t -> Span.t -> bool
-(** [remove_span t s] removes the specific partition [s]; [false] if the
-    vnode does not own it. *)
-
 val split_spans : Space.t -> t -> previous:(Span.t -> unit) -> unit
 (** Binary-splits every partition of the vnode, doubling [count]; calls
     [previous] on each pre-split span (so the caller can update routing

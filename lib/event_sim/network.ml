@@ -75,7 +75,6 @@ let create ?(loopback = 1e-6) ?faults engine link =
 
 let faults t = t.faults
 
-let quantum t = t.link.base_latency
 
 let charge c bytes =
   c.m <- c.m + 1;

@@ -28,11 +28,6 @@ val create : ?loopback:float -> ?faults:Fault.t -> Engine.t -> link -> t
 val faults : t -> Fault.t option
 (** The fault plan given at {!create}, if any. *)
 
-val quantum : t -> float
-(** One network-latency quantum: the link's base latency. The transmission
-    batching layer uses it as the default linger window — a coalescing
-    buffer holds traffic for at most one hop worth of latency. *)
-
 type verdict = Pass | Defer of float | Sink
 (** A schedule probe's ruling on one remote send. [Pass] delivers normally;
     [Defer d] stretches the nominal link delay by [d] seconds (jitter, if

@@ -84,35 +84,39 @@ let find_point t p =
 (* Raw probe for the per-hop routing path: the owner alone, with no
    [Span.make] record and no result tuple. [find_point] costs two
    allocations per probe; at cluster scale every forwarded hop pays one,
-   so the hot path walks the trie and returns the leaf's value direct. *)
+   so the hot path walks the trie and returns the leaf's value direct.
+   The walks are top-level functions rather than local closures over [p]
+   and [bits]: without flambda such a closure is allocated per call. *)
+let rec owner_walk p bits node d =
+  match node with
+  | Empty -> raise Not_found
+  | Leaf l -> l.v
+  | Fork f ->
+      owner_walk p bits
+        (if (p lsr (bits - 1 - d)) land 1 = 0 then f.lo else f.hi)
+        (d + 1)
+
 let find_owner_exn t p =
   if not (Space.contains t.space p) then
     invalid_arg "Point_map.find_owner_exn: point outside space";
-  let bits = Space.bits t.space in
-  let rec go node d =
-    match node with
-    | Empty -> raise Not_found
-    | Leaf l -> l.v
-    | Fork f ->
-        go (if (p lsr (bits - 1 - d)) land 1 = 0 then f.lo else f.hi) (d + 1)
-  in
-  go t.root 0
+  owner_walk p (Space.bits t.space) t.root 0
 
 (* Depth (= span level) of the leaf covering [p], as a bare int — the
    routing layer's fine-vs-coarse test, allocation-free like the raw
    probe above. *)
+let rec depth_walk p bits node d =
+  match node with
+  | Empty -> raise Not_found
+  | Leaf _ -> d
+  | Fork f ->
+      depth_walk p bits
+        (if (p lsr (bits - 1 - d)) land 1 = 0 then f.lo else f.hi)
+        (d + 1)
+
 let probe_depth t p =
   if not (Space.contains t.space p) then
     invalid_arg "Point_map.probe_depth: point outside space";
-  let bits = Space.bits t.space in
-  let rec go node d =
-    match node with
-    | Empty -> raise Not_found
-    | Leaf _ -> d
-    | Fork f ->
-        go (if (p lsr (bits - 1 - d)) land 1 = 0 then f.lo else f.hi) (d + 1)
-  in
-  go t.root 0
+  depth_walk p (Space.bits t.space) t.root 0
 
 let replace_owner t span v =
   let lvl = Span.level span and idx = Span.index span in

@@ -26,9 +26,6 @@ let parent t =
   if t.level = 0 then None
   else Some { level = t.level - 1; index = t.index / 2 }
 
-let sibling t =
-  if t.level = 0 then None else Some { t with index = t.index lxor 1 }
-
 let contains sp t p =
   Space.contains sp p && p lsr (Space.bits sp - t.level) = t.index
 

@@ -40,14 +40,12 @@ val split : Space.t -> t -> t * t
 val parent : t -> t option
 (** The span whose split produced [t]; [None] for {!root}. *)
 
-val sibling : t -> t option
-(** The other half of [parent t]; [None] for {!root}. *)
-
 val contains : Space.t -> t -> int -> bool
 (** [contains sp t p] — does span [t] cover hash index [p]? *)
 
 val of_point : Space.t -> level:int -> int -> t
 (** [of_point sp ~level p] is the unique level-[level] span containing [p].
+    Needed by test_hashspace (span properties drawn from random points).
     @raise Invalid_argument if [p] is outside the space or [level] invalid. *)
 
 val overlap : t -> t -> bool

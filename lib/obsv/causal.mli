@@ -38,7 +38,8 @@ val edge_count : t -> int
 val roots : t -> int list
 (** Trace ids with an [op.begin], ascending. Trace ids equal the runtime's
     op tokens, so this is directly comparable to a history recorder's op
-    token set. *)
+    token set.
+    Needed by test_obsv, which matches the roots to the recorded ops. *)
 
 val malformed : t -> string list
 (** Lines that failed to parse or referenced unknown spans. *)

@@ -138,7 +138,6 @@ let node_quota t ~name ~node =
     0.
     (Local_dht.vnodes e.dht)
 
-let enrollment t ~name = Array.copy (entry_exn t name).enrollment
 
 let tracking_error t ~name =
   let shares = effective_shares t in

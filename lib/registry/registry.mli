@@ -57,9 +57,6 @@ val retarget : t -> name:string -> total_vnodes:int -> retarget_report
     and applies the difference (creations, then best-effort removals).
     @raise Not_found if unknown. *)
 
-val enrollment : t -> name:string -> int array
-(** Current vnodes per node for the named DHT. *)
-
 val tracking_error : t -> name:string -> float
 (** RMS over nodes of [|quota/effective_share - 1|] — how well the DHT's
     placement tracks the free capacity. *)

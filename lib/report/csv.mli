@@ -1,10 +1,8 @@
 (** Minimal CSV output (RFC 4180 quoting) for experiment series. *)
 
-val escape : string -> string
-(** Quotes a field when it contains commas, quotes or newlines. *)
-
 val line : string list -> string
-(** One CSV record, without the trailing newline. *)
+(** One CSV record, without the trailing newline. A field containing
+    commas, quotes or newlines is quoted. *)
 
 val write : path:string -> header:string list -> string list list -> unit
 (** Writes a whole file. *)

@@ -3,14 +3,18 @@ open Dht_hashspace
 module Registry = Dht_telemetry.Registry
 module Fingers = Dht_cluster.Fingers
 
-(* Span-keyed table with the generic table's hash, so bucket order is a
-   generic table's; equality is [Span.equal], not polymorphic compare. *)
-module Span_tbl = Hashtbl.Make (struct
-  type t = Span.t
+(* LRU stamps are keyed by a span's node number in the dyadic tree,
+   [(1 lsl level) lor index]: one int per span, distinct for every span of
+   a space of at most 62 bits. The table is only probed, never iterated,
+   so its bucket order can steer no choice. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal = Span.equal
+  let equal = Int.equal
   let hash = Hashtbl.hash
 end)
+
+let code span = (1 lsl Span.level span) lor Span.index span
 
 (* Forwarding limit: a routed operation bounces through at most [max_hops]
    stale caches, then backs off and retries from scratch; convergence is
@@ -33,9 +37,9 @@ type t = {
   rlevel : int;  (* finger level: ceil(log2 snodes), clamped to the space *)
   bootstrap : Span.t list * Vnode_id.t;  (* for rebuilding crashed caches *)
   caches : Vnode_id.t Point_map.t array;  (* global placement; may be stale *)
-  (* Per-snode LRU stamps (span -> last-touch tick), bounded caches only.
-     Soft state, like route suspicions: reset on crash. *)
-  rstamps : int Span_tbl.t array;
+  (* Per-snode LRU stamps (span code -> last-touch tick), bounded caches
+     only. Soft state, like route suspicions: reset on crash. *)
+  rstamps : int Itbl.t array;
   (* Bounded-routing-cache accounting (all zero when unbounded). *)
   mutable rclock : int;  (* LRU clock: bumped on every touch *)
   mutable rc_hits : int;  (* cache probes answered by a fine entry *)
@@ -70,7 +74,7 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
     rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
     bootstrap;
     caches = Array.init snodes (fun _ -> bootstrap_cache space bootstrap);
-    rstamps = Array.init snodes (fun _ -> Span_tbl.create 16);
+    rstamps = Array.init snodes (fun _ -> Itbl.create 16);
     rclock = 0; rc_hits = 0; rc_misses = 0; rc_evictions = 0; rc_peak = 0;
     route_refreshes = 0;
     hop_counts = Array.make (max_hops + 1) 0;
@@ -79,16 +83,16 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
 (* ------------------------------------------------------------------ *)
 (* Bounded routing cache                                                *)
 
-(* LRU-stamp a cache span. Stamps are soft state: a span [learn]
+(* LRU-stamp the cache span coded [code]. Stamps are soft state: a span [learn]
    decomposed away leaves its stamp orphaned (harmless — stamps are read
    through the live span set), and a missing stamp reads as 0, i.e.
    oldest. *)
-let cache_touch r sid span =
+let touch r sid code =
   r.rclock <- r.rclock + 1;
-  Span_tbl.replace r.rstamps.(sid) span r.rclock
+  Itbl.replace r.rstamps.(sid) code r.rclock
 
 let stamp r sid span =
-  match Span_tbl.find_opt r.rstamps.(sid) span with Some s -> s | None -> 0
+  match Itbl.find_opt r.rstamps.(sid) (code span) with Some s -> s | None -> 0
 
 (* Shrink the cache back under the cap without ever leaving a hole: fold
    the coldest sibling leaf-pair into one parent-level binding (keeping
@@ -112,16 +116,16 @@ let cache_evict_to_cap r sid =
     | None -> failwith "Route: routing cache lost coverage"
     | Some (stamp, parent, lo_s, hi_s, keep) ->
         Point_map.learn cache parent keep;
-        Span_tbl.remove stamps lo_s;
-        Span_tbl.remove stamps hi_s;
-        Span_tbl.replace stamps parent stamp;
+        Itbl.remove stamps (code lo_s);
+        Itbl.remove stamps (code hi_s);
+        Itbl.replace stamps (code parent) stamp;
         r.rc_evictions <- r.rc_evictions + 1
   done
 
 let learn r sid span vid =
   Point_map.learn r.caches.(sid) span vid;
   if bounded r then begin
-    cache_touch r sid span;
+    touch r sid (code span);
     cache_evict_to_cap r sid;
     r.rc_peak <- Int.max r.rc_peak (Point_map.cardinal r.caches.(sid))
   end
@@ -142,7 +146,9 @@ let next_hop r ~sid ~hops point =
     let depth = Point_map.probe_depth cache point in
     if depth >= r.rlevel then begin
       r.rc_hits <- r.rc_hits + 1;
-      cache_touch r sid (Span.of_point r.space ~level:depth point);
+      (* The code of the depth-[depth] span holding [point], built without
+         the span itself. *)
+      touch r sid ((1 lsl depth) lor (point lsr (Space.bits r.space - depth)));
       advice
     end
     else begin
@@ -201,7 +207,7 @@ let refresh r ~sid owned report =
   end
 
 (* LRU stamps die with the routing cache they describe. *)
-let crash r sid = Span_tbl.reset r.rstamps.(sid)
+let crash r sid = Itbl.reset r.rstamps.(sid)
 
 (* The routing cache was volatile: restart from the bootstrap placement,
    then overlay what the snode durably owns (everything else converges

@@ -8,7 +8,10 @@
       commits, reply hints and refresh reports ({!learn});
     - {b bounded caches}: with a positive [route_cap], an over-cap cache
       folds its coldest sibling leaf-pair (LRU by last probe or learn)
-      into one coarser parent binding, so coverage is never broken;
+      into one coarser parent binding, so coverage is never broken. A
+      span's LRU stamp is keyed by its node number in the dyadic tree,
+      [(1 lsl level) lor index], so re-stamping on a cache hit builds no
+      {!Span.t};
     - {b prefix routing} over {!Dht_cluster.Fingers} geometry when
       bounded: a cache entry at least [ceil(log2 snodes)] levels deep is
       trusted as advice, and a coarser one diverts the origin hop to the
@@ -103,7 +106,9 @@ val snapshot : t -> int -> (Span.t * Vnode_id.t) list
 (** One snode's cache entries, in span order. *)
 
 val stamp : t -> int -> Span.t -> int
-(** A cache span's LRU stamp on one snode; 0 (oldest) when unstamped. *)
+(** A cache span's LRU stamp on one snode: the LRU clock at its last
+    probe or learn, or at the fold that made it; 0 (oldest) when
+    unstamped. *)
 
 val hops : t -> int array
 (** Executed routed operations per hop count (length [max_hops + 1]); a

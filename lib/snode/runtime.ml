@@ -2521,8 +2521,6 @@ let engine t = t.engine
 let network t = t.net
 let snode_count t = Array.length t.snodes
 let vnode_count t = t.done_creations + 1
-let alive t sid = t.snodes.(sid).alive
-
 type stats = {
   drops : int;
   duplicates : int;

@@ -157,8 +157,9 @@ val create :
     one retransmission timer, one ack for the whole batch) and acks become
     cumulative and piggybacked: they ride the next outgoing envelope,
     outside the frame, and their [floor] retires every older outstanding
-    sequence at once. {!Network.quantum} (one base-latency hop) is the
-    recommended window; the CLI and benchmarks default to it.
+    sequence at once. One network-latency quantum (the link's base
+    latency, one hop) is the recommended window; the CLI and benchmarks
+    default to it.
 
     [mt_threshold] (default 128) selects the anti-entropy protocol per
     partition span: a span whose snapshot holds at most [mt_threshold]
@@ -330,10 +331,6 @@ val retries : t -> int
     a measure of cache staleness encountered. *)
 
 (** {2 Faults and recovery} *)
-
-val alive : t -> int -> bool
-(** Whether the snode is currently up (always [true] without a fault
-    plan). *)
 
 val crash_snode : t -> int -> unit
 (** Crash-stop the snode now: deliveries to it are absorbed until

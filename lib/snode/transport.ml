@@ -79,12 +79,29 @@ type peer = {
    piggybacked acks) addressed to one peer wait here for at most one
    linger window, then leave as a single envelope ([Wire.Batch]). Staged
    parts are modelled as durable, like the reliable outbox they feed; only
-   the flush timer dies with a crash (restart re-arms it). *)
+   the flush timer dies with a crash (restart re-arms it).
+
+   A snode keeps a buffer toward every destination it ever staged for,
+   but only a few hold parts at once, so flush timers are pooled per
+   endpoint: a buffer takes a flusher when its first part stages and
+   gives it back when its timer's flush leaves it empty. A flush forced
+   by [flush_lingering], or cut short by a crash, keeps the flusher on its
+   buffer, so a superseded queue entry of that timer can only ever fire
+   for the buffer that armed it. *)
 type obuf = {
   ob_dst : int;
   mutable ob_parts : Wire.msg list;  (* newest first *)
   mutable ob_acked : bool;  (* an ack may be among [ob_parts] *)
-  mutable ob_timer : Engine.timer option;  (* created once, re-armed *)
+  mutable ob_fl : flusher;  (* [no_flusher] while none is attached *)
+}
+
+(* A pooled flush timer. Its callback flushes [fl_ob], the buffer it is
+   attached to; while free it sits on its endpoint's free list, linked
+   through [fl_next], so taking or returning one allocates nothing. *)
+and flusher = {
+  mutable fl_timer : Engine.timer;  (* set once, right after creation *)
+  mutable fl_ob : obuf;  (* [no_obuf] while on the free list *)
+  mutable fl_next : flusher;  (* next free flusher, or [no_flusher] *)
 }
 
 (* One snode's end of the transport. *)
@@ -97,6 +114,8 @@ type endpoint = {
   mutable spare : outmsg Itbl.t;
       (* one drained, never-grown outbox kept for the next peer that needs
          one, or [no_outbox]; it equals a fresh table *)
+  mutable idle : flusher;  (* free-list head, or [no_flusher] *)
+  mutable flushers : int;  (* flushers ever made here: free plus attached *)
 }
 
 type counters = {
@@ -142,6 +161,17 @@ let no_seen : unit Itbl.t = Itbl.create table_size
 let no_backlog : int Queue.t = Queue.create ()
 let no_rtt = { srtt = 0.; rttvar = 0. }
 
+(* The flusher of no buffer and the buffer of no flusher: list and
+   attachment ends. [idle_timer] belongs to an engine that never runs and
+   is never armed; every real flusher replaces it as soon as it is made. *)
+let idle_timer = Engine.timer (Engine.create ()) ignore
+
+let rec no_flusher =
+  { fl_timer = idle_timer; fl_ob = no_obuf; fl_next = no_flusher }
+
+and no_obuf =
+  { ob_dst = -1; ob_parts = []; ob_acked = false; ob_fl = no_flusher }
+
 (* A table resizes once it holds more than twice its bucket count, so an
    outbox created with 16 buckets first grows at its 33rd entry. *)
 let grow_threshold = 2 * (Itbl.stats no_outbox).num_buckets
@@ -163,7 +193,7 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
       Array.mapi
         (fun sid rng ->
           { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
-            spare = no_outbox })
+            spare = no_outbox; idle = no_flusher; flushers = 0 })
         rngs;
     c =
       { timeouts = 0; retransmits = 0; probes = 0; backpressured = 0;
@@ -214,9 +244,9 @@ let release_outbox ep p =
   end
 
 let peer_of ep pid =
-  match Itbl.find_opt ep.peers pid with
-  | Some p -> p
-  | None ->
+  match Itbl.find ep.peers pid with
+  | p -> p
+  | exception Not_found ->
       let p =
         { next_seq = 0; outbox = no_outbox; oldest = 0; grown = false;
           backlog = no_backlog; live = 0; floor = -1; seen = no_seen;
@@ -318,11 +348,11 @@ and wire tr ~src ~dst ~attempt ~bytes msg =
    acks. *)
 and stage tr ep ~dst msg =
   let ob =
-    match Itbl.find_opt ep.obufs dst with
-    | Some ob -> ob
-    | None ->
+    match Itbl.find ep.obufs dst with
+    | ob -> ob
+    | exception Not_found ->
         let ob =
-          { ob_dst = dst; ob_parts = []; ob_acked = false; ob_timer = None }
+          { ob_dst = dst; ob_parts = []; ob_acked = false; ob_fl = no_flusher }
         in
         Itbl.add ep.obufs dst ob;
         ob
@@ -337,15 +367,45 @@ and stage tr ep ~dst msg =
       ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
-  let tm =
-    match ob.ob_timer with
-    | Some tm -> tm
-    | None ->
-        let tm = Engine.timer tr.engine (fun () -> flush_obuf tr ep ob) in
-        ob.ob_timer <- Some tm;
-        tm
-  in
+  if ob.ob_fl == no_flusher then attach_flusher tr ep ob;
+  let tm = ob.ob_fl.fl_timer in
   if not (Engine.armed tm) then Engine.arm tm ~delay:tr.linger
+
+(* Give [ob] a disarmed flusher: the free list's head, or a new one. *)
+and attach_flusher tr ep ob =
+  let fl =
+    if ep.idle != no_flusher then begin
+      let fl = ep.idle in
+      ep.idle <- fl.fl_next;
+      fl.fl_next <- no_flusher;
+      fl
+    end
+    else begin
+      let fl =
+        { fl_timer = idle_timer; fl_ob = no_obuf; fl_next = no_flusher }
+      in
+      fl.fl_timer <- Engine.timer tr.engine (fun () -> on_flush_timer tr ep fl);
+      ep.flushers <- ep.flushers + 1;
+      fl
+    end
+  in
+  fl.fl_ob <- ob;
+  ob.ob_fl <- fl
+
+(* The timer's flush; a buffer it leaves empty returns the flusher to the
+   free list. Every earlier arming of this timer was due no later than
+   the one firing now, so no queue entry it leaves behind can fire for the
+   next buffer to take it, whose arming is due a linger window later. *)
+and on_flush_timer tr ep fl =
+  let ob = fl.fl_ob in
+  flush_obuf tr ep ob;
+  match ob.ob_parts with
+  | [] ->
+      ob.ob_fl <- no_flusher;
+      fl.fl_ob <- no_obuf;
+      fl.fl_next <- ep.idle;
+      ep.idle <- fl
+  | _ :: _ -> ()
 
 (* Everything staged toward one destination leaves as one envelope: raw on
    a reliable network; under faults the protocol parts share one [Req]
@@ -661,7 +721,7 @@ let crash tr sid =
           e.o_attempts <- 0)
         p.outbox)
     ep.peers;
-  Itbl.iter (fun _ ob -> Option.iter Engine.disarm ob.ob_timer) ep.obufs
+  Itbl.iter (fun _ ob -> Engine.disarm ob.ob_fl.fl_timer) ep.obufs
 
 let restart tr sid =
   let ep = tr.eps.(sid) in
@@ -678,12 +738,11 @@ let restart tr sid =
              backlog_add p seq);
       refill_window tr ep p ~pid)
     ep.peers;
-  (* Flush timers died with the crash; anything still staged goes out
-     one linger window from now. *)
+  (* Flush timers died with the crash; anything still staged (on a
+     buffer that kept its flusher) goes out one linger window from now. *)
   Itbl.iter
     (fun _ ob ->
-      if ob.ob_parts <> [] then
-        Option.iter (fun tm -> Engine.arm tm ~delay:tr.linger) ob.ob_timer)
+      if ob.ob_parts <> [] then Engine.arm ob.ob_fl.fl_timer ~delay:tr.linger)
     ep.obufs
 
 (* ------------------------------------------------------------------ *)
@@ -700,7 +759,7 @@ let flush_lingering tr =
         Itbl.fold (fun dst ob acc -> (dst, ob) :: acc) ep.obufs []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         |> List.iter (fun (_, ob) ->
-               Option.iter Engine.disarm ob.ob_timer;
+               Engine.disarm ob.ob_fl.fl_timer;
                flush_obuf tr ep ob))
     tr.eps
 
@@ -741,9 +800,66 @@ let audit tr =
           if tr.max_inflight > 0 && p.live > tr.max_inflight then
             fail "snode %d -> %d: %d in flight exceeds the window of %d"
               ep.sid pid p.live tr.max_inflight)
-        ep.peers)
+        ep.peers;
+      (* The flush-timer pool: every flusher ever made is either free and
+         disarmed or attached to the one buffer it points back at, and
+         staged parts on an up endpoint always have an armed timer. The
+         free-list walk is bounded, so a cycle cannot hang the audit. *)
+      let free = ref 0 and fl = ref ep.idle in
+      while !fl != no_flusher && !free <= ep.flushers do
+        if !fl.fl_ob != no_obuf then
+          fail "snode %d: free flusher still attached toward %d" ep.sid
+            !fl.fl_ob.ob_dst;
+        if Engine.armed !fl.fl_timer then
+          fail "snode %d: free flush timer armed" ep.sid;
+        incr free;
+        fl := !fl.fl_next
+      done;
+      let attached =
+        Itbl.fold
+          (fun dst ob n ->
+            if ep.up && ob.ob_parts <> [] && not (Engine.armed ob.ob_fl.fl_timer)
+            then
+              fail "snode %d -> %d: staged parts without an armed flush timer"
+                ep.sid dst;
+            if ob.ob_fl == no_flusher then n
+            else begin
+              if ob.ob_fl.fl_ob != ob then
+                fail "snode %d -> %d: flusher belongs to another buffer" ep.sid
+                  dst;
+              n + 1
+            end)
+          ep.obufs 0
+      in
+      if !free + attached <> ep.flushers then
+        fail "snode %d: %d flushers made, %d free and %d attached" ep.sid
+          ep.flushers !free attached)
     tr.eps;
   List.rev !issues
+
+type pool_fault = Leak | Share | Arm_free | Disarm_staged
+
+let plant_pool_fault tr sid fault =
+  let ep = tr.eps.(sid) in
+  let bufs = Itbl.fold (fun _ ob acc -> ob :: acc) ep.obufs [] in
+  let find what keep =
+    match List.find_opt keep bufs with
+    | Some ob -> ob
+    | None -> invalid_arg ("Transport.plant_pool_fault: no " ^ what)
+  in
+  let attached ob = ob.ob_fl != no_flusher in
+  match fault with
+  | Leak -> (find "attached buffer" attached).ob_fl <- no_flusher
+  | Share ->
+      let ob = find "attached buffer" attached in
+      (find "second buffer" (fun o -> o != ob)).ob_fl <- ob.ob_fl
+  | Arm_free ->
+      if ep.idle == no_flusher then
+        invalid_arg "Transport.plant_pool_fault: no free flusher";
+      Engine.arm ep.idle.fl_timer ~delay:tr.linger
+  | Disarm_staged ->
+      let ob = find "staged buffer" (fun ob -> ob.ob_parts <> []) in
+      Engine.disarm ob.ob_fl.fl_timer
 
 type peer_sample = {
   ps_observer : int;

@@ -99,7 +99,25 @@ val audit : t -> string list
     its outbox and stay within [max_inflight]. Also the footprint rule:
     a peer's drained dedup window and backlog, and its drained outbox
     unless that table grew, are released back to the shared empty
-    sentinel. Empty when sound. *)
+    sentinel. And the flush-timer pool: every flusher an endpoint made is
+    either on its free list, disarmed, or attached to exactly one
+    coalescing buffer, and a buffer with staged parts on an up endpoint
+    has an armed timer. Empty when sound. *)
+
+(** A broken flush-timer pool, planted by {!plant_pool_fault}. *)
+type pool_fault =
+  | Leak  (** a buffer drops its flusher without freeing it *)
+  | Share  (** a second buffer takes an attached buffer's flusher *)
+  | Arm_free  (** the free list's head timer is armed *)
+  | Disarm_staged  (** a buffer with staged parts has its timer disarmed *)
+
+val plant_pool_fault : t -> int -> pool_fault -> unit
+(** [plant_pool_fault tr sid fault] breaks snode [sid]'s flush-timer pool
+    as [fault] says, on some buffer in the state it needs, so that
+    {!audit} must report it. Needed by test_transport, which checks that
+    the audit catches each fault.
+    @raise Invalid_argument when no buffer or free flusher is in that
+    state. *)
 
 type counters = private {
   mutable timeouts : int;

@@ -194,8 +194,9 @@ type msg =
           operation's trace id, [span] the id of this wire edge (its parent
           is recorded in the span log, not on the wire), [hop] the
           propagation depth. Added only when the runtime traces causally;
-          {!size_bytes} charges {!trace_context} extra bytes so the
-          propagation overhead is visible in the byte accounting.
+          {!size_bytes} charges 20 extra bytes (trace id + span id + hop
+          count) so the propagation overhead is visible in the byte
+          accounting.
           Retransmissions of a frame keep the same [trace] but each actual
           transmission logs a fresh transmission span under [span]. *)
   | Batch of msg list
@@ -277,11 +278,6 @@ type msg =
           — only placement moves, through the standard epoch-fenced
           Prepare_ack/Commit round, making the transfer indistinguishable
           from a join/leave migration to the invariant battery. *)
-
-val trace_context : int
-(** Bytes a {!Traced} wrapper adds to its payload (trace id + span id +
-    hop count).
-    Needed by test_obsv, which predicts the bytes causal tracing adds. *)
 
 val cells_size : (string * Versioned.cell) list -> int
 (** Serialized size of a [(key, cell)] payload list, as charged inside

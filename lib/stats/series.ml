@@ -14,10 +14,3 @@ let add_run t curve =
 
 let mean t = Array.map Welford.mean t.cells
 let stddev t = Array.map Welford.stddev_population t.cells
-
-let ci95_halfwidth t =
-  let n = runs t in
-  if n < 2 then Array.make t.len 0.
-  else
-    let scale = 1.96 /. sqrt (float_of_int n) in
-    Array.map (fun c -> scale *. Welford.stddev_sample c) t.cells

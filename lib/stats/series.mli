@@ -26,8 +26,3 @@ val mean : t -> float array
 
 val stddev : t -> float array
 (** Per-index population standard deviation across runs. *)
-
-val ci95_halfwidth : t -> float array
-(** Per-index half-width of a normal-approximation 95% confidence interval
-    ([1.96 · sd / sqrt runs]); zeros when fewer than 2 runs.
-    Needed by test_stats. *)

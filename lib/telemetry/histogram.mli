@@ -45,7 +45,8 @@ val buckets : t -> (float * float * int) list
     [i] is the half-open range [\[lo·growth^i, lo·growth^(i+1))]: a
     boundary value lands in the bucket whose lower edge it equals, which
     is pinned by tests against floating-point drift in the log
-    computation. *)
+    computation.
+    Needed by test_telemetry (bucket boundaries and merges). *)
 
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [\[0, 1\]]: the upper edge of the bucket

@@ -5,8 +5,6 @@ let hex = "0123456789abcdef"
 let uniform rng =
   String.init 16 (fun _ -> hex.[Rng.int rng 16])
 
-let sequential ~prefix i = prefix ^ string_of_int i
-
 module Zipf = struct
   type t = { n : int; cdf : float array }
 
@@ -62,10 +60,3 @@ module Population = struct
 
   let sample t rng = nth t (Rng.int rng t.size)
 end
-
-let hotspot rng ~hot ~hot_fraction ~cold =
-  if Array.length hot = 0 then invalid_arg "Keygen.hotspot: no hot keys";
-  if hot_fraction < 0. || hot_fraction > 1. then
-    invalid_arg "Keygen.hotspot: fraction outside [0, 1]";
-  if Rng.float rng < hot_fraction then hot.(Rng.int rng (Array.length hot))
-  else cold ()

@@ -1,18 +1,14 @@
 (** Key-stream generators for data-plane experiments.
 
     The paper assumes "uniform data distributions in the DHT, and no
-    hotspots in the access to data" (§5); the Zipf and hotspot generators
-    exist for the non-uniform extension experiments it lists as future
+    hotspots in the access to data" (§5); the Zipf generator exists
+    for the non-uniform extension experiments it lists as future
     work. *)
 
 module Rng = Dht_prng.Rng
 
 val uniform : Rng.t -> string
 (** A fresh random 16-hex-character key. *)
-
-val sequential : prefix:string -> int -> string
-(** [sequential ~prefix i] is ["<prefix><i>"] — adversarially non-random
-    application keys (hashing must still spread them). *)
 
 module Zipf : sig
   (** Zipf-distributed ranks over [\[1, n\]] with exponent [s], by inverse
@@ -57,10 +53,3 @@ module Population : sig
   val sample : t -> Rng.t -> string
   (** A member drawn uniformly with the caller's seeded generator. *)
 end
-
-val hotspot : Rng.t -> hot:string array -> hot_fraction:float -> cold:(unit -> string) -> string
-(** With probability [hot_fraction], one of the [hot] keys (uniformly);
-    otherwise a key from [cold].
-    Needed by test_workload.
-    @raise Invalid_argument if [hot] is empty or the fraction is outside
-    [\[0, 1\]]. *)

@@ -1,9 +1,5 @@
 module Rng = Dht_prng.Rng
 
-let bulk ~n =
-  if n < 0 then invalid_arg "Trace.bulk: negative n";
-  Array.make n 0.
-
 let uniform ~n ~period =
   if n < 0 then invalid_arg "Trace.uniform: negative n";
   if period <= 0. then invalid_arg "Trace.uniform: period must be positive";

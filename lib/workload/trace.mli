@@ -2,11 +2,6 @@
 
 module Rng = Dht_prng.Rng
 
-val bulk : n:int -> float array
-(** [n] simultaneous arrivals at time 0 (the paper's "consecutively
-    created" setting — ordering is left to queueing).
-    @raise Invalid_argument if [n < 0]. *)
-
 val uniform : n:int -> period:float -> float array
 (** One arrival every [period] seconds, starting at [period].
     @raise Invalid_argument if [n < 0] or [period <= 0.]. *)

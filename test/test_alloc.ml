@@ -16,6 +16,10 @@ module Span = Dht_hashspace.Span
 module Engine = Dht_event_sim.Engine
 module Heat = Dht_obsv.Heat
 module Merkle = Dht_merkle.Merkle
+module Route = Dht_snode.Route
+module Transport = Dht_snode.Transport
+module Wire = Dht_snode.Wire
+module Network = Dht_event_sim.Network
 
 let check = Alcotest.check
 
@@ -176,6 +180,71 @@ let test_merkle_overwrite_budget () =
   check Alcotest.bool "snapshot kept the old digest" false
     (Merkle.digest snap = Merkle.digest t)
 
+(* A bounded cache hit re-stamps its span by the span's int code, built
+   from the point and the hit's depth: no [Span.t], no boxed key. Snode 0
+   of two learns a depth-4 span (at least the finger level of 1), so
+   every probe into it is a hit on an already-stamped span. *)
+let test_route_hit_budget () =
+  let space = Space.default in
+  let first = Dht_core.Vnode_id.make ~snode:0 ~vnode:0 in
+  let bootstrap =
+    (List.init 2 (fun index -> Span.make space ~level:1 ~index), first)
+  in
+  let r =
+    Route.create ~space ~pmin:2 ~snodes:2 ~route_cap:8 ~max_hops:4 ~bootstrap
+  in
+  let fine = Span.make space ~level:4 ~index:5 in
+  Route.learn r 0 fine (Dht_core.Vnode_id.make ~snode:1 ~vnode:0);
+  let point = Span.start space fine + 12345 in
+  ignore (Route.next_hop r ~sid:0 ~hops:0 point);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Route.next_hop r ~sid:0 ~hops:0 point)
+  done;
+  let w1 = Gc.minor_words () in
+  within "Route.next_hop bounded hit" ~budget:0. w0 w1;
+  check Alcotest.int "every probe a hit" (calls + 1)
+    (Route.stats r).Route.rcs_hits;
+  check Alcotest.bool "the hit re-stamped its span" true
+    (Route.stamp r 0 fine > Route.stamp r 0 (Span.make space ~level:1 ~index:1))
+
+(* Staging toward a destination whose flush timer went back to the free
+   list takes that timer again: snode 0 stages one part toward each of
+   [dsts] other snodes, the flushes return every timer, and each later
+   round re-stages the same buffers. Only the stage itself is measured. *)
+let test_restage_budget () =
+  let dsts = 100 in
+  let engine = Engine.create () in
+  let net = Network.create engine Network.gigabit in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init (dsts + 1) Rng.of_int)
+      ~rto:1e-3 ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0
+      ~linger:Network.gigabit.Network.base_latency ~metrics:None
+      ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> ())
+  in
+  let msg = Wire.Busy { token = 0 } in
+  let round () =
+    for dst = 1 to dsts do
+      Transport.send tr ~src:0 ~dst msg
+    done
+  in
+  round ();
+  Engine.run engine;
+  let words = ref 0. in
+  for _ = 1 to calls / dsts do
+    let w0 = Gc.minor_words () in
+    round ();
+    let w1 = Gc.minor_words () in
+    words := !words +. (w1 -. w0);
+    Engine.run engine
+  done;
+  (* The staged part's cons cell, and the deadline boxed for the call into
+     [Heap.push] where that is not inlined. A fresh flusher would add its
+     record, timer, deadline and two closures: 23 words. *)
+  within "Transport.send re-staging a pooled timer" ~budget:5. 0. !words;
+  check Alcotest.(list string) "pool sound" [] (Transport.audit tr)
+
 let suite =
   [
     Alcotest.test_case "golden: Rng streams" `Quick test_rng_golden;
@@ -186,4 +255,8 @@ let suite =
     Alcotest.test_case "budget: Heat.charge" `Quick test_heat_budget;
     Alcotest.test_case "budget: Merkle owned overwrite" `Quick
       test_merkle_overwrite_budget;
+    Alcotest.test_case "budget: Route.next_hop stamped hit" `Quick
+      test_route_hit_budget;
+    Alcotest.test_case "budget: re-staging takes a pooled timer" `Quick
+      test_restage_budget;
   ]

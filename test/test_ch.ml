@@ -85,33 +85,6 @@ let test_owner_agrees_with_arcs () =
         (abs_float (observed -. q) < 0.02))
     hits
 
-let test_remove_node () =
-  let r = ring 5 in
-  Ring.add_node r ~id:0 ~k:4 ();
-  Ring.add_node r ~id:1 ~k:4 ();
-  Ring.remove_node r ~id:1;
-  check Alcotest.int "one node left" 1 (Ring.node_count r);
-  check Alcotest.int "four points left" 4 (List.length (Ring.points r));
-  check (Alcotest.float 1e-12) "survivor owns all" 1. (Ring.quota r ~id:0);
-  Alcotest.check_raises "remove absent" Not_found (fun () ->
-      Ring.remove_node r ~id:42)
-
-let test_remove_middle_node_conserves () =
-  let r = ring 6 in
-  for i = 0 to 19 do
-    Ring.add_node r ~id:i ~k:6 ()
-  done;
-  Ring.remove_node r ~id:7;
-  Ring.remove_node r ~id:13;
-  check (Alcotest.float 1e-9) "sum after removals" 1.
-    (Dht_stats.Descriptive.sum (Ring.quotas r));
-  let owned = recompute_quotas r in
-  Hashtbl.iter
-    (fun id len ->
-      check (Alcotest.float 1e-12) (Printf.sprintf "node %d" id)
-        (Space.quota sp len) (Ring.quota r ~id))
-    owned
-
 let test_validation () =
   let r = ring 7 in
   Ring.add_node r ~id:0 ~k:4 ();
@@ -179,9 +152,6 @@ let suite =
     Alcotest.test_case "incremental quota = recomputation" `Quick
       test_incremental_matches_recomputation;
     Alcotest.test_case "owner agrees with arcs" `Quick test_owner_agrees_with_arcs;
-    Alcotest.test_case "remove node" `Quick test_remove_node;
-    Alcotest.test_case "remove middle nodes conserves" `Quick
-      test_remove_middle_node_conserves;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "empty ring owner" `Quick test_empty_ring_owner;
     Alcotest.test_case "heterogeneous point counts" `Quick

@@ -68,13 +68,6 @@ let test_ideal_shares () =
   checkf "second" 0.75 shares.(1);
   checkf "sum" 1. (Dht_stats.Descriptive.sum shares)
 
-let test_topology_homogeneous () =
-  let c = Topology.homogeneous ~n:8 Profile.reference in
-  check Alcotest.int "size" 8 (Topology.size c);
-  checkf "total score" 8. (Dht_stats.Descriptive.sum (Topology.scores c));
-  Alcotest.check_raises "n = 0" (Invalid_argument "Topology.homogeneous: n must be positive")
-    (fun () -> ignore (Topology.homogeneous ~n:0 Profile.reference))
-
 let test_topology_generations () =
   let c = Topology.generations ~counts:[ (4, 1.0); (2, 2.0) ] in
   check Alcotest.int "size" 6 (Topology.size c);
@@ -117,7 +110,6 @@ let suite =
       test_apportion_largest_remainder;
     Alcotest.test_case "apportion validation" `Quick test_apportion_validation;
     Alcotest.test_case "ideal shares" `Quick test_ideal_shares;
-    Alcotest.test_case "homogeneous topology" `Quick test_topology_homogeneous;
     Alcotest.test_case "generations topology" `Quick test_topology_generations;
     Alcotest.test_case "random topology" `Quick test_topology_random;
     QCheck_alcotest.to_alcotest prop_apportion_sums;

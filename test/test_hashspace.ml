@@ -69,10 +69,7 @@ let test_span_parent_sibling () =
   let a, b = Span.split sp s in
   check (Alcotest.option span_testable) "parent of left" (Some s) (Span.parent a);
   check (Alcotest.option span_testable) "parent of right" (Some s) (Span.parent b);
-  check (Alcotest.option span_testable) "sibling of left" (Some b) (Span.sibling a);
-  check (Alcotest.option span_testable) "sibling of right" (Some a) (Span.sibling b);
-  check (Alcotest.option span_testable) "root parent" None (Span.parent Span.root);
-  check (Alcotest.option span_testable) "root sibling" None (Span.sibling Span.root)
+  check (Alcotest.option span_testable) "root parent" None (Span.parent Span.root)
 
 let test_span_contains () =
   let s = Span.make sp ~level:4 ~index:3 in

@@ -112,16 +112,6 @@ let test_lookup_routes_correctly () =
       (List.exists (Span.equal span) owner.Vnode.spans)
   done
 
-let test_select_victim_matches_lookup () =
-  let dht = grow 100 in
-  let rng = Rng.of_int 13 in
-  for _ = 1 to 200 do
-    let p = Rng.int rng (Space.size sp) in
-    let v = Local_dht.select_victim dht ~point:p in
-    let _, owner = Local_dht.lookup dht p in
-    check Alcotest.bool "same vnode" true (Vnode_id.equal v.Vnode.id owner.Vnode.id)
-  done
-
 let test_victim_distribution_tracks_quota () =
   (* §3.6: a group is chosen with probability equal to its quota. *)
   let dht = grow ~seed:19 200 in
@@ -134,7 +124,7 @@ let test_victim_distribution_tracks_quota () =
   let trials = 30_000 in
   for _ = 1 to trials do
     let p = Rng.int rng (Space.size sp) in
-    let v = Local_dht.select_victim dht ~point:p in
+    let _, v = Local_dht.lookup dht p in
     let g = v.Vnode.group in
     Hashtbl.replace hits g (1 + Option.value ~default:0 (Hashtbl.find_opt hits g))
   done;
@@ -150,34 +140,6 @@ let test_victim_distribution_tracks_quota () =
         true
         (abs_float (observed -. q) < 0.015))
     quota_of
-
-let test_creation_report () =
-  let dht = grow ~pmin:8 ~vmin:8 16 in
-  (* Group 0 is full: the next routed creation must split it. *)
-  let victim = Local_dht.select_victim dht ~point:0 in
-  let report = Local_dht.add_vnode_routed dht ~id:(vid 16) ~victim in
-  (match report.Local_dht.split with
-  | None -> Alcotest.fail "expected a split"
-  | Some s ->
-      check Alcotest.bool "parent is victim group" true
-        (Group_id.equal s.Local_dht.parent report.Local_dht.victim_group);
-      check Alcotest.bool "target is a child" true
-        (Group_id.equal report.Local_dht.target_group s.Local_dht.left
-        || Group_id.equal report.Local_dht.target_group s.Local_dht.right));
-  check Alcotest.bool "members contain the newcomer" true
-    (Array.exists
-       (fun v -> Vnode_id.equal v.Vnode.id (vid 16))
-       report.Local_dht.group_members);
-  check Alcotest.int "members = target group size"
-    (Array.length report.Local_dht.group_members)
-    (match
-       List.find_opt
-         (fun b ->
-           Group_id.equal (Balancer.group b) report.Local_dht.target_group)
-         (Local_dht.groups dht)
-     with
-    | Some b -> Balancer.vnode_count b
-    | None -> -1)
 
 let test_group_split_preserves_partitions () =
   let transfers_outside_target = ref 0 in
@@ -288,11 +250,8 @@ let suite =
       test_sigma_fast_path_matches_metrics;
     Alcotest.test_case "lookup routes correctly" `Quick
       test_lookup_routes_correctly;
-    Alcotest.test_case "select_victim = lookup owner" `Quick
-      test_select_victim_matches_lookup;
     Alcotest.test_case "victim distribution tracks quota" `Quick
       test_victim_distribution_tracks_quota;
-    Alcotest.test_case "creation report on split" `Quick test_creation_report;
     Alcotest.test_case "group split preserves partitions" `Quick
       test_group_split_preserves_partitions;
     Alcotest.test_case "lpdr snapshots" `Quick test_lpdr;

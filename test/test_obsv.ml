@@ -193,9 +193,9 @@ let test_every_outcome_closes () =
 (* Causal tracing adds bytes, never messages: the same batched quorum
    workload (48 creations, 512 puts, 512 gets on 8 snodes, one-quantum
    linger) sends exactly as many messages traced as untraced, and every
-   wire edge ([msg.send]) carries one span context of
-   [Wire.trace_context] bytes. At seed 2004: 799 messages both ways,
-   600,116 -> 705,956 bytes over 5,292 sends. *)
+   wire edge ([msg.send]) carries one span context: the bytes a
+   [Wire.Traced] wrapper adds to its payload. At seed 2004: 799 messages
+   both ways, 600,116 -> 705,956 bytes over 5,292 sends. *)
 let test_causal_context_bytes () =
   let workload ~causal =
     let buf = Buffer.create (if causal then 1 lsl 20 else 16) in
@@ -232,8 +232,14 @@ let test_causal_context_bytes () =
   let tmsgs, tbytes, sends = workload ~causal:true in
   check Alcotest.bool "traced run sends edges" true (sends > 0);
   check Alcotest.int "same message count" msgs tmsgs;
+  let context =
+    let module W = Dht_snode.Wire in
+    let m = W.Busy { token = 0 } in
+    W.size_bytes (Traced { trace = 0; span = 0; hop = 0; payload = m })
+    - W.size_bytes m
+  in
   check Alcotest.int "one span context per sent edge"
-    (bytes + (Dht_snode.Wire.trace_context * sends))
+    (bytes + (context * sends))
     tbytes
 
 (* ------------------------------------------------------------------ *)

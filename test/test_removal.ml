@@ -1,5 +1,5 @@
 (* Tests for dynamic leave (Balancer.remove_vnode, Global_dht.remove_vnode,
-   Local_dht.remove_vnode) and policy transfers (Balancer.transfer_span). *)
+   Local_dht.remove_vnode). *)
 
 open Dht_core
 module Space = Dht_hashspace.Space
@@ -225,51 +225,6 @@ let test_find_vnode () =
   | None -> Alcotest.fail "missing");
   check Alcotest.bool "absent" true (Local_dht.find_vnode dht (vid 400) = None)
 
-(* --- transfer_span --- *)
-
-let test_transfer_span () =
-  let dht = grow_global 6 in
-  let vnodes = Global_dht.vnodes dht in
-  let b = Global_dht.balancer dht in
-  (* Find a donor above Pmin and a receiver below Pmax. *)
-  let src = Array.fold_left (fun a v -> if v.Vnode.count > a.Vnode.count then v else a) vnodes.(0) vnodes in
-  let dst = Array.fold_left (fun a v -> if v.Vnode.count < a.Vnode.count then v else a) vnodes.(0) vnodes in
-  if src.Vnode.count > 8 && dst.Vnode.count < 16 && src != dst then begin
-    let span = List.hd src.Vnode.spans in
-    (match Balancer.transfer_span b ~src ~dst span with
-    | Ok () -> ()
-    | Error _ -> Alcotest.fail "admissible transfer refused");
-    check Alcotest.bool "span moved" true (List.exists (Span.equal span) dst.Vnode.spans);
-    (* Routing map followed the move. *)
-    let _, owner = Global_dht.lookup dht (Span.start sp span) in
-    check Alcotest.bool "routed to dst" true (owner == dst);
-    match Audit.check_global dht with
-    | Ok () -> ()
-    | Error es -> Alcotest.failf "audit: %s" (String.concat "\n" es)
-  end
-
-let test_transfer_span_guards () =
-  let dht = grow_global 4 in
-  let b = Global_dht.balancer dht in
-  let vnodes = Global_dht.vnodes dht in
-  (* At V=4 (power of two) every vnode sits at Pmin: all donors blocked. *)
-  let v0 = vnodes.(0) and v1 = vnodes.(1) in
-  (match Balancer.transfer_span b ~src:v0 ~dst:v1 (List.hd v0.Vnode.spans) with
-  | Error `Src_at_pmin -> ()
-  | Ok () -> Alcotest.fail "G4 lower bound not enforced"
-  | Error _ -> Alcotest.fail "wrong error");
-  (* Not the owner of the span. *)
-  let dht2 = grow_global 6 in
-  let b2 = Global_dht.balancer dht2 in
-  let w = Global_dht.vnodes dht2 in
-  let donor = Array.fold_left (fun a v -> if v.Vnode.count > a.Vnode.count then v else a) w.(0) w in
-  let other = if donor == w.(0) then w.(1) else w.(0) in
-  if donor.Vnode.count > 8 then
-    match Balancer.transfer_span b2 ~src:donor ~dst:other (List.hd other.Vnode.spans) with
-    | Error `Not_owner -> ()
-    | Ok () -> Alcotest.fail "ownership not checked"
-    | Error _ -> Alcotest.fail "wrong error kind"
-
 let suite =
   [
     Alcotest.test_case "global: remove then audit" `Quick test_remove_then_audit;
@@ -294,7 +249,4 @@ let suite =
       test_local_churn_storm;
     Alcotest.test_case "duplicate ids rejected" `Quick test_duplicate_id_rejected;
     Alcotest.test_case "find_vnode" `Quick test_find_vnode;
-    Alcotest.test_case "transfer_span moves and routes" `Quick test_transfer_span;
-    Alcotest.test_case "transfer_span guards G4/ownership" `Quick
-      test_transfer_span_guards;
   ]

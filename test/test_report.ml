@@ -42,10 +42,10 @@ let test_table_validation () =
 (* --- Csv --- *)
 
 let test_csv_escape () =
-  check Alcotest.string "plain" "abc" (Csv.escape "abc");
-  check Alcotest.string "comma" "\"a,b\"" (Csv.escape "a,b");
-  check Alcotest.string "quote" "\"a\"\"b\"" (Csv.escape "a\"b");
-  check Alcotest.string "newline" "\"a\nb\"" (Csv.escape "a\nb");
+  check Alcotest.string "plain" "abc" (Csv.line [ "abc" ]);
+  check Alcotest.string "comma" "\"a,b\"" (Csv.line [ "a,b" ]);
+  check Alcotest.string "quote" "\"a\"\"b\"" (Csv.line [ "a\"b" ]);
+  check Alcotest.string "newline" "\"a\nb\"" (Csv.line [ "a\nb" ]);
   check Alcotest.string "line" "a,\"b,c\",d" (Csv.line [ "a"; "b,c"; "d" ])
 
 let test_csv_write_roundtrip () =

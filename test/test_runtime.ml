@@ -638,9 +638,7 @@ let test_runtime_crash_recovery () =
       ~value:(string_of_int i) ()
   done;
   Runtime.run rt;
-  check Alcotest.bool "alive before crash" true (Runtime.alive rt 2);
   Runtime.crash_snode rt 2;
-  check Alcotest.bool "down after crash" false (Runtime.alive rt 2);
   (* Reads and one more creation issued while the snode is down: those that
      need it stall on retransmission, the rest complete. *)
   let vias = [| 0; 1; 3; 4; 5 |] in
@@ -653,7 +651,6 @@ let test_runtime_crash_recovery () =
   let e = Runtime.engine rt in
   Runtime.run ~until:(Engine.now e +. 0.05) rt;
   Runtime.restart_snode rt 2;
-  check Alcotest.bool "back up" true (Runtime.alive rt 2);
   Runtime.run rt;
   check Alcotest.int "all reads served" 0 !wrong;
   check Alcotest.int "nothing left pending" 0 (Runtime.pending_operations rt);

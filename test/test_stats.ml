@@ -139,21 +139,9 @@ let test_series_validation () =
   Alcotest.check_raises "wrong length"
     (Invalid_argument "Series.add_run: curve length mismatch") (fun () ->
       Series.add_run s [| 1. |]);
-  check
-    Alcotest.(array (float 0.))
-    "ci with < 2 runs" [| 0.; 0. |] (Series.ci95_halfwidth s);
   Alcotest.check_raises "negative length"
     (Invalid_argument "Series.create: negative length") (fun () ->
       ignore (Series.create ~len:(-1)))
-
-let test_series_ci () =
-  let s = Series.create ~len:1 in
-  for i = 1 to 100 do
-    Series.add_run s [| float_of_int (i mod 2) |]
-  done;
-  let ci = (Series.ci95_halfwidth s).(0) in
-  (* sd_sample ~ 0.5025, so ci ~ 1.96 * 0.5025 / 10. *)
-  check Alcotest.bool "ci magnitude" true (ci > 0.08 && ci < 0.12)
 
 (* --- Histogram --- *)
 
@@ -219,7 +207,6 @@ let suite =
     Alcotest.test_case "percentiles" `Quick test_percentile;
     Alcotest.test_case "series mean/sd" `Quick test_series_mean;
     Alcotest.test_case "series validation" `Quick test_series_validation;
-    Alcotest.test_case "series ci95" `Quick test_series_ci;
     Alcotest.test_case "histogram counting" `Quick test_histogram;
     Alcotest.test_case "histogram chi-square" `Quick test_histogram_chi2;
     Alcotest.test_case "histogram validation" `Quick test_histogram_validation;

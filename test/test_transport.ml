@@ -14,6 +14,10 @@ module Rng = Dht_prng.Rng
 
 let check = Alcotest.check
 
+(* One network-latency quantum on the gigabit link every test here uses:
+   the batching window when a setup coalesces. *)
+let quantum = Network.gigabit.Network.base_latency
+
 type setup = {
   seed : int;
   snodes : int;
@@ -68,7 +72,7 @@ let run s =
       ~rngs:(Array.init s.snodes (fun i -> Rng.of_int ((1000 * s.seed) + i)))
       ~rto:1e-3 ~retry_budget:0 ~adaptive_rto:false
       ~max_inflight:s.max_inflight
-      ~linger:(if s.batching then Network.quantum net else 0.)
+      ~linger:(if s.batching then quantum else 0.)
       ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
       ~deliver:(fun ~dst ~from msg ->
         match msg with
@@ -252,6 +256,56 @@ let test_grown_outbox_order () =
     ("0x1.e37212b962522p-14", "0x1.b9405639fbadap-16")
     (Printf.sprintf "%h" p.ps_srtt, Printf.sprintf "%h" p.ps_rttvar)
 
+(* The audit's flush-timer pool rules, each broken on purpose. Snode 0
+   stages toward 1 and 2 on a fault-free network with batching on; the
+   first wave's flushes return both timers to the free list. Then each
+   fault is planted into a fresh copy of a state it fits, and the audit
+   must name it. *)
+let test_pool_audit () =
+  let fresh () =
+    let engine = Engine.create () in
+    let net = Network.create engine Network.gigabit in
+    let tr =
+      Transport.create engine net ~rngs:(Array.init 3 Rng.of_int) ~rto:1e-3
+        ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0
+        ~linger:quantum ~metrics:None
+        ~trace:Dht_telemetry.Trace.noop ~xmit:None
+        ~deliver:(fun ~dst:_ ~from:_ _ -> ())
+    in
+    let stage dsts =
+      List.iter
+        (fun dst -> Transport.send tr ~src:0 ~dst (Wire.Busy { token = dst }))
+        dsts
+    in
+    stage [ 1; 2 ];
+    check Alcotest.(list string) "staged: sound" [] (Transport.audit tr);
+    Engine.run engine;
+    check Alcotest.(list string) "flushed: sound" [] (Transport.audit tr);
+    (tr, stage)
+  in
+  let expect name fault finding =
+    let tr, stage = fresh () in
+    (match fault with
+    | Transport.Arm_free -> ()
+    | Transport.Leak | Transport.Disarm_staged -> stage [ 1 ]
+    | Transport.Share -> stage [ 1; 2 ]);
+    check Alcotest.(list string) (name ^ ": sound before") []
+      (Transport.audit tr);
+    Transport.plant_pool_fault tr 0 fault;
+    let findings = Transport.audit tr in
+    if not (List.mem finding findings) then
+      Alcotest.failf "%s: %S not among [%s]" name finding
+        (String.concat "; " findings)
+  in
+  expect "leaked flusher" Transport.Leak
+    "snode 0: 2 flushers made, 1 free and 0 attached";
+  expect "shared flusher" Transport.Share
+    "snode 0 -> 2: flusher belongs to another buffer";
+  expect "armed free timer" Transport.Arm_free
+    "snode 0: free flush timer armed";
+  expect "staged, disarmed" Transport.Disarm_staged
+    "snode 0 -> 1: staged parts without an armed flush timer"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -259,4 +313,6 @@ let suite =
     Alcotest.test_case "out-of-order frame, then the gap fills" `Quick test_gap_fill;
     Alcotest.test_case "a grown outbox keeps its fold order" `Quick
       test_grown_outbox_order;
+    Alcotest.test_case "the audit catches a broken flush-timer pool" `Quick
+      test_pool_audit;
   ]

@@ -17,9 +17,6 @@ let test_uniform_keys () =
     k;
   check Alcotest.bool "fresh each call" true (Keygen.uniform rng <> Keygen.uniform rng)
 
-let test_sequential () =
-  check Alcotest.string "format" "user:42" (Keygen.sequential ~prefix:"user:" 42)
-
 let test_zipf_validation () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Zipf.create: n must be positive")
     (fun () -> ignore (Keygen.Zipf.create ~n:0 ~s:1.));
@@ -115,33 +112,6 @@ let test_zipf_key () =
   let k = Keygen.Zipf.key z (Rng.of_int 5) in
   check Alcotest.bool "item prefix" true (String.length k > 4 && String.sub k 0 4 = "item")
 
-let test_hotspot () =
-  let rng = Rng.of_int 7 in
-  let hot = [| "h1"; "h2" |] in
-  let hot_hits = ref 0 in
-  let n = 10_000 in
-  for _ = 1 to n do
-    let k = Keygen.hotspot rng ~hot ~hot_fraction:0.8 ~cold:(fun () -> "cold") in
-    if k = "h1" || k = "h2" then incr hot_hits
-    else check Alcotest.string "cold path" "cold" k
-  done;
-  let ratio = float_of_int !hot_hits /. float_of_int n in
-  check Alcotest.bool (Printf.sprintf "hot ratio %.3f near 0.8" ratio) true
-    (abs_float (ratio -. 0.8) < 0.03);
-  Alcotest.check_raises "no hot keys" (Invalid_argument "Keygen.hotspot: no hot keys")
-    (fun () ->
-      ignore (Keygen.hotspot rng ~hot:[||] ~hot_fraction:0.5 ~cold:(fun () -> "c")));
-  Alcotest.check_raises "bad fraction"
-    (Invalid_argument "Keygen.hotspot: fraction outside [0, 1]") (fun () ->
-      ignore (Keygen.hotspot rng ~hot ~hot_fraction:1.5 ~cold:(fun () -> "c")))
-
-let test_trace_bulk () =
-  let a = Trace.bulk ~n:5 in
-  check Alcotest.int "length" 5 (Array.length a);
-  Array.iter (fun t -> check (Alcotest.float 0.) "zero" 0. t) a;
-  Alcotest.check_raises "negative" (Invalid_argument "Trace.bulk: negative n")
-    (fun () -> ignore (Trace.bulk ~n:(-1)))
-
 let test_trace_uniform () =
   let a = Trace.uniform ~n:4 ~period:0.5 in
   check Alcotest.(array (float 1e-12)) "spacing" [| 0.5; 1.0; 1.5; 2.0 |] a;
@@ -165,7 +135,6 @@ let test_trace_poisson () =
 let suite =
   [
     Alcotest.test_case "uniform keys" `Quick test_uniform_keys;
-    Alcotest.test_case "sequential keys" `Quick test_sequential;
     Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
     Alcotest.test_case "zipf range and skew" `Quick test_zipf_range_and_skew;
     Alcotest.test_case "zipf flat at s=0" `Quick test_zipf_uniform_when_s0;
@@ -174,8 +143,6 @@ let suite =
     Alcotest.test_case "zipf sampler matches the analytic CDF" `Quick
       test_zipf_empirical_matches_cdf;
     Alcotest.test_case "zipf key form" `Quick test_zipf_key;
-    Alcotest.test_case "hotspot mix" `Quick test_hotspot;
-    Alcotest.test_case "bulk trace" `Quick test_trace_bulk;
     Alcotest.test_case "uniform trace" `Quick test_trace_uniform;
     Alcotest.test_case "poisson trace" `Quick test_trace_poisson;
   ]
