@@ -9,10 +9,13 @@ Values. Every `val NAME` declared in a `lib/**/*.mli` is searched for as a
 word in the code of the `.ml` files under lib/, bin/, bench/, perfbench/ and
 examples/, leaving out the value's own `.ml`. Comments and the contents of
 string literals are stripped first, so a name that only prose or a message
-mentions is not a caller. A value found nowhere there is listed, marked
-"test-only" when the code of a test/ file names it and "unused" otherwise.
-The search is by name alone, so a value whose name some other file also
-uses is never listed: the scan under-reports and never flags a live value.
+mentions is not a caller, and neither is a `let` or `and` that defines a
+value of the same name (`let stddev_sample`, `let rec go`, `and step`). A
+value found nowhere there is listed, marked "test-only" when the code of a
+test/ file names it and "unused" otherwise. Otherwise the search is by name
+alone, so a value whose name some other file also uses (calls another
+module's value of that name, binds it as a local or a label) is never
+listed: the scan under-reports and never flags a live value.
 
 Modules. A module of a lib/ library is referred to by a non-test file when
 that file names it by its library-qualified path (`Dht_core.Plan`), or
@@ -40,6 +43,8 @@ NEEDED_BY = "Needed by"
 ITEM_START = re.compile(
     r"\s*(val|type|module|end|exception|include|external|class|open)\b")
 VAL_DECL = re.compile(r"\s*val\s+([a-z_][A-Za-z0-9_']*)")
+# What precedes a name that a `let` or `and` binding defines.
+DEFINED_BY = re.compile(r"\b(?:let(?:\[@[^\]]*\])?(?:\s+rec)?|and)\s+$")
 
 
 def read_tree(roots, exts):
@@ -100,6 +105,13 @@ def word(name):
         r"(?<![A-Za-z0-9_'])" + re.escape(name) + r"(?![A-Za-z0-9_'])")
 
 
+def uses(pat, text):
+    """Whether TEXT names PAT anywhere but as the name a `let` or `and`
+    binding defines."""
+    return any(not DEFINED_BY.search(text, max(0, m.start() - 80), m.start())
+               for m in pat.finditer(text))
+
+
 def declared_values(text):
     """Yield (name, doc) for each `val` of an interface; doc is the text from
     the declaration up to the next signature item."""
@@ -129,7 +141,7 @@ def scan_values(sources, code, tests):
         own_ml = mli[:-1]
         for name, doc in declared_values(sources[mli]):
             pat = word(name)
-            if any(pat.search(t) for p, t in ml_code.items() if p != own_ml):
+            if any(uses(pat, t) for p, t in ml_code.items() if p != own_ml):
                 continue
             tested = any(pat.search(t) for t in tests.values())
             kind = "test-only" if tested else "unused"

@@ -12,9 +12,14 @@
     get's result; the runtime's strings are shared, not copied). Rows are
     appended in fixed-size chunks, so a column is never copied or doubled
     as the history grows. A token-to-row index, dense over the runtime's
-    consecutive tokens, routes each outcome event to its row. A recorded
-    operation keeps about 7 live words, against about 27 for a hash table
-    of entry records. Entries are built only when {!entries} is called. *)
+    consecutive tokens, routes each outcome event to its row. A row's
+    columns cost about 7 words, against about 27 for a hash table of
+    entry records, but the strings come on top: a workload that builds a
+    fresh key per operation (as {!Dht_workload.Keygen.Population.nth}
+    does) leaves the history the only holder of that key once the
+    operation settles, so each row then keeps its key's block too (3 more
+    words for a 10-character key). Entries are built only when {!entries}
+    is called. *)
 
 module Runtime := Dht_snode.Runtime
 

@@ -25,9 +25,6 @@ let of_messages = List.map of_message
 let check_local dht =
   match Audit.check_local dht with Ok () -> [] | Error m -> of_messages m
 
-let check_global dht =
-  match Audit.check_global dht with Ok () -> [] | Error m -> of_messages m
-
 (* ------------------------------------------------------------------ *)
 (* Pure predicates over runtime snapshots                               *)
 

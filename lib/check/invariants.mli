@@ -28,9 +28,6 @@ val check_local : Local_dht.t -> finding list
 (** G1'-G5', L1, L2 and quota conservation over the local-model oracle
     ({!Dht_core.Audit.check_local}). *)
 
-val check_global : Global_dht.t -> finding list
-(** G1-G5 over the global-model oracle ({!Dht_core.Audit.check_global}). *)
-
 val check_snode :
   space:Dht_hashspace.Space.t -> Runtime.View.snode_view -> finding list
 (** The per-snode subset that holds at {e every} instant, including while

@@ -6,7 +6,9 @@
 
 val check_global : Global_dht.t -> (unit, string list) result
 (** All balancer checks plus G1 (the routing map tiles [R_h] exactly) and
-    map/ownership consistency. *)
+    map/ownership consistency.
+    Needed by test_global and test_removal, the global model's invariant
+    oracle. *)
 
 val check_local : Local_dht.t -> (unit, string list) result
 (** All balancer checks per group plus G1', L1 (groups partition the vnode

@@ -19,55 +19,79 @@ let create () =
 
 let now t = t.clock.now
 
-let[@inline] at t ~time f =
+(* Queue [f] at [time] and return its payload slot. Inlined, like [at], so
+   the time reaches the heap unboxed. *)
+let[@inline] push t ~time f =
   if not (Float.is_finite time) then invalid_arg "Engine.at: non-finite time";
   if time < t.clock.now then invalid_arg "Engine.at: time in the past";
-  Heap.push t.queue ~time ~seq:t.seq f;
+  let slot = Heap.push t.queue ~time ~seq:t.seq f in
   t.seq <- t.seq + 1;
   let len = Heap.length t.queue in
-  if len > t.max_pending then t.max_pending <- len
+  if len > t.max_pending then t.max_pending <- len;
+  slot
 
-let schedule t ~delay f =
+let[@inline] at t ~time f = ignore (push t ~time f)
+
+(* The time [delay] from now. *)
+let[@inline] after t delay =
   if not (Float.is_finite delay) || delay < 0. then
     invalid_arg "Engine.schedule: negative or non-finite delay";
-  at t ~time:(t.clock.now +. delay) f
+  t.clock.now +. delay
 
-(* Cancellable timers: cancellation marks the handle dead; the queue entry
-   stays and fires as a no-op. Deletion stays lazy because [run] advances
-   the clock over the dead entry, and later [now]-relative schedules see
-   that clock. *)
-type handle = { mutable pending : bool }
+let schedule t ~delay f = at t ~time:(after t delay) f
+
+(* Cancellable timers: cancellation clears the queued closure out of its
+   slot; the queue entry stays and fires as a no-op. Deletion stays lazy
+   because [run] advances the clock over the dead entry, and later
+   [now]-relative schedules see that clock. [h_slot] is the entry's payload
+   slot while it is pending and -1 once it fired or was cancelled. A
+   pending entry has not popped (popping runs the closure, which sets
+   [h_slot] to -1), so its slot still holds the closure and needs no
+   check. *)
+type handle = { h_engine : t; mutable h_slot : int }
 
 let schedule_cancellable t ~delay f =
-  let h = { pending = true } in
-  schedule t ~delay (fun () ->
-      if h.pending then begin
-        h.pending <- false;
-        f ()
-      end);
+  let time = after t delay in
+  let h = { h_engine = t; h_slot = 0 } in
+  h.h_slot <-
+    push t ~time (fun () ->
+        if h.h_slot >= 0 then begin
+          h.h_slot <- -1;
+          f ()
+        end);
   h
 
-let cancel h = h.pending <- false
+let cancel h =
+  if h.h_slot >= 0 then begin
+    Heap.reset h.h_engine.queue h.h_slot;
+    h.h_slot <- -1
+  end
 
 (* Reusable timer slots: one callback closure and one trampoline are
    allocated when the slot is created; re-arming only pushes a queue entry.
    Lazy deletion again — a stale entry fires as a no-op because either the
-   slot is disarmed or the clock has not reached the latest deadline. *)
+   slot is disarmed or the clock has not reached the latest deadline.
+   [disarm] leaves the latest entry's trampoline queued: re-armed for the
+   same instant, the slot fires from that older entry, at its earlier
+   seq. [release] ends the slot's life, so it may clear the latest entry
+   and drop the callback; older stale entries then pin only the trampoline
+   and this record. *)
 (* Flat like [clock], so re-arming writes the deadline unboxed. *)
 type deadline = { mutable due : float }
 
 type timer = {
   tm_engine : t;
-  tm_cb : unit -> unit;
+  mutable tm_cb : unit -> unit;  (* [ignore] once released *)
   deadline : deadline;
   mutable tm_armed : bool;
+  mutable tm_slot : int;  (* payload slot of the latest arming; -1 before *)
   mutable trampoline : unit -> unit;
 }
 
 let timer t f =
   let tm =
     { tm_engine = t; tm_cb = f; deadline = { due = 0. }; tm_armed = false;
-      trampoline = ignore }
+      tm_slot = -1; trampoline = ignore }
   in
   tm.trampoline <-
     (fun () ->
@@ -84,9 +108,15 @@ let arm tm ~delay =
   let time = t.clock.now +. delay in
   tm.deadline.due <- time;
   tm.tm_armed <- true;
-  at t ~time tm.trampoline
+  tm.tm_slot <- push t ~time tm.trampoline
 
 let disarm tm = tm.tm_armed <- false
+
+let release tm =
+  tm.tm_armed <- false;
+  tm.tm_cb <- ignore;
+  if tm.tm_slot >= 0 then Heap.clear tm.tm_engine.queue tm.tm_slot tm.trampoline
+
 let armed tm = tm.tm_armed
 
 let pending t = Heap.length t.queue

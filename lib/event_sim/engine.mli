@@ -14,7 +14,10 @@
     its queue entry, which dispatches as a no-op. {!run} therefore advances
     the clock over dead entries, and a callback that later schedules
     relative to {!now} depends on that clock. Removing dead entries eagerly
-    would move those times. *)
+    would move those times. The entry need not keep its callback, though:
+    {!cancel} and {!release} swap the queued closure for an inert one, so
+    whatever the callback captured can be collected long before the dead
+    entry's time comes. *)
 
 type t
 
@@ -42,8 +45,10 @@ val schedule_cancellable : t -> delay:float -> (unit -> unit) -> handle
     it and {!run} still advances the clock over it). *)
 
 val cancel : handle -> unit
-(** Retract a timer. Cancelling one that already fired (or was already
-    cancelled) is a no-op. *)
+(** Retract a timer. The queue entry stays, but the callback leaves it at
+    once: neither the queue nor the handle keeps it alive any longer.
+    Cancelling one that already fired (or was already cancelled) is a
+    no-op. *)
 
 type timer
 (** A reusable cancellable timer slot. Where {!schedule_cancellable}
@@ -62,7 +67,14 @@ val arm : timer -> delay:float -> unit
     @raise Invalid_argument if [delay < 0.] or is not finite. *)
 
 val disarm : timer -> unit
-(** Retract the pending arming, if any. The slot stays reusable. *)
+(** Retract the pending arming, if any. The slot stays reusable, so its
+    queue entries keep the trampoline that runs the callback. *)
+
+val release : timer -> unit
+(** End the slot's life: disarm it, drop its callback and clear the latest
+    arming's queue entry, which still dispatches as a no-op. Earlier,
+    superseded entries keep only the slot itself alive. Arming a released
+    slot is allowed but runs nothing. *)
 
 val armed : timer -> bool
 (** [true] while an arming is pending. *)

@@ -7,8 +7,8 @@
     sequence numbers and payload-slot ids in [int array]s, and a sift moves
     only those, so pushing and popping allocate nothing (outside growth)
     and never hit the write barrier. Each payload is written once into a
-    slot of a pool when pushed and stays there until popped. The arrays
-    double when full and never shrink. *)
+    slot of a pool when pushed and stays there until popped or cleared.
+    The arrays double when full and never shrink. *)
 
 type 'a t
 
@@ -22,7 +22,21 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:float -> seq:int -> 'a -> unit
+val push : 'a t -> time:float -> seq:int -> 'a -> int
+(** Queue a payload and return the pool slot it was written to, for
+    {!reset} and {!clear}. *)
+
+val reset : 'a t -> int -> unit
+(** [reset t slot] puts the dummy in [slot], so a queued entry stops
+    keeping its payload alive; the entry itself stays queued and pops the
+    dummy. Only for a slot whose entry has not popped yet: a popped slot
+    may hold another entry's payload. *)
+
+val clear : 'a t -> int -> 'a -> unit
+(** [clear t slot payload] is {!reset} when [slot] still holds [payload]
+    (physical equality), for a caller that cannot tell whether the entry
+    has popped: once it has, its slot may hold another payload, which the
+    check leaves alone. *)
 
 val min_time : 'a t -> float
 (** The time of the entry with the smallest [(time, seq)].

@@ -2669,13 +2669,13 @@ let lb_stats t =
     lbs_reports = t.lb_reports;
   }
 
-(* Every snode's gossip view, in snode order — the convergence tests'
-   input. Crashed snodes report their (reset) view too. *)
+(* Every snode's durable version counter and gossip view, in snode order —
+   the convergence tests' input. Crashed snodes report their (reset) view
+   too. *)
 let lb_views t =
   Array.to_list t.snodes
-  |> List.map (fun sn -> (sn.sid, Balance.Gossip.entries sn.lb_view))
-
-let lb_version t sid = t.snodes.(sid).lb_version
+  |> List.map (fun sn ->
+         (sn.sid, sn.lb_version, Balance.Gossip.entries sn.lb_view))
 
 (* ---------------- scalable-routing exports ---------------- *)
 

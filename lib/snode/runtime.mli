@@ -527,16 +527,13 @@ type lb_stats = {
 val lb_stats : t -> lb_stats
 (** Balancer counters (all zero without [balance] or before any round). *)
 
-val lb_views : t -> (int * Dht_balance.Summary.t list) list
-(** Every snode's gossip view (sorted by origin), in snode order — the
-    convergence property's input. A crashed snode reports its reset
-    view.
+val lb_views : t -> (int * int * Dht_balance.Summary.t list) list
+(** [(sid, version, view)] for every snode, in snode order: its durable
+    summary version counter — gossip ground truth for
+    {!Dht_balance.Gossip.staleness} — and its gossip view (sorted by
+    origin), the convergence property's input. A crashed snode reports its
+    reset view and its kept counter.
     Needed by test_balance (gossip convergence and staleness oracles). *)
-
-val lb_version : t -> int -> int
-(** The snode's durable summary version counter — gossip ground truth for
-    {!Dht_balance.Gossip.staleness}.
-    Needed by test_balance (the staleness oracle's ground truth). *)
 
 (** {2 Scalable routing} *)
 

@@ -33,9 +33,16 @@ end)
    retransmission timers, which restart re-arms from the outbox.
 
    A snode meets far more peers over a run than it has conversations
-   open with, so the three queues are allocated on first write and
-   released when drained: an idle peer shares the empty sentinels below,
-   which nothing ever inserts into, and costs only its record. *)
+   open with, so a peer record keeps only its sequence counter, dedup
+   floor and RTT estimate. Everything that is only in use while traffic
+   is in flight (the three queues, the window count, the route's
+   suspicion) lives in a separate [queues] record. An idle peer shares
+   the never-written [no_queues]; a peer takes a private record from its
+   endpoint's free list on its first write and gives it back once every
+   queue is released and the route is unsuspected. The queues themselves
+   are likewise allocated on first write and released when drained: an
+   idle record holds the empty sentinels below, which nothing ever
+   inserts into. *)
 type outmsg = {
   o_payload : Wire.msg;
   mutable o_attempts : int;
@@ -53,26 +60,32 @@ type outmsg = {
    until its first sample. *)
 type rtt = { mutable srtt : float; mutable rttvar : float }
 
-type peer = {
-  mutable next_seq : int;
+type queues = {
   mutable outbox : outmsg Itbl.t;  (* seq -> unacked message *)
   mutable oldest : int;
-      (* no seq below this is in [outbox]: a lower bound, advanced lazily
-         by [on_ack] so a cumulative ack with nothing older outstanding
-         retires without walking the table *)
+      (* no seq below this is in [outbox]: a lower bound, set to the next
+         seq when the record is taken and advanced lazily by [on_ack], so
+         a cumulative ack with nothing older outstanding retires without
+         walking the table *)
   mutable grown : bool;  (* [outbox] has resized past its initial buckets *)
   mutable backlog : int Queue.t;
       (* seqs staged past the inflight window, promoted in order as acks
          retire window entries; entries stay in [outbox] (durable) *)
   mutable live : int;  (* outbox entries currently inside the window *)
-  mutable floor : int;  (* every seq <= floor from this peer was processed *)
-  mutable seen : unit Itbl.t;  (* processed seqs above the floor *)
+  mutable seen : unit Itbl.t;  (* processed seqs above the peer's floor *)
   mutable suspect : bool;  (* route poisoned after repeated timeouts *)
   mutable strikes : int;
       (* consecutive retransmission timeouts — the route's graded suspicion
          level; poisoning at [poison_after] is just the top of the scale,
          and admission control reads the raw level below it *)
+  mutable q_next : queues;  (* next free record, or [no_queues] *)
+}
+
+type peer = {
+  mutable next_seq : int;
+  mutable floor : int;  (* every seq <= floor from this peer was processed *)
   mutable rtt : rtt;  (* smoothed RTT and its variance; 0 = no sample yet *)
+  mutable q : queues;  (* [no_queues] while idle *)
 }
 
 (* Per-destination transmission-coalescing buffer: protocol messages (and
@@ -116,6 +129,7 @@ type endpoint = {
          one, or [no_outbox]; it equals a fresh table *)
   mutable idle : flusher;  (* free-list head, or [no_flusher] *)
   mutable flushers : int;  (* flushers ever made here: free plus attached *)
+  mutable free_q : queues;  (* free queue records, or [no_queues] *)
 }
 
 type counters = {
@@ -161,6 +175,12 @@ let no_seen : unit Itbl.t = Itbl.create table_size
 let no_backlog : int Queue.t = Queue.create ()
 let no_rtt = { srtt = 0.; rttvar = 0. }
 
+(* The queue record of every idle peer, and the end of a free list. *)
+let rec no_queues =
+  { outbox = no_outbox; oldest = 0; grown = false; backlog = no_backlog;
+    live = 0; seen = no_seen; suspect = false; strikes = 0;
+    q_next = no_queues }
+
 (* The flusher of no buffer and the buffer of no flusher: list and
    attachment ends. [idle_timer] belongs to an engine that never runs and
    is never armed; every real flusher replaces it as soon as it is made. *)
@@ -193,7 +213,8 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
       Array.mapi
         (fun sid rng ->
           { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
-            spare = no_outbox; idle = no_flusher; flushers = 0 })
+            spare = no_outbox; idle = no_flusher; flushers = 0;
+            free_q = no_queues })
         rngs;
     c =
       { timeouts = 0; retransmits = 0; probes = 0; backpressured = 0;
@@ -203,23 +224,43 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
 let counters tr = tr.c
 let note_timeout tr = tr.c.timeouts <- tr.c.timeouts + 1
 
-let outbox_add ep p seq entry =
-  if p.outbox == no_outbox then
+(* [p]'s queue record, for a write: its own, else the free list's head,
+   else a new one. Taken with nothing in flight, so the next seq to be
+   drawn bounds the outbox from below. *)
+let queues_of ep p =
+  if p.q != no_queues then p.q
+  else begin
+    let q =
+      if ep.free_q != no_queues then begin
+        let q = ep.free_q in
+        ep.free_q <- q.q_next;
+        q.q_next <- no_queues;
+        q
+      end
+      else { no_queues with q_next = no_queues }
+    in
+    q.oldest <- p.next_seq;
+    p.q <- q;
+    q
+  end
+
+let outbox_add ep q seq entry =
+  if q.outbox == no_outbox then
     if ep.spare != no_outbox then begin
-      p.outbox <- ep.spare;
+      q.outbox <- ep.spare;
       ep.spare <- no_outbox
     end
-    else p.outbox <- Itbl.create table_size;
-  Itbl.add p.outbox seq entry;
-  if Itbl.length p.outbox > grow_threshold then p.grown <- true
+    else q.outbox <- Itbl.create table_size;
+  Itbl.add q.outbox seq entry;
+  if Itbl.length q.outbox > grow_threshold then q.grown <- true
 
-let seen_add p seq =
-  if p.seen == no_seen then p.seen <- Itbl.create table_size;
-  Itbl.replace p.seen seq ()
+let seen_add q seq =
+  if q.seen == no_seen then q.seen <- Itbl.create table_size;
+  Itbl.replace q.seen seq ()
 
-let backlog_add p seq =
-  if p.backlog == no_backlog then p.backlog <- Queue.create ();
-  Queue.add seq p.backlog
+let backlog_add q seq =
+  if q.backlog == no_backlog then q.backlog <- Queue.create ();
+  Queue.add seq q.backlog
 
 (* Whether a drain left a queue empty but still allocated. [seen] is only
    probed, never iterated, so it may always go; the backlog is a FIFO; the
@@ -227,37 +268,48 @@ let backlog_add p seq =
    the outbox in bucket order, and under an adaptive RTO that order feeds
    the RTT estimator, so an emptied grown table keeps its wider layout
    rather than give way to a fresh one. *)
-let stale_seen p = Itbl.length p.seen = 0 && p.seen != no_seen
-let stale_backlog p = Queue.is_empty p.backlog && p.backlog != no_backlog
+let stale_seen q = Itbl.length q.seen = 0 && q.seen != no_seen
+let stale_backlog q = Queue.is_empty q.backlog && q.backlog != no_backlog
 
-let stale_outbox p =
-  Itbl.length p.outbox = 0 && p.outbox != no_outbox && not p.grown
+let stale_outbox q =
+  Itbl.length q.outbox = 0 && q.outbox != no_outbox && not q.grown
 
-let release_seen p = if stale_seen p then p.seen <- no_seen
-let release_backlog p = if stale_backlog p then p.backlog <- no_backlog
+let release_seen q = if stale_seen q then q.seen <- no_seen
+let release_backlog q = if stale_backlog q then q.backlog <- no_backlog
 (* A drained outbox that never grew is indistinguishable from a fresh one,
    so it becomes the endpoint's spare if that slot is free. *)
-let release_outbox ep p =
-  if stale_outbox p then begin
-    if ep.spare == no_outbox then ep.spare <- p.outbox;
-    p.outbox <- no_outbox
+let release_outbox ep q =
+  if stale_outbox q then begin
+    if ep.spare == no_outbox then ep.spare <- q.outbox;
+    q.outbox <- no_outbox
+  end
+
+(* A record with every queue released (a grown outbox never is) and an
+   unsuspected route holds nothing an idle peer lacks. *)
+let idle q =
+  q.outbox == no_outbox && q.backlog == no_backlog && q.seen == no_seen
+  && q.strikes = 0 && not q.suspect
+
+(* Give [p]'s record back to the free list if it has gone idle. *)
+let settle ep p =
+  let q = p.q in
+  if q != no_queues && idle q then begin
+    p.q <- no_queues;
+    q.q_next <- ep.free_q;
+    ep.free_q <- q
   end
 
 let peer_of ep pid =
   match Itbl.find ep.peers pid with
   | p -> p
   | exception Not_found ->
-      let p =
-        { next_seq = 0; outbox = no_outbox; oldest = 0; grown = false;
-          backlog = no_backlog; live = 0; floor = -1; seen = no_seen;
-          suspect = false; strikes = 0; rtt = no_rtt }
-      in
+      let p = { next_seq = 0; floor = -1; rtt = no_rtt; q = no_queues } in
       Itbl.add ep.peers pid p;
       p
 
 (* The outbox entries that pass [keep], in seq (= issue) order. *)
-let in_seq_order p keep =
-  Itbl.fold (fun seq e acc -> if keep e then (seq, e) :: acc else acc) p.outbox []
+let in_seq_order q keep =
+  Itbl.fold (fun seq e acc -> if keep e then (seq, e) :: acc else acc) q.outbox []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* One Jacobson estimator update (RFC 6298 gains). The first sample seeds
@@ -294,8 +346,8 @@ let admission_estimate tr ~src ~set ~need =
           let rtt =
             if r.srtt > 0. then r.srtt +. (4. *. r.rttvar) else tr.rto
           in
-          let pressure = float_of_int (Itbl.length p.outbox + 1) in
-          rtt *. pressure *. float_of_int (1 + p.strikes)
+          let pressure = float_of_int (Itbl.length p.q.outbox + 1) in
+          rtt *. pressure *. float_of_int (1 + p.q.strikes)
   in
   let ests = List.sort compare (List.map route_est set) in
   Option.value ~default:infinity (List.nth_opt ests (max 0 (need - 1)))
@@ -458,6 +510,7 @@ and emit_batch tr ep ~dst ~attempt ~unbatched msg =
 
 and reliable_send tr ep ~dst ~acks msg =
   let p = peer_of ep dst in
+  let q = queues_of ep p in
   let seq = p.next_seq in
   p.next_seq <- seq + 1;
   tr.c.reliable_msgs <- tr.c.reliable_msgs + 1;
@@ -465,16 +518,16 @@ and reliable_send tr ep ~dst ~acks msg =
     { o_payload = msg; o_attempts = 0; o_sent = 0.; o_live = false;
       o_timer = None }
   in
-  outbox_add ep p seq entry;
-  let depth = Itbl.length p.outbox in
+  outbox_add ep q seq entry;
+  let depth = Itbl.length q.outbox in
   if depth > tr.c.outbox_peak then tr.c.outbox_peak <- depth;
-  if tr.max_inflight > 0 && p.live >= tr.max_inflight then begin
+  if tr.max_inflight > 0 && q.live >= tr.max_inflight then begin
     (* Window full: backpressure. The entry stays durably in the outbox
        but pays no transmission and arms no timer until an ack retires a
        window entry and promotes it. Piggybacked acks are unreliable and
        must not wait — let them go now. *)
     tr.c.backpressured <- tr.c.backpressured + 1;
-    backlog_add p seq;
+    backlog_add q seq;
     send_coalesced tr ep ~dst acks
   end
   else enter_window tr ep p ~dst ~acks ~seq entry
@@ -484,9 +537,10 @@ and reliable_send tr ep ~dst ~acks msg =
    at the capped cadence (the acks go alone); an ack (or any traffic from
    the peer) flushes the whole outbox at once. *)
 and enter_window tr ep p ~dst ~acks ~seq entry =
+  let q = p.q in
   entry.o_live <- true;
-  p.live <- p.live + 1;
-  if p.suspect then begin
+  q.live <- q.live + 1;
+  if q.suspect then begin
     send_coalesced tr ep ~dst acks;
     arm_retransmit tr ep p ~dst ~seq entry ~delay:rto_cap
   end
@@ -563,18 +617,19 @@ and on_rto tr ep p ~dst ~seq entry =
   (* Timer fired with the message still unacknowledged. A crashed sender's
      timers are cancelled; restart re-arms them from the (durable) outbox,
      so the up check is belt-and-braces. *)
-  if ep.up && Itbl.mem p.outbox seq then begin
+  let q = p.q in
+  if ep.up && Itbl.mem q.outbox seq then begin
     tr.c.timeouts <- tr.c.timeouts + 1;
-    p.strikes <- p.strikes + 1;
-    if (not p.suspect) && p.strikes >= poison_after then begin
-      p.suspect <- true;
+    q.strikes <- q.strikes + 1;
+    if (not q.suspect) && q.strikes >= poison_after then begin
+      q.suspect <- true;
       if Trace.enabled tr.trace then
         Trace.instant tr.trace ~ts:(Engine.now tr.engine) ~tid:ep.sid
           ~name:"route.poisoned"
-          [ ("dst", Trace.Int dst); ("strikes", Trace.Int p.strikes) ];
+          [ ("dst", Trace.Int dst); ("strikes", Trace.Int q.strikes) ];
       Log.debug (fun m ->
           m "snode %d: route to snode %d poisoned after %d timeouts" ep.sid
-            dst p.strikes)
+            dst q.strikes)
     end;
     (* Retry budget: past it, further retransmissions become rate-limited
        probes — still sent (a silently-restarted peer must eventually hear
@@ -584,38 +639,46 @@ and on_rto tr ep p ~dst ~seq entry =
     transmit tr ep p ~dst ~acks:[] ~probe ~seq entry
   end
 
+(* An ack to an idle peer (its record shared, its outbox empty) is a
+   duplicate with nothing to retire. *)
 and on_ack tr ep ~from ~seq ~floor =
   let p = peer_of ep from in
-  let answered = retire tr p seq in
-  (* Cumulative: the peer has processed every seq up to [floor], so also
-     retire older entries whose own ack was lost — walking the table only
-     when one may be outstanding. *)
-  while p.oldest < p.next_seq && not (Itbl.mem p.outbox p.oldest) do
-    p.oldest <- p.oldest + 1
-  done;
-  let answered =
-    if p.oldest > floor then answered
-    else
-      Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc)
-        p.outbox []
-      |> List.fold_left (fun answered s -> retire tr p s || answered) answered
-  in
-  release_outbox ep p;
-  if answered then begin
-    peer_answered tr ep p ~pid:from;
-    refill_window tr ep p ~pid:from
+  let q = p.q in
+  if q != no_queues then begin
+    let answered = retire tr p q seq in
+    (* Cumulative: the peer has processed every seq up to [floor], so also
+       retire older entries whose own ack was lost — walking the table
+       only when one may be outstanding. *)
+    while q.oldest < p.next_seq && not (Itbl.mem q.outbox q.oldest) do
+      q.oldest <- q.oldest + 1
+    done;
+    let answered =
+      if q.oldest > floor then answered
+      else
+        Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc)
+          q.outbox []
+        |> List.fold_left (fun answered s -> retire tr p q s || answered) answered
+    in
+    release_outbox ep q;
+    if answered then begin
+      peer_answered tr ep p ~pid:from;
+      refill_window tr ep p ~pid:from
+    end;
+    settle ep p
   end
 
-(* Retire outbox entry [s] on its ack; [false] for a duplicate ack. *)
-and retire tr p s =
-  match Itbl.find p.outbox s with
+(* Retire outbox entry [s] on its ack; [false] for a duplicate ack. The
+   entry's timer is released: its queued entry stops pinning the message
+   until the deadline. *)
+and retire tr p q s =
+  match Itbl.find q.outbox s with
   | exception Not_found -> false
   | entry ->
-      Itbl.remove p.outbox s;
-      Option.iter Engine.disarm entry.o_timer;
+      Itbl.remove q.outbox s;
+      Option.iter Engine.release entry.o_timer;
       if entry.o_live then begin
         entry.o_live <- false;
-        p.live <- p.live - 1
+        q.live <- q.live - 1
       end;
       (* Karn's rule: only a never-retransmitted message yields an
          unambiguous RTT sample. *)
@@ -628,31 +691,36 @@ and retire tr p s =
    skipped. An unbounded window ([max_inflight = 0]) never fills, so only
    a restart puts entries in its backlog. *)
 and refill_window tr ep p ~pid =
+  let q = p.q in
   while
-    (tr.max_inflight = 0 || p.live < tr.max_inflight)
-    && not (Queue.is_empty p.backlog)
+    (tr.max_inflight = 0 || q.live < tr.max_inflight)
+    && not (Queue.is_empty q.backlog)
   do
-    let seq = Queue.pop p.backlog in
-    match Itbl.find_opt p.outbox seq with
+    let seq = Queue.pop q.backlog in
+    match Itbl.find_opt q.outbox seq with
     | None -> ()
     | Some entry -> enter_window tr ep p ~dst:pid ~acks:[] ~seq entry
   done;
-  release_backlog p
+  release_backlog q
 
 (* Any message from a peer proves it alive: clear the strikes and, if the
    route was poisoned, retry everything still inside the window for it
-   immediately (backlogged entries keep waiting for a slot). *)
+   immediately (backlogged entries keep waiting for a slot). An idle peer
+   has neither to clear. *)
 and peer_answered tr ep p ~pid =
-  p.strikes <- 0;
-  if p.suspect then begin
-    p.suspect <- false;
-    Log.debug (fun m ->
-        m "snode %d: snode %d answered; flushing %d queued messages" ep.sid
-          pid (Itbl.length p.outbox));
-    in_seq_order p (fun e -> e.o_live)
-    |> List.iter (fun (seq, e) ->
-           Option.iter Engine.disarm e.o_timer;
-           transmit tr ep p ~dst:pid ~acks:[] ~probe:false ~seq e)
+  let q = p.q in
+  if q != no_queues then begin
+    q.strikes <- 0;
+    if q.suspect then begin
+      q.suspect <- false;
+      Log.debug (fun m ->
+          m "snode %d: snode %d answered; flushing %d queued messages" ep.sid
+            pid (Itbl.length q.outbox));
+      in_seq_order q (fun e -> e.o_live)
+      |> List.iter (fun (seq, e) ->
+             Option.iter Engine.disarm e.o_timer;
+             transmit tr ep p ~dst:pid ~acks:[] ~probe:false ~seq e)
+    end
   end
 
 (* Every network delivery lands here: a down endpoint absorbs everything
@@ -669,18 +737,19 @@ and receive tr ep ~from msg =
     | Wire.Req { seq; payload } ->
         let p = peer_of ep from in
         let fresh =
-          if seq = p.floor + 1 && Itbl.length p.seen = 0 then begin
+          if seq = p.floor + 1 && Itbl.length p.q.seen = 0 then begin
             (* In order with no gap pending: the floor just moves up. *)
             p.floor <- seq;
             true
           end
-          else if seq > p.floor && not (Itbl.mem p.seen seq) then begin
-            seen_add p seq;
-            while Itbl.mem p.seen (p.floor + 1) do
-              Itbl.remove p.seen (p.floor + 1);
+          else if seq > p.floor && not (Itbl.mem p.q.seen seq) then begin
+            let q = queues_of ep p in
+            seen_add q seq;
+            while Itbl.mem q.seen (p.floor + 1) do
+              Itbl.remove q.seen (p.floor + 1);
               p.floor <- p.floor + 1
             done;
-            release_seen p;
+            release_seen q;
             true
           end
           else false
@@ -692,6 +761,7 @@ and receive tr ep ~from msg =
            payload provokes just below. *)
         post tr ep ~dst:from (Wire.Ack { seq; floor = p.floor });
         peer_answered tr ep p ~pid:from;
+        settle ep p;
         if fresh then begin
           match payload with
           | Wire.Batch parts ->
@@ -711,15 +781,19 @@ let crash tr sid =
   ep.up <- false;
   Itbl.iter
     (fun _ p ->
-      p.suspect <- false;
-      p.strikes <- 0;
       (* RTT estimates are soft state, like suspicions. *)
       p.rtt <- no_rtt;
-      Itbl.iter
-        (fun _ e ->
-          Option.iter Engine.disarm e.o_timer;
-          e.o_attempts <- 0)
-        p.outbox)
+      let q = p.q in
+      if q != no_queues then begin
+        q.suspect <- false;
+        q.strikes <- 0;
+        Itbl.iter
+          (fun _ e ->
+            Option.iter Engine.disarm e.o_timer;
+            e.o_attempts <- 0)
+          q.outbox;
+        settle ep p
+      end)
     ep.peers;
   Itbl.iter (fun _ ob -> Engine.disarm ob.ob_fl.fl_timer) ep.obufs
 
@@ -730,13 +804,17 @@ let restart tr sid =
      through the backlog, so the restart burst respects the window too. *)
   Itbl.iter
     (fun pid p ->
-      p.backlog <- no_backlog;
-      p.live <- 0;
-      in_seq_order p (fun _ -> true)
-      |> List.iter (fun (seq, e) ->
-             e.o_live <- false;
-             backlog_add p seq);
-      refill_window tr ep p ~pid)
+      let q = p.q in
+      if q != no_queues then begin
+        q.backlog <- no_backlog;
+        q.live <- 0;
+        in_seq_order q (fun _ -> true)
+        |> List.iter (fun (seq, e) ->
+               e.o_live <- false;
+               backlog_add q seq);
+        refill_window tr ep p ~pid;
+        settle ep p
+      end)
     ep.peers;
   (* Flush timers died with the crash; anything still staged (on a
      buffer that kept its flusher) goes out one linger window from now. *)
@@ -767,8 +845,12 @@ let flush_lingering tr =
    still in the outbox, so it weighs twice. *)
 let queue_depth tr sid =
   Itbl.fold
-    (fun _ p acc -> acc + Itbl.length p.outbox + Queue.length p.backlog)
+    (fun _ p acc -> acc + Itbl.length p.q.outbox + Queue.length p.q.backlog)
     tr.eps.(sid).peers 0
+
+(* A queue record as it waits on a free list: nothing held, nothing
+   counted. *)
+let blank q = idle q && q.live = 0 && not q.grown
 
 (* Bounded-queue audit: the structural invariants of the degradation layer,
    and the footprint rule that a drained queue is released. Cheap enough to
@@ -776,6 +858,11 @@ let queue_depth tr sid =
 let audit tr =
   let issues = ref [] in
   let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
+  if
+    not
+      (blank no_queues && no_queues.oldest = 0
+      && no_queues.q_next == no_queues)
+  then fail "the shared idle queue record was written";
   Array.iter
     (fun ep ->
       if Itbl.length ep.spare > 0 then
@@ -783,24 +870,38 @@ let audit tr =
           (Itbl.length ep.spare);
       Itbl.iter
         (fun pid p ->
+          let q = p.q in
           let unreleased what =
             fail "snode %d -> %d: drained %s not released" ep.sid pid what
           in
-          if stale_seen p then unreleased "dedup window";
-          if stale_backlog p then unreleased "backlog";
-          if stale_outbox p then unreleased "outbox";
+          if stale_seen q then unreleased "dedup window";
+          if stale_backlog q then unreleased "backlog";
+          if stale_outbox q then unreleased "outbox";
+          if q != no_queues && idle q then
+            fail "snode %d -> %d: idle peer holds a queue record" ep.sid pid;
           let live =
             Itbl.fold
               (fun _ e acc -> if e.o_live then acc + 1 else acc)
-              p.outbox 0
+              q.outbox 0
           in
-          if live <> p.live then
+          if live <> q.live then
             fail "snode %d -> %d: window accounting drift (%d counted, %d live)"
-              ep.sid pid p.live live;
-          if tr.max_inflight > 0 && p.live > tr.max_inflight then
+              ep.sid pid q.live live;
+          if tr.max_inflight > 0 && q.live > tr.max_inflight then
             fail "snode %d -> %d: %d in flight exceeds the window of %d"
-              ep.sid pid p.live tr.max_inflight)
+              ep.sid pid q.live tr.max_inflight)
         ep.peers;
+      (* Free queue records are blank. A record is only made when the free
+         list is empty, so there are never more than peers; the bound also
+         stops a cycle from hanging the walk. *)
+      let free = ref 0 and q = ref ep.free_q in
+      while !q != no_queues && !free <= Itbl.length ep.peers do
+        if not (blank !q) then fail "snode %d: free queue record in use" ep.sid;
+        incr free;
+        q := !q.q_next
+      done;
+      if !free > Itbl.length ep.peers then
+        fail "snode %d: more free queue records than peers" ep.sid;
       (* The flush-timer pool: every flusher ever made is either free and
          disarmed or attached to the one buffer it points back at, and
          staged parts on an up endpoint always have an armed timer. The
@@ -883,6 +984,6 @@ let peer_samples tr =
          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
          |> List.map (fun (pid, p) ->
                 { ps_observer = ep.sid; ps_peer = pid; ps_srtt = p.rtt.srtt;
-                  ps_rttvar = p.rtt.rttvar; ps_strikes = p.strikes;
-                  ps_suspect = p.suspect; ps_outbox = Itbl.length p.outbox;
-                  ps_backlog = Queue.length p.backlog }))
+                  ps_rttvar = p.rtt.rttvar; ps_strikes = p.q.strikes;
+                  ps_suspect = p.q.suspect; ps_outbox = Itbl.length p.q.outbox;
+                  ps_backlog = Queue.length p.q.backlog }))

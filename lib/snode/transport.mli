@@ -99,10 +99,12 @@ val audit : t -> string list
     its outbox and stay within [max_inflight]. Also the footprint rule:
     a peer's drained dedup window and backlog, and its drained outbox
     unless that table grew, are released back to the shared empty
-    sentinel. And the flush-timer pool: every flusher an endpoint made is
-    either on its free list, disarmed, or attached to exactly one
-    coalescing buffer, and a buffer with staged parts on an up endpoint
-    has an armed timer. Empty when sound. *)
+    sentinel. An idle peer (every queue released, route unsuspected)
+    holds no private queue record, free records are blank and the shared
+    idle record was never written. And the flush-timer pool: every flusher
+    an endpoint made is either on its free list, disarmed, or attached to
+    exactly one coalescing buffer, and a buffer with staged parts on an up
+    endpoint has an armed timer. Empty when sound. *)
 
 (** A broken flush-timer pool, planted by {!plant_pool_fault}. *)
 type pool_fault =

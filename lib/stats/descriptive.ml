@@ -19,14 +19,6 @@ let moment2_about xs about =
   let acc = Array.map (fun x -> (x -. about) *. (x -. about)) xs in
   sum acc
 
-let stddev_population xs =
-  let n = Array.length xs in
-  if n < 1 then 0. else sqrt (moment2_about xs (mean xs) /. float_of_int n)
-
-let stddev_sample xs =
-  let n = Array.length xs in
-  if n < 2 then 0. else sqrt (moment2_about xs (mean xs) /. float_of_int (n - 1))
-
 let stddev_about xs ~about =
   let n = Array.length xs in
   if n < 1 then 0. else sqrt (moment2_about xs about /. float_of_int n)

@@ -10,12 +10,6 @@ val sum : float array -> float
 val mean : float array -> float
 (** Arithmetic mean; [0.] for an empty array. *)
 
-val stddev_population : float array -> float
-(** Population standard deviation (divide by [n]); [0.] when [n < 1]. *)
-
-val stddev_sample : float array -> float
-(** Sample standard deviation (divide by [n - 1]); [0.] when [n < 2]. *)
-
 val rel_stddev_about : float array -> about:float -> float
 (** The root mean square deviation of [xs] from the fixed value [about],
     divided by [about] — the paper's σ̄(Qv, Q̄v) with Q̄v the ideal

@@ -13,4 +13,3 @@ let add_run t curve =
   Array.iteri (fun i x -> Welford.add t.cells.(i) x) curve
 
 let mean t = Array.map Welford.mean t.cells
-let stddev t = Array.map Welford.stddev_population t.cells

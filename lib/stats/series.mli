@@ -23,6 +23,3 @@ val add_run : t -> float array -> unit
 
 val mean : t -> float array
 (** Per-index mean across runs; zeros when no run was added. *)
-
-val stddev : t -> float array
-(** Per-index population standard deviation across runs. *)

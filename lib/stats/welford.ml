@@ -1,32 +1,19 @@
-type t = { mutable n : int; mutable mean : float; mutable m2 : float }
+type t = { mutable n : int; mutable mean : float }
 
-let create () = { n = 0; mean = 0.; m2 = 0. }
+let create () = { n = 0; mean = 0. }
 
 let add t x =
   t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n)
 
 let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
-let variance_population t = if t.n < 1 then 0. else t.m2 /. float_of_int t.n
-let variance_sample t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-let stddev_population t = sqrt (variance_population t)
-let stddev_sample t = sqrt (variance_sample t)
 
 let merge a b =
-  if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2 }
-  else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2 }
+  if a.n = 0 then { n = b.n; mean = b.mean }
+  else if b.n = 0 then { n = a.n; mean = a.mean }
   else begin
     let n = a.n + b.n in
-    let na = float_of_int a.n and nb = float_of_int b.n in
     let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. nb /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. float_of_int n) in
-    { n; mean; m2 }
+    { n; mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "welford{n=%d; mean=%g; sd=%g}" t.n (mean t)
-    (stddev_population t)

@@ -1,4 +1,4 @@
-(** Online mean/variance accumulation (Welford's algorithm).
+(** Online mean accumulation (Welford's update).
 
     Numerically stable single-pass accumulation, used by the simulators to
     track metric streams without storing them. *)
@@ -18,16 +18,6 @@ val count : t -> int
 val mean : t -> float
 (** Arithmetic mean of the observations; [0.] when empty. *)
 
-val stddev_population : t -> float
-(** Population standard deviation (divide by [n]); [0.] when fewer than 1
-    observation. *)
-
-val stddev_sample : t -> float
-(** Sample standard deviation (divide by [n - 1]); [0.] when fewer than 2
-    observations. *)
-
 val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator equivalent to having folded all
     observations of [a] and [b] (Chan's parallel combination). *)
-
-val pp : Format.formatter -> t -> unit

@@ -65,7 +65,6 @@ let observe t x =
 let count t = Welford.count t.moments
 let sum t = Welford.mean t.moments *. float_of_int (count t)
 let mean t = Welford.mean t.moments
-let stddev t = Welford.stddev_population t.moments
 let max_value t = t.vmax
 
 let buckets t =

@@ -3,9 +3,9 @@
     Unlike {!Dht_stats.Histogram} (fixed-width bins over a closed range),
     buckets here grow geometrically from [lo]: bucket [i] covers
     [\[lo·growth^i, lo·growth^(i+1))], so a single histogram spans
-    microseconds to minutes with bounded relative error. Exact first and
-    second moments ride along in a {!Dht_stats.Welford} accumulator, so
-    [mean]/[stddev] do not suffer bucketing error.
+    microseconds to minutes with bounded relative error. The exact mean
+    rides along in a {!Dht_stats.Welford} accumulator, so [mean] does not
+    suffer bucketing error.
 
     Two histograms with the same geometry can be {!merge}d (bucket-exact,
     associative on counts), which is what makes per-shard collection and
@@ -32,9 +32,6 @@ val sum : t -> float
 
 val mean : t -> float
 (** Exact mean (Welford), [0.] when empty. *)
-
-val stddev : t -> float
-(** Exact population standard deviation (Welford). *)
 
 val max_value : t -> float
 (** Largest observation; [nan] when empty. *)

@@ -122,7 +122,16 @@ let gossip_cluster ~snodes ~seed ~policy =
   Runtime.run rt;
   rt
 
-let view_staleness rt ~snodes (entries : Summary.t list) =
+(* Readers of [Runtime.lb_views], which lists the snodes in order. *)
+let version_of views sid =
+  let _, version, _ = List.nth views sid in
+  version
+
+let view_of views sid =
+  let _, _, entries = List.nth views sid in
+  entries
+
+let view_staleness views ~snodes (entries : Summary.t list) =
   let origins = List.init snodes Fun.id in
   let missing =
     List.length
@@ -135,7 +144,7 @@ let view_staleness rt ~snodes (entries : Summary.t list) =
   let lag =
     List.fold_left
       (fun acc (s : Summary.t) ->
-        max acc (Runtime.lb_version rt s.Summary.origin - s.Summary.version))
+        max acc (version_of views s.Summary.origin - s.Summary.version))
       0 entries
   in
   (missing, lag)
@@ -160,8 +169,8 @@ let test_gossip_convergence_100_seeds () =
     Runtime.run rt;
     let first = Runtime.lb_views rt in
     List.iter
-      (fun (sid, entries) ->
-        let missing, lag = view_staleness rt ~snodes entries in
+      (fun (sid, _, entries) ->
+        let missing, lag = view_staleness first ~snodes entries in
         if missing > 0 then
           Alcotest.failf "seed %d: snode %d missing %d origins" seed sid
             missing;
@@ -173,8 +182,8 @@ let test_gossip_convergence_100_seeds () =
       ~until:(Engine.now engine +. (5. *. policy.Policy.gossip_interval));
     Runtime.run rt;
     List.iter
-      (fun (sid, entries) ->
-        let before = List.assoc sid first in
+      (fun (sid, _, entries) ->
+        let before = view_of first sid in
         List.iter
           (fun (s : Summary.t) ->
             match
@@ -203,24 +212,24 @@ let test_crash_resets_soft_state_keeps_version () =
   Runtime.arm_balancer rt ~until:(Engine.now engine +. 0.1);
   Runtime.run rt;
   let victim = 1 in
-  let v_before = Runtime.lb_version rt victim in
+  let v_before = version_of (Runtime.lb_views rt) victim in
   Alcotest.(check bool) "victim gossiped" true (v_before > 0);
   Alcotest.(check bool)
     "victim view populated" true
-    (List.assoc victim (Runtime.lb_views rt) <> []);
+    (view_of (Runtime.lb_views rt) victim <> []);
   Runtime.crash_snode rt victim;
   Alcotest.(check (list reject))
     "gossip view is soft state: reset on crash" []
-    (List.assoc victim (Runtime.lb_views rt));
+    (view_of (Runtime.lb_views rt) victim);
   check Alcotest.int "version counter is durable" v_before
-    (Runtime.lb_version rt victim);
+    (version_of (Runtime.lb_views rt) victim);
   Runtime.restart_snode rt victim;
   Runtime.run rt;
   Runtime.arm_balancer rt ~until:(Engine.now engine +. 0.3);
   Runtime.run rt;
   Alcotest.(check bool)
     "restarted summary supersedes pre-crash gossip" true
-    (Runtime.lb_version rt victim > v_before)
+    (version_of (Runtime.lb_views rt) victim > v_before)
 
 let test_heat_cells_reset_on_crash () =
   (* Regression: per-partition heat EWMA cells are soft state like the

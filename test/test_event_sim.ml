@@ -14,7 +14,7 @@ let test_heap_orders_random_input () =
   let rng = Rng.of_int 1 in
   let h = Heap.create ~dummy:(-1) () in
   let times = Array.init 500 (fun _ -> Rng.float rng) in
-  Array.iteri (fun i time -> Heap.push h ~time ~seq:i i) times;
+  Array.iteri (fun i time -> ignore (Heap.push h ~time ~seq:i i)) times;
   check Alcotest.int "length" 500 (Heap.length h);
   let last = ref neg_infinity in
   let popped = ref 0 in
@@ -32,7 +32,7 @@ let test_heap_orders_random_input () =
 let test_heap_fifo_at_equal_times () =
   let h = Heap.create ~dummy:0 () in
   for i = 0 to 9 do
-    Heap.push h ~time:1. ~seq:i i
+    ignore (Heap.push h ~time:1. ~seq:i i)
   done;
   for i = 0 to 9 do
     check Alcotest.int "fifo" i (Heap.pop_min h)
@@ -45,8 +45,8 @@ let test_heap_peek () =
       ignore (Heap.min_time h));
   Alcotest.check_raises "empty pop_min"
     (Invalid_argument "Heap.pop_min: empty heap") (fun () -> Heap.pop_min h);
-  Heap.push h ~time:3. ~seq:0 ();
-  Heap.push h ~time:1. ~seq:1 ();
+  ignore (Heap.push h ~time:3. ~seq:0 ());
+  ignore (Heap.push h ~time:1. ~seq:1 ());
   check (Alcotest.float 0.) "min time" 1. (Heap.min_time h);
   check Alcotest.int "min_time does not pop" 2 (Heap.length h)
 
@@ -60,7 +60,7 @@ let test_heap_popped_payload_unreachable () =
     let payload = ref i in
     Weak.set weak i (Some payload);
     (* Reverse times, so the popped half is not the first half pushed. *)
-    Heap.push h ~time:(float_of_int (n - i)) ~seq:i payload
+    ignore (Heap.push h ~time:(float_of_int (n - i)) ~seq:i payload)
   done;
   for _ = 1 to n / 2 do
     ignore (Sys.opaque_identity (Heap.pop_min h))
@@ -151,6 +151,7 @@ type op =
   | Cancel of int
   | Arm of int * float
   | Disarm of int
+  | Release of int
   | Step
   | Run_until of float
 
@@ -162,6 +163,7 @@ let pp_op = function
   | Cancel i -> Printf.sprintf "cancel %d" i
   | Arm (i, d) -> Printf.sprintf "arm %d %g" i d
   | Disarm i -> Printf.sprintf "disarm %d" i
+  | Release i -> Printf.sprintf "release %d" i
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run-until+%g" d
 
@@ -180,6 +182,7 @@ let script_arb =
         (2, map (fun i -> Cancel i) (int_bound 7));
         (2, map2 (fun i d -> Arm (i, d)) (int_bound (n_timers - 1)) delay);
         (1, map (fun i -> Disarm i) (int_bound (n_timers - 1)));
+        (1, map (fun i -> Release i) (int_bound (n_timers - 1)));
         (3, return Step);
         (1, map (fun d -> Run_until d) delay);
       ]
@@ -240,6 +243,9 @@ let run_engine script =
         | Disarm i ->
             Engine.disarm timers.(i);
             false
+        | Release i ->
+            Engine.release timers.(i);
+            false
         | Step -> Engine.step e
         | Run_until d ->
             Engine.run ~until:(Engine.now e +. d) e;
@@ -277,6 +283,8 @@ let run_model script =
   in
   let handles = ref [||] (* `Pending | `Fired | `Cancelled *) in
   let armed = Array.make n_timers false and deadline = Array.make n_timers 0. in
+  (* A released timer may be armed again, but never runs its callback. *)
+  let released = Array.make n_timers false in
   let fire id = log := (id, !clock) :: !log in
   let step () =
     match !queue with
@@ -298,7 +306,7 @@ let run_model script =
         | Trampoline i ->
             if armed.(i) && !clock >= deadline.(i) then begin
               armed.(i) <- false;
-              fire (-1 - i)
+              if not released.(i) then fire (-1 - i)
             end);
         true
   in
@@ -338,6 +346,10 @@ let run_model script =
             false
         | Disarm i ->
             armed.(i) <- false;
+            false
+        | Release i ->
+            armed.(i) <- false;
+            released.(i) <- true;
             false
         | Step -> step ()
         | Run_until d ->
@@ -420,6 +432,51 @@ let test_engine_cancellable () =
   (* Cancelling after firing (or twice) is a no-op. *)
   Engine.cancel h1;
   Engine.cancel h2
+
+(* A dead timer's queue entry stays, but stops pinning its callback: after
+   [cancel], and after [release] of a reusable slot, whatever the callback
+   captured can be collected at once, and so can the released slot itself,
+   while the entries still dispatch as no-ops, so the dispatch count and
+   the final clock are those of a run where both callbacks fire. *)
+let test_engine_dead_entries_unpin () =
+  let run ~drop =
+    let e = Engine.create () in
+    let weak = Weak.create 2 and slot = Weak.create 1 in
+    let fired = ref 0 in
+    (* Built apart, so no capture stays in this frame's registers. *)
+    let callback i =
+      let captured = ref i in
+      Weak.set weak i (Some captured);
+      fun () -> fired := !fired + !captured + 1
+    in
+    let timer () =
+      let tm = Engine.timer e (callback 1) in
+      Weak.set slot 0 (Some tm);
+      tm
+    in
+    let h = Engine.schedule_cancellable e ~delay:2. (callback 0) in
+    let tm = timer () in
+    Engine.arm tm ~delay:3.;
+    Engine.schedule e ~delay:1. ignore;
+    if drop then begin
+      Engine.cancel h;
+      Engine.release tm
+    end;
+    Gc.full_major ();
+    let pinned = (Weak.check weak 0, Weak.check weak 1, Weak.check slot 0) in
+    Engine.run e;
+    (pinned, !fired, Engine.dispatched e, Engine.now e)
+  in
+  let pinned, fired, count, clock = run ~drop:true in
+  check
+    Alcotest.(triple bool bool bool)
+    "captures and released slot collectable" (false, false, false) pinned;
+  check Alcotest.int "nothing fired" 0 fired;
+  let _, fired', count', clock' = run ~drop:false in
+  check Alcotest.int "both fire when kept" 3 fired';
+  check Alcotest.int "dead entries still dispatched" count' count;
+  check (Alcotest.float 0.) "clock crosses the dead entries" clock' clock;
+  check (Alcotest.float 0.) "last entry at the timer's deadline" 3. clock
 
 (* --- Fault plan --- *)
 
@@ -686,6 +743,8 @@ let suite =
     Alcotest.test_case "network delivery order" `Quick
       test_network_delivery_order;
     Alcotest.test_case "link validation" `Quick test_link_validation;
+    Alcotest.test_case "engine dead entries unpin their callbacks" `Quick
+      test_engine_dead_entries_unpin;
     Alcotest.test_case "engine cancellable timers" `Quick
       test_engine_cancellable;
     Alcotest.test_case "fault validation" `Quick test_fault_validation;

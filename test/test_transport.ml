@@ -306,6 +306,50 @@ let test_pool_audit () =
   expect "staged, disarmed" Transport.Disarm_staged
     "snode 0 -> 1: staged parts without an armed flush timer"
 
+(* An acked message is let go at once, not at its retransmission deadline.
+   Eight payloads go reliably from snode 0 to 1 with a 1 ms RTO; once all
+   are delivered and acked, their timers' queue entries are still waiting
+   for that deadline, yet nothing holds the payloads any more. Then the
+   dead entries dispatch as no-ops and the run ends sound. *)
+let test_acked_payloads_collectable () =
+  let engine = Engine.create () in
+  let faults = Fault.create ~seed:1 () in
+  let net = Network.create ~faults engine Network.gigabit in
+  let got = ref 0 in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> incr got)
+  in
+  let n = 8 in
+  let weak = Weak.create n in
+  (* Built apart, so no payload stays in this frame's registers. *)
+  let send i =
+    let msg = Wire.Busy { token = Sys.opaque_identity i } in
+    Weak.set weak i (Some msg);
+    Transport.send tr ~src:0 ~dst:1 msg
+  in
+  for i = 0 to n - 1 do
+    send i
+  done;
+  while Transport.queue_depth tr 0 > 0 && Engine.step engine do
+    ()
+  done;
+  check Alcotest.int "all delivered" n !got;
+  check Alcotest.int "outboxes drained" 0 (Transport.queue_depth tr 0);
+  check Alcotest.bool "retransmission deadlines still queued" true
+    (Engine.pending engine > 0 && Engine.now engine < 1e-3);
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check Alcotest.bool (Printf.sprintf "payload %d collectable" i) false
+      (Weak.check weak i)
+  done;
+  Engine.run engine;
+  check Alcotest.int "no retransmission" 0
+    (Transport.counters tr).Transport.retransmits;
+  check Alcotest.(list string) "audit" [] (Transport.audit tr)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -315,4 +359,6 @@ let suite =
       test_grown_outbox_order;
     Alcotest.test_case "the audit catches a broken flush-timer pool" `Quick
       test_pool_audit;
+    Alcotest.test_case "acked payloads can be collected" `Quick
+      test_acked_payloads_collectable;
   ]
