@@ -3,7 +3,7 @@
 
     python3 .github/scripts/dead_exports.py [REPO_DIR]
 
-Run from the repository root (or pass it). The scan has two parts.
+Run from the repository root (or pass it). The scan has three parts.
 
 Values. Every `val NAME` declared in a `lib/**/*.mli` is searched for as a
 word in the code of the `.ml` files under lib/, bin/, bench/, perfbench/ and
@@ -26,9 +26,30 @@ do not count, and neither do comments and strings (a doc link such as
 `{!Dht_stats.Histogram}` is not a use). A module that no file under lib/,
 bin/, bench/, perfbench/ or examples/ refers to is listed.
 
-The scan fails (exit 1) if any module is listed, if more than MAX_VALUES
-values are listed, or if a listed value's doc comment in its `.mli` has no
-line containing "Needed by" naming the test or tool that keeps it exported.
+Knobs. Every optional argument (`?x:`) in the type of a `val` of a
+`lib/**/*.mli` is looked for at the calls of its function. A call is a
+word occurrence of the function's name that is qualified by the enclosing
+module's name (`Runtime.create`, `Keygen.Population.create`), by an alias
+of it (`module R = Dht_snode.Runtime`, `let module R = ... in`), or that
+is unqualified in the module's own `.ml` or in a file that opens the
+module; a `let` or `and` that defines the name is not a call. The labels
+(`~x`, `~x:e`, `?x`, `?x:e`) at bracket depth 0 after the name, up to the
+first keyword, operator, separator or unmatched closing bracket, are what
+the call sets; forwarding an option (`f ?x`) sets it too. Modules are told
+apart by name only, so a name shared by two modules (the two `Registry`
+and the two `Trace` modules) counts as set for both, and a function passed
+as an argument (`g M.f ~x`) gets the labels after it: where in doubt, the
+scan counts a knob as set. It cannot see a call through a value bound
+under another name (`let f = M.g in f ~x`); give the labels at the named
+call instead. A knob that no call under lib/, bin/, bench/, perfbench/ or
+examples/ sets is listed, marked "test-only" (printed as information) when
+a test/ file sets it and "unset" otherwise. An unset knob is a
+configuration nobody runs: replace it with the constant it defaults to.
+
+The scan fails (exit 1) if any module or unset knob is listed, if more
+than MAX_VALUES values are listed, or if a listed value's doc comment in
+its `.mli` has no line containing "Needed by" naming the test or tool that
+keeps it exported.
 """
 
 import os
@@ -184,6 +205,129 @@ def scan_modules(code):
     return listed
 
 
+IDENT = r"[a-z_][A-Za-z0-9_']*"
+MOD = r"[A-Z][A-Za-z0-9_']*"
+OPT_ARG = re.compile(r"\?(" + IDENT + r")\s*:")
+SIG_OPEN = re.compile(r"\s*module\s+(" + MOD + r")\s*:\s*sig\b")
+SIG_END = re.compile(r"\s*end\b")
+VAL_TYPE = re.compile(r"\s*val\s+(" + IDENT + r")\s*:")
+ALIAS = re.compile(r"\bmodule\s+(" + MOD + r")\s*=\s*(" + MOD
+                   + r"(?:\s*\.\s*" + MOD + r")*)")
+QUALIFIER = re.compile(r"(" + MOD + r")\s*\.\s*$")
+TOKEN = re.compile(r"""\s*(?:
+    (?P<label>[~?]""" + IDENT + r""")(?![A-Za-z0-9_'])
+  | (?P<open>[(\[{]|\bbegin\b|\bstruct\b|\bsig\b|\bobject\b)
+  | (?P<close>[)\]}]|\bend\b)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_']*|[0-9][0-9A-Za-z_.']*)
+  | (?P<sym>[!$%&*+\-./:<=>?@^|~#;,`]+))""", re.X)
+# Keywords that end an application at depth 0.
+STOP_WORDS = {"in", "then", "else", "with", "do", "done", "let", "and",
+              "when", "of", "to", "downto", "match", "if", "fun", "function",
+              "or", "mod", "land", "lor", "lxor", "lsl", "lsr", "asr", "val",
+              "type", "module", "open", "try", "while", "for", "include",
+              "external", "exception"}
+# Symbols that may sit inside one argument (`~x:r.f`, `~x:!r`, `~x:`A`).
+ARG_SYMS = {".", "!", ":", "#", "`"}
+
+
+def labels_after(text, i):
+    """The labels of the application whose function name ends at I."""
+    found, depth = set(), 0
+    while True:
+        m = TOKEN.match(text, i)
+        if not m or m.end() == i:
+            return found
+        i = m.end()
+        if m.group("open"):
+            depth += 1
+        elif m.group("close"):
+            depth -= 1
+            if depth < 0:
+                return found
+        elif depth == 0:
+            if m.group("label"):
+                found.add(m.group("label")[1:])
+            elif m.group("word") in STOP_WORDS or (
+                    m.group("sym") and m.group("sym") not in ARG_SYMS):
+                return found
+
+
+def declared_knobs(text):
+    """Yield (module, value, optional arguments) for each `val` of a
+    comment-stripped interface; module is the innermost `module M : sig`
+    around it, None at top level. Arguments of a callback's type (inside
+    brackets) are not the value's own."""
+    lines = text.split("\n")
+    inner = []
+    for i, line in enumerate(lines):
+        m = SIG_OPEN.match(line)
+        if m:
+            inner.append(m.group(1))
+            continue
+        if SIG_END.match(line) and inner:
+            inner.pop()
+            continue
+        m = VAL_TYPE.match(line)
+        if not m:
+            continue
+        j = i + 1
+        while j < len(lines) and not ITEM_START.match(lines[j]):
+            j += 1
+        ty = "\n".join(lines[i:j])[m.end():]
+        depth, args = 0, []
+        for k, c in enumerate(ty):
+            depth += (c in "([{") - (c in ")]}")
+            if c == "?" and depth == 0:
+                arg = OPT_ARG.match(ty, k)
+                if arg:
+                    args.append(arg.group(1))
+        yield (inner[-1] if inner else None), m.group(1), args
+
+
+def set_labels(mod, fn, own_ml, files):
+    """Labels that some call of MOD.FN in FILES gives."""
+    call = word(fn)
+    opens = re.compile(r"\b(?:open!?|include)\s+(?:" + MOD + r"\.)*" + mod
+                       + r"\b|\b" + mod + r"\.\(")
+    found = set()
+    for path, text in files.items():
+        aliases = {a: p.split(".")[-1].strip() for a, p in ALIAS.findall(text)}
+        sees = path == own_ml or opens.search(text)
+        for m in call.finditer(text):
+            before = text[max(0, m.start() - 80):m.start()]
+            q = QUALIFIER.search(before)
+            if q:
+                if aliases.get(q.group(1), q.group(1)) != mod:
+                    continue
+            elif before.rstrip().endswith(".") or not sees:
+                continue
+            elif DEFINED_BY.search(before):
+                continue
+            found |= labels_after(text, m.end())
+    return found
+
+
+def scan_knobs(sources, code, tests):
+    ml_code = {p: t for p, t in code.items() if p.endswith(".ml")}
+    listed = []
+    interfaces = (p for p in sources
+                  if p.startswith("lib" + os.sep) and p.endswith(".mli"))
+    for mli in sorted(interfaces):
+        base = os.path.splitext(os.path.basename(mli))[0].capitalize()
+        for sub, fn, args in declared_knobs(code[mli]):
+            if not args:
+                continue
+            mod = sub or base
+            live = set_labels(mod, fn, mli[:-1], ml_code)
+            tested = set_labels(mod, fn, None, tests)
+            name = "%s.%s" % (base + ("." + sub if sub else ""), fn)
+            for arg in args:
+                if arg not in live:
+                    kind = "test-only" if arg in tested else "unset"
+                    listed.append((mli, name, arg, kind))
+    return listed
+
+
 def main():
     if len(sys.argv) > 1:
         os.chdir(sys.argv[1])
@@ -193,15 +337,21 @@ def main():
              for p, t in read_tree((TEST_ROOT,), (".ml",)).items()}
     values = scan_values(sources, code, tests)
     modules = scan_modules(code)
+    knobs = scan_knobs(sources, code, tests)
     ok = True
     for mli, name, kind, documented in values:
         note = "" if documented else "  <- no \"%s\" line" % NEEDED_BY
         print("value  %-9s %s: %s%s" % (kind, mli, name, note))
     for m in modules:
         print("module unused    %s" % m)
+    for mli, name, arg, kind in knobs:
+        print("knob   %-9s %s: %s ?%s" % (kind, mli, name, arg))
     test_only = sum(1 for v in values if v[2] == "test-only")
-    print("%d values listed (%d test-only, %d unused), %d modules listed"
-          % (len(values), test_only, len(values) - test_only, len(modules)))
+    unset = [k for k in knobs if k[3] == "unset"]
+    print("%d values listed (%d test-only, %d unused), %d modules listed, "
+          "%d knobs listed (%d test-only, %d unset)"
+          % (len(values), test_only, len(values) - test_only, len(modules),
+             len(knobs), len(knobs) - len(unset), len(unset)))
     if len(values) > MAX_VALUES:
         print("::error::%d values have no caller outside tests "
               "(at most %d allowed)" % (len(values), MAX_VALUES))
@@ -212,6 +362,10 @@ def main():
         ok = False
     if modules:
         print("::error::%d lib modules have no non-test user" % len(modules))
+        ok = False
+    if unset:
+        print("::error::%d optional arguments are set by no caller; replace "
+              "each with its default" % len(unset))
         ok = False
     sys.exit(0 if ok else 1)
 

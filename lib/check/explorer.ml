@@ -126,8 +126,8 @@ let shrink sc (sched : Schedule.t) =
 
 type kind = [ `Delay | `Drop | `Crash | `Flush ]
 
-let random_tweaks rng ~kinds ~max_tweaks ~sites ~snodes ~delay_scale
-    ~down_time =
+(* A delay stretches delivery by up to 5 ms; a crash lasts 50 ms. *)
+let random_tweaks rng ~kinds ~max_tweaks ~sites ~snodes =
   let kinds = Array.of_list kinds in
   let n = 1 + Rng.int rng max_tweaks in
   List.init n (fun _ ->
@@ -135,10 +135,11 @@ let random_tweaks rng ~kinds ~max_tweaks ~sites ~snodes ~delay_scale
       match kinds.(Rng.int rng (Array.length kinds)) with
       | `Delay ->
           Schedule.Delay
-            { site; by = delay_scale *. float_of_int (1 + Rng.int rng 100) /. 100. }
+            { site; by = 5e-3 *. float_of_int (1 + Rng.int rng 100) /. 100. }
       | `Drop -> Schedule.Drop { site }
       | `Crash ->
-          Schedule.Crash { site; snode = Rng.int rng (max 1 snodes); down = down_time }
+          Schedule.Crash
+            { site; snode = Rng.int rng (max 1 snodes); down = 0.05 }
       | `Flush -> Schedule.Flush { site })
 
 (* Sweep seeds; for each, measure the unperturbed run's decision-site
@@ -146,9 +147,9 @@ let random_tweaks rng ~kinds ~max_tweaks ~sites ~snodes ~delay_scale
    from it. The first failing schedule is shrunk and returned. A seed
    whose {e baseline} already fails is returned as-is (empty tweak list)
    — the bug needs no adversary. [on_progress] sees every run. *)
-let explore ?(rounds = 20) ?(max_tweaks = 4) ?(delay_scale = 5e-3)
-    ?(down_time = 0.05) ?(kinds = ([ `Delay; `Drop; `Crash; `Flush ] : kind list))
-    ?on_progress sc ~seeds =
+let explore ?(rounds = 20) ?(max_tweaks = 4)
+    ?(kinds = ([ `Delay; `Drop; `Crash; `Flush ] : kind list)) ?on_progress sc
+    ~seeds =
   let note o = match on_progress with Some f -> f o | None -> () in
   let found = ref None in
   (try
@@ -167,7 +168,7 @@ let explore ?(rounds = 20) ?(max_tweaks = 4) ?(delay_scale = 5e-3)
            if !found = None then begin
              let tweaks =
                random_tweaks rng ~kinds ~max_tweaks ~sites:b.sites
-                 ~snodes:b.snodes ~delay_scale ~down_time
+                 ~snodes:b.snodes
              in
              let o = run sc { base with tweaks } in
              note o;

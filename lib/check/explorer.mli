@@ -50,8 +50,6 @@ type kind = [ `Delay | `Drop | `Crash | `Flush ]
 val explore :
   ?rounds:int ->
   ?max_tweaks:int ->
-  ?delay_scale:float ->
-  ?down_time:float ->
   ?kinds:kind list ->
   ?on_progress:(outcome -> unit) ->
   scenario ->
@@ -61,7 +59,6 @@ val explore :
     the unperturbed baseline (a baseline failure is returned immediately,
     with an empty tweak list), then tries [rounds] (default 20) random
     tweak sets of at most [max_tweaks] (default 4) perturbations drawn
-    from [kinds] (default all four). [delay_scale] (default 5 ms) bounds
-    delivery stretching; [down_time] (default 50 ms) is the injected
-    crash duration. The first failure found is shrunk and returned;
-    [None] means every run passed. *)
+    from [kinds] (default all four). A delay stretches delivery by up to
+    5 ms; an injected crash lasts 50 ms. The first failure found is
+    shrunk and returned; [None] means every run passed. *)

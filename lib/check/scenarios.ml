@@ -16,15 +16,15 @@ module Fault = Dht_event_sim.Fault
    reliable, so a sunk message models silent loss the protocol is not
    armed against — the explorer must detect the planted damage (a
    self-test that the whole detection pipeline works). *)
-let kv ?(name = "kv") ?(protect = true) ?(snodes = 5) ?(pmin = 8) ?(vmin = 2)
-    ?(vnodes = 3) ?(grow = 2) ?(removes = 1) ?(keys = 12) ?(rfactor = 3)
-    ?(read_quorum = 2) ?(write_quorum = 2) ?(linger = 0.) () =
+let kv ?(name = "kv") ?(protect = true) ?(snodes = 5) ?(vnodes = 3) ?(grow = 2)
+    ?(removes = 1) ?(keys = 12) ?(rfactor = 3) ?(read_quorum = 2)
+    ?(write_quorum = 2) ?(linger = 0.) () =
   let hist = ref (History.create ()) in
   let build ~seed =
     let faults = if protect then Some (Fault.create ~seed ()) else None in
     let rt =
-      Runtime.create ?faults ~pmin ~approach:(Runtime.Local { vmin }) ~rfactor
-        ~read_quorum ~write_quorum ~linger ~snodes ~seed ()
+      Runtime.create ?faults ~pmin:8 ~approach:(Runtime.Local { vmin = 2 })
+        ~rfactor ~read_quorum ~write_quorum ~linger ~snodes ~seed ()
     in
     hist := History.create ();
     History.attach !hist rt;
@@ -86,16 +86,16 @@ let kv ?(name = "kv") ?(protect = true) ?(snodes = 5) ?(pmin = 8) ?(vmin = 2)
    consistency and the full linearizability suite stay clean — planted
    cells may still be mid-reconciliation when a perturbation starved a
    round, but nothing may ever be corrupted or lost. *)
-let mt_ae ?(name = "mt-ae") ?(protect = true) ?(snodes = 4) ?(pmin = 8)
-    ?(vmin = 2) ?(vnodes = 2) ?(keys = 10) ?(divergent = 6) ?(rfactor = 3)
-    ?(read_quorum = 2) ?(write_quorum = 2) ?(linger = 0.) () =
+let mt_ae ?(name = "mt-ae") ?(protect = true) ?(snodes = 4) ?(keys = 10)
+    ?(rfactor = 3) ?(read_quorum = 2) ?(write_quorum = 2) ?(linger = 0.) () =
+  let divergent = 6 in
   let hist = ref (History.create ()) in
   let build ~seed =
     let faults = if protect then Some (Fault.create ~seed ()) else None in
     let rt =
-      Runtime.create ?faults ~pmin ~approach:(Runtime.Local { vmin }) ~rfactor
-        ~read_quorum ~write_quorum ~linger ~mt_threshold:0 ~mt_leaf:2 ~snodes
-        ~seed ()
+      Runtime.create ?faults ~pmin:8 ~approach:(Runtime.Local { vmin = 2 })
+        ~rfactor ~read_quorum ~write_quorum ~linger ~mt_threshold:0 ~mt_leaf:2
+        ~snodes ~seed ()
     in
     hist := History.create ();
     History.attach !hist rt;
@@ -103,7 +103,7 @@ let mt_ae ?(name = "mt-ae") ?(protect = true) ?(snodes = 4) ?(pmin = 8)
   in
   let key k = Printf.sprintf "key-%d" k in
   let drive rt =
-    for n = 1 to vnodes do
+    for n = 1 to 2 do
       Runtime.create_vnode rt
         ~id:(Vnode_id.make ~snode:(n mod snodes) ~vnode:(n / snodes))
         ()

@@ -6,8 +6,6 @@ val kv :
   ?name:string ->
   ?protect:bool ->
   ?snodes:int ->
-  ?pmin:int ->
-  ?vmin:int ->
   ?vnodes:int ->
   ?grow:int ->
   ?removes:int ->
@@ -18,10 +16,11 @@ val kv :
   ?linger:float ->
   unit ->
   Explorer.scenario
-(** Grow by [vnodes], write [keys] keys, grow by [grow] more (migrating
-    live data) and remove [removes] vnodes, then overwrite and read every
-    key; verify runs the full invariant battery plus the linearizability,
-    session and durability checks over the recorded history.
+(** Grow by [vnodes] (Pmin = 8, Vmin = 2), write [keys] keys, grow by
+    [grow] more (migrating live data) and remove [removes] vnodes, then
+    overwrite and read every key; verify runs the full invariant battery
+    plus the linearizability, session and durability checks over the
+    recorded history.
 
     [protect] (default [true]) arms the reliable layer with an empty fault
     plan, so injected perturbations must be tolerated — any failure is a
@@ -33,11 +32,7 @@ val mt_ae :
   ?name:string ->
   ?protect:bool ->
   ?snodes:int ->
-  ?pmin:int ->
-  ?vmin:int ->
-  ?vnodes:int ->
   ?keys:int ->
-  ?divergent:int ->
   ?rfactor:int ->
   ?read_quorum:int ->
   ?write_quorum:int ->
@@ -45,11 +40,12 @@ val mt_ae :
   unit ->
   Explorer.scenario
 (** Merkle anti-entropy reconciliation under perturbation: the cluster
-    forces the tree protocol everywhere ([mt_threshold = 0], leaf cap 2),
-    [divergent] keys are planted divergent on both sides of the symmetric
-    difference, and two reconciliation rounds run with their [Mt_*]
-    frames exposed to the explorer's defer/sink/crash perturbations,
-    followed by an overwrite/read workload. Verify demands the invariant
+    forces the tree protocol everywhere ([mt_threshold = 0], leaf cap 2)
+    and grows by 2 vnodes (Pmin = 8, Vmin = 2), 6 keys are planted
+    divergent on both sides of the symmetric difference, and two
+    reconciliation rounds run with their [Mt_*] frames exposed to the
+    explorer's defer/sink/crash perturbations, followed by an
+    overwrite/read workload. Verify demands the invariant
     battery, hash-tree consistency ({!Invariants.check_merkle}) and the
     full linearizability suite stay clean. *)
 

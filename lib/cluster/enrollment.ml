@@ -45,5 +45,5 @@ let apportion ?(min_vnodes = 1) ~total scores =
   enforce ();
   base
 
-let vnodes_of_profiles ?min_vnodes ~total profiles =
-  apportion ?min_vnodes ~total (Array.map Profile.score profiles)
+let vnodes_of_profiles ~total profiles =
+  apportion ~total (Array.map Profile.score profiles)

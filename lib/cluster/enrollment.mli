@@ -13,9 +13,8 @@ val apportion :
     @raise Invalid_argument if [total < min_vnodes * n], any score is not
     strictly positive, or the array is empty. *)
 
-val vnodes_of_profiles :
-  ?min_vnodes:int -> total:int -> Profile.t array -> int array
-(** {!apportion} over {!Profile.score}s. *)
+val vnodes_of_profiles : total:int -> Profile.t array -> int array
+(** {!apportion} over {!Profile.score}s, with the default floor. *)
 
 val ideal_shares : float array -> float array
 (** Normalized scores: the quota each node {e should} hold. *)

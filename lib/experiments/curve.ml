@@ -5,7 +5,8 @@ let make ~label ~xs ~ys =
     invalid_arg "Curve.make: empty or mismatched arrays";
   { label; xs; ys }
 
-let of_ys ~label ?(x0 = 1.) ys =
-  make ~label ~xs:(Array.init (Array.length ys) (fun i -> x0 +. float_of_int i)) ~ys
+let of_ys ~label ys =
+  let xs = Array.init (Array.length ys) (fun i -> float_of_int (i + 1)) in
+  make ~label ~xs ~ys
 
 let last t = t.ys.(Array.length t.ys - 1)

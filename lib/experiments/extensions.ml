@@ -22,14 +22,14 @@ type parallel_row = {
   par_audit_ok : bool;
 }
 
-let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 20_000.) ?(pmin = 32)
+let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 20_000.)
     ?(vmins = [ 16; 32; 64 ]) ~seed () =
   if vnodes < 1 then invalid_arg "Extensions.parallel: vnodes < 1";
   let arrivals =
     Dht_workload.Trace.poisson ~rng:(Rng.of_int seed) ~n:vnodes ~rate
   in
   let run approach label =
-    let rt = Runtime.create ~pmin ~approach ~snodes ~seed () in
+    let rt = Runtime.create ~pmin:32 ~approach ~snodes ~seed () in
     let engine = Runtime.engine rt in
     let latencies = ref [] and makespan = ref 0. in
     (* Vnode 0.0 bootstraps the DHT; arrival [i] creates vnode [i + 1]. *)
@@ -66,6 +66,10 @@ let parallel ?(snodes = 64) ?(vnodes = 512) ?(rate = 20_000.) ?(pmin = 32)
          run (Runtime.Local { vmin }) (Printf.sprintf "local Vmin=%d" vmin))
        vmins
 
+(* The mixed-generation cluster of the heterogeneity experiments:
+   (count, capacity score) per hardware generation. *)
+let generations = [ (8, 1.0); (4, 2.0); (2, 4.0) ]
+
 type hetero_report = {
   names : string array;
   ideal_shares : float array;
@@ -75,8 +79,7 @@ type hetero_report = {
   rms_rel_err : float;
 }
 
-let hetero ?(total_vnodes = 128) ?(pmin = 32) ?(vmin = 16)
-    ?(generations = [ (8, 1.0); (4, 2.0); (2, 4.0) ]) ~seed () =
+let hetero ?(total_vnodes = 128) ?(pmin = 32) ?(vmin = 16) ~seed () =
   let cluster = Cluster.Topology.generations ~counts:generations in
   let n = Cluster.Topology.size cluster in
   let shares = Cluster.Enrollment.ideal_shares (Cluster.Topology.scores cluster) in
@@ -205,7 +208,7 @@ let lost_keys rt keys =
   !lost
 
 let kvload ?(keys = 100_000) ?(initial_vnodes = 64) ?(final_vnodes = 128)
-    ?(pmin = 32) ?(vmin = 16) ?(zipf = false) ~seed () =
+    ?(zipf = false) ~seed () =
   if final_vnodes < initial_vnodes || initial_vnodes < 1 then
     invalid_arg "Extensions.kvload: need 1 <= initial <= final";
   if keys < 1 then invalid_arg "Extensions.kvload: keys < 1";
@@ -223,7 +226,8 @@ let kvload ?(keys = 100_000) ?(initial_vnodes = 64) ?(final_vnodes = 128)
         else Dht_workload.Keygen.uniform key_rng)
   in
   let rt =
-    Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ~snodes ~seed ()
+    Runtime.create ~pmin:32 ~approach:(Runtime.Local { vmin = 16 }) ~snodes
+      ~seed ()
   in
   grow rt ~snodes ~from:1 ~upto:initial_vnodes;
   load rt ~snodes all_keys;
@@ -354,10 +358,9 @@ type hetero_compare_report = {
   ch_rms_err : float;
 }
 
-let hetero_compare ?(nodes_generations = [ (8, 1.0); (4, 2.0); (2, 4.0) ])
-    ?(total_vnodes = 128) ?(base_points = 32) ?(runs = 20) ?(pmin = 32)
-    ?(vmin = 16) ~seed () =
-  let cluster = Cluster.Topology.generations ~counts:nodes_generations in
+let hetero_compare ?(runs = 20) ~seed () =
+  let total_vnodes = 128 and base_points = 32 in
+  let cluster = Cluster.Topology.generations ~counts:generations in
   let n = Cluster.Topology.size cluster in
   let shares =
     Cluster.Enrollment.ideal_shares (Cluster.Topology.scores cluster)
@@ -399,7 +402,8 @@ let hetero_compare ?(nodes_generations = [ (8, 1.0); (4, 2.0); (2, 4.0) ])
         let id = Vnode_id.make ~snode:node ~vnode:next.(node) in
         next.(node) <- next.(node) + 1;
         (match !dht with
-        | None -> dht := Some (Local_dht.create ~pmin ~vmin ~rng ~first:id ())
+        | None ->
+            dht := Some (Local_dht.create ~pmin:32 ~vmin:16 ~rng ~first:id ())
         | Some d -> ignore (Local_dht.add_vnode d ~id));
         remaining.(node) <- remaining.(node) - 1;
         decr left
@@ -445,8 +449,8 @@ type distributed_report = {
   makespan : float;
 }
 
-let distributed ?(snodes = 16) ?(vnodes = 128) ?(keys = 5000) ?(pmin = 32)
-    ?(vmin = 16) ?metrics ?trace ~seed () =
+let distributed ?(snodes = 16) ?(vnodes = 128) ?metrics ?trace ~seed () =
+  let keys = 5000 and pmin = 32 and vmin = 16 in
   let rt =
     Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ?metrics ?trace
       ~snodes ~seed ()
@@ -544,8 +548,8 @@ type chaos_report = {
 let chaos ?(snodes = 12) ?(vnodes = 40) ?(keys = 600) ?(pmin = 8) ?(vmin = 4)
     ?(drop = 0.03) ?(dup = 0.015) ?(jitter = 2e-4) ?(crashes = 2)
     ?(downtime = 0.05) ?(rfactor = 1) ?(read_quorum = 1) ?(write_quorum = 1)
-    ?(linger = 0.) ?(route_cap = 0) ?max_hops ?metrics ?trace
-    ?(causal = false) ~seed () =
+    ?(linger = 0.) ?(route_cap = 0) ?metrics ?trace ?(causal = false)
+    ~seed () =
   let module Fault = Dht_event_sim.Fault in
   if crashes < 0 then invalid_arg "chaos: crashes < 0";
   if downtime <= 0. then invalid_arg "chaos: downtime must be positive";
@@ -564,7 +568,7 @@ let chaos ?(snodes = 12) ?(vnodes = 40) ?(keys = 600) ?(pmin = 8) ?(vmin = 4)
     let rt =
       Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ?faults ?metrics
         ?trace ~causal ~rfactor ~read_quorum ~write_quorum ~linger ~route_cap
-        ?max_hops ~snodes ~seed ()
+        ~snodes ~seed ()
     in
     (* Mid-burst write wave, aimed (by the caller) inside the crash
        windows: writes against a dead replica are what hinted handoff is
@@ -786,19 +790,14 @@ type overload_report = {
   ov_health : (int * float) list;
 }
 
-let overload ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4)
-    ?(rate = 4000.) ?(overload_factor = 2.) ?(phase = 0.4) ?(slo = 0.05)
-    ?(slow_factor = 100.) ?(drop = 0.005) ?(rfactor = 3) ?(read_quorum = 2)
-    ?(write_quorum = 2) ?(retry_budget = 3) ?(max_inflight = 8)
-    ?(ingress_limit = 64) ?(admission_deadline = 0.02) ?metrics ?trace
+let overload ?(slow_factor = 100.) ?(retry_budget = 3) ?metrics ?trace
     ?(causal = false) ~seed () =
   let module Fault = Dht_event_sim.Fault in
-  if rate <= 0. then invalid_arg "overload: rate must be positive";
-  if overload_factor < 1. then invalid_arg "overload: factor < 1";
-  if phase <= 0. then invalid_arg "overload: phase must be positive";
   if slow_factor < 1. then invalid_arg "overload: slow_factor < 1";
+  let snodes = 8 and vnodes = 24 and rate = 4000. and phase = 0.4
+  and slo = 0.05 in
   let slow_snode = snodes - 1 in
-  let burst_rate = rate *. overload_factor in
+  let burst_rate = rate *. 2. in
   let phases = [| ("pre", rate); ("burst", burst_rate); ("post", rate) |] in
   (* One workload, two runtimes: the degraded run carries every
      graceful-degradation knob, the fixed baseline none of them (same
@@ -806,17 +805,17 @@ let overload ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4)
      the report's retransmissions-per-op comparison is the adaptive-RTO /
      retry-budget payoff under identical conditions. *)
   let run ~degraded =
-    let faults = Fault.create ~drop ~seed () in
+    let faults = Fault.create ~drop:0.005 ~seed () in
     let rt =
-      Runtime.create ~pmin ~approach:(Runtime.Local { vmin }) ~faults
+      Runtime.create ~pmin:8 ~approach:(Runtime.Local { vmin = 4 }) ~faults
         ?metrics:(if degraded then metrics else None)
         ?trace:(if degraded then trace else None)
-        ~causal:(degraded && causal) ~rfactor ~read_quorum ~write_quorum
+        ~causal:(degraded && causal) ~rfactor:3 ~read_quorum:2 ~write_quorum:2
         ~retry_budget:(if degraded then retry_budget else 0)
         ~adaptive_rto:degraded
-        ~max_inflight:(if degraded then max_inflight else 0)
-        ~admission_deadline:(if degraded then admission_deadline else 0.)
-        ~ingress_limit ~snodes ~seed ()
+        ~max_inflight:(if degraded then 8 else 0)
+        ~admission_deadline:(if degraded then 0.02 else 0.)
+        ~ingress_limit:64 ~snodes ~seed ()
     in
     let hist = Dht_check.History.create () in
     if degraded then Dht_check.History.attach hist rt;
@@ -1014,6 +1013,10 @@ type skew_report = {
   sk_on : skew_run;
 }
 
+(* A slow windowed link (0.8 ms base latency, 100 MB/s), on which a hot
+   route's message rate can exceed a bounded peer window's service rate. *)
+let slow_link = Network.link ~base_latency:8e-4 ~byte_time:1e-8
+
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then nan
@@ -1028,22 +1031,14 @@ let percentile sorted p =
    [check_balance]) and the linearizability findings for each run. With
    [crash], one snode crash-stops mid-run and restarts before the end —
    transfers must survive the churn with zero acked-write loss. *)
-let skew ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4) ?(keys = 1000)
-    ?(zipf = 0.99) ?(rate = 20000.) ?(duration = 1.0) ?(read_fraction = 0.8)
-    ?(rfactor = 3) ?(read_quorum = 2) ?(write_quorum = 2) ?(drop = 0.)
-    ?(max_inflight = 4) ?(heat_tau = 0.3) ?(crash = false)
-    ?(link = Dht_event_sim.Network.link ~base_latency:8e-4 ~byte_time:1e-8)
-    ?policy ?metrics ~seed () =
+let skew ?(snodes = 8) ?(vnodes = 24) ?(keys = 1000) ?(zipf = 0.99)
+    ?(rate = 20000.) ?(duration = 1.0) ?(max_inflight = 4) ?(heat_tau = 0.3)
+    ?(crash = false) ?metrics ~seed () =
   let module Fault = Dht_event_sim.Fault in
   let module Heat = Dht_obsv.Heat in
   if keys < 1 then invalid_arg "skew: need at least one key";
   if rate <= 0. || duration <= 0. then
     invalid_arg "skew: rate and duration must be positive";
-  if read_fraction < 0. || read_fraction > 1. then
-    invalid_arg "skew: read_fraction outside [0, 1]";
-  let policy =
-    Option.value policy ~default:Dht_balance.Policy.default
-  in
   (* One workload for both runs: op i at [i / rate] after warm-up, issued
      via snode [i mod snodes], Zipf-ranked key, four-in-five reads. *)
   let zgen = Dht_workload.Keygen.Zipf.create ~n:keys ~s:zipf in
@@ -1052,25 +1047,24 @@ let skew ?(snodes = 8) ?(vnodes = 24) ?(pmin = 8) ?(vmin = 4) ?(keys = 1000)
   let ops =
     Array.init n_ops (fun i ->
         let key = Dht_workload.Keygen.Zipf.key zgen wrng in
-        let read = Rng.float wrng < read_fraction in
+        let read = Rng.float wrng < 0.8 in
         (float_of_int i /. rate, i mod snodes, key, read))
   in
   let run ~balance =
-    (* A fault plan (even with [drop = 0]) arms the reliable layer, and
+    (* A fault plan (even a drop-free one) arms the reliable layer, and
        [max_inflight] bounds each peer window: queueing delay then grows
        with per-route pressure, so a hot snode is a real bottleneck the
-       balancer can relieve — with neither knob the network is a pure
-       delay model and latency cannot respond to placement. *)
+       balancer can relieve — with neither the network is a pure delay
+       model and latency cannot respond to placement. *)
     let faults =
-      if drop > 0. || max_inflight > 0 then Some (Fault.create ~drop ~seed ())
-      else None
+      if max_inflight > 0 then Some (Fault.create ~seed ()) else None
     in
     let rt =
-      Runtime.create ~pmin
-        ~approach:(Runtime.Local { vmin })
-        ?faults ~link ~max_inflight ~rfactor ~read_quorum ~write_quorum
-        ~heat:true ~heat_tau
-        ?balance:(if balance then Some policy else None)
+      Runtime.create ~pmin:8
+        ~approach:(Runtime.Local { vmin = 4 })
+        ?faults ~link:slow_link ~max_inflight ~rfactor:3 ~read_quorum:2
+        ~write_quorum:2 ~heat:true ~heat_tau
+        ?balance:(if balance then Some Dht_balance.Policy.default else None)
         ?metrics:(if balance then metrics else None)
         ~snodes ~seed ()
     in
@@ -1200,11 +1194,9 @@ type routing_run = {
    only reply hints and the advice chain can repair. Hop and message
    counts window the measurement phase (snapshots diffed around it), so
    the creation storm does not contaminate the gated percentiles. *)
-let routing_scaling ?vnodes ?(pmin = 8) ?(vmin = 4) ?(route_cap = 128)
-    ?(max_hops = 32) ?(keys = 1_000_000) ?(ops = 4000) ?(rate = 20000.)
-    ?(read_fraction = 0.5) ?(churn = true)
-    ?(link = Dht_event_sim.Network.link ~base_latency:8e-4 ~byte_time:1e-8)
-    ?metrics ~snodes ~seed () =
+let routing_scaling ?vnodes ?(route_cap = 128) ?(max_hops = 32)
+    ?(keys = 1_000_000) ?(ops = 4000) ?(rate = 20000.) ?(read_fraction = 0.5)
+    ?(churn = true) ?metrics ~snodes ~seed () =
   let module Fault = Dht_event_sim.Fault in
   let vnodes = Option.value vnodes ~default:snodes in
   if vnodes < 1 then invalid_arg "routing_scaling: vnodes < 1";
@@ -1219,9 +1211,9 @@ let routing_scaling ?vnodes ?(pmin = 8) ?(vmin = 4) ?(route_cap = 128)
      forever. Start above the round trip and let Jacobson tracking take
      over. *)
   let rt =
-    Runtime.create ~pmin
-      ~approach:(Runtime.Local { vmin })
-      ?faults ~link ~route_cap ~max_hops ~rto:5e-3 ~adaptive_rto:true
+    Runtime.create ~pmin:8
+      ~approach:(Runtime.Local { vmin = 4 })
+      ?faults ~link:slow_link ~route_cap ~max_hops ~rto:5e-3 ~adaptive_rto:true
       ?metrics ~snodes ~seed ()
   in
   let hist = Dht_check.History.create () in
@@ -1379,9 +1371,9 @@ type coexist_report = {
   coexist_blocked : int;
 }
 
-let coexist ?(generations = [ (8, 1.0); (4, 2.0); (2, 4.0) ])
-    ?(total_vnodes = 96) ?(loaded_nodes = 4) ?(load = 0.6) ~seed () =
+let coexist ?(load = 0.6) ~seed () =
   let module Registry = Dht_registry.Registry in
+  let total_vnodes = 96 in
   let cluster = Cluster.Topology.generations ~counts:generations in
   let reg = Registry.create ~cluster ~seed () in
   let names = [ "store-a"; "store-b" ] in
@@ -1391,7 +1383,7 @@ let coexist ?(generations = [ (8, 1.0); (4, 2.0); (2, 4.0) ])
   let errors () = List.map (fun name -> Registry.tracking_error reg ~name) names in
   let error_before = errors () in
   (* An external application lands on the first nodes. *)
-  for node = 0 to loaded_nodes - 1 do
+  for node = 0 to 3 do
     Registry.set_external_load reg ~node load
   done;
   let error_after_load = errors () in

@@ -25,7 +25,6 @@ val parallel :
   ?snodes:int ->
   ?vnodes:int ->
   ?rate:float ->
-  ?pmin:int ->
   ?vmins:int list ->
   seed:int ->
   unit ->
@@ -33,8 +32,9 @@ val parallel :
 (** Creates [vnodes] vnodes with Poisson arrivals at [rate] per second
     (default 20,000/s, 512 vnodes, 64 snodes) through the
     {!Dht_snode.Runtime} global protocol and through its local protocol
-    for each [vmins] value (default [\[16; 32; 64\]]). The same arrival
-    trace is used for every row, and each row is one fresh runtime.
+    for each [vmins] value (default [\[16; 32; 64\]]), all at Pmin = 32.
+    The same arrival trace is used for every row, and each row is one
+    fresh runtime.
     @raise Invalid_argument if [vnodes < 1], [rate <= 0.] or
     [snodes < 1]. *)
 
@@ -51,11 +51,10 @@ val hetero :
   ?total_vnodes:int ->
   ?pmin:int ->
   ?vmin:int ->
-  ?generations:(int * float) list ->
   seed:int ->
   unit ->
   hetero_report
-(** Builds a mixed-generation cluster (default 8×1.0, 4×2.0, 2×4.0),
+(** Builds a mixed-generation cluster (8×1.0, 4×2.0, 2×4.0),
     apportions [total_vnodes] (default 128) vnodes by capacity score,
     grows a local-approach DHT accordingly and compares each node's DHT
     quota with its capacity share. *)
@@ -77,15 +76,14 @@ val kvload :
   ?keys:int ->
   ?initial_vnodes:int ->
   ?final_vnodes:int ->
-  ?pmin:int ->
-  ?vmin:int ->
   ?zipf:bool ->
   seed:int ->
   unit ->
   kv_report
 (** Loads [keys] (default 100_000, uniform; [zipf] draws keys from a Zipf
     popularity law instead) into a {!Dht_snode.Runtime} of 16 snodes
-    holding [initial_vnodes] (default 64) local-approach vnodes, grows it
+    holding [initial_vnodes] (default 64) local-approach vnodes (Pmin = 32,
+    Vmin = 16), grows it
     to [final_vnodes] (default 128) one creation at a time — donors
     stream partitions and their keys to each newcomer — and audits data
     balance, key reachability ({!Dht_snode.Runtime.peek}) and the
@@ -166,18 +164,15 @@ type coexist_report = {
 }
 
 val coexist :
-  ?generations:(int * float) list ->
-  ?total_vnodes:int ->
-  ?loaded_nodes:int ->
   ?load:float ->
   seed:int ->
   unit ->
   coexist_report
-(** §6 future work: two DHTs share a mixed-generation cluster (default
-    8×1.0/4×2.0/2×4.0, 96 vnodes each). An external application then
-    occupies [load] (default 0.6) of the first [loaded_nodes] (default 4)
-    nodes; re-targeting enrollment to the remaining free capacity restores
-    the quota-vs-free-capacity tracking that the load disturbed. *)
+(** §6 future work: two DHTs share a mixed-generation cluster
+    (8×1.0/4×2.0/2×4.0, 96 vnodes each). An external application then
+    occupies [load] (default 0.6) of the first 4 nodes; re-targeting
+    enrollment to the remaining free capacity restores the
+    quota-vs-free-capacity tracking that the load disturbed. *)
 
 type distributed_report = {
   dist_vnodes : int;  (** vnodes created through the message protocol *)
@@ -194,18 +189,16 @@ type distributed_report = {
 val distributed :
   ?snodes:int ->
   ?vnodes:int ->
-  ?keys:int ->
-  ?pmin:int ->
-  ?vmin:int ->
   ?metrics:Dht_telemetry.Registry.t ->
   ?trace:Dht_telemetry.Trace.t ->
   seed:int ->
   unit ->
   distributed_report
 (** End-to-end run of the {!Dht_snode.Runtime} message-level system:
-    [keys] (default 5000) are stored, then [vnodes] (default 128) creations
-    fire concurrently on a [snodes]-node cluster (default 16); all keys are
-    re-read from random snodes and the distributed state is audited. The
+    5000 keys are stored, then [vnodes] (default 128) creations (Pmin =
+    32, Vmin = 16) fire concurrently on a [snodes]-node cluster (default
+    16); all keys are re-read from random snodes and the distributed
+    state is audited. The
     balance is compared against a centralized {!Dht_core.Local_dht} run of
     the same size. {!parallel} is the global-vs-local comparison.
     [metrics] and [trace] instrument the runtime (see
@@ -273,7 +266,6 @@ val chaos :
   ?write_quorum:int ->
   ?linger:float ->
   ?route_cap:int ->
-  ?max_hops:int ->
   ?metrics:Dht_telemetry.Registry.t ->
   ?trace:Dht_telemetry.Trace.t ->
   ?causal:bool ->
@@ -305,10 +297,10 @@ val chaos :
     [linger] (default 0: off) arms transmission batching in both runs
     ({!Dht_snode.Runtime.create}); the report's batch columns surface the
     faulty run's coalescing activity. [route_cap] (default 0: unbounded
-    legacy caches) and [max_hops] arm bounded prefix routing in both
-    runs; the report's [chaos_route] block surfaces the faulty run's
-    cache traffic, so the routing layer can be chaos-tested under the
-    same fault mix as the data plane.
+    legacy caches) arms bounded prefix routing in both runs; the report's
+    [chaos_route] block surfaces the faulty run's cache traffic, so the
+    routing layer can be chaos-tested under the same fault mix as the
+    data plane.
 
     The faulty run (never the baseline) is always instrumented — the
     recovery quantiles in the report come from its downtime histogram.
@@ -374,40 +366,26 @@ type overload_report = {
 }
 
 val overload :
-  ?snodes:int ->
-  ?vnodes:int ->
-  ?pmin:int ->
-  ?vmin:int ->
-  ?rate:float ->
-  ?overload_factor:float ->
-  ?phase:float ->
-  ?slo:float ->
   ?slow_factor:float ->
-  ?drop:float ->
-  ?rfactor:int ->
-  ?read_quorum:int ->
-  ?write_quorum:int ->
   ?retry_budget:int ->
-  ?max_inflight:int ->
-  ?ingress_limit:int ->
-  ?admission_deadline:float ->
   ?metrics:Dht_telemetry.Registry.t ->
   ?trace:Dht_telemetry.Trace.t ->
   ?causal:bool ->
   seed:int ->
   unit ->
   overload_report
-(** Overload and gray-failure scenario: three equal [phase]-second windows
-    of Engine-paced quorum writes — [rate] puts/s, then
-    [overload_factor × rate] (default 2×) while one snode gray-fails
-    (alive but [slow_factor] times slower, via {!Dht_event_sim.Fault.set_slow}),
-    then [rate] again. An op counts toward {e goodput} only when its ack
-    lands within [slo] of issue; {e throughput} also counts late acks and
-    [Busy] rejections, so the two diverge exactly when the cluster is
-    melting. The same workload runs twice: once with the degradation layer
-    armed (adaptive RTO, [retry_budget], bounded [max_inflight] windows,
-    [admission_deadline] shedding) and once with every knob off (fixed-RTO
-    baseline) on the same bounded-ingress network, yielding the
+(** Overload and gray-failure scenario on 8 snodes (24 vnodes, Pmin = 8,
+    Vmin = 4, rfactor 3 with 2/2 quorums, 0.5% drops): three equal 0.4 s
+    windows of Engine-paced quorum writes — 4000 puts/s, then 8000 puts/s
+    while one snode gray-fails (alive but [slow_factor] times slower, via
+    {!Dht_event_sim.Fault.set_slow}), then 4000 puts/s again. An op counts
+    toward {e goodput} only when its ack lands within 50 ms of issue;
+    {e throughput} also counts late acks and [Busy] rejections, so the two
+    diverge exactly when the cluster is melting. The same workload runs
+    twice: once with the degradation layer armed (adaptive RTO,
+    [retry_budget], 8-message peer windows, 20 ms admission-deadline
+    shedding) and once with every knob off (fixed-RTO baseline) on the
+    same network with a 64-message ingress bound, yielding the
     retransmissions-per-op comparison. The degraded run is audited end to
     end: acked-write durability via {!Dht_snode.Runtime.peek}, queue
     discipline via {!Dht_snode.Runtime.queue_audit} (sampled mid-burst, at
@@ -448,44 +426,36 @@ type skew_report = {
 val skew :
   ?snodes:int ->
   ?vnodes:int ->
-  ?pmin:int ->
-  ?vmin:int ->
   ?keys:int ->
   ?zipf:float ->
   ?rate:float ->
   ?duration:float ->
-  ?read_fraction:float ->
-  ?rfactor:int ->
-  ?read_quorum:int ->
-  ?write_quorum:int ->
-  ?drop:float ->
   ?max_inflight:int ->
   ?heat_tau:float ->
   ?crash:bool ->
-  ?link:Dht_event_sim.Network.link ->
-  ?policy:Dht_balance.Policy.t ->
   ?metrics:Dht_telemetry.Registry.t ->
   seed:int ->
   unit ->
   skew_report
 (** The active balancer's acceptance experiment: one pre-generated
-    [zipf]-skewed op stream (default 0.99 over [keys] = 1000 keys,
-    [read_fraction] reads, Engine-paced at [rate]/s for [duration]
-    virtual seconds) runs twice over the same replicated cluster shape —
-    balancer off, then on ({!Dht_snode.Runtime.arm_balancer} at the
-    policy cadences). Acceptance: balancer-on must reduce both the
-    per-snode heat Gini and the p99 op latency, with empty
-    [sk_findings]/[sk_linear] and [sk_lost = 0] on both runs. [crash]
+    [zipf]-skewed op stream (default 0.99 over [keys] = 1000 keys, 80%
+    reads, Engine-paced at [rate]/s for [duration] virtual seconds) runs
+    twice over the same replicated cluster shape (Pmin = 8, Vmin = 4,
+    rfactor 3 with 2/2 quorums) — balancer off, then on
+    ({!Dht_snode.Runtime.arm_balancer} at the
+    {!Dht_balance.Policy.default} cadences). Acceptance: balancer-on must
+    reduce both the per-snode heat Gini and the p99 op latency, with
+    empty [sk_findings]/[sk_linear] and [sk_lost = 0] on both runs. [crash]
     adds a mid-run crash/restart of one snode, exercising transfer
     fencing under churn. [metrics] records the balancer-on run.
 
     For latency to respond to placement at all, the run must create
     load-dependent queueing: [max_inflight > 0] arms the reliable
-    layer's bounded per-peer windows, and the [link] must be slow
+    layer's bounded per-peer windows, and the link must be slow
     enough that a hot route's message rate exceeds the window's service
     rate [max_inflight / RTT] — on a gigabit fabric the cap is ~40k
     msgs/s per route and never binds. The defaults
-    ([max_inflight = 4], 0.8 ms [base_latency], [rate] = 20k/s over 8
+    ([max_inflight = 4], a 0.8 ms base latency, [rate] = 20k/s over 8
     snodes) put the cap near 2.5k msgs/s per route: comfortably above
     an average route, below the routes into the Zipf-hot snode — so
     balancer-off queues on hot routes while balancer-on stays flat. *)
@@ -513,8 +483,6 @@ type routing_run = {
 
 val routing_scaling :
   ?vnodes:int ->
-  ?pmin:int ->
-  ?vmin:int ->
   ?route_cap:int ->
   ?max_hops:int ->
   ?keys:int ->
@@ -522,19 +490,18 @@ val routing_scaling :
   ?rate:float ->
   ?read_fraction:float ->
   ?churn:bool ->
-  ?link:Dht_event_sim.Network.link ->
   ?metrics:Dht_telemetry.Registry.t ->
   snodes:int ->
   seed:int ->
   unit ->
   routing_run
 (** One cluster size of the O(log N) prefix-routing scaling sweep: a
-    [snodes]-snode cluster (default [vnodes = snodes] vnodes, [pmin] = 8,
-    [vmin] = 4) routes [ops] (default 4000) single-copy data operations
-    drawn from a derived key population of [keys] (default one million —
-    derived, so never materialized) with bounded routing armed
-    ([route_cap] = 128 entries per snode, [max_hops] = 32). The cluster
-    is grown as one paced phase (creation rate scaled with [snodes])
+    [snodes]-snode cluster (default [vnodes = snodes] vnodes, Pmin = 8,
+    Vmin = 4, 0.8 ms links) routes [ops] (default 4000) single-copy data
+    operations drawn from a derived key population of [keys] (default
+    one million — derived, so never materialized) with bounded routing
+    armed ([route_cap] = 128 entries per snode, [max_hops] = 32). The
+    cluster is grown as one paced phase (creation rate scaled with [snodes])
     under a periodic steward-refresh cadence armed across the growth
     window: flooding every creation at once against cold stewards
     routes quadratically and melts the reliable layer's RTO, while
@@ -551,17 +518,13 @@ val routing_hit_pct : routing_run -> float
     ([rs_cache] hits over hits + misses); 0 when nothing was probed. *)
 
 val hetero_compare :
-  ?nodes_generations:(int * float) list ->
-  ?total_vnodes:int ->
-  ?base_points:int ->
   ?runs:int ->
-  ?pmin:int ->
-  ?vmin:int ->
   seed:int ->
   unit ->
   hetero_compare_report
-(** Heterogeneous clusters under both models: the local approach enrolls
+(** Heterogeneous clusters under both models, on {!hetero}'s cluster
+    with 128 vnodes: the local approach (Pmin = 32, Vmin = 16) enrolls
     vnodes in proportion to capacity; Consistent Hashing weights nodes with
-    ring points in proportion to capacity ([base_points] per unit of score,
-    default 32, as in CFS). Reports how far each node's quota lands from
+    ring points in proportion to capacity (32 per unit of score, as in
+    CFS). Reports how far each node's quota lands from
     its capacity share (averaged over [runs], default 20). *)

@@ -136,8 +136,7 @@ type cost_row = {
   final_sigma : float;
 }
 
-let cost ?(runs = 20) ?(vnodes = 1024) ?(pmin = 32)
-    ?(vmins = [ 8; 16; 32; 64; 128; 256; 512 ]) ~seed () =
+let cost ?(runs = 20) ?(vnodes = 1024) ~seed () =
   let module Rng = Dht_prng.Rng in
   List.map
     (fun vmin ->
@@ -148,7 +147,7 @@ let cost ?(runs = 20) ?(vnodes = 1024) ?(pmin = 32)
       for _ = 1 to runs do
         let rng = Rng.split master in
         let vid i = Vnode_id.make ~snode:i ~vnode:0 in
-        let dht = Local_dht.create ~pmin ~vmin ~rng ~first:(vid 0) () in
+        let dht = Local_dht.create ~pmin:32 ~vmin ~rng ~first:(vid 0) () in
         for i = 1 to vnodes - 1 do
           ignore (Local_dht.add_vnode dht ~id:(vid i))
         done;
@@ -174,7 +173,7 @@ let cost ?(runs = 20) ?(vnodes = 1024) ?(pmin = 32)
         sync_snodes = mean_group_size;
         final_sigma = Dht_stats.Welford.mean acc_sigma;
       })
-    vmins
+    [ 8; 16; 32; 64; 128; 256; 512 ]
 
 let stability ?(runs = 10) ?(vnodes = 8192) ?(pmin = 32) ?(vmin = 32) ~seed ()
     =

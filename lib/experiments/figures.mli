@@ -95,15 +95,14 @@ type cost_row = {
 val cost :
   ?runs:int ->
   ?vnodes:int ->
-  ?pmin:int ->
-  ?vmins:int list ->
   seed:int ->
   unit ->
   cost_row list
 (** §4.1.2's resource side of the θ tradeoff, measured: "if Vmin increases,
     there will be fewer, bigger groups of vnodes, with larger LPDR tables;
     the time consumed to sort a LPDR table will also grow...; bigger groups
-    may require more synchronization". For each Vmin, grows the DHT and
+    may require more synchronization". For each Vmin in 8, 16, ..., 512
+    (Pmin = 32), grows the DHT and
     reports group sizes, LPDR bytes, synchronization fan-out and the final
     σ̄(Qv) they buy. *)
 

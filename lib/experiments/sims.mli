@@ -8,7 +8,6 @@ open Dht_core
 module Rng = Dht_prng.Rng
 
 val local_curves :
-  ?space:Dht_hashspace.Space.t ->
   pmin:int ->
   vmin:int ->
   vnodes:int ->
@@ -20,7 +19,6 @@ val local_curves :
     @raise Invalid_argument if [vnodes < 1]. *)
 
 val local_curve :
-  ?space:Dht_hashspace.Space.t ->
   pmin:int ->
   vmin:int ->
   vnodes:int ->
@@ -29,7 +27,6 @@ val local_curve :
   float array
 
 val global_curve :
-  ?space:Dht_hashspace.Space.t ->
   pmin:int ->
   vnodes:int ->
   sample:(Global_dht.t -> float) ->
@@ -38,7 +35,6 @@ val global_curve :
 (** Same for the global approach. Deterministic (no RNG is involved). *)
 
 val ch_curve :
-  ?space:Dht_hashspace.Space.t ->
   points_per_node:int ->
   nodes:int ->
   Rng.t ->

@@ -9,16 +9,14 @@ type entry = {
 }
 
 type t = {
-  space : Dht_hashspace.Space.t;
   cluster : Cluster.Topology.t;
   rng : Rng.t;
   external_load : float array;
   dhts : (string, entry) Hashtbl.t;
 }
 
-let create ?(space = Dht_hashspace.Space.default) ~cluster ~seed () =
+let create ~cluster ~seed () =
   {
-    space;
     cluster;
     rng = Rng.of_int seed;
     external_load = Array.make (Cluster.Topology.size cluster) 0.;
@@ -68,7 +66,7 @@ let add_dht t ~name ~pmin ~vmin ~total_vnodes =
   Array.iteri (fun i c -> if c > counts.(!first_node) then first_node := i) counts;
   let first = Vnode_id.make ~snode:!first_node ~vnode:0 in
   let dht =
-    Local_dht.create ~space:t.space ~pmin ~vmin ~rng:(Rng.split t.rng) ~first ()
+    Local_dht.create ~pmin ~vmin ~rng:(Rng.split t.rng) ~first ()
   in
   let e =
     { dht; enrollment = Array.make n 0; next_vnode = Array.make n 0 }
@@ -131,9 +129,10 @@ let retarget t ~name ~total_vnodes =
 
 let node_quota t ~name ~node =
   let e = entry_exn t name in
+  let space = (Local_dht.params e.dht).Params.space in
   Array.fold_left
     (fun acc v ->
-      if v.Vnode.id.Vnode_id.snode = node then acc +. Vnode.quota t.space v
+      if v.Vnode.id.Vnode_id.snode = node then acc +. Vnode.quota space v
       else acc)
     0.
     (Local_dht.vnodes e.dht)

@@ -18,12 +18,7 @@ module Rng = Dht_prng.Rng
 
 type t
 
-val create :
-  ?space:Dht_hashspace.Space.t ->
-  cluster:Dht_cluster.Topology.t ->
-  seed:int ->
-  unit ->
-  t
+val create : cluster:Dht_cluster.Topology.t -> seed:int -> unit -> t
 
 val cluster : t -> Dht_cluster.Topology.t
 

@@ -68,5 +68,5 @@ let render ?(width = 72) ?(height = 20) ?(x_label = "x") ?(y_label = "y")
     series_list;
   Buffer.contents buf
 
-let print ?width ?height ?x_label ?y_label series_list =
-  print_string (render ?width ?height ?x_label ?y_label series_list)
+let print ?x_label ?y_label series_list =
+  print_string (render ?x_label ?y_label series_list)

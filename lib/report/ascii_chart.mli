@@ -19,10 +19,4 @@ val render :
     Needed by test_report, which inspects the rendered text.
     @raise Invalid_argument on an empty series list. *)
 
-val print :
-  ?width:int ->
-  ?height:int ->
-  ?x_label:string ->
-  ?y_label:string ->
-  series list ->
-  unit
+val print : ?x_label:string -> ?y_label:string -> series list -> unit

@@ -79,23 +79,29 @@ type pending_prepare =
       r_remaining : Plan.lpdr;
     }
 
-(* Coordinator-side state of one in-flight quorum operation. Writes count
-   distinct snodes that stored a copy (sloppy W: hinted fallbacks count);
-   reads collect distinct repliers until R and resolve by LWW. *)
+(* Coordinator-side state of one in-flight quorum collection: a point
+   write, a point read, or one leg of a range read. It is met once
+   [q_need] distinct snodes are heard: for a write, snodes that stored a
+   copy (sloppy W: hinted fallbacks count); for a read or a leg, repliers.
+   A read keeps each replier's cell, parallel to [q_heard], and resolves
+   by LWW. *)
 type qkind =
   | Q_put of {
       q_cell : Versioned.cell;
       mutable q_hint : Engine.handle option;  (* hinted-handoff timer *)
     }
-  | Q_get of { mutable q_replies : (int * Versioned.cell option) list }
+  | Q_get of { mutable q_cells : Versioned.cell option list }
+  | Q_leg of { q_range : rstate; q_hi : int }
+      (* one partition's clipped sub-range, [q_point, q_hi) *)
 
-type qstate = {
+and qstate = {
   q_token : int;
-  q_key : string;
+  q_key : string;  (* [""] for a range leg *)
   q_point : int;
   q_set : int list;  (* replica set resolved at issue time *)
-  mutable q_acked : int list;  (* distinct snodes holding a copy (puts) *)
-  mutable q_done : bool;  (* quorum met, origin answered *)
+  q_need : int;
+  mutable q_heard : int list;  (* distinct snodes heard, latest first *)
+  mutable q_done : bool;  (* quorum met *)
   q_kind : qkind;
   (* Causal context captured when the quorum opened, restored by the hint
      and deadline timers so hinted handoff stays inside the op's trace. *)
@@ -103,24 +109,32 @@ type qstate = {
 }
 
 (* Coordinator-side state of one in-flight range read: one leg per
-   partition intersecting [lo, hi), each waiting for R distinct replies,
-   all merging into one LWW-deduplicated accumulator. *)
-type range_leg = {
-  rl_lo : int;  (* clipped sub-range, [rl_lo, rl_hi) *)
-  rl_hi : int;
-  rl_set : int list;  (* replica set resolved at issue time *)
-  rl_need : int;  (* R clamped to the set size *)
-  mutable rl_replied : int list;  (* distinct repliers so far *)
-  mutable rl_done : bool;
-}
-
-type rstate = {
+   partition intersecting [lo, hi), all merging into one LWW-deduplicated
+   accumulator. *)
+and rstate = {
   r_token : int;
   mutable r_open : int;  (* legs still short of their quorum *)
-  r_legs : (int, range_leg) Hashtbl.t;  (* keyed by clipped lo *)
+  r_legs : (int, qstate) Hashtbl.t;  (* keyed by clipped lo *)
   r_cells : (string, Versioned.cell) Hashtbl.t;  (* LWW accumulator *)
   r_ctx : (int * int * int) option;  (* causal context at issue time *)
 }
+
+(* A collection opened under causal context [ctx], nothing heard yet. *)
+let open_quorum ~ctx ~token ~key ~point ~set ~need kind =
+  { q_token = token; q_key = key; q_point = point; q_set = set;
+    q_need = need; q_heard = []; q_done = false; q_kind = kind; q_ctx = ctx }
+
+(* Note that [sid] was heard from; [false] when it was already. *)
+let heard q sid =
+  let fresh = not (List.mem sid q.q_heard) in
+  if fresh then q.q_heard <- sid :: q.q_heard;
+  fresh
+
+(* [true] exactly once: when the quorum is first met. *)
+let met q =
+  let now = (not q.q_done) && List.length q.q_heard >= q.q_need in
+  if now then q.q_done <- true;
+  now
 
 type snode = {
   sid : int;
@@ -860,16 +874,8 @@ and admit_quorum t sn ~token ~origin ~set ~need =
 
 and start_qput t sn ~token ~key ~point ~set cell =
   let q =
-    {
-      q_token = token;
-      q_key = key;
-      q_point = point;
-      q_set = set;
-      q_acked = [];
-      q_done = false;
-      q_kind = Q_put { q_cell = cell; q_hint = None };
-      q_ctx = t.cur;
-    }
+    open_quorum ~ctx:t.cur ~token ~key ~point ~set ~need:t.write_quorum
+      (Q_put { q_cell = cell; q_hint = None })
   in
   Hashtbl.replace sn.quorums token q;
   (* Sloppy-quorum patience: give the replicas [handoff_timeout] to ack,
@@ -882,25 +888,37 @@ and start_qput t sn ~token ~key ~point ~set cell =
         Some
           (Engine.schedule_cancellable t.engine ~delay:handoff_timeout
              (fun () -> fire_hints t sn q))
-  | Q_get _ -> ());
-  List.iter
-    (fun sid ->
-      if sid = sn.sid then begin
-        accept t sn ~kind:`Write ~point ~key cell;
-        qput_record t sn q sn.sid
-      end
-      else send t ~src:sn.sid ~dst:sid (Wire.Repl_put { token; key; point; cell }))
-    set
+  | Q_get _ | Q_leg _ -> ());
+  fan_out t sn q (Wire.Repl_put { token; key; point; cell }) set
+
+(* Ask each member of [q]'s replica set, in set order: the others by
+   [msg], ourselves by answering on the spot. *)
+and fan_out t sn q msg = function
+  | [] -> ()
+  | sid :: rest ->
+      if sid = sn.sid then answer_local t sn q
+      else send t ~src:sn.sid ~dst:sid msg;
+      fan_out t sn q msg rest
+
+and answer_local t sn q =
+  let point = q.q_point and key = q.q_key in
+  match q.q_kind with
+  | Q_put p ->
+      accept t sn ~kind:`Write ~point ~key p.q_cell;
+      qput_record t sn q sn.sid
+  | Q_get _ ->
+      heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
+      qget_record t sn q sn.sid (Store.lookup t.store sn.sid ~point ~key)
+  | Q_leg { q_hi; _ } ->
+      let cells = Store.range t.store sn.sid ~lo:point ~hi:q_hi in
+      heat_charge t sn ~point ~kind:`Read ~bytes:(Wire.cells_size cells);
+      leg_record t sn q ~sid:sn.sid cells
 
 and qput_record t sn q sid =
-  if not (List.mem sid q.q_acked) then begin
-    q.q_acked <- sid :: q.q_acked;
-    if (not q.q_done) && List.length q.q_acked >= t.write_quorum then begin
-      q.q_done <- true;
-      settle t ~tid:sn.sid ~token:q.q_token (Acked `Qput)
-    end;
+  if heard q sid then begin
+    if met q then settle t ~tid:sn.sid ~token:q.q_token (Acked `Qput);
     (* Every copy placed: nothing left for the hint timer to cover. *)
-    if q.q_done && List.length q.q_acked >= List.length q.q_set then
+    if q.q_done && List.length q.q_heard >= List.length q.q_set then
       qput_finalize sn q
   end
 
@@ -909,7 +927,7 @@ and qput_finalize sn q =
   | Q_put p ->
       (match p.q_hint with Some h -> Engine.cancel h | None -> ());
       p.q_hint <- None
-  | Q_get _ -> ());
+  | Q_get _ | Q_leg _ -> ());
   Hashtbl.remove sn.quorums q.q_token
 
 (* The hinted-handoff timer fired with some replicas still silent: park
@@ -918,19 +936,19 @@ and qput_finalize sn q =
    [Hint_flush], which the reliable layer retries until the target
    restarts. *)
 and fire_hints t sn q =
-  (match q.q_kind with Q_put p -> p.q_hint <- None | Q_get _ -> ());
+  (match q.q_kind with Q_put p -> p.q_hint <- None | Q_get _ | Q_leg _ -> ());
   if Hashtbl.mem sn.quorums q.q_token then begin
     (if sn.alive then
        with_ctx t q.q_ctx @@ fun () ->
        match q.q_kind with
-       | Q_get _ -> ()
+       | Q_get _ | Q_leg _ -> ()
        | Q_put { q_cell; _ } ->
            let n = Array.length t.snodes in
            let chosen = ref [] in
            List.iter
              (fun target ->
-               if not (List.mem target q.q_acked) then begin
-                 let avoid = q.q_set @ q.q_acked @ !chosen in
+               if not (List.mem target q.q_heard) then begin
+                 let avoid = q.q_set @ q.q_heard @ !chosen in
                  match Placement.successor ~n ~avoid ~start:target with
                  | None -> ()
                  | Some fb ->
@@ -1005,51 +1023,35 @@ and qput_deadline t sn q =
 
 and start_qget t sn ~token ~key ~point ~set =
   let q =
-    {
-      q_token = token;
-      q_key = key;
-      q_point = point;
-      q_set = set;
-      q_acked = [];
-      q_done = false;
-      q_kind = Q_get { q_replies = [] };
-      q_ctx = t.cur;
-    }
+    open_quorum ~ctx:t.cur ~token ~key ~point ~set ~need:t.read_quorum
+      (Q_get { q_cells = [] })
   in
   Hashtbl.replace sn.quorums token q;
-  List.iter
-    (fun sid ->
-      if sid = sn.sid then begin
-        heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
-        qget_record t sn q sn.sid (Store.lookup t.store sn.sid ~point ~key)
-      end
-      else send t ~src:sn.sid ~dst:sid (Wire.Repl_get { token; key; point }))
-    set
+  fan_out t sn q (Wire.Repl_get { token; key; point }) set
 
 and qget_record t sn q sid cell =
   match q.q_kind with
-  | Q_put _ -> ()
+  | Q_put _ | Q_leg _ -> ()
   | Q_get g ->
-      if not (List.mem_assoc sid g.q_replies) then begin
-        g.q_replies <- (sid, cell) :: g.q_replies;
-        if (not q.q_done) && List.length g.q_replies >= t.read_quorum then begin
-          q.q_done <- true;
+      if heard q sid then begin
+        g.q_cells <- cell :: g.q_cells;
+        if met q then begin
           (* LWW winner among the R replies. *)
           let winner =
             List.fold_left
-              (fun acc (_, c) ->
+              (fun acc c ->
                 match (acc, c) with
                 | None, c -> c
                 | Some a, Some b -> Some (Versioned.merge ~mine:a ~theirs:b)
                 | Some a, None -> Some a)
-              None g.q_replies
+              None g.q_cells
           in
           (* Read repair: push the winner to stale or empty repliers. *)
           (match winner with
           | None -> ()
           | Some w ->
-              List.iter
-                (fun (rsid, c) ->
+              List.iter2
+                (fun rsid c ->
                   let stale =
                     match c with
                     | None -> true
@@ -1066,7 +1068,7 @@ and qget_record t sn q sid cell =
                         (Wire.Repl_repair
                            { key = q.q_key; point = q.q_point; cell = w })
                   end)
-                g.q_replies);
+                q.q_heard g.q_cells);
           settle t ~tid:sn.sid ~token:q.q_token
             (Answered (`Qget, Option.map (fun c -> c.Versioned.value) winner));
           Hashtbl.remove sn.quorums q.q_token
@@ -1092,62 +1094,40 @@ and start_range t sn ~token ~lo ~hi =
     }
   in
   Hashtbl.replace sn.ranges token st;
-  List.iter
-    (fun (span, set) ->
-      let s = Span.start t.space span and e = Span.stop t.space span in
-      if s < hi && e > lo then begin
-        let rl_lo = max s lo and rl_hi = min e hi in
-        let leg =
-          {
-            rl_lo;
-            rl_hi;
-            rl_set = set;
-            rl_need = max 1 (min t.read_quorum (List.length set));
-            rl_replied = [];
-            rl_done = false;
-          }
-        in
-        Hashtbl.replace st.r_legs rl_lo leg;
-        st.r_open <- st.r_open + 1
-      end)
-    (Point_map.to_list sn.rmap);
+  (* Every leg opens before any fans out; the map lists spans by
+     increasing start, so legs fan out by increasing lo. *)
+  let legs =
+    List.filter_map
+      (fun (span, set) ->
+        let s = Span.start t.space span and e = Span.stop t.space span in
+        if s < hi && e > lo then begin
+          let lo = max s lo and hi = min e hi in
+          let leg =
+            open_quorum ~ctx:t.cur ~token ~key:"" ~point:lo ~set
+              ~need:(max 1 (min t.read_quorum (List.length set)))
+              (Q_leg { q_range = st; q_hi = hi })
+          in
+          Hashtbl.replace st.r_legs lo leg;
+          st.r_open <- st.r_open + 1;
+          Some (leg, Wire.Range_get { token; lo; hi })
+        end
+        else None)
+      (Point_map.to_list sn.rmap)
+  in
   if st.r_open = 0 then finish_range t sn st
-  else begin
-    let legs =
-      Hashtbl.fold (fun _ leg acc -> leg :: acc) st.r_legs []
-      |> List.sort (fun a b -> compare a.rl_lo b.rl_lo)
-    in
-    List.iter
-      (fun leg ->
-        List.iter
-          (fun sid ->
-            if sid = sn.sid then begin
-              let cells = Store.range t.store sn.sid ~lo:leg.rl_lo ~hi:leg.rl_hi in
-              heat_charge t sn ~point:leg.rl_lo ~kind:`Read
-                ~bytes:(Wire.cells_size cells);
-              range_record t sn st ~leg_lo:leg.rl_lo ~sid:sn.sid cells
-            end
-            else
-              send t ~src:sn.sid ~dst:sid
-                (Wire.Range_get { token; lo = leg.rl_lo; hi = leg.rl_hi }))
-          leg.rl_set)
-      legs
-  end
+  else List.iter (fun (leg, msg) -> fan_out t sn leg msg leg.q_set) legs
 
-and range_record t sn st ~leg_lo ~sid cells =
-  match Hashtbl.find_opt st.r_legs leg_lo with
-  | None -> ()
-  | Some leg ->
-      if not (List.mem sid leg.rl_replied) then begin
-        leg.rl_replied <- sid :: leg.rl_replied;
+and leg_record t sn q ~sid cells =
+  match q.q_kind with
+  | Q_put _ | Q_get _ -> ()
+  | Q_leg { q_range = st; _ } ->
+      if heard q sid then begin
         List.iter
           (fun (key, cell) ->
             Hashtbl.replace st.r_cells key
               (Versioned.merge_opt (Hashtbl.find_opt st.r_cells key) cell))
           cells;
-        if (not leg.rl_done) && List.length leg.rl_replied >= leg.rl_need
-        then begin
-          leg.rl_done <- true;
+        if met q then begin
           st.r_open <- st.r_open - 1;
           if st.r_open = 0 then finish_range t sn st
         end
@@ -1944,7 +1924,10 @@ and handle t sn ~from msg =
   | Wire.Range_reply { token; lo; cells } -> (
       match Hashtbl.find_opt sn.ranges token with
       | None -> ()
-      | Some st -> range_record t sn st ~leg_lo:lo ~sid:from cells)
+      | Some st -> (
+          match Hashtbl.find_opt st.r_legs lo with
+          | None -> ()
+          | Some leg -> leg_record t sn leg ~sid:from cells))
   | Wire.Ae_request ->
       (* The sender just restarted. Re-offer any hints we still owe it
          first: the original flush may have been sent straight into its
@@ -2295,7 +2278,7 @@ let arm_route_refresh t ~interval ~until =
 (* ------------------------------------------------------------------ *)
 (* Construction and public API                                          *)
 
-let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
+let create ?(link = Network.gigabit) ?(pmin = 32)
     ?(approach = Local { vmin = 16 }) ?faults ?(rto = 1e-3)
     ?(retry_budget = 0) ?(adaptive_rto = false) ?(max_inflight = 0)
     ?(admission_deadline = 0.) ?(ingress_limit = 0) ?(rfactor = 1)
@@ -2304,6 +2287,7 @@ let create ?(space = Space.default) ?(link = Network.gigabit) ?(pmin = 32)
     ?(heat = false) ?(heat_tau = 1.0) ?balance ?(route_cap = 0)
     ?(max_hops = Route.default_max_hops) ~snodes ~seed () =
   if snodes < 1 then invalid_arg "Runtime.create: need at least one snode";
+  let space = Space.default in
   (match balance with
   | Some p -> Balance.Policy.validate p
   | None -> ());
@@ -2805,7 +2789,12 @@ let live_coordinator t via =
   in
   scan 0
 
+let check_via t fn via =
+  if via < 0 || via >= Array.length t.snodes then
+    invalid_arg (fn ^ ": via out of range")
+
 let put t ?(via = 0) ?on_done ~key ~value () =
+  check_via t "Runtime.put" via;
   let token = fresh_token t (Cb_put on_done) in
   t.pending <- t.pending + 1;
   if recording t then
@@ -2833,6 +2822,7 @@ let put t ?(via = 0) ?on_done ~key ~value () =
                  op = Wire.Op_put { key; value; token } }))
 
 let get t ?(via = 0) ~key k =
+  check_via t "Runtime.get" via;
   let token = fresh_token t (Cb_get k) in
   t.pending <- t.pending + 1;
   if recording t then
@@ -2858,6 +2848,7 @@ let get t ?(via = 0) ~key k =
 let range_get t ?(via = 0) ~lo ~hi k =
   if lo < 0 || hi > Space.size t.space || lo > hi then
     invalid_arg "Runtime.range_get: bad range bounds";
+  check_via t "Runtime.range_get" via;
   let token = fresh_token t (Cb_range k) in
   t.pending <- t.pending + 1;
   Engine.schedule t.engine ~delay:0. (fun () ->
@@ -2947,17 +2938,15 @@ type ae_stats = Store.ae_stats = {
 
 let ae_stats t = Store.ae_stats t.store
 
-let remove_vnode t ?(via = 0) ~id k =
+let remove_vnode t ~id k =
   let host = id.Vnode_id.snode in
   if host < 0 || host >= Array.length t.snodes then
     invalid_arg "Runtime.remove_vnode: vnode id names no snode";
-  if via < 0 || via >= Array.length t.snodes then
-    invalid_arg "Runtime.remove_vnode: via out of range";
   let token = fresh_token t (Cb_remove k) in
   t.pending <- t.pending + 1;
   Engine.schedule t.engine ~delay:0. (fun () ->
-      send t ~src:via ~dst:host
-        (Wire.Remove_request { leaving = id; origin = via; token }))
+      send t ~src:0 ~dst:host
+        (Wire.Remove_request { leaving = id; origin = 0; token }))
 
 let run ?until t = Engine.run ?until t.engine
 let pending_operations t = t.pending

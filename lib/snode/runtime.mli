@@ -41,7 +41,6 @@ type approach =
           vnode-hosting snode and creations serialize through one queue *)
 
 val create :
-  ?space:Dht_hashspace.Space.t ->
   ?link:Network.link ->
   ?pmin:int ->
   ?approach:approach ->
@@ -71,8 +70,9 @@ val create :
   unit ->
   t
 (** [create ~snodes ~seed ()] builds a cluster of [snodes] snodes. Snode 0
-    bootstraps the DHT with vnode [0.0] holding the whole hash range; every
-    routing cache starts seeded with that placement. Defaults: [pmin = 32],
+    bootstraps the DHT with vnode [0.0] holding the whole hash range
+    ({!Dht_hashspace.Space.default}); every routing cache starts seeded
+    with that placement. Defaults: [pmin = 32],
     [approach = Local { vmin = 16 }], gigabit {!Network.link}.
 
     A routed operation backs off 1 ms between retries, at most 50 times.
@@ -276,13 +276,15 @@ val put :
     versioned cell (issue time, then the coordinator's own monotonic
     sequence, then its snode id) — the sequence component keeps two
     writes stamped by one coordinator in the same engine tick ordered as
-    issued. *)
+    issued.
+    @raise Invalid_argument unless [0 <= via < snodes]. *)
 
 val get : t -> ?via:int -> key:string -> (string option -> unit) -> unit
 (** Read issued from snode [via]; the callback fires when the owner's
     reply (or the [read_quorum]-th replica reply, whose freshest version
     wins) arrives. Like {!put}, a replicated read whose [via] snode is
-    down re-routes to the next live coordinator. *)
+    down re-routes to the next live coordinator.
+    @raise Invalid_argument unless [0 <= via < snodes]. *)
 
 val range_get :
   t -> ?via:int -> lo:int -> hi:int -> ((string * string) list -> unit) -> unit
@@ -299,12 +301,13 @@ val range_get :
     touched partition at every serving replica. With every snode down the
     read fails at once: the callback sees [[]] and {!completed_ranges}
     does not count it.
-    @raise Invalid_argument unless [0 <= lo <= hi <= Space.size]. *)
+    @raise Invalid_argument unless [0 <= lo <= hi <= Space.size] and
+    [0 <= via < snodes]. *)
 
-val remove_vnode : t -> ?via:int -> id:Vnode_id.t -> (bool -> unit) -> unit
-(** Departure of a vnode through the message protocol: the request reaches
-    the vnode's hosting snode, is handed to its group's manager, and — if
-    the model admits it (L2 floor, capacity; see
+val remove_vnode : t -> id:Vnode_id.t -> (bool -> unit) -> unit
+(** Departure of a vnode through the message protocol: the request, sent
+    from snode 0, reaches the vnode's hosting snode, is handed to its
+    group's manager, and — if the model admits it (L2 floor, capacity; see
     {!Dht_core.Local_dht.remove_vnode}) — a prepare/commit round drains the
     departing vnode's partitions (with their keys) to the least-loaded
     survivors and re-equalizes. The callback receives [false] when the

@@ -43,20 +43,20 @@ module Zipf = struct
 end
 
 module Population = struct
-  (* Keys are derived, not stored: member [i] is a pure function of
-     [(salt, i)], so a million-key population costs nothing until a key
-     is materialized, and two populations with the same salt and size
-     agree across processes and runs. *)
-  type t = { prefix : string; size : int }  (* [prefix] is [salt ^ "-"] *)
+  (* Keys are derived, not stored: member [i] is ["pop-" ^ i], so a
+     million-key population costs nothing until a key is materialized,
+     and two populations of the same size agree across processes and
+     runs. *)
+  type t = { size : int }
 
-  let create ?(salt = "pop") ~size () =
+  let create ~size () =
     if size < 1 then invalid_arg "Keygen.Population.create: size < 1";
-    { prefix = salt ^ "-"; size }
+    { size }
 
   let size t = t.size
   let nth t i =
     if i < 0 || i >= t.size then invalid_arg "Keygen.Population.nth: index";
-    t.prefix ^ string_of_int i
+    "pop-" ^ string_of_int i
 
   let sample t rng = nth t (Rng.int rng t.size)
 end

@@ -32,16 +32,15 @@ end
 
 module Population : sig
   (** A fixed-size key population with derived members: key [i] is a pure
-      function of [(salt, i)], so populations of millions of keys cost
-      nothing to hold — the scaling sweeps draw from a configurable
-      population size without materializing it. Deterministic: same salt
-      and size, same keys, in every process and run. *)
+      function of [i], so populations of millions of keys cost nothing to
+      hold — the scaling sweeps draw from a configurable population size
+      without materializing it. Deterministic: same size, same keys, in
+      every process and run. *)
 
   type t
 
-  val create : ?salt:string -> size:int -> unit -> t
-  (** [create ~size ()] is the population [{salt-0, …, salt-(size-1)}]
-      (default salt ["pop"]).
+  val create : size:int -> unit -> t
+  (** [create ~size ()] is the population [{pop-0, …, pop-(size-1)}].
       @raise Invalid_argument if [size < 1]. *)
 
   val size : t -> int

@@ -293,6 +293,26 @@ let test_runtime_validation () =
     (Invalid_argument "Runtime.create_vnode: initiator out of range") (fun () ->
       Runtime.create_vnode rt ~initiator:5 ~id:(vid 1) ())
 
+(* An out-of-range entry snode is refused at the call: accepted, it would
+   either crash the run with a bare index error or silently coordinate
+   from another snode than the history records. *)
+let test_runtime_via_range () =
+  let rt =
+    Runtime.create ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~snodes:4 ~seed:1
+      ()
+  in
+  Alcotest.check_raises "put"
+    (Invalid_argument "Runtime.put: via out of range") (fun () ->
+      Runtime.put rt ~via:7 ~key:"k" ~value:"v" ());
+  Alcotest.check_raises "get"
+    (Invalid_argument "Runtime.get: via out of range") (fun () ->
+      Runtime.get rt ~via:(-3) ~key:"k" ignore);
+  Alcotest.check_raises "range_get"
+    (Invalid_argument "Runtime.range_get: via out of range") (fun () ->
+      Runtime.range_get rt ~via:4 ~lo:0 ~hi:1 ignore);
+  Runtime.run rt;
+  check Alcotest.int "nothing pending" 0 (Runtime.pending_operations rt)
+
 let test_runtime_deterministic () =
   let final seed =
     let rt = Runtime.create ~pmin:8 ~approach:(Runtime.Local { vmin = 4 }) ~snodes:8 ~seed () in
@@ -871,6 +891,8 @@ let suite =
     Alcotest.test_case "runtime: traffic counted" `Quick
       test_runtime_messages_counted;
     Alcotest.test_case "runtime: validation" `Quick test_runtime_validation;
+    Alcotest.test_case "runtime: data ops check via" `Quick
+      test_runtime_via_range;
     Alcotest.test_case "runtime: deterministic" `Quick test_runtime_deterministic;
     Alcotest.test_case "wire sizes and tags" `Quick test_wire_sizes;
     Alcotest.test_case "plan: removal basic" `Quick test_plan_removal_basic;
