@@ -10,13 +10,16 @@ median host_ops_per_s is at least RATIO times the parent's, and the change's
 median peak_heap_mb is at most HEAP_RATIO times the parent's. Both sides must
 come from the same runner, so host speed cancels out of the throughput ratio.
 
-The second pair holds routed-256 runs: there the change's median
-peak_heap_mb must also be at most HEAP_RATIO times the parent's. Peak heap
-is deterministic for a given build and seed, so one run per tree is enough.
+The other two pairs hold one run per workload and tree, each line wrapped
+as {"workload": NAME, "result": RESULT_LINE}; both trees must have run the
+same workloads. The second pair holds --trace 0 runs of routed-256 and
+write-repair: for each, the change's peak_heap_mb must be at most
+HEAP_RATIO times the parent's. Peak heap is deterministic for a given build
+and seed up to the address-space layout (write-repair's moves by about
+0.5 %), so one run per tree is enough.
 
-The third pair holds --trace 1 runs, one line per workload, each wrapped as
-{"workload": NAME, "result": RESULT_LINE}. For every workload both trees
-ran, the change's gc.minor_words_per_op must be at most ALLOC_RATIO times
+The third pair holds --trace 1 runs of routed-256 and write-repair: for
+each, the change's gc.minor_words_per_op must be at most ALLOC_RATIO times
 the parent's. Each workload runs a fixed number of operations at a fixed
 seed, yet the count still varies by about 0.1 % between runs of one build
 (it follows the address-space layout). That spread sits about 20 times
@@ -74,9 +77,9 @@ def gate(paths, workload, metric, ratio_bound, higher_is_better):
     return ok
 
 
-def alloc_gate(paths):
-    """Compare ALLOC_METRIC workload by workload; return whether every
-    workload of the change stays within ALLOC_RATIO of the parent's."""
+def workload_gate(paths, metric, ratio_bound):
+    """Compare METRIC workload by workload; return whether every workload
+    of the change stays at most RATIO_BOUND times the parent's."""
     sides = {}
     for side, path in zip(("change", "parent"), paths):
         lines = load(path)
@@ -85,7 +88,7 @@ def alloc_gate(paths):
         except (KeyError, TypeError):
             sys.exit("%s: lines must be {\"workload\": ..., \"result\": ...}" % path)
     if set(sides["change"]) != set(sides["parent"]):
-        print("::error::allocation gate: the trees ran different workloads")
+        print("::error::%s gate: the trees ran different workloads" % metric)
         return False
     ok = True
     for w in sorted(sides["change"]):
@@ -94,15 +97,15 @@ def alloc_gate(paths):
             print("::error::a %s run failed its output checks" % w)
             ok = False
             continue
-        change, parent = (runs[s]["metrics"][ALLOC_METRIC]["value"]
+        change, parent = (runs[s]["metrics"][metric]["value"]
                           for s in ("change", "parent"))
         ratio = change / parent
         print("%s %s: change %.6g, parent %.6g, change / parent = %.4f "
-              "(gate: <= %.2f)" % (w, ALLOC_METRIC, change, parent, ratio,
-                                   ALLOC_RATIO))
-        if ratio > ALLOC_RATIO:
-            print("::error::allocation gate failed: %s %s is %.1f%% of the "
-                  "parent's" % (w, ALLOC_METRIC, 100 * ratio))
+              "(gate: <= %.2f)" % (w, metric, change, parent, ratio,
+                                   ratio_bound))
+        if ratio > ratio_bound:
+            print("::error::host perf gate failed: %s %s is %.1f%% of the "
+                  "parent's" % (w, metric, 100 * ratio))
             ok = False
     return ok
 
@@ -112,8 +115,8 @@ def main():
         sys.exit(__doc__.strip().split("\n\n")[1])
     ok = gate(sys.argv[1:3], "point-read", METRIC, RATIO, True)
     ok = gate(sys.argv[1:3], "point-read", HEAP_METRIC, HEAP_RATIO, False) and ok
-    ok = gate(sys.argv[3:5], "routed-256", HEAP_METRIC, HEAP_RATIO, False) and ok
-    ok = alloc_gate(sys.argv[5:7]) and ok
+    ok = workload_gate(sys.argv[3:5], HEAP_METRIC, HEAP_RATIO) and ok
+    ok = workload_gate(sys.argv[5:7], ALLOC_METRIC, ALLOC_RATIO) and ok
     return 0 if ok else 1
 
 

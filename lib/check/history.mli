@@ -6,20 +6,24 @@
     the snode the operation was issued [via].
 
     The recorder is a columnar, append-only store: one row per [Invoke],
-    in invocation order, with columns for the token, session, invocation
-    and return times (unboxed floats), one flags byte (put, has-result,
-    returned, failed, shed), the key and the value (a put's value or a
-    get's result; the runtime's strings are shared, not copied). Rows are
+    in invocation order, with columns for the session and flags packed in
+    one int (put, has-result, returned, failed, shed), the invocation and
+    return times (unboxed floats), the key and the value (a put's value or
+    a get's result, shared with the runtime, not copied). Rows are
     appended in fixed-size chunks, so a column is never copied or doubled
     as the history grows. A token-to-row index, dense over the runtime's
-    consecutive tokens, routes each outcome event to its row. A row's
-    columns cost about 7 words, against about 27 for a hash table of
-    entry records, but the strings come on top: a workload that builds a
-    fresh key per operation (as {!Dht_workload.Keygen.Population.nth}
-    does) leaves the history the only holder of that key once the
-    operation settles, so each row then keeps its key's block too (3 more
-    words for a 10-character key). Entries are built only when {!entries}
-    is called. *)
+    consecutive tokens, routes each outcome event to its row; there is no
+    token column, as {!entries} rebuilds each row's token from that index.
+    A row costs about 6 words (its 5 columns and its index slot), against
+    about 27 for a hash table of entry records.
+
+    Keys are interned: the history keeps one string per distinct key, the
+    one its first row carried, found through an open-addressing table of
+    row numbers. A client that builds a fresh key string per operation (as
+    {!Dht_workload.Keygen.Population.nth} does) therefore costs no string
+    per row once the operation settles; each distinct key costs its string
+    and 1.33 to 2.67 table slots. Put values are kept as given. Entries
+    are built only when {!entries} is called. *)
 
 module Runtime := Dht_snode.Runtime
 

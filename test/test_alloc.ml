@@ -1,4 +1,5 @@
-(* The hot path's golden values and allocation budgets.
+(* The hot path's golden values and allocation budgets, and the words a
+   drained runtime retains per held cell and per idle peer.
 
    Golden values pin the PRNG streams and key hashes bit for bit, so a
    change to how their state is stored cannot move a seeded trace.
@@ -20,6 +21,7 @@ module Route = Dht_snode.Route
 module Transport = Dht_snode.Transport
 module Wire = Dht_snode.Wire
 module Network = Dht_event_sim.Network
+module Runtime = Dht_snode.Runtime
 
 let check = Alcotest.check
 
@@ -245,6 +247,79 @@ let test_restage_budget () =
   within "Transport.send re-staging a pooled timer" ~budget:5. 0. !words;
   check Alcotest.(list string) "pool sound" [] (Transport.audit tr)
 
+(* ---------------- retained-memory budgets ---------------- *)
+
+(* Budgets on what a drained runtime keeps reachable, as
+   [Obj.reachable_words] deltas. No recorder is attached, so every word is
+   the runtime's own. The heap graph follows from the seed alone, so each
+   delta is measured on two fresh runtimes and must repeat exactly. *)
+let retained rt = Obj.reachable_words (Obj.repr rt)
+
+let twice what measure =
+  let a = measure () and b = measure () in
+  if a <> b then Alcotest.failf "%s: %d words, then %d on a second runtime" what a b;
+  a
+
+let within_retained what ~budget ~per words =
+  if float_of_int words > budget *. float_of_int per then
+    Alcotest.failf "%s: %d words for %d (budget %g each)" what words per budget
+
+(* Snode 0 holds the only vnode of a one-copy cluster; [n] puts of new
+   keys each add one held cell there. *)
+let test_cell_retained () =
+  let n = 2_000 in
+  let put rt lo =
+    for i = lo to lo + n - 1 do
+      Runtime.put rt ~key:(Printf.sprintf "key-%d" i) ~value:(Printf.sprintf "v%d" i) ()
+    done;
+    Runtime.run rt
+  in
+  let words =
+    twice "held cells" (fun () ->
+        let rt = Runtime.create ~snodes:4 ~seed:2004 () in
+        put rt 0;
+        let w0 = retained rt in
+        put rt n;
+        retained rt - w0)
+  in
+  (* 20.5 words: the key and value strings, the versioned cell with its
+     version record, the cell's slot and table entry, and the table's
+     growth amortised over the cells. A slot that kept a second cell
+     would read 26.5. *)
+  within_retained "retained per held cell" ~budget:21. ~per:n words
+
+(* Snodes read one key held by snode 0 through the reliable transport,
+   which leaves a drained peer record at both ends of each route. A first
+   round from half of them sizes snode 0's tables; the second round, from
+   the other half, opens as many new routes. *)
+let test_idle_peer_retained () =
+  let half = 32 in
+  let words =
+    twice "idle peers" (fun () ->
+        let rt =
+          Runtime.create ~faults:(Runtime.Fault.create ~seed:2004 ())
+            ~snodes:((2 * half) + 1) ~seed:2004 ()
+        in
+        Runtime.put rt ~key:"k" ~value:"v" ();
+        let round lo =
+          for via = lo to lo + half - 1 do
+            Runtime.get rt ~via ~key:"k" ignore
+          done;
+          Runtime.run rt
+        in
+        round 1;
+        let w0 = retained rt in
+        round (half + 1);
+        check Alcotest.(list string) "queues sound" [] (Runtime.queue_audit rt);
+        retained rt - w0)
+  in
+  (* 25.25 words: a peer record and its table entry at each end of a new
+     route, plus what the new snode's first traffic leaves behind (its
+     endpoint's pooled queue record and spare outbox among it), shared
+     out over the route's two peers. A peer that kept its last acked
+     message would read about 60. *)
+  within_retained "retained per idle peer" ~budget:26. ~per:(2 * half) words
+
 let suite =
   [
     Alcotest.test_case "golden: Rng streams" `Quick test_rng_golden;
@@ -259,4 +334,7 @@ let suite =
       test_route_hit_budget;
     Alcotest.test_case "budget: re-staging takes a pooled timer" `Quick
       test_restage_budget;
+    Alcotest.test_case "retained: words per held cell" `Quick test_cell_retained;
+    Alcotest.test_case "retained: words per idle peer" `Quick
+      test_idle_peer_retained;
   ]

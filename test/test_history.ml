@@ -1,8 +1,10 @@
 (* The operation-history recorder. A differential property feeds random
    Oplog event streams both to the columnar recorder and to a reference
    fold (the Hashtbl-of-records recorder it replaced, kept below
-   verbatim) and requires identical entries and per-key groups. A guard
-   bounds the recorder's live heap per recorded operation. *)
+   verbatim) and requires identical entries and per-key groups, each
+   group's entries sharing one key string. Two guards
+   bound the recorder's live heap per recorded operation, with shared and
+   with fresh key strings. *)
 
 module Runtime = Dht_snode.Runtime
 module Oplog = Runtime.Oplog
@@ -85,13 +87,20 @@ end
 (* ------------------------------------------------------------------ *)
 (* Random event streams                                                 *)
 
+(* A copy of [k] that shares no block with it. *)
+let fresh k = Bytes.to_string (Bytes.of_string k)
+
 (* Unique Invoke tokens: increasing from a random start with gaps (the
    tokens range reads and removes take without an Invoke), in a third of
    the streams now and then jumping far ahead, and in a quarter of them
-   shuffled. Between invocations come outcomes on invoked tokens (any
-   kind on any op: Reply on a put, Reply None, repeated outcomes) and on
-   tokens never or not yet invoked. A third of the streams hold more rows
-   than one storage chunk. *)
+   shuffled. Every Invoke carries a fresh copy of its key, as a client
+   that builds its keys per operation does; in a third of the streams the
+   keys come from 2,000 instead of 8, so the history's key table grows
+   and its probes collide, and in a third sessions range up to 2^20.
+   Between invocations come outcomes
+   on invoked tokens (any kind on any op: Reply on a put, Reply None,
+   repeated outcomes) and on tokens never or not yet invoked. A third of
+   the streams hold more rows than one storage chunk. *)
 let gen_stream st =
   let rows =
     if Random.State.int st 3 = 0 then 4_000 + Random.State.int st 6_000
@@ -122,7 +131,8 @@ let gen_stream st =
     clock := !clock +. Random.State.float st 1.;
     !clock
   in
-  let keys = Array.init 8 (Printf.sprintf "k%d") in
+  let keys = Array.init (if Random.State.int st 3 = 0 then 2_000 else 8) (Printf.sprintf "k%d") in
+  let sessions = if Random.State.int st 3 = 0 then (1 lsl 20) + 1 else 5 in
   let evs = ref [] in
   let emit e = evs := e :: !evs in
   let outcome token =
@@ -135,12 +145,12 @@ let gen_stream st =
     | _ -> Oplog.Reply { token; value = Some ""; at = at () }
   in
   for i = 0 to rows - 1 do
-    let token = tokens.(i) and key = keys.(Random.State.int st (Array.length keys)) in
+    let token = tokens.(i) and key = fresh keys.(Random.State.int st (Array.length keys)) in
     let op =
       if Random.State.bool st then Oplog.Op_put { key; value = Printf.sprintf "v%d" i }
       else Oplog.Op_get { key }
     in
-    emit (Oplog.Invoke { token; via = Random.State.int st 5; op; at = at () });
+    emit (Oplog.Invoke { token; via = Random.State.int st sessions; op; at = at () });
     for _ = 1 to Random.State.int st 3 do
       emit (outcome tokens.(Random.State.int st (i + 1)))
     done;
@@ -175,15 +185,22 @@ let prop_matches_reference =
       let h = H.create () and r = Reference.create () in
       List.iter (fun ev -> H.feed h ev; Reference.feed r ev) evs;
       let es = H.entries h and expected = Reference.entries r in
-      es = expected && H.by_key es = Reference.by_key expected)
+      (* One string per distinct key: every entry of a key shares it. *)
+      let interned (_, group) =
+        List.for_all (fun e -> H.key e == H.key (List.hd group)) group
+      in
+      es = expected
+      && H.by_key es = Reference.by_key expected
+      && List.for_all interned (H.by_key es))
 
 (* ------------------------------------------------------------------ *)
 (* Live memory per recorded operation                                   *)
 
-(* 200k put/get invocations and their outcomes, over keys and values
-   allocated beforehand (the runtime's strings are shared, not copied):
-   the recorder may keep at most 10 live words per operation. *)
-let test_live_words () =
+(* Live words per operation after 200k put/get invocations and their
+   outcomes, over 64 keys and 64 values allocated beforehand. With
+   [fresh_keys], every Invoke instead carries a new copy of its key,
+   which the history must not keep. *)
+let live_words_per_op ~fresh_keys =
   let n = 200_000 in
   let keys = Array.init 64 (Printf.sprintf "key-%d") in
   let values = Array.init 64 (Printf.sprintf "value-%d") in
@@ -194,7 +211,8 @@ let test_live_words () =
   let h = H.create () in
   let before = live () in
   for i = 0 to n - 1 do
-    let key = keys.(i land 63) and at = float_of_int i in
+    let key = if fresh_keys then fresh keys.(i land 63) else keys.(i land 63) in
+    let at = float_of_int i in
     if i mod 4 = 0 then begin
       H.feed h
         (Oplog.Invoke
@@ -208,11 +226,27 @@ let test_live_words () =
   done;
   let per_op = float_of_int (live () - before) /. float_of_int n in
   ignore (Sys.opaque_identity h);
-  if per_op > 10. then
-    Alcotest.failf "recorder keeps %.1f live words per op (bound 10)" per_op
+  per_op
+
+(* A row costs 6 words: meta, inv, ret, key, value and its index slot. *)
+let bound = 7.
+
+let test_live_words () =
+  let per_op = live_words_per_op ~fresh_keys:false in
+  if per_op > bound then
+    Alcotest.failf "recorder keeps %.1f live words per op (bound %g)" per_op bound
+
+(* Each Invoke's key is a fresh string: the history keeps one string per
+   distinct key, so the copies die young and the bound still holds. *)
+let test_fresh_keys () =
+  let per_op = live_words_per_op ~fresh_keys:true in
+  if per_op > bound then
+    Alcotest.failf "recorder keeps %.1f live words per op on fresh keys (bound %g)"
+      per_op bound
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_matches_reference;
     Alcotest.test_case "live words per op" `Quick test_live_words;
+    Alcotest.test_case "fresh keys cost no string" `Quick test_fresh_keys;
   ]
