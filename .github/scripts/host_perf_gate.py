@@ -18,9 +18,9 @@ HEAP_RATIO times the parent's. Peak heap is deterministic for a given build
 and seed up to the address-space layout (write-repair's moves by about
 0.5 %), so one run per tree is enough.
 
-The third pair holds --trace 1 runs of routed-256 and write-repair: for
-each, the change's gc.minor_words_per_op must be at most ALLOC_RATIO times
-the parent's. Each workload runs a fixed number of operations at a fixed
+The third pair holds --trace 1 runs of routed-256, write-repair and
+point-read: for each, the change's gc.minor_words_per_op must be at most
+ALLOC_RATIO times the parent's. Each workload runs a fixed number of operations at a fixed
 seed, yet the count still varies by about 0.1 % between runs of one build
 (it follows the address-space layout). That spread sits about 20 times
 inside the ALLOC_RATIO bound, so one run per tree is enough.

@@ -30,6 +30,8 @@ let[@inline] push t ~time f =
   if len > t.max_pending then t.max_pending <- len;
   slot
 
+let clear t slot f = Heap.clear t.queue slot f
+
 let[@inline] at t ~time f = ignore (push t ~time f)
 
 (* The time [delay] from now. *)
@@ -67,37 +69,33 @@ let cancel h =
     h.h_slot <- -1
   end
 
-(* Reusable timer slots: one callback closure and one trampoline are
-   allocated when the slot is created; re-arming only pushes a queue entry.
-   Lazy deletion again — a stale entry fires as a no-op because either the
-   slot is disarmed or the clock has not reached the latest deadline.
-   [disarm] leaves the latest entry's trampoline queued: re-armed for the
-   same instant, the slot fires from that older entry, at its earlier
-   seq. [release] ends the slot's life, so it may clear the latest entry
-   and drop the callback; older stale entries then pin only the trampoline
-   and this record. *)
+(* Reusable timers, built on [push] like any slot owner: one trampoline
+   is allocated when the timer is made; re-arming only pushes a queue
+   entry. Lazy deletion again — a stale entry fires as a no-op because
+   either the timer is disarmed or the clock has not reached the latest
+   deadline. [disarm] leaves the latest entry's trampoline queued:
+   re-armed for the same instant, the timer fires from that older entry,
+   at its earlier seq. *)
 (* Flat like [clock], so re-arming writes the deadline unboxed. *)
 type deadline = { mutable due : float }
 
 type timer = {
   tm_engine : t;
-  mutable tm_cb : unit -> unit;  (* [ignore] once released *)
   deadline : deadline;
   mutable tm_armed : bool;
-  mutable tm_slot : int;  (* payload slot of the latest arming; -1 before *)
   mutable trampoline : unit -> unit;
 }
 
 let timer t f =
   let tm =
-    { tm_engine = t; tm_cb = f; deadline = { due = 0. }; tm_armed = false;
-      tm_slot = -1; trampoline = ignore }
+    { tm_engine = t; deadline = { due = 0. }; tm_armed = false;
+      trampoline = ignore }
   in
   tm.trampoline <-
     (fun () ->
       if tm.tm_armed && t.clock.now >= tm.deadline.due then begin
         tm.tm_armed <- false;
-        tm.tm_cb ()
+        f ()
       end);
   tm
 
@@ -108,15 +106,9 @@ let arm tm ~delay =
   let time = t.clock.now +. delay in
   tm.deadline.due <- time;
   tm.tm_armed <- true;
-  tm.tm_slot <- push t ~time tm.trampoline
+  ignore (push t ~time tm.trampoline)
 
 let disarm tm = tm.tm_armed <- false
-
-let release tm =
-  tm.tm_armed <- false;
-  tm.tm_cb <- ignore;
-  if tm.tm_slot >= 0 then Heap.clear tm.tm_engine.queue tm.tm_slot tm.trampoline
-
 let armed tm = tm.tm_armed
 
 let pending t = Heap.length t.queue

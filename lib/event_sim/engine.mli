@@ -15,9 +15,16 @@
     the clock over dead entries, and a callback that later schedules
     relative to {!now} depends on that clock. Removing dead entries eagerly
     would move those times. The entry need not keep its callback, though:
-    {!cancel} and {!release} swap the queued closure for an inert one, so
+    {!cancel} and {!clear} swap the queued closure for an inert one, so
     whatever the callback captured can be collected long before the dead
-    entry's time comes. *)
+    entry's time comes.
+
+    Two primitives expose the queue's payload slots: {!push} queues a
+    callback and returns its slot, and {!clear} empties a slot that still
+    holds a given callback. A caller that keeps its own deadline and armed
+    flag next to its state can then run a retransmission-style timer with
+    no record in the engine: the transport's outbox entries do. {!timer} is
+    the packaged form of the same pattern, built on {!push}. *)
 
 type t
 
@@ -35,6 +42,18 @@ val at : t -> time:float -> (unit -> unit) -> unit
 (** [at t ~time f] runs [f] at absolute virtual [time].
     @raise Invalid_argument if [time] is in the past or not finite. *)
 
+val push : t -> time:float -> (unit -> unit) -> int
+(** [push t ~time f] is {!at}, returning the queue's payload slot that
+    holds [f] until the entry dispatches or is cleared.
+    @raise Invalid_argument if [time] is in the past or not finite. *)
+
+val clear : t -> int -> (unit -> unit) -> unit
+(** [clear t slot f] swaps [f] for an inert callback in [slot] when the
+    slot still holds [f] (physical equality): a queued entry stops keeping
+    [f] and its captures alive, and still dispatches, as a no-op. Once the
+    entry has dispatched the slot may hold another entry's callback, which
+    the check leaves alone, so a caller need not know whether it has. *)
+
 type handle
 (** A cancellable timer. *)
 
@@ -51,30 +70,24 @@ val cancel : handle -> unit
     no-op. *)
 
 type timer
-(** A reusable cancellable timer slot. Where {!schedule_cancellable}
-    allocates a fresh closure and handle per arming, a [timer] allocates
-    its callback and trampoline once; {!arm} only pushes a queue entry.
-    Hot retransmission paths re-arm the same slot for every backoff. *)
+(** A reusable cancellable timer. Where {!schedule_cancellable} allocates
+    a fresh closure and handle per arming, a [timer] allocates its
+    trampoline once; {!arm} only {!push}es a queue entry. Pooled flush
+    timers re-arm the same timer for every window. *)
 
 val timer : t -> (unit -> unit) -> timer
-(** A disarmed slot bound to [t] that will run the callback when an arming
-    fires. *)
+(** A disarmed timer bound to [t] that will run the callback when an
+    arming fires. *)
 
 val arm : timer -> delay:float -> unit
-(** Schedule (or reschedule) the slot to fire at [now + delay]. Re-arming
+(** Schedule (or reschedule) the timer to fire at [now + delay]. Re-arming
     supersedes any earlier pending arming (lazy deletion: the stale queue
     entry dispatches as a no-op).
     @raise Invalid_argument if [delay < 0.] or is not finite. *)
 
 val disarm : timer -> unit
-(** Retract the pending arming, if any. The slot stays reusable, so its
+(** Retract the pending arming, if any. The timer stays reusable, so its
     queue entries keep the trampoline that runs the callback. *)
-
-val release : timer -> unit
-(** End the slot's life: disarm it, drop its callback and clear the latest
-    arming's queue entry, which still dispatches as a no-op. Earlier,
-    superseded entries keep only the slot itself alive. Arming a released
-    slot is allowed but runs nothing. *)
 
 val armed : timer -> bool
 (** [true] while an arming is pending. *)

@@ -5,14 +5,21 @@
    [d] is the level-[d] cell reached by reading the top [d] bits of a hash
    index. A registered span is a [Leaf] at depth [level]; interior [Fork]
    nodes carry no binding. Lookups walk at most [level]-of-the-answer
-   steps, and every update mutates the trie in place: the hot placement
+   steps, and every update mutates the forks in place: the hot placement
    paths (routing-cache and replica-map learns during creation storms)
    allocate only the handful of nodes they actually create, instead of
-   rebuilding the spine of a persistent map per eviction and re-insert. *)
+   rebuilding the spine of a persistent map per eviction and re-insert.
+
+   A leaf is an immutable value, so one leaf block may sit at several
+   places in the trie: [learn]'s sibling fragments and [split]'s halves
+   reuse the coarser leaf instead of copying it, and a learn that keeps a
+   span's owner keeps its leaf. Rebinding a span swaps the leaf through
+   its parent. Nothing reads a leaf's identity, so bindings, [cardinal]
+   and every traversal are those of a trie with one leaf per span. *)
 
 type 'a node =
   | Empty
-  | Leaf of { mutable v : 'a }
+  | Leaf of 'a
   | Fork of { mutable lo : 'a node; mutable hi : 'a node }
 
 type 'a t = { space : Space.t; mutable root : 'a node; mutable card : int }
@@ -30,7 +37,7 @@ let add t span v =
   let rec go node d =
     if d = lvl then
       match node with
-      | Empty -> Leaf { v }
+      | Empty -> Leaf v
       | Leaf _ | Fork _ -> invalid_arg "Point_map.add: overlapping span"
     else
       match node with
@@ -74,7 +81,7 @@ let find_point t p =
   let rec go node d idx =
     match node with
     | Empty -> raise Not_found
-    | Leaf l -> (Span.make t.space ~level:d ~index:idx, l.v)
+    | Leaf v -> (Span.make t.space ~level:d ~index:idx, v)
     | Fork f ->
         let bit = (p lsr (bits - 1 - d)) land 1 in
         go (if bit = 0 then f.lo else f.hi) (d + 1) ((idx lsl 1) lor bit)
@@ -90,7 +97,7 @@ let find_point t p =
 let rec owner_walk p bits node d =
   match node with
   | Empty -> raise Not_found
-  | Leaf l -> l.v
+  | Leaf v -> v
   | Fork f ->
       owner_walk p bits
         (if (p lsr (bits - 1 - d)) land 1 = 0 then f.lo else f.hi)
@@ -118,16 +125,20 @@ let probe_depth t p =
     invalid_arg "Point_map.probe_depth: point outside space";
   depth_walk p (Space.bits t.space) t.root 0
 
+(* The leaf may be shared with other spans, so it is replaced, not
+   written: [go] returns the node to put where [node] was. *)
 let replace_owner t span v =
   let lvl = Span.level span and idx = Span.index span in
   let rec go node d =
     match node with
-    | Leaf l when d = lvl -> l.v <- v
+    | Leaf _ when d = lvl -> Leaf v
     | Fork f when d < lvl ->
-        go (if branch ~lvl ~idx d = 0 then f.lo else f.hi) (d + 1)
+        (if branch ~lvl ~idx d = 0 then f.lo <- go f.lo (d + 1)
+         else f.hi <- go f.hi (d + 1));
+        node
     | Empty | Leaf _ | Fork _ -> raise Not_found
   in
-  go t.root 0
+  t.root <- go t.root 0
 
 let split t span =
   let lvl = Span.level span and idx = Span.index span in
@@ -135,7 +146,7 @@ let split t span =
   ignore (Span.split t.space span);
   let rec go node d =
     match node with
-    | Leaf l when d = lvl -> Fork { lo = Leaf { v = l.v }; hi = Leaf { v = l.v } }
+    | Leaf _ when d = lvl -> Fork { lo = node; hi = node }
     | Fork f when d < lvl ->
         (if branch ~lvl ~idx d = 0 then f.lo <- go f.lo (d + 1)
          else f.hi <- go f.hi (d + 1));
@@ -152,7 +163,7 @@ let split t span =
 let rec leaves t node d idx acc =
   match node with
   | Empty -> acc
-  | Leaf l -> (Span.make t.space ~level:d ~index:idx, l.v) :: acc
+  | Leaf v -> (Span.make t.space ~level:d ~index:idx, v) :: acc
   | Fork f ->
       leaves t f.lo (d + 1) (idx lsl 1)
         (leaves t f.hi (d + 1) ((idx lsl 1) lor 1) acc)
@@ -162,9 +173,9 @@ let overlapping t span =
   let rec go node d =
     match node with
     | Empty -> []
-    | Leaf l ->
+    | Leaf v ->
         (* A registered span at or above [span]'s depth contains it. *)
-        [ (Span.make t.space ~level:d ~index:(idx lsr (lvl - d)), l.v) ]
+        [ (Span.make t.space ~level:d ~index:(idx lsr (lvl - d)), v) ]
     | Fork f ->
         if d = lvl then leaves t node d idx []
         else go (if branch ~lvl ~idx d = 0 then f.lo else f.hi) (d + 1)
@@ -175,46 +186,50 @@ let overlapping t span =
    evicted, and a coarser span met on the way down is pushed below [span]'s
    level — the sibling fragment at each step keeps the old owner, which is
    exactly the dyadic path decomposition the routing cache needs to evict a
-   stale entry without ever leaving a hole. *)
-let learn t span v =
-  let lvl = Span.level span and idx = Span.index span in
-  let rec count node =
+   stale entry without ever leaving a hole. The fragments share the coarser
+   entry's leaf, so a decomposition allocates its forks and at most one
+   leaf, for [span] itself. *)
+let rec leaf_count node =
+  match node with
+  | Empty -> 0
+  | Leaf _ -> 1
+  | Fork f -> leaf_count f.lo + leaf_count f.hi
+
+(* [learn]'s walk is top-level, like the probes above, so that a call
+   allocates no closure: a refresh that keeps the owner allocates
+   nothing. *)
+let rec learn_walk t ~lvl ~idx v node d =
+  if d = lvl then begin
+    t.card <- t.card - leaf_count node + 1;
     match node with
-    | Empty -> 0
-    | Leaf _ -> 1
-    | Fork f -> count f.lo + count f.hi
-  in
-  let rec go node d =
-    if d = lvl then begin
-      t.card <- t.card - count node + 1;
-      match node with
-      | Leaf l ->
-          (* Reuse the slot: the common case is refreshing one span. *)
-          l.v <- v;
-          node
-      | Empty | Fork _ -> Leaf { v }
-    end
-    else
-      match node with
-      | Fork f ->
-          (if branch ~lvl ~idx d = 0 then f.lo <- go f.lo (d + 1)
-           else f.hi <- go f.hi (d + 1));
-          node
-      | Empty ->
-          let child = go Empty (d + 1) in
-          if branch ~lvl ~idx d = 0 then Fork { lo = child; hi = Empty }
-          else Fork { lo = Empty; hi = child }
-      | Leaf l ->
-          (* Coarser entry: keep its owner on the sibling fragment and push
-             the entry itself one level closer to [span]. *)
-          t.card <- t.card + 1;
-          let sib = Leaf { v = l.v } in
-          if branch ~lvl ~idx d = 0 then
-            Fork { lo = go node (d + 1); hi = sib }
-          else Fork { lo = sib; hi = go node (d + 1) }
-  in
-  let root = go t.root 0 in
-  t.root <- root
+    | Leaf w when w == v ->
+        (* Keep the leaf: the common case is refreshing one span with the
+           owner it already has. *)
+        node
+    | Empty | Leaf _ | Fork _ -> Leaf v
+  end
+  else
+    match node with
+    | Fork f ->
+        (if branch ~lvl ~idx d = 0 then
+           f.lo <- learn_walk t ~lvl ~idx v f.lo (d + 1)
+         else f.hi <- learn_walk t ~lvl ~idx v f.hi (d + 1));
+        node
+    | Empty ->
+        let child = learn_walk t ~lvl ~idx v Empty (d + 1) in
+        if branch ~lvl ~idx d = 0 then Fork { lo = child; hi = Empty }
+        else Fork { lo = Empty; hi = child }
+    | Leaf _ ->
+        (* Coarser entry: the sibling fragment keeps it, leaf and owner,
+           and the entry itself is pushed one level closer to [span]. *)
+        t.card <- t.card + 1;
+        if branch ~lvl ~idx d = 0 then
+          Fork { lo = learn_walk t ~lvl ~idx v node (d + 1); hi = node }
+        else Fork { lo = node; hi = learn_walk t ~lvl ~idx v node (d + 1) }
+
+let learn t span v =
+  t.root <-
+    learn_walk t ~lvl:(Span.level span) ~idx:(Span.index span) v t.root 0
 
 (* Every [Fork] whose two children are both leaves, reported as the parent
    span plus the two child values (lo then hi). Such a pair always exists
@@ -229,7 +244,7 @@ let iter_pairs t f =
     match node with
     | Empty | Leaf _ -> ()
     | Fork { lo = Leaf a; hi = Leaf b } ->
-        f (Span.make t.space ~level:d ~index:idx) a.v b.v
+        f (Span.make t.space ~level:d ~index:idx) a b
     | Fork fk ->
         go fk.lo (d + 1) (idx lsl 1);
         go fk.hi (d + 1) ((idx lsl 1) lor 1)
@@ -240,7 +255,7 @@ let iter t f =
   let rec go node d idx =
     match node with
     | Empty -> ()
-    | Leaf l -> f (Span.make t.space ~level:d ~index:idx) l.v
+    | Leaf v -> f (Span.make t.space ~level:d ~index:idx) v
     | Fork fk ->
         go fk.lo (d + 1) (idx lsl 1);
         go fk.hi (d + 1) ((idx lsl 1) lor 1)

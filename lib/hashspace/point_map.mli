@@ -3,7 +3,16 @@
     This is the routing structure of the DHT: given a hash index, find the
     partition (and its owner) responsible for it in O(log n). Spans stored in
     one map must be pairwise disjoint; this is checked on insertion against
-    the immediate neighbours. *)
+    the immediate neighbours.
+
+    The map is a binary trie over the dyadic cells of the space. Its leaves
+    are immutable and shared: the fragments {!learn} leaves behind and the
+    halves {!split} makes all point at the coarser span's leaf, so a
+    decomposition allocates its interior nodes and nothing per fragment,
+    and a {!learn} that keeps a span's owner (physical equality) allocates
+    nothing. Rebinding a span ({!learn}, {!replace_owner}) swaps its leaf
+    and leaves every other span sharing the old one as it was. Bindings,
+    {!cardinal} and traversal orders do not depend on the sharing. *)
 
 type 'a t
 
@@ -62,7 +71,9 @@ val learn : 'a t -> Span.t -> 'a -> unit
     sibling fragment on the way down keeps the old owner, so no hole is ever
     left. This is the learn-without-holes operation routing caches and
     replica maps perform on every placement commit, done in O(level) trie
-    surgery instead of an evict/re-insert churn. *)
+    surgery instead of an evict/re-insert churn. The fragments share the
+    containing span's leaf; [span] gets a new leaf unless it was already
+    registered with [v] itself. *)
 
 val overlapping : 'a t -> Span.t -> (Span.t * 'a) list
 (** [overlapping t span] is every registered binding whose span intersects

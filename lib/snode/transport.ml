@@ -42,17 +42,35 @@ end)
    queue is released and the route is unsuspected. The queues themselves
    are likewise allocated on first write and released when drained: an
    idle record holds the empty sentinels below, which nothing ever
-   inserts into. *)
+   inserts into.
+
+   An outbox entry is its own retransmission timer: it keeps the armed
+   flag, the deadline and the queue slot of its latest arming, and one
+   closure made at its first arming, which every later arming pushes
+   again ({!Engine.push}). The closure fires under the check a reusable
+   [Engine.timer] makes (armed, and the clock at the deadline), so the
+   queue sees exactly the pushes an [Engine.timer] per entry made. A
+   retired entry clears its latest queue entry ({!Engine.clear}), so the
+   queue stops pinning the payload; a superseded older entry still holds
+   the closure, and the entry with it, until its own (earlier) deadline
+   dispatches it as a no-op. *)
+
+(* All-float, so stored flat: both times are written unboxed. *)
+type stamps = {
+  mutable sent : float;  (* virtual time of the last transmission *)
+  mutable due : float;  (* deadline of the latest retransmission arming *)
+}
+
 type outmsg = {
   o_payload : Wire.msg;
   mutable o_attempts : int;
-  mutable o_sent : float;  (* virtual time of the last transmission *)
+  o_at : stamps;
   mutable o_live : bool;
       (* inside the bounded transmission window (timer armed); [false]
          while parked in the peer's backlog waiting for a slot *)
-  mutable o_timer : Engine.timer option;
-      (* reusable slot, allocated at the first arming; every retransmission
-         re-arms it instead of building a fresh closure + handle *)
+  mutable o_armed : bool;  (* a retransmission deadline is pending *)
+  mutable o_slot : int;  (* queue slot of the latest arming; -1 before *)
+  mutable o_fire : unit -> unit;  (* [no_fire] until the first arming *)
 }
 
 (* A route's Jacobson estimator. All-float, so it is stored flat and an
@@ -94,27 +112,24 @@ type peer = {
    parts are modelled as durable, like the reliable outbox they feed; only
    the flush timer dies with a crash (restart re-arms it).
 
-   A snode keeps a buffer toward every destination it ever staged for,
-   but only a few hold parts at once, so flush timers are pooled per
-   endpoint: a buffer takes a flusher when its first part stages and
-   gives it back when its timer's flush leaves it empty. A flush forced
-   by [flush_lingering], or cut short by a crash, keeps the flusher on its
-   buffer, so a superseded queue entry of that timer can only ever fire
-   for the buffer that armed it. *)
+   A snode stages toward far more destinations over a run than hold parts
+   at once, so buffers, each with its flush timer, are pooled per
+   endpoint. [obufs] binds every destination ever staged for, to its own
+   buffer while it has one and to the shared, never-written [no_obuf]
+   otherwise. A destination takes a buffer from the free list (linked
+   through [ob_next], so taking or returning one allocates nothing) when
+   its first part stages, and gives it back when its timer's flush leaves
+   it empty. A flush forced by [flush_lingering], or cut short by a crash,
+   keeps the buffer bound, so a superseded queue entry of its timer can
+   only ever fire for the destination that armed it. Bindings are swapped
+   with [Itbl.replace], which keeps each binding's place in its bucket:
+   [restart] arms flushes in the table's order. *)
 type obuf = {
-  ob_dst : int;
+  mutable ob_dst : int;  (* -1 while free *)
   mutable ob_parts : Wire.msg list;  (* newest first *)
   mutable ob_acked : bool;  (* an ack may be among [ob_parts] *)
-  mutable ob_fl : flusher;  (* [no_flusher] while none is attached *)
-}
-
-(* A pooled flush timer. Its callback flushes [fl_ob], the buffer it is
-   attached to; while free it sits on its endpoint's free list, linked
-   through [fl_next], so taking or returning one allocates nothing. *)
-and flusher = {
-  mutable fl_timer : Engine.timer;  (* set once, right after creation *)
-  mutable fl_ob : obuf;  (* [no_obuf] while on the free list *)
-  mutable fl_next : flusher;  (* next free flusher, or [no_flusher] *)
+  mutable ob_timer : Engine.timer;  (* set once, right after creation *)
+  mutable ob_next : obuf;  (* next free buffer, or [no_obuf] *)
 }
 
 (* One snode's end of the transport. *)
@@ -123,12 +138,12 @@ type endpoint = {
   rng : Rng.t;  (* the snode's stream: retransmission jitter draws here *)
   mutable up : bool;  (* a down endpoint absorbs every delivery *)
   peers : peer Itbl.t;
-  obufs : obuf Itbl.t;
+  obufs : obuf Itbl.t;  (* destination -> its buffer, or [no_obuf] *)
   mutable spare : outmsg Itbl.t;
       (* one drained, never-grown outbox kept for the next peer that needs
          one, or [no_outbox]; it equals a fresh table *)
-  mutable idle : flusher;  (* free-list head, or [no_flusher] *)
-  mutable flushers : int;  (* flushers ever made here: free plus attached *)
+  mutable free_ob : obuf;  (* free-list head, or [no_obuf] *)
+  mutable buffers : int;  (* buffers ever made here: free plus bound *)
   mutable free_q : queues;  (* free queue records, or [no_queues] *)
 }
 
@@ -181,16 +196,17 @@ let rec no_queues =
     live = 0; seen = no_seen; suspect = false; strikes = 0;
     q_next = no_queues }
 
-(* The flusher of no buffer and the buffer of no flusher: list and
-   attachment ends. [idle_timer] belongs to an engine that never runs and
-   is never armed; every real flusher replaces it as soon as it is made. *)
+(* The buffer of every destination without staged parts, and the end of
+   a free list. [idle_timer] belongs to an engine that never runs and is
+   never armed; every real buffer replaces it as soon as it is made. *)
 let idle_timer = Engine.timer (Engine.create ()) ignore
 
-let rec no_flusher =
-  { fl_timer = idle_timer; fl_ob = no_obuf; fl_next = no_flusher }
+let rec no_obuf =
+  { ob_dst = -1; ob_parts = []; ob_acked = false; ob_timer = idle_timer;
+    ob_next = no_obuf }
 
-and no_obuf =
-  { ob_dst = -1; ob_parts = []; ob_acked = false; ob_fl = no_flusher }
+(* The closure of an outbox entry never armed. *)
+let no_fire () = ()
 
 (* A table resizes once it holds more than twice its bucket count, so an
    outbox created with 16 buckets first grows at its 33rd entry. *)
@@ -213,7 +229,7 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
       Array.mapi
         (fun sid rng ->
           { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
-            spare = no_outbox; idle = no_flusher; flushers = 0;
+            spare = no_outbox; free_ob = no_obuf; buffers = 0;
             free_q = no_queues })
         rngs;
     c =
@@ -352,6 +368,17 @@ let admission_estimate tr ~src ~set ~need =
   let ests = List.sort compare (List.map route_est set) in
   Option.value ~default:infinity (List.nth_opt ests (max 0 (need - 1)))
 
+(* What [msgs] would cost sent one by one, added to [acc]: as themselves,
+   or each in its own [Req] frame. Batch accounting walks the parts it
+   has instead of building a list of what they would have been. *)
+let rec bytes_alone acc = function
+  | [] -> acc
+  | m :: rest -> bytes_alone (acc + Wire.size_bytes m) rest
+
+let rec reqs_alone acc = function
+  | [] -> acc
+  | m :: rest -> reqs_alone (acc + Wire.per_entry + Wire.size_bytes m) rest
+
 (* Without a fault plan the network is reliable and messages flow exactly
    as in the original runtime (same messages, same bytes, same timings).
    With one, every remote message goes through the reliable request layer:
@@ -401,11 +428,13 @@ and wire tr ~src ~dst ~attempt ~bytes msg =
 and stage tr ep ~dst msg =
   let ob =
     match Itbl.find ep.obufs dst with
-    | ob -> ob
+    | ob when ob != no_obuf -> ob
+    | _ ->
+        let ob = take_obuf tr ep ~dst in
+        Itbl.replace ep.obufs dst ob;
+        ob
     | exception Not_found ->
-        let ob =
-          { ob_dst = dst; ob_parts = []; ob_acked = false; ob_fl = no_flusher }
-        in
+        let ob = take_obuf tr ep ~dst in
         Itbl.add ep.obufs dst ob;
         ob
   in
@@ -419,44 +448,41 @@ and stage tr ep ~dst msg =
       ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
-  if ob.ob_fl == no_flusher then attach_flusher tr ep ob;
-  let tm = ob.ob_fl.fl_timer in
-  if not (Engine.armed tm) then Engine.arm tm ~delay:tr.linger
+  if not (Engine.armed ob.ob_timer) then Engine.arm ob.ob_timer ~delay:tr.linger
 
-(* Give [ob] a disarmed flusher: the free list's head, or a new one. *)
-and attach_flusher tr ep ob =
-  let fl =
-    if ep.idle != no_flusher then begin
-      let fl = ep.idle in
-      ep.idle <- fl.fl_next;
-      fl.fl_next <- no_flusher;
-      fl
-    end
-    else begin
-      let fl =
-        { fl_timer = idle_timer; fl_ob = no_obuf; fl_next = no_flusher }
-      in
-      fl.fl_timer <- Engine.timer tr.engine (fun () -> on_flush_timer tr ep fl);
-      ep.flushers <- ep.flushers + 1;
-      fl
-    end
-  in
-  fl.fl_ob <- ob;
-  ob.ob_fl <- fl
+(* A buffer for [dst] with a disarmed timer: the free list's head, or a
+   new one. *)
+and take_obuf tr ep ~dst =
+  if ep.free_ob != no_obuf then begin
+    let ob = ep.free_ob in
+    ep.free_ob <- ob.ob_next;
+    ob.ob_next <- no_obuf;
+    ob.ob_dst <- dst;
+    ob
+  end
+  else begin
+    let ob =
+      { ob_dst = dst; ob_parts = []; ob_acked = false; ob_timer = idle_timer;
+        ob_next = no_obuf }
+    in
+    ob.ob_timer <- Engine.timer tr.engine (fun () -> on_flush_timer tr ep ob);
+    ep.buffers <- ep.buffers + 1;
+    ob
+  end
 
-(* The timer's flush; a buffer it leaves empty returns the flusher to the
-   free list. Every earlier arming of this timer was due no later than
-   the one firing now, so no queue entry it leaves behind can fire for the
-   next buffer to take it, whose arming is due a linger window later. *)
-and on_flush_timer tr ep fl =
-  let ob = fl.fl_ob in
+(* The timer's flush; a buffer it leaves empty goes back to the free list
+   and its destination to [no_obuf]. Every earlier arming of this timer was
+   due no later than the one firing now, so no queue entry it leaves
+   behind can fire for the next destination to take it, whose arming is
+   due a linger window later. *)
+and on_flush_timer tr ep ob =
   flush_obuf tr ep ob;
   match ob.ob_parts with
   | [] ->
-      ob.ob_fl <- no_flusher;
-      fl.fl_ob <- no_obuf;
-      fl.fl_next <- ep.idle;
-      ep.idle <- fl
+      Itbl.replace ep.obufs ob.ob_dst no_obuf;
+      ob.ob_dst <- -1;
+      ob.ob_next <- ep.free_ob;
+      ep.free_ob <- ob
   | _ :: _ -> ()
 
 (* Everything staged toward one destination leaves as one envelope: raw on
@@ -492,15 +518,16 @@ and send_coalesced tr ep ~dst parts =
   match parts with
   | [] -> ()
   | [ msg ] -> transmit_raw tr ~src:ep.sid ~dst msg
-  | parts -> emit_batch tr ep ~dst ~attempt:1 ~unbatched:parts (Wire.Batch parts)
+  | parts ->
+      emit_batch tr ep ~dst ~attempt:1 ~parts:(List.length parts)
+        ~alone:(bytes_alone 0 parts) (Wire.Batch parts)
 
-(* One coalesced envelope onto the wire, with batching telemetry:
-   [unbatched] is its parts as each would have been sent on its own. *)
-and emit_batch tr ep ~dst ~attempt ~unbatched msg =
+(* One coalesced envelope of [parts] parts onto the wire, with batching
+   telemetry: [alone] is what those parts would have cost sent one by
+   one. *)
+and emit_batch tr ep ~dst ~attempt ~parts ~alone msg =
   let bytes = Wire.size_bytes msg in
   wire tr ~src:ep.sid ~dst ~attempt ~bytes msg;
-  let alone = List.fold_left (fun acc m -> acc + Wire.size_bytes m) 0 unbatched in
-  let parts = List.length unbatched in
   Network.account_batch tr.net ~parts ~saved:(max 0 (alone - bytes));
   match tr.i_batch with
   | Some h -> Histogram.observe h (float_of_int parts)
@@ -515,8 +542,8 @@ and reliable_send tr ep ~dst ~acks msg =
   p.next_seq <- seq + 1;
   tr.c.reliable_msgs <- tr.c.reliable_msgs + 1;
   let entry =
-    { o_payload = msg; o_attempts = 0; o_sent = 0.; o_live = false;
-      o_timer = None }
+    { o_payload = msg; o_attempts = 0; o_at = { sent = 0.; due = 0. };
+      o_live = false; o_armed = false; o_slot = -1; o_fire = no_fire }
   in
   outbox_add ep q seq entry;
   let depth = Itbl.length q.outbox in
@@ -548,7 +575,7 @@ and enter_window tr ep p ~dst ~acks ~seq entry =
 
 and transmit tr ep p ~dst ~acks ~probe ~seq entry =
   entry.o_attempts <- entry.o_attempts + 1;
-  entry.o_sent <- Engine.now tr.engine;
+  entry.o_at.sent <- Engine.now tr.engine;
   if entry.o_attempts > 1 then begin
     if probe then tr.c.probes <- tr.c.probes + 1
     else tr.c.retransmits <- tr.c.retransmits + 1;
@@ -575,10 +602,17 @@ and transmit tr ep p ~dst ~acks ~probe ~seq entry =
   | _ ->
       (* Unbatched, each protocol part would have paid its own [Req] frame
          and each ack its own envelope. *)
-      let protos = match entry.o_payload with Wire.Batch l -> l | m -> [ m ] in
-      let req m = Wire.Req { seq; payload = m } in
+      let protos =
+        match entry.o_payload with Wire.Batch l -> List.length l | _ -> 1
+      in
+      let framed =
+        match entry.o_payload with
+        | Wire.Batch l -> reqs_alone 0 l
+        | m -> Wire.per_entry + Wire.size_bytes m
+      in
       emit_batch tr ep ~dst ~attempt:entry.o_attempts
-        ~unbatched:(acks @ List.map req protos)
+        ~parts:(List.length acks + protos)
+        ~alone:(bytes_alone framed acks)
         (match acks with [] -> frame | _ -> Wire.Batch (acks @ [ frame ])));
   arm_retransmit tr ep p ~dst ~seq entry ~delay:(rto_for tr ep p entry.o_attempts)
 
@@ -599,19 +633,23 @@ and rto_for tr ep p attempts =
   let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
   base *. (1. +. (0.5 *. Rng.float ep.rng))
 
+(* Arm [entry]'s retransmission [delay] from now. Its closure is made at
+   the first arming and pushed again by every later one — no fresh
+   closure per attempt. A superseded queue entry fires as a no-op: the
+   entry is disarmed, or the clock has not reached the latest deadline. *)
 and arm_retransmit tr ep p ~dst ~seq entry ~delay =
   (match tr.i_rto with Some h -> Histogram.observe h delay | None -> ());
-  (* One timer slot per outbox entry, allocated at the first arming and
-     re-armed for every retransmission — no fresh closure per attempt. *)
-  let tm =
-    match entry.o_timer with
-    | Some tm -> tm
-    | None ->
-        let tm = Engine.timer tr.engine (fun () -> on_rto tr ep p ~dst ~seq entry) in
-        entry.o_timer <- Some tm;
-        tm
-  in
-  Engine.arm tm ~delay
+  if entry.o_fire == no_fire then
+    entry.o_fire <-
+      (fun () ->
+        if entry.o_armed && Engine.now tr.engine >= entry.o_at.due then begin
+          entry.o_armed <- false;
+          on_rto tr ep p ~dst ~seq entry
+        end);
+  let time = Engine.now tr.engine +. delay in
+  entry.o_at.due <- time;
+  entry.o_armed <- true;
+  entry.o_slot <- Engine.push tr.engine ~time entry.o_fire
 
 and on_rto tr ep p ~dst ~seq entry =
   (* Timer fired with the message still unacknowledged. A crashed sender's
@@ -668,14 +706,15 @@ and on_ack tr ep ~from ~seq ~floor =
   end
 
 (* Retire outbox entry [s] on its ack; [false] for a duplicate ack. The
-   entry's timer is released: its queued entry stops pinning the message
-   until the deadline. *)
+   entry is disarmed and its latest queue entry cleared: the queue stops
+   pinning the message until the deadline. *)
 and retire tr p q s =
   match Itbl.find q.outbox s with
   | exception Not_found -> false
   | entry ->
       Itbl.remove q.outbox s;
-      Option.iter Engine.release entry.o_timer;
+      entry.o_armed <- false;
+      if entry.o_slot >= 0 then Engine.clear tr.engine entry.o_slot entry.o_fire;
       if entry.o_live then begin
         entry.o_live <- false;
         q.live <- q.live - 1
@@ -683,7 +722,7 @@ and retire tr p q s =
       (* Karn's rule: only a never-retransmitted message yields an
          unambiguous RTT sample. *)
       if tr.adaptive_rto && entry.o_attempts = 1 then
-        rtt_sample p (Engine.now tr.engine -. entry.o_sent);
+        rtt_sample p (Engine.now tr.engine -. entry.o_at.sent);
       true
 
 (* Acks freed window slots: promote backlogged messages in issue order.
@@ -718,7 +757,7 @@ and peer_answered tr ep p ~pid =
             pid (Itbl.length q.outbox));
       in_seq_order q (fun e -> e.o_live)
       |> List.iter (fun (seq, e) ->
-             Option.iter Engine.disarm e.o_timer;
+             e.o_armed <- false;
              transmit tr ep p ~dst:pid ~acks:[] ~probe:false ~seq e)
     end
   end
@@ -789,13 +828,15 @@ let crash tr sid =
         q.strikes <- 0;
         Itbl.iter
           (fun _ e ->
-            Option.iter Engine.disarm e.o_timer;
+            e.o_armed <- false;
             e.o_attempts <- 0)
           q.outbox;
         settle ep p
       end)
     ep.peers;
-  Itbl.iter (fun _ ob -> Engine.disarm ob.ob_fl.fl_timer) ep.obufs
+  Itbl.iter
+    (fun _ ob -> if ob != no_obuf then Engine.disarm ob.ob_timer)
+    ep.obufs
 
 let restart tr sid =
   let ep = tr.eps.(sid) in
@@ -816,11 +857,11 @@ let restart tr sid =
         settle ep p
       end)
     ep.peers;
-  (* Flush timers died with the crash; anything still staged (on a
-     buffer that kept its flusher) goes out one linger window from now. *)
+  (* Flush timers died with the crash; anything still staged goes out one
+     linger window from now, in the table's order. *)
   Itbl.iter
     (fun _ ob ->
-      if ob.ob_parts <> [] then Engine.arm ob.ob_fl.fl_timer ~delay:tr.linger)
+      if ob.ob_parts <> [] then Engine.arm ob.ob_timer ~delay:tr.linger)
     ep.obufs
 
 (* ------------------------------------------------------------------ *)
@@ -834,10 +875,12 @@ let flush_lingering tr =
   Array.iter
     (fun ep ->
       if ep.up then
-        Itbl.fold (fun dst ob acc -> (dst, ob) :: acc) ep.obufs []
+        Itbl.fold
+          (fun dst ob acc -> if ob != no_obuf then (dst, ob) :: acc else acc)
+          ep.obufs []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         |> List.iter (fun (_, ob) ->
-               Engine.disarm ob.ob_fl.fl_timer;
+               Engine.disarm ob.ob_timer;
                flush_obuf tr ep ob))
     tr.eps
 
@@ -863,6 +906,13 @@ let audit tr =
       (blank no_queues && no_queues.oldest = 0
       && no_queues.q_next == no_queues)
   then fail "the shared idle queue record was written";
+  if
+    not
+      (no_obuf.ob_dst = -1 && no_obuf.ob_parts = [] && (not no_obuf.ob_acked)
+      && no_obuf.ob_timer == idle_timer
+      && (not (Engine.armed idle_timer))
+      && no_obuf.ob_next == no_obuf)
+  then fail "the shared empty buffer was written";
   Array.iter
     (fun ep ->
       if Itbl.length ep.spare > 0 then
@@ -902,39 +952,42 @@ let audit tr =
       done;
       if !free > Itbl.length ep.peers then
         fail "snode %d: more free queue records than peers" ep.sid;
-      (* The flush-timer pool: every flusher ever made is either free and
-         disarmed or attached to the one buffer it points back at, and
-         staged parts on an up endpoint always have an armed timer. The
-         free-list walk is bounded, so a cycle cannot hang the audit. *)
-      let free = ref 0 and fl = ref ep.idle in
-      while !fl != no_flusher && !free <= ep.flushers do
-        if !fl.fl_ob != no_obuf then
-          fail "snode %d: free flusher still attached toward %d" ep.sid
-            !fl.fl_ob.ob_dst;
-        if Engine.armed !fl.fl_timer then
+      (* The buffer pool: every buffer ever made is either free (unbound,
+         empty, its timer disarmed) or bound to the one destination it
+         names, and staged parts on an up endpoint always have an armed
+         timer. The free-list walk is bounded, so a cycle cannot hang the
+         audit. *)
+      let free = ref 0 and ob = ref ep.free_ob in
+      while !ob != no_obuf && !free <= ep.buffers do
+        if !ob.ob_dst >= 0 then
+          fail "snode %d: free buffer still bound toward %d" ep.sid
+            !ob.ob_dst;
+        if !ob.ob_parts <> [] then
+          fail "snode %d: free buffer holds staged parts" ep.sid;
+        if Engine.armed !ob.ob_timer then
           fail "snode %d: free flush timer armed" ep.sid;
         incr free;
-        fl := !fl.fl_next
+        ob := !ob.ob_next
       done;
-      let attached =
+      let bound =
         Itbl.fold
           (fun dst ob n ->
-            if ep.up && ob.ob_parts <> [] && not (Engine.armed ob.ob_fl.fl_timer)
-            then
-              fail "snode %d -> %d: staged parts without an armed flush timer"
-                ep.sid dst;
-            if ob.ob_fl == no_flusher then n
+            if ob == no_obuf then n
             else begin
-              if ob.ob_fl.fl_ob != ob then
-                fail "snode %d -> %d: flusher belongs to another buffer" ep.sid
-                  dst;
+              if ob.ob_dst <> dst then
+                fail "snode %d -> %d: buffer belongs to another destination"
+                  ep.sid dst;
+              if ep.up && ob.ob_parts <> [] && not (Engine.armed ob.ob_timer)
+              then
+                fail "snode %d -> %d: staged parts without an armed flush timer"
+                  ep.sid dst;
               n + 1
             end)
           ep.obufs 0
       in
-      if !free + attached <> ep.flushers then
-        fail "snode %d: %d flushers made, %d free and %d attached" ep.sid
-          ep.flushers !free attached)
+      if !free + bound <> ep.buffers then
+        fail "snode %d: %d buffers made, %d free and %d bound" ep.sid
+          ep.buffers !free bound)
     tr.eps;
   List.rev !issues
 
@@ -942,25 +995,31 @@ type pool_fault = Leak | Share | Arm_free | Disarm_staged
 
 let plant_pool_fault tr sid fault =
   let ep = tr.eps.(sid) in
-  let bufs = Itbl.fold (fun _ ob acc -> ob :: acc) ep.obufs [] in
+  let bound =
+    Itbl.fold
+      (fun dst ob acc -> if ob != no_obuf then (dst, ob) :: acc else acc)
+      ep.obufs []
+  in
   let find what keep =
-    match List.find_opt keep bufs with
-    | Some ob -> ob
+    match List.find_opt keep bound with
+    | Some b -> b
     | None -> invalid_arg ("Transport.plant_pool_fault: no " ^ what)
   in
-  let attached ob = ob.ob_fl != no_flusher in
   match fault with
-  | Leak -> (find "attached buffer" attached).ob_fl <- no_flusher
+  | Leak ->
+      let dst, _ = find "bound buffer" (fun _ -> true) in
+      Itbl.replace ep.obufs dst no_obuf
   | Share ->
-      let ob = find "attached buffer" attached in
-      (find "second buffer" (fun o -> o != ob)).ob_fl <- ob.ob_fl
+      let _, ob = find "bound buffer" (fun _ -> true) in
+      let dst, _ = find "second buffer" (fun (_, o) -> o != ob) in
+      Itbl.replace ep.obufs dst ob
   | Arm_free ->
-      if ep.idle == no_flusher then
-        invalid_arg "Transport.plant_pool_fault: no free flusher";
-      Engine.arm ep.idle.fl_timer ~delay:tr.linger
+      if ep.free_ob == no_obuf then
+        invalid_arg "Transport.plant_pool_fault: no free buffer";
+      Engine.arm ep.free_ob.ob_timer ~delay:tr.linger
   | Disarm_staged ->
-      let ob = find "staged buffer" (fun ob -> ob.ob_parts <> []) in
-      Engine.disarm ob.ob_fl.fl_timer
+      let _, ob = find "staged buffer" (fun (_, ob) -> ob.ob_parts <> []) in
+      Engine.disarm ob.ob_timer
 
 type peer_sample = {
   ps_observer : int;

@@ -24,7 +24,18 @@
     Without a fault plan remote messages go unframed, so a fault-free run
     pays no sequence numbers, acks or timers. Outboxes, dedup windows and
     staged parts model durable state; timers, route suspicions and RTT
-    estimates die with a {!crash}. *)
+    estimates die with a {!crash}.
+
+    Memory follows the traffic in flight. An outbox entry is its own
+    retransmission timer: it holds its armed flag, the queue slot of its
+    latest arming, a flat record of its send time and deadline, and one
+    closure made at its first arming, which every retransmission pushes
+    again ({!Engine.push}); the ack clears its latest queue entry
+    ({!Engine.clear}), so the payload is not pinned until the deadline.
+    Coalescing buffers, each with its flush timer, are pooled per
+    endpoint: every destination ever staged for stays bound, to its own
+    buffer while parts are staged and to one shared, never-written empty
+    buffer once a timer flush has emptied it. *)
 
 module Engine = Dht_event_sim.Engine
 module Network = Dht_event_sim.Network
@@ -101,25 +112,26 @@ val audit : t -> string list
     unless that table grew, are released back to the shared empty
     sentinel. An idle peer (every queue released, route unsuspected)
     holds no private queue record, free records are blank and the shared
-    idle record was never written. And the flush-timer pool: every flusher
-    an endpoint made is either on its free list, disarmed, or attached to
-    exactly one coalescing buffer, and a buffer with staged parts on an up
-    endpoint has an armed timer. Empty when sound. *)
+    idle record was never written. And the buffer pool: the shared empty
+    buffer was never written; every buffer an endpoint made is either on
+    its free list (unbound, empty, its flush timer disarmed) or bound to
+    exactly the destination it names, free plus bound adds up to made,
+    and a buffer with staged parts on an up endpoint has an armed timer.
+    Empty when sound. *)
 
-(** A broken flush-timer pool, planted by {!plant_pool_fault}. *)
+(** A broken buffer pool, planted by {!plant_pool_fault}. *)
 type pool_fault =
-  | Leak  (** a buffer drops its flusher without freeing it *)
-  | Share  (** a second buffer takes an attached buffer's flusher *)
+  | Leak  (** a destination drops its buffer without freeing it *)
+  | Share  (** a second destination is bound to another's buffer *)
   | Arm_free  (** the free list's head timer is armed *)
   | Disarm_staged  (** a buffer with staged parts has its timer disarmed *)
 
 val plant_pool_fault : t -> int -> pool_fault -> unit
-(** [plant_pool_fault tr sid fault] breaks snode [sid]'s flush-timer pool
-    as [fault] says, on some buffer in the state it needs, so that
-    {!audit} must report it. Needed by test_transport, which checks that
-    the audit catches each fault.
-    @raise Invalid_argument when no buffer or free flusher is in that
-    state. *)
+(** [plant_pool_fault tr sid fault] breaks snode [sid]'s buffer pool as
+    [fault] says, on some buffer in the state it needs, so that {!audit}
+    must report it. Needed by test_transport, which checks that the audit
+    catches each fault.
+    @raise Invalid_argument when no buffer is in that state. *)
 
 type counters = private {
   mutable timeouts : int;

@@ -284,6 +284,10 @@ val cells_size : (string * Versioned.cell) list -> int
     {!size_bytes} — exposed so byte-accurate heat can be charged for
     range replies without re-deriving the estimate. *)
 
+val per_entry : int
+(** Bytes charged per id, span or count entry, and per frame header: 16.
+    A {!Req} costs [per_entry] plus its payload. *)
+
 val size_bytes : msg -> int
 (** Serialized-size estimate: 64-byte envelope, 16 bytes per id/span/count
     entry, string payloads at their length, versioned cells at value

@@ -14,6 +14,7 @@ module Rng = Dht_prng.Rng
 module Hash = Dht_hashes.Hash
 module Space = Dht_hashspace.Space
 module Span = Dht_hashspace.Span
+module Point_map = Dht_hashspace.Point_map
 module Engine = Dht_event_sim.Engine
 module Heat = Dht_obsv.Heat
 module Merkle = Dht_merkle.Merkle
@@ -21,6 +22,7 @@ module Route = Dht_snode.Route
 module Transport = Dht_snode.Transport
 module Wire = Dht_snode.Wire
 module Network = Dht_event_sim.Network
+module Fault = Dht_event_sim.Fault
 module Runtime = Dht_snode.Runtime
 
 let check = Alcotest.check
@@ -210,10 +212,84 @@ let test_route_hit_budget () =
   check Alcotest.bool "the hit re-stamped its span" true
     (Route.stamp r 0 fine > Route.stamp r 0 (Span.make space ~level:1 ~index:1))
 
-(* Staging toward a destination whose flush timer went back to the free
-   list takes that timer again: snode 0 stages one part toward each of
-   [dsts] other snodes, the flushes return every timer, and each later
-   round re-stages the same buffers. Only the stage itself is measured. *)
+(* Learning a fine span under a coarse leaf decomposes the leaf along the
+   dyadic path: one fork per level crossed and the fine span's own leaf;
+   the fragments share the coarse leaf, so they cost nothing. Learning the
+   coarse span back collapses the path into one new leaf. A learn that
+   keeps a span's owner allocates nothing. *)
+let test_learn_budget () =
+  let space = Space.default in
+  let m = Point_map.create space in
+  let coarse = Span.make space ~level:1 ~index:0 in
+  let fine = Span.make space ~level:9 ~index:5 in
+  Point_map.add m coarse 0;
+  Point_map.add m (Span.make space ~level:1 ~index:1) 0;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Point_map.learn m fine 1;
+    Point_map.learn m coarse 0
+  done;
+  let w1 = Gc.minor_words () in
+  (* Eight 3-word forks and two 2-word leaves. A leaf per fragment would
+     add eight more: 42 words. *)
+  within "Point_map.learn under a coarse leaf, and back" ~budget:28. w0 w1;
+  check Alcotest.int "two spans again" 2 (Point_map.cardinal m);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Point_map.learn m coarse 0
+  done;
+  let w1 = Gc.minor_words () in
+  within "Point_map.learn keeping the owner" ~budget:0. w0 w1;
+  check Alcotest.(list int) "owners" [ 0; 0 ]
+    (List.map snd (Point_map.to_list m))
+
+(* A reliable frame from send to retire: snode 0 sends bursts of payloads
+   to snode 1 over a fault plan that loses nothing, and the engine runs
+   until every ack is in and every cleared retransmission deadline has
+   dispatched. After the first burst, every round reuses the pooled queue
+   record, the spare outbox and the grown event heap, so what is measured
+   is the frame's own cost at both ends: its outbox entry with its
+   retransmission state, the frame and the ack, and the network's delivery
+   closures. *)
+let test_frame_budget () =
+  let engine = Engine.create () in
+  let net =
+    Network.create ~faults:(Fault.create ~seed:1 ()) engine Network.gigabit
+  in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> ())
+  in
+  let msg = Wire.Busy { token = 0 } in
+  let burst = 8 in
+  let round () =
+    for _ = 1 to burst do
+      Transport.send tr ~src:0 ~dst:1 msg
+    done;
+    Engine.run engine
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls / burst do
+    round ()
+  done;
+  let w1 = Gc.minor_words () in
+  (* 95 words, of which the outbox entry, its flat stamps record and the
+     closure its arming pushes are 20. An [Engine.timer] per entry, with
+     its deadline, trampoline and option box, and a boxed send time per
+     transmission read 104. *)
+  within "reliable frame, send to retire" ~budget:95. w0 w1;
+  check Alcotest.int "no retransmission" 0
+    (Transport.counters tr).Transport.retransmits;
+  check Alcotest.(list string) "queues sound" [] (Transport.audit tr)
+
+(* Staging toward a destination whose buffer went back to the free list
+   takes a pooled buffer again: snode 0 stages one part toward each of
+   [dsts] other snodes, the flushes return every buffer, and each later
+   round re-stages the same destinations. Only the stage itself is
+   measured. *)
 let test_restage_budget () =
   let dsts = 100 in
   let engine = Engine.create () in
@@ -242,22 +318,43 @@ let test_restage_budget () =
     Engine.run engine
   done;
   (* The staged part's cons cell, and the deadline boxed for the call into
-     [Heap.push] where that is not inlined. A fresh flusher would add its
-     record, timer, deadline and two closures: 23 words. *)
-  within "Transport.send re-staging a pooled timer" ~budget:5. 0. !words;
+     [Heap.push] where that is not inlined. A fresh buffer would add its
+     record, timer, deadline and two closures. *)
+  within "Transport.send re-staging a pooled buffer" ~budget:5. 0. !words;
   check Alcotest.(list string) "pool sound" [] (Transport.audit tr)
 
 (* ---------------- retained-memory budgets ---------------- *)
 
-(* Budgets on what a drained runtime keeps reachable, as
-   [Obj.reachable_words] deltas. No recorder is attached, so every word is
-   the runtime's own. The heap graph follows from the seed alone, so each
-   delta is measured on two fresh runtimes and must repeat exactly. *)
+(* Budgets on what a drained runtime keeps, counted two ways: as
+   [Obj.reachable_words] deltas of the runtime, and as deltas of the
+   process's live words after a full major collection. No recorder is
+   attached, so every word reachable from the runtime is its own; the live
+   count also sees what a module keeps outside it (a global table or list
+   that every message passes through). The heap graph follows from the
+   seed alone, so each delta is measured on two fresh runtimes and must
+   repeat exactly. *)
 let retained rt = Obj.reachable_words (Obj.repr rt)
 
+let live () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* The two deltas of [grow rt], measured on a runtime [make] returns. *)
+let deltas make grow () =
+  let rt = make () in
+  let r0 = retained rt and l0 = live () in
+  grow rt;
+  let r = retained rt - r0 in
+  let l = live () - l0 in
+  ignore (Sys.opaque_identity rt);
+  (r, l)
+
 let twice what measure =
-  let a = measure () and b = measure () in
-  if a <> b then Alcotest.failf "%s: %d words, then %d on a second runtime" what a b;
+  let ((r, l) as a) = measure () and ((r', l') as b) = measure () in
+  if a <> b then
+    Alcotest.failf
+      "%s: %d reachable and %d live words, then %d and %d on a second runtime"
+      what r l r' l';
   a
 
 let within_retained what ~budget ~per words =
@@ -274,51 +371,75 @@ let test_cell_retained () =
     done;
     Runtime.run rt
   in
-  let words =
-    twice "held cells" (fun () ->
-        let rt = Runtime.create ~snodes:4 ~seed:2004 () in
-        put rt 0;
-        let w0 = retained rt in
-        put rt n;
-        retained rt - w0)
+  let words, live_words =
+    twice "held cells"
+      (deltas
+         (fun () ->
+           let rt = Runtime.create ~snodes:4 ~seed:2004 () in
+           put rt 0;
+           rt)
+         (fun rt -> put rt n))
   in
   (* 20.5 words: the key and value strings, the versioned cell with its
      version record, the cell's slot and table entry, and the table's
      growth amortised over the cells. A slot that kept a second cell
      would read 26.5. *)
-  within_retained "retained per held cell" ~budget:21. ~per:n words
+  within_retained "retained per held cell" ~budget:21. ~per:n words;
+  within_retained "live per held cell" ~budget:21. ~per:n live_words
 
 (* Snodes read one key held by snode 0 through the reliable transport,
    which leaves a drained peer record at both ends of each route. A first
    round from half of them sizes snode 0's tables; the second round, from
-   the other half, opens as many new routes. *)
-let test_idle_peer_retained () =
+   the other half, opens as many new routes. With a linger window, each
+   end also stages toward the other, so it binds that destination in its
+   coalescing-buffer table. Returns the reachable and live deltas per new
+   peer. *)
+let idle_peers what ~linger =
   let half = 32 in
-  let words =
-    twice "idle peers" (fun () ->
-        let rt =
-          Runtime.create ~faults:(Runtime.Fault.create ~seed:2004 ())
-            ~snodes:((2 * half) + 1) ~seed:2004 ()
-        in
-        Runtime.put rt ~key:"k" ~value:"v" ();
-        let round lo =
-          for via = lo to lo + half - 1 do
-            Runtime.get rt ~via ~key:"k" ignore
-          done;
-          Runtime.run rt
-        in
-        round 1;
-        let w0 = retained rt in
-        round (half + 1);
-        check Alcotest.(list string) "queues sound" [] (Runtime.queue_audit rt);
-        retained rt - w0)
+  let round rt lo =
+    for via = lo to lo + half - 1 do
+      Runtime.get rt ~via ~key:"k" ignore
+    done;
+    Runtime.run rt
   in
+  let words, live_words =
+    twice what
+      (deltas
+         (fun () ->
+           let rt =
+             Runtime.create ~faults:(Runtime.Fault.create ~seed:2004 ())
+               ~linger ~snodes:((2 * half) + 1) ~seed:2004 ()
+           in
+           Runtime.put rt ~key:"k" ~value:"v" ();
+           round rt 1;
+           rt)
+         (fun rt ->
+           round rt (half + 1);
+           check Alcotest.(list string) "queues sound" []
+             (Runtime.queue_audit rt)))
+  in
+  (words, live_words, 2 * half)
+
+let test_idle_peer_retained () =
+  let words, live_words, per = idle_peers "idle peers" ~linger:0. in
   (* 25.25 words: a peer record and its table entry at each end of a new
      route, plus what the new snode's first traffic leaves behind (its
      endpoint's pooled queue record and spare outbox among it), shared
      out over the route's two peers. A peer that kept its last acked
      message would read about 60. *)
-  within_retained "retained per idle peer" ~budget:26. ~per:(2 * half) words
+  within_retained "retained per idle peer" ~budget:26. ~per words;
+  within_retained "live per idle peer" ~budget:26. ~per live_words
+
+let test_idle_batching_peer_retained () =
+  let words, live_words, per =
+    idle_peers "idle batching peers" ~linger:Network.gigabit.Network.base_latency
+  in
+  (* 42.5 words: an idle peer's 25.25, plus each end's binding of the
+     other in its buffer table and the new snode's pooled buffer with its
+     flush timer, shared out over the route's two peers. A buffer record
+     kept per bound destination read 47. *)
+  within_retained "retained per idle batching peer" ~budget:43. ~per words;
+  within_retained "live per idle batching peer" ~budget:43. ~per live_words
 
 let suite =
   [
@@ -332,9 +453,15 @@ let suite =
       test_merkle_overwrite_budget;
     Alcotest.test_case "budget: Route.next_hop stamped hit" `Quick
       test_route_hit_budget;
+    Alcotest.test_case "budget: Point_map.learn under a coarse leaf" `Quick
+      test_learn_budget;
+    Alcotest.test_case "budget: reliable frame, send to retire" `Quick
+      test_frame_budget;
     Alcotest.test_case "budget: re-staging takes a pooled timer" `Quick
       test_restage_budget;
     Alcotest.test_case "retained: words per held cell" `Quick test_cell_retained;
     Alcotest.test_case "retained: words per idle peer" `Quick
       test_idle_peer_retained;
+    Alcotest.test_case "retained: words per idle batching peer" `Quick
+      test_idle_batching_peer_retained;
   ]

@@ -140,7 +140,8 @@ let test_engine_step_empty () =
 
 (* --- Engine against a sorted-list reference model --- *)
 
-(* Scripts of scheduling, cancellation, timer and dispatch operations. All
+(* Scripts of scheduling, cancellation, timer, slot and dispatch
+   operations. All
    delays are dyadic, so times add exactly and collide often: the FIFO
    tie-break among equal times is exercised on most scripts. *)
 type op =
@@ -151,7 +152,8 @@ type op =
   | Cancel of int
   | Arm of int * float
   | Disarm of int
-  | Release of int
+  | Push of float  (* [Engine.push], keeping the slot *)
+  | Clear of int  (* [Engine.clear] of the i-th pushed entry *)
   | Step
   | Run_until of float
 
@@ -163,7 +165,8 @@ let pp_op = function
   | Cancel i -> Printf.sprintf "cancel %d" i
   | Arm (i, d) -> Printf.sprintf "arm %d %g" i d
   | Disarm i -> Printf.sprintf "disarm %d" i
-  | Release i -> Printf.sprintf "release %d" i
+  | Push d -> Printf.sprintf "push %g" d
+  | Clear i -> Printf.sprintf "clear %d" i
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run-until+%g" d
 
@@ -182,7 +185,8 @@ let script_arb =
         (2, map (fun i -> Cancel i) (int_bound 7));
         (2, map2 (fun i d -> Arm (i, d)) (int_bound (n_timers - 1)) delay);
         (1, map (fun i -> Disarm i) (int_bound (n_timers - 1)));
-        (1, map (fun i -> Release i) (int_bound (n_timers - 1)));
+        (2, map (fun d -> Push d) delay);
+        (2, map (fun i -> Clear i) (int_bound 7));
         (3, return Step);
         (1, map (fun d -> Run_until d) delay);
       ]
@@ -210,7 +214,7 @@ let run_engine script =
   in
   let fire id () = log := (id, Engine.now e) :: !log in
   let timers = Array.init n_timers (fun i -> Engine.timer e (fire (-1 - i))) in
-  let handles = ref [] in
+  let handles = ref [] and pushed = ref [] in
   List.iter
     (fun op ->
       let stepped =
@@ -243,8 +247,17 @@ let run_engine script =
         | Disarm i ->
             Engine.disarm timers.(i);
             false
-        | Release i ->
-            Engine.release timers.(i);
+        | Push d ->
+            let f = fire (fresh ()) in
+            let slot = Engine.push e ~time:(Engine.now e +. d) f in
+            pushed := !pushed @ [ (slot, f) ];
+            false
+        | Clear i ->
+            (match !pushed with
+            | [] -> ()
+            | ps ->
+                let slot, f = List.nth ps (i mod List.length ps) in
+                Engine.clear e slot f);
             false
         | Step -> Engine.step e
         | Run_until d ->
@@ -262,6 +275,7 @@ type entry =
   | Chained of int * int * float
   | Guarded of int * int  (* handle index, callback id *)
   | Trampoline of int
+  | Slotted of int * int  (* pushed index, callback id *)
 
 let run_model script =
   let clock = ref 0. and seq = ref 0 and count = ref 0 in
@@ -283,8 +297,9 @@ let run_model script =
   in
   let handles = ref [||] (* `Pending | `Fired | `Cancelled *) in
   let armed = Array.make n_timers false and deadline = Array.make n_timers 0. in
-  (* A released timer may be armed again, but never runs its callback. *)
-  let released = Array.make n_timers false in
+  (* A pushed entry cleared before it dispatches runs nothing; clearing it
+     later leaves alone whatever its slot holds by then. *)
+  let slotted = ref [||] (* `Pending | `Fired | `Cleared *) in
   let fire id = log := (id, !clock) :: !log in
   let step () =
     match !queue with
@@ -306,7 +321,12 @@ let run_model script =
         | Trampoline i ->
             if armed.(i) && !clock >= deadline.(i) then begin
               armed.(i) <- false;
-              if not released.(i) then fire (-1 - i)
+              fire (-1 - i)
+            end
+        | Slotted (k, id) ->
+            if !slotted.(k) = `Pending then begin
+              !slotted.(k) <- `Fired;
+              fire id
             end);
         true
   in
@@ -347,9 +367,15 @@ let run_model script =
         | Disarm i ->
             armed.(i) <- false;
             false
-        | Release i ->
-            armed.(i) <- false;
-            released.(i) <- true;
+        | Push d ->
+            let k = Array.length !slotted in
+            slotted := Array.append !slotted [| `Pending |];
+            push (!clock +. d) (Slotted (k, fresh ()));
+            false
+        | Clear i ->
+            let n = Array.length !slotted in
+            if n > 0 && !slotted.(i mod n) = `Pending then
+              !slotted.(i mod n) <- `Cleared;
             false
         | Step -> step ()
         | Run_until d ->
@@ -433,15 +459,15 @@ let test_engine_cancellable () =
   Engine.cancel h1;
   Engine.cancel h2
 
-(* A dead timer's queue entry stays, but stops pinning its callback: after
-   [cancel], and after [release] of a reusable slot, whatever the callback
-   captured can be collected at once, and so can the released slot itself,
-   while the entries still dispatch as no-ops, so the dispatch count and
-   the final clock are those of a run where both callbacks fire. *)
+(* A dead queue entry stays, but stops pinning its callback: after
+   [cancel], and after [clear] of a pushed slot, whatever the callback
+   captured can be collected at once, while the entries still dispatch as
+   no-ops, so the dispatch count and the final clock are those of a run
+   where both callbacks fire. *)
 let test_engine_dead_entries_unpin () =
   let run ~drop =
     let e = Engine.create () in
-    let weak = Weak.create 2 and slot = Weak.create 1 in
+    let weak = Weak.create 2 in
     let fired = ref 0 in
     (* Built apart, so no capture stays in this frame's registers. *)
     let callback i =
@@ -449,34 +475,27 @@ let test_engine_dead_entries_unpin () =
       Weak.set weak i (Some captured);
       fun () -> fired := !fired + !captured + 1
     in
-    let timer () =
-      let tm = Engine.timer e (callback 1) in
-      Weak.set slot 0 (Some tm);
-      tm
-    in
     let h = Engine.schedule_cancellable e ~delay:2. (callback 0) in
-    let tm = timer () in
-    Engine.arm tm ~delay:3.;
+    let f = callback 1 in
+    let slot = Engine.push e ~time:3. f in
     Engine.schedule e ~delay:1. ignore;
     if drop then begin
       Engine.cancel h;
-      Engine.release tm
+      Engine.clear e slot f
     end;
     Gc.full_major ();
-    let pinned = (Weak.check weak 0, Weak.check weak 1, Weak.check slot 0) in
+    let pinned = (Weak.check weak 0, Weak.check weak 1) in
     Engine.run e;
     (pinned, !fired, Engine.dispatched e, Engine.now e)
   in
   let pinned, fired, count, clock = run ~drop:true in
-  check
-    Alcotest.(triple bool bool bool)
-    "captures and released slot collectable" (false, false, false) pinned;
+  check Alcotest.(pair bool bool) "captures collectable" (false, false) pinned;
   check Alcotest.int "nothing fired" 0 fired;
   let _, fired', count', clock' = run ~drop:false in
   check Alcotest.int "both fire when kept" 3 fired';
   check Alcotest.int "dead entries still dispatched" count' count;
   check (Alcotest.float 0.) "clock crosses the dead entries" clock' clock;
-  check (Alcotest.float 0.) "last entry at the timer's deadline" 3. clock
+  check (Alcotest.float 0.) "last entry at the pushed time" 3. clock
 
 (* --- Fault plan --- *)
 

@@ -256,11 +256,11 @@ let test_grown_outbox_order () =
     ("0x1.e37212b962522p-14", "0x1.b9405639fbadap-16")
     (Printf.sprintf "%h" p.ps_srtt, Printf.sprintf "%h" p.ps_rttvar)
 
-(* The audit's flush-timer pool rules, each broken on purpose. Snode 0
-   stages toward 1 and 2 on a fault-free network with batching on; the
-   first wave's flushes return both timers to the free list. Then each
-   fault is planted into a fresh copy of a state it fits, and the audit
-   must name it. *)
+(* The audit's buffer-pool rules, each broken on purpose. Snode 0 stages
+   toward 1 and 2 on a fault-free network with batching on; the first
+   wave's flushes return both buffers, with their timers, to the free
+   list. Then each fault is planted into a fresh copy of a state it fits,
+   and the audit must name it. *)
 let test_pool_audit () =
   let fresh () =
     let engine = Engine.create () in
@@ -297,10 +297,10 @@ let test_pool_audit () =
       Alcotest.failf "%s: %S not among [%s]" name finding
         (String.concat "; " findings)
   in
-  expect "leaked flusher" Transport.Leak
-    "snode 0: 2 flushers made, 1 free and 0 attached";
-  expect "shared flusher" Transport.Share
-    "snode 0 -> 2: flusher belongs to another buffer";
+  expect "leaked buffer" Transport.Leak
+    "snode 0: 2 buffers made, 1 free and 0 bound";
+  expect "shared buffer" Transport.Share
+    "snode 0 -> 2: buffer belongs to another destination";
   expect "armed free timer" Transport.Arm_free
     "snode 0: free flush timer armed";
   expect "staged, disarmed" Transport.Disarm_staged
@@ -350,6 +350,48 @@ let test_acked_payloads_collectable () =
     (Transport.counters tr).Transport.retransmits;
   check Alcotest.(list string) "audit" [] (Transport.audit tr)
 
+(* A restart arms the flush timers of staged buffers in the order of the
+   endpoint's buffer table, so that order must not depend on the order in
+   which destinations gave their buffers back. Snode 0 stages toward
+   nineteen destinations and flushes, which frees every buffer; it does so
+   again in reverse, so the buffers come back in reverse; then it stages
+   once more, crashes before the flush and restarts. The envelopes land in
+   the order the restart armed them: the table's bucket order of the first
+   stagings, pinned below. A binding removed and re-added when its buffer
+   came back would sit in its bucket in the order of the last return. *)
+let test_restart_flush_order () =
+  let n = 20 in
+  let engine = Engine.create () in
+  let net = Network.create engine Network.gigabit in
+  let landed = ref [] in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init n Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:quantum
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst ~from:_ _ -> landed := dst :: !landed)
+  in
+  let up = List.init (n - 1) (fun i -> i + 1) in
+  let stage dsts =
+    List.iter
+      (fun dst -> Transport.send tr ~src:0 ~dst (Wire.Busy { token = dst }))
+      dsts
+  in
+  stage up;
+  Engine.run engine;
+  stage (List.rev up);
+  Engine.run engine;
+  check Alcotest.(list string) "flushed: sound" [] (Transport.audit tr);
+  landed := [];
+  stage up;
+  Transport.crash tr 0;
+  Engine.run engine;
+  Transport.restart tr 0;
+  Engine.run engine;
+  check Alcotest.(list string) "restarted: sound" [] (Transport.audit tr);
+  check Alcotest.(list int) "restart flush order"
+    [ 6; 2; 14; 16; 8; 7; 3; 13; 12; 5; 4; 9; 11; 10; 1; 17; 19; 18; 15 ]
+    (List.rev !landed)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -361,4 +403,6 @@ let suite =
       test_pool_audit;
     Alcotest.test_case "acked payloads can be collected" `Quick
       test_acked_payloads_collectable;
+    Alcotest.test_case "restart flushes in the buffer table's order" `Quick
+      test_restart_flush_order;
   ]
