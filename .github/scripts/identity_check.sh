@@ -6,11 +6,15 @@
 # PARENT_DIR is a checkout of the parent commit, made with
 # `git clone` (not `git worktree`). Both trees are built, then each runs
 # the seed-2004 CI smokes, CI's explorer sweeps and repro replays, and the
-# deterministic bench snapshot in its own scratch directory. The script
-# compares, tree against tree:
+# deterministic bench snapshot in its own scratch directory, and perfbench's
+# three workloads at seed 1 from its tree root. The script compares, tree
+# against tree:
 #   - every run's exit code, stdout and the trace/metrics files it writes;
 #   - BENCH_runtime.json with every "cpu_seconds" field removed (the only
-#     host-timed fields).
+#     host-timed fields);
+#   - each perfbench result line with its host-measured metrics (setup_s,
+#     host_ops_per_s, peak_heap_mb) removed, so every simulated metric and
+#     the attempted/failed/correct counts must agree.
 # BENCH_ROUTING_SIZES and BENCH_AE_KEYS pass through to both bench runs
 # (unset, the bench runs its full ladder, ~2 min per tree).
 #
@@ -45,6 +49,9 @@ smokes=(
   "explore-mt-ae|explore --scenario mt-ae --seed 200 --seeds 5 --rounds 10 --max-tweaks 3"
   "explore-mutate|explore --mutate --seed 1 --seeds 5 --rounds 30 --max-tweaks 3"
 )
+# perfbench workloads; each runs from the tree root, which it builds into
+# .bench_build/.
+perfbench=(point-read write-repair routed-256)
 # name|repro; each replays from the tree root, so the repro path is the
 # same on both sides.
 replays=(
@@ -83,6 +90,15 @@ for side in parent change; do
   echo $? > "$dir/bench.code"
   jq -S 'walk(if type == "object" then del(.cpu_seconds) else . end)' \
     "$dir/bench/BENCH_runtime.json" > "$dir/bench.json" 2> /dev/null
+  for w in "${perfbench[@]}"; do
+    echo "   perfbench $w"
+    (cd "$tree" && python3 perfbench/run.py --workload "$w" --seed 1 --trace 0 \
+      > "$dir/perfbench-$w.out" 2> /dev/null)
+    echo $? > "$dir/perfbench-$w.code"
+    tail -n 1 "$dir/perfbench-$w.out" |
+      jq -S 'del(.metrics.setup_s, .metrics.host_ops_per_s, .metrics.peak_heap_mb)' \
+        > "$dir/perfbench-$w.json" 2> /dev/null
+  done
 done
 
 echo "== comparing (outputs in $out)"
@@ -95,7 +111,7 @@ compare () { # label parent-file change-file
     fail=1
   fi
 }
-for f in $(cd "$out/parent" && ls ./*.code ./*.stdout bench.json); do
+for f in $(cd "$out/parent" && ls ./*.code ./*.stdout ./*.json); do
   compare "${f#./}" "$out/parent/$f" "$out/change/$f"
 done
 # Files either side wrote; one missing on the other side differs too.

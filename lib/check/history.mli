@@ -6,24 +6,33 @@
     the snode the operation was issued [via].
 
     The recorder is a columnar, append-only store: one row per [Invoke],
-    in invocation order, with columns for the session and flags packed in
-    one int (put, has-result, returned, failed, shed), the invocation and
-    return times (unboxed floats), the key and the value (a put's value or
-    a get's result, shared with the runtime, not copied). Rows are
-    appended in fixed-size chunks, so a column is never copied or doubled
-    as the history grows. A token-to-row index, dense over the runtime's
-    consecutive tokens, routes each outcome event to its row; there is no
-    token column, as {!entries} rebuilds each row's token from that index.
-    A row costs about 6 words (its 5 columns and its index slot), against
-    about 27 for a hash table of entry records.
+    in invocation order, with four columns: a meta word packing the key's
+    id, the session (when it fits 21 bits) and the flags (put,
+    has-result, returned, failed, shed, side), the invocation and return
+    times (unboxed floats), and the value (a put's value or a get's
+    result, shared with the runtime, not copied). Rows are appended in
+    fixed-size chunks, so a column is never copied or doubled as the
+    history grows. A row costs 4 words, against about 27 for a hash table
+    of entry records.
+
+    There is no token column and no token index per row. The runtime's
+    tokens increase with the rows, and token - row changes only where a
+    token was taken without an [Invoke] (a range read's or a removal's);
+    a sorted array holds one (first row, token - row) breakpoint per such
+    gap, and an outcome event finds its row by binary search over it. An
+    [Invoke] whose token is not above the last one covered, or whose
+    session does not fit 21 bits, keeps its token and session in a small
+    side table instead, so any unique tokens and any sessions are
+    recorded exactly.
 
     Keys are interned: the history keeps one string per distinct key, the
-    one its first row carried, found through an open-addressing table of
-    row numbers. A client that builds a fresh key string per operation (as
+    one its first row carried, in an array of chunks indexed by key id,
+    found through an open-addressing table of ids. A client that builds a
+    fresh key string per operation (as
     {!Dht_workload.Keygen.Population.nth} does) therefore costs no string
-    per row once the operation settles; each distinct key costs its string
-    and 1.33 to 2.67 table slots. Put values are kept as given. Entries
-    are built only when {!entries} is called. *)
+    per row once the operation settles; each distinct key costs its string,
+    one array slot and 1.33 to 2.67 table slots. Put values are kept as
+    given. Entries are built only when {!entries} is called. *)
 
 module Runtime := Dht_snode.Runtime
 

@@ -26,7 +26,7 @@ let gigabit = link ~base_latency:50e-6 ~byte_time:8e-9
 (* One message/byte pair of the per-tag breakdown. *)
 type cell = { mutable m : int; mutable b : int }
 
-type verdict = Pass | Defer of float | Sink
+type verdict = Pass | Defer of float | Sink | Twice
 
 (* Per-destination ingress occupancy: messages scheduled toward the node
    but not yet landed. *)
@@ -154,6 +154,19 @@ let deliver_faulty t f ~dst ~delay ~factor k =
           c.depth <- c.depth - 1;
           if not (Fault.absorb f ~dst) then k ())
 
+(* One landing of a remote send: under a fault plan, its drop roll, its
+   jitter and a possible injected duplicate. *)
+let dispatch t ~dst ~delay k =
+  match t.faults with
+  | None -> deliver t ~dst ~delay k
+  | Some f ->
+      (* Loss at send time: a drop roll. *)
+      if not (Fault.cut f) then begin
+        let factor = Fault.slow_factor f ~dst in
+        deliver_faulty t f ~dst ~delay ~factor k;
+        if Fault.duplicate f then deliver_faulty t f ~dst ~delay ~factor k
+      end
+
 let send t ?tag ~src ~dst ~bytes k =
   if bytes < 0 then invalid_arg "Network.send: negative size";
   if src = dst then begin
@@ -177,19 +190,11 @@ let send t ?tag ~src ~dst ~bytes k =
     in
     match verdict with
     | Sink -> ()
-    | Pass | Defer _ -> (
-        let delay =
-          match verdict with Defer extra -> delay +. extra | _ -> delay
-        in
-        match t.faults with
-        | None -> deliver t ~dst ~delay k
-        | Some f ->
-            (* Loss at send time: a drop roll. *)
-            if not (Fault.cut f) then begin
-              let factor = Fault.slow_factor f ~dst in
-              deliver_faulty t f ~dst ~delay ~factor k;
-              if Fault.duplicate f then deliver_faulty t f ~dst ~delay ~factor k
-            end)
+    | Pass -> dispatch t ~dst ~delay k
+    | Defer extra -> dispatch t ~dst ~delay:(delay +. extra) k
+    | Twice ->
+        dispatch t ~dst ~delay k;
+        dispatch t ~dst ~delay k
   end
 
 (* A coalesced envelope is one wire message; the transmission-batching

@@ -28,12 +28,15 @@ val create : ?loopback:float -> ?faults:Fault.t -> Engine.t -> link -> t
 val faults : t -> Fault.t option
 (** The fault plan given at {!create}, if any. *)
 
-type verdict = Pass | Defer of float | Sink
+type verdict = Pass | Defer of float | Sink | Twice
 (** A schedule probe's ruling on one remote send. [Pass] delivers normally;
     [Defer d] stretches the nominal link delay by [d] seconds (jitter, if
     any, applies on top) — a bounded reordering primitive; [Sink] counts the
     send in every statistic but never schedules delivery, modelling a
-    message silently lost in the fabric. *)
+    message silently lost in the fabric; [Twice] counts it once but delivers
+    it twice, each copy as [Pass] would (under a fault plan, each with its
+    own drop roll, jitter and duplicate roll), modelling a fabric that
+    duplicates it. *)
 
 val set_probe :
   t ->

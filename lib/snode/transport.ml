@@ -50,10 +50,11 @@ end)
    again ({!Engine.push}). The closure fires under the check a reusable
    [Engine.timer] makes (armed, and the clock at the deadline), so the
    queue sees exactly the pushes an [Engine.timer] per entry made. A
-   retired entry clears its latest queue entry ({!Engine.clear}), so the
-   queue stops pinning the payload; a superseded older entry still holds
-   the closure, and the entry with it, until its own (earlier) deadline
-   dispatches it as a no-op. *)
+   retired entry clears its latest queue entry ({!Engine.clear}) and
+   drops its payload for the shared [no_payload]: a superseded older
+   queue entry (left by a restart or a flushed poisoned route) still
+   holds the closure, and the entry with it, until its own deadline
+   dispatches it as a no-op, but no longer the message. *)
 
 (* All-float, so stored flat: both times are written unboxed. *)
 type stamps = {
@@ -62,7 +63,7 @@ type stamps = {
 }
 
 type outmsg = {
-  o_payload : Wire.msg;
+  mutable o_payload : Wire.msg;  (* [no_payload] once retired *)
   mutable o_attempts : int;
   o_at : stamps;
   mutable o_live : bool;
@@ -207,6 +208,10 @@ let rec no_obuf =
 
 (* The closure of an outbox entry never armed. *)
 let no_fire () = ()
+
+(* The payload of a retired outbox entry; nothing reads it, as a retired
+   entry is never armed again. *)
+let no_payload = Wire.Batch []
 
 (* A table resizes once it holds more than twice its bucket count, so an
    outbox created with 16 buckets first grows at its 33rd entry. *)
@@ -706,14 +711,16 @@ and on_ack tr ep ~from ~seq ~floor =
   end
 
 (* Retire outbox entry [s] on its ack; [false] for a duplicate ack. The
-   entry is disarmed and its latest queue entry cleared: the queue stops
-   pinning the message until the deadline. *)
+   entry is disarmed, its latest queue entry cleared and its payload
+   dropped: no queue entry, superseded ones included, pins the message
+   until its deadline. *)
 and retire tr p q s =
   match Itbl.find q.outbox s with
   | exception Not_found -> false
   | entry ->
       Itbl.remove q.outbox s;
       entry.o_armed <- false;
+      entry.o_payload <- no_payload;
       if entry.o_slot >= 0 then Engine.clear tr.engine entry.o_slot entry.o_fire;
       if entry.o_live then begin
         entry.o_live <- false;

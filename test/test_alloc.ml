@@ -285,6 +285,42 @@ let test_frame_budget () =
     (Transport.counters tr).Transport.retransmits;
   check Alcotest.(list string) "queues sound" [] (Transport.audit tr)
 
+(* A retransmission: snode 0 sends one frame to snode 1, crash-stopped
+   for good, so the frame retransmits at the backed-off and then capped
+   cadence forever and every copy is absorbed. After the first few
+   attempts, each one pays its frame, the network's delivery closure and
+   the boxed floats of its backoff, and re-pushes the closure its entry
+   made at the first arming. *)
+let test_retransmit_budget () =
+  let engine = Engine.create () in
+  let net =
+    Network.create ~faults:(Fault.create ~seed:1 ()) engine Network.gigabit
+  in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> ())
+  in
+  Transport.crash tr 1;
+  Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token = 0 });
+  let retransmits () = (Transport.counters tr).Transport.retransmits in
+  while retransmits () < 10 && Engine.step engine do
+    ()
+  done;
+  let r0 = retransmits () in
+  let w0 = Gc.minor_words () in
+  while retransmits () < r0 + calls && Engine.step engine do
+    ()
+  done;
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "every measured attempt retransmitted" (r0 + calls)
+    (retransmits ());
+  (* 43 words. A fresh closure per arming would add its 10. *)
+  within "retransmission of an absorbed frame" ~budget:43. w0 w1;
+  check Alcotest.int "still outstanding" 1 (Transport.queue_depth tr 0);
+  check Alcotest.(list string) "queues sound" [] (Transport.audit tr)
+
 (* Staging toward a destination whose buffer went back to the free list
    takes a pooled buffer again: snode 0 stages one part toward each of
    [dsts] other snodes, the flushes return every buffer, and each later
@@ -457,6 +493,8 @@ let suite =
       test_learn_budget;
     Alcotest.test_case "budget: reliable frame, send to retire" `Quick
       test_frame_budget;
+    Alcotest.test_case "budget: one retransmission" `Quick
+      test_retransmit_budget;
     Alcotest.test_case "budget: re-staging takes a pooled timer" `Quick
       test_restage_budget;
     Alcotest.test_case "retained: words per held cell" `Quick test_cell_retained;

@@ -91,13 +91,16 @@ end
 let fresh k = Bytes.to_string (Bytes.of_string k)
 
 (* Unique Invoke tokens: increasing from a random start with gaps (the
-   tokens range reads and removes take without an Invoke), in a third of
-   the streams now and then jumping far ahead, and in a quarter of them
-   shuffled. Every Invoke carries a fresh copy of its key, as a client
-   that builds its keys per operation does; in a third of the streams the
-   keys come from 2,000 instead of 8, so the history's key table grows
-   and its probes collide, and in a third sessions range up to 2^20.
-   Between invocations come outcomes
+   tokens range reads and removes take without an Invoke, in a third of
+   the streams as often as every other row), in a third of the streams
+   now and then jumping far ahead, and in a quarter of them shuffled. In
+   a quarter of the rest a token now and then falls below the last one:
+   two neighbours swap, or the token is negative. Every Invoke carries a
+   fresh copy of its key, as a client that builds its keys per operation
+   does; in a third of the streams the keys come from 2,000 instead of 8,
+   so the history's key table grows and its probes collide. Sessions are
+   small, or range up to 2^22 (past the 21 bits a row packs), or are
+   negative. Between invocations come outcomes
    on invoked tokens (any kind on any op: Reply on a put, Reply None,
    repeated outcomes) and on tokens never or not yet invoked. A third of
    the streams hold more rows than one storage chunk. *)
@@ -109,30 +112,48 @@ let gen_stream st =
   let tokens = Array.make rows 0 in
   let next = ref (Random.State.int st 1_000) in
   let jumps = Random.State.int st 3 = 0 in
+  let gappy = if Random.State.int st 3 = 0 then 25 else 10 in
   for i = 0 to rows - 1 do
     tokens.(i) <- !next;
     let gap =
       match Random.State.int st 50 with
       | 0 when jumps -> 100_000 + Random.State.int st 100_000
-      | n when n < 10 -> 2 + Random.State.int st 3
+      | n when n < gappy -> 2 + Random.State.int st 3
       | _ -> 1
     in
     next := !next + gap
   done;
-  if Random.State.int st 4 = 0 then
-    for i = rows - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let x = tokens.(i) in
-      tokens.(i) <- tokens.(j);
-      tokens.(j) <- x
-    done;
+  (match Random.State.int st 4 with
+  | 0 ->
+      for i = rows - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = tokens.(i) in
+        tokens.(i) <- tokens.(j);
+        tokens.(j) <- x
+      done
+  | 1 ->
+      for i = 1 to rows - 1 do
+        match Random.State.int st 40 with
+        | 0 ->
+            let x = tokens.(i) in
+            tokens.(i) <- tokens.(i - 1);
+            tokens.(i - 1) <- x
+        | 1 -> tokens.(i) <- -1_000_000 - i
+        | _ -> ()
+      done
+  | _ -> ());
   let clock = ref 0. in
   let at () =
     clock := !clock +. Random.State.float st 1.;
     !clock
   in
   let keys = Array.init (if Random.State.int st 3 = 0 then 2_000 else 8) (Printf.sprintf "k%d") in
-  let sessions = if Random.State.int st 3 = 0 then (1 lsl 20) + 1 else 5 in
+  let session =
+    match Random.State.int st 4 with
+    | 0 -> fun () -> Random.State.int st ((1 lsl 22) + 1)
+    | 1 -> fun () -> Random.State.int st 5 - 3
+    | _ -> fun () -> Random.State.int st 5
+  in
   let evs = ref [] in
   let emit e = evs := e :: !evs in
   let outcome token =
@@ -150,7 +171,7 @@ let gen_stream st =
       if Random.State.bool st then Oplog.Op_put { key; value = Printf.sprintf "v%d" i }
       else Oplog.Op_get { key }
     in
-    emit (Oplog.Invoke { token; via = Random.State.int st sessions; op; at = at () });
+    emit (Oplog.Invoke { token; via = session (); op; at = at () });
     for _ = 1 to Random.State.int st 3 do
       emit (outcome tokens.(Random.State.int st (i + 1)))
     done;
@@ -228,8 +249,9 @@ let live_words_per_op ~fresh_keys =
   ignore (Sys.opaque_identity h);
   per_op
 
-(* A row costs 6 words: meta, inv, ret, key, value and its index slot. *)
-let bound = 7.
+(* A row costs 4 words: meta (key id, session and flags), inv, ret and
+   value. *)
+let bound = 5.
 
 let test_live_words () =
   let per_op = live_words_per_op ~fresh_keys:false in

@@ -7,6 +7,7 @@ module Placement = Dht_replication.Placement
 module Versioned = Dht_kv.Versioned
 module Runtime = Dht_snode.Runtime
 module Engine = Dht_event_sim.Engine
+module Network = Dht_event_sim.Network
 module Rng = Dht_prng.Rng
 module Registry = Dht_telemetry.Registry
 module Trace = Dht_telemetry.Trace
@@ -548,6 +549,67 @@ let test_anti_entropy_noop_when_converged () =
   check Alcotest.int "no orphans on a converged cluster"
     before.Runtime.orphans after.Runtime.orphans
 
+(* --- Duplicated replies --- *)
+
+(* A reply the fabric delivers twice counts once. Three snodes, each a
+   replica of every key, with R = W = 3, on a network with no fault plan,
+   so no transport framing deduplicates anything. Toward each
+   coordinator, every put ack, get reply and range-leg reply from the
+   lower of the other two snodes arrives twice, and the higher one's
+   arrives [late] later. The coordinator answers itself at once, so a
+   duplicate counted as a second replier would meet each quorum before
+   [late]. *)
+let test_duplicate_reply_counted_once () =
+  let rt =
+    Runtime.create ~rfactor:3 ~read_quorum:3 ~write_quorum:3 ~snodes:3
+      ~seed:17 ()
+  in
+  for i = 0 to 9 do
+    Runtime.put rt ~key:(Printf.sprintf "d%d" i) ~value:"v0" ()
+  done;
+  Runtime.run rt;
+  let late = 5e-3 in
+  let doubled = ref 0 in
+  Network.set_probe (Runtime.network rt)
+    (Some
+       (fun ~site:_ ~src ~dst ~tag ->
+         match tag with
+         | Some ("repl:put-ack" | "repl:get-reply" | "range:reply") ->
+             if src = if dst = 0 then 1 else 0 then begin
+               incr doubled;
+               Network.Twice
+             end
+             else Network.Defer late
+         | _ -> Network.Pass));
+  let e = Runtime.engine rt in
+  let timed what start =
+    let t0 = Engine.now e and took = ref None and before = !doubled in
+    start (fun () -> took := Some (Engine.now e -. t0));
+    Runtime.run rt;
+    if !doubled = before then Alcotest.failf "%s: no reply was doubled" what;
+    match !took with
+    | None -> Alcotest.failf "%s never completed" what
+    | Some dt when dt < late ->
+        Alcotest.failf "%s met its quorum after %g s, before its third replier (%g s)"
+          what dt late
+    | Some _ -> ()
+  in
+  timed "put" (fun k -> Runtime.put rt ~via:1 ~on_done:k ~key:"d0" ~value:"v1" ());
+  let got = ref None in
+  timed "get" (fun k ->
+      Runtime.get rt ~via:2 ~key:"d0" (fun v ->
+          got := v;
+          k ()));
+  check Alcotest.(option string) "get reads the put" (Some "v1") !got;
+  let rows = ref [] in
+  let hi = Dht_hashspace.Space.size (Runtime.space rt) in
+  timed "range" (fun k ->
+      Runtime.range_get rt ~via:0 ~lo:0 ~hi (fun r ->
+          rows := r;
+          k ()));
+  check Alcotest.int "range sees every key" 10 (List.length !rows);
+  audit_ok rt "after doubled replies"
+
 (* --- Determinism pin over the replicated protocol --- *)
 
 let traced_replicated_run () =
@@ -611,6 +673,8 @@ let suite =
       test_dead_via_rerouted;
     Alcotest.test_case "quorum: unmeetable W settles as failure" `Quick
       test_unmeetable_quorum_fails;
+    Alcotest.test_case "quorum: a doubled reply counts once" `Quick
+      test_duplicate_reply_counted_once;
     Alcotest.test_case "hinted handoff across a crash" `Quick
       test_hinted_handoff;
     Alcotest.test_case "hinted handoff: same key twice" `Quick

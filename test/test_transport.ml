@@ -350,6 +350,45 @@ let test_acked_payloads_collectable () =
     (Transport.counters tr).Transport.retransmits;
   check Alcotest.(list string) "audit" [] (Transport.audit tr)
 
+(* A superseded arming does not pin an acked payload either. Snode 0
+   sends one frame and crashes and restarts before its ack lands, so the
+   restart re-arms the frame while the first arming's queue entry stays
+   queued until its own deadline. The retransmission's ack retires the
+   entry; with every frame landed and that older deadline still ahead,
+   nothing holds the payload any more. *)
+let test_rearmed_payload_collectable () =
+  let engine = Engine.create () in
+  let faults = Fault.create ~seed:1 () in
+  let net = Network.create ~faults engine Network.gigabit in
+  let got = ref 0 in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> incr got)
+  in
+  let weak = Weak.create 1 in
+  (* Built apart, so the payload stays in no register of this frame. *)
+  let send () =
+    let msg = Wire.Busy { token = Sys.opaque_identity 0 } in
+    Weak.set weak 0 (Some msg);
+    Transport.send tr ~src:0 ~dst:1 msg
+  in
+  send ();
+  Engine.run ~until:1e-5 engine;
+  Transport.crash tr 0;
+  Transport.restart tr 0;
+  Engine.run ~until:5e-4 engine;
+  check Alcotest.int "delivered once" 1 !got;
+  check Alcotest.int "outbox drained" 0 (Transport.queue_depth tr 0);
+  check Alcotest.bool "the first arming is still queued" true
+    (Engine.pending engine > 0);
+  Gc.full_major ();
+  check Alcotest.bool "payload collectable" false (Weak.check weak 0);
+  Engine.run engine;
+  check Alcotest.int "no timeout" 0 (Transport.counters tr).Transport.timeouts;
+  check Alcotest.(list string) "audit" [] (Transport.audit tr)
+
 (* A restart arms the flush timers of staged buffers in the order of the
    endpoint's buffer table, so that order must not depend on the order in
    which destinations gave their buffers back. Snode 0 stages toward
@@ -403,6 +442,8 @@ let suite =
       test_pool_audit;
     Alcotest.test_case "acked payloads can be collected" `Quick
       test_acked_payloads_collectable;
+    Alcotest.test_case "a re-armed acked payload can be collected" `Quick
+      test_rearmed_payload_collectable;
     Alcotest.test_case "restart flushes in the buffer table's order" `Quick
       test_restart_flush_order;
   ]
