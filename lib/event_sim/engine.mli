@@ -10,21 +10,22 @@
     the caller's closure and nothing per queue entry; {!step} and {!run}
     allocate nothing themselves.
 
-    Cancellation is lazy on purpose: a cancelled or superseded timer keeps
-    its queue entry, which dispatches as a no-op. {!run} therefore advances
-    the clock over dead entries, and a callback that later schedules
-    relative to {!now} depends on that clock. Removing dead entries eagerly
-    would move those times. The entry need not keep its callback, though:
-    {!cancel} and {!clear} swap the queued closure for an inert one, so
-    whatever the callback captured can be collected long before the dead
-    entry's time comes.
+    One primitive makes a callback cancellable: {!push} queues it and
+    returns the queue's payload slot, and {!clear} empties a slot that
+    still holds that callback. A caller that keeps the slot, an armed flag
+    and a deadline next to its own state runs a reusable timer with no
+    record in the engine: re-arming pushes the same closure again, and a
+    superseded entry finds the flag down or the deadline not yet reached.
+    The transport's outbox entries and coalescing buffers, and the
+    runtime's hinted-handoff and event watchdog timers, are built so.
 
-    Two primitives expose the queue's payload slots: {!push} queues a
-    callback and returns its slot, and {!clear} empties a slot that still
-    holds a given callback. A caller that keeps its own deadline and armed
-    flag next to its state can then run a retransmission-style timer with
-    no record in the engine: the transport's outbox entries do. {!timer} is
-    the packaged form of the same pattern, built on {!push}. *)
+    Cancellation is lazy on purpose: a cleared or superseded entry stays
+    queued and dispatches as a no-op. {!run} therefore advances the clock
+    over dead entries, and a callback that later schedules relative to
+    {!now} depends on that clock. Removing dead entries eagerly would move
+    those times. The entry need not keep its callback, though: {!clear}
+    swaps the queued closure for an inert one, so whatever the callback
+    captured can be collected long before the dead entry's time comes. *)
 
 type t
 
@@ -54,50 +55,12 @@ val clear : t -> int -> (unit -> unit) -> unit
     entry has dispatched the slot may hold another entry's callback, which
     the check leaves alone, so a caller need not know whether it has. *)
 
-type handle
-(** A cancellable timer. *)
-
-val schedule_cancellable : t -> delay:float -> (unit -> unit) -> handle
-(** Like {!schedule}, but the returned handle lets the caller retract the
-    callback. Cancellation is lazy: the queue entry remains and is
-    dispatched as a no-op at its scheduled time (so {!pending} still counts
-    it and {!run} still advances the clock over it). *)
-
-val cancel : handle -> unit
-(** Retract a timer. The queue entry stays, but the callback leaves it at
-    once: neither the queue nor the handle keeps it alive any longer.
-    Cancelling one that already fired (or was already cancelled) is a
-    no-op. *)
-
-type timer
-(** A reusable cancellable timer. Where {!schedule_cancellable} allocates
-    a fresh closure and handle per arming, a [timer] allocates its
-    trampoline once; {!arm} only {!push}es a queue entry. Pooled flush
-    timers re-arm the same timer for every window. *)
-
-val timer : t -> (unit -> unit) -> timer
-(** A disarmed timer bound to [t] that will run the callback when an
-    arming fires. *)
-
-val arm : timer -> delay:float -> unit
-(** Schedule (or reschedule) the timer to fire at [now + delay]. Re-arming
-    supersedes any earlier pending arming (lazy deletion: the stale queue
-    entry dispatches as a no-op).
-    @raise Invalid_argument if [delay < 0.] or is not finite. *)
-
-val disarm : timer -> unit
-(** Retract the pending arming, if any. The timer stays reusable, so its
-    queue entries keep the trampoline that runs the callback. *)
-
-val armed : timer -> bool
-(** [true] while an arming is pending. *)
-
 val pending : t -> int
 (** Events not yet dispatched. *)
 
 val dispatched : t -> int
-(** Events dispatched since {!create} (cancelled timers included: their
-    no-op queue entries are still dispatched). *)
+(** Events dispatched since {!create} (cleared entries included: they
+    still dispatch, as no-ops). *)
 
 val max_pending : t -> int
 (** High-water mark of the event-queue depth — the telemetry layer exposes

@@ -5,7 +5,7 @@
    moves only these unboxed values, so no step goes through the write
    barrier. Payloads never move: each sits in its own slot of the
    [payloads] pool, written once on push and reset to [dummy] on pop (or
-   earlier, by [reset] or [clear]), and [slots] maps a heap position to
+   earlier, by [clear]), and [slots] maps a heap position to
    its payload's slot. Free slot ids wait on the [free] stack. Invariant:
    [len + nfree = capacity]. *)
 
@@ -76,12 +76,10 @@ let[@inline] push t ~time ~seq payload =
   slots.(!i) <- slot;
   slot
 
-let[@inline] reset t slot = t.payloads.(slot) <- t.dummy
-
 (* A slot is reused as soon as its entry pops, so the payload check is what
    tells a live entry's slot from a recycled one. *)
 let[@inline] clear t slot payload =
-  if t.payloads.(slot) == payload then reset t slot
+  if t.payloads.(slot) == payload then t.payloads.(slot) <- t.dummy
 
 let[@inline] min_time t =
   if t.len = 0 then invalid_arg "Heap.min_time: empty heap";

@@ -24,19 +24,14 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> seq:int -> 'a -> int
 (** Queue a payload and return the pool slot it was written to, for
-    {!reset} and {!clear}. *)
-
-val reset : 'a t -> int -> unit
-(** [reset t slot] puts the dummy in [slot], so a queued entry stops
-    keeping its payload alive; the entry itself stays queued and pops the
-    dummy. Only for a slot whose entry has not popped yet: a popped slot
-    may hold another entry's payload. *)
+    {!clear}. *)
 
 val clear : 'a t -> int -> 'a -> unit
-(** [clear t slot payload] is {!reset} when [slot] still holds [payload]
-    (physical equality), for a caller that cannot tell whether the entry
-    has popped: once it has, its slot may hold another payload, which the
-    check leaves alone. *)
+(** [clear t slot payload] puts the dummy in [slot] when the slot still
+    holds [payload] (physical equality), so a queued entry stops keeping
+    its payload alive; the entry itself stays queued and pops the dummy.
+    Once the entry has popped, its slot may hold another payload, which
+    the check leaves alone, so a caller need not know whether it has. *)
 
 val min_time : 'a t -> float
 (** The time of the entry with the smallest [(time, seq)].

@@ -61,7 +61,9 @@ type event_state = {
   ev_participants : int list;
   mutable ev_waits : int;  (* All_received notifications still expected *)
   mutable ev_committed : bool;
-  mutable ev_watch : Engine.handle option;  (* per-round liveness watchdog *)
+  mutable ev_watch : int;
+      (* queue slot of the per-round liveness watchdog; -1 while unarmed *)
+  mutable ev_fire : unit -> unit;  (* the closure [ev_watch] holds *)
 }
 
 (* Newcomer-side expectation of donor batches. *)
@@ -88,7 +90,8 @@ type pending_prepare =
 type qkind =
   | Q_put of {
       q_cell : Versioned.cell;
-      mutable q_hint : Engine.handle option;  (* hinted-handoff timer *)
+      mutable q_hint : int;  (* queue slot of the hinted-handoff timer *)
+      mutable q_fire : unit -> unit;  (* the closure [q_hint] holds *)
     }
   | Q_get of { mutable q_cells : Versioned.cell option list }
   | Q_leg of { q_range : rstate; q_hi : int }
@@ -875,19 +878,20 @@ and admit_quorum t sn ~token ~origin ~set ~need =
 and start_qput t sn ~token ~key ~point ~set cell =
   let q =
     open_quorum ~ctx:t.cur ~token ~key ~point ~set ~need:t.write_quorum
-      (Q_put { q_cell = cell; q_hint = None })
+      (Q_put { q_cell = cell; q_hint = -1; q_fire = ignore })
   in
   Hashtbl.replace sn.quorums token q;
   (* Sloppy-quorum patience: give the replicas [handoff_timeout] to ack,
      then hint the silent ones away. Armed even without a fault plan —
      crashes can be injected manually ([crash_snode]), and the timer is
-     cancelled as soon as every copy lands. *)
+     cleared as soon as every copy lands. *)
   (match q.q_kind with
   | Q_put p ->
+      p.q_fire <- (fun () -> fire_hints t sn q);
       p.q_hint <-
-        Some
-          (Engine.schedule_cancellable t.engine ~delay:handoff_timeout
-             (fun () -> fire_hints t sn q))
+        Engine.push t.engine
+          ~time:(Engine.now t.engine +. handoff_timeout)
+          p.q_fire
   | Q_get _ | Q_leg _ -> ());
   fan_out t sn q (Wire.Repl_put { token; key; point; cell }) set
 
@@ -919,14 +923,14 @@ and qput_record t sn q sid =
     if met q then settle t ~tid:sn.sid ~token:q.q_token (Acked `Qput);
     (* Every copy placed: nothing left for the hint timer to cover. *)
     if q.q_done && List.length q.q_heard >= List.length q.q_set then
-      qput_finalize sn q
+      qput_finalize t sn q
   end
 
-and qput_finalize sn q =
+(* The quorum is closed: its hint timer's queue entry stops holding [q]
+   (a no-op once the timer fired, as its slot may hold another entry). *)
+and qput_finalize t sn q =
   (match q.q_kind with
-  | Q_put p ->
-      (match p.q_hint with Some h -> Engine.cancel h | None -> ());
-      p.q_hint <- None
+  | Q_put p -> Engine.clear t.engine p.q_hint p.q_fire
   | Q_get _ | Q_leg _ -> ());
   Hashtbl.remove sn.quorums q.q_token
 
@@ -936,7 +940,6 @@ and qput_finalize sn q =
    [Hint_flush], which the reliable layer retries until the target
    restarts. *)
 and fire_hints t sn q =
-  (match q.q_kind with Q_put p -> p.q_hint <- None | Q_get _ | Q_leg _ -> ());
   if Hashtbl.mem sn.quorums q.q_token then begin
     (if sn.alive then
        with_ctx t q.q_ctx @@ fun () ->
@@ -1011,14 +1014,14 @@ and park_hint t sn ~target ~key ~point cell =
    callback is never invoked, so the write counts as unacknowledged. *)
 and qput_deadline t sn q =
   if Hashtbl.mem sn.quorums q.q_token then
-    if q.q_done then qput_finalize sn q
+    if q.q_done then qput_finalize t sn q
     else begin
       Transport.note_timeout t.tr;
       if Trace.enabled t.trace then
         Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:sn.sid
           ~name:"repl.qput.abort" [ ("token", Trace.Int q.q_token) ];
       settle t ~ctx:q.q_ctx ~tid:sn.sid ~token:q.q_token Failed;
-      qput_finalize sn q
+      qput_finalize t sn q
     end
 
 and start_qget t sn ~token ~key ~point ~set =
@@ -1269,7 +1272,8 @@ and open_event t sn ~group ~kind ~done_msg ~origin ~waits ~participants msg =
       ev_participants = participants;
       ev_waits = waits;
       ev_committed = false;
-      ev_watch = None;
+      ev_watch = -1;
+      ev_fire = ignore;
     }
   in
   Hashtbl.add sn.events ev st;
@@ -1289,28 +1293,29 @@ and open_event t sn ~group ~kind ~done_msg ~origin ~waits ~participants msg =
    be aborted (donor partitions are already in flight) but also cannot
    hang: it stalls until the dead participant restarts, then completes. *)
 and arm_watchdog t sn ev st =
-  if t.faults <> None then
+  if t.faults <> None then begin
+    st.ev_fire <-
+      (fun () ->
+        if Hashtbl.mem sn.events ev then begin
+          if sn.alive then begin
+            Transport.note_timeout t.tr;
+            Log.debug (fun m ->
+                m
+                  "snode %d: event %d round timeout (%d acks, %d completions \
+                   outstanding); retrying via retransmission"
+                  sn.sid ev st.ev_acks st.ev_waits)
+          end;
+          arm_watchdog t sn ev st
+        end);
     st.ev_watch <-
-      Some
-        (Engine.schedule_cancellable t.engine ~delay:event_timeout
-           (fun () ->
-             if Hashtbl.mem sn.events ev then begin
-               if sn.alive then begin
-                 Transport.note_timeout t.tr;
-                 Log.debug (fun m ->
-                     m
-                       "snode %d: event %d round timeout (%d acks, %d \
-                        completions outstanding); retrying via \
-                        retransmission"
-                       sn.sid ev st.ev_acks st.ev_waits)
-               end;
-               arm_watchdog t sn ev st
-             end))
+      Engine.push t.engine ~time:(Engine.now t.engine +. event_timeout)
+        st.ev_fire
+  end
 
 and maybe_complete t sn ev st =
   if st.ev_committed && st.ev_waits = 0 then begin
     Hashtbl.remove sn.events ev;
-    (match st.ev_watch with Some h -> Engine.cancel h | None -> ());
+    if st.ev_watch >= 0 then Engine.clear t.engine st.ev_watch st.ev_fire;
     (match t.instr with
     | Some i ->
         let h =

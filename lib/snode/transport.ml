@@ -38,7 +38,7 @@ end)
    is in flight (the three queues, the window count, the route's
    suspicion) lives in a separate [queues] record. An idle peer shares
    the never-written [no_queues]; a peer takes a private record from its
-   endpoint's free list on its first write and gives it back once every
+   endpoint's pool on its first write and gives it back once every
    queue is released and the route is unsuspected. The queues themselves
    are likewise allocated on first write and released when drained: an
    idle record holds the empty sentinels below, which nothing ever
@@ -46,10 +46,10 @@ end)
 
    An outbox entry is its own retransmission timer: it keeps the armed
    flag, the deadline and the queue slot of its latest arming, and one
-   closure made at its first arming, which every later arming pushes
-   again ({!Engine.push}). The closure fires under the check a reusable
-   [Engine.timer] makes (armed, and the clock at the deadline), so the
-   queue sees exactly the pushes an [Engine.timer] per entry made. A
+   closure made with the entry, which every arming pushes
+   ({!Engine.push}). The closure acts only while the entry is armed and
+   the clock has reached the latest deadline, so a superseded queue entry
+   dispatches as a no-op. A
    retired entry clears its latest queue entry ({!Engine.clear}) and
    drops its payload for the shared [no_payload]: a superseded older
    queue entry (left by a restart or a flushed poisoned route) still
@@ -71,7 +71,7 @@ type outmsg = {
          while parked in the peer's backlog waiting for a slot *)
   mutable o_armed : bool;  (* a retransmission deadline is pending *)
   mutable o_slot : int;  (* queue slot of the latest arming; -1 before *)
-  mutable o_fire : unit -> unit;  (* [no_fire] until the first arming *)
+  mutable o_fire : unit -> unit;  (* set once, right after creation *)
 }
 
 (* A route's Jacobson estimator. All-float, so it is stored flat and an
@@ -97,7 +97,7 @@ type queues = {
       (* consecutive retransmission timeouts — the route's graded suspicion
          level; poisoning at [poison_after] is just the top of the scale,
          and admission control reads the raw level below it *)
-  mutable q_next : queues;  (* next free record, or [no_queues] *)
+  mutable q_next : queues;  (* next free record in the pool, or [no_queues] *)
 }
 
 type peer = {
@@ -113,25 +113,138 @@ type peer = {
    parts are modelled as durable, like the reliable outbox they feed; only
    the flush timer dies with a crash (restart re-arms it).
 
+   A buffer is its own flush timer, like an outbox entry (armed flag,
+   flat deadline, one closure made with it), with no slot: a buffer lives
+   as long as its endpoint, so its queue entries pin nothing else.
+
    A snode stages toward far more destinations over a run than hold parts
-   at once, so buffers, each with its flush timer, are pooled per
-   endpoint. [obufs] binds every destination ever staged for, to its own
-   buffer while it has one and to the shared, never-written [no_obuf]
-   otherwise. A destination takes a buffer from the free list (linked
-   through [ob_next], so taking or returning one allocates nothing) when
-   its first part stages, and gives it back when its timer's flush leaves
-   it empty. A flush forced by [flush_lingering], or cut short by a crash,
-   keeps the buffer bound, so a superseded queue entry of its timer can
-   only ever fire for the destination that armed it. Bindings are swapped
-   with [Itbl.replace], which keeps each binding's place in its bucket:
-   [restart] arms flushes in the table's order. *)
+   at once, so buffers are pooled per endpoint. [obufs] binds every
+   destination ever staged for, to its own buffer while it has one and to
+   the shared, never-written [no_obuf] otherwise. A destination takes a
+   buffer from the pool when its first part stages, and gives it back
+   when its timer's flush leaves it empty. A flush forced by
+   [flush_lingering], or cut short by a crash, keeps the buffer bound, so
+   a superseded queue entry of its timer can only ever fire for the
+   destination that armed it. Bindings are swapped with [Itbl.replace],
+   which keeps each binding's place in its bucket: [restart] arms flushes
+   in the table's order. *)
+
+(* All-float, so stored flat: re-arming writes the deadline unboxed. *)
+type deadline = { mutable at : float }
+
 type obuf = {
   mutable ob_dst : int;  (* -1 while free *)
   mutable ob_parts : Wire.msg list;  (* newest first *)
   mutable ob_acked : bool;  (* an ack may be among [ob_parts] *)
-  mutable ob_timer : Engine.timer;  (* set once, right after creation *)
-  mutable ob_next : obuf;  (* next free buffer, or [no_obuf] *)
+  mutable ob_armed : bool;  (* a flush is pending *)
+  mutable ob_queued : int;  (* queue entries of its armings not yet run *)
+  ob_due : deadline;
+      (* of the latest arming, kept while an older arming is queued *)
+  mutable ob_fire : unit -> unit;  (* set once, right after creation *)
+  mutable ob_next : obuf;  (* next free buffer in the pool, or [no_obuf] *)
 }
+
+(* ---------------- shared sentinels ---------------- *)
+
+(* The shared empty queues of every peer without traffic in flight.
+   Nothing is ever inserted into them: each insertion below first swaps
+   in a real queue, created with the size the eager tables had, so a
+   peer's bucket layout is what it always was. They are still walked, and
+   a [Hashtbl] walk briefly flips a field of its table, so these
+   process-wide sentinels keep the transport on one domain. A route
+   without an RTT sample reads [no_rtt]'s zeros; [rtt_sample] swaps in a
+   real estimator before its first write. *)
+let table_size = 4
+let no_outbox : outmsg Itbl.t = Itbl.create table_size
+let no_seen : unit Itbl.t = Itbl.create table_size
+let no_backlog : int Queue.t = Queue.create ()
+let no_rtt = { srtt = 0.; rttvar = 0. }
+
+(* The queue record of every idle peer, and the end of a free list. *)
+let rec no_queues =
+  { outbox = no_outbox; oldest = 0; grown = false; backlog = no_backlog;
+    live = 0; seen = no_seen; suspect = false; strikes = 0;
+    q_next = no_queues }
+
+(* The buffer of every destination without staged parts, and the end of
+   a free list. It is never armed, so its closure never runs. *)
+let rec no_obuf =
+  { ob_dst = -1; ob_parts = []; ob_acked = false; ob_armed = false;
+    ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore; ob_next = no_obuf }
+
+(* The payload of a retired outbox entry; nothing reads it, as a retired
+   entry is never armed again. Immutable, so it needs no audit. *)
+let no_payload = Wire.Batch []
+
+(* A queue record as it waits in a pool: nothing held, nothing counted. *)
+let idle q =
+  q.outbox == no_outbox && q.backlog == no_backlog && q.seen == no_seen
+  && q.strikes = 0 && not q.suspect
+
+let blank q = idle q && q.live = 0 && not q.grown
+
+(* A buffer as it waits in a pool: unbound, empty and disarmed. *)
+let unused ob = ob.ob_dst = -1 && ob.ob_parts = [] && not ob.ob_armed
+
+(* The one audit rule of the sentinels: none is ever written. Each is
+   named with whether it still reads as made. *)
+let sentinels () =
+  [ ("no_outbox", Itbl.length no_outbox = 0);
+    ("no_seen", Itbl.length no_seen = 0);
+    ("no_backlog", Queue.is_empty no_backlog);
+    ("no_rtt", no_rtt.srtt = 0. && no_rtt.rttvar = 0.);
+    ("no_queues", blank no_queues && no_queues.oldest = 0
+                  && no_queues.q_next == no_queues);
+    ("no_obuf", unused no_obuf && (not no_obuf.ob_acked)
+                && no_obuf.ob_queued = 0 && no_obuf.ob_due.at = 0.
+                && no_obuf.ob_next == no_obuf) ]
+
+(* ---------------- record pools ---------------- *)
+
+(* An intrusive free list of records that link through a field of their
+   own, so taking or giving one back allocates nothing. [made] counts the
+   records ever made for the pool: free plus in use adds up to it. *)
+module Pool (R : sig
+  type t
+
+  val nil : t  (* the never-written record that ends the list *)
+  val next : t -> t
+  val set_next : t -> t -> unit
+end) =
+struct
+  type t = { mutable free : R.t; mutable made : int }
+
+  let create () = { free = R.nil; made = 0 }
+
+  (* The list's head, unlinked, or [R.nil] when the list is empty: the
+     caller then makes a record and counts it with [fresh]. *)
+  let take p =
+    let r = p.free in
+    if r != R.nil then (p.free <- R.next r; R.set_next r R.nil);
+    r
+
+  let fresh p r = p.made <- p.made + 1; r
+  let give p r = R.set_next r p.free; p.free <- r
+
+  (* Calls [f] on each free record and returns their count. The walk stops
+     one past [made], so a cycle cannot hang it. *)
+  let walk p f =
+    let n = ref 0 and r = ref p.free in
+    while !r != R.nil && !n <= p.made do
+      f !r; incr n; r := R.next !r
+    done;
+    !n
+end
+
+module Queues = Pool (struct
+  type t = queues
+  let nil = no_queues and next q = q.q_next and set_next q n = q.q_next <- n
+end)
+
+module Buffers = Pool (struct
+  type t = obuf
+  let nil = no_obuf and next b = b.ob_next and set_next b n = b.ob_next <- n
+end)
 
 (* One snode's end of the transport. *)
 type endpoint = {
@@ -143,9 +256,8 @@ type endpoint = {
   mutable spare : outmsg Itbl.t;
       (* one drained, never-grown outbox kept for the next peer that needs
          one, or [no_outbox]; it equals a fresh table *)
-  mutable free_ob : obuf;  (* free-list head, or [no_obuf] *)
-  mutable buffers : int;  (* buffers ever made here: free plus bound *)
-  mutable free_q : queues;  (* free queue records, or [no_queues] *)
+  queues : Queues.t;  (* bound to peers, or free *)
+  buffers : Buffers.t;  (* bound to destinations, or free *)
 }
 
 type counters = {
@@ -177,42 +289,6 @@ type t = {
 
 (* ---------------- per-peer queue lifecycle ---------------- *)
 
-(* The shared empty queues of every peer without traffic in flight.
-   Nothing is ever inserted into them: each insertion below first swaps
-   in a real queue, created with the size the eager tables had, so a
-   peer's bucket layout is what it always was. They are still walked, and
-   a [Hashtbl] walk briefly flips a field of its table, so these
-   process-wide sentinels keep the transport on one domain. A route
-   without an RTT sample reads [no_rtt]'s zeros; [rtt_sample] swaps in a
-   real estimator before its first write. *)
-let table_size = 4
-let no_outbox : outmsg Itbl.t = Itbl.create table_size
-let no_seen : unit Itbl.t = Itbl.create table_size
-let no_backlog : int Queue.t = Queue.create ()
-let no_rtt = { srtt = 0.; rttvar = 0. }
-
-(* The queue record of every idle peer, and the end of a free list. *)
-let rec no_queues =
-  { outbox = no_outbox; oldest = 0; grown = false; backlog = no_backlog;
-    live = 0; seen = no_seen; suspect = false; strikes = 0;
-    q_next = no_queues }
-
-(* The buffer of every destination without staged parts, and the end of
-   a free list. [idle_timer] belongs to an engine that never runs and is
-   never armed; every real buffer replaces it as soon as it is made. *)
-let idle_timer = Engine.timer (Engine.create ()) ignore
-
-let rec no_obuf =
-  { ob_dst = -1; ob_parts = []; ob_acked = false; ob_timer = idle_timer;
-    ob_next = no_obuf }
-
-(* The closure of an outbox entry never armed. *)
-let no_fire () = ()
-
-(* The payload of a retired outbox entry; nothing reads it, as a retired
-   entry is never armed again. *)
-let no_payload = Wire.Batch []
-
 (* A table resizes once it holds more than twice its bucket count, so an
    outbox created with 16 buckets first grows at its 33rd entry. *)
 let grow_threshold = 2 * (Itbl.stats no_outbox).num_buckets
@@ -234,8 +310,8 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
       Array.mapi
         (fun sid rng ->
           { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
-            spare = no_outbox; free_ob = no_obuf; buffers = 0;
-            free_q = no_queues })
+            spare = no_outbox; queues = Queues.create ();
+            buffers = Buffers.create () })
         rngs;
     c =
       { timeouts = 0; retransmits = 0; probes = 0; backpressured = 0;
@@ -245,20 +321,16 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
 let counters tr = tr.c
 let note_timeout tr = tr.c.timeouts <- tr.c.timeouts + 1
 
-(* [p]'s queue record, for a write: its own, else the free list's head,
-   else a new one. Taken with nothing in flight, so the next seq to be
-   drawn bounds the outbox from below. *)
+(* [p]'s queue record, for a write: its own, else a pooled one, else a
+   new one. Taken with nothing in flight, so the next seq to be drawn
+   bounds the outbox from below. *)
 let queues_of ep p =
   if p.q != no_queues then p.q
   else begin
+    let q = Queues.take ep.queues in
     let q =
-      if ep.free_q != no_queues then begin
-        let q = ep.free_q in
-        ep.free_q <- q.q_next;
-        q.q_next <- no_queues;
-        q
-      end
-      else { no_queues with q_next = no_queues }
+      if q != no_queues then q
+      else Queues.fresh ep.queues { no_queues with q_next = no_queues }
     in
     q.oldest <- p.next_seq;
     p.q <- q;
@@ -305,19 +377,14 @@ let release_outbox ep q =
     q.outbox <- no_outbox
   end
 
-(* A record with every queue released (a grown outbox never is) and an
-   unsuspected route holds nothing an idle peer lacks. *)
-let idle q =
-  q.outbox == no_outbox && q.backlog == no_backlog && q.seen == no_seen
-  && q.strikes = 0 && not q.suspect
-
-(* Give [p]'s record back to the free list if it has gone idle. *)
+(* Give [p]'s record back to the pool once it has gone [idle]: every
+   queue released (a grown outbox never is) and the route unsuspected, so
+   it holds nothing an idle peer lacks. *)
 let settle ep p =
   let q = p.q in
   if q != no_queues && idle q then begin
     p.q <- no_queues;
-    q.q_next <- ep.free_q;
-    ep.free_q <- q
+    Queues.give ep.queues q
   end
 
 let peer_of ep pid =
@@ -434,13 +501,10 @@ and stage tr ep ~dst msg =
   let ob =
     match Itbl.find ep.obufs dst with
     | ob when ob != no_obuf -> ob
-    | _ ->
+    | _ | (exception Not_found) ->
+        (* For a new destination, [replace] adds exactly as [add] would. *)
         let ob = take_obuf tr ep ~dst in
         Itbl.replace ep.obufs dst ob;
-        ob
-    | exception Not_found ->
-        let ob = take_obuf tr ep ~dst in
-        Itbl.add ep.obufs dst ob;
         ob
   in
   (match msg with
@@ -453,30 +517,47 @@ and stage tr ep ~dst msg =
       ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
-  if not (Engine.armed ob.ob_timer) then Engine.arm ob.ob_timer ~delay:tr.linger
+  if not ob.ob_armed then arm_flush tr ob
 
-(* A buffer for [dst] with a disarmed timer: the free list's head, or a
-   new one. *)
+(* Arm [ob]'s flush one linger window from now, superseding any earlier
+   arming. Armings queue in deadline order, so the deadline matters only
+   to an older arming still queued, and is written only then. *)
+and arm_flush tr ob =
+  if ob.ob_queued > 0 then ob.ob_due.at <- Engine.now tr.engine +. tr.linger;
+  ob.ob_armed <- true;
+  ob.ob_queued <- ob.ob_queued + 1;
+  Engine.schedule tr.engine ~delay:tr.linger ob.ob_fire
+
+(* A disarmed buffer for [dst]: a pooled one, or a new one. *)
 and take_obuf tr ep ~dst =
-  if ep.free_ob != no_obuf then begin
-    let ob = ep.free_ob in
-    ep.free_ob <- ob.ob_next;
-    ob.ob_next <- no_obuf;
+  let ob = Buffers.take ep.buffers in
+  if ob != no_obuf then begin
     ob.ob_dst <- dst;
     ob
   end
   else begin
     let ob =
-      { ob_dst = dst; ob_parts = []; ob_acked = false; ob_timer = idle_timer;
+      { ob_dst = dst; ob_parts = []; ob_acked = false; ob_armed = false;
+        ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore;
         ob_next = no_obuf }
     in
-    ob.ob_timer <- Engine.timer tr.engine (fun () -> on_flush_timer tr ep ob);
-    ep.buffers <- ep.buffers + 1;
-    ob
+    (* The last queued arming is the latest one; an older one acts only
+       when it is due at the latest deadline's instant. *)
+    ob.ob_fire <-
+      (fun () ->
+        ob.ob_queued <- ob.ob_queued - 1;
+        if
+          ob.ob_armed
+          && (ob.ob_queued = 0 || Engine.now tr.engine >= ob.ob_due.at)
+        then begin
+          ob.ob_armed <- false;
+          on_flush_timer tr ep ob
+        end);
+    Buffers.fresh ep.buffers ob
   end
 
-(* The timer's flush; a buffer it leaves empty goes back to the free list
-   and its destination to [no_obuf]. Every earlier arming of this timer was
+(* The timer's flush; a buffer it leaves empty goes back to the pool and
+   its destination to [no_obuf]. Every earlier arming of this timer was
    due no later than the one firing now, so no queue entry it leaves
    behind can fire for the next destination to take it, whose arming is
    due a linger window later. *)
@@ -486,8 +567,7 @@ and on_flush_timer tr ep ob =
   | [] ->
       Itbl.replace ep.obufs ob.ob_dst no_obuf;
       ob.ob_dst <- -1;
-      ob.ob_next <- ep.free_ob;
-      ep.free_ob <- ob
+      Buffers.give ep.buffers ob
   | _ :: _ -> ()
 
 (* Everything staged toward one destination leaves as one envelope: raw on
@@ -548,8 +628,14 @@ and reliable_send tr ep ~dst ~acks msg =
   tr.c.reliable_msgs <- tr.c.reliable_msgs + 1;
   let entry =
     { o_payload = msg; o_attempts = 0; o_at = { sent = 0.; due = 0. };
-      o_live = false; o_armed = false; o_slot = -1; o_fire = no_fire }
+      o_live = false; o_armed = false; o_slot = -1; o_fire = ignore }
   in
+  entry.o_fire <-
+    (fun () ->
+      if entry.o_armed && Engine.now tr.engine >= entry.o_at.due then begin
+        entry.o_armed <- false;
+        on_rto tr ep p ~dst ~seq entry
+      end);
   outbox_add ep q seq entry;
   let depth = Itbl.length q.outbox in
   if depth > tr.c.outbox_peak then tr.c.outbox_peak <- depth;
@@ -574,7 +660,7 @@ and enter_window tr ep p ~dst ~acks ~seq entry =
   q.live <- q.live + 1;
   if q.suspect then begin
     send_coalesced tr ep ~dst acks;
-    arm_retransmit tr ep p ~dst ~seq entry ~delay:rto_cap
+    arm_retransmit tr entry ~delay:rto_cap
   end
   else transmit tr ep p ~dst ~acks ~probe:false ~seq entry
 
@@ -619,7 +705,7 @@ and transmit tr ep p ~dst ~acks ~probe ~seq entry =
         ~parts:(List.length acks + protos)
         ~alone:(bytes_alone framed acks)
         (match acks with [] -> frame | _ -> Wire.Batch (acks @ [ frame ])));
-  arm_retransmit tr ep p ~dst ~seq entry ~delay:(rto_for tr ep p entry.o_attempts)
+  arm_retransmit tr entry ~delay:(rto_for tr ep p entry.o_attempts)
 
 and rto_for tr ep p attempts =
   (* Exponential backoff with multiplicative jitter, capped. The adaptive
@@ -638,19 +724,12 @@ and rto_for tr ep p attempts =
   let base = Float.min (rto0 *. (2. ** exp)) rto_cap in
   base *. (1. +. (0.5 *. Rng.float ep.rng))
 
-(* Arm [entry]'s retransmission [delay] from now. Its closure is made at
-   the first arming and pushed again by every later one — no fresh
-   closure per attempt. A superseded queue entry fires as a no-op: the
-   entry is disarmed, or the clock has not reached the latest deadline. *)
-and arm_retransmit tr ep p ~dst ~seq entry ~delay =
+(* Arm [entry]'s retransmission [delay] from now, pushing the closure
+   made with the entry: no fresh closure per attempt. A superseded queue
+   entry fires as a no-op: the entry is disarmed, or the clock has not
+   reached the latest deadline. *)
+and arm_retransmit tr entry ~delay =
   (match tr.i_rto with Some h -> Histogram.observe h delay | None -> ());
-  if entry.o_fire == no_fire then
-    entry.o_fire <-
-      (fun () ->
-        if entry.o_armed && Engine.now tr.engine >= entry.o_at.due then begin
-          entry.o_armed <- false;
-          on_rto tr ep p ~dst ~seq entry
-        end);
   let time = Engine.now tr.engine +. delay in
   entry.o_at.due <- time;
   entry.o_armed <- true;
@@ -841,9 +920,7 @@ let crash tr sid =
         settle ep p
       end)
     ep.peers;
-  Itbl.iter
-    (fun _ ob -> if ob != no_obuf then Engine.disarm ob.ob_timer)
-    ep.obufs
+  Itbl.iter (fun _ ob -> if ob != no_obuf then ob.ob_armed <- false) ep.obufs
 
 let restart tr sid =
   let ep = tr.eps.(sid) in
@@ -868,7 +945,7 @@ let restart tr sid =
      linger window from now, in the table's order. *)
   Itbl.iter
     (fun _ ob ->
-      if ob.ob_parts <> [] then Engine.arm ob.ob_timer ~delay:tr.linger)
+      if ob.ob_parts <> [] then arm_flush tr ob)
     ep.obufs
 
 (* ------------------------------------------------------------------ *)
@@ -887,7 +964,7 @@ let flush_lingering tr =
           ep.obufs []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         |> List.iter (fun (_, ob) ->
-               Engine.disarm ob.ob_timer;
+               ob.ob_armed <- false;
                flush_obuf tr ep ob))
     tr.eps
 
@@ -898,84 +975,70 @@ let queue_depth tr sid =
     (fun _ p acc -> acc + Itbl.length p.q.outbox + Queue.length p.q.backlog)
     tr.eps.(sid).peers 0
 
-(* A queue record as it waits on a free list: nothing held, nothing
-   counted. *)
-let blank q = idle q && q.live = 0 && not q.grown
-
 (* Bounded-queue audit: the structural invariants of the degradation layer,
    and the footprint rule that a drained queue is released. Cheap enough to
    run at every explorer step. *)
 let audit tr =
   let issues = ref [] in
   let fail fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
-  if
-    not
-      (blank no_queues && no_queues.oldest = 0
-      && no_queues.q_next == no_queues)
-  then fail "the shared idle queue record was written";
-  if
-    not
-      (no_obuf.ob_dst = -1 && no_obuf.ob_parts = [] && (not no_obuf.ob_acked)
-      && no_obuf.ob_timer == idle_timer
-      && (not (Engine.armed idle_timer))
-      && no_obuf.ob_next == no_obuf)
-  then fail "the shared empty buffer was written";
+  List.iter
+    (fun (name, intact) ->
+      if not intact then fail "the shared sentinel %s was written" name)
+    (sentinels ());
+  (* Every record a pool made is free or bound. *)
+  let pool ep what ~free ~bound ~made =
+    if free + bound <> made then
+      fail "snode %d: %d %s made, %d free and %d bound" ep.sid made what free
+        bound
+  in
   Array.iter
     (fun ep ->
       if Itbl.length ep.spare > 0 then
         fail "snode %d: spare outbox holds %d entries" ep.sid
           (Itbl.length ep.spare);
-      Itbl.iter
-        (fun pid p ->
-          let q = p.q in
-          let unreleased what =
-            fail "snode %d -> %d: drained %s not released" ep.sid pid what
-          in
-          if stale_seen q then unreleased "dedup window";
-          if stale_backlog q then unreleased "backlog";
-          if stale_outbox q then unreleased "outbox";
-          if q != no_queues && idle q then
-            fail "snode %d -> %d: idle peer holds a queue record" ep.sid pid;
-          let live =
-            Itbl.fold
-              (fun _ e acc -> if e.o_live then acc + 1 else acc)
-              q.outbox 0
-          in
-          if live <> q.live then
-            fail "snode %d -> %d: window accounting drift (%d counted, %d live)"
-              ep.sid pid q.live live;
-          if tr.max_inflight > 0 && q.live > tr.max_inflight then
-            fail "snode %d -> %d: %d in flight exceeds the window of %d"
-              ep.sid pid q.live tr.max_inflight)
-        ep.peers;
-      (* Free queue records are blank. A record is only made when the free
-         list is empty, so there are never more than peers; the bound also
-         stops a cycle from hanging the walk. *)
-      let free = ref 0 and q = ref ep.free_q in
-      while !q != no_queues && !free <= Itbl.length ep.peers do
-        if not (blank !q) then fail "snode %d: free queue record in use" ep.sid;
-        incr free;
-        q := !q.q_next
-      done;
-      if !free > Itbl.length ep.peers then
-        fail "snode %d: more free queue records than peers" ep.sid;
-      (* The buffer pool: every buffer ever made is either free (unbound,
-         empty, its timer disarmed) or bound to the one destination it
-         names, and staged parts on an up endpoint always have an armed
-         timer. The free-list walk is bounded, so a cycle cannot hang the
-         audit. *)
-      let free = ref 0 and ob = ref ep.free_ob in
-      while !ob != no_obuf && !free <= ep.buffers do
-        if !ob.ob_dst >= 0 then
-          fail "snode %d: free buffer still bound toward %d" ep.sid
-            !ob.ob_dst;
-        if !ob.ob_parts <> [] then
-          fail "snode %d: free buffer holds staged parts" ep.sid;
-        if Engine.armed !ob.ob_timer then
-          fail "snode %d: free flush timer armed" ep.sid;
-        incr free;
-        ob := !ob.ob_next
-      done;
+      let bound =
+        Itbl.fold
+          (fun pid p n ->
+            let q = p.q in
+            let unreleased what =
+              fail "snode %d -> %d: drained %s not released" ep.sid pid what
+            in
+            if stale_seen q then unreleased "dedup window";
+            if stale_backlog q then unreleased "backlog";
+            if stale_outbox q then unreleased "outbox";
+            if q != no_queues && idle q then
+              fail "snode %d -> %d: idle peer holds a queue record" ep.sid pid;
+            let live =
+              Itbl.fold
+                (fun _ e acc -> if e.o_live then acc + 1 else acc)
+                q.outbox 0
+            in
+            if live <> q.live then
+              fail
+                "snode %d -> %d: window accounting drift (%d counted, %d live)"
+                ep.sid pid q.live live;
+            if tr.max_inflight > 0 && q.live > tr.max_inflight then
+              fail "snode %d -> %d: %d in flight exceeds the window of %d"
+                ep.sid pid q.live tr.max_inflight;
+            if q == no_queues then n else n + 1)
+          ep.peers 0
+      in
+      let free =
+        Queues.walk ep.queues (fun q ->
+            if not (blank q) then
+              fail "snode %d: free queue record in use" ep.sid)
+      in
+      pool ep "queue records" ~free ~bound ~made:ep.queues.made;
+      (* Staged parts on an up endpoint always have an armed flush. *)
+      let free =
+        Buffers.walk ep.buffers (fun ob ->
+            if ob.ob_dst >= 0 then
+              fail "snode %d: free buffer still bound toward %d" ep.sid
+                ob.ob_dst;
+            if ob.ob_parts <> [] then
+              fail "snode %d: free buffer holds staged parts" ep.sid;
+            if ob.ob_armed then fail "snode %d: free flush timer armed" ep.sid)
+      in
       let bound =
         Itbl.fold
           (fun dst ob n ->
@@ -984,21 +1047,24 @@ let audit tr =
               if ob.ob_dst <> dst then
                 fail "snode %d -> %d: buffer belongs to another destination"
                   ep.sid dst;
-              if ep.up && ob.ob_parts <> [] && not (Engine.armed ob.ob_timer)
-              then
+              if ep.up && ob.ob_parts <> [] && not ob.ob_armed then
                 fail "snode %d -> %d: staged parts without an armed flush timer"
                   ep.sid dst;
               n + 1
             end)
           ep.obufs 0
       in
-      if !free + bound <> ep.buffers then
-        fail "snode %d: %d buffers made, %d free and %d bound" ep.sid
-          ep.buffers !free bound)
+      pool ep "buffers" ~free ~bound ~made:ep.buffers.made)
     tr.eps;
   List.rev !issues
 
-type pool_fault = Leak | Share | Arm_free | Disarm_staged
+type pool_fault =
+  | Leak
+  | Share
+  | Arm_free
+  | Disarm_staged
+  | Leak_queues
+  | Write_sentinel
 
 let plant_pool_fault tr sid fault =
   let ep = tr.eps.(sid) in
@@ -1021,12 +1087,20 @@ let plant_pool_fault tr sid fault =
       let dst, _ = find "second buffer" (fun (_, o) -> o != ob) in
       Itbl.replace ep.obufs dst ob
   | Arm_free ->
-      if ep.free_ob == no_obuf then
+      if ep.buffers.free == no_obuf then
         invalid_arg "Transport.plant_pool_fault: no free buffer";
-      Engine.arm ep.free_ob.ob_timer ~delay:tr.linger
+      ep.buffers.free.ob_armed <- true
   | Disarm_staged ->
       let _, ob = find "staged buffer" (fun (_, ob) -> ob.ob_parts <> []) in
-      Engine.disarm ob.ob_timer
+      ob.ob_armed <- false
+  | Leak_queues -> (
+      match Itbl.fold (fun _ p acc -> if p.q != no_queues then Some p else acc)
+              ep.peers None with
+      | Some p -> p.q <- no_queues
+      | None -> invalid_arg "Transport.plant_pool_fault: no bound queue record")
+  | Write_sentinel ->
+      (* Every transport shares the sentinel: planting again undoes it. *)
+      no_rtt.srtt <- (if no_rtt.srtt = 0. then 1. else 0.)
 
 type peer_sample = {
   ps_observer : int;

@@ -26,16 +26,20 @@
     staged parts model durable state; timers, route suspicions and RTT
     estimates die with a {!crash}.
 
-    Memory follows the traffic in flight. An outbox entry is its own
-    retransmission timer: it holds its armed flag, the queue slot of its
-    latest arming, a flat record of its send time and deadline, and one
-    closure made at its first arming, which every retransmission pushes
-    again ({!Engine.push}); the ack clears its latest queue entry
-    ({!Engine.clear}), so the payload is not pinned until the deadline.
-    Coalescing buffers, each with its flush timer, are pooled per
-    endpoint: every destination ever staged for stays bound, to its own
-    buffer while parts are staged and to one shared, never-written empty
-    buffer once a timer flush has emptied it. *)
+    Memory follows the traffic in flight, and every timer is built on one
+    engine primitive ({!Engine.push}, {!Engine.clear}). An outbox entry
+    is its own retransmission timer: it holds its armed flag, the queue
+    slot of its latest arming, a flat record of its send time and
+    deadline, and one closure made with the entry, which every
+    transmission pushes; the ack clears its latest queue entry, so the
+    payload is not pinned until the deadline. A coalescing buffer is its
+    own flush timer the same way (armed flag, flat deadline, one closure).
+    Peers' queue records and coalescing buffers come from one kind of
+    per-endpoint pool, an intrusive free list that counts the records it
+    made: an idle peer shares one never-written queue record, and every
+    destination ever staged for stays bound, to its own buffer while parts
+    are staged and to one shared, never-written empty buffer once a timer
+    flush has emptied it. *)
 
 module Engine = Dht_event_sim.Engine
 module Network = Dht_event_sim.Network
@@ -110,28 +114,33 @@ val audit : t -> string list
     its outbox and stay within [max_inflight]. Also the footprint rule:
     a peer's drained dedup window and backlog, and its drained outbox
     unless that table grew, are released back to the shared empty
-    sentinel. An idle peer (every queue released, route unsuspected)
-    holds no private queue record, free records are blank and the shared
-    idle record was never written. And the buffer pool: the shared empty
-    buffer was never written; every buffer an endpoint made is either on
-    its free list (unbound, empty, its flush timer disarmed) or bound to
-    exactly the destination it names, free plus bound adds up to made,
-    and a buffer with staged parts on an up endpoint has an armed timer.
-    Empty when sound. *)
+    sentinel, and an idle peer (every queue released, route unsuspected)
+    holds no private queue record. One rule for every shared sentinel
+    (the empty outbox, dedup window and backlog, the zero RTT estimate,
+    the idle queue record and the empty buffer): it was never written.
+    One rule for both pools: every record an endpoint's pool made is free
+    or bound, and free plus bound adds up to made. Free queue records are
+    blank; a free buffer is unbound, empty and disarmed, a bound one names
+    exactly its destination, and one with staged parts on an up endpoint
+    has an armed flush timer. Empty when sound. *)
 
-(** A broken buffer pool, planted by {!plant_pool_fault}. *)
+(** A broken pool or sentinel, planted by {!plant_pool_fault}. *)
 type pool_fault =
   | Leak  (** a destination drops its buffer without freeing it *)
   | Share  (** a second destination is bound to another's buffer *)
   | Arm_free  (** the free list's head timer is armed *)
   | Disarm_staged  (** a buffer with staged parts has its timer disarmed *)
+  | Leak_queues  (** a peer drops its queue record without freeing it *)
+  | Write_sentinel
+      (** the shared zero RTT estimate is written; every transport shares
+          it, and planting this again undoes it *)
 
 val plant_pool_fault : t -> int -> pool_fault -> unit
-(** [plant_pool_fault tr sid fault] breaks snode [sid]'s buffer pool as
-    [fault] says, on some buffer in the state it needs, so that {!audit}
-    must report it. Needed by test_transport, which checks that the audit
-    catches each fault.
-    @raise Invalid_argument when no buffer is in that state. *)
+(** [plant_pool_fault tr sid fault] breaks snode [sid]'s pools (or a
+    shared sentinel) as [fault] says, on some record in the state it
+    needs, so that {!audit} must report it. Needed by test_transport,
+    which checks that the audit catches each fault.
+    @raise Invalid_argument when no record is in that state. *)
 
 type counters = private {
   mutable timeouts : int;

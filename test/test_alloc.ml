@@ -123,28 +123,6 @@ let test_hash_budget () =
   let w1 = Gc.minor_words () in
   within "Hash.string" ~budget:0. w0 w1
 
-let test_timer_budget () =
-  let e = Engine.create () in
-  let tm = Engine.timer e ignore in
-  (* Grow the event heap once, so the measured re-arms reuse its slots;
-     each re-arm leaves a stale entry that later fires as a no-op. *)
-  let rearm () =
-    for _ = 1 to calls do
-      Engine.arm tm ~delay:0.001
-    done
-  in
-  rearm ();
-  Engine.run e;
-  let w0 = Gc.minor_words () in
-  rearm ();
-  let w1 = Gc.minor_words () in
-  Engine.run e;
-  (* Only the deadline boxed for the call into [Heap.push], where that is
-     not inlined; the timer's own state is flat. *)
-  within "Engine.arm re-arm" ~budget:2. w0 w1;
-  check Alcotest.int "stale armings fire as no-ops" (2 * calls)
-    (Engine.dispatched e)
-
 let test_heat_budget () =
   let c = Heat.cell ~tau:1.0 in
   let w0 = Gc.minor_words () in
@@ -277,7 +255,7 @@ let test_frame_budget () =
   done;
   let w1 = Gc.minor_words () in
   (* 95 words, of which the outbox entry, its flat stamps record and the
-     closure its arming pushes are 20. An [Engine.timer] per entry, with
+     closure made with it are 20. A separate timer record per entry, with
      its deadline, trampoline and option box, and a boxed send time per
      transmission read 104. *)
   within "reliable frame, send to retire" ~budget:95. w0 w1;
@@ -290,7 +268,7 @@ let test_frame_budget () =
    cadence forever and every copy is absorbed. After the first few
    attempts, each one pays its frame, the network's delivery closure and
    the boxed floats of its backoff, and re-pushes the closure its entry
-   made at the first arming. *)
+   made with it. *)
 let test_retransmit_budget () =
   let engine = Engine.create () in
   let net =
@@ -355,7 +333,7 @@ let test_restage_budget () =
   done;
   (* The staged part's cons cell, and the deadline boxed for the call into
      [Heap.push] where that is not inlined. A fresh buffer would add its
-     record, timer, deadline and two closures. *)
+     record, deadline and closure. *)
   within "Transport.send re-staging a pooled buffer" ~budget:5. 0. !words;
   check Alcotest.(list string) "pool sound" [] (Transport.audit tr)
 
@@ -483,7 +461,6 @@ let suite =
     Alcotest.test_case "golden: key hashes" `Quick test_hash_golden;
     Alcotest.test_case "budget: Rng draws" `Quick test_rng_budget;
     Alcotest.test_case "budget: Hash.string" `Quick test_hash_budget;
-    Alcotest.test_case "budget: Engine.arm re-arm" `Quick test_timer_budget;
     Alcotest.test_case "budget: Heat.charge" `Quick test_heat_budget;
     Alcotest.test_case "budget: Merkle owned overwrite" `Quick
       test_merkle_overwrite_budget;

@@ -140,18 +140,13 @@ let test_engine_step_empty () =
 
 (* --- Engine against a sorted-list reference model --- *)
 
-(* Scripts of scheduling, cancellation, timer, slot and dispatch
-   operations. All
-   delays are dyadic, so times add exactly and collide often: the FIFO
+(* Scripts of scheduling, slot (push and clear) and dispatch operations.
+   All delays are dyadic, so times add exactly and collide often: the FIFO
    tie-break among equal times is exercised on most scripts. *)
 type op =
   | At of float
   | Schedule of float
   | Chain of float * float  (* the callback schedules a follow-up *)
-  | Cancellable of float
-  | Cancel of int
-  | Arm of int * float
-  | Disarm of int
   | Push of float  (* [Engine.push], keeping the slot *)
   | Clear of int  (* [Engine.clear] of the i-th pushed entry *)
   | Step
@@ -161,16 +156,10 @@ let pp_op = function
   | At d -> Printf.sprintf "at+%g" d
   | Schedule d -> Printf.sprintf "schedule %g" d
   | Chain (a, b) -> Printf.sprintf "chain %g %g" a b
-  | Cancellable d -> Printf.sprintf "cancellable %g" d
-  | Cancel i -> Printf.sprintf "cancel %d" i
-  | Arm (i, d) -> Printf.sprintf "arm %d %g" i d
-  | Disarm i -> Printf.sprintf "disarm %d" i
   | Push d -> Printf.sprintf "push %g" d
   | Clear i -> Printf.sprintf "clear %d" i
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run-until+%g" d
-
-let n_timers = 3
 
 let script_arb =
   let open QCheck.Gen in
@@ -181,10 +170,6 @@ let script_arb =
         (3, map (fun d -> At d) delay);
         (3, map (fun d -> Schedule d) delay);
         (1, map2 (fun a b -> Chain (a, b)) delay delay);
-        (2, map (fun d -> Cancellable d) delay);
-        (2, map (fun i -> Cancel i) (int_bound 7));
-        (2, map2 (fun i d -> Arm (i, d)) (int_bound (n_timers - 1)) delay);
-        (1, map (fun i -> Disarm i) (int_bound (n_timers - 1)));
         (2, map (fun d -> Push d) delay);
         (2, map (fun i -> Clear i) (int_bound 7));
         (3, return Step);
@@ -197,7 +182,7 @@ let script_arb =
 
 (* What a script shows: every dispatch as (callback id, clock), the queue
    depth and [step]'s result after each operation, the final clock and the
-   dispatch count. Timer [i] logs as id [-1 - i]. *)
+   dispatch count. *)
 type observed = {
   log : (int * float) list;
   depths : (int * bool) list;
@@ -213,8 +198,7 @@ let run_engine script =
     !next
   in
   let fire id () = log := (id, Engine.now e) :: !log in
-  let timers = Array.init n_timers (fun i -> Engine.timer e (fire (-1 - i))) in
-  let handles = ref [] and pushed = ref [] in
+  let pushed = ref [] in
   List.iter
     (fun op ->
       let stepped =
@@ -231,21 +215,6 @@ let run_engine script =
             Engine.schedule e ~delay:a (fun () ->
                 fire id ();
                 Engine.schedule e ~delay:b (fire id'));
-            false
-        | Cancellable d ->
-            let h = Engine.schedule_cancellable e ~delay:d (fire (fresh ())) in
-            handles := !handles @ [ h ];
-            false
-        | Cancel i ->
-            (match !handles with
-            | [] -> ()
-            | hs -> Engine.cancel (List.nth hs (i mod List.length hs)));
-            false
-        | Arm (i, d) ->
-            Engine.arm timers.(i) ~delay:d;
-            false
-        | Disarm i ->
-            Engine.disarm timers.(i);
             false
         | Push d ->
             let f = fire (fresh ()) in
@@ -273,8 +242,6 @@ let run_engine script =
 type entry =
   | Plain of int
   | Chained of int * int * float
-  | Guarded of int * int  (* handle index, callback id *)
-  | Trampoline of int
   | Slotted of int * int  (* pushed index, callback id *)
 
 let run_model script =
@@ -295,8 +262,6 @@ let run_model script =
     incr next;
     !next
   in
-  let handles = ref [||] (* `Pending | `Fired | `Cancelled *) in
-  let armed = Array.make n_timers false and deadline = Array.make n_timers 0. in
   (* A pushed entry cleared before it dispatches runs nothing; clearing it
      later leaves alone whatever its slot holds by then. *)
   let slotted = ref [||] (* `Pending | `Fired | `Cleared *) in
@@ -313,16 +278,6 @@ let run_model script =
         | Chained (id, id', b) ->
             fire id;
             push (!clock +. b) (Plain id')
-        | Guarded (h, id) ->
-            if !handles.(h) = `Pending then begin
-              !handles.(h) <- `Fired;
-              fire id
-            end
-        | Trampoline i ->
-            if armed.(i) && !clock >= deadline.(i) then begin
-              armed.(i) <- false;
-              fire (-1 - i)
-            end
         | Slotted (k, id) ->
             if !slotted.(k) = `Pending then begin
               !slotted.(k) <- `Fired;
@@ -348,24 +303,6 @@ let run_model script =
             let id = fresh () in
             let id' = fresh () in
             push (!clock +. a) (Chained (id, id', b));
-            false
-        | Cancellable d ->
-            let h = Array.length !handles in
-            handles := Array.append !handles [| `Pending |];
-            push (!clock +. d) (Guarded (h, fresh ()));
-            false
-        | Cancel i ->
-            let n = Array.length !handles in
-            if n > 0 && !handles.(i mod n) = `Pending then
-              !handles.(i mod n) <- `Cancelled;
-            false
-        | Arm (i, d) ->
-            deadline.(i) <- !clock +. d;
-            armed.(i) <- true;
-            push deadline.(i) (Trampoline i);
-            false
-        | Disarm i ->
-            armed.(i) <- false;
             false
         | Push d ->
             let k = Array.length !slotted in
@@ -442,32 +379,17 @@ let test_link_validation () =
   Alcotest.check_raises "negative latency" (Invalid_argument "Network.link: negative parameter")
     (fun () -> ignore (Network.link ~base_latency:(-1.) ~byte_time:0.))
 
-(* --- Cancellable timers --- *)
-
-let test_engine_cancellable () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  let h1 = Engine.schedule_cancellable e ~delay:1. (fun () -> fired := 1 :: !fired) in
-  let h2 = Engine.schedule_cancellable e ~delay:2. (fun () -> fired := 2 :: !fired) in
-  Engine.cancel h2;
-  (* Lazy deletion: the queue entry stays and is dispatched as a no-op. *)
-  check Alcotest.int "entries remain" 2 (Engine.pending e);
-  Engine.run e;
-  check Alcotest.(list int) "only h1 fired" [ 1 ] (List.rev !fired);
-  check (Alcotest.float 0.) "clock crossed the cancelled slot" 2. (Engine.now e);
-  (* Cancelling after firing (or twice) is a no-op. *)
-  Engine.cancel h1;
-  Engine.cancel h2
+(* --- Cleared entries --- *)
 
 (* A dead queue entry stays, but stops pinning its callback: after
-   [cancel], and after [clear] of a pushed slot, whatever the callback
-   captured can be collected at once, while the entries still dispatch as
-   no-ops, so the dispatch count and the final clock are those of a run
-   where both callbacks fire. *)
+   [clear] of a pushed slot, whatever the callback captured can be
+   collected at once, while the entry still dispatches as a no-op, so the
+   dispatch count and the final clock are those of a run where the
+   callback fires. *)
 let test_engine_dead_entries_unpin () =
   let run ~drop =
     let e = Engine.create () in
-    let weak = Weak.create 2 in
+    let weak = Weak.create 1 in
     let fired = ref 0 in
     (* Built apart, so no capture stays in this frame's registers. *)
     let callback i =
@@ -475,26 +397,22 @@ let test_engine_dead_entries_unpin () =
       Weak.set weak i (Some captured);
       fun () -> fired := !fired + !captured + 1
     in
-    let h = Engine.schedule_cancellable e ~delay:2. (callback 0) in
-    let f = callback 1 in
+    let f = callback 0 in
     let slot = Engine.push e ~time:3. f in
     Engine.schedule e ~delay:1. ignore;
-    if drop then begin
-      Engine.cancel h;
-      Engine.clear e slot f
-    end;
+    if drop then Engine.clear e slot f;
     Gc.full_major ();
-    let pinned = (Weak.check weak 0, Weak.check weak 1) in
+    let pinned = Weak.check weak 0 in
     Engine.run e;
     (pinned, !fired, Engine.dispatched e, Engine.now e)
   in
   let pinned, fired, count, clock = run ~drop:true in
-  check Alcotest.(pair bool bool) "captures collectable" (false, false) pinned;
+  check Alcotest.bool "captures collectable" false pinned;
   check Alcotest.int "nothing fired" 0 fired;
   let _, fired', count', clock' = run ~drop:false in
-  check Alcotest.int "both fire when kept" 3 fired';
-  check Alcotest.int "dead entries still dispatched" count' count;
-  check (Alcotest.float 0.) "clock crosses the dead entries" clock' clock;
+  check Alcotest.int "fires when kept" 1 fired';
+  check Alcotest.int "dead entry still dispatched" count' count;
+  check (Alcotest.float 0.) "clock crosses the dead entry" clock' clock;
   check (Alcotest.float 0.) "last entry at the pushed time" 3. clock
 
 (* --- Fault plan --- *)
@@ -764,8 +682,6 @@ let suite =
     Alcotest.test_case "link validation" `Quick test_link_validation;
     Alcotest.test_case "engine dead entries unpin their callbacks" `Quick
       test_engine_dead_entries_unpin;
-    Alcotest.test_case "engine cancellable timers" `Quick
-      test_engine_cancellable;
     Alcotest.test_case "fault validation" `Quick test_fault_validation;
     Alcotest.test_case "fault drop/duplicate rates" `Quick
       test_fault_drop_and_duplicate_rates;

@@ -333,6 +333,37 @@ let test_hinted_handoff () =
   check Alcotest.int "no stale reads after recovery" 0 !wrong;
   audit_ok rt "hinted handoff"
 
+(* A put's hinted-handoff timer stops holding the put once every copy has
+   landed, not at its deadline: the quorum state leaves the event queue
+   when the put is finalized. [n] puts on a fault-free cluster finalize in
+   microseconds; the runtime then reaches the same words while the timers'
+   entries wait for [handoff_timeout] (20 ms) as after they have
+   dispatched. A timer that kept its closure until then would hold each
+   put's quorum state, tens of words per put. *)
+let test_hint_timer_lets_go () =
+  let n = 200 in
+  let rt =
+    Runtime.create ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~snodes:4
+      ~seed:5 ()
+  in
+  let acked = ref 0 in
+  for i = 1 to n do
+    Runtime.put rt ~on_done:(fun () -> incr acked)
+      ~key:(Printf.sprintf "k%d" i) ~value:"v" ()
+  done;
+  let e = Runtime.engine rt in
+  Runtime.run ~until:0.01 rt;
+  check Alcotest.int "every put acked" n !acked;
+  check Alcotest.int "the hint timers still queued" n (Engine.pending e);
+  let queued = Obj.reachable_words (Obj.repr rt) in
+  Runtime.run rt;
+  check Alcotest.int "the hint timers dispatched" 0 (Engine.pending e);
+  let drained = Obj.reachable_words (Obj.repr rt) in
+  if queued - drained > n then
+    Alcotest.failf "%d words more while the timers wait than after (%d puts)"
+      (queued - drained) n;
+  audit_ok rt "hint timers"
+
 let test_hint_same_key_twice () =
   (* Two overwrites of one key while a replica is down share the single
      (target, key) hint binding: stored/flushed counters stay matched and
@@ -679,6 +710,8 @@ let suite =
       test_hinted_handoff;
     Alcotest.test_case "hinted handoff: same key twice" `Quick
       test_hint_same_key_twice;
+    Alcotest.test_case "hint timer lets go of a finalized put" `Quick
+      test_hint_timer_lets_go;
     Alcotest.test_case "read repair catches a stale rejoin" `Quick
       test_read_repair_fires;
     Alcotest.test_case "anti-entropy repairs migrations" `Quick

@@ -288,7 +288,9 @@ let test_pool_audit () =
     (match fault with
     | Transport.Arm_free -> ()
     | Transport.Leak | Transport.Disarm_staged -> stage [ 1 ]
-    | Transport.Share -> stage [ 1; 2 ]);
+    | Transport.Share -> stage [ 1; 2 ]
+    | Transport.Leak_queues | Transport.Write_sentinel ->
+        Alcotest.fail "not a buffer fault");
     check Alcotest.(list string) (name ^ ": sound before") []
       (Transport.audit tr);
     Transport.plant_pool_fault tr 0 fault;
@@ -305,6 +307,55 @@ let test_pool_audit () =
     "snode 0: free flush timer armed";
   expect "staged, disarmed" Transport.Disarm_staged
     "snode 0 -> 1: staged parts without an armed flush timer"
+
+(* A reliable transport of three snodes on a fault plan that loses
+   nothing: snode 0 sends to 1 and 2, and once both are acked their queue
+   records are back in snode 0's pool. *)
+let drained_reliable () =
+  let engine = Engine.create () in
+  let net =
+    Network.create ~faults:(Fault.create ~seed:1 ()) engine Network.gigabit
+  in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 3 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> ())
+  in
+  List.iter
+    (fun dst -> Transport.send tr ~src:0 ~dst (Wire.Busy { token = dst }))
+    [ 1; 2 ];
+  Engine.run engine;
+  check Alcotest.(list string) "drained: sound" [] (Transport.audit tr);
+  tr
+
+(* The queue-record pool's count: with one frame in flight toward snode 1,
+   one of snode 0's two records is bound and one free. A peer that drops
+   its record without giving it back leaves the count one short. *)
+let test_queue_leak_audit () =
+  let tr = drained_reliable () in
+  Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token = 3 });
+  check Alcotest.(list string) "in flight: sound" [] (Transport.audit tr);
+  Transport.plant_pool_fault tr 0 Transport.Leak_queues;
+  check Alcotest.(list string) "leaked record named"
+    [ "snode 0: 2 queue records made, 1 free and 0 bound" ]
+    (Transport.audit tr)
+
+(* A written sentinel is named by the audit of any transport, as every
+   transport shares it; planting the write again undoes it. *)
+let test_sentinel_audit () =
+  let tr = drained_reliable () in
+  Transport.plant_pool_fault tr 0 Transport.Write_sentinel;
+  let findings =
+    Fun.protect
+      (fun () -> Transport.audit tr)
+      ~finally:(fun () ->
+        Transport.plant_pool_fault tr 0 Transport.Write_sentinel)
+  in
+  check Alcotest.(list string) "written sentinel named"
+    [ "the shared sentinel no_rtt was written" ]
+    findings;
+  check Alcotest.(list string) "undone: sound" [] (Transport.audit tr)
 
 (* An acked message is let go at once, not at its retransmission deadline.
    Eight payloads go reliably from snode 0 to 1 with a 1 ms RTO; once all
@@ -440,6 +491,10 @@ let suite =
       test_grown_outbox_order;
     Alcotest.test_case "the audit catches a broken flush-timer pool" `Quick
       test_pool_audit;
+    Alcotest.test_case "the audit names a leaked queue record" `Quick
+      test_queue_leak_audit;
+    Alcotest.test_case "the audit names a written sentinel" `Quick
+      test_sentinel_audit;
     Alcotest.test_case "acked payloads can be collected" `Quick
       test_acked_payloads_collectable;
     Alcotest.test_case "a re-armed acked payload can be collected" `Quick
