@@ -66,8 +66,14 @@ type event_state = {
   mutable ev_fire : unit -> unit;  (* the closure [ev_watch] holds *)
 }
 
-(* Newcomer-side expectation of donor batches. *)
-type incoming = { mutable got : int; want : int; coordinator : int }
+(* Newcomer-side expectation of donor batches, with the spans of every
+   batch applied so far. *)
+type incoming = {
+  mutable got : int;
+  want : int;
+  coordinator : int;
+  mutable applied : Span.t list;
+}
 
 (* Participant-side deferred identity changes (applied at Commit, so that
    concurrent events keep serializing through the group's manager until the
@@ -1360,12 +1366,16 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
   | None -> failwith "Runtime: transfer applied without expectation"
   | Some inc ->
       inc.got <- inc.got + 1;
+      (* Kept only when there are replicas to seed below. *)
+      if t.rfactor > 1 then inc.applied <- inc.applied @ spans;
       if inc.got = inc.want then begin
         Hashtbl.remove sn.incomings event;
         send t ~src:sn.sid ~dst:inc.coordinator (Wire.All_received { event });
         (* If the commit already installed the replica map for these spans
-           (Commit overtook the Transfer), seed the replicas now. *)
-        if t.rfactor > 1 then ae_push t sn spans
+           (Commit overtook the Transfers), seed the replicas now, with
+           every batch's spans: the commit may have overtaken any of
+           them. *)
+        if t.rfactor > 1 then ae_push t sn inc.applied
       end
 
 (* Donor side of every placement change: send the donated [spans] and
@@ -1387,7 +1397,8 @@ and ship t sn ~event ~members ~dst (spans, data) =
    prepare. *)
 and expect t sn ~event ~want ~coordinator =
   if want > 0 then begin
-    Hashtbl.replace sn.incomings event { got = 0; want; coordinator };
+    Hashtbl.replace sn.incomings event
+      { got = 0; want; coordinator; applied = [] };
     drain_stash t sn event
   end
 

@@ -487,13 +487,11 @@ let test_reads_after_growth_pinned () =
   Runtime.run rt;
   check Alcotest.int "grown to 64 vnodes" 64 (Runtime.vnode_count rt);
   check Alcotest.int "every owner copy intact" 1000 !peeked;
-  (* The defect, pinned at the count the code has today: a transfer's
-     completion seeds only its last batch's spans, so spans that arrived
-     in earlier batches after the commit reach their new replicas only
-     through anti-entropy. The handover fix (seed new replicas with every
-     key the event moved before the placement commits) must change this
-     expectation to 0. *)
-  check Alcotest.int "quorum gets missing an acked key" 25 !misses
+  (* A transfer's completion seeds the new replicas with the spans of
+     every batch it applied. Seeding only the completing batch's spans
+     left the earlier batches' spans to anti-entropy when the commit
+     overtook them: 25 of these 1,000 gets missed. *)
+  check Alcotest.int "quorum gets missing an acked key" 0 !misses
 
 (* Commit-time replica seeding: one creation on a loaded rfactor-3
    cluster moves partitions, and with no anti-entropy round every replica
