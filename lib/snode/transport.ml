@@ -176,15 +176,14 @@ let rec no_obuf =
    entry is never armed again. Immutable, so it needs no audit. *)
 let no_payload = Wire.Batch []
 
-(* A queue record as it waits in a pool: nothing held, nothing counted. *)
+(* A record with every queue released (a grown outbox never is) and an
+   unsuspected route holds nothing an idle peer lacks; a [blank] one, as
+   it waits in a pool, counts nothing either. *)
 let idle q =
   q.outbox == no_outbox && q.backlog == no_backlog && q.seen == no_seen
   && q.strikes = 0 && not q.suspect
 
 let blank q = idle q && q.live = 0 && not q.grown
-
-(* A buffer as it waits in a pool: unbound, empty and disarmed. *)
-let unused ob = ob.ob_dst = -1 && ob.ob_parts = [] && not ob.ob_armed
 
 (* The one audit rule of the sentinels: none is ever written. Each is
    named with whether it still reads as made. *)
@@ -195,7 +194,8 @@ let sentinels () =
     ("no_rtt", no_rtt.srtt = 0. && no_rtt.rttvar = 0.);
     ("no_queues", blank no_queues && no_queues.oldest = 0
                   && no_queues.q_next == no_queues);
-    ("no_obuf", unused no_obuf && (not no_obuf.ob_acked)
+    ("no_obuf", no_obuf.ob_dst = -1 && no_obuf.ob_parts = []
+                && (not no_obuf.ob_acked) && (not no_obuf.ob_armed)
                 && no_obuf.ob_queued = 0 && no_obuf.ob_due.at = 0.
                 && no_obuf.ob_next == no_obuf) ]
 
@@ -377,9 +377,7 @@ let release_outbox ep q =
     q.outbox <- no_outbox
   end
 
-(* Give [p]'s record back to the pool once it has gone [idle]: every
-   queue released (a grown outbox never is) and the route unsuspected, so
-   it holds nothing an idle peer lacks. *)
+(* Give [p]'s record back to the pool once it has gone [idle]. *)
 let settle ep p =
   let q = p.q in
   if q != no_queues && idle q then begin
