@@ -13,7 +13,6 @@ module Placement = Dht_replication.Placement
 module Heat = Dht_obsv.Heat
 module Balance = Dht_balance
 module Vtbl = Hashtbl.Make (Vnode_id)
-module Gtbl = Hashtbl.Make (Group_id)
 
 (* Routing back-off: at most [max_retries] retries of one operation (a
    livelock canary, enforced only on a reliable network with unbounded
@@ -37,55 +36,6 @@ type vnode_local = {
   mutable spans : Span.t list;
   data : Store.table;  (* authoritative copies *)
 }
-
-type lpdr = {
-  mutable level : int;
-  mutable epoch : int;
-      (* bumped once per committed balancing event on the group; all copies
-         move in lockstep, which fences stale Lpdr_push replies *)
-  mutable counts : Plan.lpdr;
-}
-
-(* Coordinator-side state of one in-flight balancing event (creation,
-   removal or load-driven partition swap). *)
-type event_state = {
-  ev_done : Wire.msg option;
-      (* completion message for the origin snode; [None] for load swaps,
-         which have no requester waiting *)
-  ev_origin : int;
-  ev_lock : Group_id.t;
-  ev_kind : [ `Create | `Remove | `Balance ];
-  ev_start : float;  (* virtual time the coordinator planned the event *)
-  mutable ev_acks : int;
-  mutable ev_moved : Wire.placement;
-  ev_participants : int list;
-  mutable ev_waits : int;  (* All_received notifications still expected *)
-  mutable ev_committed : bool;
-  mutable ev_watch : int;
-      (* queue slot of the per-round liveness watchdog; -1 while unarmed *)
-  mutable ev_fire : unit -> unit;  (* the closure [ev_watch] holds *)
-}
-
-(* Newcomer-side expectation of donor batches, with the spans of every
-   batch applied so far. *)
-type incoming = {
-  mutable got : int;
-  want : int;
-  coordinator : int;
-  mutable applied : Span.t list;
-}
-
-(* Participant-side deferred identity changes (applied at Commit, so that
-   concurrent events keep serializing through the group's manager until the
-   event is durable). *)
-type pending_prepare =
-  | P_create of Wire.prepare
-  | P_remove of {
-      r_leaving : Vnode_id.t;
-      r_group : Group_id.t;
-      r_epoch : int;  (* the group's epoch the event was planned at *)
-      r_remaining : Plan.lpdr;
-    }
 
 (* Coordinator-side state of one in-flight quorum collection: a point
    write, a point read, or one leg of a range read. It is met once
@@ -150,7 +100,6 @@ type snode = {
   mutable alive : bool;
   mutable down_since : float;  (* crash time, for downtime telemetry *)
   locals : vnode_local Vtbl.t;
-  lpdrs : lpdr Gtbl.t;
   owned : Vnode_id.t Point_map.t;  (* exact local ownership *)
   (* Replica map: span -> replica snodes (owner's snode first). Updated by
      the same epoch-fenced commit that moves a partition, so the copy set
@@ -167,27 +116,11 @@ type snode = {
      second. Durable, like the version stamps it orders. *)
   mutable wseq : int;
   rng : Rng.t;
-  qlocks : (bool ref * Wire.msg Queue.t) Gtbl.t;
-  events : (int, event_state) Hashtbl.t;
-  incomings : (int, incoming) Hashtbl.t;
-  pendings : (int, pending_prepare) Hashtbl.t;
-  (* Transfers that overtook their Prepare (small messages travel faster
-     than large ones); drained when the Prepare lands. *)
-  stashed :
-    (int, (Vnode_id.t * Span.t list * (string * Versioned.cell) list) list ref)
-    Hashtbl.t;
-  (* Highest LPDR epoch ever applied, per group — never deleted. Commits
-     are delivered reliably but not in order (a retransmitted commit can
-     arrive after a newer one on the same group); LPDR writes are fenced on
-     this high-water mark so a stale commit cannot overwrite fresh state. *)
-  gepochs : int Gtbl.t;
-  (* Same hazard, placement maps: highest event id whose commit set each
-     span's cache/rmap entry. A span can only be re-migrated after its
-     previous move's commit, so event ids increase along any one span's
-     migration history; a late retransmitted commit must not overwrite the
-     fresher replica set (a quorum read through it would miss every
-     up-to-date copy). Covers the whole space, like [rmap]. *)
-  pfence : int Point_map.t;
+  (* The placement-change protocol's state (LPDR copies, epoch and
+     placement fences, group locks, coordinated and prepared events) and
+     what it needs of the runtime. *)
+  ho : Handover.t;
+  env : Handover.env;
   (* Self-addressed work (routing backoffs, queued operations) that fired
      while the snode was down; drained on restart. Durable, like the rest
      of the protocol state. *)
@@ -304,6 +237,8 @@ type t = {
   on_created : (unit -> unit) Vtbl.t;  (* newcomer -> create_vnode ?on_done *)
   mutable next_token : int;
   mutable next_event : int;
+  (* Event id -> queue slot and callback of its armed watchdog. *)
+  watches : (int, int * (unit -> unit)) Hashtbl.t;
   mutable pending : int;
   mutable done_creations : int;
   mutable done_removals : int;
@@ -343,10 +278,6 @@ let local_exn sn vid =
   | Some v -> v
   | None -> failwith "Runtime: vnode expected on this snode"
 
-(* The snodes hosting a group's members, sorted. *)
-let group_snodes counts =
-  List.sort_uniq compare (List.map (fun (id, _) -> id.Vnode_id.snode) counts)
-
 let install_spans sn v spans =
   v.spans <- spans @ v.spans;
   List.iter (fun s -> Point_map.add sn.owned s v.vid) spans
@@ -359,41 +290,33 @@ let iter_owned sn f =
 let owned_spans sn =
   List.concat (List.rev (Vtbl.fold (fun _ v acc -> v.spans :: acc) sn.locals []))
 
-let donate_spans t sn v give =
-  let rec take n acc rest =
-    if n = 0 then (acc, rest)
-    else
-      match rest with
-      | [] -> invalid_arg "Runtime: donor has too few partitions"
-      | s :: tl -> take (n - 1) (s :: acc) tl
+(* Donor side of every placement change: give [taken], spans of local
+   vnode [v], to [dst] with their keys, and point our own routing cache at
+   it. The donation carries the replica set each span gets over the
+   group's [members] snodes, for the Prepare_ack. *)
+let give t sn v ~members ~dst taken =
+  let kept =
+    List.filter (fun s -> not (List.exists (fun g -> Span.compare s g = 0) taken)) v.spans
   in
-  let taken, kept = take give [] v.spans in
+  if List.length kept + List.length taken <> List.length v.spans then
+    invalid_arg "Runtime: donor does not own the partitions it gives";
   v.spans <- kept;
   List.iter (fun s -> Point_map.remove sn.owned s) taken;
   (* Keys inside the donated partitions migrate with them. *)
-  let moved_data =
+  let data =
     Store.take t.store v.data (fun point ->
         List.exists (fun sp -> Span.contains t.space sp point) taken)
   in
-  (taken, moved_data)
+  let reps =
+    Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
+      ~primary:dst.Vnode_id.snode ~group_snodes:members
+  in
+  List.iter (fun s -> Route.learn t.route sn.sid s dst) taken;
+  { Handover.dst; spans = taken; data; reps }
 
-(* Donate one specific partition (the load balancer's hot/cold pick),
-   with its keys — [donate_spans] for a named span instead of a count. *)
-let donate_span t sn v span =
-  if not (List.exists (fun s -> Span.compare s span = 0) v.spans) then
-    invalid_arg "Runtime: donor does not own the requested span";
-  v.spans <- List.filter (fun s -> Span.compare s span <> 0) v.spans;
-  Point_map.remove sn.owned span;
-  Store.take t.store v.data (Span.contains t.space span)
-
-(* [true] when [e] is fresher than everything applied for [gid] so far; the
-   high-water mark advances as a side effect. *)
-let epoch_note sn gid e =
-  match Gtbl.find_opt sn.gepochs gid with
-  | Some cur when cur >= e -> false
-  | Some _ | None ->
-      Gtbl.replace sn.gepochs gid e;
-      true
+(* [n] partitions off the head of [v], latest first. *)
+let give_count t sn v ~members ~dst n =
+  give t sn v ~members ~dst (List.rev (List.filteri (fun i _ -> i < n) v.spans))
 
 let split_all_local t sn v =
   let halves =
@@ -454,11 +377,6 @@ let finish_op t ~kind ~token ~tid =
         in
         Trace.span t.trace ~ts:t0 ~dur ~tid ~name:"op"
           [ ("op", Trace.Str op); ("token", Trace.Int token) ]
-
-let event_kind_name = function
-  | `Create -> "create"
-  | `Remove -> "remove"
-  | `Balance -> "balance"
 
 (* ---------------- causal tracing ---------------- *)
 
@@ -815,7 +733,7 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
       (* The owner of the point is the victim vnode; its group is the
          victim group. Hand the request to that group's manager. *)
       let v = local_exn sn owner in
-      match Gtbl.find_opt sn.lpdrs v.group with
+      match Handover.lpdr sn.ho v.group with
       | None ->
           (* Transient: the group identity is switching (between Prepare
              and Commit). Back off and retry the lookup. *)
@@ -826,38 +744,10 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
               deliver_local t sn
                 (Wire.Routed
                    { point; hops = 0; retries = retries + 1; origin; op }))
-      | Some lpdr ->
-          to_manager t sn lpdr
+      | Some _ ->
+          (* Hand the request to the group's manager (maybe ourselves). *)
+          handover t sn ~from:sn.sid
             (Wire.Create_at_group { group = v.group; point; newcomer; origin }))
-
-and manager_of lpdr =
-  match lpdr.counts with
-  | [] -> invalid_arg "Runtime: empty LPDR"
-  | (first, _) :: _ -> first.Vnode_id.snode
-
-(* Hand a group-level request to the group's manager (maybe ourselves). *)
-and to_manager t sn lpdr msg =
-  let manager = manager_of lpdr in
-  if manager = sn.sid then deliver_local t sn msg
-  else send t ~src:sn.sid ~dst:manager msg
-
-(* Admission of a placement change at the manager of [group]: forward
-   [msg] if we no longer manage the group, queue it behind the event
-   holding the group lock, or take the lock and [start] the event. [gone]
-   handles a group that no longer exists here (it split away). *)
-and admit t sn ~group msg ~gone start =
-  match Gtbl.find_opt sn.lpdrs group with
-  | None -> gone ()
-  | Some lpdr ->
-      let manager = manager_of lpdr in
-      if manager <> sn.sid then send t ~src:sn.sid ~dst:manager msg
-      else
-        let busy, q = qlock sn group in
-        if !busy then Queue.add msg q
-        else begin
-          busy := true;
-          start lpdr
-        end
 
 (* ---------------- quorum coordinator ---------------- *)
 
@@ -1201,155 +1091,79 @@ and ae_snode t sn =
          | _, set -> not (List.mem sn.sid set)
          | exception Not_found -> true))
 
-(* ---------------- coordinator ---------------- *)
+(* ---------------- placement changes ---------------- *)
 
-and qlock sn group =
-  match Gtbl.find_opt sn.qlocks group with
-  | Some l -> l
-  | None ->
-      let l = (ref false, Queue.create ()) in
-      Gtbl.add sn.qlocks group l;
-      l
+(* Feed one input to the snode's {!Handover} state and carry out the
+   actions it returns, in order. *)
+and run t sn input =
+  List.iter (exec t sn) (Handover.step sn.env sn.ho input)
 
-and unlock t sn group =
-  let busy, q = qlock sn group in
-  busy := false;
-  let continue = ref true in
-  while !continue && not (Queue.is_empty q) do
-    let msg = Queue.pop q in
-    deliver_local t sn msg;
-    if !busy then continue := false
-  done
+(* A placement-change message delivered at [sn]. *)
+and handover t sn ~from msg = run t sn (Handover.Msg { from; msg })
 
-and start_balancing t sn group lpdr ~newcomer ~origin =
-  let vmax = t.vmax in
-  let split, target, target_counts =
-    if List.length lpdr.counts = vmax then begin
-      (* §3.7: full victim group splits into two random halves of Vmin. *)
-      let halves = Plan.split ~rng:sn.rng ~vmin:(vmax / 2) lpdr.counts in
-      let left_members = halves.Plan.left
-      and right_members = halves.Plan.right in
-      let gl, gr = Group_id.split group in
-      let split =
-        { Wire.parent = group; left = gl; left_members; right = gr;
-          right_members }
-      in
-      if halves.Plan.newcomer_left then (Some split, gl, left_members)
-      else (Some split, gr, right_members)
-    end
-    else (None, group, lpdr.counts)
-  in
-  let plan = Plan.creation ~pmin:t.pmin ~counts:target_counts ~newcomer in
-  open_event t sn ~group ~kind:`Create
-    ~done_msg:(Some (Wire.Create_done { newcomer }))
-    ~origin ~waits:1
-    ~participants:(newcomer.Vnode_id.snode :: group_snodes lpdr.counts)
-    (fun event ->
-      Wire.Prepare
-        {
-          event;
-          split;
-          target;
-          level_before = lpdr.level;
-          epoch_before = lpdr.epoch;
-          plan;
-          newcomer;
-          donor_batches = List.length plan.Plan.assignments;
-        })
-
-(* Open a balancing event at the group manager, which holds [group]'s
-   lock: allocate its id, record the coordinator state, arm the watchdog
-   and send the prepare [msg event] to every participant. [waits] is the
-   number of All_received notices the event completes on; [done_msg], if
-   any, goes to [origin] when it does. *)
-and open_event t sn ~group ~kind ~done_msg ~origin ~waits ~participants msg =
-  let participants = List.sort_uniq compare participants in
-  let ev = t.next_event in
-  t.next_event <- t.next_event + 1;
-  let st =
-    {
-      ev_done = done_msg;
-      ev_origin = origin;
-      ev_lock = group;
-      ev_kind = kind;
-      ev_start = Engine.now t.engine;
-      ev_acks = List.length participants;
-      ev_moved = [];
-      ev_participants = participants;
-      ev_waits = waits;
-      ev_committed = false;
-      ev_watch = -1;
-      ev_fire = ignore;
-    }
-  in
-  Hashtbl.add sn.events ev st;
-  arm_watchdog t sn ev st;
-  Log.debug (fun m ->
-      m "snode %d coordinates %s event %d on group %a (%d participants)"
-        sn.sid (event_kind_name kind) ev Group_id.pp group
-        (List.length participants));
-  let prepare = msg ev in
-  List.iter (fun p -> send t ~src:sn.sid ~dst:p prepare) participants
-
-(* Per-round watchdog (armed only under a fault plan): if the event has not
-   completed within [event_timeout], count a round timeout and re-arm. The
-   retry itself happens at the message layer — every outstanding Prepare,
-   ack or Transfer is already being retransmitted with backoff until its
-   destination answers, and prepared state is durable, so the round cannot
-   be aborted (donor partitions are already in flight) but also cannot
-   hang: it stalls until the dead participant restarts, then completes. *)
-and arm_watchdog t sn ev st =
-  if t.faults <> None then begin
-    st.ev_fire <-
-      (fun () ->
-        if Hashtbl.mem sn.events ev then begin
-          if sn.alive then begin
-            Transport.note_timeout t.tr;
-            Log.debug (fun m ->
-                m
-                  "snode %d: event %d round timeout (%d acks, %d completions \
-                   outstanding); retrying via retransmission"
-                  sn.sid ev st.ev_acks st.ev_waits)
-          end;
-          arm_watchdog t sn ev st
-        end);
-    st.ev_watch <-
-      Engine.push t.engine ~time:(Engine.now t.engine +. event_timeout)
-        st.ev_fire
-  end
-
-and maybe_complete t sn ev st =
-  if st.ev_committed && st.ev_waits = 0 then begin
-    Hashtbl.remove sn.events ev;
-    if st.ev_watch >= 0 then Engine.clear t.engine st.ev_watch st.ev_fire;
-    (match t.instr with
-    | Some i ->
-        let h =
-          match st.ev_kind with
+and exec t sn = function
+  | Handover.Send (dst, msg) -> send t ~src:sn.sid ~dst msg
+  | Handover.Local msg -> deliver_local t sn msg
+  | Handover.Resume_next group -> run t sn (Handover.Resume group)
+  | Handover.Arm_watchdog ev -> arm_watchdog t sn ev
+  | Handover.Clear_watchdog ev ->
+      Option.iter
+        (fun (slot, fire) -> Hashtbl.remove t.watches ev; Engine.clear t.engine slot fire)
+        (Hashtbl.find_opt t.watches ev)
+  | Handover.Note_timeout ev ->
+      Transport.note_timeout t.tr;
+      Log.debug (fun m -> m "snode %d: event %d round timeout" sn.sid ev)
+  | Handover.Apply { to_vnode; spans; data } ->
+      apply_transfer t sn ~to_vnode ~spans ~data
+  | Handover.Lpdr_applied { group; local; _ } ->
+      List.iter (fun id -> (local_exn sn id).group <- group) local
+  | Handover.Drop_vnode vid ->
+      (match Vtbl.find_opt sn.locals vid with
+      | Some v -> assert (v.spans = [])
+      | None -> ());
+      Vtbl.remove sn.locals vid
+  | Handover.Place (span, owner, reps) ->
+      Route.learn t.route sn.sid span owner;
+      Point_map.learn sn.rmap span reps
+  | Handover.Seed spans -> ae_push t sn spans
+  | Handover.Committed ev -> Option.iter (fun f -> f ~event:ev ~snode:sn.sid) t.on_commit
+  | Handover.Observe_prepare { event; start; participants } ->
+      observe_2pc t sn ~start (fun i -> i.i_prepare) "2pc.prepare"
+        [ ("event", Trace.Int event); ("participants", Trace.Int participants) ]
+  | Handover.Observe_event { event; kind; start } ->
+      observe_2pc t sn ~start
+        (fun i ->
+          match kind with
           | `Create -> i.i_ev_create
           | `Remove -> i.i_ev_remove
-          | `Balance -> i.i_ev_balance
-        in
-        Histogram.observe h (Engine.now t.engine -. st.ev_start)
-    | None -> ());
-    if Trace.enabled t.trace then
-      Trace.span t.trace ~ts:st.ev_start
-        ~dur:(Engine.now t.engine -. st.ev_start)
-        ~tid:sn.sid ~name:"2pc.event"
-        [
-          ("event", Trace.Int ev);
-          ("kind", Trace.Str (event_kind_name st.ev_kind));
-        ];
-    if st.ev_kind = `Balance then t.lb_transfers <- t.lb_transfers + 1;
-    (match st.ev_done with
-    | Some done_msg -> send t ~src:sn.sid ~dst:st.ev_origin done_msg
-    | None -> ());
-    unlock t sn st.ev_lock
+          | `Balance -> i.i_ev_balance)
+        "2pc.event"
+        [ ("event", Trace.Int event);
+          ("kind", Trace.Str (Handover.event_kind_name kind)) ];
+      if kind = `Balance then t.lb_transfers <- t.lb_transfers + 1
+  | Handover.Skipped -> t.lb_skipped <- t.lb_skipped + 1
+
+(* A round phase that began at [start] and ends now: its histogram and
+   its trace span. *)
+and observe_2pc t sn ~start hist name args =
+  let dur = Engine.now t.engine -. start in
+  Option.iter (fun i -> Histogram.observe (hist i) dur) t.instr;
+  if Trace.enabled t.trace then Trace.span t.trace ~ts:start ~dur ~tid:sn.sid ~name args
+
+(* Per-round watchdog of a coordinated event, armed only under a fault
+   plan: every [event_timeout] it counts a round timeout and re-arms until
+   the event completes. The retry itself happens at the message layer,
+   which retransmits every outstanding Prepare, ack or Transfer until its
+   destination answers; prepared state is durable, so the round is never
+   aborted (donor partitions are already in flight). *)
+and arm_watchdog t sn ev =
+  if t.faults <> None then begin
+    let fire () = run t sn (Handover.Watchdog ev) in
+    Hashtbl.replace t.watches ev
+      (Engine.push t.engine ~time:(Engine.now t.engine +. event_timeout) fire, fire)
   end
 
-(* ---------------- participant ---------------- *)
-
-and apply_transfer t sn ~event ~to_vnode ~spans ~data =
+and apply_transfer t sn ~to_vnode ~spans ~data =
   let v = local_exn sn to_vnode in
   install_spans sn v spans;
   List.iter
@@ -1361,132 +1175,61 @@ and apply_transfer t sn ~event ~to_vnode ~spans ~data =
      table, so the owner's holdings (and digests) see one copy. *)
   Store.absorb t.store v.data (fun point ->
       List.exists (fun sp -> Span.contains t.space sp point) spans);
-  List.iter (fun s -> Route.learn t.route sn.sid s to_vnode) spans;
-  match Hashtbl.find_opt sn.incomings event with
-  | None -> failwith "Runtime: transfer applied without expectation"
-  | Some inc ->
-      inc.got <- inc.got + 1;
-      (* Kept only when there are replicas to seed below. *)
-      if t.rfactor > 1 then inc.applied <- inc.applied @ spans;
-      if inc.got = inc.want then begin
-        Hashtbl.remove sn.incomings event;
-        send t ~src:sn.sid ~dst:inc.coordinator (Wire.All_received { event });
-        (* If the commit already installed the replica map for these spans
-           (Commit overtook the Transfers), seed the replicas now, with
-           every batch's spans: the commit may have overtaken any of
-           them. *)
-        if t.rfactor > 1 then ae_push t sn inc.applied
-      end
+  List.iter (fun s -> Route.learn t.route sn.sid s to_vnode) spans
 
-(* Donor side of every placement change: send the donated [spans] and
-   their cells to [dst] for [event], point our own routing cache at it,
-   and return the moved placements for the Prepare_ack — each span with
-   its new owner and replica set over the group's [members] snodes. *)
-and ship t sn ~event ~members ~dst (spans, data) =
-  send t ~src:sn.sid ~dst:dst.Vnode_id.snode
-    (Wire.Transfer { event; to_vnode = dst; spans; data });
-  let reps =
-    Placement.replicas ~rfactor:t.rfactor ~n:(Array.length t.snodes)
-      ~primary:dst.Vnode_id.snode ~group_snodes:members
-  in
-  List.iter (fun s -> Route.learn t.route sn.sid s dst) spans;
-  List.map (fun s -> (s, dst, reps)) spans
-
-(* Receiver side: expect [want] Transfer batches for [event] (reported to
-   [coordinator] once all landed), then apply any that overtook the
-   prepare. *)
-and expect t sn ~event ~want ~coordinator =
-  if want > 0 then begin
-    Hashtbl.replace sn.incomings event
-      { got = 0; want; coordinator; applied = [] };
-    drain_stash t sn event
-  end
-
-and drain_stash t sn event =
-  (* Transfers that overtook the announcement of [event]. *)
-  match Hashtbl.find_opt sn.stashed event with
-  | None -> ()
-  | Some l ->
-      Hashtbl.remove sn.stashed event;
-      List.iter
-        (fun (to_vnode, spans, data) ->
-          apply_transfer t sn ~event ~to_vnode ~spans ~data)
-        (List.rev !l)
-
-(* ---------------- active load balancing: hot-partition swap ---------- *)
-
-(* Coordinate a load-driven partition swap (the manager holds the group
-   lock, exactly as for creations and removals). The heavy vnode gives its
-   hot partition to a group member hosted on the light snode, which gives
-   its coldest partition back: per-vnode counts are unchanged, so the
-   event never touches LPDRs — only placement moves, through the standard
-   Prepare_ack/Commit round. Validation runs against the {e current} LPDR
-   copy; the initiating report may be stale (the vnode gone, the group
-   reshaped), in which case the swap is dropped, not retried — the next
-   balance round will propose from fresh load data. *)
-and start_lb_swap t sn group lpdr ~hot ~from_vnode ~to_snode =
-  let abort () =
-    t.lb_skipped <- t.lb_skipped + 1;
-    unlock t sn group
-  in
-  let from_count =
-    List.fold_left
-      (fun acc (id, c) -> if Vnode_id.equal id from_vnode then c else acc)
-      0 lpdr.counts
-  in
-  (* Swap counterpart: a group member hosted on the light snode with a
-     partition to give back; the smallest id for determinism. *)
-  let to_vnode =
-    List.filter
-      (fun (id, c) ->
-        id.Vnode_id.snode = to_snode && c >= 1
-        && not (Vnode_id.equal id from_vnode))
-      lpdr.counts
-    |> List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b)
-    |> function
-    | [] -> None
-    | (id, _) :: _ -> Some id
-  in
-  if from_count < 1 || from_vnode.Vnode_id.snode = to_snode then abort ()
-  else
-    match to_vnode with
-    | None -> abort ()
-    | Some to_vnode ->
-        (* One Transfer lands at each side, so each side reports one
-           All_received. *)
-        open_event t sn ~group ~kind:`Balance ~done_msg:None ~origin:sn.sid
-          ~waits:2
-          ~participants:[ from_vnode.Vnode_id.snode; to_snode ]
-          (fun event -> Wire.Lb_swap { event; hot; from_vnode; to_vnode })
-
-(* Participant side of a swap: the prepare. Donations happen now (like
-   [apply_prepare]); the group lock held at the manager keeps [v.spans]
-   stable from validation to here, but the {e hot span} was picked by the
-   reporter outside the lock — if an earlier swap already moved it, the
-   donor substitutes its currently-hottest partition. *)
-and apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode =
-  let hosts_from = from_vnode.Vnode_id.snode = sn.sid in
-  let v = local_exn sn (if hosts_from then from_vnode else to_vnode) in
-  let members =
-    match Gtbl.find_opt sn.lpdrs v.group with
-    | Some lp -> group_snodes lp.counts
-    | None ->
-        List.sort_uniq compare
-          [ from_vnode.Vnode_id.snode; to_vnode.Vnode_id.snode ]
-  in
-  let span =
-    if hosts_from then
-      if List.exists (fun s -> Span.compare s hot = 0) v.spans then hot
-      else pick_span t ~hottest:true v.spans
-    else pick_span t ~hottest:false v.spans
-  in
-  let receiver = if hosts_from then to_vnode else from_vnode in
-  let moved =
-    ship t sn ~event ~members ~dst:receiver
-      ([ span ], donate_span t sn v span)
-  in
-  expect t sn ~event ~want:1 ~coordinator:from;
-  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved })
+(* The physical side of a prepare, before {!Handover} ships, expects and
+   acknowledges: a creation splits local target members (split-all) and
+   instantiates a local newcomer, and each local donor gives its spans. A
+   swap's donor gives the hot span if it still owns it (the reporter chose
+   it outside the group lock), else its hottest one. *)
+and donate t sn msg =
+  match msg with
+  | Wire.Prepare p ->
+      let plan = p.Wire.plan and newcomer = p.Wire.newcomer in
+      if plan.Plan.split_all then
+        List.iter
+          (fun (id, _) ->
+            if id.Vnode_id.snode = sn.sid && not (Vnode_id.equal id newcomer)
+            then split_all_local t sn (local_exn sn id))
+          plan.Plan.final_counts;
+      if newcomer.Vnode_id.snode = sn.sid then
+        Vtbl.replace sn.locals newcomer
+          { vid = newcomer; group = p.Wire.target; spans = [];
+            data = Store.table sn.sid };
+      let members = Handover.group_snodes plan.Plan.final_counts in
+      List.filter_map
+        (fun { Plan.donor; give } ->
+          if donor.Vnode_id.snode = sn.sid then
+            Some (give_count t sn (local_exn sn donor) ~members ~dst:newcomer give)
+          else None)
+        plan.Plan.assignments
+  | Wire.Remove_prepare { moves; remaining; _ } ->
+      let members = Handover.group_snodes remaining in
+      List.filter_map
+        (fun { Plan.src; dst; n } ->
+          if src.Vnode_id.snode = sn.sid then
+            Some (give_count t sn (local_exn sn src) ~members ~dst n)
+          else None)
+        moves
+  | Wire.Lb_swap { hot; from_vnode; to_vnode; _ } ->
+      let hosts_from = from_vnode.Vnode_id.snode = sn.sid in
+      let v = local_exn sn (if hosts_from then from_vnode else to_vnode) in
+      let members =
+        match Handover.lpdr sn.ho v.group with
+        | Some lp -> Handover.group_snodes lp.Handover.counts
+        | None ->
+            List.sort_uniq compare
+              [ from_vnode.Vnode_id.snode; to_vnode.Vnode_id.snode ]
+      in
+      let span =
+        if hosts_from then
+          if List.exists (fun s -> Span.compare s hot = 0) v.spans then hot
+          else pick_span t ~hottest:true v.spans
+        else pick_span t ~hottest:false v.spans
+      in
+      let receiver = if hosts_from then to_vnode else from_vnode in
+      [ give t sn v ~members ~dst:receiver [ span ] ]
+  | _ -> []
 
 (* A directory proposal landing at the heavy snode: pick the hottest
    locally-owned partition whose group has a member hosted on the light
@@ -1507,7 +1250,7 @@ and handle_lb_proposal t sn ~to_snode =
         let candidates = ref [] in
         Vtbl.iter
           (fun vid v ->
-            match Gtbl.find_opt sn.lpdrs v.group with
+            match Handover.lpdr sn.ho v.group with
             | Some lp
               when List.exists
                      (fun (id, _) ->
@@ -1532,11 +1275,11 @@ and handle_lb_proposal t sn ~to_snode =
         match best with
         | None -> t.lb_skipped <- t.lb_skipped + 1
         | Some (_, hot, from_vnode, group) -> (
-            match Gtbl.find_opt sn.lpdrs group with
+            match Handover.lpdr sn.ho group with
             | None -> t.lb_skipped <- t.lb_skipped + 1
-            | Some lp ->
+            | Some _ ->
                 sn.lb_last_transfer <- now;
-                to_manager t sn lp
+                handover t sn ~from:sn.sid
                   (Wire.Lb_transfer
                      { group; hot; from_vnode; to_snode; origin = sn.sid }))
       end
@@ -1559,298 +1302,18 @@ and maybe_emergency t sn policy (s : Balance.Summary.t) =
              { to_snode = light.Balance.Summary.origin; emergency = true })
     | _ -> ()
 
-and start_removal t sn group lpdr ~leaving ~origin ~token =
-  let refuse () =
-    send t ~src:sn.sid ~dst:origin (Wire.Remove_done { token; ok = false });
-    unlock t sn group
-  in
-  (* L2 floor: groups never shrink below Vmin — except group 0 while it is
-     the only group (no split has happened yet, so only it carries the root
-     identifier). *)
-  let sole = Group_id.equal group Group_id.root in
-  let vg = List.length lpdr.counts in
-  if (not sole) && vg <= t.vmax / 2 then refuse ()
-  else
-    match Plan.removal ~pmin:t.pmin ~counts:lpdr.counts ~leaving with
-    | Error (`Last_vnode | `Insufficient_capacity) -> refuse ()
-    | Ok plan ->
-        (* One All_received per snode hosting a receiving vnode. *)
-        let receivers =
-          List.sort_uniq compare
-            (List.map (fun m -> m.Plan.dst.Vnode_id.snode) plan.Plan.moves)
-        in
-        open_event t sn ~group ~kind:`Remove
-          ~done_msg:(Some (Wire.Remove_done { token; ok = true }))
-          ~origin ~waits:(List.length receivers)
-          ~participants:(group_snodes lpdr.counts)
-          (fun event ->
-            Wire.Remove_prepare
-              {
-                event;
-                group;
-                leaving;
-                epoch_before = lpdr.epoch;
-                moves = plan.Plan.moves;
-                remaining = plan.Plan.removal_counts;
-              })
-
-and apply_remove_prepare t sn ~from ~event ~group ~leaving ~epoch_before
-    ~moves ~remaining =
-  (* Ship every movement whose source vnode lives here. *)
-  let members = group_snodes remaining in
-  let moved =
-    List.fold_left
-      (fun moved { Plan.src; dst; n } ->
-        if src.Vnode_id.snode = sn.sid then
-          ship t sn ~event ~members ~dst (donate_spans t sn (local_exn sn src) n)
-          @ moved
-        else moved)
-      [] moves
-  in
-  (* Expect one batch per movement targeting a vnode hosted here. *)
-  expect t sn ~event ~coordinator:from
-    ~want:
-      (List.length
-         (List.filter (fun m -> m.Plan.dst.Vnode_id.snode = sn.sid) moves));
-  Hashtbl.replace sn.pendings event
-    (P_remove
-       {
-         r_leaving = leaving;
-         r_group = group;
-         r_epoch = epoch_before;
-         r_remaining = remaining;
-       });
-  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved })
-
-and apply_prepare t sn ~from (p : Wire.prepare) =
-  let plan = p.Wire.plan and event = p.Wire.event in
-  (* Physical changes happen now; identity changes (LPDRs, group fields)
-     wait for Commit so concurrent requests keep serializing through the
-     parent group's manager. *)
-  let target_member_ids = List.map fst plan.Plan.final_counts in
-  (* Split-all: binary-split the partitions of local target members. *)
-  if plan.Plan.split_all then
-    List.iter
-      (fun id ->
-        if id.Vnode_id.snode = sn.sid && not (Vnode_id.equal id p.Wire.newcomer)
-        then split_all_local t sn (local_exn sn id))
-      target_member_ids;
-  (* Newcomer instantiation. *)
-  if p.Wire.newcomer.Vnode_id.snode = sn.sid then begin
-    Vtbl.replace sn.locals p.Wire.newcomer
-      {
-        vid = p.Wire.newcomer;
-        group = p.Wire.target;
-        spans = [];
-        data = Store.table sn.sid;
-      };
-    expect t sn ~event ~want:p.Wire.donor_batches ~coordinator:from
-  end;
-  (* Donations from locally-hosted donors. *)
-  let members = group_snodes plan.Plan.final_counts in
-  let moved =
-    List.fold_left
-      (fun moved { Plan.donor; give } ->
-        if donor.Vnode_id.snode = sn.sid then
-          ship t sn ~event ~members ~dst:p.Wire.newcomer
-            (donate_spans t sn (local_exn sn donor) give)
-          @ moved
-        else moved)
-      [] plan.Plan.assignments
-  in
-  Hashtbl.replace sn.pendings event (P_create p);
-  send t ~src:sn.sid ~dst:from (Wire.Prepare_ack { event; moved })
-
-and apply_commit t sn ~moved ev =
-  (match Hashtbl.find_opt sn.pendings ev with
-  | None -> ()
-  | Some (P_remove { r_leaving; r_group; r_epoch; r_remaining }) ->
-      Hashtbl.remove sn.pendings ev;
-      (* Departed vnode: delete its (now empty) local record. This action
-         is unique to the event, so it runs regardless of the fence. *)
-      if r_leaving.Vnode_id.snode = sn.sid then begin
-        (match Vtbl.find_opt sn.locals r_leaving with
-        | Some v -> assert (v.spans = [])
-        | None -> ());
-        Vtbl.remove sn.locals r_leaving
-      end;
-      let e = r_epoch + 1 in
-      if epoch_note sn r_group e then begin
-        let hosts_member =
-          List.exists (fun (id, _) -> id.Vnode_id.snode = sn.sid) r_remaining
-        in
-        if hosts_member then begin
-          match Gtbl.find_opt sn.lpdrs r_group with
-          | Some lp ->
-              lp.counts <- r_remaining;
-              lp.epoch <- e
-          | None -> ()
-        end
-        else Gtbl.remove sn.lpdrs r_group
-      end
-  | Some (P_create p) ->
-      Hashtbl.remove sn.pendings ev;
-      let e = p.Wire.epoch_before + 1 in
-      (* Group identity switch: retire the parent LPDR, adopt the halves we
-         host members of, update local group fields. The target half gets
-         its post-event state below; every LPDR write is epoch-fenced. *)
-      (match p.Wire.split with
-      | None -> ()
-      | Some s ->
-          if epoch_note sn s.Wire.parent e then
-            Gtbl.remove sn.lpdrs s.Wire.parent;
-          let adopt gid members =
-            if
-              (not (Group_id.equal gid p.Wire.target))
-              && epoch_note sn gid e
-            then begin
-              let host_member =
-                List.exists (fun (id, _) -> id.Vnode_id.snode = sn.sid) members
-              in
-              List.iter
-                (fun (id, _) ->
-                  if id.Vnode_id.snode = sn.sid then
-                    (local_exn sn id).group <- gid)
-                members;
-              if host_member then
-                Gtbl.replace sn.lpdrs gid
-                  { level = p.Wire.level_before; epoch = e; counts = members }
-            end
-          in
-          adopt s.Wire.left s.Wire.left_members;
-          adopt s.Wire.right s.Wire.right_members);
-      (* Target LPDR copy: new membership and counts, bumped level. *)
-      let plan = p.Wire.plan in
-      if epoch_note sn p.Wire.target e then begin
-        let hosts_target =
-          List.exists
-            (fun (id, _) -> id.Vnode_id.snode = sn.sid)
-            plan.Plan.final_counts
-        in
-        let level =
-          p.Wire.level_before + if plan.Plan.split_all then 1 else 0
-        in
-        (if hosts_target then
-           Gtbl.replace sn.lpdrs p.Wire.target
-             { level; epoch = e; counts = plan.Plan.final_counts }
-         else Gtbl.remove sn.lpdrs p.Wire.target);
-        List.iter
-          (fun (id, _) ->
-            if id.Vnode_id.snode = sn.sid then
-              (local_exn sn id).group <- p.Wire.target)
-          plan.Plan.final_counts
-      end);
-  (* Placement of the moved partitions: owner into the routing cache,
-     replica set into the replica map — one epoch-fenced commit. Applied
-     per fence fragment: only the parts of each span whose placement was
-     last set by an older event accept this commit's placement (a newer
-     commit may have overtaken this one, possibly for a sub-span). *)
-  List.iter
-    (fun (s, owner, reps) ->
-      List.iter
-        (fun (fs, fev) ->
-          if fev < ev then begin
-            let part = if Span.level fs > Span.level s then fs else s in
-            Route.learn t.route sn.sid part owner;
-            Point_map.learn sn.rmap part reps;
-            Point_map.learn sn.pfence part ev
-          end)
-        (Point_map.overlapping sn.pfence s))
-    moved;
-  (* New owner already holds the data (Transfer preceded this Commit):
-     seed the freshly-assigned replicas now. The symmetric hook in
-     [apply_transfer] covers the Commit-first ordering. *)
-  let seeds =
-    List.filter_map
-      (fun (s, owner, _) ->
-        if owner.Vnode_id.snode = sn.sid && Vtbl.mem sn.locals owner then Some s
-        else None)
-      moved
-  in
-  if t.rfactor > 1 && seeds <> [] then ae_push t sn seeds;
-  match t.on_commit with
-  | Some f -> f ~event:ev ~snode:sn.sid
-  | None -> ()
-
 (* ---------------- dispatch ---------------- *)
 
 and handle t sn ~from msg =
   match msg with
   | Wire.Routed { point; hops; retries; origin; op } ->
       route_or_forward t sn (point, hops, retries, origin, op)
-  | Wire.Create_at_group { group; point; newcomer; origin } ->
-      admit t sn ~group msg
-        ~gone:(fun () ->
-          (* The group split away since the request was routed: resolve the
-             victim again from the original point. *)
-          deliver_local t sn
-            (Wire.Routed
-               { point; hops = 0; retries = 0; origin;
-                 op = Wire.Op_create { newcomer } }))
-        (fun lpdr -> start_balancing t sn group lpdr ~newcomer ~origin)
-  | Wire.Prepare p -> apply_prepare t sn ~from p
-  | Wire.Prepare_ack { event; moved } -> (
-      match Hashtbl.find_opt sn.events event with
-      | None -> failwith "Runtime: ack for unknown event"
-      | Some st ->
-          st.ev_moved <- moved @ st.ev_moved;
-          st.ev_acks <- st.ev_acks - 1;
-          if st.ev_acks = 0 then begin
-            st.ev_committed <- true;
-            (match t.instr with
-            | Some i ->
-                Histogram.observe i.i_prepare
-                  (Engine.now t.engine -. st.ev_start)
-            | None -> ());
-            if Trace.enabled t.trace then
-              Trace.span t.trace ~ts:st.ev_start
-                ~dur:(Engine.now t.engine -. st.ev_start)
-                ~tid:sn.sid ~name:"2pc.prepare"
-                [
-                  ("event", Trace.Int event);
-                  ("participants", Trace.Int (List.length st.ev_participants));
-                ];
-            (* With replication on, every snode carries a replica map, so
-               the commit fans out cluster-wide: placement never straddles
-               a stale map on a quorum coordinator. *)
-            let commit_targets =
-              if t.rfactor > 1 then
-                List.init (Array.length t.snodes) (fun i -> i)
-              else st.ev_participants
-            in
-            List.iter
-              (fun pt ->
-                if pt <> sn.sid then
-                  send t ~src:sn.sid ~dst:pt
-                    (Wire.Commit { event; moved = st.ev_moved }))
-              commit_targets;
-            (* The coordinator applies its own commit synchronously: when
-               the completion below unlocks the group and dequeues the next
-               event, the local LPDR must already be post-event. *)
-            apply_commit t sn ~moved:st.ev_moved event;
-            maybe_complete t sn event st
-          end)
-  | Wire.Transfer { event; to_vnode; spans; data } -> (
-      match Hashtbl.find_opt sn.incomings event with
-      | Some _ -> apply_transfer t sn ~event ~to_vnode ~spans ~data
-      | None ->
-          (* Overtook its Prepare: stash until the event is announced. *)
-          let stash =
-            match Hashtbl.find_opt sn.stashed event with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.add sn.stashed event l;
-                l
-          in
-          stash := (to_vnode, spans, data) :: !stash)
-  | Wire.All_received { event } -> (
-      match Hashtbl.find_opt sn.events event with
-      | None -> failwith "Runtime: completion for unknown event"
-      | Some st ->
-          st.ev_waits <- st.ev_waits - 1;
-          maybe_complete t sn event st)
-  | Wire.Commit { event; moved } -> apply_commit t sn ~moved event
+  | Wire.Create_at_group _ | Wire.Remove_at_group _ | Wire.Lb_transfer _
+  | Wire.Prepare_ack _ | Wire.Transfer _ | Wire.All_received _ | Wire.Commit _
+  | Wire.Lpdr_pull _ | Wire.Lpdr_push _ ->
+      handover t sn ~from msg
+  | Wire.Prepare _ | Wire.Remove_prepare _ | Wire.Lb_swap _ ->
+      run t sn (Handover.Prepared { from; msg; shipped = donate t sn msg })
   | Wire.Create_done { newcomer } -> (
       t.done_creations <- t.done_creations + 1;
       t.pending <- t.pending - 1;
@@ -1863,27 +1326,16 @@ and handle t sn ~from msg =
       match Vtbl.find_opt sn.locals leaving with
       | None -> send t ~src:sn.sid ~dst:origin (Wire.Remove_done { token; ok = false })
       | Some v -> (
-          match Gtbl.find_opt sn.lpdrs v.group with
+          match Handover.lpdr sn.ho v.group with
           | None ->
               (* Group identity switching (between Prepare and Commit):
                  retry shortly. *)
               t.retried <- t.retried + 1;
               Engine.schedule t.engine ~delay:backoff (fun () ->
                   deliver_local t sn msg)
-          | Some lpdr ->
-              to_manager t sn lpdr
+          | Some _ ->
+              handover t sn ~from:sn.sid
                 (Wire.Remove_at_group { group = v.group; leaving; origin; token })))
-  | Wire.Remove_at_group { group; leaving; origin; token } ->
-      admit t sn ~group msg
-        ~gone:(fun () ->
-          (* The group split away: resolve again at the hosting snode. *)
-          send t ~src:sn.sid ~dst:leaving.Vnode_id.snode
-            (Wire.Remove_request { leaving; origin; token }))
-        (fun lpdr -> start_removal t sn group lpdr ~leaving ~origin ~token)
-  | Wire.Remove_prepare { event; group; leaving; epoch_before; moves; remaining }
-    ->
-      apply_remove_prepare t sn ~from ~event ~group ~leaving ~epoch_before
-        ~moves ~remaining
   | Wire.Remove_done { token; ok } ->
       settle t ~tid:sn.sid ~token (Departed ok)
   | Wire.Put_ack { token; hint } ->
@@ -1959,29 +1411,6 @@ and handle t sn ~from msg =
              let point = Hash.string t.space key in
              send t ~src:sn.sid ~dst:from (Wire.Hint_flush { key; point; cell }));
       ae_push t sn ~target:from (owned_spans sn)
-  | Wire.Lpdr_pull { group } ->
-      (* Crash recovery: a restarted member asks for a fresh copy. Reply
-         with ours (we may not be the manager any more if the group moved;
-         [None] lets the puller wait for the in-flight commit instead). *)
-      let view =
-        match Gtbl.find_opt sn.lpdrs group with
-        | Some lp -> Some (lp.level, lp.epoch, lp.counts)
-        | None -> None
-      in
-      send t ~src:sn.sid ~dst:from (Wire.Lpdr_push { group; view })
-  | Wire.Lpdr_push { group; view } -> (
-      match view with
-      | None -> ()
-      | Some (level, epoch, counts) -> (
-          (* Epoch fence: apply only strictly fresher views, and only while
-             we still carry the group (a commit may have retired it). *)
-          if epoch_note sn group epoch then
-            match Gtbl.find_opt sn.lpdrs group with
-            | Some lp ->
-                lp.level <- level;
-                lp.epoch <- epoch;
-                lp.counts <- counts
-            | None -> ()))
   | Wire.Traced { trace; span; hop; payload } ->
       (* First delivery of a traced edge (duplicates never reach the
          protocol layer): log the receive, make the edge the ambient
@@ -2025,41 +1454,12 @@ and handle t sn ~from msg =
       end
   | Wire.Lb_proposal { to_snode; emergency = _ } ->
       handle_lb_proposal t sn ~to_snode
-  | Wire.Lb_transfer { group; hot; from_vnode; to_snode; origin = _ } ->
-      admit t sn ~group msg
-        ~gone:(fun () ->
-          (* The group split away since the proposal: drop — the next
-             balance round re-proposes from fresh reports. *)
-          t.lb_skipped <- t.lb_skipped + 1)
-        (fun lpdr -> start_lb_swap t sn group lpdr ~hot ~from_vnode ~to_snode)
-  | Wire.Lb_swap { event; hot; from_vnode; to_vnode } ->
-      apply_lb_swap t sn ~from ~event ~hot ~from_vnode ~to_vnode
   | Wire.Req _ | Wire.Ack _ | Wire.Batch _ ->
       (* Unwrapped by [Transport]; reaching the protocol layer is a bug. *)
       failwith "Runtime: link-layer frame in protocol handler"
 
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery                                                   *)
-
-(* Does one of this snode's prepared-but-uncommitted events already touch
-   [gid]? If so its commit will refresh the copy; no pull needed. *)
-let pending_touches sn gid =
-  Hashtbl.fold
-    (fun _ p acc ->
-      acc
-      ||
-      match p with
-      | P_create pr -> (
-          Group_id.equal pr.Wire.target gid
-          ||
-          match pr.Wire.split with
-          | None -> false
-          | Some s ->
-              Group_id.equal s.Wire.parent gid
-              || Group_id.equal s.Wire.left gid
-              || Group_id.equal s.Wire.right gid)
-      | P_remove { r_group; _ } -> Group_id.equal r_group gid)
-    sn.pendings false
 
 (* Crash-stop: the snode absorbs every delivery until restart. Protocol
    state (vnode data, LPDR copies, prepared events, the transport's
@@ -2097,6 +1497,7 @@ let crash_snode t sid =
     Balance.Directory.reset sn.lb_dir;
     Route.crash t.route sid;
     Store.crash t.store sid;
+    run t sn Handover.Crash;
     Log.debug (fun m -> m "snode %d crashed at %g" sid (Engine.now t.engine))
   end
 
@@ -2121,17 +1522,8 @@ let restart_snode t sid =
     while not (Queue.is_empty sn.parked) do
       deliver_local t sn (Queue.pop sn.parked)
     done;
-    (* Refresh LPDR copies that no in-flight commit of ours will overwrite:
-       balancing events may have committed while we were down, and our
-       copies (though durable) can be stale. Pulls are epoch-fenced. *)
-    Gtbl.iter
-      (fun gid lp ->
-        if not (pending_touches sn gid) then begin
-          let manager = manager_of lp in
-          if manager <> sn.sid then
-            send t ~src:sn.sid ~dst:manager (Wire.Lpdr_pull { group = gid })
-        end)
-      sn.lpdrs;
+    (* Pull fresh copies of the LPDRs no in-flight commit will refresh. *)
+    run t sn Handover.Restart;
     (* Catch up on writes missed while down: ask every peer to digest-push
        the partitions we replicate (hinted copies arrive through the
        reliable layer on their own). *)
@@ -2375,27 +1767,40 @@ let create ?(link = Network.gigabit) ?(pmin = 32)
   let replicas0 =
     Placement.replicas ~rfactor ~n:snodes ~primary:0 ~group_snodes:[ 0 ]
   in
+  (* The transport hands messages up to [handle] (and traced edges to
+     [emit_xmit]), and the handover allocates event ids, which need the
+     runtime built around them: tie the knot. *)
+  let self = ref None in
+  let rt () = Option.get !self in
   let mk_snode sid =
+    let locals = Vtbl.create 8 and rng = Rng.split master in
     let sn =
       {
         sid;
         alive = true;
         down_since = 0.;
-        locals = Vtbl.create 8;
-        lpdrs = Gtbl.create 8;
+        locals;
         owned = Point_map.create space;
         rmap = Point_map.create space;
-        pfence = Point_map.create space;
         hints = Hashtbl.create 8;
         quorums = Hashtbl.create 8;
         wseq = 0;
-        rng = Rng.split master;
-        qlocks = Gtbl.create 8;
-        events = Hashtbl.create 8;
-        incomings = Hashtbl.create 8;
-        pendings = Hashtbl.create 8;
-        stashed = Hashtbl.create 8;
-        gepochs = Gtbl.create 8;
+        rng;
+        ho =
+          Handover.create ~sid ~snodes ~pmin ~vmax ~replicated:(rfactor > 1)
+            ~space spans0;
+        env =
+          {
+            Handover.now = (fun () -> Engine.now engine);
+            next_event =
+              (fun () ->
+                let t = rt () in
+                let ev = t.next_event in
+                t.next_event <- ev + 1;
+                ev);
+            split = (fun counts -> Plan.split ~rng ~vmin:(vmax / 2) counts);
+            hosts = Vtbl.mem locals;
+          };
         parked = Queue.create ();
         lb_view = Balance.Gossip.create ();
         lb_dir = Balance.Directory.create ();
@@ -2414,8 +1819,6 @@ let create ?(link = Network.gigabit) ?(pmin = 32)
     (* Every replica map starts with the bootstrap replica set (all
        partitions primaried at snode 0, backups on its ring successors). *)
     List.iter (fun s -> Point_map.add sn.rmap s replicas0) spans0;
-    (* Fence below any real event id: the first commit always applies. *)
-    List.iter (fun s -> Point_map.add sn.pfence s (-1)) spans0;
     sn
   in
   let snodes_arr = Array.init snodes mk_snode in
@@ -2431,17 +1834,12 @@ let create ?(link = Network.gigabit) ?(pmin = 32)
   Vtbl.replace sn0.locals first
     { vid = first; group = Group_id.root; spans = spans0; data = Store.table 0 };
   List.iter (fun s -> Point_map.add sn0.owned s first) spans0;
-  Gtbl.replace sn0.lpdrs Group_id.root
-    { level = level0; epoch = 0; counts = [ (first, pmin) ] };
-  Gtbl.replace sn0.gepochs Group_id.root 0;
+  Handover.bootstrap sn0.ho Group_id.root
+    { Handover.level = level0; epoch = 0; counts = [ (first, pmin) ] };
   (* Causal propagation changes wire bytes (the Traced wrapper), so it is
      opt-in on top of tracing rather than implied by it: a plain trace must
      observe the exact schedule an untraced run produces. *)
   let causal = causal && Trace.enabled trace in
-  (* The transport hands messages up to [handle] (and traced edges to
-     [emit_xmit]), which need the runtime built around it: tie the knot. *)
-  let self = ref None in
-  let rt () = Option.get !self in
   let xmit ~tid ~attempt msg = emit_xmit (rt ()) ~tid ~attempt msg in
   let deliver ~dst ~from msg = handle (rt ()) snodes_arr.(dst) ~from msg in
   let tr =
@@ -2479,6 +1877,7 @@ let create ?(link = Network.gigabit) ?(pmin = 32)
       on_created = Vtbl.create 16;
       next_token = 0;
       next_event = 0;
+      watches = Hashtbl.create 8;
       pending = 0;
       done_creations = 0;
       done_removals = 0;
@@ -3060,8 +2459,8 @@ let view t =
         Vtbl.fold (fun _ v acc -> vnode_of v :: acc) sn.locals []
         |> List.sort (fun a b -> Vnode_id.compare a.View.vid b.View.vid);
       lpdrs =
-        Gtbl.fold
-          (fun gid lp acc ->
+        Handover.fold_lpdrs sn.ho
+          (fun gid (lp : Handover.lpdr) acc ->
             {
               View.group = gid;
               level = lp.level;
@@ -3070,7 +2469,7 @@ let view t =
                 List.sort (fun (a, _) (b, _) -> Vnode_id.compare a b) lp.counts;
             }
             :: acc)
-          sn.lpdrs []
+          []
         |> List.sort (fun (a : View.lpdr_copy) (b : View.lpdr_copy) ->
                Group_id.compare a.group b.group);
       cache = Route.snapshot t.route sn.sid;

@@ -34,6 +34,7 @@ let () =
       ("history", Test_history.suite);
       ("routing", Test_routing.suite);
       ("explorer", Test_explorer.suite);
+      ("handover", Test_handover.suite);
       ("merkle", Test_merkle.suite);
       ("hot-path", Test_alloc.suite);
     ]
