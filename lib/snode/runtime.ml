@@ -1154,8 +1154,10 @@ and observe_2pc t sn ~start hist name args =
    plan: every [event_timeout] it counts a round timeout and re-arms until
    the event completes. The retry itself happens at the message layer,
    which retransmits every outstanding Prepare, ack or Transfer until its
-   destination answers; prepared state is durable, so the round is never
-   aborted (donor partitions are already in flight). *)
+   destination answers, and parks a snode's own loopback messages while it
+   is down; prepared state is durable, so the round is never aborted (donor
+   partitions are already in flight): it waits for its crashed
+   participants to restart. *)
 and arm_watchdog t sn ev =
   if t.faults <> None then begin
     let fire () = run t sn (Handover.Watchdog ev) in
@@ -1841,7 +1843,11 @@ let create ?(link = Network.gigabit) ?(pmin = 32)
      observe the exact schedule an untraced run produces. *)
   let causal = causal && Trace.enabled trace in
   let xmit ~tid ~attempt msg = emit_xmit (rt ()) ~tid ~attempt msg in
-  let deliver ~dst ~from msg = handle (rt ()) snodes_arr.(dst) ~from msg in
+  let deliver ~dst ~from msg =
+    let sn = snodes_arr.(dst) in
+    (* A loopback that lands while its snode is down waits for the restart. *)
+    if sn.alive then handle (rt ()) sn ~from msg else Queue.add msg sn.parked
+  in
   let tr =
     Transport.create engine net ~rngs:(Array.map (fun sn -> sn.rng) snodes_arr)
       ~rto ~retry_budget ~adaptive_rto ~max_inflight ~linger ~metrics ~trace

@@ -846,11 +846,14 @@ and peer_answered tr ep p ~pid =
     end
   end
 
-(* Every network delivery lands here: a down endpoint absorbs everything
-   (the sender keeps retransmitting), link-layer frames are unwrapped and
-   deduplicated, protocol messages go up to [deliver]. *)
+(* Every network delivery lands here: a down endpoint absorbs every remote
+   delivery (the sender keeps retransmitting), link-layer frames are
+   unwrapped and deduplicated, protocol messages go up to [deliver]. A
+   loopback has no sender-side copy to retransmit, so it goes up to
+   [deliver] even at a down endpoint. *)
 and receive tr ep ~from msg =
-  if ep.up then
+  if (not ep.up) && from = ep.sid then tr.deliver ~dst:ep.sid ~from msg
+  else if ep.up then
     match msg with
     | Wire.Batch parts ->
         (* Coalesced envelope: parts are processed in issue order, so

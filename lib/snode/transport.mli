@@ -83,10 +83,13 @@ val create :
 
 val send : t -> src:int -> dst:int -> Wire.msg -> unit
 (** Send a protocol message. [src = dst] is a loopback delivery that
-    skips every queueing layer. *)
+    skips every queueing layer and is never retransmitted. A loopback that
+    lands while its endpoint is down is not absorbed: it goes up to
+    [deliver] all the same (exactly once), and the caller must keep it
+    until the snode restarts (the runtime parks it). *)
 
 val crash : t -> int -> unit
-(** Take a snode's endpoint down: it absorbs every delivery and its
+(** Take a snode's endpoint down: it absorbs every remote delivery and its
     timers stop; durable queues are kept. *)
 
 val restart : t -> int -> unit

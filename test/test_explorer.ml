@@ -1,9 +1,9 @@
 (* The schedule explorer end to end: the mutation-mode self-test must
    find a planted-loss schedule and shrink it to a small replayable
    repro; the protected sweep must come back clean; committed repro
-   artifacts must replay to the same failure (a lost write, a livelock
-   caught by the virtual-time horizon); shrinking must strip superfluous
-   tweaks. *)
+   artifacts must replay to the same failure (a lost write), or replay
+   clean once their defect is fixed (the coordinator livelock); shrinking
+   must strip superfluous tweaks. *)
 
 module Explorer = Dht_check.Explorer
 module Scenarios = Dht_check.Scenarios
@@ -76,15 +76,16 @@ let test_repro_replays () =
       Alcotest.(check bool) "failure is a lost write" true
         (List.exists mentions_loss msgs)
 
-(* A creation coordinator crashed mid-round waits forever after restart
-   (its watchdog re-arms every second); the horizon turns the hang into a
-   liveness failure. Fails until the coordinator-recovery fix lands. *)
-let test_livelock_repro_fails () =
+(* A creation coordinator that crashed while its own loopback Prepare was
+   in flight used to lose it and wait forever after restart; the horizon
+   turned the hang into a liveness failure. The loopback now waits on the
+   crashed snode's parked queue, so the committed schedule replays clean
+   and stays as a regression. *)
+let test_livelock_repro_passes () =
   let path = repro "creation-coordinator-livelock.sched" in
   let sc, sched = load_repro ~path () in
   let o = Explorer.run sc sched in
-  Alcotest.(check bool) "replay reports a liveness failure" true
-    (List.exists (contains ~affix:"liveness") o.Explorer.failures)
+  Alcotest.(check (list string)) "replay finds nothing" [] o.Explorer.failures
 
 let test_shrink_strips_superfluous () =
   let sc, sched = load_repro () in
@@ -108,8 +109,8 @@ let suite =
       test_mutation_selftest;
     Alcotest.test_case "protected sweep is clean" `Slow test_protected_sweep;
     Alcotest.test_case "committed repro replays" `Quick test_repro_replays;
-    Alcotest.test_case "committed livelock repro hits the horizon" `Quick
-      test_livelock_repro_fails;
+    Alcotest.test_case "committed livelock repro passes" `Quick
+      test_livelock_repro_passes;
     Alcotest.test_case "shrink strips superfluous tweaks" `Quick
       test_shrink_strips_superfluous;
   ]

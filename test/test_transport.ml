@@ -150,6 +150,35 @@ let test_crash_restart () =
   check Alcotest.(list string) "window bookkeeping sound" [] (Transport.audit tr);
   check Alcotest.int "outboxes drained" 0 (Transport.queue_depth tr 0)
 
+(* A loopback message that lands while its snode is down is not absorbed
+   like a remote one (nothing would retransmit it): it goes up to
+   [deliver], which parks it the way the runtime does, and the restart
+   handles it, once. *)
+let test_loopback_survives_crash () =
+  let engine = Engine.create () in
+  let faults = Fault.create ~seed:1 () in
+  let net = Network.create ~faults engine Network.gigabit in
+  let up = ref true and parked = ref [] and handled = ref [] in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ msg ->
+        if !up then handled := msg :: !handled else parked := msg :: !parked)
+  in
+  Transport.send tr ~src:0 ~dst:0 (Wire.Busy { token = 7 });
+  Transport.crash tr 0;
+  up := false;
+  Engine.run ~until:0.01 engine;
+  check Alcotest.int "nothing handled while down" 0 (List.length !handled);
+  Transport.restart tr 0;
+  up := true;
+  List.iter (fun m -> handled := m :: !handled) (List.rev !parked);
+  parked := [];
+  Engine.run engine;
+  check Alcotest.int "handled once after the restart" 1 (List.length !handled);
+  check Alcotest.(list string) "window bookkeeping sound" [] (Transport.audit tr)
+
 (* The dedup window's slow path on its own: the first frame (seq 0) is
    held back, so seq 1 lands first, is delivered and is remembered above
    the floor; when seq 0 fills the gap it is delivered too, the floor
@@ -486,6 +515,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
     Alcotest.test_case "crash absorbs, restart re-sends" `Quick test_crash_restart;
+    Alcotest.test_case "a loopback survives its snode's crash" `Quick
+      test_loopback_survives_crash;
     Alcotest.test_case "out-of-order frame, then the gap fills" `Quick test_gap_fill;
     Alcotest.test_case "a grown outbox keeps its fold order" `Quick
       test_grown_outbox_order;
