@@ -746,8 +746,8 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
                    { point; hops = 0; retries = retries + 1; origin; op }))
       | Some _ ->
           (* Hand the request to the group's manager (maybe ourselves). *)
-          handover t sn ~from:sn.sid
-            (Wire.Create_at_group { group = v.group; point; newcomer; origin }))
+          let msg = Wire.Create_at_group { group = v.group; point; newcomer; origin } in
+          run t sn (Handover.Msg { from = sn.sid; msg }))
 
 (* ---------------- quorum coordinator ---------------- *)
 
@@ -1098,9 +1098,6 @@ and ae_snode t sn =
 and run t sn input =
   List.iter (exec t sn) (Handover.step sn.env sn.ho input)
 
-(* A placement-change message delivered at [sn]. *)
-and handover t sn ~from msg = run t sn (Handover.Msg { from; msg })
-
 and exec t sn = function
   | Handover.Send (dst, msg) -> send t ~src:sn.sid ~dst msg
   | Handover.Local msg -> deliver_local t sn msg
@@ -1281,9 +1278,10 @@ and handle_lb_proposal t sn ~to_snode =
             | None -> t.lb_skipped <- t.lb_skipped + 1
             | Some _ ->
                 sn.lb_last_transfer <- now;
-                handover t sn ~from:sn.sid
-                  (Wire.Lb_transfer
-                     { group; hot; from_vnode; to_snode; origin = sn.sid }))
+                let msg =
+                  Wire.Lb_transfer { group; hot; from_vnode; to_snode; origin = sn.sid }
+                in
+                run t sn (Handover.Msg { from = sn.sid; msg }))
       end
 
 (* Emergency path: a report so far above the cluster average that waiting
@@ -1313,7 +1311,7 @@ and handle t sn ~from msg =
   | Wire.Create_at_group _ | Wire.Remove_at_group _ | Wire.Lb_transfer _
   | Wire.Prepare_ack _ | Wire.Transfer _ | Wire.All_received _ | Wire.Commit _
   | Wire.Lpdr_pull _ | Wire.Lpdr_push _ ->
-      handover t sn ~from msg
+      run t sn (Handover.Msg { from; msg })
   | Wire.Prepare _ | Wire.Remove_prepare _ | Wire.Lb_swap _ ->
       run t sn (Handover.Prepared { from; msg; shipped = donate t sn msg })
   | Wire.Create_done { newcomer } -> (
@@ -1336,8 +1334,8 @@ and handle t sn ~from msg =
               Engine.schedule t.engine ~delay:backoff (fun () ->
                   deliver_local t sn msg)
           | Some _ ->
-              handover t sn ~from:sn.sid
-                (Wire.Remove_at_group { group = v.group; leaving; origin; token })))
+              let msg = Wire.Remove_at_group { group = v.group; leaving; origin; token } in
+              run t sn (Handover.Msg { from = sn.sid; msg })))
   | Wire.Remove_done { token; ok } ->
       settle t ~tid:sn.sid ~token (Departed ok)
   | Wire.Put_ack { token; hint } ->
