@@ -25,7 +25,6 @@ type input =
   | Prepared of { from : int; msg : Wire.msg; shipped : donation list }
   | Resume of Group_id.t
   | Watchdog of int
-  | Crash
   | Restart
 
 type action =
@@ -39,7 +38,7 @@ type action =
                data : (string * Dht_kv.Versioned.cell) list }
   | Lpdr_applied of { group : Group_id.t; epoch : int; local : Vnode_id.t list }
   | Drop_vnode of Vnode_id.t
-  | Place of Span.t * Vnode_id.t * int list
+  | Place of Wire.placement
   | Seed of Span.t list
   | Committed of int
   | Observe_prepare of { event : int; start : float; participants : int }
@@ -95,7 +94,6 @@ type t = {
   pmin : int;
   vmax : int;
   replicated : bool;  (* rfactor > 1: commits fan out, owners seed replicas *)
-  mutable up : bool;
   lpdrs : lpdr Gtbl.t;
   (* Highest LPDR epoch ever applied, per group, never deleted: commits
      arrive reliably but not in order, so LPDR writes are fenced on it. *)
@@ -115,7 +113,7 @@ let create ~sid ~snodes ~pmin ~vmax ~replicated ~space spans =
   let fence = Point_map.create space in
   (* Fence below any real event id: the first commit always applies. *)
   List.iter (fun s -> Point_map.add fence s (-1)) spans;
-  { sid; snodes; pmin; vmax; replicated; up = true; lpdrs = Gtbl.create 8;
+  { sid; snodes; pmin; vmax; replicated; lpdrs = Gtbl.create 8;
     epochs = Gtbl.create 8; fence; locks = Gtbl.create 8;
     events = Hashtbl.create 8; parts = Hashtbl.create 8; out = [] }
 
@@ -149,11 +147,6 @@ let manager_of lpdr =
   match lpdr.counts with
   | [] -> invalid_arg "Handover: empty LPDR"
   | (first, _) :: _ -> first.Vnode_id.snode
-
-let event_kind_name = function
-  | `Create -> "create"
-  | `Remove -> "remove"
-  | `Balance -> "balance"
 
 (* ---------------- coordinator ---------------- *)
 
@@ -459,22 +452,32 @@ let commit env st ~event ~moved =
       r.writes <- [];
       retire_if_done st event r
   | Some _ | None -> ());
-  (* Placement of the moved partitions: owner into the routing cache,
-     replica set into the replica map — one epoch-fenced commit. Applied
-     per fence fragment: only the parts of each span whose placement was
-     last set by an older event accept this commit's placement (a newer
-     commit may have overtaken this one, possibly for a sub-span). *)
-  List.iter
-    (fun (s, owner, reps) ->
-      List.iter
-        (fun (fs, fev) ->
-          if fev < event then begin
-            let part = if Span.level fs > Span.level s then fs else s in
-            emit st (Place (part, owner, reps));
-            Point_map.learn st.fence part event
-          end)
-        (Point_map.overlapping st.fence s))
-    moved;
+  (* Placement of the moved partitions, fenced per fragment: only the parts
+     of each span last set by an older event take this commit's placement
+     (a newer commit may have overtaken it, possibly for a sub-span). When
+     every span is whole and fresh, the usual case, [moved] goes as is. *)
+  let placed =
+    if
+      List.for_all
+        (fun (s, _, _) ->
+          match Point_map.overlapping st.fence s with
+          | [ (fs, fev) ] -> fev < event && Span.level fs <= Span.level s
+          | _ -> false)
+        moved
+    then moved
+    else
+      List.concat_map
+        (fun (s, owner, reps) ->
+          List.filter_map
+            (fun (fs, fev) ->
+              if fev < event then
+                Some ((if Span.level fs > Span.level s then fs else s), owner, reps)
+              else None)
+            (Point_map.overlapping st.fence s))
+        moved
+  in
+  List.iter (fun (part, _, _) -> Point_map.learn st.fence part event) placed;
+  if placed <> [] then emit st (Place placed);
   (* New owner already holds the data (Transfer preceded this Commit):
      seed the freshly-assigned replicas now. The symmetric hook in
      [apply_batch] covers the Commit-first ordering. *)
@@ -488,13 +491,6 @@ let commit env st ~event ~moved =
     if seeds <> [] then emit st (Seed seeds)
   end;
   emit st (Committed event)
-
-(* Does one of this snode's prepared-but-uncommitted events touch [gid]?
-   If so its commit will refresh the copy; no pull needed. *)
-let pending_touches st gid =
-  Hashtbl.fold
-    (fun _ r acc -> acc || List.exists (fun w -> Group_id.equal w.group gid) r.writes)
-    st.parts false
 
 (* ---------------- dispatch ---------------- *)
 
@@ -561,28 +557,31 @@ let step env st input =
   | Prepared { from; msg; shipped } -> prepared st ~from msg shipped
   | Resume group -> (
       let l = lock st group in
-      if not l.busy then
-        match Queue.take_opt l.waiting with
-        | None -> ()
-        | Some msg ->
-            admit env st msg;
-            if (not l.busy) && not (Queue.is_empty l.waiting) then
-              emit st (Resume_next group))
+      match if l.busy then None else Queue.take_opt l.waiting with
+      | None -> ()
+      | Some msg ->
+          (* Forwarded or dropped rather than started: on to the next. *)
+          admit env st msg;
+          if not l.busy then unlock st group)
   | Watchdog ev ->
-      (* While the event is open: count a round timeout (when up), re-arm. *)
+      (* While the event is open: count a round timeout and re-arm. *)
       if Hashtbl.mem st.events ev then begin
-        if st.up then emit st (Note_timeout ev);
+        emit st (Note_timeout ev);
         emit st (Arm_watchdog ev)
       end
-  | Crash -> st.up <- false
   | Restart ->
-      st.up <- true;
       (* Refresh the LPDR copies no in-flight commit of ours will
-         overwrite: events may have committed while we were down, and our
-         durable copies can be stale. Pulls are epoch-fenced. *)
+         overwrite (no prepared event of ours writes them): events may have
+         committed while we were down, and our durable copies can be stale.
+         Pulls are epoch-fenced. *)
+      let pending gid =
+        Hashtbl.fold
+          (fun _ r acc -> acc || List.exists (fun w -> Group_id.equal w.group gid) r.writes)
+          st.parts false
+      in
       Gtbl.iter
         (fun gid lp ->
-          if not (pending_touches st gid) then begin
+          if not (pending gid) then begin
             let manager = manager_of lp in
             if manager <> st.sid then
               emit st (Send (manager, Wire.Lpdr_pull { group = gid }))

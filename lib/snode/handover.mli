@@ -40,8 +40,6 @@ type lpdr = {
 
 type kind = [ `Create | `Remove | `Balance ]
 
-val event_kind_name : kind -> string
-
 type donation = {
   dst : Vnode_id.t;  (** receiving vnode *)
   spans : Span.t list;
@@ -69,8 +67,9 @@ type input =
           donations the runtime made for it, in plan order *)
   | Resume of Group_id.t  (** admit the next request queued on the lock *)
   | Watchdog of int  (** the event's watchdog fired *)
-  | Crash
-  | Restart  (** after the snode replayed its parked work *)
+  | Restart
+      (** the snode restarted and replayed its parked work; a crash needs
+          no input, since every piece of this state is durable *)
 
 type action =
   | Send of int * Wire.msg  (** to the snode, through the transport *)
@@ -78,7 +77,7 @@ type action =
   | Resume_next of Group_id.t  (** feed [Resume] for the group next *)
   | Arm_watchdog of int
   | Clear_watchdog of int
-  | Note_timeout of int  (** count a round timeout of the event *)
+  | Note_timeout of int  (** count a round timeout, if the snode is up *)
   | Apply of {
       to_vnode : Vnode_id.t;
       spans : Span.t list;
@@ -88,9 +87,9 @@ type action =
       (** a commit's fenced write of [group]'s LPDR copy took effect at
           [epoch]; the [local] vnodes now belong to [group] *)
   | Drop_vnode of Vnode_id.t  (** a departed vnode's (empty) record *)
-  | Place of Span.t * Vnode_id.t * int list
-      (** a committed placement: owner into the routing cache, replica set
-          into the replica map *)
+  | Place of Wire.placement
+      (** committed placements, each span with its owner (into the routing
+          cache) and replica set (into the replica map) *)
   | Seed of Span.t list  (** push the spans to their replicas *)
   | Committed of int  (** the event's commit is fully applied here *)
   | Observe_prepare of { event : int; start : float; participants : int }

@@ -1095,23 +1095,55 @@ and ae_snode t sn =
 
 (* Feed one input to the snode's {!Handover} state and carry out the
    actions it returns, in order. *)
-and run t sn input =
-  List.iter (exec t sn) (Handover.step sn.env sn.ho input)
+and run t sn input = exec_all t sn (Handover.step sn.env sn.ho input)
+
+and exec_all t sn = function
+  | [] -> ()
+  | a :: rest ->
+      exec t sn a;
+      exec_all t sn rest
 
 and exec t sn = function
   | Handover.Send (dst, msg) -> send t ~src:sn.sid ~dst msg
   | Handover.Local msg -> deliver_local t sn msg
   | Handover.Resume_next group -> run t sn (Handover.Resume group)
-  | Handover.Arm_watchdog ev -> arm_watchdog t sn ev
+  | Handover.Arm_watchdog ev ->
+      (* Per-round watchdog of a coordinated event, armed only under a
+         fault plan: every [event_timeout] it counts a round timeout and
+         re-arms until the event completes. The retry itself happens at the
+         message layer, which retransmits every outstanding Prepare, ack or
+         Transfer until its destination answers, and parks a snode's own
+         loopback messages while it is down; prepared state is durable, so
+         the round is never aborted (donor partitions are already in
+         flight): it waits for its crashed participants to restart. *)
+      if t.faults <> None then begin
+        let fire () = run t sn (Handover.Watchdog ev) in
+        Hashtbl.replace t.watches ev
+          (Engine.push t.engine ~time:(Engine.now t.engine +. event_timeout) fire, fire)
+      end
   | Handover.Clear_watchdog ev ->
       Option.iter
         (fun (slot, fire) -> Hashtbl.remove t.watches ev; Engine.clear t.engine slot fire)
         (Hashtbl.find_opt t.watches ev)
   | Handover.Note_timeout ev ->
-      Transport.note_timeout t.tr;
-      Log.debug (fun m -> m "snode %d: event %d round timeout" sn.sid ev)
+      if sn.alive then begin
+        Transport.note_timeout t.tr;
+        Log.debug (fun m -> m "snode %d: event %d round timeout" sn.sid ev)
+      end
   | Handover.Apply { to_vnode; spans; data } ->
-      apply_transfer t sn ~to_vnode ~spans ~data
+      let v = local_exn sn to_vnode in
+      install_spans sn v spans;
+      List.iter
+        (fun (key, cell) ->
+          let point = Hash.string t.space key in
+          ignore (Store.hold t.store v.data ~point ~key cell))
+        data;
+      (* Cells we already replicated for these spans move into the
+         partition table, so the owner's holdings (and digests) see one
+         copy. *)
+      Store.absorb t.store v.data (fun point ->
+          List.exists (fun sp -> Span.contains t.space sp point) spans);
+      List.iter (fun s -> Route.learn t.route sn.sid s to_vnode) spans
   | Handover.Lpdr_applied { group; local; _ } ->
       List.iter (fun id -> (local_exn sn id).group <- group) local
   | Handover.Drop_vnode vid ->
@@ -1119,24 +1151,26 @@ and exec t sn = function
       | Some v -> assert (v.spans = [])
       | None -> ());
       Vtbl.remove sn.locals vid
-  | Handover.Place (span, owner, reps) ->
-      Route.learn t.route sn.sid span owner;
-      Point_map.learn sn.rmap span reps
+  | Handover.Place placed ->
+      List.iter
+        (fun (span, owner, reps) ->
+          Route.learn t.route sn.sid span owner;
+          Point_map.learn sn.rmap span reps)
+        placed
   | Handover.Seed spans -> ae_push t sn spans
   | Handover.Committed ev -> Option.iter (fun f -> f ~event:ev ~snode:sn.sid) t.on_commit
   | Handover.Observe_prepare { event; start; participants } ->
       observe_2pc t sn ~start (fun i -> i.i_prepare) "2pc.prepare"
         [ ("event", Trace.Int event); ("participants", Trace.Int participants) ]
   | Handover.Observe_event { event; kind; start } ->
-      observe_2pc t sn ~start
-        (fun i ->
-          match kind with
-          | `Create -> i.i_ev_create
-          | `Remove -> i.i_ev_remove
-          | `Balance -> i.i_ev_balance)
-        "2pc.event"
-        [ ("event", Trace.Int event);
-          ("kind", Trace.Str (Handover.event_kind_name kind)) ];
+      let name, hist =
+        match kind with
+        | `Create -> ("create", fun i -> i.i_ev_create)
+        | `Remove -> ("remove", fun i -> i.i_ev_remove)
+        | `Balance -> ("balance", fun i -> i.i_ev_balance)
+      in
+      observe_2pc t sn ~start hist "2pc.event"
+        [ ("event", Trace.Int event); ("kind", Trace.Str name) ];
       if kind = `Balance then t.lb_transfers <- t.lb_transfers + 1
   | Handover.Skipped -> t.lb_skipped <- t.lb_skipped + 1
 
@@ -1146,35 +1180,6 @@ and observe_2pc t sn ~start hist name args =
   let dur = Engine.now t.engine -. start in
   Option.iter (fun i -> Histogram.observe (hist i) dur) t.instr;
   if Trace.enabled t.trace then Trace.span t.trace ~ts:start ~dur ~tid:sn.sid ~name args
-
-(* Per-round watchdog of a coordinated event, armed only under a fault
-   plan: every [event_timeout] it counts a round timeout and re-arms until
-   the event completes. The retry itself happens at the message layer,
-   which retransmits every outstanding Prepare, ack or Transfer until its
-   destination answers, and parks a snode's own loopback messages while it
-   is down; prepared state is durable, so the round is never aborted (donor
-   partitions are already in flight): it waits for its crashed
-   participants to restart. *)
-and arm_watchdog t sn ev =
-  if t.faults <> None then begin
-    let fire () = run t sn (Handover.Watchdog ev) in
-    Hashtbl.replace t.watches ev
-      (Engine.push t.engine ~time:(Engine.now t.engine +. event_timeout) fire, fire)
-  end
-
-and apply_transfer t sn ~to_vnode ~spans ~data =
-  let v = local_exn sn to_vnode in
-  install_spans sn v spans;
-  List.iter
-    (fun (key, cell) ->
-      let point = Hash.string t.space key in
-      ignore (Store.hold t.store v.data ~point ~key cell))
-    data;
-  (* Cells we already replicated for these spans move into the partition
-     table, so the owner's holdings (and digests) see one copy. *)
-  Store.absorb t.store v.data (fun point ->
-      List.exists (fun sp -> Span.contains t.space sp point) spans);
-  List.iter (fun s -> Route.learn t.route sn.sid s to_vnode) spans
 
 (* The physical side of a prepare, before {!Handover} ships, expects and
    acknowledges: a creation splits local target members (split-all) and
@@ -1497,7 +1502,6 @@ let crash_snode t sid =
     Balance.Directory.reset sn.lb_dir;
     Route.crash t.route sid;
     Store.crash t.store sid;
-    run t sn Handover.Crash;
     Log.debug (fun m -> m "snode %d crashed at %g" sid (Engine.now t.engine))
   end
 

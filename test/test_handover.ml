@@ -154,8 +154,11 @@ let rec exec w sid = function
   | H.Drop_vnode v ->
       if spans_of w sid v <> [] then violation "a departing vnode kept spans";
       w.vnodes.(sid) <- List.remove_assoc v w.vnodes.(sid)
-  | H.Place (span, owner, _) ->
-      if owner.Vnode_id.snode = sid then w.placed <- add (sid, span) w.placed
+  | H.Place placed ->
+      List.iter
+        (fun (span, owner, _) ->
+          if owner.Vnode_id.snode = sid then w.placed <- add (sid, span) w.placed)
+        placed
   | H.Seed spans ->
       List.iter
         (fun s ->
@@ -284,7 +287,6 @@ let successors ~lossy w =
           w.crashed <- true;
           if lossy then
             w.flight <- List.filter (fun (s, d, _) -> not (s = sid && d = sid)) w.flight;
-          run w sid H.Crash;
           run w sid H.Restart)
     (deliveries @ crashes)
 
