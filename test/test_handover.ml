@@ -4,14 +4,14 @@
    makes, and every action is carried out on that model.
 
    The search covers every delivery order of the messages in flight, and
-   one crash of any snode at every step followed by its restart at any
-   later step. Visited states are hashed, so the search is a walk over a
-   finite graph. The network model is the transport's contract: a remote
-   message is retransmitted until its destination is up to take it, and a
+   one crash and restart of any snode at every step. Visited states are
+   hashed, so the search is a walk over a finite graph. The network model
+   is the transport's contract: a remote message is retransmitted until
+   its destination takes it, so it may arrive after any other, and a
    self-addressed message survives its snode's crash (it waits until the
    restart). In every state the search reaches:
    - no snode applies the same group epoch twice;
-   and in every terminal state (nothing deliverable, every snode up):
+   and in every terminal state (nothing left in flight):
    - every event the scenario opened completed at its coordinator, and
      the requester heard the outcome;
    - each span an event moved was seeded at its owner's snode at a point
@@ -29,11 +29,14 @@ let space = Space.default
 let pmin = 4
 let max_depth = 64
 
-(* One vnode of the model runtime, its spans in the order the runtime
-   keeps them (donations take from the head). *)
+(* One state of the search: every snode's protocol state, the model
+   runtime's vnodes, the messages in flight, and what the properties
+   track. *)
 type world = {
   hs : H.t array;
   mutable vnodes : (Vnode_id.t * Span.t list) list array;
+      (* per snode, each vnode's spans in the runtime's order: donations
+         take from the head *)
   mutable flight : (int * int * Wire.msg) list;  (* src, dst, msg; sorted *)
   mutable crashed : bool;  (* the one crash was used *)
   mutable armed : (int * int) list;  (* snode, event: armed watchdogs *)
