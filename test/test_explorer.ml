@@ -109,7 +109,7 @@ let suite =
       test_mutation_selftest;
     Alcotest.test_case "protected sweep is clean" `Slow test_protected_sweep;
     Alcotest.test_case "committed repro replays" `Quick test_repro_replays;
-    Alcotest.test_case "committed livelock repro passes" `Quick
+    Alcotest.test_case "committed livelock replays" `Quick
       test_livelock_repro_passes;
     Alcotest.test_case "shrink strips superfluous tweaks" `Quick
       test_shrink_strips_superfluous;
