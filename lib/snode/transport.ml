@@ -491,10 +491,14 @@ and wire tr ~src ~dst ~attempt ~bytes msg =
 
 (* ---------------- transmission batching ---------------- *)
 
-(* Stage [msg] in the coalescing buffer toward [dst]; the first part arms
-   the flush timer one linger window out. A new cumulative ack supersedes
-   any staged ack it covers, so an envelope never carries redundant
-   acks. *)
+(* Stage [msg] in the coalescing buffer toward [dst]. The first part arms
+   the flush timer: one linger window out while [dst] owes us an ack, else
+   (Nagle's rule) at the current instant, after the event staging it, so
+   whatever that event stages toward [dst] (an ack and the reply its
+   delivery provoked, say) still leaves as one envelope. Without a fault
+   plan nothing is ever acknowledged, so every first part waits the
+   window. A new cumulative ack supersedes any staged ack it covers, so an
+   envelope never carries redundant acks. *)
 and stage tr ep ~dst msg =
   let ob =
     match Itbl.find ep.obufs dst with
@@ -515,16 +519,26 @@ and stage tr ep ~dst msg =
       ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
-  if not ob.ob_armed then arm_flush tr ob
+  if not ob.ob_armed then
+    arm_flush tr ob
+      ~delay:(if tr.reliable && owes_nothing ep dst then 0. else tr.linger)
 
-(* Arm [ob]'s flush one linger window from now, superseding any earlier
-   arming. Armings queue in deadline order, so the deadline matters only
-   to an older arming still queued, and is written only then. *)
-and arm_flush tr ob =
-  if ob.ob_queued > 0 then ob.ob_due.at <- Engine.now tr.engine +. tr.linger;
+(* Nothing of [ep]'s is unacknowledged toward [dst]: no frame sits in its
+   window, or no peer record exists yet. *)
+and owes_nothing ep dst =
+  match Itbl.find ep.peers dst with
+  | p -> p.q.live = 0
+  | exception Not_found -> true
+
+(* Arm [ob]'s flush [delay] from now, superseding any earlier arming. The
+   latest arming's queue entry always acts; the deadline only tells an
+   older arming still queued whether it is due with the latest one, so it
+   is written only then. *)
+and arm_flush tr ob ~delay =
+  if ob.ob_queued > 0 then ob.ob_due.at <- Engine.now tr.engine +. delay;
   ob.ob_armed <- true;
   ob.ob_queued <- ob.ob_queued + 1;
-  Engine.schedule tr.engine ~delay:tr.linger ob.ob_fire
+  Engine.schedule tr.engine ~delay ob.ob_fire
 
 (* A disarmed buffer for [dst]: a pooled one, or a new one. *)
 and take_obuf tr ep ~dst =
@@ -539,8 +553,8 @@ and take_obuf tr ep ~dst =
         ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore;
         ob_next = no_obuf }
     in
-    (* The last queued arming is the latest one; an older one acts only
-       when it is due at the latest deadline's instant. *)
+    (* With no other arming queued this is the latest one; an older one
+       acts only when it is due at the latest deadline's instant. *)
     ob.ob_fire <-
       (fun () ->
         ob.ob_queued <- ob.ob_queued - 1;
@@ -555,10 +569,11 @@ and take_obuf tr ep ~dst =
   end
 
 (* The timer's flush; a buffer it leaves empty goes back to the pool and
-   its destination to [no_obuf]. Every earlier arming of this timer was
-   due no later than the one firing now, so no queue entry it leaves
-   behind can fire for the next destination to take it, whose arming is
-   due a linger window later. *)
+   its destination to [no_obuf]. An older arming may still be queued (a
+   forced or crash-cut flush left it, and a zero-delay arming overtook
+   it). It can act for the next destination to take the buffer only at the
+   instant that destination's latest arming is due, so it never flushes
+   that destination's parts before their own timer would. *)
 and on_flush_timer tr ep ob =
   flush_obuf tr ep ob;
   match ob.ob_parts with
@@ -946,7 +961,7 @@ let restart tr sid =
      linger window from now, in the table's order. *)
   Itbl.iter
     (fun _ ob ->
-      if ob.ob_parts <> [] then arm_flush tr ob)
+      if ob.ob_parts <> [] then arm_flush tr ob ~delay:tr.linger)
     ep.obufs
 
 (* ------------------------------------------------------------------ *)

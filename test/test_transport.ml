@@ -430,6 +430,34 @@ let test_acked_payloads_collectable () =
     (Transport.counters tr).Transport.retransmits;
   check Alcotest.(list string) "audit" [] (Transport.audit tr)
 
+(* An acked frame's retransmission timer lets go of its closure at the
+   ack: the queue entries still waiting for their deadlines hold nothing,
+   so the engine reaches exactly as many words as once they have
+   dispatched. A queued closure would reach the whole transport. *)
+let test_acked_timers_unpinned () =
+  let engine = Engine.create () in
+  let faults = Fault.create ~seed:1 () in
+  let net = Network.create ~faults engine Network.gigabit in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:0.
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst:_ ~from:_ _ -> ())
+  in
+  for token = 0 to 7 do
+    Transport.send tr ~src:0 ~dst:1 (Wire.Busy { token })
+  done;
+  while Transport.queue_depth tr 0 > 0 && Engine.step engine do
+    ()
+  done;
+  check Alcotest.bool "retransmission deadlines still queued" true
+    (Engine.pending engine > 0 && Engine.now engine < 1e-3);
+  let queued = Obj.reachable_words (Obj.repr engine) in
+  Engine.run engine;
+  check Alcotest.int "words the waiting entries reach" 0
+    (queued - Obj.reachable_words (Obj.repr engine));
+  check Alcotest.(list string) "audit" [] (Transport.audit tr)
+
 (* A superseded arming does not pin an acked payload either. Snode 0
    sends one frame and crashes and restarts before its ack lands, so the
    restart re-arms the frame while the first arming's queue entry stays
@@ -511,6 +539,159 @@ let test_restart_flush_order () =
     [ 6; 2; 14; 16; 8; 7; 3; 13; 12; 5; 4; 9; 11; 10; 1; 17; 19; 18; 15 ]
     (List.rev !landed)
 
+(* ---------------- the hold rule ---------------- *)
+
+(* A coalescing window ten link quanta long, so that a part held for it
+   lands far from one sent at once. *)
+let window = 10. *. quantum
+
+type rig = {
+  engine : Engine.t;
+  tr : Transport.t;
+  landed : (float * int * int) list ref;  (* time, dst, token; newest first *)
+  sent : (float * int * Wire.msg) list ref;
+      (* every envelope put on the network: time, src, message; newest first *)
+}
+
+(* Two snodes with a [linger] window, on a fault plan that loses nothing
+   when [reliable] (so every remote message is framed and acked), else on
+   a fault-free network. With [reply], snode 1 answers each payload it is
+   handed with one of its own, from inside the delivery. *)
+let rig ~reliable ~linger ~reply =
+  let engine = Engine.create () in
+  let faults = if reliable then Some (Fault.create ~seed:1 ()) else None in
+  let net = Network.create ?faults engine Network.gigabit in
+  let landed = ref [] and sent = ref [] and self = ref None in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 2 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop
+      ~xmit:
+        (Some
+           (fun ~tid ~attempt:_ msg ->
+             sent := (Engine.now engine, tid, msg) :: !sent))
+      ~deliver:(fun ~dst ~from msg ->
+        match msg with
+        | Wire.Busy { token } ->
+            landed := (Engine.now engine, dst, token) :: !landed;
+            if reply && dst = 1 then
+              Transport.send (Option.get !self) ~src:1 ~dst:from
+                (Wire.Busy { token = token + 100 })
+        | _ -> Alcotest.fail "deliver saw a non-payload message")
+  in
+  self := Some tr;
+  { engine; tr; landed; sent }
+
+(* Run to quiescence, auditing after every event. *)
+let drain r =
+  while Engine.step r.engine do
+    check Alcotest.(list string) "audit after every event" []
+      (Transport.audit r.tr)
+  done
+
+let send_at r ~time token =
+  Engine.at r.engine ~time (fun () ->
+      Transport.send r.tr ~src:0 ~dst:1 (Wire.Busy { token }))
+
+(* When one payload sent at time 0 lands, for a given rig. *)
+let lone_landing ~reliable ~linger =
+  let r = rig ~reliable ~linger ~reply:false in
+  send_at r ~time:0. 0;
+  drain r;
+  match !(r.landed) with
+  | [ (at, 1, 0) ] -> at
+  | _ -> Alcotest.fail "the payload did not land once"
+
+(* Under a fault plan, a part toward a peer that owes nothing leaves at
+   once: it lands when the same frame sent with batching off lands, with
+   no window added. *)
+let test_idle_peer_no_linger () =
+  let alone = lone_landing ~reliable:true ~linger:0. in
+  check (Alcotest.float 0.) "lands after the link delay alone" alone
+    (lone_landing ~reliable:true ~linger:window);
+  check Alcotest.bool "well inside the window" true (alone < window)
+
+(* Without a fault plan nothing is ever acknowledged, so the first part
+   waits the whole window, as it always did. *)
+let test_faultless_full_window () =
+  let alone = lone_landing ~reliable:false ~linger:0. in
+  check (Alcotest.float 0.) "lands one window late" (window +. alone)
+    (lone_landing ~reliable:false ~linger:window)
+
+(* Snode 0's first frame leaves at once; while it is unacknowledged, the
+   second and third parts, staged 10 us apart, wait the window and share
+   one frame, and so land together. *)
+let test_inflight_peer_coalesces () =
+  let r = rig ~reliable:true ~linger:window ~reply:false in
+  send_at r ~time:0. 0;
+  send_at r ~time:1e-5 1;
+  send_at r ~time:2e-5 2;
+  drain r;
+  let from0 =
+    List.filter_map
+      (fun (at, src, msg) -> if src = 0 then Some (at, msg) else None)
+      (List.rev !(r.sent))
+  in
+  (match from0 with
+  | [ (0., Wire.Req { seq = 0; payload = Wire.Busy { token = 0 } });
+      (t1, Wire.Req { seq = 1; payload = Wire.Batch [ Wire.Busy { token = 1 };
+                                                      Wire.Busy { token = 2 } ] }) ]
+    ->
+      check (Alcotest.float 0.) "held one window" (1e-5 +. window) t1
+  | l ->
+      Alcotest.failf "snode 0 sent %d envelopes, not a lone frame then one                       frame of two parts"
+        (List.length l));
+  match List.rev !(r.landed) with
+  | [ (_, 1, 0); (a, 1, 1); (b, 1, 2) ] ->
+      check (Alcotest.float 0.) "the held parts land together" a b
+  | _ -> Alcotest.fail "the payloads did not land once each, in order"
+
+(* Snode 1 answers a payload from inside its delivery. The ack it owes
+   stages first and arms a zero-delay flush (snode 1 owes snode 0
+   nothing); the reply staged by the same event joins it, and both leave
+   in one envelope at the instant the payload landed. *)
+let test_ack_rides_with_reply () =
+  let r = rig ~reliable:true ~linger:window ~reply:true in
+  send_at r ~time:0. 0;
+  drain r;
+  let landed_at =
+    match List.rev !(r.landed) with
+    | [ (at, 1, 0); (_, 0, 100) ] -> at
+    | _ -> Alcotest.fail "the payload and its reply did not land once each"
+  in
+  match
+    List.filter_map
+      (fun (at, src, msg) -> if src = 1 then Some (at, msg) else None)
+      (List.rev !(r.sent))
+  with
+  | [ (at, Wire.Batch [ Wire.Ack { seq = 0; floor = 0 };
+                        Wire.Req { seq = 0; payload = Wire.Busy { token = 100 } } ]) ]
+    ->
+      check (Alcotest.float 0.) "leaves when the payload lands" landed_at at
+  | l ->
+      Alcotest.failf "snode 1 sent %d envelopes, not one of ack and reply"
+        (List.length l)
+
+(* A crash in the event that staged a part, before its zero-delay flush:
+   the flush finds the timer disarmed, the part stays staged, and the
+   restart sends it one window later. *)
+let test_crash_before_zero_flush () =
+  let alone = lone_landing ~reliable:true ~linger:0. in
+  let r = rig ~reliable:true ~linger:window ~reply:false in
+  let restart_at = 5e-3 in
+  Engine.at r.engine ~time:0. (fun () ->
+      Transport.send r.tr ~src:0 ~dst:1 (Wire.Busy { token = 0 });
+      Transport.crash r.tr 0);
+  Engine.at r.engine ~time:restart_at (fun () ->
+      check Alcotest.int "nothing left while down" 0 (List.length !(r.sent));
+      Transport.restart r.tr 0);
+  drain r;
+  match !(r.landed) with
+  | [ (at, 1, 0) ] ->
+      check (Alcotest.float 0.) "sent one window after the restart"
+        (restart_at +. window +. alone) at
+  | _ -> Alcotest.fail "the payload did not land once"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -528,8 +709,20 @@ let suite =
       test_sentinel_audit;
     Alcotest.test_case "acked payloads can be collected" `Quick
       test_acked_payloads_collectable;
+    Alcotest.test_case "acked frames' timers pin nothing" `Quick
+      test_acked_timers_unpinned;
     Alcotest.test_case "a re-armed acked payload can be collected" `Quick
       test_rearmed_payload_collectable;
     Alcotest.test_case "restart flushes in the buffer table's order" `Quick
       test_restart_flush_order;
+    Alcotest.test_case "a part toward an idle peer is not held" `Quick
+      test_idle_peer_no_linger;
+    Alcotest.test_case "parts toward an unacked peer share a frame" `Quick
+      test_inflight_peer_coalesces;
+    Alcotest.test_case "an ack and its reply share an envelope" `Quick
+      test_ack_rides_with_reply;
+    Alcotest.test_case "without a fault plan the window holds" `Quick
+      test_faultless_full_window;
+    Alcotest.test_case "a crash before the zero-delay flush" `Quick
+      test_crash_before_zero_flush;
   ]
