@@ -5,17 +5,16 @@
 
 Run from the repository root (or pass it). The scan has three parts.
 
-Values. Every `val NAME` declared in a `lib/**/*.mli` is searched for as a
-word in the code of the `.ml` files under lib/, bin/, bench/, perfbench/ and
-examples/, leaving out the value's own `.ml`. Comments and the contents of
-string literals are stripped first, so a name that only prose or a message
-mentions is not a caller, and neither is a `let` or `and` that defines a
-value of the same name (`let stddev_sample`, `let rec go`, `and step`). A
-value found nowhere there is listed, marked "test-only" when the code of a
-test/ file names it and "unused" otherwise. Otherwise the search is by name
-alone, so a value whose name some other file also uses (calls another
-module's value of that name, binds it as a local or a label) is never
-listed: the scan under-reports and never flags a live value.
+Values. Every `val NAME` declared in a `lib/**/*.mli` is looked for at
+its calls (resolved as for knobs, below) in the `.ml` files under lib/,
+bin/, bench/, perfbench/ and examples/, leaving out the value's own `.ml`.
+Comments and the contents of string literals are stripped first, so a name
+that only prose or a message mentions is not a caller. A value that no
+call there names is listed, marked "test-only" when a call in a test/ file
+names it and "unused" otherwise. So another module's value of the same
+name (`Registry.pp` for `Welford.pp`), or a local or label so named, is
+not a caller; a value reached only through a name the scan cannot resolve
+(`let f = M.g in f x`, a functor argument) would be listed.
 
 Modules. A module of a lib/ library is referred to by a non-test file when
 that file names it by its library-qualified path (`Dht_core.Plan`), or
@@ -63,7 +62,6 @@ NEEDED_BY = "Needed by"
 # A signature item that ends the doc comment of the value before it.
 ITEM_START = re.compile(
     r"\s*(val|type|module|end|exception|include|external|class|open)\b")
-VAL_DECL = re.compile(r"\s*val\s+([a-z_][A-Za-z0-9_']*)")
 # What precedes a name that a `let` or `and` binding defines.
 DEFINED_BY = re.compile(r"\b(?:let(?:\[@[^\]]*\])?(?:\s+rec)?|and)\s+$")
 
@@ -126,48 +124,10 @@ def word(name):
         r"(?<![A-Za-z0-9_'])" + re.escape(name) + r"(?![A-Za-z0-9_'])")
 
 
-def uses(pat, text):
-    """Whether TEXT names PAT anywhere but as the name a `let` or `and`
-    binding defines."""
-    return any(not DEFINED_BY.search(text, max(0, m.start() - 80), m.start())
-               for m in pat.finditer(text))
-
-
-def declared_values(text):
-    """Yield (name, doc) for each `val` of an interface; doc is the text from
-    the declaration up to the next signature item."""
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        m = VAL_DECL.match(line)
-        if not m:
-            continue
-        j = i + 1
-        while j < len(lines) and not ITEM_START.match(lines[j]):
-            j += 1
-        yield m.group(1), "\n".join(lines[i:j])
-
-
 def library_name(lib_dir):
     with open(os.path.join(lib_dir, "dune")) as f:
         m = re.search(r"\(name\s+([a-z_0-9]+)\)", f.read())
     return m.group(1).capitalize() if m else None
-
-
-def scan_values(sources, code, tests):
-    ml_code = {p: t for p, t in code.items() if p.endswith(".ml")}
-    listed = []
-    interfaces = (p for p in sources
-                  if p.startswith("lib" + os.sep) and p.endswith(".mli"))
-    for mli in sorted(interfaces):
-        own_ml = mli[:-1]
-        for name, doc in declared_values(sources[mli]):
-            pat = word(name)
-            if any(uses(pat, t) for p, t in ml_code.items() if p != own_ml):
-                continue
-            tested = any(pat.search(t) for t in tests.values())
-            kind = "test-only" if tested else "unused"
-            listed.append((mli, name, kind, NEEDED_BY in doc))
-    return listed
 
 
 def scan_modules(code):
@@ -220,6 +180,8 @@ TOKEN = re.compile(r"""\s*(?:
   | (?P<close>[)\]}]|\bend\b)
   | (?P<word>[A-Za-z_][A-Za-z0-9_']*|[0-9][0-9A-Za-z_.']*)
   | (?P<sym>[!$%&*+\-./:<=>?@^|~#;,`]+))""", re.X)
+FUNCTOR_ARG = re.compile(r"\b" + MOD + r"\s*\(\s*(?:" + MOD + r"\s*\.\s*)*("
+                         + MOD + r")\s*\)")
 # Keywords that end an application at depth 0.
 STOP_WORDS = {"in", "then", "else", "with", "do", "done", "let", "and",
               "when", "of", "to", "downto", "match", "if", "fun", "function",
@@ -252,12 +214,22 @@ def labels_after(text, i):
                 return found
 
 
-def declared_knobs(text):
-    """Yield (module, value, optional arguments) for each `val` of a
-    comment-stripped interface; module is the innermost `module M : sig`
-    around it, None at top level. Arguments of a callback's type (inside
-    brackets) are not the value's own."""
-    lines = text.split("\n")
+def item_end(lines, i):
+    """The line after the last one of the signature item starting at I."""
+    j = i + 1
+    while j < len(lines) and not ITEM_START.match(lines[j]):
+        j += 1
+    return j
+
+
+def declared(raw, text):
+    """Yield (module, value, doc, optional arguments) for each `val` of an
+    interface, given as RAW text and comment-stripped TEXT (whose lines are
+    RAW's, as stripping keeps every line break). Module is the innermost
+    `module M : sig` around the value, None at top level; doc is RAW from
+    the declaration up to the next signature item. Arguments of a
+    callback's type (inside brackets) are not the value's own."""
+    raw_lines, lines = raw.split("\n"), text.split("\n")
     inner = []
     for i, line in enumerate(lines):
         m = SIG_OPEN.match(line)
@@ -270,10 +242,7 @@ def declared_knobs(text):
         m = VAL_TYPE.match(line)
         if not m:
             continue
-        j = i + 1
-        while j < len(lines) and not ITEM_START.match(lines[j]):
-            j += 1
-        ty = "\n".join(lines[i:j])[m.end():]
+        ty = "\n".join(lines[i:item_end(lines, i)])[m.end():]
         depth, args = 0, []
         for k, c in enumerate(ty):
             depth += (c in "([{") - (c in ")]}")
@@ -281,15 +250,16 @@ def declared_knobs(text):
                 arg = OPT_ARG.match(ty, k)
                 if arg:
                     args.append(arg.group(1))
-        yield (inner[-1] if inner else None), m.group(1), args
+        doc = "\n".join(raw_lines[i:item_end(raw_lines, i)])
+        yield (inner[-1] if inner else None), m.group(1), doc, args
 
 
-def set_labels(mod, fn, own_ml, files):
-    """Labels that some call of MOD.FN in FILES gives."""
+def calls(mod, fn, own_ml, files):
+    """Yield (text, end) for each call of MOD.FN in FILES, END being where
+    the function's name ends in the file's TEXT."""
     call = word(fn)
     opens = re.compile(r"\b(?:open!?|include)\s+(?:" + MOD + r"\.)*" + mod
                        + r"\b|\b" + mod + r"\.\(")
-    found = set()
     for path, text in files.items():
         aliases = {a: p.split(".")[-1].strip() for a, p in ALIAS.findall(text)}
         sees = path == own_ml or opens.search(text)
@@ -303,29 +273,47 @@ def set_labels(mod, fn, own_ml, files):
                 continue
             elif DEFINED_BY.search(before):
                 continue
-            found |= labels_after(text, m.end())
+            yield text, m.end()
+
+
+def set_labels(mod, fn, own_ml, files):
+    """Labels that some call of MOD.FN in FILES gives."""
+    found = set()
+    for text, end in calls(mod, fn, own_ml, files):
+        found |= labels_after(text, end)
     return found
 
 
-def scan_knobs(sources, code, tests):
+def scan(sources, code, tests):
+    """The listed values and knobs: (mli, name, kind, documented) and
+    (mli, function, argument, kind)."""
     ml_code = {p: t for p, t in code.items() if p.endswith(".ml")}
-    listed = []
+    values, knobs = [], []
+    # Modules passed whole to a functor (`Hashtbl.Make (Group_id)`): the
+    # functor may call any of their values.
+    whole = {m for t in ml_code.values() for m in FUNCTOR_ARG.findall(t)}
     interfaces = (p for p in sources
                   if p.startswith("lib" + os.sep) and p.endswith(".mli"))
     for mli in sorted(interfaces):
+        own_ml = mli[:-1]
+        others = {p: t for p, t in ml_code.items() if p != own_ml}
         base = os.path.splitext(os.path.basename(mli))[0].capitalize()
-        for sub, fn, args in declared_knobs(code[mli]):
+        for sub, fn, doc, args in declared(sources[mli], code[mli]):
+            mod = sub or base
+            if base not in whole and not any(calls(mod, fn, own_ml, ml_code)):
+                tested = any(calls(mod, fn, None, tests))
+                kind = "test-only" if tested else "unused"
+                values.append((mli, fn, kind, NEEDED_BY in doc))
             if not args:
                 continue
-            mod = sub or base
-            live = set_labels(mod, fn, mli[:-1], ml_code)
+            live = set_labels(mod, fn, own_ml, ml_code)
             tested = set_labels(mod, fn, None, tests)
             name = "%s.%s" % (base + ("." + sub if sub else ""), fn)
             for arg in args:
                 if arg not in live:
                     kind = "test-only" if arg in tested else "unset"
-                    listed.append((mli, name, arg, kind))
-    return listed
+                    knobs.append((mli, name, arg, kind))
+    return values, knobs
 
 
 def main():
@@ -335,9 +323,8 @@ def main():
     code = {p: strip_comments(t) for p, t in sources.items()}
     tests = {p: strip_comments(t)
              for p, t in read_tree((TEST_ROOT,), (".ml",)).items()}
-    values = scan_values(sources, code, tests)
+    values, knobs = scan(sources, code, tests)
     modules = scan_modules(code)
-    knobs = scan_knobs(sources, code, tests)
     ok = True
     for mli, name, kind, documented in values:
         note = "" if documented else "  <- no \"%s\" line" % NEEDED_BY

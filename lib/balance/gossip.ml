@@ -28,7 +28,6 @@ let entries t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.entries []
   |> List.sort (fun a b -> compare a.Summary.origin b.Summary.origin)
 
-let size t = Hashtbl.length t.entries
 let reset t = Hashtbl.reset t.entries
 
 (* Staleness of the view against ground truth [version_of origin]: the

@@ -27,8 +27,6 @@ val find : t -> int -> Summary.t option
 val entries : t -> Summary.t list
 (** Every entry, sorted by origin — the push-pull payload. *)
 
-val size : t -> int
-
 val reset : t -> unit
 (** Forget everything (crash semantics). *)
 

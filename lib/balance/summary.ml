@@ -16,7 +16,3 @@ let make ~origin ~version ~heat ~queue ~partitions ~stamped =
 
 (* Freshness order between two summaries of the same origin. *)
 let fresher a b = a.version > b.version
-
-let pp ppf s =
-  Fmt.pf ppf "s%d v%d heat=%.3f q=%d parts=%d" s.origin s.version s.heat
-    s.queue s.partitions

@@ -24,5 +24,3 @@ val make :
 
 val fresher : t -> t -> bool
 (** [fresher a b] — [a] strictly supersedes [b] (same origin assumed). *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,7 +15,6 @@ let create ?(space = Space.default) ~rng () =
   { space; rng; points = Imap.empty; nodes = Hashtbl.create 64 }
 
 let space t = t.space
-let node_count t = Hashtbl.length t.nodes
 
 (* Wrapping distance along the ring from [a] (exclusive) to [b] (inclusive);
    the full ring when a = b. *)

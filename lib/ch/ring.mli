@@ -25,8 +25,6 @@ val add_node : t -> ?points:int -> id:int -> k:int -> unit -> unit
     @raise Invalid_argument if [id] is already present or the effective
     point count is not positive. *)
 
-val node_count : t -> int
-
 val quota : t -> id:int -> float
 (** Current [Qn] of one node. @raise Not_found if absent. *)
 
@@ -45,4 +43,5 @@ val points : t -> (int * int) list
 val owner : t -> int -> int
 (** [owner t p] is the node id responsible for hash index [p].
     @raise Not_found on an empty ring.
-    @raise Invalid_argument if [p] is outside the space. *)
+    @raise Invalid_argument if [p] is outside the space.
+    Needed by test_ch (ownership against the ring's arcs). *)

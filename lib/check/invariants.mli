@@ -26,7 +26,8 @@ val to_strings : finding list -> string list
 
 val check_local : Local_dht.t -> finding list
 (** G1'-G5', L1, L2 and quota conservation over the local-model oracle
-    ({!Dht_core.Audit.check_local}). *)
+    ({!Dht_core.Audit.check_local}).
+    Needed by test_check (the battery on the local model). *)
 
 val check_snode :
   space:Dht_hashspace.Space.t -> Runtime.View.snode_view -> finding list

@@ -21,7 +21,3 @@ let score t =
   let m = t.memory_gb /. reference.memory_gb in
   let s = t.storage_gb /. reference.storage_gb in
   (c *. m *. s) ** (1. /. 3.)
-
-let pp ppf t =
-  Format.fprintf ppf "%s{cpu=%.2f mem=%.1fGB disk=%.0fGB score=%.3f}" t.name
-    t.cpu t.memory_gb t.storage_gb (score t)

@@ -27,5 +27,3 @@ val scale : t -> float -> t
 val score : t -> float
 (** Scalar enrollment score: geometric mean of the resources normalized to
     {!reference}. Strictly positive. *)
-
-val pp : Format.formatter -> t -> unit

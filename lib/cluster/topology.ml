@@ -33,8 +33,3 @@ let random ~rng ~n ~min_scale ~max_scale =
 
 let size t = Array.length t.nodes
 let scores t = Array.map Profile.score t.nodes
-let total_score t = Array.fold_left ( +. ) 0. (scores t)
-
-let pp ppf t =
-  Format.fprintf ppf "cluster of %d nodes (total score %.2f)" (size t)
-    (total_score t)

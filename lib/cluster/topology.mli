@@ -21,5 +21,3 @@ val random :
 val size : t -> int
 
 val scores : t -> float array
-
-val pp : Format.formatter -> t -> unit

@@ -29,8 +29,6 @@ let add_vnode t ~id =
   Vtbl.add t.index id v;
   v
 
-let find_vnode t id = Vtbl.find_opt t.index id
-
 let remove_vnode t ~id =
   match Vtbl.find_opt t.index id with
   | None -> invalid_arg "Global_dht.remove_vnode: unknown vnode id"
@@ -42,10 +40,7 @@ let remove_vnode t ~id =
       | Error _ as e -> e)
 
 let params t = t.params
-let vnode_count t = Balancer.vnode_count t.balancer
-let level t = Balancer.level t.balancer
 let vnodes t = Balancer.vnodes t.balancer
-let counts t = Balancer.counts t.balancer
 
 let quotas t =
   let space = t.params.Params.space in
@@ -53,6 +48,5 @@ let quotas t =
 
 let sigma_qv t = Metrics.sigma_percent (quotas t)
 
-let lookup t p = Point_map.find_point t.map p
 let map t = t.map
 let balancer t = t.balancer

@@ -107,7 +107,9 @@ val sigma_qg : t -> float
 
 val lpdr : t -> Group_id.t -> Plan.lpdr option
 (** One group's LPDR: partition counts keyed by vnode id, the same shape
-    as the snode runtime's replicated LPDR copies. *)
+    as the snode runtime's replicated LPDR copies.
+    Needed by test_local and test_runtime, which compares it with the
+    runtime's copies. *)
 
 val lookup : t -> int -> Span.t * Vnode.t
 (** Routes a hash index to its partition and owning vnode. *)

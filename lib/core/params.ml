@@ -34,10 +34,3 @@ let check_quorum ~rfactor ~read_quorum ~write_quorum =
       "Params.check_quorum: R + W must exceed rfactor (quorum intersection)"
 let pmax t = 2 * t.pmin
 let vmax t = 2 * t.vmin
-
-let pp ppf t =
-  if t.vmin = unbounded_vmin then
-    Format.fprintf ppf "params{%a; Pmin=%d; global}" Space.pp t.space t.pmin
-  else
-    Format.fprintf ppf "params{%a; Pmin=%d; Vmin=%d}" Space.pp t.space t.pmin
-      t.vmin

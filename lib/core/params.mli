@@ -42,5 +42,3 @@ val is_power_of_two : int -> bool
 val log2_exact : int -> int
 (** Base-2 logarithm of a positive power of two.
     @raise Invalid_argument otherwise. *)
-
-val pp : Format.formatter -> t -> unit

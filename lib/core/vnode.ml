@@ -37,7 +37,3 @@ let split_spans space t ~previous =
   in
   t.spans <- halves;
   t.count <- 2 * t.count
-
-let pp space ppf t =
-  Format.fprintf ppf "vnode %a in %a: %d partitions (quota %.5f)" Vnode_id.pp
-    t.id Group_id.pp t.group t.count (quota space t)

@@ -34,5 +34,3 @@ val split_spans : Space.t -> t -> previous:(Span.t -> unit) -> unit
 (** Binary-splits every partition of the vnode, doubling [count]; calls
     [previous] on each pre-split span (so the caller can update routing
     structures). *)
-
-val pp : Space.t -> Format.formatter -> t -> unit

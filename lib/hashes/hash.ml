@@ -25,4 +25,3 @@ let[@inline] to_space sp h64 =
   Int64.to_int (Int64.shift_right_logical h64 (64 - Space.bits sp))
 
 let string sp k = to_space sp (mix64 (fnv1a64 k))
-let int sp k = to_space sp (mix64 (Int64.of_int k))

@@ -21,6 +21,3 @@ val to_space : Dht_hashspace.Space.t -> int64 -> int
 
 val string : Dht_hashspace.Space.t -> string -> int
 (** [string sp k] hashes a string key into the space. *)
-
-val int : Dht_hashspace.Space.t -> int -> int
-(** [int sp k] hashes an integer key into the space. *)

@@ -10,5 +10,3 @@ let size t = 1 lsl t.bits
 let contains t i = i >= 0 && i < size t
 let max_level t = t.bits
 let quota t width = float_of_int width /. float_of_int (size t)
-let pp ppf t = Format.fprintf ppf "R_h[0, 2^%d)" t.bits
-let equal a b = a.bits = b.bits

@@ -29,7 +29,3 @@ val max_level : t -> int
 val quota : t -> int -> float
 (** [quota t width] is [width / 2^Bh] — the fraction of the space a range of
     [width] indices represents. Exact when [bits t <= 52]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

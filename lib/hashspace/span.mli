@@ -38,7 +38,8 @@ val split : Space.t -> t -> t * t
     @raise Invalid_argument if [t] is already at the space's max level. *)
 
 val parent : t -> t option
-(** The span whose split produced [t]; [None] for {!root}. *)
+(** The span whose split produced [t]; [None] for {!root}.
+    Needed by test_hashspace (split and parent agree). *)
 
 val contains : Space.t -> t -> int -> bool
 (** [contains sp t p] — does span [t] cover hash index [p]? *)

@@ -24,7 +24,3 @@ let digest key c =
   Hashtbl.hash (key, c.version.ts, c.version.seq, c.version.origin, c.value)
 
 let size_bytes c = String.length c.value + 24
-
-let pp ppf c =
-  Format.fprintf ppf "%S@(%g,%d,%d)" c.value c.version.ts c.version.seq
-    c.version.origin

@@ -40,5 +40,3 @@ val digest : string -> cell -> int
 
 val size_bytes : cell -> int
 (** Wire-size estimate: value bytes plus a 24-byte version. *)
-
-val pp : Format.formatter -> cell -> unit

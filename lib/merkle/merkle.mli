@@ -48,7 +48,9 @@ type frame = {
 val create : ?leaf_cap:int -> space:Space.t -> span:Span.t -> unit -> 'a t
 (** An empty tree over [span]. [leaf_cap] (default [16]) bounds bucket
     size wherever the span can still split.
-    @raise Invalid_argument if [leaf_cap < 1]. *)
+    @raise Invalid_argument if [leaf_cap < 1].
+    Needed by test_merkle and test_alloc, which build trees with no
+    store around them. *)
 
 val build :
   ?leaf_cap:int ->

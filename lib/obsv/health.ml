@@ -50,5 +50,3 @@ let scores samples =
   |> List.map (fun (peer, m) -> (peer, m /. scale))
   |> List.sort (fun (pa, a) (pb, b) ->
          match compare (b : float) a with 0 -> compare pa pb | c -> c)
-
-let worst samples = match scores samples with [] -> None | (p, _) :: _ -> Some p

@@ -23,6 +23,3 @@ val scores : sample list -> (int * float) list
 (** Per-peer health scores, worst first (ties broken by peer id). A score
     of [1.] is the cluster median; a gray-failed peer scores far above it.
     Peers appear iff some observer sampled them. *)
-
-val worst : sample list -> int option
-(** The worst-ranked peer, [None] on an empty sample set. *)

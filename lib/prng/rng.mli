@@ -20,7 +20,7 @@ val of_int : int -> t
 
 val copy : t -> t
 (** [copy t] is a generator with the same state; advancing one does not
-    affect the other. *)
+    affect the other. Needed by test_prng (copies replay). *)
 
 val split : t -> t
 (** [split t] draws fresh state material from [t] and returns a new generator
@@ -49,7 +49,8 @@ val sample : t -> 'a array -> k:int -> 'a array
 (** [sample t a ~k] draws [k] distinct elements of [a] uniformly at random
     (partial Fisher–Yates); the order of the result is random. [a] is not
     modified.
-    @raise Invalid_argument if [k < 0] or [k > Array.length a]. *)
+    @raise Invalid_argument if [k < 0] or [k > Array.length a].
+    Needed by test_prng (uniformity of the draw). *)
 
 val exponential : t -> rate:float -> float
 (** [exponential t ~rate] draws from the exponential distribution with the
@@ -57,4 +58,5 @@ val exponential : t -> rate:float -> float
     @raise Invalid_argument if [rate <= 0.]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints the current internal state, for debugging. *)
+(** Prints the current internal state, for debugging.
+    Needed by test_alloc (the golden seeded state). *)

@@ -42,9 +42,6 @@ let entry_exn t name =
   | Some e -> e
   | None -> raise Not_found
 
-let names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.dhts [] |> List.sort compare
-
 let dht t ~name = (entry_exn t name).dht
 
 (* Create one fresh vnode of the named entry on the given node. *)

@@ -35,8 +35,6 @@ val add_dht :
     @raise Invalid_argument if the name is taken or [total_vnodes] is below
     the per-node floor. *)
 
-val names : t -> string list
-
 val dht : t -> name:string -> Local_dht.t
 (** The underlying DHT (for lookups, metrics, audits).
     @raise Not_found if unknown. *)

@@ -42,10 +42,3 @@ let successor ~n ~avoid ~start =
       if avoided s then go (i + 1) else Some s
   in
   go 1
-
-let pp ppf sids =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    sids

@@ -25,5 +25,3 @@ val successor : n:int -> avoid:int list -> start:int -> int option
 (** [successor ~n ~avoid ~start] walks the ring from [start + 1] and
     returns the first snode not in [avoid] — the hinted-handoff fallback
     for a crashed replica. [None] when every snode is avoided. *)
-
-val pp : Format.formatter -> int list -> unit

@@ -2434,20 +2434,6 @@ module View = struct
   }
 
   type t = { at : float; snodes : snode_view list }
-
-  (* Structural equality of the logical state; the clock is ignored. *)
-  let equal a b = a.snodes = b.snodes
-
-  let pp ppf v =
-    List.iter
-      (fun sn ->
-        Format.fprintf ppf "snode %d%s: %d vnodes, %d keys, %d replicas, %d hints@."
-          sn.sid
-          (if sn.up then "" else " (down)")
-          (List.length sn.vnodes)
-          (List.fold_left (fun acc vn -> acc + List.length vn.data) 0 sn.vnodes)
-          (List.length sn.replicas) sn.hints)
-      v.snodes
 end
 
 let view t =

@@ -687,12 +687,6 @@ module View : sig
   }
 
   type t = { at : float; snodes : snode_view list }
-
-  val equal : t -> t -> bool
-  (** Structural equality of the logical state; [at] is ignored. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** One summary line per snode. *)
 end
 
 val view : t -> View.t

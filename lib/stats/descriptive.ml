@@ -39,5 +39,3 @@ let percentile xs ~p =
   else
     let frac = pos -. float_of_int lo in
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-
-let median xs = percentile xs ~p:0.5

@@ -21,6 +21,3 @@ val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0, 1\]], linear interpolation between
     order statistics.
     @raise Invalid_argument on an empty array or [p] outside [\[0, 1\]]. *)
-
-val median : float array -> float
-(** [percentile ~p:0.5]. *)

@@ -11,12 +11,6 @@ val create : len:int -> t
 (** [create ~len] accepts runs of exactly [len] points.
     @raise Invalid_argument if [len < 0]. *)
 
-val length : t -> int
-(** The expected curve length. *)
-
-val runs : t -> int
-(** Number of runs folded so far. *)
-
 val add_run : t -> float array -> unit
 (** [add_run t curve] folds one run.
     @raise Invalid_argument if [Array.length curve <> length t]. *)

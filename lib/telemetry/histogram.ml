@@ -63,7 +63,6 @@ let observe t x =
   if Float.is_nan t.vmax || x > t.vmax then t.vmax <- x
 
 let count t = Welford.count t.moments
-let sum t = Welford.mean t.moments *. float_of_int (count t)
 let mean t = Welford.mean t.moments
 let max_value t = t.vmax
 
@@ -119,10 +118,3 @@ let merge a b =
      else if Float.is_nan b.vmax then a.vmax
      else Float.max a.vmax b.vmax);
   t
-
-let pp ppf t =
-  Format.fprintf ppf "lhist{n=%d; mean=%g; p50=%g; p99=%g; max=%g}" (count t)
-    (mean t)
-    (quantile t 0.5)
-    (quantile t 0.99)
-    t.vmax

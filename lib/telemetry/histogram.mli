@@ -28,8 +28,6 @@ val observe : t -> float -> unit
 val count : t -> int
 (** Total observations, including under- and overflow. *)
 
-val sum : t -> float
-
 val mean : t -> float
 (** Exact mean (Welford), [0.] when empty. *)
 
@@ -56,5 +54,3 @@ val merge : t -> t -> t
 (** Bucket-wise sum into a fresh histogram. Counts merge exactly (and thus
     associatively); mean/stddev merge by Welford combination.
     @raise Invalid_argument if the two histograms differ in shape. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,6 +3,7 @@
 open Dht_core
 module Space = Dht_hashspace.Space
 module Span = Dht_hashspace.Span
+module Point_map = Dht_hashspace.Point_map
 module Rng = Dht_prng.Rng
 
 let check = Alcotest.check
@@ -24,7 +25,7 @@ let test_sigma_equivalence () =
     check
       (Alcotest.float 1e-9)
       (Printf.sprintf "sigma(Qv) = sigma(Pv) at V=%d" (i + 1))
-      (Metrics.sigma_counts_percent (Global_dht.counts dht))
+      (Metrics.sigma_counts_percent (Balancer.counts (Global_dht.balancer dht)))
       (Global_dht.sigma_qv dht)
   done
 
@@ -45,8 +46,8 @@ let test_quotas_sum_to_one () =
 
 let test_perfect_balance_at_powers_of_two () =
   let dht = grow 256 in
-  check Alcotest.int "V" 256 (Global_dht.vnode_count dht);
-  Array.iter (fun c -> check Alcotest.int "Pmin each" 32 c) (Global_dht.counts dht);
+  check Alcotest.int "V" 256 (Balancer.vnode_count (Global_dht.balancer dht));
+  Array.iter (fun c -> check Alcotest.int "Pmin each" 32 c) (Balancer.counts (Global_dht.balancer dht));
   check (Alcotest.float 1e-9) "sigma 0" 0. (Global_dht.sigma_qv dht)
 
 let test_lookup_routes_correctly () =
@@ -54,7 +55,7 @@ let test_lookup_routes_correctly () =
   let rng = Rng.of_int 5 in
   for _ = 1 to 500 do
     let p = Rng.int rng (Space.size sp) in
-    let span, owner = Global_dht.lookup dht p in
+    let span, owner = Point_map.find_point (Global_dht.map dht) p in
     check Alcotest.bool "span covers point" true (Span.contains sp span p);
     check Alcotest.bool "owner holds span" true
       (List.exists (Span.equal span) owner.Vnode.spans)
@@ -64,14 +65,14 @@ let test_lookup_rejects_outside () =
   let dht = grow 3 in
   Alcotest.check_raises "outside space"
     (Invalid_argument "Point_map.find_point: point outside space") (fun () ->
-      ignore (Global_dht.lookup dht (-1)))
+      ignore (Point_map.find_point (Global_dht.map dht) (-1)))
 
 let test_gpdr () =
   let dht = grow 10 in
   let gpdr = Balancer.lpdr (Global_dht.balancer dht) in
   check Alcotest.int "one entry per vnode" 10 (List.length gpdr);
   check Alcotest.(list int) "counts, in vnode-id order"
-    (Array.to_list (Global_dht.counts dht))
+    (Array.to_list (Balancer.counts (Global_dht.balancer dht)))
     (List.map snd gpdr);
   check Alcotest.bool "sorted by vnode id" true
     (List.sort_uniq (fun (a, _) (b, _) -> Vnode_id.compare a b) gpdr = gpdr);
@@ -93,18 +94,18 @@ let test_on_event_observes_transfers () =
 let test_level_growth () =
   (* Level starts at log2 pmin and increases by one at each doubling. *)
   let dht = Global_dht.create ~space:sp ~pmin:8 ~first:(vid 0) () in
-  check Alcotest.int "initial level" 3 (Global_dht.level dht);
+  check Alcotest.int "initial level" 3 (Balancer.level (Global_dht.balancer dht));
   for i = 1 to 16 do
     ignore (Global_dht.add_vnode dht ~id:(vid i))
   done;
   (* V=17: doublings happened when V was 1, 2, 4, 8 and 16 -> level 8. *)
-  check Alcotest.int "level after 5 doublings" 8 (Global_dht.level dht)
+  check Alcotest.int "level after 5 doublings" 8 (Balancer.level (Global_dht.balancer dht))
 
 let test_matches_paper_formula () =
   (* With V vnodes and P = 2^l partitions, counts are floor/ceil of P/V;
      sigma is computable in closed form. Cross-check at V=100, pmin=32. *)
   let dht = grow 100 in
-  let p = Array.fold_left ( + ) 0 (Global_dht.counts dht) in
+  let p = Array.fold_left ( + ) 0 (Balancer.counts (Global_dht.balancer dht)) in
   check Alcotest.int "P = 4096" 4096 p;
   let lo = p / 100 and n_hi = p mod 100 in
   let mean = float_of_int p /. 100. in

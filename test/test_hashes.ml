@@ -39,7 +39,7 @@ let test_mix64_deterministic () =
 let test_to_space_bounds () =
   let sp = Space.create ~bits:20 in
   for i = 0 to 999 do
-    let h = Hash.int sp i in
+    let h = Hash.to_space sp (Hash.mix64 (Int64.of_int i)) in
     check Alcotest.bool "within space" true (Space.contains sp h)
   done;
   let full = Hash.to_space sp 0xFFFFFFFFFFFFFFFFL in
@@ -61,7 +61,7 @@ let test_int_distribution () =
   let sp = Space.create ~bits:32 in
   let hist = Chi_square.create ~lo:0. ~hi:1. ~bins:16 in
   for i = 0 to 15_999 do
-    Chi_square.add hist (Space.quota sp (Hash.int sp i))
+    Chi_square.add hist (Space.quota sp (Hash.to_space sp (Hash.mix64 (Int64.of_int i))))
   done;
   let chi2 = Chi_square.uniform hist in
   check Alcotest.bool (Printf.sprintf "chi2 %.1f < 45" chi2) true (chi2 < 45.)

@@ -353,6 +353,10 @@ let healthy ~observer ~peer =
     backlog = 0;
   }
 
+(* The head of the scorer's worst-first ranking. *)
+let worst samples =
+  match Health.scores samples with [] -> None | (p, _) :: _ -> Some p
+
 let test_health_scorer () =
   let samples =
     List.concat_map
@@ -379,7 +383,7 @@ let test_health_scorer () =
       [ 0; 1; 2; 3 ]
   in
   check Alcotest.(option int) "worst is the gray-failed peer" (Some 3)
-    (Health.worst samples);
+    (worst samples);
   let scores = Health.scores samples in
   check Alcotest.int "every peer scored" 4 (List.length scores);
   (match scores with
@@ -399,12 +403,12 @@ let test_health_scorer () =
         (s > 0.5 && s < 2.))
     healthy_scores;
   check Alcotest.(option int) "empty telemetry scores nobody" None
-    (Health.worst []);
+    (worst []);
   (* Suspicion alone must outrank pure queue depth at equal RTT. *)
   let suspectd = { (healthy ~observer:0 ~peer:1) with Health.suspect = true } in
   let queued = { (healthy ~observer:0 ~peer:2) with Health.outbox = 4 } in
   check Alcotest.(option int) "suspicion dominates" (Some 1)
-    (Health.worst [ suspectd; queued ])
+    (worst [ suspectd; queued ])
 
 (* ------------------------------------------------------------------ *)
 (* Bounded sinks and the JSON reader                                    *)

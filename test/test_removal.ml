@@ -4,6 +4,7 @@
 open Dht_core
 module Space = Dht_hashspace.Space
 module Span = Dht_hashspace.Span
+module Point_map = Dht_hashspace.Point_map
 module Coverage = Dht_hashspace.Coverage
 module Rng = Dht_prng.Rng
 
@@ -25,8 +26,9 @@ let test_remove_then_audit () =
   (match Global_dht.remove_vnode dht ~id:(vid 17) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "removal refused");
-  check Alcotest.int "one fewer" 49 (Global_dht.vnode_count dht);
-  check Alcotest.bool "vnode gone" true (Global_dht.find_vnode dht (vid 17) = None);
+  check Alcotest.int "one fewer" 49 (Balancer.vnode_count (Global_dht.balancer dht));
+  check Alcotest.bool "vnode gone" false
+    (Array.exists (fun v -> v.Vnode.id = vid 17) (Global_dht.vnodes dht));
   match Audit.check_global dht with
   | Ok () -> ()
   | Error es -> Alcotest.failf "audit: %s" (String.concat "\n" es)
@@ -34,7 +36,7 @@ let test_remove_then_audit () =
 let test_remove_equalizes () =
   let dht = grow_global 50 in
   ignore (Global_dht.remove_vnode dht ~id:(vid 3));
-  let counts = Global_dht.counts dht in
+  let counts = Balancer.counts (Global_dht.balancer dht) in
   let mn = Array.fold_left min max_int counts in
   let mx = Array.fold_left max 0 counts in
   check Alcotest.bool "spread <= 1 after removal" true (mx - mn <= 1);
@@ -46,7 +48,7 @@ let test_remove_back_to_power_of_two () =
      (removal-tolerant G5: all counts equal). *)
   let dht = grow_global 65 in
   ignore (Global_dht.remove_vnode dht ~id:(vid 64));
-  let counts = Global_dht.counts dht in
+  let counts = Balancer.counts (Global_dht.balancer dht) in
   Array.iter (fun c -> check Alcotest.int "all equal" counts.(0) c) counts;
   check (Alcotest.float 1e-9) "sigma back to 0" 0. (Global_dht.sigma_qv dht)
 
@@ -108,7 +110,7 @@ let test_removal_events_migrate_ownership () =
   List.iter
     (fun (_, dst, span) ->
       (* Every transferred span must now be routed to its new owner. *)
-      let span', owner = Global_dht.lookup dht (Span.start sp span) in
+      let span', owner = Point_map.find_point (Global_dht.map dht) (Span.start sp span) in
       if Span.equal span span' then
         check Alcotest.bool "routing updated" true (owner == dst))
     !transfers

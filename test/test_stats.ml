@@ -96,8 +96,8 @@ let test_percentile () =
   let xs = [| 15.; 20.; 35.; 40.; 50. |] in
   checkf "p0 = min" 15. (D.percentile xs ~p:0.);
   checkf "p1 = max" 50. (D.percentile xs ~p:1.);
-  checkf "median odd" 35. (D.median xs);
-  checkf "median even" 2.5 (D.median [| 1.; 2.; 3.; 4. |]);
+  checkf "median odd" 35. (D.percentile xs ~p:0.5);
+  checkf "median even" 2.5 (D.percentile [| 1.; 2.; 3.; 4. |] ~p:0.5);
   checkf "interpolated" 17.5 (D.percentile xs ~p:0.125);
   Alcotest.check_raises "empty" (Invalid_argument "Descriptive.percentile: empty array")
     (fun () -> ignore (D.percentile [||] ~p:0.5));
@@ -111,7 +111,6 @@ let test_series_mean () =
   let s = Series.create ~len:3 in
   Series.add_run s [| 1.; 2.; 3. |];
   Series.add_run s [| 3.; 4.; 5. |];
-  check Alcotest.int "runs" 2 (Series.runs s);
   check
     Alcotest.(array (float 1e-9))
     "pointwise mean" [| 2.; 3.; 4. |] (Series.mean s)
