@@ -91,15 +91,19 @@ let replication_term ~snodes ~rfactor ~read ~write =
   Term.(ret (const check $ snodes $ rfactor $ read $ write))
 
 (* One network-latency quantum on the default gigabit link: traffic to one
-   destination coalesces for at most one hop worth of latency. *)
+   destination that owes an ack coalesces for at most one hop worth of
+   latency. *)
 let default_linger = Dht_event_sim.Network.gigabit.Dht_event_sim.Network.base_latency
 
 let linger_arg =
   let doc =
     "Transmission-batching window (virtual seconds): messages toward one \
-     destination coalesce into a single envelope for at most this long. 0 \
-     disables batching and reproduces the pre-batching message flow \
-     byte-for-byte. Default: one network-latency quantum (50 µs)."
+     destination coalesce into a single envelope for at most this long. \
+     Under a fault plan the window applies only while the destination \
+     owes an ack; toward one that owes nothing, what an event stages \
+     leaves as soon as the event ends. 0 disables batching and reproduces \
+     the pre-batching message flow byte-for-byte. Default: one \
+     network-latency quantum (50 µs)."
   in
   Arg.(value & opt non_negative_float default_linger
        & info [ "linger" ] ~docv:"S" ~doc)

@@ -149,9 +149,13 @@ val create :
 
     [linger] (default 0: batching off, byte-identical to the original
     message flow) arms {!Transport}'s batching: every remote message stages
-    in a per-destination coalescing buffer for at most [linger] seconds of
-    virtual time and leaves as a single {!Wire.Batch} envelope, amortizing
-    the fixed envelope cost. Per-(src, dst) delivery order is preserved —
+    in a per-destination coalescing buffer and leaves with the others
+    staged there as a single {!Wire.Batch} envelope, amortizing the fixed
+    envelope cost. The buffer is held [linger] seconds of virtual time
+    while its destination owes an ack, and otherwise only until the
+    staging event ends; without a fault plan nothing is acknowledged, so
+    every buffer is held the full window. Per-(src, dst) delivery order is
+    preserved —
     a batch is the FIFO prefix of the stream. Under a fault plan the
     batch's protocol messages share one [Req] frame (one sequence number,
     one retransmission timer, one ack for the whole batch) and acks become
@@ -655,11 +659,11 @@ val flush_lingering : t -> unit
     reproducibly. *)
 
 (** The cluster's logical state as pure, canonically-ordered data. Two
-    runs that agree on {!View.equal} views hold the same partitions, group
-    structure, LPDR copies, routing caches, replica maps and key/value
-    contents — version stamps and the clock are excluded, so logically
-    identical states compare equal even when virtual timings differ (e.g.
-    under transmission batching). *)
+    runs whose views have structurally equal [snodes] hold the same
+    partitions, group structure, LPDR copies, routing caches, replica maps
+    and key/value contents — version stamps and the clock are excluded, so
+    logically identical states compare equal even when virtual timings
+    differ (e.g. under transmission batching). *)
 module View : sig
   type lpdr_copy = {
     group : Dht_core.Group_id.t;

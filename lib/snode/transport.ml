@@ -108,10 +108,12 @@ type peer = {
 }
 
 (* Per-destination transmission-coalescing buffer: protocol messages (and
-   piggybacked acks) addressed to one peer wait here for at most one
-   linger window, then leave as a single envelope ([Wire.Batch]). Staged
-   parts are modelled as durable, like the reliable outbox they feed; only
-   the flush timer dies with a crash (restart re-arms it).
+   piggybacked acks) addressed to one peer wait here, then leave as a
+   single envelope ([Wire.Batch]): for one linger window while the peer
+   owes an ack (or there is no fault plan), else only until the event
+   that staged them ends. Staged parts are modelled as durable, like the
+   reliable outbox they feed; only the flush timer dies with a crash
+   (restart re-arms it).
 
    A buffer is its own flush timer, like an outbox entry (armed flag,
    flat deadline, one closure made with it), with no slot: a buffer lives

@@ -5,8 +5,12 @@
     at {!create}; every link-layer concern lives here:
 
     - {b batching}: with a positive [linger], remote messages stage in a
-      per-destination coalescing buffer for at most one window and leave
-      as a single {!Wire.Batch} envelope; per-(src, dst) order is kept;
+      per-destination coalescing buffer and leave as a single
+      {!Wire.Batch} envelope; per-(src, dst) order is kept. The buffer is
+      held one window while the destination has frames unacknowledged
+      (always, without a fault plan, as nothing is acknowledged there);
+      toward a destination that owes nothing it leaves at the current
+      instant, once the event that staged it is done (Nagle's rule);
     - {b reliable delivery}: when the network has a fault plan, every
       remote message is framed in a {!Wire.Req} with a per-peer sequence
       number, deduplicated at the receiver, acknowledged cumulatively
@@ -75,11 +79,12 @@ val create :
     validates them ({!Runtime.create}). With [metrics], the histograms
     [runtime.rto.delay] and [runtime.batch.occupancy] are registered. With
     an enabled [trace], [retransmit]/[retry.probe]/[route.poisoned]
-    instants are emitted. [xmit], when given, is called once per actual
-    transmission of every message (each part of an envelope, each
-    attempt of a frame). [deliver ~dst ~from msg] receives every fresh
-    protocol message at snode [dst], once, in per-(src, dst) send order
-    on a fault-free network. *)
+    instants are emitted. [xmit], when given, is called once per envelope
+    put on the network (each attempt of a frame), with the envelope as
+    sent: a {!Wire.Batch} or {!Wire.Req} carries its parts inside.
+    [deliver ~dst ~from msg] receives every fresh protocol message at
+    snode [dst], once, in per-(src, dst) send order on a fault-free
+    network. *)
 
 val send : t -> src:int -> dst:int -> Wire.msg -> unit
 (** Send a protocol message. [src = dst] is a loopback delivery that
@@ -95,7 +100,7 @@ val crash : t -> int -> unit
 val restart : t -> int -> unit
 (** Bring an endpoint back: everything still unacknowledged is re-sent
     (through the window when it is bounded) and staged parts flush one
-    linger window later. *)
+    linger window later, whatever their destination owes. *)
 
 val flush_lingering : t -> unit
 (** Force every up endpoint's staged coalescing buffers onto the wire now,
