@@ -6,15 +6,16 @@
 Run from the repository root (or pass it). The scan has three parts.
 
 Values. Every `val NAME` declared in a `lib/**/*.mli` is looked for at
-its calls (resolved as for knobs, below) in the `.ml` files under lib/,
-bin/, bench/, perfbench/ and examples/, leaving out the value's own `.ml`.
-Comments and the contents of string literals are stripped first, so a name
-that only prose or a message mentions is not a caller. A value that no
-call there names is listed, marked "test-only" when a call in a test/ file
+its calls, resolved as for knobs (below), in the `.ml` files under lib/,
+bin/, bench/, perfbench/ and examples/; every value of a module passed
+whole to a functor (`Hashtbl.Make (Group_id)`) counts as called. Comments
+and the contents of string literals are stripped first, so a name that
+only prose or a message mentions is not a caller. A value that no call
+there names is listed, marked "test-only" when a call in a test/ file
 names it and "unused" otherwise. So another module's value of the same
 name (`Registry.pp` for `Welford.pp`), or a local or label so named, is
-not a caller; a value reached only through a name the scan cannot resolve
-(`let f = M.g in f x`, a functor argument) would be listed.
+not a caller; a value reached only through a name the scan cannot
+resolve (`let f = M.g in f x`) would be listed.
 
 Modules. A module of a lib/ library is referred to by a non-test file when
 that file names it by its library-qualified path (`Dht_core.Plan`), or
@@ -296,11 +297,10 @@ def scan(sources, code, tests):
                   if p.startswith("lib" + os.sep) and p.endswith(".mli"))
     for mli in sorted(interfaces):
         own_ml = mli[:-1]
-        others = {p: t for p, t in ml_code.items() if p != own_ml}
         base = os.path.splitext(os.path.basename(mli))[0].capitalize()
         for sub, fn, doc, args in declared(sources[mli], code[mli]):
             mod = sub or base
-            if base not in whole and not any(calls(mod, fn, own_ml, ml_code)):
+            if mod not in whole and not any(calls(mod, fn, own_ml, ml_code)):
                 tested = any(calls(mod, fn, None, tests))
                 kind = "test-only" if tested else "unused"
                 values.append((mli, fn, kind, NEEDED_BY in doc))
