@@ -47,7 +47,9 @@ let test_quotas_sum_to_one () =
 let test_perfect_balance_at_powers_of_two () =
   let dht = grow 256 in
   check Alcotest.int "V" 256 (Balancer.vnode_count (Global_dht.balancer dht));
-  Array.iter (fun c -> check Alcotest.int "Pmin each" 32 c) (Balancer.counts (Global_dht.balancer dht));
+  Array.iter
+    (fun c -> check Alcotest.int "Pmin each" 32 c)
+    (Balancer.counts (Global_dht.balancer dht));
   check (Alcotest.float 1e-9) "sigma 0" 0. (Global_dht.sigma_qv dht)
 
 let test_lookup_routes_correctly () =
@@ -99,7 +101,8 @@ let test_level_growth () =
     ignore (Global_dht.add_vnode dht ~id:(vid i))
   done;
   (* V=17: doublings happened when V was 1, 2, 4, 8 and 16 -> level 8. *)
-  check Alcotest.int "level after 5 doublings" 8 (Balancer.level (Global_dht.balancer dht))
+  check Alcotest.int "level after 5 doublings" 8
+    (Balancer.level (Global_dht.balancer dht))
 
 let test_matches_paper_formula () =
   (* With V vnodes and P = 2^l partitions, counts are floor/ceil of P/V;

@@ -26,7 +26,8 @@ let test_remove_then_audit () =
   (match Global_dht.remove_vnode dht ~id:(vid 17) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "removal refused");
-  check Alcotest.int "one fewer" 49 (Balancer.vnode_count (Global_dht.balancer dht));
+  check Alcotest.int "one fewer" 49
+    (Balancer.vnode_count (Global_dht.balancer dht));
   check Alcotest.bool "vnode gone" false
     (Array.exists (fun v -> v.Vnode.id = vid 17) (Global_dht.vnodes dht));
   match Audit.check_global dht with
@@ -110,7 +111,9 @@ let test_removal_events_migrate_ownership () =
   List.iter
     (fun (_, dst, span) ->
       (* Every transferred span must now be routed to its new owner. *)
-      let span', owner = Point_map.find_point (Global_dht.map dht) (Span.start sp span) in
+      let span', owner =
+        Point_map.find_point (Global_dht.map dht) (Span.start sp span)
+      in
       if Span.equal span span' then
         check Alcotest.bool "routing updated" true (owner == dst))
     !transfers
