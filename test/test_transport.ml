@@ -611,12 +611,16 @@ let test_inflight_peer_coalesces () =
   in
   (match from0 with
   | [ (0., Wire.Req { seq = 0; payload = Wire.Busy { token = 0 } });
-      (t1, Wire.Req { seq = 1; payload = Wire.Batch [ Wire.Busy { token = 1 };
-                                                      Wire.Busy { token = 2 } ] }) ]
-    ->
+      ( t1,
+        Wire.Req
+          { seq = 1;
+            payload =
+              Wire.Batch [ Wire.Busy { token = 1 }; Wire.Busy { token = 2 } ]
+          } ) ] ->
       check (Alcotest.float 0.) "held one window" (1e-5 +. window) t1
   | l ->
-      Alcotest.failf "snode 0 sent %d envelopes, not a lone frame then one                       frame of two parts"
+      Alcotest.failf
+        "snode 0 sent %d envelopes, not a lone frame then one frame of two"
         (List.length l));
   match List.rev !(r.landed) with
   | [ (_, 1, 0); (a, 1, 1); (b, 1, 2) ] ->
@@ -641,9 +645,10 @@ let test_ack_rides_with_reply () =
       (fun (at, src, msg) -> if src = 1 then Some (at, msg) else None)
       (List.rev !(r.sent))
   with
-  | [ (at, Wire.Batch [ Wire.Ack { seq = 0; floor = 0 };
-                        Wire.Req { seq = 0; payload = Wire.Busy { token = 100 } } ]) ]
-    ->
+  | [ ( at,
+        Wire.Batch
+          [ Wire.Ack { seq = 0; floor = 0 };
+            Wire.Req { seq = 0; payload = Wire.Busy { token = 100 } } ] ) ] ->
       check (Alcotest.float 0.) "leaves when the payload lands" landed_at at
   | l ->
       Alcotest.failf "snode 1 sent %d envelopes, not one of ack and reply"
