@@ -521,9 +521,13 @@ and stage tr ep ~dst msg =
       ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
-  if not ob.ob_armed then
-    arm_flush tr ob
-      ~delay:(if tr.reliable && owes_nothing ep dst then 0. else tr.linger)
+  if not ob.ob_armed then arm_flush tr ob ~delay:(hold tr ep dst)
+
+(* How long a buffer toward [dst] holds its first part: the linger window
+   while [dst] owes [ep] an ack or there is no fault plan, else nothing
+   (Nagle's rule). *)
+and hold tr ep dst =
+  if tr.reliable && owes_nothing ep dst then 0. else tr.linger
 
 (* Nothing of [ep]'s is unacknowledged toward [dst]: no frame sits in its
    window, or no peer record exists yet. *)
@@ -959,11 +963,11 @@ let restart tr sid =
         settle ep p
       end)
     ep.peers;
-  (* Flush timers died with the crash; anything still staged goes out one
-     linger window from now, in the table's order. *)
+  (* Flush timers died with the crash; anything still staged is re-armed
+     by the hold rule [stage] uses, in the table's order. *)
   Itbl.iter
-    (fun _ ob ->
-      if ob.ob_parts <> [] then arm_flush tr ob ~delay:tr.linger)
+    (fun dst ob ->
+      if ob.ob_parts <> [] then arm_flush tr ob ~delay:(hold tr ep dst))
     ep.obufs
 
 (* ------------------------------------------------------------------ *)
