@@ -6,7 +6,7 @@
    - [quorum_overload]: the chaos scenario's degraded run at 2x capacity
      with one gray-failed snode;
    - [routing_scaling]: the O(log N) prefix-routing sweep;
-   - [anti_entropy]: full-digest vs Merkle-descent reconciliation cost;
+   - [anti_entropy]: flat leaf-exchange vs Merkle-descent reconciliation cost;
    - [quorum_skewed]: the active balancer's off/on acceptance run.
 
    Host throughput lives in perfbench/ (steady medians, per-layer kernels),
@@ -109,8 +109,9 @@ let routing_json () =
     (String.concat ",\n" (List.map run runs))
 
 (* ------------------------------------------------------------------ *)
-(* Anti-entropy: reconciliation cost of full-digest vs Merkle-descent   *)
-(* AE over a converged 2-replica store with a small planted divergence. *)
+(* Anti-entropy: reconciliation cost of a flat leaf exchange vs a       *)
+(* Merkle descent over a converged 2-replica store with a small planted *)
+(* divergence.                                                          *)
 
 type ae_mode = {
   rounds : int;
@@ -124,10 +125,11 @@ type ae_mode = {
 
 (* Both replicas are seeded with byte-identical cells (same origin stamp),
    [diverge] evenly spaced keys are overwritten fresh on one side, and
-   anti-entropy rounds run to convergence. Full mode
-   ([mt_threshold = max_int]) answers every digest mismatch by shipping
-   the whole span; Merkle mode ([mt_threshold = 0]) descends the hash tree
-   and ships only the differing cells. *)
+   anti-entropy rounds run to convergence. Flat mode
+   ([mt_threshold = max_int]) answers a root-frame mismatch with the key
+   list of the whole span; Merkle mode ([mt_threshold = 0]) descends the
+   hash tree to the divergent leaves first. Both ship only the differing
+   cells. *)
 let ae_run ~keys ~diverge ~merkle =
   let rt =
     R.create ~pmin:8
@@ -160,8 +162,7 @@ let ae_run ~keys ~diverge ~merkle =
         !rounds)
   in
   let ae_tag tag =
-    tag = "repl:digest" || tag = "repl:sync-request" || tag = "repl:sync"
-    || tag = "ae-request"
+    tag = "repl:sync" || tag = "ae-request"
     || (String.length tag >= 3 && String.sub tag 0 3 = "mt:")
   in
   let messages, bytes_total, bytes_cells =
@@ -186,12 +187,12 @@ let mode_json m =
   Printf.sprintf
     "{\"rounds\": %d, \"converged\": %b, \"messages\": %d, \
      \"bytes_total\": %d, \"bytes_control\": %d, \"bytes_cells\": %d, \
-     \"digests\": %d, \"tree_roots\": %d, \"tree_frames\": %d, \
+     \"tree_roots\": %d, \"tree_frames\": %d, \
      \"divergent_leaves\": %d, \"cells_shipped\": %d, \
      \"cpu_seconds\": %.6f}"
     m.rounds m.converged m.messages m.bytes_total
     (m.bytes_total - m.bytes_cells)
-    m.bytes_cells m.stats.R.ae_digests m.stats.R.ae_roots m.stats.R.ae_frames
+    m.bytes_cells m.stats.R.ae_roots m.stats.R.ae_frames
     m.stats.R.ae_leaves m.stats.R.ae_keys_sent m.cpu
 
 (* The 1M point dominates this block's wall time, so BENCH_AE_KEYS trims
@@ -202,19 +203,19 @@ let anti_entropy_json () =
     timed (fun () ->
         List.map
           (fun keys ->
-            let full = ae_run ~keys ~diverge ~merkle:false in
-            (keys, full, ae_run ~keys ~diverge ~merkle:true))
+            let flat = ae_run ~keys ~diverge ~merkle:false in
+            (keys, flat, ae_run ~keys ~diverge ~merkle:true))
           (sizes_from_env "BENCH_AE_KEYS" [ 10_000; 1_000_000 ]))
   in
-  let point (keys, full, merkle) =
+  let point (keys, flat, merkle) =
     Printf.sprintf
       "    \"n%d\": {\"keys\": %d, \"divergent\": %d,\n\
-      \      \"full\": %s,\n\
+      \      \"flat\": %s,\n\
       \      \"merkle\": %s,\n\
       \      \"byte_reduction\": %.2f}"
-      keys keys diverge (mode_json full) (mode_json merkle)
+      keys keys diverge (mode_json flat) (mode_json merkle)
       (if merkle.bytes_total > 0 then
-         float_of_int full.bytes_total /. float_of_int merkle.bytes_total
+         float_of_int flat.bytes_total /. float_of_int merkle.bytes_total
        else 0.)
   in
   Printf.sprintf "{\n    \"replicas\": 2,\n    \"cpu_seconds\": %.6f,\n%s\n  }"

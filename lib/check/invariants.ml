@@ -210,8 +210,8 @@ let check_runtime rt =
 
 (* Hash-tree consistency: every live snode's snapshot tree must be
    structurally sound and reproduce the flat scan digest for every
-   replicated partition span — the predicate that keeps tree frames and
-   legacy digests interchangeable on the anti-entropy wire. *)
+   replicated partition span, the digest an anti-entropy root frame
+   carries. *)
 let check_merkle rt =
   List.map (fun detail -> { inv = "MERKLE"; detail }) (Runtime.merkle_audit rt)
 

@@ -75,14 +75,14 @@ let kv ?(name = "kv") ?(protect = true) ?(snodes = 5) ?(vnodes = 3) ?(grow = 2)
   { Explorer.name; build; drive; verify }
 
 (* Merkle anti-entropy reconciliation under perturbation: the cluster
-   runs with [mt_threshold = 0] (every span opens a tree descent — no
-   flat-digest fallback to hide behind) and a tiny leaf cap so even the
-   small keyset produces real multi-level descents. Divergence is
-   manufactured with the [plant] oracle on keys disjoint from the
-   workload (and stamped near time zero), so the linearizability and
-   durability checkers never see them; two reconciliation rounds then
-   run with [Mt_*] frames exposed to the explorer's defer/sink/crash
-   perturbations. The verifier demands the invariant battery, hash-tree
+   runs with [mt_threshold = 0] (every non-empty span descends the tree;
+   an empty span's root frame is answered as a leaf) and a tiny leaf cap
+   so even the small keyset produces real multi-level descents.
+   Divergence is manufactured with the [plant] oracle on keys disjoint
+   from the workload (and stamped near time zero), so the
+   linearizability and durability checkers never see them; two
+   reconciliation rounds then run with [Mt_*] frames exposed to the
+   explorer's defer/sink/crash perturbations. The verifier demands the invariant battery, hash-tree
    consistency and the full linearizability suite stay clean — planted
    cells may still be mid-reconciliation when a perturbation starved a
    round, but nothing may ever be corrupted or lost. *)

@@ -7,8 +7,8 @@
     order-insensitive digest — the [lxor] of its members' per-cell
     digests — plus an exact key count. Because the digest is an XOR fold,
     an interior hash is always [left lxor right] and the root digest of a
-    tree equals the flat fold a full scan would produce, which is what
-    lets anti-entropy mix tree frames with legacy span digests.
+    tree equals the flat fold a full scan would produce, so a root frame
+    is the span's digest.
 
     The payload type ['a] is opaque to the tree (the runtime stores
     whole versioned cells so divergent leaves can be shipped without

@@ -1046,9 +1046,10 @@ and finish_range t sn st =
 
 (* Probe every replica map entry covering [spans] where we are the
    primary, toward each other replica or only [target] (the recovery path
-   behind [Ae_request]). Replicas whose frame differs either pull a
-   full-span sync (legacy) or walk the tree down to the divergent leaves;
-   {!Store.answer} carries both exchanges. *)
+   behind [Ae_request]). Replicas whose frame differs walk the tree down
+   to the divergent leaves, or, for a span of at most [mt_threshold]
+   cells, answer the root frame as a leaf; {!Store.answer} carries the
+   exchange. *)
 and ae_push t sn ?target spans =
   let probes =
     List.concat_map
@@ -1384,9 +1385,8 @@ and handle t sn ~from msg =
         t.hints_flushed <- t.hints_flushed + 1
       end
   | Wire.Repl_repair { key; point; cell } -> accept t sn ~kind:`Repl ~point ~key cell
-  | Wire.Repl_digest _ | Wire.Repl_sync_request _ | Wire.Repl_sync _
-  | Wire.Mt_root _ | Wire.Mt_request _ | Wire.Mt_frames _ | Wire.Mt_leaf _
-  | Wire.Mt_want _ ->
+  | Wire.Repl_sync _ | Wire.Mt_root _ | Wire.Mt_request _ | Wire.Mt_frames _
+  | Wire.Mt_leaf _ | Wire.Mt_want _ ->
       List.iter
         (send t ~src:sn.sid ~dst:from)
         (Store.answer t.store sn.sid ~from ~synced:(charge_cell t sn ~kind:`Repl) msg)
@@ -1528,9 +1528,9 @@ let restart_snode t sid =
     done;
     (* Pull fresh copies of the LPDRs no in-flight commit will refresh. *)
     run t sn Handover.Restart;
-    (* Catch up on writes missed while down: ask every peer to digest-push
-       the partitions we replicate (hinted copies arrive through the
-       reliable layer on their own). *)
+    (* Catch up on writes missed while down: ask every peer to push root
+       frames for the partitions we replicate (hinted copies arrive
+       through the reliable layer on their own). *)
     if t.rfactor > 1 then
       Array.iter
         (fun peer ->
@@ -2351,7 +2351,6 @@ let replica_divergence t =
   List.rev !findings
 
 type ae_stats = Store.ae_stats = {
-  ae_digests : int;
   ae_roots : int;
   ae_requests : int;
   ae_frames : int;

@@ -165,12 +165,12 @@ val create :
     latency, one hop) is the recommended window; the CLI and benchmarks
     default to it.
 
-    [mt_threshold] (default 128) selects the anti-entropy protocol per
-    partition span: a span whose snapshot holds at most [mt_threshold]
-    keys is pushed as a legacy flat {!Wire.Repl_digest} (byte-identical
-    to the pre-tree protocol at seed scale), a larger one opens a
-    Merkle descent with {!Wire.Mt_root}. [0] forces the tree protocol
-    everywhere; [max_int] disables it. [mt_leaf] (default 16) bounds
+    Anti-entropy pushes each partition span as a {!Wire.Mt_root} and a
+    divergent receiver walks the hash tree down to the differing leaves.
+    [mt_threshold] (default 128) skips that descent for a span whose
+    snapshot holds at most [mt_threshold] keys: its receiver answers the
+    root frame as a leaf, in one key exchange. [0] forces a full descent
+    everywhere; [max_int] never descends. [mt_leaf] (default 16) bounds
     the keys per hash-tree bucket.
 
     Passing [metrics] registers latency/hop histograms in the registry
@@ -401,10 +401,11 @@ val peek : t -> key:string -> string option
     fault-free quorum read would return. *)
 
 val anti_entropy : t -> unit
-(** Schedule one anti-entropy round: every live snode digest-pushes each
-    partition it owns to the partition's other replicas (divergent
-    replicas pull a full-span sync, merged by last-writer-wins in both
-    directions), and routes cells it holds for partitions it no longer
+(** Schedule one anti-entropy round: every live snode pushes the root
+    frame of each partition it owns to the partition's other replicas
+    (divergent replicas reconcile down to the differing keys, and exactly
+    their symmetric difference crosses the wire, merged by
+    last-writer-wins), and routes cells it holds for partitions it no longer
     replicates back to their owner. A no-op when [rfactor = 1]. Drive the
     engine with {!run} afterwards; the round is not self-rescheduling, so
     the event queue still drains. *)
@@ -444,8 +445,7 @@ val merkle_audit : t -> string list
       recomputable from children, counts additive, shape canonical), and
       the live tree must equal the rebuild;
     - the tree's frame for every replicated partition span must equal
-      the flat scan digest of that span — the property that lets
-      anti-entropy mix tree frames with legacy digests.
+      the flat scan digest of that span.
     Side-effect free: the anti-entropy snapshot an in-flight descent reads
     is left untouched, so auditing never changes what is exchanged.
     Empty when consistent. *)
@@ -456,8 +456,7 @@ val replica_divergence : t -> string list
     converged (given quiesced traffic). *)
 
 type ae_stats = Store.ae_stats = {
-  ae_digests : int;  (** legacy flat digests pushed (spans at or under the threshold) *)
-  ae_roots : int;  (** Merkle root frames pushed *)
+  ae_roots : int;  (** root frames pushed, one per probed span *)
   ae_requests : int;  (** descent rounds: [Mt_request] messages sent *)
   ae_frames : int;  (** child frames served by owners *)
   ae_leaves : int;  (** divergent buckets resolved by key exchange *)
@@ -465,8 +464,7 @@ type ae_stats = Store.ae_stats = {
 }
 
 val ae_stats : t -> ae_stats
-(** Anti-entropy protocol counters, both the legacy flat-digest and the
-    Merkle-descent paths. *)
+(** Anti-entropy protocol counters. *)
 
 (** {2 Heat and health exports} *)
 

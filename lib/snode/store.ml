@@ -33,8 +33,8 @@ type node = {
   replicas : table;
   (* Live hash tree over every cell the snode holds, owner partitions and
      replica copies alike, kept in step with the tables by [hold] and
-     [drop]. It answers span digests, span scans and range legs, and AE
-     snapshots are O(1) copies of it. Built lazily on first read, dropped
+     [drop]. It answers span digests and range legs, and AE snapshots
+     are O(1) copies of it. Built lazily on first read, dropped
      when the writes since its last read outnumber its cells (a rebuild
      on next use is then cheaper than upkeep). Soft state, like [mtree]. *)
   mutable live : Versioned.cell Merkle.t option;
@@ -54,8 +54,7 @@ type node = {
 }
 
 type ae_stats = {
-  ae_digests : int;  (* legacy full-span digests pushed *)
-  ae_roots : int;  (* hash-tree descents opened (Mt_root sent) *)
+  ae_roots : int;  (* span probes pushed (Mt_root sent) *)
   ae_requests : int;  (* descent rounds (Mt_request messages) *)
   ae_frames : int;  (* child frames shipped in Mt_frames *)
   ae_leaves : int;  (* divergent leaves key-listed (Mt_leaf) *)
@@ -65,9 +64,9 @@ type ae_stats = {
 type t = {
   space : Space.t;
   mt_threshold : int;
-      (* anti-entropy protocol switch: a span probe whose local cell count
-         is <= this goes out as a legacy full-span digest; above it the
-         pusher opens a hash-tree descent. [max_int] disables the trees. *)
+      (* a pushed span holding at most this many cells skips the descent:
+         its receiver answers the root frame as a leaf. [max_int] never
+         descends. *)
   mt_leaf : int;  (* hash-tree bucket capacity *)
   owner : int -> int -> table;  (* owning partition's table; Not_found *)
   tables : int -> (Vnode_id.t -> table -> unit) -> unit;  (* in table order *)
@@ -101,7 +100,6 @@ let create ~space ~mt_threshold ~mt_leaf ~snodes ~owner ~tables =
     orphans = 0;
     ae =
       {
-        ae_digests = 0;
         ae_roots = 0;
         ae_requests = 0;
         ae_frames = 0;
@@ -231,8 +229,7 @@ let replica_bindings st sid = bindings st.nodes.(sid).replicas
 
 (* Every held cell as a [Merkle.build] tuple. The per-cell digest is
    [Versioned.digest] and tree hashes combine by XOR, so a tree frame for
-   any span equals the flat digest a scan of that span would fold. That
-   keeps tree frames and legacy digests interchangeable on the wire. *)
+   any span equals the flat digest a scan of that span would fold. *)
 let held_cells st sid =
   let cells = ref [] in
   let consider key s =
@@ -257,12 +254,6 @@ let live_tree st sid =
       let tree = build st (held_cells st sid) in
       n.live <- Some tree;
       tree
-
-(* Every cell held whose key hashes into [span], sorted by key: hash-table
-   order depends on insertion history, which differs between owner and
-   replica. *)
-let span_cells st sid span =
-  List.map (fun (k, _, c) -> (k, c)) (Merkle.entries_at (live_tree st sid) span)
 
 (* Order-insensitive digest of [span]: cell count and XOR-folded per-cell
    hashes. Two snodes agree iff they hold the same cells for the span. *)
@@ -299,26 +290,18 @@ let mtree_for_round st sid ~owner ~round =
     ignore (snapshot st sid)
   end
 
-(* Owner-side probe of one partition span. Tiny spans go out as a legacy
-   full-span digest (so seed-scale traffic is byte-identical to the
-   pre-tree protocol); anything above [mt_threshold] opens a hash-tree
-   descent instead. Both frames are cut from the round's snapshot. *)
+(* Owner-side probe of one partition span: its root frame, cut from the
+   round's snapshot. *)
 let probe st sid span =
   let f = Merkle.frame_at (mtree st sid) span in
-  if f.Merkle.f_count <= st.mt_threshold then begin
-    st.ae <- { st.ae with ae_digests = st.ae.ae_digests + 1 };
-    Wire.Repl_digest { span; count = f.Merkle.f_count; vhash = f.Merkle.f_hash }
-  end
-  else begin
-    st.ae <- { st.ae with ae_roots = st.ae.ae_roots + 1 };
-    Wire.Mt_root
-      {
-        round = st.nodes.(sid).ae_round;
-        span;
-        count = f.Merkle.f_count;
-        vhash = f.Merkle.f_hash;
-      }
-  end
+  st.ae <- { st.ae with ae_roots = st.ae.ae_roots + 1 };
+  Wire.Mt_root
+    {
+      round = st.nodes.(sid).ae_round;
+      span;
+      count = f.Merkle.f_count;
+      vhash = f.Merkle.f_hash;
+    }
 
 (* Every push opens a fresh round: a probe cut from an older snapshot
    could miss cells that arrived since (a seeding push right after a
@@ -363,53 +346,26 @@ let sync_reply st cells span =
   if cells = [] then []
   else begin
     st.ae <- { st.ae with ae_keys_sent = st.ae.ae_keys_sent + List.length cells };
-    [ Wire.Repl_sync { span; cells; reply = false } ]
+    [ Wire.Repl_sync { span; cells } ]
   end
 
 let answer st sid ~from ~synced msg =
   match msg with
-  | Wire.Repl_digest { span; count; vhash } ->
-      let my_count, my_vhash = digest st sid span in
-      if my_count <> count || my_vhash <> vhash then
-        [ Wire.Repl_sync_request { span } ]
-      else []
-  | Wire.Repl_sync_request { span } ->
-      let cells = span_cells st sid span in
-      st.ae <- { st.ae with ae_keys_sent = st.ae.ae_keys_sent + List.length cells };
-      [ Wire.Repl_sync { span; cells; reply = true } ]
-  | Wire.Repl_sync { span; cells; reply } ->
-      let fresher = ref [] in
+  | Wire.Repl_sync { cells; _ } ->
       List.iter
         (fun (key, cell) ->
           let point = Hash.string st.space key in
-          let tbl = table_for st sid point in
-          (match find tbl key with
-          | Some mine
-            when Versioned.newer mine.Versioned.version cell.Versioned.version
-            ->
-              if reply then fresher := (key, mine) :: !fresher
-          | _ -> ());
-          if hold st tbl ~point ~key cell then begin
+          if hold st (table_for st sid point) ~point ~key cell then begin
             synced ~point ~key cell;
             st.sync_cells <- st.sync_cells + 1
           end)
         cells;
-      (* Bidirectional repair: ship back anything we hold strictly fresher
-         (or that the sender is missing entirely). *)
-      if reply then begin
-        let theirs = Stbl.create (List.length cells + 1) in
-        List.iter (fun (key, _) -> Stbl.replace theirs key ()) cells;
-        List.iter
-          (fun (key, cell) ->
-            if not (Stbl.mem theirs key) then
-              fresher := (key, cell) :: !fresher)
-          (span_cells st sid span);
-        sync_reply st (List.rev !fresher) span
-      end
-      else []
+      []
   | Wire.Mt_root { round; span; count; vhash } ->
+      (* A span at or under the threshold skips the descent: a divergent
+         one resolves in a single leaf exchange. *)
       mtree_for_round st sid ~owner:from ~round;
-      descend st sid [ (span, count, vhash, false) ]
+      descend st sid [ (span, count, vhash, count <= st.mt_threshold) ]
   | Wire.Mt_request { spans } ->
       (* Pusher side of one descent round: answer each divergent span
          with its two children's frames (or its own, marked leaf, when
@@ -545,7 +501,6 @@ let record_metrics st reg =
   let c name v = Registry.inc (Registry.counter reg name) v in
   c "runtime.repl.sync.cells" st.sync_cells;
   c "runtime.repl.sync.orphans" st.orphans;
-  c "runtime.ae.digests" st.ae.ae_digests;
   c "runtime.ae.roots" st.ae.ae_roots;
   c "runtime.ae.requests" st.ae.ae_requests;
   c "runtime.ae.frames" st.ae.ae_frames;

@@ -9,13 +9,12 @@
     - {b the live hash tree}: one {!Dht_merkle.Merkle} tree per snode
       over every cell it holds, kept in step with the tables by the only
       functions that can change them, so it always equals a rebuild over
-      the tables ({!audit}). It answers span digests, span scans and
-      range legs;
+      the tables ({!audit}). It answers span digests and range legs;
     - {b anti-entropy}: per-snode push rounds, each cutting its probes
       from a fresh snapshot of the live tree ({!push}), and the frame
-      protocol that answers them ({!answer}): legacy full-span digests
-      and syncs at or below [mt_threshold] cells, hash-tree descents to
-      the divergent leaves above it.
+      protocol that answers them ({!answer}): a hash-tree descent to the
+      divergent leaves, skipped for a span of at most [mt_threshold]
+      cells, whose root frame is answered as a leaf.
 
     The live tree, the snapshot and the per-peer round markers are soft
     state ({!crash}); the tables and the push-round counter are durable.
@@ -104,10 +103,8 @@ val range : t -> int -> lo:int -> hi:int -> (string * Dht_kv.Versioned.cell) lis
 
 val push : t -> int -> (int * Span.t) list -> (int * Wire.msg) list
 (** Open a new push round on snode [sid], from a fresh snapshot of its
-    live tree, and cut one probe per [(destination, span)] from it: a
-    {!Wire.Repl_digest} for a span holding at most [mt_threshold] cells,
-    else a {!Wire.Mt_root} opening a hash-tree descent. No probe is ever
-    cut from an older snapshot. *)
+    live tree, and cut one {!Wire.Mt_root} per [(destination, span)] from
+    it. No probe is ever cut from an older snapshot. *)
 
 val answer :
   t ->
@@ -117,10 +114,9 @@ val answer :
   Wire.msg ->
   Wire.msg list
 (** Snode [sid]'s answer to one anti-entropy message from [from]
-    ([Repl_digest], [Repl_sync_request], [Repl_sync], [Mt_root],
-    [Mt_request], [Mt_frames], [Mt_leaf] or [Mt_want]): its replies to
-    [from], in send order. [synced ~point ~key cell] runs right after a
-    sync freshened a held cell.
+    ([Repl_sync], [Mt_root], [Mt_request], [Mt_frames], [Mt_leaf] or
+    [Mt_want]): its replies to [from], in send order. [synced ~point ~key
+    cell] runs right after a sync freshened a held cell.
     @raise Invalid_argument on any other message. *)
 
 val crash : t -> int -> unit
@@ -137,14 +133,12 @@ val audit : t -> int -> rmap:int list Point_map.t -> string list
       held, must pass {!Dht_merkle.Merkle.check}, and the live tree must
       equal the rebuild;
     - the tree's frame for every span of [rmap] must equal the flat scan
-      digest of that span, which lets anti-entropy mix tree frames with
-      legacy digests.
+      digest of that span.
     Side-effect free: the snapshot an in-flight descent reads is left
     untouched. Empty when consistent. *)
 
 type ae_stats = {
-  ae_digests : int;  (** legacy flat digests pushed *)
-  ae_roots : int;  (** Merkle root frames pushed *)
+  ae_roots : int;  (** root frames pushed, one per probed span *)
   ae_requests : int;  (** descent rounds: [Mt_request] messages sent *)
   ae_frames : int;  (** child frames served by owners *)
   ae_leaves : int;  (** divergent buckets resolved by key exchange *)
@@ -161,5 +155,5 @@ val orphans : t -> int
 
 val record_metrics : t -> Dht_telemetry.Registry.t -> unit
 (** Add the counters [runtime.repl.sync.cells], [runtime.repl.sync.orphans]
-    and [runtime.ae.digests], [.roots], [.requests], [.frames], [.leaves],
+    and [runtime.ae.roots], [.requests], [.frames], [.leaves] and
     [.keys_sent]. *)

@@ -85,13 +85,7 @@ type msg =
   | Hint_flush of { key : string; point : int; cell : Versioned.cell }
   | Hint_ack of { key : string }
   | Repl_repair of { key : string; point : int; cell : Versioned.cell }
-  | Repl_digest of { span : Span.t; count : int; vhash : int }
-  | Repl_sync_request of { span : Span.t }
-  | Repl_sync of {
-      span : Span.t;
-      cells : (string * Versioned.cell) list;
-      reply : bool;
-    }
+  | Repl_sync of { span : Span.t; cells : (string * Versioned.cell) list }
   | Ae_request
   | Mt_root of { round : int; span : Span.t; count : int; vhash : int }
       (* tree-descent opener: the pusher's root frame for one partition
@@ -223,8 +217,6 @@ let rec size_bytes = function
   | Hint_ack { key } -> envelope + String.length key
   | Repl_repair { key; cell; _ } ->
       envelope + String.length key + Versioned.size_bytes cell
-  | Repl_digest _ -> envelope + (2 * per_entry)
-  | Repl_sync_request _ -> envelope + per_entry
   | Repl_sync { cells; _ } -> envelope + per_entry + cells_size cells
   | Ae_request -> envelope
   | Mt_root _ -> envelope + (3 * per_entry)
@@ -295,8 +287,6 @@ let rec describe = function
   | Hint_flush _ -> "repl:hint-flush"
   | Hint_ack _ -> "repl:hint-ack"
   | Repl_repair _ -> "repl:repair"
-  | Repl_digest _ -> "repl:digest"
-  | Repl_sync_request _ -> "repl:sync-request"
   | Repl_sync _ -> "repl:sync"
   | Ae_request -> "ae-request"
   | Mt_root _ -> "mt:root"
@@ -344,8 +334,6 @@ and req_tag = function
   | Hint_flush _ -> "req:repl:hint-flush"
   | Hint_ack _ -> "req:repl:hint-ack"
   | Repl_repair _ -> "req:repl:repair"
-  | Repl_digest _ -> "req:repl:digest"
-  | Repl_sync_request _ -> "req:repl:sync-request"
   | Repl_sync _ -> "req:repl:sync"
   | Ae_request -> "req:ae-request"
   | Mt_root _ -> "req:mt:root"

@@ -142,29 +142,20 @@ type msg =
   | Repl_repair of { key : string; point : int; cell : Versioned.cell }
       (** read repair: the freshest cell seen by a quorum read, pushed to
           the repliers that returned stale or missing data (no reply) *)
-  | Repl_digest of { span : Span.t; count : int; vhash : int }
-      (** anti-entropy probe from a partition's owner: cell count and
-          XOR-folded {!Versioned.digest} of the span; a replica whose own
-          digest differs answers with {!Repl_sync_request} *)
-  | Repl_sync_request of { span : Span.t }
-  | Repl_sync of {
-      span : Span.t;
-      cells : (string * Versioned.cell) list;
-      reply : bool;
-    }
-      (** full-span cell exchange; the receiver merges by LWW and, when
-          [reply], answers with its strictly-fresher cells ([reply =
-          false]) so repair is bidirectional *)
+  | Repl_sync of { span : Span.t; cells : (string * Versioned.cell) list }
+      (** anti-entropy cell shipment inside [span]; the receiver merges
+          each cell by LWW and answers nothing *)
   | Ae_request
-      (** broadcast by a recovering snode: please digest-push every
-          partition whose replica set includes me *)
+      (** broadcast by a recovering snode: please push an {!Mt_root} for
+          every partition whose replica set includes me *)
   | Mt_root of { round : int; span : Span.t; count : int; vhash : int }
-      (** Merkle anti-entropy opener from a partition's owner: the root
-          frame of the owner's hash tree restricted to [span]. [round]
-          stamps the owner's tree snapshot so the receiver rebuilds its
-          own snapshot exactly once per reconciliation round. A receiver
-          whose frame matches stays silent; otherwise it descends with
-          {!Mt_request}. *)
+      (** anti-entropy opener from a partition's owner: the root frame of
+          the owner's hash tree restricted to [span]. [round] stamps the
+          owner's tree snapshot so the receiver rebuilds its own snapshot
+          exactly once per reconciliation round. A receiver whose frame
+          matches stays silent; otherwise it descends with {!Mt_request},
+          or, when [count] is at most the runtime's [mt_threshold],
+          answers at once with its {!Mt_leaf}. *)
   | Mt_request of { spans : Span.t list }
       (** tree descent: the receiver asks the owner for the child frames
           of each divergent span *)
@@ -176,12 +167,12 @@ type msg =
   | Mt_leaf of { span : Span.t; keys : (string * int) list }
       (** divergent-bucket resolution: [(key, digest)] of every cell the
           sender holds inside [span]. The receiver ships cells the sender
-          lacks or holds stale ({!Repl_sync} with [reply = false]) and
+          lacks or holds stale ({!Repl_sync}) and
           asks for the rest with {!Mt_want} — so exactly the symmetric
           difference crosses the wire. *)
   | Mt_want of { span : Span.t; keys : string list }
       (** the receiver of an {!Mt_leaf} requests the cells it lacks;
-          answered with {!Repl_sync} ([reply = false]) *)
+          answered with {!Repl_sync} *)
   | Range_get of { token : int; lo : int; hi : int }
       (** range-read probe: please answer with every cell whose hash
           point falls in [[lo, hi)] restricted to the partitions this

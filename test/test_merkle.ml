@@ -534,7 +534,6 @@ let interleaved_run ~audit =
   let net = Runtime.network rt in
   let s = Runtime.ae_stats rt in
   ( [
-      s.Runtime.ae_digests;
       s.Runtime.ae_roots;
       s.Runtime.ae_requests;
       s.Runtime.ae_frames;
@@ -547,14 +546,16 @@ let interleaved_run ~audit =
 let test_wire_identity_pin () =
   (* Pinned to the values the whole-store-rebuild implementation produced
      on this exact run: snapshots of the live tree must reproduce every
-     anti-entropy frame, so every message and byte. *)
+     anti-entropy frame, so every message and byte, except that each of
+     the run's 72 empty-span probes is a root frame, one entry (16 bytes)
+     larger than the flat digest that implementation sent. *)
   let ae, (msgs, bytes), ranges = interleaved_run ~audit:false in
   check
     Alcotest.(list int)
-    "ae_stats (digests roots requests frames leaves keys_sent)"
-    [ 72; 752; 88; 176; 57; 40 ] ae;
+    "ae_stats (roots requests frames leaves keys_sent)"
+    [ 824; 88; 176; 57; 40 ] ae;
   check Alcotest.int "messages" 9427 msgs;
-  check Alcotest.int "bytes" 896604 bytes;
+  check Alcotest.int "bytes" 897756 bytes;
   check Alcotest.int "every range read completed" 8 ranges
 
 let test_audit_is_transparent () =
@@ -566,14 +567,18 @@ let test_audit_is_transparent () =
   check Alcotest.(list int) "ae_stats" (ae quiet) (ae audited);
   check Alcotest.(pair int int) "messages and bytes" (wire quiet) (wire audited)
 
-(* Seed-scale behaviour is unchanged: under the default threshold a small
-   cluster's anti-entropy emits only legacy digests — not one tree frame
-   on the wire. *)
-let test_threshold_fallback () =
+(* Under the default threshold a seed-scale span skips the descent: its
+   receiver answers the root frame as a leaf, so a divergent span
+   reconciles in one leaf exchange and ships exactly the symmetric
+   difference (the planted cell, to each of the two replicas lacking
+   it). A two-key leaf cap makes every span of more than two cells an
+   interior frame, so without the threshold these spans would descend. *)
+let test_small_span_leaf_exchange () =
   let rt =
     Runtime.create ~pmin:8
       ~approach:(Runtime.Local { vmin = 2 })
-      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~snodes:4 ~seed:11 ()
+      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~mt_leaf:2 ~snodes:4 ~seed:11
+      ()
   in
   for k = 0 to 29 do
     Runtime.put rt ~via:(k mod 4)
@@ -590,13 +595,12 @@ let test_threshold_fallback () =
   Runtime.anti_entropy rt;
   Runtime.run rt;
   let s = Runtime.ae_stats rt in
-  check Alcotest.bool "legacy digests flowed" true (s.Runtime.ae_digests > 0);
-  check Alcotest.int "no tree roots" 0 s.Runtime.ae_roots;
-  let mt_msgs, mt_bytes = mt_tag_stats rt in
-  check Alcotest.int "no mt messages" 0 mt_msgs;
-  check Alcotest.int "no mt bytes" 0 mt_bytes;
-  check Alcotest.(list string) "still converges" []
-    (Runtime.replica_divergence rt)
+  check Alcotest.(list string) "converges" [] (Runtime.replica_divergence rt);
+  check Alcotest.int "no descent round" 0 s.Runtime.ae_requests;
+  check Alcotest.int "no child frame" 0 s.Runtime.ae_frames;
+  check Alcotest.bool "leaf exchanges ran" true (s.Runtime.ae_leaves > 0);
+  check Alcotest.int "cells shipped = symmetric difference" 2
+    s.Runtime.ae_keys_sent
 
 (* --- range reads --- *)
 
@@ -770,12 +774,12 @@ let prop_range_mid_churn =
             (fun (k, v) -> Runtime.peek rt ~key:k = Some v)
             result)
 
-(* --- hinted handoff must still drain with full-digest AE disabled --- *)
+(* --- hinted handoff must still drain under a full tree descent --- *)
 
 let test_hint_drain_under_tree_protocol () =
   (* The restart broadcast (Ae_request) is what re-offers parked hints;
-     with [mt_threshold = 0] the recovery push answers with tree frames
-     instead of flat digests, and the hints must drain all the same. *)
+     with [mt_threshold = 0] the recovery push descends the hash tree
+     for every non-empty span, and the hints must drain all the same. *)
   let faults = Runtime.Fault.create ~seed:9 () in
   let rt =
     Runtime.create ~faults ~rfactor:3 ~read_quorum:2 ~write_quorum:2
@@ -799,9 +803,6 @@ let test_hint_drain_under_tree_protocol () =
   let s = Runtime.repl_stats rt in
   check Alcotest.int "every hint drained under the tree protocol"
     s.Runtime.hints_stored s.Runtime.hints_flushed;
-  (* Empty spans still answer with a zero legacy digest even at
-     [mt_threshold = 0], so assert the tree protocol engaged rather than
-     that no digest ever flowed. *)
   let ae = Runtime.ae_stats rt in
   check Alcotest.bool "tree protocol engaged" true (ae.Runtime.ae_roots > 0);
   let wrong = ref 0 in
@@ -872,8 +873,9 @@ let suite =
     to_alcotest prop_range_query;
     to_alcotest prop_live_tree_sweep;
     to_alcotest prop_reconciliation;
-    Alcotest.test_case "default threshold keeps seed-scale AE legacy" `Quick
-      test_threshold_fallback;
+    Alcotest.test_case
+      "a span at or under the threshold reconciles in one leaf exchange"
+      `Quick test_small_span_leaf_exchange;
     Alcotest.test_case "live-tree snapshots keep AE traffic byte-identical"
       `Quick test_wire_identity_pin;
     Alcotest.test_case "merkle_audit mid-descent changes no traffic" `Quick

@@ -95,30 +95,28 @@ let canonical = function
   | Wire.Hint_flush _ -> 22
   | Wire.Hint_ack _ -> 23
   | Wire.Repl_repair _ -> 24
-  | Wire.Repl_digest _ -> 25
-  | Wire.Repl_sync_request _ -> 26
-  | Wire.Repl_sync _ -> 27
-  | Wire.Ae_request -> 28
-  | Wire.Req _ -> 29
-  | Wire.Ack _ -> 30
-  | Wire.Lpdr_pull _ -> 31
-  | Wire.Lpdr_push _ -> 32
-  | Wire.Batch _ -> 33
-  | Wire.Busy _ -> 34
-  | Wire.Traced _ -> 35
-  | Wire.Lb_report _ -> 36
-  | Wire.Lb_proposal _ -> 37
-  | Wire.Lb_transfer _ -> 38
-  | Wire.Lb_swap _ -> 39
-  | Wire.Mt_root _ -> 40
-  | Wire.Mt_request _ -> 41
-  | Wire.Mt_frames _ -> 42
-  | Wire.Mt_leaf _ -> 43
-  | Wire.Mt_want _ -> 44
-  | Wire.Range_get _ -> 45
-  | Wire.Range_reply _ -> 46
+  | Wire.Repl_sync _ -> 25
+  | Wire.Ae_request -> 26
+  | Wire.Req _ -> 27
+  | Wire.Ack _ -> 28
+  | Wire.Lpdr_pull _ -> 29
+  | Wire.Lpdr_push _ -> 30
+  | Wire.Batch _ -> 31
+  | Wire.Busy _ -> 32
+  | Wire.Traced _ -> 33
+  | Wire.Lb_report _ -> 34
+  | Wire.Lb_proposal _ -> 35
+  | Wire.Lb_transfer _ -> 36
+  | Wire.Lb_swap _ -> 37
+  | Wire.Mt_root _ -> 38
+  | Wire.Mt_request _ -> 39
+  | Wire.Mt_frames _ -> 40
+  | Wire.Mt_leaf _ -> 41
+  | Wire.Mt_want _ -> 42
+  | Wire.Range_get _ -> 43
+  | Wire.Range_reply _ -> 44
 
-let constructor_count = 47
+let constructor_count = 45
 
 (* The same message with a strictly larger variable-size payload, or the
    message itself when the constructor is fixed-size. Also wildcard-free,
@@ -158,8 +156,6 @@ let inflate = function
   | Wire.Hint_flush h -> Wire.Hint_flush { h with cell = cell big }
   | Wire.Hint_ack _ -> Wire.Hint_ack { key = big }
   | Wire.Repl_repair r -> Wire.Repl_repair { r with cell = cell big }
-  | Wire.Repl_digest _ as m -> m
-  | Wire.Repl_sync_request _ as m -> m
   | Wire.Repl_sync s ->
       Wire.Repl_sync { s with cells = ("extra", cell big) :: s.cells }
   | Wire.Ae_request as m -> m
@@ -230,9 +226,7 @@ let all_messages =
     Wire.Hint_flush { key = "k"; point = 5; cell = cell "v" };
     Wire.Hint_ack { key = "k" };
     Wire.Repl_repair { key = "k"; point = 5; cell = cell "v" };
-    Wire.Repl_digest { span = Span.root; count = 3; vhash = 0x5ca1e };
-    Wire.Repl_sync_request { span = Span.root };
-    Wire.Repl_sync { span = Span.root; cells = [ ("k", cell "v") ]; reply = true };
+    Wire.Repl_sync { span = Span.root; cells = [ ("k", cell "v") ] };
     Wire.Ae_request;
     Wire.Req { seq = 9; payload = Wire.All_received { event = 3 } };
     Wire.Ack { seq = 9; floor = 9 };
