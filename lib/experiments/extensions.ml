@@ -1219,23 +1219,14 @@ let routing_scaling ?vnodes ?(route_cap = 128) ?(max_hops = 32)
   let hist = Dht_check.History.create () in
   Dht_check.History.attach hist rt;
   let engine = Runtime.engine rt in
-  (* Grow the cluster as one paced phase with periodic steward
-     refreshes armed across the whole growth window. All three knobs
-     matter: against cold stewards a flood of simultaneous creations
-     routes quadratically (every request walks stale advice from
-     scratch); same-instant bursts build queues past the RTO so the
-     reliable layer retransmits into its own congestion; and without a
-     refresh {e during} the drain a walk stuck in a stale-advice cycle
-     can only terminate by randomly restarting onto the owner's snode —
-     expected Θ(N) restarts. Refreshes every 50 ms bound staleness in
-     simulated time, so a stuck walk's capped backoff outlives the
-     staleness, and scaling the creation rate with N keeps the number
-     of O(N)-cost refresh rounds constant — construction traffic stays
-     near-linear, and the growth phase ends with maintained (not
-     oracle) caches — exactly the state the measurement should start
-     from. *)
+  (* Grow the cluster as one paced phase. Same-instant bursts build
+     queues past the RTO, so the reliable layer would retransmit into its
+     own congestion; scaling the creation rate with N keeps the phase
+     short. No refresh rounds are armed: every commit files what it moved
+     with the stewards of its regions, so the growth phase ends with
+     exact stewards maintained by the protocol itself — the state the
+     measurement should start from. *)
   let create_rate = Float.max 2000. (float_of_int snodes /. 2.) in
-  let refresh_every = 0.05 in
   let c0 = Engine.now engine +. 0.001 in
   for i = 1 to vnodes - 1 do
     Engine.at engine
@@ -1245,9 +1236,6 @@ let routing_scaling ?vnodes ?(route_cap = 128) ?(max_hops = 32)
           ~id:(Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes))
           ())
   done;
-  let growth = float_of_int (max 0 (vnodes - 1)) /. create_rate in
-  Runtime.arm_route_refresh rt ~interval:refresh_every
-    ~until:(c0 +. growth +. 0.25);
   Runtime.run rt;
   let net = Runtime.network rt in
   (* Pre-generated workload over a derived key population: member keys
@@ -1275,9 +1263,10 @@ let routing_scaling ?vnodes ?(route_cap = 128) ?(max_hops = 32)
     plan;
   if churn then begin
     (* The victim's cache and LRU stamps die with it; it restarts onto
-       the bootstrap placement and must converge back through hints and
-       refreshes. The joining vnode moves real placement mid-window, so
-       every other snode's fine entries for those partitions go stale. *)
+       the bootstrap placement, and the owners of its stewarded regions
+       file them with it again. The joining vnode moves real placement
+       mid-window, so every other snode's fine entries for those
+       partitions go stale. *)
     let victim = 1 mod snodes in
     Engine.at engine ~time:(t0 +. (duration /. 3.)) (fun () ->
         Runtime.crash_snode rt victim);

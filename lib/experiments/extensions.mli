@@ -501,13 +501,13 @@ val routing_scaling :
     operations drawn from a derived key population of [keys] (default
     one million — derived, so never materialized) with bounded routing
     armed ([route_cap] = 128 entries per snode, [max_hops] = 32). The
-    cluster is grown as one paced phase (creation rate scaled with [snodes])
-    under a periodic steward-refresh cadence armed across the growth
-    window: flooding every creation at once against cold stewards
-    routes quadratically and melts the reliable layer's RTO, while
-    paced, refresh-as-you-grow construction stays near-linear. With [churn] (default true) one snode crash-stops and
-    restarts mid-window and one vnode joins, so lookups cross stale
-    caches repaired only by reply hints and the advice chain. Hop and
+    cluster is grown as one paced phase (creation rate scaled with
+    [snodes]; a flood of creations at once melts the reliable layer's
+    RTO) with no refresh rounds: commits and restarts alone keep the
+    stewards exact. With [churn] (default true) one snode crash-stops
+    and restarts mid-window and one vnode joins, so origins cross stale
+    entries that the two-hop walk through the region's steward
+    resolves. Hop and
     message counters are snapshotted around the measurement window, so
     construction traffic does not contaminate the percentiles. Acceptance per size: [rs_hops_p99 <=
     2 * log2 snodes], [rs_cache_entries_max <= route_cap], empty

@@ -40,6 +40,13 @@ type t = {
   (* Per-snode LRU stamps (span code -> last-touch tick), bounded caches
      only. Soft state, like route suspicions: reset on crash. *)
   rstamps : int Itbl.t array;
+  (* Per-snode level of the deepest placement learned, bounded caches
+     only: the trust threshold of {!next_hop}. Soft state, like the
+     cache: a restart recomputes it from what the snode re-learns. *)
+  deepest : int array;
+  (* Per-snode regions stewarded, as region numbers; bounded caches only.
+     Fixed by the geometry, so computed once. *)
+  regions : int list array;
   (* Bounded-routing-cache accounting (all zero when unbounded). *)
   mutable rclock : int;  (* LRU clock: bumped on every touch *)
   mutable rc_hits : int;  (* cache probes answered by a fine entry *)
@@ -68,13 +75,27 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
      placement; a cap below that could not even hold the rebuild. *)
   if route_cap > 0 && route_cap < pmin then
     invalid_arg "Runtime.create: route_cap must be 0 or >= pmin";
+  let rlevel = Fingers.level ~bits:(Space.bits space) ~snodes in
+  let regions =
+    if route_cap = 0 then [||]
+    else begin
+      let a = Array.make snodes [] in
+      for region = (1 lsl rlevel) - 1 downto 0 do
+        let sd = Fingers.steward ~snodes ~region in
+        a.(sd) <- region :: a.(sd)
+      done;
+      a
+    end
+  in
   {
     space;
     route_cap;
-    rlevel = Fingers.level ~bits:(Space.bits space) ~snodes;
+    rlevel;
     bootstrap;
     caches = Array.init snodes (fun _ -> bootstrap_cache space bootstrap);
     rstamps = Array.init snodes (fun _ -> Itbl.create 16);
+    deepest = (if route_cap > 0 then Array.make snodes 0 else [||]);
+    regions;
     rclock = 0; rc_hits = 0; rc_misses = 0; rc_evictions = 0; rc_peak = 0;
     route_refreshes = 0;
     hop_counts = Array.make (max_hops + 1) 0;
@@ -94,25 +115,37 @@ let touch r sid code =
 let stamp r sid span =
   match Itbl.find_opt r.rstamps.(sid) (code span) with Some s -> s | None -> 0
 
+(* Whether the span [parent] intersects a region snode [sid] stewards. *)
+let stewards r sid parent =
+  let l = Span.level parent and i = Span.index parent in
+  List.exists
+    (fun region ->
+      if l >= r.rlevel then i lsr (l - r.rlevel) = region
+      else region lsr (r.rlevel - l) = i)
+    r.regions.(sid)
+
 (* Shrink the cache back under the cap without ever leaving a hole: fold
    the coldest sibling leaf-pair into one parent-level binding (keeping
    the fresher child's owner as the coarse guess — it is advice, not
-   truth, so coarsening is always safe). Full coverage guarantees a
-   foldable pair exists whenever the cardinality exceeds one, so the loop
-   always terminates. *)
+   truth, so coarsening is always safe). A steward keeps its regions
+   exact: it folds a pair inside them only when no other pair is left,
+   which happens only when its regions alone hold more entries than the
+   cap. Full coverage guarantees a foldable pair exists whenever the
+   cardinality exceeds one, so the loop always terminates. *)
 let cache_evict_to_cap r sid =
   let cache = r.caches.(sid) and stamps = r.rstamps.(sid) in
   while Point_map.cardinal cache > r.route_cap do
-    let best = ref None in
+    let other = ref None and own = ref None in
     Point_map.iter_pairs cache (fun parent lo_v hi_v ->
         let lo_s, hi_s = Span.split r.space parent in
         let a = stamp r sid lo_s and b = stamp r sid hi_s in
         let stamp = if a >= b then a else b in
         let keep = if a >= b then lo_v else hi_v in
+        let best = if stewards r sid parent then own else other in
         match !best with
         | Some (s, _, _, _, _) when s <= stamp -> ()
         | _ -> best := Some (stamp, parent, lo_s, hi_s, keep));
-    match !best with
+    match if Option.is_some !other then !other else !own with
     | None -> failwith "Route: routing cache lost coverage"
     | Some (stamp, parent, lo_s, hi_s, keep) ->
         Point_map.learn cache parent keep;
@@ -125,6 +158,7 @@ let cache_evict_to_cap r sid =
 let learn r sid span vid =
   Point_map.learn r.caches.(sid) span vid;
   if bounded r then begin
+    if Span.level span > r.deepest.(sid) then r.deepest.(sid) <- Span.level span;
     touch r sid (code span);
     cache_evict_to_cap r sid;
     r.rc_peak <- Int.max r.rc_peak (Point_map.cardinal r.caches.(sid))
@@ -135,16 +169,21 @@ let next_hop r ~sid ~hops point =
   let advice = (Point_map.find_owner_exn cache point).Vnode_id.snode in
   if not (bounded r) then advice
   else
-    (* Prefix routing: an entry at least [rlevel] deep is {e fine} — it
-       names one snode's slice of one region, so we trust it like a legacy
-       advice hop. A coarser entry is a miss; the origin hop diverts it to
-       the region's steward (which accumulates fine placements for the
-       region via refresh rounds), while intermediate hops keep walking
-       the coarse advice chain — the chain converges by the
-       commit-learning induction, and never diverting mid-chain rules out
-       a deterministic steward/peer ping-pong. *)
+    (* Prefix routing: an entry is trusted only when it is at least
+       [rlevel] deep (it names one snode's slice of one region) and at
+       least as deep as the deepest placement this snode has learned. A
+       shallower entry may name a span that later splits have moved, so
+       it is a miss, and the walk diverts to the point's region steward.
+       Stewards are exact — every commit files what it moved with them,
+       the owners re-file a restarted steward, and a steward folds its
+       regions' entries last — so the steward's advice is the owner:
+       origin, steward, owner. Only the first two hops divert (a trusted
+       entry at the origin may still be stale, and its target is the
+       second hop); so a walk diverts at most once, later hops follow
+       the advice they hold, and no steward/peer ping-pong can form: the
+       bound on the walk rests on the steward being exact. *)
     let depth = Point_map.probe_depth cache point in
-    if depth >= r.rlevel then begin
+    if depth >= r.rlevel && depth >= r.deepest.(sid) then begin
       r.rc_hits <- r.rc_hits + 1;
       (* The code of the depth-[depth] span holding [point], built without
          the span itself. *)
@@ -153,7 +192,7 @@ let next_hop r ~sid ~hops point =
     end
     else begin
       r.rc_misses <- r.rc_misses + 1;
-      if hops > 0 then advice
+      if hops > 1 then advice
       else
         let region = Fingers.region ~bits:(Space.bits r.space) ~level:r.rlevel point in
         let steward = Fingers.steward ~snodes:(Array.length r.caches) ~region in
@@ -166,8 +205,9 @@ let executed r ~hops =
   r.hop_counts.(hops) <- r.hop_counts.(hops) + 1;
   hops > 0 && bounded r
 
-(* One snode's share of a refresh round: its exact owned placements,
-   filed with the steward of every region they intersect. A span coarser
+(* File exact owned placements with the steward of every region they
+   intersect: the spans a commit just gave this snode, or all it owns in
+   a refresh round. A span coarser
    than a region is filed with each covered region's steward — filing by
    start-region only leaves every steward blind to points that fall
    mid-span, and those walks degrade to stale advice chains. The total
@@ -206,6 +246,22 @@ let refresh r ~sid owned report =
       by_steward
   end
 
+(* Targeted filing for a restarted steward, whose cache restart wiped:
+   [overlapping span] lists owner [sid]'s placements intersecting [span],
+   and those in the steward's regions go to it in one report. The cost is
+   the regions' spans, not a round. *)
+let refile r ~steward ~sid overlapping report =
+  if bounded r && sid <> steward then
+    match
+      List.concat_map
+        (fun index -> overlapping (Span.make r.space ~level:r.rlevel ~index))
+        r.regions.(steward)
+    with
+    | [] -> ()
+    | owns ->
+        r.route_refreshes <- r.route_refreshes + 1;
+        report owns
+
 (* LRU stamps die with the routing cache they describe. *)
 let crash r sid = Itbl.reset r.rstamps.(sid)
 
@@ -214,6 +270,7 @@ let crash r sid = Itbl.reset r.rstamps.(sid)
    through normal forwarding and commits). *)
 let restart r sid owned =
   r.caches.(sid) <- bootstrap_cache r.space r.bootstrap;
+  if bounded r then r.deepest.(sid) <- 0;
   owned (fun s vid -> learn r sid s vid)
 
 let level r = r.rlevel

@@ -8,19 +8,25 @@
       commits, reply hints and refresh reports ({!learn});
     - {b bounded caches}: with a positive [route_cap], an over-cap cache
       folds its coldest sibling leaf-pair (LRU by last probe or learn)
-      into one coarser parent binding, so coverage is never broken. A
+      into one coarser parent binding, so coverage is never broken; a
+      pair inside the regions the snode stewards folds only when no
+      other pair is left. A
       span's LRU stamp is keyed by its node number in the dyadic tree,
       [(1 lsl level) lor index], so re-stamping on a cache hit builds no
       {!Span.t};
     - {b prefix routing} over {!Dht_cluster.Fingers} geometry when
-      bounded: a cache entry at least [ceil(log2 snodes)] levels deep is
-      trusted as advice, and a coarser one diverts the origin hop to the
-      point's region steward ({!next_hop}), which {!refresh} rounds keep
-      supplied with fine placements;
+      bounded: a cache entry at least [ceil(log2 snodes)] levels deep,
+      and at least as deep as the deepest placement the snode has
+      learned, is trusted as advice; any other diverts the walk to the
+      point's region steward ({!next_hop}). Stewards stay exact without
+      rounds: commits file what they moved with them ({!refresh} over
+      the moved spans) and a restarted steward is re-filed by the owners
+      ({!refile}); full {!refresh} rounds remain available;
     - {b hop accounting}: executed routed operations per hop count.
 
-    Caches and LRU stamps are volatile: {!crash} drops the stamps and
-    {!restart} rebuilds the cache from the bootstrap placement. *)
+    Caches, LRU stamps and the deepest learned level are volatile:
+    {!crash} drops the stamps and {!restart} rebuilds the cache from the
+    bootstrap placement. *)
 
 open Dht_core
 open Dht_hashspace
@@ -55,15 +61,18 @@ val bounded : t -> bool
 
 val learn : t -> int -> Span.t -> Vnode_id.t -> unit
 (** [learn r sid span vid] records in snode [sid]'s cache that [vid] owns
-    [span]. When bounded, the span is stamped most recent and the cache
-    folds back under its cap. *)
+    [span]. When bounded, the span is stamped most recent, raises the
+    snode's deepest learned level, and the cache folds back under its
+    cap. *)
 
 val next_hop : t -> sid:int -> hops:int -> int -> int
 (** [next_hop r ~sid ~hops point] is the snode that snode [sid], which
     does not own [point], forwards a routed operation to after [hops]
-    hops: the cache's advice, or on a bounded miss at the origin hop
-    ([hops = 0]) the point's region steward. Counts the probe as a hit or
-    a miss when bounded. *)
+    hops: the cache's advice, or on a bounded miss within the first two
+    hops ([hops <= 1]) the point's region steward. A bounded probe hits
+    when its entry is at least [level r] deep and at least as deep as
+    the deepest placement [sid] has learned. Counts the probe as a hit
+    or a miss when bounded. *)
 
 val executed : t -> hops:int -> bool
 (** Count one routed operation executed at its owner after [hops]
@@ -78,17 +87,33 @@ val refresh :
   (int -> (Span.t * Vnode_id.t) list -> unit) ->
   unit
 (** [refresh r ~sid owned report] files every placement [owned]
-    enumerates (snode [sid]'s exact owned spans) with the steward of
-    every region it intersects, then calls [report steward placements]
-    once per distinct steward other than [sid]. A no-op unless
-    bounded. *)
+    enumerates (snode [sid]'s exact owned spans: all of them in a
+    refresh round, the ones a commit just gave it otherwise) with the
+    steward of every region it intersects, then calls
+    [report steward placements] once per distinct steward other than
+    [sid]. A no-op unless bounded. *)
+
+val refile :
+  t ->
+  steward:int ->
+  sid:int ->
+  (Span.t -> (Span.t * Vnode_id.t) list) ->
+  ((Span.t * Vnode_id.t) list -> unit) ->
+  unit
+(** [refile r ~steward ~sid overlapping report] files snode [sid]'s
+    placements in the regions [steward] stewards with it, for a steward
+    whose cache a restart wiped: [overlapping span] lists [sid]'s owned
+    placements intersecting [span], and [report] gets them all in one
+    call, unless there are none. A no-op unless bounded, and when [sid]
+    is the steward. *)
 
 val crash : t -> int -> unit
 (** Drop a crashed snode's LRU stamps. *)
 
 val restart : t -> int -> ((Span.t -> Vnode_id.t -> unit) -> unit) -> unit
 (** [restart r sid owned] rebuilds snode [sid]'s cache from the bootstrap
-    placement, then learns every placement [owned] enumerates. *)
+    placement, then learns every placement [owned] enumerates; the
+    deepest learned level is recomputed from those. *)
 
 (** {2 Inspection} *)
 

@@ -1157,7 +1157,14 @@ and exec t sn = function
         (fun (span, owner, reps) ->
           Route.learn t.route sn.sid span owner;
           Point_map.learn sn.rmap span reps)
-        placed
+        placed;
+      (* The new owner files what it gained with the stewards of its
+         regions, so they stay exact without refresh rounds. *)
+      file_with_stewards t sn (fun f ->
+          List.iter
+            (fun (span, (owner : Vnode_id.t), _) ->
+              if owner.snode = sn.sid then f span owner)
+            placed)
   | Handover.Seed spans -> ae_push t sn spans
   | Handover.Committed ev -> Option.iter (fun f -> f ~event:ev ~snode:sn.sid) t.on_commit
   | Handover.Observe_prepare { event; start; participants } ->
@@ -1174,6 +1181,16 @@ and exec t sn = function
         [ ("event", Trace.Int event); ("kind", Trace.Str name) ];
       if kind = `Balance then t.lb_transfers <- t.lb_transfers + 1
   | Handover.Skipped -> t.lb_skipped <- t.lb_skipped + 1
+
+(* Placements filed with a steward ride the balancer's report message
+   class ([entries = []]), so routing maintenance adds no new wire tag. *)
+and file_owns t ~src ~dst owns =
+  send t ~src ~dst (Wire.Lb_report { origin = src; pull = false; entries = []; owns })
+
+(* File placements with the stewards of the regions they intersect
+   ({!Route.refresh}). *)
+and file_with_stewards t sn owned =
+  Route.refresh t.route ~sid:sn.sid owned (fun dst -> file_owns t ~src:sn.sid ~dst)
 
 (* A round phase that began at [start] and ends now: its histogram and
    its trace span. *)
@@ -1520,6 +1537,13 @@ let restart_snode t sid =
     (match t.faults with Some f -> Fault.set_up f sid | None -> ());
     Log.debug (fun m -> m "snode %d restarts at %g" sid (Engine.now t.engine));
     Route.restart t.route sid (iter_owned sn);
+    (* The owners of spans in the regions it stewards file them again. *)
+    Array.iter
+      (fun o ->
+        if o.alive then
+          Route.refile t.route ~steward:sid ~sid:o.sid (Point_map.overlapping o.owned)
+            (file_owns t ~src:o.sid ~dst:sid))
+      t.snodes;
     (* Re-send everything unacknowledged and re-arm staged flushes. *)
     Transport.restart t.tr sid;
     (* Replay self-addressed work that fired while down. *)
@@ -1670,17 +1694,11 @@ let arm_balancer t ~until =
 (* ------------------------------------------------------------------ *)
 (* Routing maintenance: steward refresh rounds                          *)
 
-(* One refresh round ({!Route.refresh}), riding the balancer's report
-   message class ([entries = []]) so maintenance adds no new wire tag. *)
+(* One refresh round: every live snode files all it owns. Commits and
+   restarts already keep stewards exact; rounds remain for callers that
+   want periodic repair on top. *)
 let route_refresh_round t =
-  Array.iter
-    (fun sn ->
-      if sn.alive then
-        Route.refresh t.route ~sid:sn.sid (iter_owned sn) (fun sd owns ->
-            send t ~src:sn.sid ~dst:sd
-              (Wire.Lb_report
-                 { origin = sn.sid; pull = false; entries = []; owns })))
-    t.snodes
+  Array.iter (fun sn -> if sn.alive then file_with_stewards t sn (iter_owned sn)) t.snodes
 
 let arm_route_refresh t ~interval ~until =
   if interval <= 0. || not (Float.is_finite interval) then

@@ -230,14 +230,17 @@ val create :
     coldest sibling leaf-pair into one coarser parent binding (LRU by last
     probe/learn, hole-free, so coverage audits still hold) — and lookups
     run prefix routing over {!Dht_cluster.Fingers} geometry: a cache
-    entry at least [ceil(log2 snodes)] levels deep is trusted like legacy
-    advice; a coarser entry diverts the {e origin} hop to the point's region
-    steward, a deterministic snode that accumulates fine placements for
-    the region through refresh rounds ({!arm_route_refresh}) and learns
-    corrected-owner hints piggybacked on {!Wire.Put_ack}/{!Wire.Get_reply}
-    replies.
-    Expected hops stay O(log snodes) while per-snode routing state stays
-    O(route_cap). Must be [>= pmin] when positive (a restarting snode
+    entry at least [ceil(log2 snodes)] levels deep, and at least as deep
+    as the deepest placement the snode has learned, is trusted like
+    legacy advice; any other diverts the walk (within its first two
+    hops) to the point's region steward, a deterministic snode that
+    keeps an exact map of its regions: every commit files the moved
+    spans with it, the owners re-file it when it restarts, and it folds
+    its regions' entries last. So a walk goes origin, steward, owner.
+    Origins repair their entries from corrected-owner hints piggybacked
+    on {!Wire.Put_ack}/{!Wire.Get_reply} replies, and refresh rounds
+    ({!arm_route_refresh}) remain available on top. Per-snode routing
+    state stays O(route_cap). Must be [>= pmin] when positive (a restarting snode
     rebuilds from the [pmin]-span bootstrap placement).
 
     [max_hops] (default 4, at most {!Route.max_hops_ceiling} = 1,024) is
@@ -555,7 +558,9 @@ val max_hops : t -> int
 val arm_route_refresh : t -> interval:float -> until:float -> unit
 (** Pre-schedule routing-maintenance rounds every [interval] up to virtual
     time [until]. In a round every live snode reports its exact owned
-    placements to the stewards of the regions they intersect, riding the
+    placements to the stewards of the regions they intersect (commits
+    and restarts already keep stewards exact; rounds add periodic
+    repair on top), riding the
     balancer's {!Wire.Lb_report} message class ([entries = \[\]]) so
     maintenance adds no new wire tag; a round is a no-op when
     [route_cap = 0]. The rounds are explicit and bounded, like

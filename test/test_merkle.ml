@@ -777,12 +777,14 @@ let prop_range_mid_churn =
 (* --- hinted handoff must still drain under a full tree descent --- *)
 
 let test_hint_drain_under_tree_protocol () =
-  (* The restart broadcast (Ae_request) is what re-offers parked hints;
-     with [mt_threshold = 0] the recovery push descends the hash tree
-     for every non-empty span, and the hints must drain all the same. *)
-  let faults = Runtime.Fault.create ~seed:9 () in
+  (* The restart broadcast (Ae_request) is what re-offers parked hints,
+     and each peer sends its hint flushes ahead of its hash-tree probes
+     ([mt_threshold = 0]: every span descends). No fault plan, so no
+     reliable layer retransmits the writes the dead replica missed: only
+     the hints can bring it up to date before the probes compare, and
+     then the anti-entropy push ships nothing. *)
   let rt =
-    Runtime.create ~faults ~rfactor:3 ~read_quorum:2 ~write_quorum:2
+    Runtime.create ~rfactor:3 ~read_quorum:2 ~write_quorum:2
       ~mt_threshold:0 ~mt_leaf:4 ~snodes:5 ~seed:9 ()
   in
   Runtime.crash_snode rt 2;
@@ -803,8 +805,27 @@ let test_hint_drain_under_tree_protocol () =
   let s = Runtime.repl_stats rt in
   check Alcotest.int "every hint drained under the tree protocol"
     s.Runtime.hints_stored s.Runtime.hints_flushed;
-  let ae = Runtime.ae_stats rt in
-  check Alcotest.bool "tree protocol engaged" true (ae.Runtime.ae_roots > 0);
+  let keys = List.init 10 (Printf.sprintf "h%d") in
+  let space = Runtime.space rt in
+  let sv =
+    List.find
+      (fun (sv : Runtime.View.snode_view) -> sv.sid = 2)
+      (Runtime.view rt).Runtime.View.snodes
+  in
+  let replica key =
+    let p = Hash.string space key in
+    List.exists (fun (sp, set) -> Span.contains space sp p && List.mem 2 set) sv.rmap
+  in
+  let held key =
+    List.mem_assoc key sv.replicas
+    || List.exists (fun (v : Runtime.View.vnode_view) -> List.mem_assoc key v.data) sv.vnodes
+  in
+  check Alcotest.bool "the restarted snode replicates some keys" true
+    (List.exists replica keys);
+  check (Alcotest.list Alcotest.string) "the restarted replica holds its keys" []
+    (List.filter (fun k -> replica k && not (held k)) keys);
+  check Alcotest.int "the hints repaired it: anti-entropy shipped no cell" 0
+    (Runtime.ae_stats rt).Runtime.ae_keys_sent;
   let wrong = ref 0 in
   for i = 0 to 9 do
     Runtime.get rt ~via:2
@@ -885,7 +906,7 @@ let suite =
     Alcotest.test_case "range: shed writes never surface" `Quick
       test_range_excludes_shed_writes;
     to_alcotest prop_range_mid_churn;
-    Alcotest.test_case "hints drain with full-digest AE disabled" `Quick
+    Alcotest.test_case "hints drain before the restart's tree probe" `Quick
       test_hint_drain_under_tree_protocol;
     Alcotest.test_case "mt-ae protected sweep is clean" `Slow
       test_mt_protected_sweep;

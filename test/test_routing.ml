@@ -143,7 +143,8 @@ let prop_fold_keeps_coverage =
 (* Shared churn harness: grow a cluster with bounded routing, then crash
    a snode, restart it, and land a vnode join — all inside the window the
    lookups are issued in, so they run against stale caches. *)
-let churned_lookups ~snodes ~vnodes ~route_cap ~max_hops ~lookups ~seed =
+let churned_lookups ?(refresh = true) ~snodes ~vnodes ~route_cap ~max_hops ~lookups
+    ~seed () =
   let faults = Some (Fault.create ~drop:0. ~seed ()) in
   let rt =
     Runtime.create ~pmin:8
@@ -158,9 +159,11 @@ let churned_lookups ~snodes ~vnodes ~route_cap ~max_hops ~lookups ~seed =
   Runtime.run rt;
   (* One refresh round, a microsecond after the growth settles. *)
   let engine = Runtime.engine rt in
-  Runtime.arm_route_refresh rt ~interval:1e-6
-    ~until:(Engine.now engine +. 1.5e-6);
-  Runtime.run rt;
+  if refresh then begin
+    Runtime.arm_route_refresh rt ~interval:1e-6
+      ~until:(Engine.now engine +. 1.5e-6);
+    Runtime.run rt
+  end;
   let t0 = Engine.now engine +. 0.01 in
   let victim = 1 mod snodes in
   Engine.at engine ~time:t0 (fun () -> Runtime.crash_snode rt victim);
@@ -203,7 +206,7 @@ let test_churn_convergence_100_seeds () =
   let total = ref 0 and over = ref 0 in
   for seed = 0 to 99 do
     let rt, window, answered =
-      churned_lookups ~snodes ~vnodes ~route_cap ~max_hops:64 ~lookups ~seed
+      churned_lookups ~snodes ~vnodes ~route_cap ~max_hops:64 ~lookups ~seed ()
     in
     check Alcotest.int
       (Printf.sprintf "seed %d: every lookup answered" seed)
@@ -238,6 +241,73 @@ let test_churn_convergence_100_seeds () =
        !over !total bound)
     true
     (float_of_int !over <= 0.01 *. float_of_int !total)
+
+(* Stewards stay exact with no refresh round: every commit files what it
+   moved with them, and the owners re-file a restarted steward. After the
+   churn harness (a join that lands while snode 1 is down, then its
+   restart) and its lookups, every steward whose regions fit under the
+   cap names the owner of every point of its regions. *)
+let test_stewards_exact () =
+  let snodes = 16 and vnodes = 48 and route_cap = 128 in
+  let rt, _, answered =
+    churned_lookups ~refresh:false ~snodes ~vnodes ~route_cap ~max_hops:64
+      ~lookups:200 ~seed:7 ()
+  in
+  check Alcotest.int "every lookup answered" 200 answered;
+  let view = Runtime.view rt and space = Runtime.space rt in
+  let level = Runtime.route_level rt in
+  let parts =
+    List.concat_map
+      (fun (sv : Runtime.View.snode_view) ->
+        List.concat_map
+          (fun (v : Runtime.View.vnode_view) -> List.map (fun s -> (s, v.vid)) v.spans)
+          sv.vnodes)
+      view.snodes
+  in
+  let region_span index = Span.make space ~level ~index in
+  let stewarded sd =
+    List.filter
+      (fun region -> Fingers.steward ~snodes ~region = sd)
+      (List.init (1 lsl level) Fun.id)
+  in
+  (* What an exact map of [sd]'s regions needs: each region's partitions,
+     plus one coverage entry per level above each region. *)
+  let need sd =
+    List.fold_left
+      (fun n region ->
+        let r = region_span region in
+        n + level + List.length (List.filter (fun (p, _) -> Span.overlap p r) parts))
+      0 (stewarded sd)
+  in
+  check Alcotest.bool "the restarted snode stewards a region" true
+    (stewarded 1 <> []);
+  let fitting = ref 0 in
+  List.iter
+    (fun (sv : Runtime.View.snode_view) ->
+      let sd = sv.sid in
+      if need sd <= route_cap then begin
+        incr fitting;
+        List.iter
+          (fun region ->
+            let r = region_span region in
+            List.iter
+              (fun (e, (ev : Vnode_id.t)) ->
+                if Span.overlap e r then
+                  List.iter
+                    (fun (p, (owner : Vnode_id.t)) ->
+                      if Span.overlap p e && Span.overlap p r then
+                        if not (Vnode_id.equal owner ev) then
+                          Alcotest.failf "steward %d: %s names %s, owner %s" sd
+                            (Format.asprintf "%a" Span.pp e)
+                            (Vnode_id.to_string ev) (Vnode_id.to_string owner))
+                    parts)
+              sv.cache)
+          (stewarded sd)
+      end)
+    view.snodes;
+  check Alcotest.int "every steward's regions fit" snodes !fitting;
+  check Alcotest.bool "caches folded" true
+    ((Runtime.route_cache_stats rt).Runtime.rcs_evictions > 0)
 
 let test_legacy_unbounded_by_default () =
   (* route_cap = 0 keeps the legacy path: no probes counted, no
@@ -294,19 +364,31 @@ let test_routing_scaling_smoke () =
   check (Alcotest.list Alcotest.string) "battery clean" [] r.rs_findings;
   check (Alcotest.list Alcotest.string) "durability clean" [] r.rs_linear
 
-(* The routing cliff, pinned before it is fixed. At 100 snodes the
-   seed-2004 sweep point (the [n100] block of BENCH_runtime.json) has a
-   walk of 31 hops against its 32-hop limit, folds 14,140 times and pays
-   34.504 messages per op, against 6.6 at 1k snodes. The "remove the
-   routing cliff" work must move these numbers, and update them here;
-   until then this case guards that nothing else changes routing. *)
+(* The n100 sweep point of BENCH_runtime.json, seed 2004, pinned. Before
+   origins distrusted entries shallower than their deepest learned
+   placement and stewards stayed exact, it had a walk of 31 hops against
+   its 32-hop limit, folded 14,140 times and paid 34.504 messages per op
+   (6.6 at 1k snodes). Any routing change moves these numbers and must
+   update them here. *)
 let test_routing_cliff_pinned () =
   let r = Dht_experiments.Extensions.routing_scaling ~snodes:100 ~seed:2004 () in
   let open Dht_experiments.Extensions in
-  check Alcotest.int "hops_max (max_hops 32)" 31 r.rs_hops_max;
-  check Alcotest.int "evictions" 14_140 r.rs_cache.Runtime.rcs_evictions;
-  check Alcotest.string "msgs_per_op" "34.504"
+  check Alcotest.int "hops_max (max_hops 32)" 3 r.rs_hops_max;
+  check Alcotest.int "evictions" 12_522 r.rs_cache.Runtime.rcs_evictions;
+  check Alcotest.string "msgs_per_op" "5.943"
     (Printf.sprintf "%.3f" r.rs_msgs_per_op)
+
+(* Without churn every walk is origin, steward, owner: at most one
+   diversion, at most three hops, however stale the origin's entry. *)
+let test_two_hop_walks () =
+  let r =
+    Dht_experiments.Extensions.routing_scaling ~snodes:100 ~churn:false ~seed:2004 ()
+  in
+  let open Dht_experiments.Extensions in
+  check Alcotest.bool (Printf.sprintf "hops_max %d <= 3" r.rs_hops_max) true
+    (r.rs_hops_max <= 3);
+  check (Alcotest.list Alcotest.string) "battery clean" [] r.rs_findings;
+  check (Alcotest.list Alcotest.string) "durability clean" [] r.rs_linear
 
 let suite =
   [
@@ -315,6 +397,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fold_keeps_coverage;
     Alcotest.test_case "churn convergence over 100 seeds" `Slow
       test_churn_convergence_100_seeds;
+    Alcotest.test_case "stewards exact after a join and a restart" `Quick
+      test_stewards_exact;
     Alcotest.test_case "route_cap=0 is the legacy path" `Quick
       test_legacy_unbounded_by_default;
     Alcotest.test_case "create validates routing params" `Quick
@@ -322,4 +406,6 @@ let suite =
     Alcotest.test_case "scaling sweep smoke" `Slow test_routing_scaling_smoke;
     Alcotest.test_case "routing cliff pinned (n100, seed 2004)" `Slow
       test_routing_cliff_pinned;
+    Alcotest.test_case "no-churn walks take at most 3 hops (n100)" `Slow
+      test_two_hop_walks;
   ]
