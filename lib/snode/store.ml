@@ -342,16 +342,16 @@ let descend st sid frames =
     leaves @ [ Wire.Mt_request { spans = deeper } ]
   end
 
-let sync_reply st cells span =
+let sync_reply st cells =
   if cells = [] then []
   else begin
     st.ae <- { st.ae with ae_keys_sent = st.ae.ae_keys_sent + List.length cells };
-    [ Wire.Repl_sync { span; cells } ]
+    [ Wire.Repl_sync { cells } ]
   end
 
 let answer st sid ~from ~synced msg =
   match msg with
-  | Wire.Repl_sync { cells; _ } ->
+  | Wire.Repl_sync { cells } ->
       List.iter
         (fun (key, cell) ->
           let point = Hash.string st.space key in
@@ -415,9 +415,9 @@ let answer st sid ~from ~synced msg =
             | _ -> Some k)
           keys
       in
-      sync_reply st to_send span
+      sync_reply st to_send
       @ if want = [] then [] else [ Wire.Mt_want { span; keys = want } ]
-  | Wire.Mt_want { span; keys } ->
+  | Wire.Mt_want { keys; _ } ->
       (* Answer from the live store: these are our freshest copies, and a
          key dropped since the snapshot is simply omitted. *)
       let cells =
@@ -427,7 +427,7 @@ let answer st sid ~from ~synced msg =
             Option.map (fun c -> (key, c)) (lookup st sid ~point ~key))
           keys
       in
-      sync_reply st cells span
+      sync_reply st cells
   | _ -> invalid_arg "Store.answer: not an anti-entropy message"
 
 (* The live tree, the anti-entropy snapshot and the per-peer round

@@ -85,7 +85,7 @@ type msg =
   | Hint_flush of { key : string; point : int; cell : Versioned.cell }
   | Hint_ack of { key : string }
   | Repl_repair of { key : string; point : int; cell : Versioned.cell }
-  | Repl_sync of { span : Span.t; cells : (string * Versioned.cell) list }
+  | Repl_sync of { cells : (string * Versioned.cell) list }
   | Ae_request
   | Mt_root of { round : int; span : Span.t; count : int; vhash : int }
       (* tree-descent opener: the pusher's root frame for one partition
@@ -217,7 +217,7 @@ let rec size_bytes = function
   | Hint_ack { key } -> envelope + String.length key
   | Repl_repair { key; cell; _ } ->
       envelope + String.length key + Versioned.size_bytes cell
-  | Repl_sync { cells; _ } -> envelope + per_entry + cells_size cells
+  | Repl_sync { cells } -> envelope + cells_size cells
   | Ae_request -> envelope
   | Mt_root _ -> envelope + (3 * per_entry)
   | Mt_request { spans } -> envelope + (per_entry * List.length spans)

@@ -142,9 +142,9 @@ type msg =
   | Repl_repair of { key : string; point : int; cell : Versioned.cell }
       (** read repair: the freshest cell seen by a quorum read, pushed to
           the repliers that returned stale or missing data (no reply) *)
-  | Repl_sync of { span : Span.t; cells : (string * Versioned.cell) list }
-      (** anti-entropy cell shipment inside [span]; the receiver merges
-          each cell by LWW and answers nothing *)
+  | Repl_sync of { cells : (string * Versioned.cell) list }
+      (** anti-entropy cell shipment; the receiver merges each cell by LWW
+          and answers nothing *)
   | Ae_request
       (** broadcast by a recovering snode: please push an {!Mt_root} for
           every partition whose replica set includes me *)

@@ -157,7 +157,7 @@ let inflate = function
   | Wire.Hint_ack _ -> Wire.Hint_ack { key = big }
   | Wire.Repl_repair r -> Wire.Repl_repair { r with cell = cell big }
   | Wire.Repl_sync s ->
-      Wire.Repl_sync { s with cells = ("extra", cell big) :: s.cells }
+      Wire.Repl_sync { cells = ("extra", cell big) :: s.cells }
   | Wire.Ae_request as m -> m
   | Wire.Req r -> Wire.Req { r with payload = Wire.Commit { event = 0; moved } }
   | Wire.Ack _ as m -> m
@@ -226,7 +226,7 @@ let all_messages =
     Wire.Hint_flush { key = "k"; point = 5; cell = cell "v" };
     Wire.Hint_ack { key = "k" };
     Wire.Repl_repair { key = "k"; point = 5; cell = cell "v" };
-    Wire.Repl_sync { span = Span.root; cells = [ ("k", cell "v") ] };
+    Wire.Repl_sync { cells = [ ("k", cell "v") ] };
     Wire.Ae_request;
     Wire.Req { seq = 9; payload = Wire.All_received { event = 3 } };
     Wire.Ack { seq = 9; floor = 9 };
