@@ -11,6 +11,9 @@ module Rng = Dht_prng.Rng
 let rto_cap = 0.05
 let poison_after = 5
 
+(* No relayed ack (see [Wire.Req]'s [relay] and "relayed acks" below). *)
+let no_relay = -1
+
 let log_src =
   Logs.Src.create "dht.snode.transport" ~doc:"Snode-to-snode transport"
 
@@ -51,7 +54,7 @@ end)
    the clock has reached the latest deadline, so a superseded queue entry
    dispatches as a no-op. A
    retired entry clears its latest queue entry ({!Engine.clear}) and
-   drops its payload for the shared [no_payload]: a superseded older
+   drops its frame for the shared [no_payload]: a superseded older
    queue entry (left by a restart or a flushed poisoned route) still
    holds the closure, and the entry with it, until its own deadline
    dispatches it as a no-op, but no longer the message. *)
@@ -63,7 +66,9 @@ type stamps = {
 }
 
 type outmsg = {
-  mutable o_payload : Wire.msg;  (* [no_payload] once retired *)
+  mutable o_frame : Wire.msg;
+      (* the [Wire.Req] as sent, made once for every transmission (so its
+         relayed ack, if any, rides each); [no_payload] once retired *)
   mutable o_attempts : int;
   o_at : stamps;
   mutable o_live : bool;
@@ -138,6 +143,7 @@ type obuf = {
   mutable ob_dst : int;  (* -1 while free *)
   mutable ob_parts : Wire.msg list;  (* newest first *)
   mutable ob_acked : bool;  (* an ack may be among [ob_parts] *)
+  mutable ob_relay : int;  (* the relay the next frame carries, or [no_relay] *)
   mutable ob_armed : bool;  (* a flush is pending *)
   mutable ob_queued : int;  (* queue entries of its armings not yet run *)
   ob_due : deadline;
@@ -172,7 +178,8 @@ let rec no_queues =
    a free list. It is never armed, so its closure never runs. *)
 let rec no_obuf =
   { ob_dst = -1; ob_parts = []; ob_acked = false; ob_armed = false;
-    ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore; ob_next = no_obuf }
+    ob_relay = no_relay; ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore;
+    ob_next = no_obuf }
 
 (* The payload of a retired outbox entry; nothing reads it, as a retired
    entry is never armed again. Immutable, so it needs no audit. *)
@@ -197,7 +204,8 @@ let sentinels () =
     ("no_queues", blank no_queues && no_queues.oldest = 0
                   && no_queues.q_next == no_queues);
     ("no_obuf", no_obuf.ob_dst = -1 && no_obuf.ob_parts = []
-                && (not no_obuf.ob_acked) && (not no_obuf.ob_armed)
+                && (not no_obuf.ob_acked) && no_obuf.ob_relay = no_relay
+                && (not no_obuf.ob_armed)
                 && no_obuf.ob_queued = 0 && no_obuf.ob_due.at = 0.
                 && no_obuf.ob_next == no_obuf) ]
 
@@ -260,6 +268,9 @@ type endpoint = {
          one, or [no_outbox]; it equals a fresh table *)
   queues : Queues.t;  (* bound to peers, or free *)
   buffers : Buffers.t;  (* bound to destinations, or free *)
+  mutable carry : int;
+      (* while a frame whose relay acks another snode is delivered here:
+         that relay, until a send takes it on; [no_relay] otherwise *)
 }
 
 type counters = {
@@ -313,7 +324,7 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
         (fun sid rng ->
           { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
             spare = no_outbox; queues = Queues.create ();
-            buffers = Buffers.create () })
+            buffers = Buffers.create (); carry = no_relay })
         rngs;
     c =
       { timeouts = 0; retransmits = 0; probes = 0; backpressured = 0;
@@ -322,6 +333,28 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
 
 let counters tr = tr.c
 let note_timeout tr = tr.c.timeouts <- tr.c.timeouts + 1
+
+(* ---------------- relayed acks ---------------- *)
+
+(* The last hop of a routed get or put answers the walk's origin, so the
+   ack a forwarder owes the origin for the frame it forwards need not
+   leave alone: it rides the forwarded frame, and then the reply, home
+   (RPC's rule: the result acknowledges the call). A relay is one
+   immediate packing the acking snode, the snode it acks and the ack's
+   cumulative floor; it is unreliable like any ack, and a lost one costs
+   the origin one retransmission, which the forwarder acks directly. *)
+let pack_relay tr ~acker ~target ~floor =
+  let n = Array.length tr.eps in
+  (((floor * n) + acker) * n) + target
+
+let relay_target tr r = r mod Array.length tr.eps
+
+(* The origin of a routed get or put, which its executor answers; -1 for
+   any other message. *)
+let rec walk_origin = function
+  | Wire.Routed { origin; op = Wire.Op_get _ | Wire.Op_put _; _ } -> origin
+  | Wire.Traced { payload; _ } -> walk_origin payload
+  | _ -> -1
 
 (* [p]'s queue record, for a write: its own, else a pooled one, else a
    new one. Taken with nothing in flight, so the next seq to be drawn
@@ -470,14 +503,53 @@ let rec send tr ~src ~dst msg =
   (* Loopback pays no queueing layer: the edge transmits as it is sent. *)
   if src = dst then transmit_raw tr ~src ~dst msg
   else if tr.reliable && tr.linger = 0. then
-    reliable_send tr tr.eps.(src) ~dst ~acks:[] msg
+    reliable_send tr tr.eps.(src) ~dst ~acks:[] ~relay:no_relay msg
+  else if tr.reliable then begin
+    (* Only a staging sender holds acks back, so only it relays them. *)
+    let ep = tr.eps.(src) in
+    let ob = buffer tr ep ~dst in
+    if ob.ob_relay = no_relay then ob.ob_relay <- relay_for tr ep ~dst msg;
+    stage tr ep ob msg
+  end
   else post tr tr.eps.(src) ~dst msg
 
 (* The unframed path: staged for the next envelope when batching is on,
    else straight onto the wire. *)
 and post tr ep ~dst msg =
-  if tr.linger > 0. then stage tr ep ~dst msg
+  if tr.linger > 0. then stage tr ep (buffer tr ep ~dst) msg
   else transmit_raw tr ~src:ep.sid ~dst msg
+
+(* The relay the frame toward [dst] that carries [msg] takes, or
+   [no_relay]. A relay the current delivery carries goes on with the
+   first send toward the snode it acks or of that snode's walk. Else a
+   walk forwarded for an origin other than [dst] takes the ack staged
+   toward the origin, if that ack is all the buffer holds and no gap is
+   pending below it (its floor covers its seq, so the floor alone says
+   what it retires). *)
+and relay_for tr ep ~dst msg =
+  let origin = walk_origin msg in
+  if
+    ep.carry <> no_relay
+    && (let target = relay_target tr ep.carry in
+        dst = target || origin = target)
+  then begin
+    let r = ep.carry in
+    ep.carry <- no_relay;
+    r
+  end
+  else if origin >= 0 && origin <> dst && origin <> ep.sid then
+    match Itbl.find ep.obufs origin with
+    | exception Not_found -> no_relay
+    | ob -> (
+        match ob.ob_parts with
+        | [ Wire.Ack { seq; floor } ] when floor >= seq ->
+            (* The emptied buffer's armed flush finds nothing to send and
+               gives the buffer back. *)
+            ob.ob_parts <- [];
+            ob.ob_acked <- false;
+            pack_relay tr ~acker:ep.sid ~target:origin ~floor
+        | _ -> no_relay)
+  else no_relay
 
 (* One unframed transmission of [msg]. *)
 and transmit_raw tr ~src ~dst msg =
@@ -501,16 +573,7 @@ and wire tr ~src ~dst ~attempt ~bytes msg =
    plan nothing is ever acknowledged, so every first part waits the
    window. A new cumulative ack supersedes any staged ack it covers, so an
    envelope never carries redundant acks. *)
-and stage tr ep ~dst msg =
-  let ob =
-    match Itbl.find ep.obufs dst with
-    | ob when ob != no_obuf -> ob
-    | _ | (exception Not_found) ->
-        (* For a new destination, [replace] adds exactly as [add] would. *)
-        let ob = take_obuf tr ep ~dst in
-        Itbl.replace ep.obufs dst ob;
-        ob
-  in
+and stage tr ep ob msg =
   (match msg with
   | Wire.Ack { floor; _ } ->
       if ob.ob_acked then
@@ -521,7 +584,17 @@ and stage tr ep ~dst msg =
       ob.ob_acked <- true
   | _ -> ());
   ob.ob_parts <- msg :: ob.ob_parts;
-  if not ob.ob_armed then arm_flush tr ob ~delay:(hold tr ep dst)
+  if not ob.ob_armed then arm_flush tr ob ~delay:(hold tr ep ob.ob_dst)
+
+(* The buffer toward [dst], taken from the pool while it has none. *)
+and buffer tr ep ~dst =
+  match Itbl.find ep.obufs dst with
+  | ob when ob != no_obuf -> ob
+  | _ | (exception Not_found) ->
+      (* For a new destination, [replace] adds exactly as [add] would. *)
+      let ob = take_obuf tr ep ~dst in
+      Itbl.replace ep.obufs dst ob;
+      ob
 
 (* How long a buffer toward [dst] holds its first part: the linger window
    while [dst] owes [ep] an ack or there is no fault plan, else nothing
@@ -555,9 +628,9 @@ and take_obuf tr ep ~dst =
   end
   else begin
     let ob =
-      { ob_dst = dst; ob_parts = []; ob_acked = false; ob_armed = false;
-        ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore;
-        ob_next = no_obuf }
+      { ob_dst = dst; ob_parts = []; ob_acked = false; ob_relay = no_relay;
+        ob_armed = false; ob_queued = 0; ob_due = { at = 0. };
+        ob_fire = ignore; ob_next = no_obuf }
     in
     (* With no other arming queued this is the latest one; an older one
        acts only when it is due at the latest deadline's instant. *)
@@ -601,6 +674,8 @@ and flush_obuf tr ep ob =
     | staged -> (
         ob.ob_parts <- [];
         ob.ob_acked <- false;
+        let relay = ob.ob_relay in
+        ob.ob_relay <- no_relay;
         let dst = ob.ob_dst in
         if not tr.reliable then send_coalesced tr ep ~dst (List.rev staged)
         else
@@ -613,8 +688,9 @@ and flush_obuf tr ep ob =
           in
           match split [] [] staged with
           | acks, [] -> send_coalesced tr ep ~dst acks
-          | acks, [ payload ] -> reliable_send tr ep ~dst ~acks payload
-          | acks, protos -> reliable_send tr ep ~dst ~acks (Wire.Batch protos))
+          | acks, [ payload ] -> reliable_send tr ep ~dst ~acks ~relay payload
+          | acks, protos ->
+              reliable_send tr ep ~dst ~acks ~relay (Wire.Batch protos))
 
 (* Send [parts] toward [dst] without reliability framing: a lone message
    goes as itself, several coalesce into one [Wire.Batch]. *)
@@ -639,21 +715,22 @@ and emit_batch tr ep ~dst ~attempt ~parts ~alone msg =
 
 (* ---------------- reliable delivery ---------------- *)
 
-and reliable_send tr ep ~dst ~acks msg =
+and reliable_send tr ep ~dst ~acks ~relay msg =
   let p = peer_of ep dst in
   let q = queues_of ep p in
   let seq = p.next_seq in
   p.next_seq <- seq + 1;
   tr.c.reliable_msgs <- tr.c.reliable_msgs + 1;
   let entry =
-    { o_payload = msg; o_attempts = 0; o_at = { sent = 0.; due = 0. };
-      o_live = false; o_armed = false; o_slot = -1; o_fire = ignore }
+    { o_frame = Wire.Req { seq; relay; payload = msg }; o_attempts = 0;
+      o_at = { sent = 0.; due = 0. }; o_live = false; o_armed = false;
+      o_slot = -1; o_fire = ignore }
   in
   entry.o_fire <-
     (fun () ->
       if entry.o_armed && Engine.now tr.engine >= entry.o_at.due then begin
         entry.o_armed <- false;
-        on_rto tr ep p ~dst ~seq entry
+        on_rto tr ep ~dst ~seq entry
       end);
   outbox_add ep q seq entry;
   let depth = Itbl.length q.outbox in
@@ -698,9 +775,14 @@ and transmit tr ep p ~dst ~acks ~probe ~seq entry =
           ("attempt", Trace.Int entry.o_attempts);
         ]
   end;
-  let frame = Wire.Req { seq; payload = entry.o_payload } in
+  let frame = entry.o_frame in
+  let payload, relayed =
+    match frame with
+    | Wire.Req { payload; relay; _ } -> (payload, relay <> no_relay)
+    | m -> (m, false)
+  in
   let single =
-    match entry.o_payload with
+    match payload with
     | Wire.Batch [ _ ] -> true
     | Wire.Batch _ -> false
     | _ -> true
@@ -713,12 +795,12 @@ and transmit tr ep p ~dst ~acks ~probe ~seq entry =
       (* Unbatched, each protocol part would have paid its own [Req] frame
          and each ack its own envelope. *)
       let protos =
-        match entry.o_payload with Wire.Batch l -> List.length l | _ -> 1
+        match payload with Wire.Batch l -> List.length l | _ -> 1
       in
       let framed =
-        match entry.o_payload with
-        | Wire.Batch l -> reqs_alone 0 l
-        | m -> Wire.per_entry + Wire.size_bytes m
+        match payload with
+        | Wire.Batch l -> reqs_alone (if relayed then Wire.per_entry else 0) l
+        | _ -> Wire.size_bytes frame
       in
       emit_batch tr ep ~dst ~attempt:entry.o_attempts
         ~parts:(List.length acks + protos)
@@ -754,10 +836,12 @@ and arm_retransmit tr entry ~delay =
   entry.o_armed <- true;
   entry.o_slot <- Engine.push tr.engine ~time entry.o_fire
 
-and on_rto tr ep p ~dst ~seq entry =
+and on_rto tr ep ~dst ~seq entry =
   (* Timer fired with the message still unacknowledged. A crashed sender's
      timers are cancelled; restart re-arms them from the (durable) outbox,
-     so the up check is belt-and-braces. *)
+     so the up check is belt-and-braces. The peer record is looked up here,
+     where a timeout is rare, rather than kept in every entry's closure. *)
+  let p = Itbl.find ep.peers dst in
   let q = p.q in
   if ep.up && Itbl.mem q.outbox seq then begin
     tr.c.timeouts <- tr.c.timeouts + 1;
@@ -782,11 +866,11 @@ and on_rto tr ep p ~dst ~seq entry =
 
 (* An ack to an idle peer (its record shared, its outbox empty) is a
    duplicate with nothing to retire. *)
-and on_ack tr ep ~from ~seq ~floor =
+and on_ack tr ep ~from ~seq ~floor ~sample =
   let p = peer_of ep from in
   let q = p.q in
   if q != no_queues then begin
-    let answered = retire tr p q seq in
+    let answered = retire tr p q seq ~sample in
     (* Cumulative: the peer has processed every seq up to [floor], so also
        retire older entries whose own ack was lost — walking the table
        only when one may be outstanding. *)
@@ -798,7 +882,9 @@ and on_ack tr ep ~from ~seq ~floor =
       else
         Itbl.fold (fun s _ acc -> if s <= floor then s :: acc else acc)
           q.outbox []
-        |> List.fold_left (fun answered s -> retire tr p q s || answered) answered
+        |> List.fold_left
+             (fun answered s -> retire tr p q s ~sample || answered)
+             answered
     in
     release_outbox ep q;
     if answered then begin
@@ -811,14 +897,15 @@ and on_ack tr ep ~from ~seq ~floor =
 (* Retire outbox entry [s] on its ack; [false] for a duplicate ack. The
    entry is disarmed, its latest queue entry cleared and its payload
    dropped: no queue entry, superseded ones included, pins the message
-   until its deadline. *)
-and retire tr p q s =
+   until its deadline. A relayed ack took extra legs, so it does not
+   [sample] the round trip. *)
+and retire tr p q s ~sample =
   match Itbl.find q.outbox s with
   | exception Not_found -> false
   | entry ->
       Itbl.remove q.outbox s;
       entry.o_armed <- false;
-      entry.o_payload <- no_payload;
+      entry.o_frame <- no_payload;
       if entry.o_slot >= 0 then Engine.clear tr.engine entry.o_slot entry.o_fire;
       if entry.o_live then begin
         entry.o_live <- false;
@@ -826,7 +913,7 @@ and retire tr p q s =
       end;
       (* Karn's rule: only a never-retransmitted message yields an
          unambiguous RTT sample. *)
-      if tr.adaptive_rto && entry.o_attempts = 1 then
+      if sample && tr.adaptive_rto && entry.o_attempts = 1 then
         rtt_sample p (Engine.now tr.engine -. entry.o_at.sent);
       true
 
@@ -880,8 +967,8 @@ and receive tr ep ~from msg =
         (* Coalesced envelope: parts are processed in issue order, so
            per-(src, dst) FIFO is preserved through batching. *)
         List.iter (fun part -> receive tr ep ~from part) parts
-    | Wire.Ack { seq; floor } -> on_ack tr ep ~from ~seq ~floor
-    | Wire.Req { seq; payload } ->
+    | Wire.Ack { seq; floor } -> on_ack tr ep ~from ~seq ~floor ~sample:true
+    | Wire.Req { seq; relay; payload } ->
         let p = peer_of ep from in
         let fresh =
           if seq = p.floor + 1 && Itbl.length p.q.seen = 0 then begin
@@ -909,13 +996,26 @@ and receive tr ep ~from msg =
         post tr ep ~dst:from (Wire.Ack { seq; floor = p.floor });
         peer_answered tr ep p ~pid:from;
         settle ep p;
+        if relay <> no_relay then land_relay tr ep ~fresh relay;
         if fresh then begin
-          match payload with
+          (match payload with
           | Wire.Batch parts ->
               List.iter (fun part -> tr.deliver ~dst:ep.sid ~from part) parts
-          | payload -> tr.deliver ~dst:ep.sid ~from payload
+          | payload -> tr.deliver ~dst:ep.sid ~from payload);
+          (* A relay no send took on is lost, as an ack may be. *)
+          ep.carry <- no_relay
         end
     | msg -> tr.deliver ~dst:ep.sid ~from msg
+
+(* A relay that reaches the snode it acks retires what its floor covers;
+   elsewhere a fresh frame's relay is carried through the frame's
+   delivery, for [relay_for] to pass on. *)
+and land_relay tr ep ~fresh r =
+  let n = Array.length tr.eps in
+  if r mod n = ep.sid then
+    let floor = r / n / n in
+    on_ack tr ep ~from:(r / n mod n) ~seq:floor ~floor ~sample:false
+  else if fresh then ep.carry <- r
 
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery                                                   *)
@@ -1015,6 +1115,8 @@ let audit tr =
   in
   Array.iter
     (fun ep ->
+      if ep.carry <> no_relay then
+        fail "snode %d: a relay carried outside a delivery" ep.sid;
       if Itbl.length ep.spare > 0 then
         fail "snode %d: spare outbox holds %d entries" ep.sid
           (Itbl.length ep.spare);
@@ -1059,6 +1161,8 @@ let audit tr =
                 ob.ob_dst;
             if ob.ob_parts <> [] then
               fail "snode %d: free buffer holds staged parts" ep.sid;
+            if ob.ob_relay <> no_relay then
+              fail "snode %d: free buffer holds a relay" ep.sid;
             if ob.ob_armed then fail "snode %d: free flush timer armed" ep.sid)
       in
       let bound =
@@ -1072,6 +1176,8 @@ let audit tr =
               if ep.up && ob.ob_parts <> [] && not ob.ob_armed then
                 fail "snode %d -> %d: staged parts without an armed flush timer"
                   ep.sid dst;
+              if ob.ob_relay <> no_relay && ob.ob_parts = [] then
+                fail "snode %d -> %d: a relay with no frame to ride" ep.sid dst;
               n + 1
             end)
           ep.obufs 0
@@ -1087,6 +1193,8 @@ type pool_fault =
   | Disarm_staged
   | Leak_queues
   | Write_sentinel
+  | Relay_free
+  | Relay_sentinel
 
 let plant_pool_fault tr sid fault =
   let ep = tr.eps.(sid) in
@@ -1108,10 +1216,12 @@ let plant_pool_fault tr sid fault =
       let _, ob = find "bound buffer" (fun _ -> true) in
       let dst, _ = find "second buffer" (fun (_, o) -> o != ob) in
       Itbl.replace ep.obufs dst ob
-  | Arm_free ->
-      if ep.buffers.free == no_obuf then
+  | Arm_free | Relay_free ->
+      let ob = ep.buffers.free in
+      if ob == no_obuf then
         invalid_arg "Transport.plant_pool_fault: no free buffer";
-      ep.buffers.free.ob_armed <- true
+      if fault = Arm_free then ob.ob_armed <- true
+      else ob.ob_relay <- pack_relay tr ~acker:sid ~target:sid ~floor:0
   | Disarm_staged ->
       let _, ob = find "staged buffer" (fun (_, ob) -> ob.ob_parts <> []) in
       ob.ob_armed <- false
@@ -1123,6 +1233,10 @@ let plant_pool_fault tr sid fault =
   | Write_sentinel ->
       (* Every transport shares the sentinel: planting again undoes it. *)
       no_rtt.srtt <- (if no_rtt.srtt = 0. then 1. else 0.)
+  | Relay_sentinel ->
+      (* Likewise for the shared empty buffer. *)
+      no_obuf.ob_relay <-
+        (if no_obuf.ob_relay = no_relay then 0 else no_relay)
 
 type peer_sample = {
   ps_observer : int;

@@ -19,6 +19,14 @@
       envelope share one frame and the acks ride outside it. A route with
       5 consecutive timeouts is poisoned: probed at the 50 ms cap only
       until the peer answers;
+    - {b relayed acks}: a snode that forwards a routed get or put (under a
+      fault plan and a linger window) does not send the ack it staged
+      toward the walk's origin on its own when that ack is all the buffer
+      holds: it rides the forwarded frame, then the executor's reply, home
+      in the {!Wire.Req} header ([relay]), and retires the origin's entry
+      there without an RTT sample. A forwarded walk then costs three
+      frames and two acks. A lost relay costs the origin one
+      retransmission, which the forwarder acks directly;
     - {b backpressure}: a positive [max_inflight] bounds each peer's
       transmission window; excess messages wait in a backlog and promote
       in issue order as acks retire window entries;
@@ -125,12 +133,15 @@ val audit : t -> string list
     sentinel, and an idle peer (every queue released, route unsuspected)
     holds no private queue record. One rule for every shared sentinel
     (the empty outbox, dedup window and backlog, the zero RTT estimate,
-    the idle queue record and the empty buffer): it was never written.
+    the idle queue record and the empty buffer, relay slot included): it
+    was never written.
     One rule for both pools: every record an endpoint's pool made is free
     or bound, and free plus bound adds up to made. Free queue records are
-    blank; a free buffer is unbound, empty and disarmed, a bound one names
-    exactly its destination, and one with staged parts on an up endpoint
-    has an armed flush timer. Empty when sound. *)
+    blank; a free buffer is unbound, empty, disarmed and holds no relay, a
+    bound one names exactly its destination, one with staged parts on an
+    up endpoint has an armed flush timer, and one holding a relay has a
+    part for it to ride. No endpoint carries a relay outside a delivery.
+    Empty when sound. *)
 
 (** A broken pool or sentinel, planted by {!plant_pool_fault}. *)
 type pool_fault =
@@ -142,6 +153,10 @@ type pool_fault =
   | Write_sentinel
       (** the shared zero RTT estimate is written; every transport shares
           it, and planting this again undoes it *)
+  | Relay_free  (** the free list's head buffer holds a relayed ack *)
+  | Relay_sentinel
+      (** a relayed ack is written into the shared empty buffer; planting
+          this again undoes it *)
 
 val plant_pool_fault : t -> int -> pool_fault -> unit
 (** [plant_pool_fault tr sid fault] breaks snode [sid]'s pools (or a

@@ -107,7 +107,7 @@ type msg =
     }
   | Traced of { trace : int; span : int; hop : int; payload : msg }
   | Batch of msg list
-  | Req of { seq : int; payload : msg }
+  | Req of { seq : int; relay : int; payload : msg }
   | Ack of { seq : int; floor : int }
   | Lpdr_pull of { group : Group_id.t }
   | Lpdr_push of {
@@ -241,7 +241,9 @@ let rec size_bytes = function
       List.fold_left
         (fun acc p -> acc + per_entry + (size_bytes p - envelope))
         envelope parts
-  | Req { payload; _ } -> per_entry + size_bytes payload
+  | Req { relay; payload; _ } ->
+      (* A relayed ack rides the frame header as one more entry. *)
+      (if relay < 0 then per_entry else 2 * per_entry) + size_bytes payload
   | Ack _ -> envelope
   | Lpdr_pull _ -> envelope + per_entry
   | Lpdr_push { view; _ } ->

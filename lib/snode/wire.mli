@@ -198,14 +198,17 @@ type msg =
           {!Req}-framed sub-batch; {!size_bytes} charges one shared
           envelope plus a per-part frame header, amortizing the fixed
           envelope cost that dominates small-message traffic. *)
-  | Req of { seq : int; payload : msg }
+  | Req of { seq : int; relay : int; payload : msg }
       (** reliable-delivery frame: [seq] numbers the sender's stream toward
           one destination, which deduplicates by [(sender, seq)] and
           acknowledges with {!Ack}; the sender retransmits with backoff
           until acknowledged. Only used when a fault plan is active. The
           payload may be a {!Batch} of protocol messages — one sequence
           number, one retransmission timer and one ack then cover the
-          whole batch. *)
+          whole batch. [relay] is [-1], or a third snode's cumulative
+          {!Ack} riding home to the origin of a routed get or put along
+          the walk (the transport packs who acked, whom and up to which
+          seq into the one number); it costs one more [per_entry]. *)
   | Ack of { seq : int; floor : int }
       (** link-layer acknowledgement of a {!Req}; sent unreliably (a lost
           ack just provokes one more retransmission). [floor] makes the
@@ -277,7 +280,8 @@ val cells_size : (string * Versioned.cell) list -> int
 
 val per_entry : int
 (** Bytes charged per id, span or count entry, and per frame header: 16.
-    A {!Req} costs [per_entry] plus its payload. *)
+    A {!Req} costs [per_entry] plus its payload, and one more [per_entry]
+    when it carries a relayed ack. *)
 
 val size_bytes : msg -> int
 (** Serialized-size estimate: 64-byte envelope, 16 bytes per id/span/count

@@ -254,10 +254,11 @@ let test_frame_budget () =
     round ()
   done;
   let w1 = Gc.minor_words () in
-  (* 95 words, of which the outbox entry, its flat stamps record and the
-     closure made with it are 20. A separate timer record per entry, with
-     its deadline, trampoline and option box, and a boxed send time per
-     transmission read 104. *)
+  (* 95 words, of which the outbox entry, its flat stamps record, the
+     closure made with it and the frame it sends, made once with the entry,
+     are 23. A separate timer record per entry, with its deadline,
+     trampoline and option box, and a boxed send time per transmission
+     read 104. *)
   within "reliable frame, send to retire" ~budget:95. w0 w1;
   check Alcotest.int "no retransmission" 0
     (Transport.counters tr).Transport.retransmits;
@@ -266,9 +267,9 @@ let test_frame_budget () =
 (* A retransmission: snode 0 sends one frame to snode 1, crash-stopped
    for good, so the frame retransmits at the backed-off and then capped
    cadence forever and every copy is absorbed. After the first few
-   attempts, each one pays its frame, the network's delivery closure and
-   the boxed floats of its backoff, and re-pushes the closure its entry
-   made with it. *)
+   attempts, each one pays the network's delivery closure and the boxed
+   floats of its backoff, and re-sends the frame and re-pushes the closure
+   its entry made with it. *)
 let test_retransmit_budget () =
   let engine = Engine.create () in
   let net =
@@ -294,8 +295,9 @@ let test_retransmit_budget () =
   let w1 = Gc.minor_words () in
   check Alcotest.int "every measured attempt retransmitted" (r0 + calls)
     (retransmits ());
-  (* 43 words. A fresh closure per arming would add its 10. *)
-  within "retransmission of an absorbed frame" ~budget:43. w0 w1;
+  (* 40 words. A fresh closure per arming would add its 10, a fresh frame
+     per attempt its 4. *)
+  within "retransmission of an absorbed frame" ~budget:40. w0 w1;
   check Alcotest.int "still outstanding" 1 (Transport.queue_depth tr 0);
   check Alcotest.(list string) "queues sound" [] (Transport.audit tr)
 
@@ -336,6 +338,60 @@ let test_restage_budget () =
      record, deadline and closure. *)
   within "Transport.send re-staging a pooled buffer" ~budget:5. 0. !words;
   check Alcotest.(list string) "pool sound" [] (Transport.audit tr)
+
+(* A relayed forward against the standalone ack it replaces: snode 0 sends
+   a routed op to snode 1, which forwards it to snode 2, which answers
+   snode 0 from inside its delivery, over a fault plan that loses nothing
+   and a coalescing window. A get is relayed (snode 1's ack to snode 0
+   rides the forward and the reply), a creation is not (the ack leaves on
+   its own); everything else about the two walks is the same. Each walk
+   runs to quiescence, after one warm-up walk of each kind, and the
+   relayed walk must cost no more words than the unrelayed one. *)
+let walk_words op =
+  let engine = Engine.create () in
+  let net =
+    Network.create ~faults:(Fault.create ~seed:1 ()) engine Network.gigabit
+  in
+  let self = ref None in
+  let reply = Wire.Get_reply { token = 0; value = None; hint = None } in
+  let forward = Wire.Routed { point = 0; hops = 1; retries = 0; origin = 0; op } in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 3 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0
+      ~linger:Network.gigabit.Network.base_latency ~metrics:None
+      ~trace:Dht_telemetry.Trace.noop ~xmit:None
+      ~deliver:(fun ~dst ~from:_ msg ->
+        let tr = Option.get !self in
+        match (dst, msg) with
+        | 1, Wire.Routed _ -> Transport.send tr ~src:1 ~dst:2 forward
+        | 2, Wire.Routed _ -> Transport.send tr ~src:2 ~dst:0 reply
+        | _ -> ())
+  in
+  self := Some tr;
+  let walk = Wire.Routed { point = 0; hops = 0; retries = 0; origin = 0; op } in
+  let once () =
+    Transport.send tr ~src:0 ~dst:1 walk;
+    Engine.run engine
+  in
+  once ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    once ()
+  done;
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "no retransmission" 0
+    (Transport.counters tr).Transport.retransmits;
+  check Alcotest.(list string) "queues sound" [] (Transport.audit tr);
+  (w1 -. w0) /. float_of_int calls
+
+let test_relay_budget () =
+  let relayed = walk_words (Wire.Op_get { key = "k"; token = 0 }) in
+  let alone =
+    walk_words (Wire.Op_create { newcomer = Dht_core.Vnode_id.make ~snode:0 ~vnode:1 })
+  in
+  if relayed > alone then
+    Alcotest.failf "a relayed walk costs %.1f words, one with its ack alone %.1f"
+      relayed alone
 
 (* ---------------- retained-memory budgets ---------------- *)
 
@@ -474,6 +530,8 @@ let suite =
       test_retransmit_budget;
     Alcotest.test_case "budget: re-staging takes a pooled timer" `Quick
       test_restage_budget;
+    Alcotest.test_case "budget: a relayed ack costs no more than its envelope"
+      `Quick test_relay_budget;
     Alcotest.test_case "retained: words per held cell" `Quick test_cell_retained;
     Alcotest.test_case "retained: words per idle peer" `Quick
       test_idle_peer_retained;

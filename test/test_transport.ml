@@ -315,10 +315,11 @@ let test_pool_audit () =
   let expect name fault finding =
     let tr, stage = fresh () in
     (match fault with
-    | Transport.Arm_free -> ()
+    | Transport.Arm_free | Transport.Relay_free -> ()
     | Transport.Leak | Transport.Disarm_staged -> stage [ 1 ]
     | Transport.Share -> stage [ 1; 2 ]
-    | Transport.Leak_queues | Transport.Write_sentinel ->
+    | Transport.Leak_queues | Transport.Write_sentinel
+    | Transport.Relay_sentinel ->
         Alcotest.fail "not a buffer fault");
     check Alcotest.(list string) (name ^ ": sound before") []
       (Transport.audit tr);
@@ -335,7 +336,9 @@ let test_pool_audit () =
   expect "armed free timer" Transport.Arm_free
     "snode 0: free flush timer armed";
   expect "staged, disarmed" Transport.Disarm_staged
-    "snode 0 -> 1: staged parts without an armed flush timer"
+    "snode 0 -> 1: staged parts without an armed flush timer";
+  expect "relay in a free buffer" Transport.Relay_free
+    "snode 0: free buffer holds a relay"
 
 (* A reliable transport of three snodes on a fault plan that loses
    nothing: snode 0 sends to 1 and 2, and once both are acked their queue
@@ -374,16 +377,18 @@ let test_queue_leak_audit () =
    transport shares it; planting the write again undoes it. *)
 let test_sentinel_audit () =
   let tr = drained_reliable () in
-  Transport.plant_pool_fault tr 0 Transport.Write_sentinel;
-  let findings =
+  let planted fault =
+    Transport.plant_pool_fault tr 0 fault;
     Fun.protect
       (fun () -> Transport.audit tr)
-      ~finally:(fun () ->
-        Transport.plant_pool_fault tr 0 Transport.Write_sentinel)
+      ~finally:(fun () -> Transport.plant_pool_fault tr 0 fault)
   in
   check Alcotest.(list string) "written sentinel named"
     [ "the shared sentinel no_rtt was written" ]
-    findings;
+    (planted Transport.Write_sentinel);
+  check Alcotest.(list string) "relay in the empty buffer named"
+    [ "the shared sentinel no_obuf was written" ]
+    (planted Transport.Relay_sentinel);
   check Alcotest.(list string) "undone: sound" [] (Transport.audit tr)
 
 (* An acked message is let go at once, not at its retransmission deadline.
@@ -610,10 +615,11 @@ let test_inflight_peer_coalesces () =
       (List.rev !(r.sent))
   in
   (match from0 with
-  | [ (0., Wire.Req { seq = 0; payload = Wire.Busy { token = 0 } });
+  | [ (0., Wire.Req { seq = 0; relay = -1; payload = Wire.Busy { token = 0 } });
       ( t1,
         Wire.Req
           { seq = 1;
+            relay = -1;
             payload =
               Wire.Batch [ Wire.Busy { token = 1 }; Wire.Busy { token = 2 } ]
           } ) ] ->
@@ -648,7 +654,7 @@ let test_ack_rides_with_reply () =
   | [ ( at,
         Wire.Batch
           [ Wire.Ack { seq = 0; floor = 0 };
-            Wire.Req { seq = 0; payload = Wire.Busy { token = 100 } } ] ) ] ->
+            Wire.Req { seq = 0; relay = -1; payload = Wire.Busy { token = 100 } } ] ) ] ->
       check (Alcotest.float 0.) "leaves when the payload lands" landed_at at
   | l ->
       Alcotest.failf "snode 1 sent %d envelopes, not one of ack and reply"
@@ -673,6 +679,176 @@ let test_crash_before_zero_flush () =
   | [ (at, 1, 0) ] ->
       check (Alcotest.float 0.) "sent at the restart" (restart_at +. alone) at
   | _ -> Alcotest.fail "the payload did not land once"
+
+(* ---------------- relayed acks ---------------- *)
+
+(* A routed walk over three snodes on a fault plan that loses nothing,
+   with a coalescing window: snode 0 (the origin) sends a routed get to
+   snode 1 (the steward), which forwards it to snode 2 (the owner), which
+   answers the origin from inside its delivery, as the runtime does.
+   [wrap] sends every walk leg inside a causal [Traced] wrapper. A remote
+   send for which [sink ~src ~dst] holds is lost. *)
+type walk = {
+  w_engine : Engine.t;
+  w_tr : Transport.t;
+  replies : int list ref;
+      (* the origin's queue depth as each reply is handed up; newest first *)
+  envelopes : (int * Wire.msg) list ref;
+      (* sender and envelope, as put on the network; newest first *)
+  busy : int list ref;  (* [Busy] tokens landed at the origin; newest first *)
+}
+
+let walk_rig ?(adaptive_rto = false) ?(wrap = false)
+    ?(sink = fun ~src:_ ~dst:_ -> false) () =
+  let engine = Engine.create () in
+  let net =
+    Network.create ~faults:(Fault.create ~seed:1 ()) engine Network.gigabit
+  in
+  Network.set_probe net
+    (Some
+       (fun ~site:_ ~src ~dst ~tag:_ ->
+         if sink ~src ~dst then Network.Sink else Network.Pass));
+  let replies = ref [] and envelopes = ref [] and busy = ref [] in
+  let self = ref None in
+  let leg msg =
+    if wrap then Wire.Traced { trace = 1; span = 1; hop = 1; payload = msg }
+    else msg
+  in
+  let rec deliver ~dst ~from msg =
+    let tr = Option.get !self in
+    match msg with
+    | Wire.Traced { payload; _ } -> deliver ~dst ~from payload
+    | Wire.Routed ({ origin; op = Wire.Op_get { token; _ }; _ } as r) ->
+        if dst = 1 then
+          Transport.send tr ~src:1 ~dst:2
+            (leg (Wire.Routed { r with hops = r.hops + 1 }))
+        else
+          Transport.send tr ~src:dst ~dst:origin
+            (Wire.Get_reply { token; value = None; hint = None })
+    | Wire.Get_reply _ -> replies := Transport.queue_depth tr 0 :: !replies
+    | Wire.Busy { token } -> busy := token :: !busy
+    | _ -> Alcotest.fail "deliver saw an unexpected message"
+  in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 3 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto ~max_inflight:0 ~linger:window
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop
+      ~xmit:
+        (Some (fun ~tid ~attempt:_ msg -> envelopes := (tid, msg) :: !envelopes))
+      ~deliver
+  in
+  self := Some tr;
+  let get ~at =
+    Engine.at engine ~time:at (fun () ->
+        Transport.send tr ~src:0 ~dst:1
+          (leg
+             (Wire.Routed
+                { point = 0; hops = 0; retries = 0; origin = 0;
+                  op = Wire.Op_get { key = "k"; token = 7 } })))
+  in
+  ({ w_engine = engine; w_tr = tr; replies; envelopes; busy }, get)
+
+(* Run to quiescence, auditing after every event; [each] runs first. A
+   walk whose frames keep retransmitting fails instead of spinning. *)
+let walk_drain ?(each = ignore) w =
+  let steps = ref 0 in
+  while Engine.step w.w_engine do
+    incr steps;
+    if !steps > 10_000 then Alcotest.fail "the walk did not quiesce";
+    each ();
+    check Alcotest.(list string) "audit after every event" []
+      (Transport.audit w.w_tr)
+  done
+
+(* The relay of an envelope's frame, -1 without one. *)
+let rec relay_of = function
+  | Wire.Req { relay; _ } -> relay
+  | Wire.Batch parts ->
+      List.fold_left (fun acc p -> max acc (relay_of p)) (-1) parts
+  | _ -> -1
+
+(* The steward's ack to the origin rides the forward and the reply: the
+   walk costs three frames and two acks, the steward sends the origin
+   nothing, and the origin's entry toward the steward is retired by the
+   time the reply is handed up. *)
+let test_relayed_walk ~wrap () =
+  let w, get = walk_rig ~wrap () in
+  get ~at:0.;
+  walk_drain w;
+  check Alcotest.(list int) "one reply, nothing outstanding as it lands"
+    [ 0 ] !(w.replies);
+  let sent = List.rev !(w.envelopes) in
+  check Alcotest.(list int) "senders: origin, steward, owner twice, origin"
+    [ 0; 1; 2; 2; 0 ] (List.map fst sent);
+  (match List.map (fun (_, m) -> relay_of m) sent with
+  | [ -1; r1; -1; r2; -1 ] when r1 >= 0 && r2 = r1 -> ()
+  | _ -> Alcotest.fail "the relay did not ride the forward and the reply");
+  check Alcotest.int "no retransmission" 0
+    (Transport.counters w.w_tr).Transport.retransmits
+
+(* The forward is lost until the origin has retransmitted: the steward
+   answers the duplicate with a direct ack, the forward's own
+   retransmission reaches the owner, and the op completes once. *)
+let test_lost_forward () =
+  let origin_sent = ref 0 in
+  let w, get =
+    walk_rig ~sink:(fun ~src ~dst -> src = 1 && dst = 2 && !origin_sent < 2) ()
+  in
+  get ~at:0.;
+  walk_drain w ~each:(fun () ->
+      origin_sent :=
+        List.length (List.filter (fun (src, _) -> src = 0) !(w.envelopes)));
+  check Alcotest.bool "the origin retransmitted" true
+    ((Transport.counters w.w_tr).Transport.retransmits > 0 && !origin_sent >= 2);
+  check Alcotest.bool "the steward acked the origin directly" true
+    (List.exists
+       (function 1, Wire.Ack _ -> true | _ -> false)
+       !(w.envelopes));
+  check Alcotest.int "the op completed once" 1 (List.length !(w.replies));
+  check Alcotest.int "nothing outstanding" 0 (Transport.queue_depth w.w_tr 0)
+
+(* An ack that arrives relayed took two extra legs: it retires the
+   origin's entry but leaves the route's smoothed RTT as the last direct
+   ack set it. *)
+let test_relay_takes_no_rtt_sample () =
+  let w, get = walk_rig ~adaptive_rto:true () in
+  Transport.send w.w_tr ~src:0 ~dst:1 (Wire.Busy { token = 1 });
+  walk_drain w;
+  let srtt () =
+    match
+      List.find_opt
+        (fun s -> s.Transport.ps_observer = 0 && s.Transport.ps_peer = 1)
+        (Transport.peer_samples w.w_tr)
+    with
+    | Some s -> s.Transport.ps_srtt
+    | None -> Alcotest.fail "no estimator toward the steward"
+  in
+  let before = srtt () in
+  check Alcotest.bool "a direct ack sampled the route" true (before > 0.);
+  get ~at:(Engine.now w.w_engine +. 1e-3);
+  walk_drain w;
+  check Alcotest.(list int) "the relay retired the origin's entry" [ 0 ]
+    !(w.replies);
+  check (Alcotest.float 0.) "srtt unchanged" before (srtt ())
+
+(* The steward's buffer toward the origin holds a protocol part besides
+   the ack when the walk arrives (a second part, held by the window while
+   the first is unacknowledged), so the ack stays there and leaves with
+   that part: nothing is relayed, and the part lands once. *)
+let test_busy_buffer_keeps_its_ack () =
+  let w, get = walk_rig () in
+  List.iter
+    (fun (at, token) ->
+      Engine.at w.w_engine ~time:at (fun () ->
+          Transport.send w.w_tr ~src:1 ~dst:0 (Wire.Busy { token })))
+    [ (0., 1); (1e-5, 2) ];
+  get ~at:2e-5;
+  walk_drain w;
+  check Alcotest.(list int) "both parts landed once, in order" [ 1; 2 ]
+    (List.rev !(w.busy));
+  check Alcotest.int "the op completed once" 1 (List.length !(w.replies));
+  check Alcotest.bool "nothing relayed" true
+    (List.for_all (fun (_, m) -> relay_of m = -1) !(w.envelopes))
 
 let suite =
   [
@@ -703,6 +879,16 @@ let suite =
       test_ack_rides_with_reply;
     Alcotest.test_case "without a fault plan the window holds" `Quick
       test_faultless_full_window;
+    Alcotest.test_case "a forwarded walk costs five envelopes" `Quick
+      (test_relayed_walk ~wrap:false);
+    Alcotest.test_case "a traced walk relays too" `Quick
+      (test_relayed_walk ~wrap:true);
+    Alcotest.test_case "a lost forward: the steward acks directly" `Quick
+      test_lost_forward;
+    Alcotest.test_case "a relayed ack takes no RTT sample" `Quick
+      test_relay_takes_no_rtt_sample;
+    Alcotest.test_case "a buffer with a protocol part keeps its ack" `Quick
+      test_busy_buffer_keeps_its_ack;
     Alcotest.test_case "a crash before the zero-delay flush" `Quick
       test_crash_before_zero_flush;
   ]

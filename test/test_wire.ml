@@ -228,7 +228,7 @@ let all_messages =
     Wire.Repl_repair { key = "k"; point = 5; cell = cell "v" };
     Wire.Repl_sync { cells = [ ("k", cell "v") ] };
     Wire.Ae_request;
-    Wire.Req { seq = 9; payload = Wire.All_received { event = 3 } };
+    Wire.Req { seq = 9; relay = -1; payload = Wire.All_received { event = 3 } };
     Wire.Ack { seq = 9; floor = 9 };
     Wire.Batch
       [ Wire.Put_ack { token = 1; hint = None };
@@ -367,11 +367,15 @@ let test_req_framing () =
      messages cannot dodge the framing contract. *)
   List.iter
     (fun inner ->
-      let framed = Wire.Req { seq = 1; payload = inner } in
+      let framed = Wire.Req { seq = 1; relay = -1; payload = inner } in
       check Alcotest.int
         (Printf.sprintf "req header on %s is 16 bytes" (Wire.describe inner))
         (Wire.size_bytes inner + 16)
         (Wire.size_bytes framed);
+      check Alcotest.int
+        (Printf.sprintf "a relayed ack on %s adds 16 bytes" (Wire.describe inner))
+        (Wire.size_bytes inner + 32)
+        (Wire.size_bytes (Wire.Req { seq = 1; relay = 0; payload = inner }));
       check Alcotest.string "req tag nests"
         ("req:" ^ Wire.describe inner)
         (Wire.describe framed))
@@ -379,7 +383,9 @@ let test_req_framing () =
   check Alcotest.string "double framing nests twice" "req:req:commit"
     (Wire.describe
        (Wire.Req
-          { seq = 2; payload = Wire.Req { seq = 1; payload = Wire.Commit { event = 3; moved } } }));
+          { seq = 2; relay = -1;
+            payload =
+              Wire.Req { seq = 1; relay = -1; payload = Wire.Commit { event = 3; moved } } }));
   check Alcotest.string "ack tag" "ack"
     (Wire.describe (Wire.Ack { seq = 1; floor = 1 }))
 
