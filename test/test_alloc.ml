@@ -346,7 +346,8 @@ let test_restage_budget () =
    rides the forward and the reply), a creation is not (the ack leaves on
    its own); everything else about the two walks is the same. Each walk
    runs to quiescence, after one warm-up walk of each kind, and the
-   relayed walk must cost no more words than the unrelayed one. *)
+   relayed walk, one envelope shorter, must cost no more words than the
+   unrelayed one. *)
 let walk_words op =
   let engine = Engine.create () in
   let net =
@@ -374,6 +375,7 @@ let walk_words op =
     Engine.run engine
   in
   once ();
+  let m0 = Network.messages net in
   let w0 = Gc.minor_words () in
   for _ = 1 to calls do
     once ()
@@ -382,13 +384,14 @@ let walk_words op =
   check Alcotest.int "no retransmission" 0
     (Transport.counters tr).Transport.retransmits;
   check Alcotest.(list string) "queues sound" [] (Transport.audit tr);
-  (w1 -. w0) /. float_of_int calls
+  ((w1 -. w0) /. float_of_int calls, (Network.messages net - m0) / calls)
 
 let test_relay_budget () =
-  let relayed = walk_words (Wire.Op_get { key = "k"; token = 0 }) in
-  let alone =
+  let relayed, five = walk_words (Wire.Op_get { key = "k"; token = 0 }) in
+  let alone, six =
     walk_words (Wire.Op_create { newcomer = Dht_core.Vnode_id.make ~snode:0 ~vnode:1 })
   in
+  check Alcotest.(pair int int) "envelopes per walk" (5, 6) (five, six);
   if relayed > alone then
     Alcotest.failf "a relayed walk costs %.1f words, one with its ack alone %.1f"
       relayed alone
