@@ -850,6 +850,121 @@ let test_busy_buffer_keeps_its_ack () =
   check Alcotest.bool "nothing relayed" true
     (List.for_all (fun (_, m) -> relay_of m = -1) !(w.envelopes))
 
+(* Random routed walks under loss, duplication and jitter: each of up to
+   twelve gets goes from its origin through one to three forwarding hops
+   (the remaining path rides in [point], one hop per base-8 digit) and is
+   answered by its last hop. Whatever the relays do, every get is answered
+   at its origin exactly once, every queue drains, and the window
+   bookkeeping audits clean after every event. *)
+type walks = {
+  w_seed : int;
+  w_snodes : int;
+  w_faults : float * float * float;  (* drop, duplicate, jitter *)
+  w_gets : (float * int * int list) list;  (* issue time, origin, hops *)
+}
+
+let walks_gen =
+  let open QCheck.Gen in
+  let* w_seed = small_nat in
+  let* w_snodes = int_range 3 5 in
+  let* w_faults =
+    triple (float_bound_inclusive 0.3) (float_bound_inclusive 0.2)
+      (float_bound_inclusive 2e-4)
+  in
+  (* A path of 1-3 hops, each hop another snode than the one before. *)
+  let path origin =
+    let* len = int_range 1 3 in
+    let rec go prev n =
+      if n = 0 then return []
+      else
+        let* d = int_range 1 (w_snodes - 1) in
+        let hop = (prev + d) mod w_snodes in
+        let+ rest = go hop (n - 1) in
+        hop :: rest
+    in
+    go origin len
+  in
+  let+ w_gets =
+    list_size (int_range 1 12)
+      (let* at = float_bound_inclusive 1e-3 in
+       let* origin = int_bound (w_snodes - 1) in
+       let+ hops = path origin in
+       (at, origin, hops))
+  in
+  { w_seed; w_snodes; w_faults; w_gets }
+
+let print_walks w =
+  let d, u, j = w.w_faults in
+  Printf.sprintf "seed %d, %d snodes, drop %g dup %g jitter %g, gets [%s]"
+    w.w_seed w.w_snodes d u j
+    (String.concat "; "
+       (List.map
+          (fun (at, o, hops) ->
+            Printf.sprintf "%g: %d -> %s" at o
+              (String.concat " -> " (List.map string_of_int hops)))
+          w.w_gets))
+
+let encode_path hops = List.fold_right (fun h acc -> (acc * 8) + h + 1) hops 0
+
+let prop_walks_answered_once =
+  QCheck.Test.make ~name:"relayed walks answered exactly once under faults"
+    ~count:150
+    (QCheck.make ~print:print_walks walks_gen)
+    (fun w ->
+      let engine = Engine.create () in
+      let drop, duplicate, jitter = w.w_faults in
+      let faults = Fault.create ~drop ~duplicate ~jitter ~seed:w.w_seed () in
+      let net = Network.create ~faults engine Network.gigabit in
+      let answers = Hashtbl.create 16 and self = ref None in
+      let deliver ~dst ~from:_ msg =
+        let tr = Option.get !self in
+        match msg with
+        | Wire.Routed ({ point; origin; op = Wire.Op_get { token; _ }; _ } as r)
+          ->
+            if point = 0 then
+              Transport.send tr ~src:dst ~dst:origin
+                (Wire.Get_reply { token; value = None; hint = None })
+            else
+              Transport.send tr ~src:dst ~dst:((point mod 8) - 1)
+                (Wire.Routed { r with point = point / 8; hops = r.hops + 1 })
+        | Wire.Get_reply { token; _ } ->
+            Hashtbl.replace answers (dst, token)
+              (1 + Option.value ~default:0 (Hashtbl.find_opt answers (dst, token)))
+        | _ -> Alcotest.fail "deliver saw an unexpected message"
+      in
+      let tr =
+        Transport.create engine net
+          ~rngs:(Array.init w.w_snodes (fun i -> Rng.of_int ((1000 * w.w_seed) + i)))
+          ~rto:1e-3 ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0
+          ~linger:quantum ~metrics:None ~trace:Dht_telemetry.Trace.noop
+          ~xmit:None ~deliver
+      in
+      self := Some tr;
+      List.iteri
+        (fun token (at, origin, hops) ->
+          Engine.at engine ~time:at (fun () ->
+              Transport.send tr ~src:origin ~dst:(List.hd hops)
+                (Wire.Routed
+                   { point = encode_path (List.tl hops); hops = 0; retries = 0;
+                     origin; op = Wire.Op_get { key = "k"; token } })))
+        w.w_gets;
+      let steps = ref 0 in
+      while Engine.step engine do
+        incr steps;
+        if !steps > 1_000_000 then Alcotest.fail "schedule did not quiesce";
+        match Transport.audit tr with
+        | [] -> ()
+        | findings -> Alcotest.fail (String.concat "\n" findings)
+      done;
+      List.for_all
+        (fun (token, (_, origin, _)) ->
+          Hashtbl.find_opt answers (origin, token) = Some 1)
+        (List.mapi (fun i g -> (i, g)) w.w_gets)
+      && Hashtbl.length answers = List.length w.w_gets
+      && List.for_all
+           (fun sid -> Transport.queue_depth tr sid = 0)
+           (List.init w.w_snodes Fun.id))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -889,6 +1004,7 @@ let suite =
       test_relay_takes_no_rtt_sample;
     Alcotest.test_case "a buffer with a protocol part keeps its ack" `Quick
       test_busy_buffer_keeps_its_ack;
+    QCheck_alcotest.to_alcotest prop_walks_answered_once;
     Alcotest.test_case "a crash before the zero-delay flush" `Quick
       test_crash_before_zero_flush;
   ]
