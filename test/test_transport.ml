@@ -850,16 +850,18 @@ let test_busy_buffer_keeps_its_ack () =
   check Alcotest.bool "nothing relayed" true
     (List.for_all (fun (_, m) -> relay_of m = -1) !(w.envelopes))
 
-(* Random routed walks under loss, duplication and jitter: each of up to
-   twelve gets goes from its origin through one to three forwarding hops
-   (the remaining path rides in [point], one hop per base-8 digit) and is
-   answered by its last hop. Whatever the relays do, every get is answered
-   at its origin exactly once, every queue drains, and the window
-   bookkeeping audits clean after every event. *)
+(* Random routed walks under loss, duplication, jitter and at most one
+   crash-restart: each of up to twelve gets goes from its origin through
+   one to three forwarding hops (the remaining path rides in [point], one
+   hop per base-8 digit) and is answered by its last hop. Whatever the
+   relays do, every get is answered at its origin exactly once, every
+   queue drains, and the window bookkeeping audits clean after every
+   event. *)
 type walks = {
   w_seed : int;
   w_snodes : int;
   w_faults : float * float * float;  (* drop, duplicate, jitter *)
+  w_crash : (int * float * float) option;  (* snode, down at, back at *)
   w_gets : (float * int * int list) list;  (* issue time, origin, hops *)
 }
 
@@ -870,6 +872,13 @@ let walks_gen =
   let* w_faults =
     triple (float_bound_inclusive 0.3) (float_bound_inclusive 0.2)
       (float_bound_inclusive 2e-4)
+  in
+  let* w_crash =
+    opt
+      (let* sid = int_bound (w_snodes - 1) in
+       let* down = float_bound_inclusive 1e-3 in
+       let+ span = float_bound_inclusive 2e-3 in
+       (sid, down, down +. span))
   in
   (* A path of 1-3 hops, each hop another snode than the one before. *)
   let path origin =
@@ -891,12 +900,15 @@ let walks_gen =
        let+ hops = path origin in
        (at, origin, hops))
   in
-  { w_seed; w_snodes; w_faults; w_gets }
+  { w_seed; w_snodes; w_faults; w_crash; w_gets }
 
 let print_walks w =
   let d, u, j = w.w_faults in
-  Printf.sprintf "seed %d, %d snodes, drop %g dup %g jitter %g, gets [%s]"
+  Printf.sprintf "seed %d, %d snodes, drop %g dup %g jitter %g, crash %s, gets [%s]"
     w.w_seed w.w_snodes d u j
+    (match w.w_crash with
+    | None -> "none"
+    | Some (sid, a, b) -> Printf.sprintf "snode %d %g-%g" sid a b)
     (String.concat "; "
        (List.map
           (fun (at, o, hops) ->
@@ -940,6 +952,11 @@ let prop_walks_answered_once =
           ~xmit:None ~deliver
       in
       self := Some tr;
+      Option.iter
+        (fun (sid, down, up) ->
+          Engine.at engine ~time:down (fun () -> Transport.crash tr sid);
+          Engine.at engine ~time:up (fun () -> Transport.restart tr sid))
+        w.w_crash;
       List.iteri
         (fun token (at, origin, hops) ->
           Engine.at engine ~time:at (fun () ->
