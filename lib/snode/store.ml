@@ -416,8 +416,8 @@ let answer st sid ~from ~synced msg =
           keys
       in
       sync_reply st to_send
-      @ if want = [] then [] else [ Wire.Mt_want { span; keys = want } ]
-  | Wire.Mt_want { keys; _ } ->
+      @ if want = [] then [] else [ Wire.Mt_want { keys = want } ]
+  | Wire.Mt_want { keys } ->
       (* Answer from the live store: these are our freshest copies, and a
          key dropped since the snapshot is simply omitted. *)
       let cells =

@@ -97,7 +97,7 @@ type msg =
       (* (span, count, hash, leaf?) children frames for requested spans *)
   | Mt_leaf of { span : Span.t; keys : (string * int) list }
       (* divergent leaf: the sender's per-key cell digests in the span *)
-  | Mt_want of { span : Span.t; keys : string list }
+  | Mt_want of { keys : string list }
       (* "ship me your cells for these keys" — closes the exchange *)
   | Range_get of { token : int; lo : int; hi : int }
   | Range_reply of {
@@ -227,8 +227,8 @@ let rec size_bytes = function
       + List.fold_left
           (fun acc (k, _) -> acc + per_entry + String.length k)
           0 keys
-  | Mt_want { keys; _ } ->
-      envelope + per_entry
+  | Mt_want { keys } ->
+      envelope
       + List.fold_left (fun acc k -> acc + per_entry + String.length k) 0 keys
   | Range_get _ -> envelope + (2 * per_entry)
   | Range_reply { cells; _ } -> envelope + (2 * per_entry) + cells_size cells

@@ -170,7 +170,7 @@ type msg =
           lacks or holds stale ({!Repl_sync}) and
           asks for the rest with {!Mt_want} — so exactly the symmetric
           difference crosses the wire. *)
-  | Mt_want of { span : Span.t; keys : string list }
+  | Mt_want of { keys : string list }
       (** the receiver of an {!Mt_leaf} requests the cells it lacks;
           answered with {!Repl_sync} *)
   | Range_get of { token : int; lo : int; hi : int }

@@ -549,15 +549,15 @@ let test_wire_identity_pin () =
      anti-entropy frame, so every message and byte, except that each of
      the run's 72 empty-span probes is a root frame, one entry (16 bytes)
      larger than the flat digest that implementation sent, and each of its
-     40 cell shipments is one entry (16 bytes) smaller, as a shipment no
-     longer names its span. *)
+     40 cell shipments and each of its 11 key requests is one entry
+     (16 bytes) smaller, as neither names its span any more. *)
   let ae, (msgs, bytes), ranges = interleaved_run ~audit:false in
   check
     Alcotest.(list int)
     "ae_stats (roots requests frames leaves keys_sent)"
     [ 824; 88; 176; 57; 40 ] ae;
   check Alcotest.int "messages" 9427 msgs;
-  check Alcotest.int "bytes" 897116 bytes;
+  check Alcotest.int "bytes" 896940 bytes;
   check Alcotest.int "every range read completed" 8 ranges
 
 let test_audit_is_transparent () =

@@ -179,7 +179,7 @@ let inflate = function
   | Wire.Mt_frames f ->
       Wire.Mt_frames { frames = (Span.root, 1, 0xbeef, true) :: f.frames }
   | Wire.Mt_leaf l -> Wire.Mt_leaf { l with keys = (big, 0xf00d) :: l.keys }
-  | Wire.Mt_want w -> Wire.Mt_want { w with keys = big :: w.keys }
+  | Wire.Mt_want w -> Wire.Mt_want { keys = big :: w.keys }
   | Wire.Range_get _ as m -> m
   | Wire.Range_reply r ->
       Wire.Range_reply { r with cells = ("extra", cell big) :: r.cells }
@@ -249,7 +249,7 @@ let all_messages =
     Wire.Mt_request { spans = [ Span.root ] };
     Wire.Mt_frames { frames = [ (Span.root, 4, 0xcafe, false) ] };
     Wire.Mt_leaf { span = Span.root; keys = [ ("k", 0xd00d) ] };
-    Wire.Mt_want { span = Span.root; keys = [ "k" ] };
+    Wire.Mt_want { keys = [ "k" ] };
     Wire.Range_get { token = 7; lo = 0; hi = 1024 };
     Wire.Range_reply { token = 7; lo = 0; cells = [ ("k", cell "v") ] };
   ]
