@@ -164,6 +164,17 @@ let learn r sid span vid =
     r.rc_peak <- Int.max r.rc_peak (Point_map.cardinal r.caches.(sid))
   end
 
+(* A reply hint is learned only when [next_hop]'s trust rule would act on
+   it: its span is at least [rlevel] deep and at least as deep as the
+   deepest placement [sid] has learned. A shallower hint could never be
+   followed at the first two hops, nor raise the trust threshold (the
+   larger of the two levels); learning it would only press trusted
+   entries out of a bounded cache. Unbounded caches learn every hint. *)
+let learn_hint r sid span vid =
+  let l = Span.level span in
+  if (not (bounded r)) || (l >= r.rlevel && l >= r.deepest.(sid)) then
+    learn r sid span vid
+
 let next_hop r ~sid ~hops point =
   let cache = r.caches.(sid) in
   let advice = (Point_map.find_owner_exn cache point).Vnode_id.snode in
@@ -277,6 +288,7 @@ let level r = r.rlevel
 let route_cap r = r.route_cap
 let max_hops r = Array.length r.hop_counts - 1
 let entries r sid = Point_map.cardinal r.caches.(sid)
+let deepest r sid = if bounded r then r.deepest.(sid) else 0
 let snapshot r sid = Point_map.to_list r.caches.(sid)
 let hops r = Array.copy r.hop_counts
 

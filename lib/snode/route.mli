@@ -5,7 +5,8 @@
 
     - {b routing caches}: one per snode, global placement advice that may
       be stale, seeded with the bootstrap placement and corrected by
-      commits, reply hints and refresh reports ({!learn});
+      commits, refresh reports ({!learn}) and the reply hints it would
+      trust ({!learn_hint});
     - {b bounded caches}: with a positive [route_cap], an over-cap cache
       folds its coldest sibling leaf-pair (LRU by last probe or learn)
       into one coarser parent binding, so coverage is never broken; a
@@ -64,6 +65,14 @@ val learn : t -> int -> Span.t -> Vnode_id.t -> unit
     [span]. When bounded, the span is stamped most recent, raises the
     snode's deepest learned level, and the cache folds back under its
     cap. *)
+
+val learn_hint : t -> int -> Span.t -> Vnode_id.t -> unit
+(** [learn_hint r sid span vid] is {!learn} for a reply hint that a routed
+    operation's owner sent back to its origin [sid]: when bounded, the
+    hint is learned only if {!next_hop} would trust it, i.e. its span is
+    at least [level r] deep and at least as deep as the deepest placement
+    [sid] has learned; any other leaves the cache, its stamps and the
+    deepest level unchanged. Unbounded caches learn every hint. *)
 
 val next_hop : t -> sid:int -> hops:int -> int -> int
 (** [next_hop r ~sid ~hops point] is the snode that snode [sid], which
@@ -129,6 +138,10 @@ val entries : t -> int -> int
 
 val snapshot : t -> int -> (Span.t * Vnode_id.t) list
 (** One snode's cache entries, in span order. *)
+
+val deepest : t -> int -> int
+(** The level of the deepest placement one snode has learned since its
+    last restart; 0 when unbounded. *)
 
 val stamp : t -> int -> Span.t -> int
 (** A cache span's LRU stamp on one snode: the LRU clock at its last

@@ -1362,10 +1362,14 @@ and handle t sn ~from msg =
   | Wire.Remove_done { token; ok } ->
       settle t ~tid:sn.sid ~token (Departed ok)
   | Wire.Put_ack { token; hint } ->
-      Option.iter (fun (span, vid) -> Route.learn t.route sn.sid span vid) hint;
+      Option.iter
+        (fun (span, vid) -> Route.learn_hint t.route sn.sid span vid)
+        hint;
       settle t ~tid:sn.sid ~token (Acked `Put)
   | Wire.Get_reply { token; value; hint } ->
-      Option.iter (fun (span, vid) -> Route.learn t.route sn.sid span vid) hint;
+      Option.iter
+        (fun (span, vid) -> Route.learn_hint t.route sn.sid span vid)
+        hint;
       settle t ~tid:sn.sid ~token (Answered (`Get, value))
   | Wire.Busy { token } ->
       (* Admission rejection landing at the origin: settle the operation

@@ -125,16 +125,15 @@ type peer = {
    as long as its endpoint, so its queue entries pin nothing else.
 
    A snode stages toward far more destinations over a run than hold parts
-   at once, so buffers are pooled per endpoint. [obufs] binds every
-   destination ever staged for, to its own buffer while it has one and to
-   the shared, never-written [no_obuf] otherwise. A destination takes a
-   buffer from the pool when its first part stages, and gives it back
-   when its timer's flush leaves it empty. A flush forced by
-   [flush_lingering], or cut short by a crash, keeps the buffer bound, so
-   a superseded queue entry of its timer can only ever fire for the
-   destination that armed it. Bindings are swapped with [Itbl.replace],
-   which keeps each binding's place in its bucket: [restart] arms flushes
-   in the table's order. *)
+   at once, so buffers are pooled per endpoint, and [obufs] binds a
+   destination only while it holds one. A destination takes a buffer
+   from the pool when its first part stages, and gives it back, binding
+   and all, when its timer's flush leaves it empty. A flush forced by
+   [flush_lingering], or cut short by a crash, keeps the buffer bound
+   until the last queued arming of its timer has run, so a superseded
+   queue entry can only ever fire for the destination that armed it.
+   Whatever walks the bindings in an order that can show ([restart],
+   [flush_lingering]) walks them by destination. *)
 
 (* All-float, so stored flat: re-arming writes the deadline unboxed. *)
 type deadline = { mutable at : float }
@@ -174,8 +173,8 @@ let rec no_queues =
     live = 0; seen = no_seen; suspect = false; strikes = 0;
     q_next = no_queues }
 
-(* The buffer of every destination without staged parts, and the end of
-   a free list. It is never armed, so its closure never runs. *)
+(* What a destination without a buffer finds, and the end of a free list.
+   It is never armed, so its closure never runs. *)
 let rec no_obuf =
   { ob_dst = -1; ob_parts = []; ob_acked = false; ob_armed = false;
     ob_relay = no_relay; ob_queued = 0; ob_due = { at = 0. }; ob_fire = ignore;
@@ -256,13 +255,95 @@ module Buffers = Pool (struct
   let nil = no_obuf and next b = b.ob_next and set_next b n = b.ob_next <- n
 end)
 
+(* Destination -> the buffer bound to it, for the destinations holding one
+   only. Open addressing over two arrays (keys, -1 in an empty slot, and
+   buffers, [no_obuf] in an empty slot) with linear probing and
+   backward-shift deletion, so binding, finding and unbinding allocate
+   nothing; only growth does, once the table would be over half full. A
+   chained [Hashtbl] would allocate a bucket on every re-bind. Its slot
+   order is no destination order: walks that can show sort. *)
+module Bound = struct
+  type t = {
+    mutable keys : int array;
+    mutable bufs : obuf array;
+    mutable count : int;
+  }
+
+  let create () =
+    { keys = Array.make 8 (-1); bufs = Array.make 8 no_obuf; count = 0 }
+
+  (* The slot holding [dst], or the empty slot that ends its probe run;
+     the table is never full, so one exists. *)
+  let slot ix dst =
+    let mask = Array.length ix.keys - 1 in
+    let i = ref (dst land mask) in
+    while ix.keys.(!i) <> dst && ix.keys.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* [dst]'s buffer, or [no_obuf] while it holds none. *)
+  let find ix dst = if ix.count = 0 then no_obuf else ix.bufs.(slot ix dst)
+
+  let rec bind ix dst ob =
+    let i = slot ix dst in
+    if ix.keys.(i) = dst then ix.bufs.(i) <- ob
+    else if 2 * (ix.count + 1) > Array.length ix.keys then begin
+      let keys = ix.keys and bufs = ix.bufs in
+      ix.keys <- Array.make (2 * Array.length keys) (-1);
+      ix.bufs <- Array.make (2 * Array.length keys) no_obuf;
+      ix.count <- 0;
+      Array.iteri (fun j k -> if k >= 0 then bind ix k bufs.(j)) keys;
+      bind ix dst ob
+    end
+    else begin
+      ix.keys.(i) <- dst;
+      ix.bufs.(i) <- ob;
+      ix.count <- ix.count + 1
+    end
+
+  (* Empty [dst]'s slot, then shift each later entry of the probe run
+     whose home is not cyclically after the hole back into it. *)
+  let unbind ix dst =
+    if ix.count > 0 then begin
+      let mask = Array.length ix.keys - 1 in
+      let hole = ref (slot ix dst) in
+      if ix.keys.(!hole) = dst then begin
+        ix.count <- ix.count - 1;
+        let j = ref ((!hole + 1) land mask) in
+        while ix.keys.(!j) >= 0 do
+          let home = ix.keys.(!j) land mask in
+          if (!j - home) land mask >= (!j - !hole) land mask then begin
+            ix.keys.(!hole) <- ix.keys.(!j);
+            ix.bufs.(!hole) <- ix.bufs.(!j);
+            hole := !j
+          end;
+          j := (!j + 1) land mask
+        done;
+        ix.keys.(!hole) <- -1;
+        ix.bufs.(!hole) <- no_obuf
+      end
+    end
+
+  (* Every binding, by ascending destination. *)
+  let sorted ix =
+    let acc = ref [] in
+    Array.iteri
+      (fun i k -> if k >= 0 then acc := (k, ix.bufs.(i)) :: !acc)
+      ix.keys;
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+
+  let iter f ix =
+    Array.iteri (fun i k -> if k >= 0 then f k ix.bufs.(i)) ix.keys
+end
+
 (* One snode's end of the transport. *)
 type endpoint = {
   sid : int;
   rng : Rng.t;  (* the snode's stream: retransmission jitter draws here *)
   mutable up : bool;  (* a down endpoint absorbs every delivery *)
   peers : peer Itbl.t;
-  obufs : obuf Itbl.t;  (* destination -> its buffer, or [no_obuf] *)
+  obufs : Bound.t;  (* destination -> its buffer, while it holds one *)
   mutable spare : outmsg Itbl.t;
       (* one drained, never-grown outbox kept for the next peer that needs
          one, or [no_outbox]; it equals a fresh table *)
@@ -322,7 +403,7 @@ let create engine net ~rngs ~rto ~retry_budget ~adaptive_rto ~max_inflight
     eps =
       Array.mapi
         (fun sid rng ->
-          { sid; rng; up = true; peers = Itbl.create 8; obufs = Itbl.create 8;
+          { sid; rng; up = true; peers = Itbl.create 8; obufs = Bound.create ();
             spare = no_outbox; queues = Queues.create ();
             buffers = Buffers.create (); carry = no_relay })
         rngs;
@@ -538,17 +619,15 @@ and relay_for tr ep ~dst msg =
     r
   end
   else if origin >= 0 && origin <> dst && origin <> ep.sid then
-    match Itbl.find ep.obufs origin with
-    | exception Not_found -> no_relay
-    | ob -> (
-        match ob.ob_parts with
-        | [ Wire.Ack { seq; floor } ] when floor >= seq ->
-            (* The emptied buffer's armed flush finds nothing to send and
-               gives the buffer back. *)
-            ob.ob_parts <- [];
-            ob.ob_acked <- false;
-            pack_relay tr ~acker:ep.sid ~target:origin ~floor
-        | _ -> no_relay)
+    let ob = Bound.find ep.obufs origin in
+    match ob.ob_parts with
+    | [ Wire.Ack { seq; floor } ] when floor >= seq ->
+        (* The emptied buffer's armed flush finds nothing to send and
+           gives the buffer back. *)
+        ob.ob_parts <- [];
+        ob.ob_acked <- false;
+        pack_relay tr ~acker:ep.sid ~target:origin ~floor
+    | _ -> no_relay
   else no_relay
 
 (* One unframed transmission of [msg]. *)
@@ -588,13 +667,13 @@ and stage tr ep ob msg =
 
 (* The buffer toward [dst], taken from the pool while it has none. *)
 and buffer tr ep ~dst =
-  match Itbl.find ep.obufs dst with
-  | ob when ob != no_obuf -> ob
-  | _ | (exception Not_found) ->
-      (* For a new destination, [replace] adds exactly as [add] would. *)
-      let ob = take_obuf tr ep ~dst in
-      Itbl.replace ep.obufs dst ob;
-      ob
+  let ob = Bound.find ep.obufs dst in
+  if ob != no_obuf then ob
+  else begin
+    let ob = take_obuf tr ep ~dst in
+    Bound.bind ep.obufs dst ob;
+    ob
+  end
 
 (* How long a buffer toward [dst] holds its first part: the linger window
    while [dst] owes [ep] an ack or there is no fault plan, else nothing
@@ -633,7 +712,9 @@ and take_obuf tr ep ~dst =
         ob_fire = ignore; ob_next = no_obuf }
     in
     (* With no other arming queued this is the latest one; an older one
-       acts only when it is due at the latest deadline's instant. *)
+       acts only when it is due at the latest deadline's instant. The last
+       queued arming of a disarmed, emptied buffer (a forced or crash-cut
+       flush left it) gives the buffer back. *)
     ob.ob_fire <-
       (fun () ->
         ob.ob_queued <- ob.ob_queued - 1;
@@ -643,24 +724,29 @@ and take_obuf tr ep ~dst =
         then begin
           ob.ob_armed <- false;
           on_flush_timer tr ep ob
-        end);
+        end
+        else if
+          ob.ob_queued = 0 && (not ob.ob_armed) && ob.ob_parts = []
+          && ob.ob_dst >= 0
+        then release ep ob);
     Buffers.fresh ep.buffers ob
   end
 
 (* The timer's flush; a buffer it leaves empty goes back to the pool and
-   its destination to [no_obuf]. An older arming may still be queued (a
-   forced or crash-cut flush left it, and a zero-delay arming overtook
-   it). It can act for the next destination to take the buffer only at the
-   instant that destination's latest arming is due, so it never flushes
-   that destination's parts before their own timer would. *)
+   its destination's binding goes with it. An older arming may still be
+   queued (a forced or crash-cut flush left it, and a zero-delay arming
+   overtook it). It can act for the next destination to take the buffer
+   only at the instant that destination's latest arming is due, so it
+   never flushes that destination's parts before their own timer would. *)
 and on_flush_timer tr ep ob =
   flush_obuf tr ep ob;
-  match ob.ob_parts with
-  | [] ->
-      Itbl.replace ep.obufs ob.ob_dst no_obuf;
-      ob.ob_dst <- -1;
-      Buffers.give ep.buffers ob
-  | _ :: _ -> ()
+  match ob.ob_parts with [] -> release ep ob | _ :: _ -> ()
+
+(* Unbind an empty buffer and give it back to the pool. *)
+and release ep ob =
+  Bound.unbind ep.obufs ob.ob_dst;
+  ob.ob_dst <- -1;
+  Buffers.give ep.buffers ob
 
 (* Everything staged toward one destination leaves as one envelope: raw on
    a reliable network; under faults the protocol parts share one [Req]
@@ -1042,7 +1128,7 @@ let crash tr sid =
         settle ep p
       end)
     ep.peers;
-  Itbl.iter (fun _ ob -> if ob != no_obuf then ob.ob_armed <- false) ep.obufs
+  Bound.iter (fun _ ob -> ob.ob_armed <- false) ep.obufs
 
 let restart tr sid =
   let ep = tr.eps.(sid) in
@@ -1064,11 +1150,11 @@ let restart tr sid =
       end)
     ep.peers;
   (* Flush timers died with the crash; anything still staged is re-armed
-     by the hold rule [stage] uses, in the table's order. *)
-  Itbl.iter
-    (fun dst ob ->
+     by the hold rule [stage] uses, in destination order. *)
+  List.iter
+    (fun (dst, ob) ->
       if ob.ob_parts <> [] then arm_flush tr ob ~delay:(hold tr ep dst))
-    ep.obufs
+    (Bound.sorted ep.obufs)
 
 (* ------------------------------------------------------------------ *)
 (* Flush control and inspection                                         *)
@@ -1081,13 +1167,11 @@ let flush_lingering tr =
   Array.iter
     (fun ep ->
       if ep.up then
-        Itbl.fold
-          (fun dst ob acc -> if ob != no_obuf then (dst, ob) :: acc else acc)
-          ep.obufs []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.iter (fun (_, ob) ->
-               ob.ob_armed <- false;
-               flush_obuf tr ep ob))
+        List.iter
+          (fun (_, ob) ->
+            ob.ob_armed <- false;
+            flush_obuf tr ep ob)
+          (Bound.sorted ep.obufs))
     tr.eps
 
 (* Outbox plus backlog lengths over all peers; a backlogged message is
@@ -1165,23 +1249,31 @@ let audit tr =
               fail "snode %d: free buffer holds a relay" ep.sid;
             if ob.ob_armed then fail "snode %d: free flush timer armed" ep.sid)
       in
-      let bound =
-        Itbl.fold
-          (fun dst ob n ->
-            if ob == no_obuf then n
-            else begin
-              if ob.ob_dst <> dst then
-                fail "snode %d -> %d: buffer belongs to another destination"
-                  ep.sid dst;
-              if ep.up && ob.ob_parts <> [] && not ob.ob_armed then
-                fail "snode %d -> %d: staged parts without an armed flush timer"
-                  ep.sid dst;
-              if ob.ob_relay <> no_relay && ob.ob_parts = [] then
-                fail "snode %d -> %d: a relay with no frame to ride" ep.sid dst;
-              n + 1
-            end)
-          ep.obufs 0
-      in
+      (* A destination is bound only while it holds a buffer: one made
+         by the pool, not free, bound to it, and holding a part or
+         awaiting the timer arming that will flush or give it back. *)
+      let bound = ref 0 in
+      Bound.iter
+        (fun dst ob ->
+          if ob == no_obuf then
+            fail "snode %d -> %d: bound to the shared empty buffer" ep.sid dst
+          else begin
+            incr bound;
+            if ob.ob_dst < 0 then
+              fail "snode %d -> %d: bound to a free buffer" ep.sid dst
+            else if ob.ob_dst <> dst then
+              fail "snode %d -> %d: buffer belongs to another destination"
+                ep.sid dst;
+            if ob.ob_parts = [] && ob.ob_queued = 0 then
+              fail "snode %d -> %d: bound buffer holds no part" ep.sid dst;
+            if ep.up && ob.ob_parts <> [] && not ob.ob_armed then
+              fail "snode %d -> %d: staged parts without an armed flush timer"
+                ep.sid dst;
+            if ob.ob_relay <> no_relay && ob.ob_parts = [] then
+              fail "snode %d -> %d: a relay with no frame to ride" ep.sid dst
+          end)
+        ep.obufs;
+      let bound = !bound in
       pool ep "buffers" ~free ~bound ~made:ep.buffers.made)
     tr.eps;
   List.rev !issues
@@ -1195,14 +1287,12 @@ type pool_fault =
   | Write_sentinel
   | Relay_free
   | Relay_sentinel
+  | Bind_free
+  | Keep_empty
 
 let plant_pool_fault tr sid fault =
   let ep = tr.eps.(sid) in
-  let bound =
-    Itbl.fold
-      (fun dst ob acc -> if ob != no_obuf then (dst, ob) :: acc else acc)
-      ep.obufs []
-  in
+  let bound = Bound.sorted ep.obufs in
   let find what keep =
     match List.find_opt keep bound with
     | Some b -> b
@@ -1211,11 +1301,24 @@ let plant_pool_fault tr sid fault =
   match fault with
   | Leak ->
       let dst, _ = find "bound buffer" (fun _ -> true) in
-      Itbl.replace ep.obufs dst no_obuf
+      Bound.unbind ep.obufs dst
   | Share ->
       let _, ob = find "bound buffer" (fun _ -> true) in
       let dst, _ = find "second buffer" (fun (_, o) -> o != ob) in
-      Itbl.replace ep.obufs dst ob
+      Bound.bind ep.obufs dst ob
+  | Bind_free | Keep_empty ->
+      let dst = (sid + 1) mod Array.length tr.eps in
+      if Bound.find ep.obufs dst != no_obuf || ep.buffers.free == no_obuf then
+        invalid_arg "Transport.plant_pool_fault: no free buffer";
+      if fault = Bind_free then Bound.bind ep.obufs dst ep.buffers.free
+      else begin
+        (* Taken and bound like a staging buffer, but with nothing staged
+           and no flush armed: what a timer flush that kept the binding
+           would leave. *)
+        let ob = Buffers.take ep.buffers in
+        ob.ob_dst <- dst;
+        Bound.bind ep.obufs dst ob
+      end
   | Arm_free | Relay_free ->
       let ob = ep.buffers.free in
       if ob == no_obuf then

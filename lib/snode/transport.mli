@@ -157,6 +157,13 @@ type pool_fault =
   | Relay_sentinel
       (** a relayed ack is written into the shared empty buffer; planting
           this again undoes it *)
+  | Bind_free
+      (** the next snode, holding no buffer, is bound to the free list's
+          head *)
+  | Keep_empty
+      (** the next snode, holding no buffer, takes one that holds no part
+          and awaits no flush: what a timer flush that kept the binding
+          would leave *)
 
 val plant_pool_fault : t -> int -> pool_fault -> unit
 (** [plant_pool_fault tr sid fault] breaks snode [sid]'s pools (or a

@@ -507,12 +507,13 @@ let test_idle_batching_peer_retained () =
   let words, live_words, per =
     idle_peers "idle batching peers" ~linger:Network.gigabit.Network.base_latency
   in
-  (* 42.5 words: an idle peer's 25.25, plus each end's binding of the
-     other in its buffer table and the new snode's pooled buffer with its
-     flush timer, shared out over the route's two peers. A buffer record
-     kept per bound destination read 47. *)
-  within_retained "retained per idle batching peer" ~budget:43. ~per words;
-  within_retained "live per idle batching peer" ~budget:43. ~per live_words
+  (* 35.25 words: an idle peer's 25.25, plus the new snode's pooled
+     buffer with its flush timer, shared out over the route's two peers.
+     A destination is bound only while it holds a buffer, so an idle one
+     keeps no binding. Binding every idle destination to a shared empty
+     buffer read 39; a buffer record kept per bound destination read 47. *)
+  within_retained "retained per idle batching peer" ~budget:36. ~per words;
+  within_retained "live per idle batching peer" ~budget:36. ~per live_words
 
 let suite =
   [

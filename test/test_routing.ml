@@ -368,15 +368,64 @@ let test_routing_scaling_smoke () =
    origins distrusted entries shallower than their deepest learned
    placement and stewards stayed exact, it had a walk of 31 hops against
    its 32-hop limit, folded 14,140 times and paid 34.504 messages per op
-   (6.6 at 1k snodes). Any routing change moves these numbers and must
-   update them here. *)
+   (6.6 at 1k snodes). While origins still learned every reply hint, it
+   folded 12,522 times at 5.943 messages per op. Any routing change moves
+   these numbers and must update them here. *)
 let test_routing_cliff_pinned () =
   let r = Dht_experiments.Extensions.routing_scaling ~snodes:100 ~seed:2004 () in
   let open Dht_experiments.Extensions in
   check Alcotest.int "hops_max (max_hops 32)" 3 r.rs_hops_max;
-  check Alcotest.int "evictions" 12_522 r.rs_cache.Runtime.rcs_evictions;
-  check Alcotest.string "msgs_per_op" "5.943"
+  check Alcotest.int "evictions" 1_398 r.rs_cache.Runtime.rcs_evictions;
+  check Alcotest.string "msgs_per_op" "5.950"
     (Printf.sprintf "%.3f" r.rs_msgs_per_op)
+
+(* An origin learns a reply hint only when it would trust it. With four
+   snodes the routing level is 2. A hint shallower than that level, and
+   then one shallower than the deepest placement learned (level 4), leave
+   the origin's entries, LRU stamps and deepest level as they were; a
+   hint at least as deep as both is learned and stamped most recent.
+   Unbounded caches learn every hint. *)
+let test_untrusted_hints_not_learned () =
+  let space = Space.default in
+  let vid s = Vnode_id.make ~snode:s ~vnode:0 in
+  let span level index = Span.make space ~level ~index in
+  let bootstrap = (List.init 4 (fun index -> span 2 index), vid 0) in
+  let route route_cap =
+    Route.create ~space ~pmin:4 ~snodes:4 ~route_cap ~max_hops:4 ~bootstrap
+  in
+  let r = route 16 in
+  check Alcotest.int "routing level" 2 (Route.level r);
+  let state () =
+    ( List.map
+        (fun (s, (v : Vnode_id.t)) ->
+          Format.asprintf "%a -> %d @ %d" Span.pp s v.snode (Route.stamp r 1 s))
+        (Route.snapshot r 1),
+      Route.deepest r 1 )
+  in
+  let unchanged name hint =
+    let before = state () in
+    Route.learn_hint r 1 hint (vid 3);
+    check Alcotest.(pair (list string) int) name before (state ());
+    check Alcotest.int (name ^ ": unstamped") 0 (Route.stamp r 1 hint)
+  in
+  unchanged "shallower than the routing level" (span 1 1);
+  Route.learn r 1 (span 4 0) (vid 2);
+  check Alcotest.int "a learned placement sets the deepest level" 4
+    (Route.deepest r 1);
+  unchanged "shallower than the deepest learned" (span 3 4);
+  let trusted = span 5 8 in
+  Route.learn_hint r 1 trusted (vid 3);
+  check Alcotest.bool "a trusted hint is learned" true
+    (List.mem (trusted, vid 3) (Route.snapshot r 1));
+  check Alcotest.int "it raises the deepest level" 5 (Route.deepest r 1);
+  check Alcotest.bool "it is stamped most recent" true
+    (List.for_all
+       (fun (s, _) -> s = trusted || Route.stamp r 1 s < Route.stamp r 1 trusted)
+       (Route.snapshot r 1));
+  let u = route 0 in
+  Route.learn_hint u 1 (span 1 1) (vid 3);
+  check Alcotest.bool "unbounded caches learn every hint" true
+    (List.mem (span 1 1, vid 3) (Route.snapshot u 1))
 
 (* Without churn every walk is origin, steward, owner: at most one
    diversion, at most three hops, however stale the origin's entry. *)
@@ -399,6 +448,8 @@ let suite =
       test_churn_convergence_100_seeds;
     Alcotest.test_case "stewards exact after a join and a restart" `Quick
       test_stewards_exact;
+    Alcotest.test_case "an origin learns only the hints it trusts" `Quick
+      test_untrusted_hints_not_learned;
     Alcotest.test_case "route_cap=0 is the legacy path" `Quick
       test_legacy_unbounded_by_default;
     Alcotest.test_case "create validates routing params" `Quick

@@ -123,6 +123,71 @@ let prop_exactly_once =
              stream issued src dst = stream delivered src dst)
            by_issue))
 
+(* A snode's buffer bindings under destinations that share slots: snode 0
+   of 41 stages toward destinations equal modulo 8 (and modulo 16 and 32,
+   as its table grows), at random instants within three windows, with
+   forced flushes at random instants between, so bindings are made and
+   released in every order, and released buffers wait out their queued
+   armings. Every payload lands once, per destination in send order, and
+   the audit is clean after every event: no release loses or moves
+   another destination's binding. *)
+let prop_colliding_bindings =
+  let dsts = [ 1; 8; 9; 16; 17; 24; 25; 32; 33; 40 ] in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 60)
+           (pair (float_bound_inclusive (3. *. quantum)) (oneofl dsts)))
+        (list_size (int_range 0 4) (float_bound_inclusive (3. *. quantum))))
+  in
+  let print (sends, flushes) =
+    Printf.sprintf "sends [%s], flushes at [%s]"
+      (String.concat "; "
+         (List.map (fun (at, dst) -> Printf.sprintf "%g -> %d" at dst) sends))
+      (String.concat "; " (List.map (Printf.sprintf "%g") flushes))
+  in
+  QCheck.Test.make ~name:"buffer bindings survive colliding destinations"
+    ~count:200 (QCheck.make ~print gen) (fun (sends, flushes) ->
+      let engine = Engine.create () in
+      let net = Network.create engine Network.gigabit in
+      let delivered = ref [] in
+      let tr =
+        Transport.create engine net ~rngs:(Array.init 41 Rng.of_int) ~rto:1e-3
+          ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:quantum
+          ~metrics:None ~trace:Dht_telemetry.Trace.noop ~xmit:None
+          ~deliver:(fun ~dst ~from:_ msg ->
+            match msg with
+            | Wire.Busy { token } -> delivered := (dst, token) :: !delivered
+            | _ -> Alcotest.fail "deliver saw a non-payload message")
+      in
+      List.iteri
+        (fun token (at, dst) ->
+          Engine.at engine ~time:at (fun () ->
+              Transport.send tr ~src:0 ~dst (Wire.Busy { token })))
+        sends;
+      List.iter
+        (fun at ->
+          Engine.at engine ~time:at (fun () -> Transport.flush_lingering tr))
+        flushes;
+      while Engine.step engine do
+        match Transport.audit tr with
+        | [] -> ()
+        | findings -> Alcotest.fail (String.concat "\n" findings)
+      done;
+      (* Sends by issue time, ties by index, as the engine dispatches. *)
+      let issued =
+        List.mapi (fun token (at, dst) -> (at, token, dst)) sends
+        |> List.sort compare
+        |> List.map (fun (_, token, dst) -> (dst, token))
+      in
+      let stream pairs dst =
+        List.filter_map (fun (d, t) -> if d = dst then Some t else None) pairs
+      in
+      List.length !delivered = List.length sends
+      && List.for_all
+           (fun dst -> stream issued dst = stream (List.rev !delivered) dst)
+           dsts)
+
 (* Crash and restart on their own: a payload sent toward a down endpoint
    is absorbed, retransmitted from the durable outbox and delivered once
    after the restart. *)
@@ -315,7 +380,9 @@ let test_pool_audit () =
   let expect name fault finding =
     let tr, stage = fresh () in
     (match fault with
-    | Transport.Arm_free | Transport.Relay_free -> ()
+    | Transport.Arm_free | Transport.Relay_free | Transport.Bind_free
+    | Transport.Keep_empty ->
+        ()
     | Transport.Leak | Transport.Disarm_staged -> stage [ 1 ]
     | Transport.Share -> stage [ 1; 2 ]
     | Transport.Leak_queues | Transport.Write_sentinel
@@ -338,7 +405,11 @@ let test_pool_audit () =
   expect "staged, disarmed" Transport.Disarm_staged
     "snode 0 -> 1: staged parts without an armed flush timer";
   expect "relay in a free buffer" Transport.Relay_free
-    "snode 0: free buffer holds a relay"
+    "snode 0: free buffer holds a relay";
+  expect "bound to a free buffer" Transport.Bind_free
+    "snode 0 -> 1: bound to a free buffer";
+  expect "emptied, still bound" Transport.Keep_empty
+    "snode 0 -> 1: bound buffer holds no part"
 
 (* A reliable transport of three snodes on a fault plan that loses
    nothing: snode 0 sends to 1 and 2, and once both are acked their queue
@@ -479,15 +550,13 @@ let test_rearmed_payload_collectable () =
   check Alcotest.int "no timeout" 0 (Transport.counters tr).Transport.timeouts;
   check Alcotest.(list string) "audit" [] (Transport.audit tr)
 
-(* A restart arms the flush timers of staged buffers in the order of the
-   endpoint's buffer table, so that order must not depend on the order in
-   which destinations gave their buffers back. Snode 0 stages toward
-   nineteen destinations and flushes, which frees every buffer; it does so
-   again in reverse, so the buffers come back in reverse; then it stages
-   once more, crashes before the flush and restarts. The envelopes land in
-   the order the restart armed them: the table's bucket order of the first
-   stagings, pinned below. A binding removed and re-added when its buffer
-   came back would sit in its bucket in the order of the last return. *)
+(* A restart arms the flush timers of staged buffers in destination
+   order, whatever order the destinations were bound in or gave their
+   buffers back in. Snode 0 stages toward nineteen destinations and
+   flushes, which frees every buffer and unbinds every destination; it
+   does so again in reverse, so the buffers come back in reverse; then it
+   stages once more in a shuffled order, crashes before the flush and
+   restarts. The envelopes land in the order the restart armed them. *)
 let test_restart_flush_order () =
   let n = 20 in
   let engine = Engine.create () in
@@ -511,15 +580,13 @@ let test_restart_flush_order () =
   Engine.run engine;
   check Alcotest.(list string) "flushed: sound" [] (Transport.audit tr);
   landed := [];
-  stage up;
+  stage [ 6; 2; 14; 16; 8; 7; 3; 13; 12; 5; 4; 9; 11; 10; 1; 17; 19; 18; 15 ];
   Transport.crash tr 0;
   Engine.run engine;
   Transport.restart tr 0;
   Engine.run engine;
   check Alcotest.(list string) "restarted: sound" [] (Transport.audit tr);
-  check Alcotest.(list int) "restart flush order"
-    [ 6; 2; 14; 16; 8; 7; 3; 13; 12; 5; 4; 9; 11; 10; 1; 17; 19; 18; 15 ]
-    (List.rev !landed)
+  check Alcotest.(list int) "restart flush order" up (List.rev !landed)
 
 (* ---------------- the hold rule ---------------- *)
 
@@ -985,6 +1052,7 @@ let prop_walks_answered_once =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
+    QCheck_alcotest.to_alcotest prop_colliding_bindings;
     Alcotest.test_case "crash absorbs, restart re-sends" `Quick test_crash_restart;
     Alcotest.test_case "a loopback survives its snode's crash" `Quick
       test_loopback_survives_crash;
@@ -1001,8 +1069,8 @@ let suite =
       test_acked_payloads_collectable;
     Alcotest.test_case "a re-armed acked payload can be collected" `Quick
       test_rearmed_payload_collectable;
-    Alcotest.test_case "restart flushes in the buffer table's order" `Quick
-      test_restart_flush_order;
+    Alcotest.test_case "restart flushes in the buffers' destination order"
+      `Quick test_restart_flush_order;
     Alcotest.test_case "a part toward an idle peer is not held" `Quick
       test_idle_peer_no_linger;
     Alcotest.test_case "parts toward an unacked peer share a frame" `Quick
