@@ -288,7 +288,6 @@ let level r = r.rlevel
 let route_cap r = r.route_cap
 let max_hops r = Array.length r.hop_counts - 1
 let entries r sid = Point_map.cardinal r.caches.(sid)
-let deepest r sid = if bounded r then r.deepest.(sid) else 0
 let snapshot r sid = Point_map.to_list r.caches.(sid)
 let hops r = Array.copy r.hop_counts
 

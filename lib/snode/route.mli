@@ -139,10 +139,6 @@ val entries : t -> int -> int
 val snapshot : t -> int -> (Span.t * Vnode_id.t) list
 (** One snode's cache entries, in span order. *)
 
-val deepest : t -> int -> int
-(** The level of the deepest placement one snode has learned since its
-    last restart; 0 when unbounded. *)
-
 val stamp : t -> int -> Span.t -> int
 (** A cache span's LRU stamp on one snode: the LRU clock at its last
     probe or learn, or at the fold that made it; 0 (oldest) when

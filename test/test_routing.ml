@@ -382,9 +382,11 @@ let test_routing_cliff_pinned () =
 (* An origin learns a reply hint only when it would trust it. With four
    snodes the routing level is 2. A hint shallower than that level, and
    then one shallower than the deepest placement learned (level 4), leave
-   the origin's entries, LRU stamps and deepest level as they were; a
-   hint at least as deep as both is learned and stamped most recent.
-   Unbounded caches learn every hint. *)
+   the origin's entries and LRU stamps as they were, and the deepest
+   level too: a hint at level 4 is still trusted after them. A hint at
+   least as deep as both is learned, stamped most recent and raises the
+   deepest level, so a level-4 hint is no longer learned. Unbounded
+   caches learn every hint. *)
 let test_untrusted_hints_not_learned () =
   let space = Space.default in
   let vid s = Vnode_id.make ~snode:s ~vnode:0 in
@@ -396,32 +398,32 @@ let test_untrusted_hints_not_learned () =
   let r = route 16 in
   check Alcotest.int "routing level" 2 (Route.level r);
   let state () =
-    ( List.map
-        (fun (s, (v : Vnode_id.t)) ->
-          Format.asprintf "%a -> %d @ %d" Span.pp s v.snode (Route.stamp r 1 s))
-        (Route.snapshot r 1),
-      Route.deepest r 1 )
+    List.map
+      (fun (s, (v : Vnode_id.t)) ->
+        Format.asprintf "%a -> %d @ %d" Span.pp s v.snode (Route.stamp r 1 s))
+      (Route.snapshot r 1)
   in
+  let learned hint = List.mem (hint, vid 3) (Route.snapshot r 1) in
   let unchanged name hint =
     let before = state () in
     Route.learn_hint r 1 hint (vid 3);
-    check Alcotest.(pair (list string) int) name before (state ());
+    check Alcotest.(list string) name before (state ());
     check Alcotest.int (name ^ ": unstamped") 0 (Route.stamp r 1 hint)
   in
   unchanged "shallower than the routing level" (span 1 1);
   Route.learn r 1 (span 4 0) (vid 2);
-  check Alcotest.int "a learned placement sets the deepest level" 4
-    (Route.deepest r 1);
   unchanged "shallower than the deepest learned" (span 3 4);
+  Route.learn_hint r 1 (span 4 1) (vid 3);
+  check Alcotest.bool "a hint at the deepest level is learned" true
+    (learned (span 4 1));
   let trusted = span 5 8 in
   Route.learn_hint r 1 trusted (vid 3);
-  check Alcotest.bool "a trusted hint is learned" true
-    (List.mem (trusted, vid 3) (Route.snapshot r 1));
-  check Alcotest.int "it raises the deepest level" 5 (Route.deepest r 1);
+  check Alcotest.bool "a deeper hint is learned" true (learned trusted);
   check Alcotest.bool "it is stamped most recent" true
     (List.for_all
        (fun (s, _) -> s = trusted || Route.stamp r 1 s < Route.stamp r 1 trusted)
        (Route.snapshot r 1));
+  unchanged "shallower than the raised deepest level" (span 4 2);
   let u = route 0 in
   Route.learn_hint u 1 (span 1 1) (vid 3);
   check Alcotest.bool "unbounded caches learn every hint" true
