@@ -48,10 +48,11 @@
     own flush timer the same way (armed flag, flat deadline, one closure).
     Peers' queue records and coalescing buffers come from one kind of
     per-endpoint pool, an intrusive free list that counts the records it
-    made: an idle peer shares one never-written queue record, and every
-    destination ever staged for stays bound, to its own buffer while parts
-    are staged and to one shared, never-written empty buffer once a timer
-    flush has emptied it. *)
+    made: an idle peer shares one never-written queue record, and a
+    destination is bound only while it holds a buffer; a timer flush that
+    empties the buffer gives it back, binding and all. The bindings sit
+    in an open-addressing index that allocates only to grow, so staging
+    toward a destination again allocates nothing. *)
 
 module Engine = Dht_event_sim.Engine
 module Network = Dht_event_sim.Network
@@ -107,8 +108,9 @@ val crash : t -> int -> unit
 
 val restart : t -> int -> unit
 (** Bring an endpoint back: everything still unacknowledged is re-sent
-    (through the window when it is bounded) and staged parts flush one
-    linger window later, whatever their destination owes. *)
+    (through the window when it is bounded) and staged buffers re-arm
+    their flush timers by the hold rule staging uses, in ascending
+    destination order. *)
 
 val flush_lingering : t -> unit
 (** Force every up endpoint's staged coalescing buffers onto the wire now,
@@ -137,10 +139,11 @@ val audit : t -> string list
     was never written.
     One rule for both pools: every record an endpoint's pool made is free
     or bound, and free plus bound adds up to made. Free queue records are
-    blank; a free buffer is unbound, empty, disarmed and holds no relay, a
-    bound one names exactly its destination, one with staged parts on an
-    up endpoint has an armed flush timer, and one holding a relay has a
-    part for it to ride. No endpoint carries a relay outside a delivery.
+    blank; a free buffer is unbound, empty, disarmed and holds no relay.
+    A destination is bound only to a taken buffer that names exactly it
+    and holds a part or awaits the queued timer arming that gives it
+    back; one with staged parts on an up endpoint has an armed flush
+    timer, and one holding a relay has a part for it to ride. No endpoint carries a relay outside a delivery.
     Empty when sound. *)
 
 (** A broken pool or sentinel, planted by {!plant_pool_fault}. *)

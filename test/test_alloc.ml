@@ -464,9 +464,9 @@ let test_cell_retained () =
    which leaves a drained peer record at both ends of each route. A first
    round from half of them sizes snode 0's tables; the second round, from
    the other half, opens as many new routes. With a linger window, each
-   end also stages toward the other, so it binds that destination in its
-   coalescing-buffer table. Returns the reachable and live deltas per new
-   peer. *)
+   end also stages toward the other, so it takes a pooled coalescing
+   buffer while the parts wait. Returns the reachable and live deltas per
+   new peer. *)
 let idle_peers what ~linger =
   let half = 32 in
   let round rt lo =
@@ -510,8 +510,7 @@ let test_idle_batching_peer_retained () =
   (* 35.25 words: an idle peer's 25.25, plus the new snode's pooled
      buffer with its flush timer, shared out over the route's two peers.
      A destination is bound only while it holds a buffer, so an idle one
-     keeps no binding. Binding every idle destination to a shared empty
-     buffer read 39; a buffer record kept per bound destination read 47. *)
+     keeps no binding; binding it to a shared empty buffer read 39. *)
   within_retained "retained per idle batching peer" ~budget:36. ~per words;
   within_retained "live per idle batching peer" ~budget:36. ~per live_words
 
