@@ -1309,7 +1309,9 @@ let plant_pool_fault tr sid fault =
   | Bind_free | Keep_empty ->
       let dst = (sid + 1) mod Array.length tr.eps in
       if Bound.find ep.obufs dst != no_obuf || ep.buffers.free == no_obuf then
-        invalid_arg "Transport.plant_pool_fault: no free buffer";
+        invalid_arg
+          "Transport.plant_pool_fault: the next snode holds a buffer, or none \
+           is free";
       if fault = Bind_free then Bound.bind ep.obufs dst ep.buffers.free
       else begin
         (* Taken and bound like a staging buffer, but with nothing staged

@@ -130,7 +130,10 @@ let prop_exactly_once =
    released in every order, and released buffers wait out their queued
    armings. Every payload lands once, per destination in send order, and
    the audit is clean after every event: no release loses or moves
-   another destination's binding. *)
+   another destination's binding. The link charges no per-byte time: on
+   a serializing link a lone part flushed just after a larger batch
+   toward the same destination overtakes it, as the network promises no
+   order. *)
 let prop_colliding_bindings =
   let dsts = [ 1; 8; 9; 16; 17; 24; 25; 32; 33; 40 ] in
   let gen =
@@ -149,7 +152,9 @@ let prop_colliding_bindings =
   QCheck.Test.make ~name:"buffer bindings survive colliding destinations"
     ~count:200 (QCheck.make ~print gen) (fun (sends, flushes) ->
       let engine = Engine.create () in
-      let net = Network.create engine Network.gigabit in
+      let net =
+        Network.create engine (Network.link ~base_latency:quantum ~byte_time:0.)
+      in
       let delivered = ref [] in
       let tr =
         Transport.create engine net ~rngs:(Array.init 41 Rng.of_int) ~rto:1e-3
