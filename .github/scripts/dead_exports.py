@@ -14,7 +14,9 @@ only prose or a message mentions is not a caller. A value that no call
 there names is listed, marked "test-only" when a call in a test/ file
 names it and "unused" otherwise. So another module's value of the same
 name (`Registry.pp` for `Welford.pp`), or a local or label so named, is
-not a caller; a value reached only through a name the scan cannot
+not a caller, and neither is a record field so named where it is declared
+(`{ x : t; ...`) or initialised (`{ x = e; ...`, `{ r with x = e }`);
+a value reached only through a name the scan cannot
 resolve (`let f = M.g in f x`) would be listed.
 
 Modules. A module of a lib/ library is referred to by a non-test file when
@@ -65,6 +67,13 @@ ITEM_START = re.compile(
     r"\s*(val|type|module|end|exception|include|external|class|open)\b")
 # What precedes a name that a `let` or `and` binding defines.
 DEFINED_BY = re.compile(r"\b(?:let(?:\[@[^\]]*\])?(?:\s+rec)?|and)\s+$")
+# A record field named like a value: its declaration (`{ x : t;`,
+# `; mutable x : t`) and its initialiser in a record literal (`{ x = e;`,
+# `{ r with x = e }`), each perhaps qualified (`{ M.x = e }`), are no call.
+# A `(val m : S)` unpacking is one: `val` is not a field's lead.
+FIELD_DECL = (re.compile(r"(?:[{;]|\bmutable)\s*$"), re.compile(r"\s*:(?![:=])"))
+FIELD_INIT = (re.compile(r"(?:[{;]|\bwith)\s*$"), re.compile(r"\s*=(?!=)"))
+QUALIFIERS = re.compile(r"(?:[A-Z][A-Za-z0-9_']*\s*\.\s*)+$")
 
 
 def read_tree(roots, exts):
@@ -266,6 +275,10 @@ def calls(mod, fn, own_ml, files):
         sees = path == own_ml or opens.search(text)
         for m in call.finditer(text):
             before = text[max(0, m.start() - 80):m.start()]
+            lead = QUALIFIERS.sub("", before)
+            if any(head.search(lead) and tail.match(text, m.end())
+                   for head, tail in (FIELD_DECL, FIELD_INIT)):
+                continue
             q = QUALIFIER.search(before)
             if q:
                 if aliases.get(q.group(1), q.group(1)) != mod:

@@ -97,12 +97,10 @@ let routing_json () =
        \"route_cap\": %d, \"ops\": %d, \"hops_p50\": %.1f, \
        \"hops_p99\": %.1f, \"hops_max\": %d, \"msgs_per_op\": %.3f, \
        \"cache_entries_max\": %d, \"cache_bytes_max\": %d, \
-       \"cache_hit_pct\": %.2f, \"evictions\": %d, \
-       \"sigma_pct\": %.3f, \"findings\": %d}"
+       \"cache_hit_pct\": %.2f, \"sigma_pct\": %.3f, \"findings\": %d}"
       r.rs_snodes r.rs_snodes r.rs_vnodes r.rs_level r.rs_cap r.rs_ops
       r.rs_hops_p50 r.rs_hops_p99 r.rs_hops_max r.rs_msgs_per_op
-      r.rs_cache_entries_max r.rs_cache_bytes_max (routing_hit_pct r)
-      r.rs_cache.R.rcs_evictions r.rs_sigma
+      r.rs_cache_entries_max r.rs_cache_bytes_max (routing_hit_pct r) r.rs_sigma
       (List.length r.rs_findings + List.length r.rs_linear)
   in
   Printf.sprintf "{\n    \"cpu_seconds\": %.6f,\n%s\n  }" cpu

@@ -863,11 +863,11 @@ let chaos_cmd =
     if r.Extensions.chaos_route_cap > 0 then begin
       let rc = r.Extensions.chaos_route in
       Printf.printf
-        "routing cache (cap %d/snode): %d hits, %d misses, %d evictions, \
-         peak %d entries, %d steward refreshes\n"
+        "routing cache (cap %d/snode): %d hits, %d misses, peak %d entries, \
+         %d steward refreshes\n"
         r.Extensions.chaos_route_cap rc.Dht_snode.Runtime.rcs_hits
-        rc.Dht_snode.Runtime.rcs_misses rc.Dht_snode.Runtime.rcs_evictions
-        rc.Dht_snode.Runtime.rcs_peak rc.Dht_snode.Runtime.rcs_refreshes
+        rc.Dht_snode.Runtime.rcs_misses rc.Dht_snode.Runtime.rcs_peak
+        rc.Dht_snode.Runtime.rcs_refreshes
     end;
     let tags = Table.create ~headers:[ "message tag"; "msgs"; "bytes" ] in
     List.iter
@@ -973,9 +973,10 @@ let chaos_cmd =
     in
     Arg.(value & opt cap 0 & info [ "route-cap" ] ~docv:"E"
            ~doc:
-             "Per-snode routing-cache entry bound (0 keeps the legacy \
-              unbounded caches): chaos-test bounded prefix routing under \
-              the same fault mix as the data plane.")
+             "Per-snode bound on routing-cache entries outside the snode's \
+              steward regions (0 keeps the legacy unbounded caches): \
+              chaos-test bounded prefix routing under the same fault mix \
+              as the data plane.")
   in
   let term =
     let snodes = snodes_arg 12 in
@@ -1787,11 +1788,10 @@ let route_cmd =
       Table.create
         ~headers:
           [ "N"; "level"; "ops"; "p50"; "p99"; "max"; "msgs/op"; "cache max";
-            "bytes"; "hit%"; "evict"; "sigma"; "findings" ]
+            "bytes"; "hit%"; "sigma"; "findings" ]
     in
     List.iter
       (fun (r : Extensions.routing_run) ->
-        let module R = Dht_snode.Runtime in
         Table.add_row table
           [ string_of_int r.Extensions.rs_snodes;
             string_of_int r.Extensions.rs_level;
@@ -1803,7 +1803,6 @@ let route_cmd =
             string_of_int r.Extensions.rs_cache_entries_max;
             string_of_int r.Extensions.rs_cache_bytes_max;
             Printf.sprintf "%.1f" (Extensions.routing_hit_pct r);
-            string_of_int r.Extensions.rs_cache.R.rcs_evictions;
             Printf.sprintf "%.1f%%" r.Extensions.rs_sigma;
             string_of_int
               (List.length r.Extensions.rs_findings
@@ -1858,15 +1857,15 @@ let route_cmd =
                \"ops\": %d, \"hops_p50\": %.1f, \"hops_p99\": %.1f, \
                \"hops_max\": %d, \"msgs_per_op\": %.3f, \
                \"cache_entries_max\": %d, \"cache_bytes_max\": %d, \
-               \"cache_hit_pct\": %.2f, \"evictions\": %d, \
-               \"refreshes\": %d, \"sigma_pct\": %.3f, \"findings\": %d}"
+               \"cache_hit_pct\": %.2f, \"refreshes\": %d, \
+               \"sigma_pct\": %.3f, \"findings\": %d}"
               (if i = 0 then "" else ",")
               r.Extensions.rs_snodes r.Extensions.rs_vnodes
               r.Extensions.rs_level r.Extensions.rs_ops
               r.Extensions.rs_hops_p50 r.Extensions.rs_hops_p99
               r.Extensions.rs_hops_max r.Extensions.rs_msgs_per_op
               r.Extensions.rs_cache_entries_max r.Extensions.rs_cache_bytes_max
-              (Extensions.routing_hit_pct r) r.Extensions.rs_cache.R.rcs_evictions
+              (Extensions.routing_hit_pct r)
               r.Extensions.rs_cache.R.rcs_refreshes r.Extensions.rs_sigma
               (List.length r.Extensions.rs_findings
               + List.length r.Extensions.rs_linear))
@@ -1891,7 +1890,10 @@ let route_cmd =
     (* A bounded cache must hold at least the Pmin = 8 partitions of one
        vnode. *)
     Arg.(value & opt (at_least 8) 128 & info [ "route-cap" ] ~docv:"E"
-           ~doc:"Per-snode routing-cache entry bound (LRU pair-folds above it).")
+           ~doc:
+             "Per-snode bound on routing-cache entries outside the snode's \
+              steward regions; each steward keeps its regions' placements \
+              exactly, uncapped.")
   in
   let max_hops =
     let ceiling = Dht_snode.Route.max_hops_ceiling in

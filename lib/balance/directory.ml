@@ -23,10 +23,6 @@ let note t (s : Summary.t) =
       Hashtbl.replace t.reports s.Summary.origin s;
       true
 
-let reports t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.reports []
-  |> List.sort (fun a b -> compare a.Summary.origin b.Summary.origin)
-
 let report_count t = Hashtbl.length t.reports
 let reset t =
   Hashtbl.reset t.reports;

@@ -14,9 +14,6 @@ val create : unit -> t
 val note : t -> Summary.t -> bool
 (** Version-fenced install of a report; [false] when stale. *)
 
-val reports : t -> Summary.t list
-(** Every report, sorted by origin. *)
-
 val reset : t -> unit
 (** Forget everything (crash semantics — directory state is soft). *)
 

@@ -2,6 +2,7 @@ open Dht_core
 open Dht_hashspace
 module Runtime = Dht_snode.Runtime
 module Hash = Dht_hashes.Hash
+module Fingers = Dht_cluster.Fingers
 
 type finding = { inv : string; detail : string }
 
@@ -62,9 +63,10 @@ let check_snode ~space (sn : Runtime.View.snode_view) =
 (* The full paper-invariant battery over one cluster snapshot. Meaningful
    at quiescence (no balancing event mid-flight): G1' global coverage,
    LPDR-copy agreement, G2'-G5', L1, L2, quota conservation, per-snode
-   cache coverage and bound, and data placement. [vmax] is the group
-   capacity (2·Vmin; [max_int] under the global approach, making every
-   group the sole root group as far as L2 is concerned). *)
+   cache coverage and the bound outside the steward regions, and data
+   placement. [vmax] is the group capacity (2·Vmin; [max_int] under the
+   global approach, making every group the sole root group as far as L2
+   is concerned). *)
 let check_view ?(route_cap = 0) ~space ~pmin ~vmax (v : Runtime.View.t) =
   let issues = ref [] in
   let fail inv fmt = Format.kasprintf (fun d -> issues := { inv; detail = d } :: !issues) fmt in
@@ -191,14 +193,38 @@ let check_view ?(route_cap = 0) ~space ~pmin ~vmax (v : Runtime.View.t) =
       | l ->
           fail "L1" "%a listed in %d groups" Vnode_id.pp vn.vid (List.length l))
     vnodes;
-  (* With bounded routing armed, no routing cache exceeds its cap. *)
-  List.iter
-    (fun (sn : Runtime.View.snode_view) ->
-      let entries = List.length sn.cache in
-      if route_cap > 0 && entries > route_cap then
-        fail "cache" "snode %d routing cache: %d entries exceed the cap %d"
-          sn.sid entries route_cap)
-    v.snodes;
+  (* With bounded routing armed, a routing cache keeps its steward share
+     uncapped, and at most [route_cap] entries outside the regions its
+     snode stewards (entries that intersect none of them). *)
+  if route_cap > 0 then begin
+    let snodes = List.length v.snodes in
+    let level = Fingers.level ~bits:(Space.bits space) ~snodes in
+    let steward =
+      Array.init (1 lsl level) (fun region -> Fingers.steward ~snodes ~region)
+    in
+    let outside sid span =
+      let l = Span.level span and i = Span.index span in
+      let first, count =
+        if l >= level then (i lsr (l - level), 1)
+        else (i lsl (level - l), 1 lsl (level - l))
+      in
+      let rec none r =
+        r = first + count || (steward.(r) <> sid && none (r + 1))
+      in
+      none first
+    in
+    List.iter
+      (fun (sn : Runtime.View.snode_view) ->
+        let n =
+          List.length (List.filter (fun (s, _) -> outside sn.sid s) sn.cache)
+        in
+        if n > route_cap then
+          fail "cache"
+            "snode %d routing cache: %d entries outside its steward regions \
+             exceed the cap %d"
+            sn.sid n route_cap)
+      v.snodes
+  end;
   (* Per-snode checks on every snode: a crashed snode's routing cache,
      replica map and stored keys are durable, so they must stay
      well-formed while it is down. *)

@@ -15,7 +15,8 @@
     ([Vmin <= Vg <= Vmax = 2·Vmin], group 0 exempt while sole), plus
     [LPDR] (copy agreement and quota-vs-ownership consistency), [quota]
     (ΣQv = 1), [cache]/[rmap] (full routing coverage; [cache] also the
-    entry bound) and [data] (keys live at their owner). *)
+    bound on entries outside a snode's steward regions) and [data] (keys
+    live at their owner). *)
 
 open Dht_core
 module Runtime := Dht_snode.Runtime
@@ -45,11 +46,11 @@ val check_view :
   finding list
 (** The full battery over one cluster snapshot: G1', LPDR agreement
     across live snodes' copies, G2'-G5', L1, L2, quota conservation, the
-    routing-cache entry bound [route_cap] ([0], the default, means
-    unbounded), and {!check_snode} on every snode, up or down (a crashed
-    snode's durable state must stay well-formed). Meaningful at
-    quiescence — LPDR copies legitimately diverge while a commit is in
-    flight.
+    routing-cache bound [route_cap] on entries that intersect none of the
+    snode's steward regions ([0], the default, means unbounded), and
+    {!check_snode} on every snode, up or down (a crashed snode's durable
+    state must stay well-formed). Meaningful at quiescence — LPDR copies
+    legitimately diverge while a commit is in flight.
     Needed by test_check, which runs the battery on hand-corrupted views. *)
 
 val check_runtime : Runtime.t -> finding list

@@ -1191,7 +1191,7 @@ type routing_run = {
 (* One cluster size of the scaling sweep: bounded prefix routing under a
    derived key population, with mid-window churn — one snode crash-stops
    and restarts, and one vnode joins, so lookups cross stale caches that
-   only reply hints and the advice chain can repair. Hop and message
+   only the region stewards can correct. Hop and message
    counts window the measurement phase (snapshots diffed around it), so
    the creation storm does not contaminate the gated percentiles. *)
 let routing_scaling ?vnodes ?(route_cap = 128) ?(max_hops = 32)
@@ -1262,7 +1262,7 @@ let routing_scaling ?vnodes ?(route_cap = 128) ?(max_hops = 32)
               ~key ~value:"w" ()))
     plan;
   if churn then begin
-    (* The victim's cache and LRU stamps die with it; it restarts onto
+    (* The victim's cache dies with it; it restarts onto
        the bootstrap placement, and the owners of its stewarded regions
        file them with it again. The joining vnode moves real placement
        mid-window, so every other snode's fine entries for those

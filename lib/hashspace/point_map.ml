@@ -231,26 +231,6 @@ let learn t span v =
   t.root <-
     learn_walk t ~lvl:(Span.level span) ~idx:(Span.index span) v t.root 0
 
-(* Every [Fork] whose two children are both leaves, reported as the parent
-   span plus the two child values (lo then hi). Such a pair always exists
-   in a non-trivial map: a deepest leaf's sibling cannot be a fork (it
-   would hold a deeper leaf) nor empty (disjoint dyadic spans never leave
-   a both-empty fork behind under [add]/[learn]; [remove] prunes them).
-   Replacing the pair by one parent-level binding ([learn] at the parent
-   span) shrinks the cardinality by one without opening a hole — the
-   bounded routing cache's eviction step. *)
-let iter_pairs t f =
-  let rec go node d idx =
-    match node with
-    | Empty | Leaf _ -> ()
-    | Fork { lo = Leaf a; hi = Leaf b } ->
-        f (Span.make t.space ~level:d ~index:idx) a b
-    | Fork fk ->
-        go fk.lo (d + 1) (idx lsl 1);
-        go fk.hi (d + 1) ((idx lsl 1) lor 1)
-  in
-  go t.root 0 0
-
 let iter t f =
   let rec go node d idx =
     match node with

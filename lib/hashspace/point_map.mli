@@ -77,16 +77,8 @@ val learn : 'a t -> Span.t -> 'a -> unit
 
 val overlapping : 'a t -> Span.t -> (Span.t * 'a) list
 (** [overlapping t span] is every registered binding whose span intersects
-    [span], in increasing start order. Used by routing caches that must
-    evict stale entries before learning a fresh one. *)
-
-val iter_pairs : 'a t -> (Span.t -> 'a -> 'a -> unit) -> unit
-(** [iter_pairs t f] calls [f parent lo_v hi_v] for every pair of sibling
-    leaves, where [parent] is the span covering both. In a map with full
-    coverage at least one such pair exists whenever the cardinality
-    exceeds one, and [learn t parent v] collapses it into a single
-    parent-level binding — the hole-free eviction step of a bounded
-    routing cache. *)
+    [span], in increasing start order. Used to re-file a restarted
+    steward's regions with it. *)
 
 val iter : 'a t -> (Span.t -> 'a -> unit) -> unit
 (** Iterates in increasing start order. *)

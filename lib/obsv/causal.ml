@@ -144,9 +144,6 @@ let events t = t.lines
 let op_count t = Hashtbl.length t.ops
 let edge_count t = Hashtbl.length t.edges
 
-let roots t =
-  Hashtbl.fold (fun trace _ acc -> trace :: acc) t.ops [] |> List.sort compare
-
 (* ------------------------------------------------------------------ *)
 (* Well-formedness audit. *)
 

@@ -35,12 +35,6 @@ val events : t -> int
 val op_count : t -> int
 val edge_count : t -> int
 
-val roots : t -> int list
-(** Trace ids with an [op.begin], ascending. Trace ids equal the runtime's
-    op tokens, so this is directly comparable to a history recorder's op
-    token set.
-    Needed by test_obsv, which matches the roots to the recorded ops. *)
-
 val malformed : t -> string list
 (** Lines that failed to parse or referenced unknown spans. *)
 

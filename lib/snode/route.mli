@@ -5,16 +5,15 @@
 
     - {b routing caches}: one per snode, global placement advice that may
       be stale, seeded with the bootstrap placement and corrected by
-      commits, refresh reports ({!learn}) and the reply hints it would
-      trust ({!learn_hint});
-    - {b bounded caches}: with a positive [route_cap], an over-cap cache
-      folds its coldest sibling leaf-pair (LRU by last probe or learn)
-      into one coarser parent binding, so coverage is never broken; a
-      pair inside the regions the snode stewards folds only when no
-      other pair is left. A
-      span's LRU stamp is keyed by its node number in the dyadic tree,
-      [(1 lsl level) lor index], so re-stamping on a cache hit builds no
-      {!Span.t};
+      commits and refresh reports ({!learn});
+    - {b bounded caches}: with a positive [route_cap], a cache keeps the
+      bootstrap placement and the placements inside the regions its
+      snode stewards, and nothing else. The steward share is exact and
+      not capped; [route_cap] bounds the rest, the entries outside those
+      regions (bootstrap spans and the fragments that learning inside a
+      region splits off, at most one per level above each region), and
+      the invariant battery checks that bound. Replies carry no repair
+      hint;
     - {b prefix routing} over {!Dht_cluster.Fingers} geometry when
       bounded: a cache entry at least [ceil(log2 snodes)] levels deep,
       and at least as deep as the deepest placement the snode has
@@ -25,9 +24,8 @@
       ({!refile}); full {!refresh} rounds remain available;
     - {b hop accounting}: executed routed operations per hop count.
 
-    Caches, LRU stamps and the deepest learned level are volatile:
-    {!crash} drops the stamps and {!restart} rebuilds the cache from the
-    bootstrap placement. *)
+    Caches and the deepest learned level are volatile: {!restart}
+    rebuilds the cache from the bootstrap placement. *)
 
 open Dht_core
 open Dht_hashspace
@@ -50,9 +48,9 @@ val create :
   bootstrap:Span.t list * Vnode_id.t ->
   t
 (** One routing cache per snode, each holding the [bootstrap] placement
-    (its spans, all owned by one vnode). [route_cap] bounds every cache
-    (0: unbounded, the legacy path, which counts no probes); [max_hops]
-    is the forwarding limit.
+    (its spans, all owned by one vnode). [route_cap] bounds every cache's
+    entries outside its steward regions (0: unbounded, the legacy path,
+    which counts no probes); [max_hops] is the forwarding limit.
     @raise Invalid_argument (worded for {!Runtime.create}, the caller)
     unless [1 <= max_hops <= max_hops_ceiling] and [route_cap] is 0 or
     at least [pmin]. *)
@@ -62,17 +60,9 @@ val bounded : t -> bool
 
 val learn : t -> int -> Span.t -> Vnode_id.t -> unit
 (** [learn r sid span vid] records in snode [sid]'s cache that [vid] owns
-    [span]. When bounded, the span is stamped most recent, raises the
-    snode's deepest learned level, and the cache folds back under its
-    cap. *)
-
-val learn_hint : t -> int -> Span.t -> Vnode_id.t -> unit
-(** [learn_hint r sid span vid] is {!learn} for a reply hint that a routed
-    operation's owner sent back to its origin [sid]: when bounded, the
-    hint is learned only if {!next_hop} would trust it, i.e. its span is
-    at least [level r] deep and at least as deep as the deepest placement
-    [sid] has learned; any other leaves the cache, its stamps and the
-    deepest level unchanged. Unbounded caches learn every hint. *)
+    [span]. When bounded, the span raises the snode's deepest learned
+    level, and the cache keeps it only when it intersects a region [sid]
+    stewards. *)
 
 val next_hop : t -> sid:int -> hops:int -> int -> int
 (** [next_hop r ~sid ~hops point] is the snode that snode [sid], which
@@ -83,11 +73,9 @@ val next_hop : t -> sid:int -> hops:int -> int -> int
     the deepest placement [sid] has learned. Counts the probe as a hit
     or a miss when bounded. *)
 
-val executed : t -> hops:int -> bool
+val executed : t -> hops:int -> unit
 (** Count one routed operation executed at its owner after [hops]
-    forwarding hops ([hops <= max_hops]). [true] when the reply should
-    carry the owner's exact placement back to the origin as a repair
-    hint: the operation was forwarded and the caches are bounded. *)
+    forwarding hops ([hops <= max_hops]). *)
 
 val refresh :
   t ->
@@ -116,9 +104,6 @@ val refile :
     call, unless there are none. A no-op unless bounded, and when [sid]
     is the steward. *)
 
-val crash : t -> int -> unit
-(** Drop a crashed snode's LRU stamps. *)
-
 val restart : t -> int -> ((Span.t -> Vnode_id.t -> unit) -> unit) -> unit
 (** [restart r sid owned] rebuilds snode [sid]'s cache from the bootstrap
     placement, then learns every placement [owned] enumerates; the
@@ -139,11 +124,6 @@ val entries : t -> int -> int
 val snapshot : t -> int -> (Span.t * Vnode_id.t) list
 (** One snode's cache entries, in span order. *)
 
-val stamp : t -> int -> Span.t -> int
-(** A cache span's LRU stamp on one snode: the LRU clock at its last
-    probe or learn, or at the fold that made it; 0 (oldest) when
-    unstamped. *)
-
 val hops : t -> int array
 (** Executed routed operations per hop count (length [max_hops + 1]); a
     fresh copy. *)
@@ -151,7 +131,7 @@ val hops : t -> int array
 type stats = {
   rcs_hits : int;  (** cache probes answered by a region-fine entry *)
   rcs_misses : int;  (** probes that fell back to steward or chain *)
-  rcs_evictions : int;  (** LRU pair-folds forced by the cap *)
+  rcs_evictions : int;  (** always 0: no cache evicts *)
   rcs_refreshes : int;  (** steward refresh reports sent *)
   rcs_entries : int;  (** current total entries across all caches *)
   rcs_peak : int;  (** highest post-learn occupancy of any one cache *)
@@ -162,6 +142,6 @@ val stats : t -> stats
 
 val record_metrics : t -> Dht_telemetry.Registry.t -> unit
 (** Add the routing counters ([runtime.route.cache.hits], [.misses],
-    [.evictions], [runtime.route.refreshes]) and gauges
+    [.evictions] (always 0), [runtime.route.refreshes]) and gauges
     ([runtime.route.cache.entries], [.peak], and [runtime.route.hops.peak],
     the highest hop count any executed operation took). *)

@@ -640,21 +640,20 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
           (* The retry budget is a livelock canary, meaningful only on a
              reliable network with legacy unbounded caches: under faults an
              operation legitimately backs off for as long as a crashed
-             snode stays down, and under bounded routing a fold can leave a
-             transient cycle even with no faults at all. *)
+             snode stays down, and under bounded routing an origin's
+             trusted entry can go stale even with no faults at all. *)
           if retries >= max_retries then
             failwith "Runtime: routing failed to converge";
           Engine.schedule t.engine ~delay:backoff (fun () ->
               with_ctx t ctx (fun () -> deliver_local t sn msg))
         end
         else begin
-          (* Crash recovery (or an eviction fold) can leave a permanent
-             cycle among stale caches: a restarted snode's rebuilt cache
-             points back at the bootstrap placement, and once balancing
-             stops no commit repairs it. Restart the walk at a random
-             snode — the owner's snode resolves the point locally, so the
-             retry terminates with probability 1 whatever the cycle
-             structure. *)
+          (* Crash recovery can leave a permanent cycle among stale
+             caches: a restarted snode's rebuilt cache points back at the
+             bootstrap placement, and once balancing stops no commit
+             repairs it. Restart the walk at a random snode — the owner's
+             snode resolves the point locally, so the retry terminates
+             with probability 1 whatever the cycle structure. *)
           let via = Rng.int sn.rng (Array.length t.snodes) in
           (* Exponential backoff, capped at 128 base delays: a walk stuck
              in a stale-advice cycle should wait for the next refresh
@@ -682,16 +681,7 @@ and route_or_forward t sn (point, hops, retries, origin, op) =
 
 and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
   Option.iter (fun i -> Histogram.observe i.i_hops (float_of_int hops)) t.instr;
-  (* Piggybacked stale-entry repair: when the op needed forwarding, the
-     owner rides its exact owned placement back on the reply so the origin
-     repairs whatever stale cache entry misrouted the op — no dedicated
-     repair message. Only when bounded routing is on; legacy replies stay
-     byte-identical. *)
-  let hint = Route.executed t.route ~hops in
-  let reply_hint () =
-    if hint then Some (fst (Point_map.find_point sn.owned point), owner)
-    else None
-  in
+  Route.executed t.route ~hops;
   match op with
   | Wire.Op_put { key; value; token } ->
       (* Single-copy write: unconditional replace, stamped at the owner.
@@ -719,13 +709,13 @@ and execute_op t sn ~owner ~point ~origin ~retries ~hops op =
               set
         | exception Not_found -> ());
       send t ~src:sn.sid ~dst:origin
-        (Wire.Put_ack { token; hint = reply_hint () })
+        (Wire.Put_ack { token; hint = None })
   | Wire.Op_get { key; token } ->
       let v = local_exn sn owner in
       heat_charge t sn ~point ~kind:`Read ~bytes:(String.length key);
       let value = Store.value v.data key in
       send t ~src:sn.sid ~dst:origin
-        (Wire.Get_reply { token; value; hint = reply_hint () })
+        (Wire.Get_reply { token; value; hint = None })
   | Wire.Op_sync { key; cell } ->
       (* Anti-entropy orphan coming home: merge, no reply. *)
       accept t sn ~kind:`Repl ~point ~key cell
@@ -1361,15 +1351,8 @@ and handle t sn ~from msg =
               run t sn (Handover.Msg { from = sn.sid; msg })))
   | Wire.Remove_done { token; ok } ->
       settle t ~tid:sn.sid ~token (Departed ok)
-  | Wire.Put_ack { token; hint } ->
-      Option.iter
-        (fun (span, vid) -> Route.learn_hint t.route sn.sid span vid)
-        hint;
-      settle t ~tid:sn.sid ~token (Acked `Put)
-  | Wire.Get_reply { token; value; hint } ->
-      Option.iter
-        (fun (span, vid) -> Route.learn_hint t.route sn.sid span vid)
-        hint;
+  | Wire.Put_ack { token; hint = _ } -> settle t ~tid:sn.sid ~token (Acked `Put)
+  | Wire.Get_reply { token; value; hint = _ } ->
       settle t ~tid:sn.sid ~token (Answered (`Get, value))
   | Wire.Busy { token } ->
       (* Admission rejection landing at the origin: settle the operation
@@ -1521,7 +1504,6 @@ let crash_snode t sid =
        everything it gossiped before the crash. *)
     Balance.Gossip.reset sn.lb_view;
     Balance.Directory.reset sn.lb_dir;
-    Route.crash t.route sid;
     Store.crash t.store sid;
     Log.debug (fun m -> m "snode %d crashed at %g" sid (Engine.now t.engine))
   end

@@ -225,23 +225,23 @@ val create :
     nothing until rounds run.
 
     [route_cap] (default 0: unbounded, the legacy behaviour) arms the
-    scalable routing layer ({!Route}): every snode's routing cache is
-    bounded to at most [route_cap] entries — over-cap caches fold their
-    coldest sibling leaf-pair into one coarser parent binding (LRU by last
-    probe/learn, hole-free, so coverage audits still hold) — and lookups
+    scalable routing layer ({!Route}): every snode's routing cache keeps
+    the bootstrap placement and the exact placements of the regions the
+    snode stewards, and nothing else; [route_cap] bounds its entries
+    outside those regions (the invariant battery checks this). Lookups
     run prefix routing over {!Dht_cluster.Fingers} geometry: a cache
     entry at least [ceil(log2 snodes)] levels deep, and at least as deep
     as the deepest placement the snode has learned, is trusted like
     legacy advice; any other diverts the walk (within its first two
     hops) to the point's region steward, a deterministic snode that
     keeps an exact map of its regions: every commit files the moved
-    spans with it, the owners re-file it when it restarts, and it folds
-    its regions' entries last. So a walk goes origin, steward, owner.
-    Origins repair their entries from corrected-owner hints piggybacked
-    on {!Wire.Put_ack}/{!Wire.Get_reply} replies, and refresh rounds
-    ({!arm_route_refresh}) remain available on top. Per-snode routing
-    state stays O(route_cap). Must be [>= pmin] when positive (a restarting snode
-    rebuilds from the [pmin]-span bootstrap placement).
+    spans with it and the owners re-file it when it restarts. So a walk
+    goes origin, steward, owner. Replies carry no repair hint, and
+    refresh rounds ({!arm_route_refresh}) remain available on top.
+    Per-snode routing state is the steward share, about partitions ÷
+    snodes, plus at most [route_cap] entries. Must be [>= pmin] when
+    positive (a restarting snode rebuilds from the [pmin]-span bootstrap
+    placement).
 
     [max_hops] (default 4, at most {!Route.max_hops_ceiling} = 1,024) is
     the forwarding limit ({!Route.next_hop}): a routed operation
@@ -550,7 +550,8 @@ val route_level : t -> int
     snodes), clamped to the space. Fixed at creation. *)
 
 val route_cap : t -> int
-(** The per-snode routing-cache entry bound; [0] = unbounded (legacy). *)
+(** The per-snode bound on routing-cache entries outside the snode's
+    steward regions; [0] = unbounded (legacy). *)
 
 val max_hops : t -> int
 (** The forwarding limit a routed operation backs off at. *)
@@ -570,7 +571,7 @@ val arm_route_refresh : t -> interval:float -> until:float -> unit
 type route_cache_stats = Route.stats = {
   rcs_hits : int;  (** cache probes answered by a region-fine entry *)
   rcs_misses : int;  (** probes that fell back to steward or chain *)
-  rcs_evictions : int;  (** LRU pair-folds forced by the cap *)
+  rcs_evictions : int;  (** always 0: no cache evicts *)
   rcs_refreshes : int;  (** steward refresh reports sent *)
   rcs_entries : int;  (** current total entries across all caches *)
   rcs_peak : int;  (** highest post-learn occupancy of any one cache *)

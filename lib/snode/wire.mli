@@ -98,17 +98,15 @@ type msg =
       (** to the origin; [ok = false] when the model refuses the departure
           (L2 floor, capacity, unknown vnode) *)
   | Put_ack of { token : int; hint : (Span.t * Vnode_id.t) option }
-      (** single-copy write acknowledged at the owner. When the operation
-          arrived through one or more forwarding hops, the owner attaches a
-          corrected-owner [hint] — its exact owned span containing the
-          point — so the origin repairs its stale routing-cache entry off
-          the reply instead of a dedicated repair message. [None] costs no
-          extra bytes. *)
+      (** single-copy write acknowledged at the owner. The runtime sends
+          [hint = None]: routing learns from commits and stewards, not from
+          replies. A [Some] hint would be charged one placement entry;
+          perfbench's message model still builds the field. *)
   | Get_reply of {
       token : int;
       value : string option;
       hint : (Span.t * Vnode_id.t) option;
-          (** same piggybacked stale-entry repair as {!Put_ack} *)
+          (** always [None], as for {!Put_ack} *)
     }
   | Busy of { token : int }
       (** admission-control rejection: the coordinator could not finish the

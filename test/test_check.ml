@@ -9,6 +9,7 @@ module Fault = Dht_event_sim.Fault
 module Invariants = Dht_check.Invariants
 module Schedule = Dht_check.Schedule
 module Rng = Dht_prng.Rng
+module Span = Dht_hashspace.Span
 
 let vid ~snode ~vnode = Vnode_id.make ~snode ~vnode
 
@@ -156,13 +157,14 @@ let qcheck_oracle =
 (* ------------------------------------------------------------------ *)
 (* Snapshot battery: a healthy cluster passes; tampered views fail.    *)
 
-let build_cluster ?(linger = 0.) ~seed () =
+let build_cluster ?(linger = 0.) ?(route_cap = 0) ~seed () =
   let rt =
     Runtime.create
       ~faults:(Fault.create ~seed ())
       ~pmin:8
       ~approach:(Runtime.Local { vmin = 2 })
-      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~linger ~snodes:4 ~seed ()
+      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~linger ~route_cap ~snodes:4
+      ~seed ()
   in
   for i = 1 to 3 do
     Runtime.create_vnode rt ~id:(vid ~snode:(i mod 4) ~vnode:(i / 4)) ()
@@ -219,25 +221,68 @@ let test_tampered_view_detected () =
   in
   Alcotest.(check bool) "blank cache detected" true (check tampered2 <> [])
 
-(* The routing-cache entry bound is part of the battery: a view whose
-   fullest cache holds [m] entries passes at cap [m] and is flagged at
-   cap [m - 1]; cap 0 means unbounded. *)
+(* The routing-cache bound is part of the battery, in its bounded form:
+   it caps the entries that intersect none of a snode's steward regions,
+   and entries inside them never count. On a bounded cluster whose
+   fullest cache holds [m] entries outside its regions, the view passes
+   at cap [m]; splitting one of those entries in two (coverage holds) is
+   flagged, while splitting an entry inside the snode's regions is not;
+   cap 0 means unbounded. *)
 let test_cache_over_cap_flagged () =
-  let rt = build_cluster ~seed:5 () in
-  let v = Runtime.view rt in
-  let check route_cap =
-    Invariants.check_view ~route_cap ~space:(Runtime.space rt)
-      ~pmin:(Runtime.pmin rt) ~vmax:(Runtime.vmax rt) v
+  let rt = build_cluster ~route_cap:8 ~seed:5 () in
+  let v = Runtime.view rt and space = Runtime.space rt in
+  let check route_cap v =
+    Invariants.check_view ~route_cap ~space ~pmin:(Runtime.pmin rt)
+      ~vmax:(Runtime.vmax rt) v
   in
-  let m =
+  let level = Runtime.route_level rt in
+  let inside sid (e, _) =
+    List.exists
+      (fun region ->
+        Dht_cluster.Fingers.steward ~snodes:4 ~region = sid
+        && Span.overlap e (Span.make space ~level ~index:region))
+      (List.init (1 lsl level) Fun.id)
+  in
+  let outside (s : Runtime.View.snode_view) =
+    List.filter (fun e -> not (inside s.sid e)) s.cache
+  in
+  let fullest =
     List.fold_left
-      (fun acc (s : Runtime.View.snode_view) -> max acc (List.length s.cache))
-      0 v.Runtime.View.snodes
+      (fun (a : Runtime.View.snode_view) b ->
+        if List.length (outside b) > List.length (outside a) then b else a)
+      (List.hd v.Runtime.View.snodes) v.Runtime.View.snodes
   in
-  Alcotest.(check bool) "several cache entries" true (m > 1);
-  Alcotest.(check int) "unbounded passes" 0 (List.length (check 0));
-  Alcotest.(check int) "at the cap passes" 0 (List.length (check m));
-  match check (m - 1) with
+  let m = List.length (outside fullest) in
+  Alcotest.(check bool) "entries outside the steward regions" true (m > 0);
+  Alcotest.(check int) "the runtime's own cap passes" 0
+    (List.length (Invariants.check_runtime rt));
+  Alcotest.(check int) "unbounded passes" 0 (List.length (check 0 v));
+  Alcotest.(check int) "at the cap passes" 0 (List.length (check m v));
+  (* [fullest] with [e] split into its two halves. *)
+  let split e =
+    let lo, hi = Span.split space (fst e) in
+    let cache =
+      List.concat_map
+        (fun x -> if x == e then [ (lo, snd e); (hi, snd e) ] else [ x ])
+        fullest.cache
+    in
+    {
+      v with
+      Runtime.View.snodes =
+        List.map
+          (fun (s : Runtime.View.snode_view) ->
+            if s.sid = fullest.sid then { s with cache } else s)
+          v.Runtime.View.snodes;
+    }
+  in
+  let fine =
+    List.find
+      (fun ((e, _) as x) -> Span.level e >= level && inside fullest.sid x)
+      fullest.cache
+  in
+  Alcotest.(check int) "a split inside the steward regions passes" 0
+    (List.length (check m (split fine)));
+  match check m (split (List.hd (outside fullest))) with
   | [] -> Alcotest.fail "cache over its cap not flagged"
   | fs ->
       List.iter
