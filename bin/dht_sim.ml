@@ -863,9 +863,9 @@ let chaos_cmd =
     if r.Extensions.chaos_route_cap > 0 then begin
       let rc = r.Extensions.chaos_route in
       Printf.printf
-        "routing cache (cap %d/snode): %d hits, %d misses, peak %d entries, \
-         %d steward refreshes\n"
-        r.Extensions.chaos_route_cap rc.Dht_snode.Runtime.rcs_hits
+        "bounded routing cache: %d hits, %d misses, peak %d entries, %d \
+         steward refreshes\n"
+        rc.Dht_snode.Runtime.rcs_hits
         rc.Dht_snode.Runtime.rcs_misses rc.Dht_snode.Runtime.rcs_peak
         rc.Dht_snode.Runtime.rcs_refreshes
     end;
@@ -964,7 +964,7 @@ let chaos_cmd =
            ~doc:"Virtual seconds each crashed snode stays down.")
   in
   let route_cap =
-    (* A bounded cache must hold at least the Pmin = 8 partitions of one
+    (* Only the sign matters; the floor is the Pmin = 8 partitions of one
        chaos vnode. *)
     let cap =
       checked "0 or an integer >= 8" int_of_string_opt
@@ -973,10 +973,11 @@ let chaos_cmd =
     in
     Arg.(value & opt cap 0 & info [ "route-cap" ] ~docv:"E"
            ~doc:
-             "Per-snode bound on routing-cache entries outside the snode's \
-              steward regions (0 keeps the legacy unbounded caches): \
-              chaos-test bounded prefix routing under the same fault mix \
-              as the data plane.")
+             "A positive value (at least 8) arms bounded prefix routing, \
+              whose caches keep the bootstrap placement and their snode's \
+              steward regions; 0 keeps the legacy unbounded caches. The \
+              value bounds nothing. Chaos-tests bounded routing under the \
+              same fault mix as the data plane.")
   in
   let term =
     let snodes = snodes_arg 12 in
@@ -1809,8 +1810,9 @@ let route_cmd =
               + List.length r.Extensions.rs_linear) ])
       runs;
     Table.print table;
-    (* The gates the CI perf matrix enforces: p99 hops within 2 log2 N,
-       every cache within its entry bound, and a clean safety battery. *)
+    (* The gates the CI perf matrix enforces: p99 hops within 2 log2 N and
+       a clean safety battery, which bounds every cache's entries outside
+       its steward regions by the geometry. *)
     let failed = ref false in
     let gate name ok detail =
       if not ok then begin
@@ -1827,11 +1829,6 @@ let route_cmd =
           (r.Extensions.rs_hops_p99 <= bound)
           (Printf.sprintf "%.1f > 2 log2 N = %.1f" r.Extensions.rs_hops_p99
              bound);
-        gate
-          (Printf.sprintf "N=%d cache bound" n)
-          (r.Extensions.rs_cache_entries_max <= r.Extensions.rs_cap)
-          (Printf.sprintf "%d entries > cap %d" r.Extensions.rs_cache_entries_max
-             r.Extensions.rs_cap);
         gate
           (Printf.sprintf "N=%d window" n)
           (r.Extensions.rs_ops > 0)
@@ -1887,13 +1884,14 @@ let route_cmd =
            ~doc:"Vnodes in each cluster (default: one per snode).")
   in
   let route_cap =
-    (* A bounded cache must hold at least the Pmin = 8 partitions of one
+    (* Only the sign matters; the floor is the Pmin = 8 partitions of one
        vnode. *)
     Arg.(value & opt (at_least 8) 128 & info [ "route-cap" ] ~docv:"E"
            ~doc:
-             "Per-snode bound on routing-cache entries outside the snode's \
-              steward regions; each steward keeps its regions' placements \
-              exactly, uncapped.")
+             "Arms bounded routing (at least 8): a cache keeps the bootstrap \
+              placement and its snode's steward regions exactly. The value \
+              bounds nothing; the invariant battery bounds each cache's \
+              entries outside those regions by the geometry.")
   in
   let max_hops =
     let ceiling = Dht_snode.Route.max_hops_ceiling in

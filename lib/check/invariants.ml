@@ -67,7 +67,7 @@ let check_snode ~space (sn : Runtime.View.snode_view) =
    placement. [vmax] is the group capacity (2·Vmin; [max_int] under the
    global approach, making every group the sole root group as far as L2
    is concerned). *)
-let check_view ?(route_cap = 0) ~space ~pmin ~vmax (v : Runtime.View.t) =
+let check_view ?(bounded = false) ~space ~pmin ~vmax (v : Runtime.View.t) =
   let issues = ref [] in
   let fail inv fmt = Format.kasprintf (fun d -> issues := { inv; detail = d } :: !issues) fmt in
   let vnodes =
@@ -194,35 +194,31 @@ let check_view ?(route_cap = 0) ~space ~pmin ~vmax (v : Runtime.View.t) =
           fail "L1" "%a listed in %d groups" Vnode_id.pp vn.vid (List.length l))
     vnodes;
   (* With bounded routing armed, a routing cache keeps its steward share
-     uncapped, and at most [route_cap] entries outside the regions its
-     snode stewards (entries that intersect none of them). *)
-  if route_cap > 0 then begin
+     exactly, and its entries outside the regions its snode stewards
+     (entries that intersect none of them) are what the geometry leaves:
+     at most [pmin] entries at the bootstrap level or coarser (disjoint
+     spans, each holding one of the [pmin] bootstrap cells), and deeper
+     ones only as fragments a split inside a region left, each the
+     sibling of one of its ancestors: one per level between the
+     bootstrap's and the finger level per stewarded region. *)
+  if bounded then begin
     let snodes = List.length v.snodes in
     let level = Fingers.level ~bits:(Space.bits space) ~snodes in
-    let steward =
-      Array.init (1 lsl level) (fun region -> Fingers.steward ~snodes ~region)
-    in
-    let outside sid span =
-      let l = Span.level span and i = Span.index span in
-      let first, count =
-        if l >= level then (i lsr (l - level), 1)
-        else (i lsl (level - l), 1 lsl (level - l))
-      in
-      let rec none r =
-        r = first + count || (steward.(r) <> sid && none (r + 1))
-      in
-      none first
-    in
+    let regions = Fingers.regions ~snodes ~level in
+    let per_region = Int.max 0 (level - Params.log2_exact pmin) in
     List.iter
       (fun (sn : Runtime.View.snode_view) ->
+        let mine = regions.(sn.sid) in
+        let bound = pmin + (per_region * List.length mine) in
         let n =
-          List.length (List.filter (fun (s, _) -> outside sn.sid s) sn.cache)
+          List.length
+            (List.filter (fun (s, _) -> not (Fingers.meets ~level mine s)) sn.cache)
         in
-        if n > route_cap then
+        if n > bound then
           fail "cache"
-            "snode %d routing cache: %d entries outside its steward regions \
-             exceed the cap %d"
-            sn.sid n route_cap)
+            "snode %d routing cache: %d entries outside its %d steward \
+             regions exceed the geometry's %d"
+            sn.sid n (List.length mine) bound)
       v.snodes
   end;
   (* Per-snode checks on every snode: a crashed snode's routing cache,
@@ -231,7 +227,7 @@ let check_view ?(route_cap = 0) ~space ~pmin ~vmax (v : Runtime.View.t) =
   List.rev !issues @ List.concat_map (check_snode ~space) v.snodes
 
 let check_runtime rt =
-  check_view ~route_cap:(Runtime.route_cap rt) ~space:(Runtime.space rt)
+  check_view ~bounded:(Runtime.route_bounded rt) ~space:(Runtime.space rt)
     ~pmin:(Runtime.pmin rt) ~vmax:(Runtime.vmax rt) (Runtime.view rt)
 
 (* Hash-tree consistency: every live snode's snapshot tree must be

@@ -38,16 +38,18 @@ val check_snode :
     {!Dht_snode.Runtime.set_on_commit} hook. *)
 
 val check_view :
-  ?route_cap:int ->
+  ?bounded:bool ->
   space:Dht_hashspace.Space.t ->
   pmin:int ->
   vmax:int ->
   Runtime.View.t ->
   finding list
 (** The full battery over one cluster snapshot: G1', LPDR agreement
-    across live snodes' copies, G2'-G5', L1, L2, quota conservation, the
-    routing-cache bound [route_cap] on entries that intersect none of the
-    snode's steward regions ([0], the default, means unbounded), and
+    across live snodes' copies, G2'-G5', L1, L2, quota conservation,
+    with [bounded] (default false: unbounded routing) the geometric bound
+    on each routing cache's entries that intersect none of its snode's
+    steward regions ([pmin] plus one per level between the bootstrap's
+    and the finger level per stewarded region), and
     {!check_snode} on every snode, up or down (a crashed snode's durable
     state must stay well-formed). Meaningful at quiescence — LPDR copies
     legitimately diverge while a commit is in flight.
@@ -55,7 +57,7 @@ val check_view :
 
 val check_runtime : Runtime.t -> finding list
 (** {!check_view} over [Runtime.view rt] with the runtime's own
-    parameters, including {!Dht_snode.Runtime.route_cap}. This is the
+    parameters, including {!Dht_snode.Runtime.route_bounded}. This is the
     runtime's one invariant battery. *)
 
 val check_merkle : Runtime.t -> finding list

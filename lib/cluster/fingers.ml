@@ -40,3 +40,26 @@ let region ~bits ~level point =
 let steward ~snodes ~region =
   if snodes < 1 then invalid_arg "Fingers.steward: snodes < 1";
   mix region mod snodes
+
+let regions ~snodes ~level =
+  let a = Array.make snodes [] in
+  for region = (1 lsl level) - 1 downto 0 do
+    let sd = steward ~snodes ~region in
+    a.(sd) <- region :: a.(sd)
+  done;
+  a
+
+let rec within lo hi = function
+  | [] -> false
+  | region :: rest -> (region >= lo && region <= hi) || within lo hi rest
+
+(* A span at least [level] deep lies in one region; a shallower one
+   covers the run of regions its index prefixes. *)
+let meets ~level regions span =
+  let l = Dht_hashspace.Span.level span and i = Dht_hashspace.Span.index span in
+  if l >= level then
+    let region = i lsr (l - level) in
+    within region region regions
+  else
+    let lo = i lsl (level - l) in
+    within lo (lo + (1 lsl (level - l)) - 1) regions

@@ -25,3 +25,14 @@ val steward : snodes:int -> region:int -> int
     the region index, spread so adjacent regions land on unrelated
     snodes.
     @raise Invalid_argument if [snodes < 1]. *)
+
+val regions : snodes:int -> level:int -> int list array
+(** [regions ~snodes ~level] lists, for every snode, the regions at
+    [level] it stewards, in increasing order ([2{^level}] {!steward}
+    computations). *)
+
+val meets : level:int -> int list -> Dht_hashspace.Span.t -> bool
+(** [meets ~level regions span] is whether [span] intersects one of
+    [regions], region numbers at [level]: the test a bounded routing
+    cache keeps a placement by, and the one the invariant battery
+    counts a cache's entries outside its steward regions with. *)

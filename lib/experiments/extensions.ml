@@ -540,7 +540,7 @@ type chaos_report = {
   chaos_batch_saved_bytes : int;  (** envelope bytes amortized away *)
   chaos_batch_occupancy_p50 : float;
       (** median messages per envelope; [nan] when nothing coalesced *)
-  chaos_route_cap : int;  (** routing-cache entry bound (0 = unbounded) *)
+  chaos_route_cap : int;  (** > 0: bounded routing armed (0 = unbounded) *)
   chaos_route : Dht_snode.Runtime.route_cache_stats;
       (** faulty-run routing-cache traffic; all-zero when unbounded *)
 }

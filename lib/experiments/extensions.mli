@@ -245,7 +245,7 @@ type chaos_report = {
       (** envelope bytes amortized away by coalescing *)
   chaos_batch_occupancy_p50 : float;
       (** median messages per envelope; [nan] when nothing coalesced *)
-  chaos_route_cap : int;  (** routing-cache entry bound (0 = unbounded) *)
+  chaos_route_cap : int;  (** > 0: bounded routing armed (0 = unbounded) *)
   chaos_route : Dht_snode.Runtime.route_cache_stats;
       (** faulty-run routing-cache traffic; all-zero when unbounded *)
 }
@@ -464,13 +464,13 @@ type routing_run = {
   rs_snodes : int;
   rs_vnodes : int;  (** vnodes alive at the end (including the join) *)
   rs_level : int;  (** finger level routed at: [ceil(log2 snodes)] *)
-  rs_cap : int;  (** per-snode routing-cache entry bound *)
+  rs_cap : int;  (** the [route_cap] that armed bounded routing *)
   rs_ops : int;  (** routed ops executed inside the measurement window *)
   rs_hops_p50 : float;  (** windowed per-op forwarding-hop percentiles *)
   rs_hops_p99 : float;
   rs_hops_max : int;
   rs_msgs_per_op : float;  (** window network messages / windowed ops *)
-  rs_cache_entries_max : int;  (** fullest cache at quiescence (<= cap) *)
+  rs_cache_entries_max : int;  (** fullest cache at quiescence *)
   rs_cache_entries_total : int;
   rs_cache_bytes_max : int;  (** wire-model bytes of the fullest cache *)
   rs_cache : Dht_snode.Runtime.route_cache_stats;
@@ -500,7 +500,8 @@ val routing_scaling :
     Vmin = 4, 0.8 ms links) routes [ops] (default 4000) single-copy data
     operations drawn from a derived key population of [keys] (default
     one million — derived, so never materialized) with bounded routing
-    armed ([route_cap] = 128 entries per snode, [max_hops] = 32). The
+    armed ([route_cap] = 128, whose value bounds nothing, and
+    [max_hops] = 32). The
     cluster is grown as one paced phase (creation rate scaled with
     [snodes]; a flood of creations at once melts the reliable layer's
     RTO) with no refresh rounds: commits and restarts alone keep the
@@ -510,8 +511,8 @@ val routing_scaling :
     resolves. Hop and
     message counters are snapshotted around the measurement window, so
     construction traffic does not contaminate the percentiles. Acceptance per size: [rs_hops_p99 <=
-    2 * log2 snodes], [rs_cache_entries_max <= route_cap], empty
-    [rs_findings] and [rs_linear]. *)
+    2 * log2 snodes], and empty [rs_findings] (whose battery bounds
+    each cache's entries outside its steward regions) and [rs_linear]. *)
 
 val routing_hit_pct : routing_run -> float
 (** Cache probes answered by a fine entry, in percent of all probes

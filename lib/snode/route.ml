@@ -20,7 +20,7 @@ type stats = {
 
 type t = {
   space : Space.t;
-  route_cap : int;  (* routing-cache entry bound; 0 = unbounded (legacy) *)
+  bounded : bool;  (* route_cap > 0; false = unbounded (legacy) *)
   rlevel : int;  (* finger level: ceil(log2 snodes), clamped to the space *)
   bootstrap : Span.t list * Vnode_id.t;  (* for rebuilding crashed caches *)
   (* Global placement; may be stale. A bounded cache holds the bootstrap
@@ -42,7 +42,7 @@ type t = {
   hop_counts : int array;  (* executed routed ops per hop count, 0..max_hops *)
 }
 
-let bounded r = r.route_cap > 0
+let bounded r = r.bounded
 
 (* A cache holding only the bootstrap placement: every cache's start, and
    a restarted snode's too. *)
@@ -56,30 +56,21 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
   if max_hops > max_hops_ceiling then
     invalid_arg (Printf.sprintf "Runtime.create: max_hops > %d" max_hops_ceiling);
   if route_cap < 0 then invalid_arg "Runtime.create: route_cap < 0";
-  (* A restarting snode rebuilds its cache from the [pmin]-span bootstrap
-     placement; a cap below that could not even hold the rebuild. *)
+  (* Only the sign of [route_cap] matters: a positive value arms bounded
+     routing. The [pmin] floor keeps the accepted values, and so the
+     callers' usage errors, as they are until the option is a flag. *)
   if route_cap > 0 && route_cap < pmin then
     invalid_arg "Runtime.create: route_cap must be 0 or >= pmin";
+  let bounded = route_cap > 0 in
   let rlevel = Fingers.level ~bits:(Space.bits space) ~snodes in
-  let regions =
-    if route_cap = 0 then [||]
-    else begin
-      let a = Array.make snodes [] in
-      for region = (1 lsl rlevel) - 1 downto 0 do
-        let sd = Fingers.steward ~snodes ~region in
-        a.(sd) <- region :: a.(sd)
-      done;
-      a
-    end
-  in
   {
     space;
-    route_cap;
+    bounded;
     rlevel;
     bootstrap;
     caches = Array.init snodes (fun _ -> bootstrap_cache space bootstrap);
-    deepest = (if route_cap > 0 then Array.make snodes 0 else [||]);
-    regions;
+    deepest = (if bounded then Array.make snodes 0 else [||]);
+    regions = (if bounded then Fingers.regions ~snodes ~level:rlevel else [||]);
     rc_hits = 0; rc_misses = 0; rc_peak = 0;
     route_refreshes = 0;
     hop_counts = Array.make (max_hops + 1) 0;
@@ -88,27 +79,19 @@ let create ~space ~pmin ~snodes ~route_cap ~max_hops ~bootstrap =
 (* ------------------------------------------------------------------ *)
 (* Bounded routing cache                                                *)
 
-(* Whether [span] intersects a region snode [sid] stewards. *)
-let stewards r sid span =
-  let l = Span.level span and i = Span.index span in
-  List.exists
-    (fun region ->
-      if l >= r.rlevel then i lsr (l - r.rlevel) = region
-      else region lsr (r.rlevel - l) = i)
-    r.regions.(sid)
-
 (* A bounded cache keeps a placement only where its snode is a steward.
    Walks need nothing else: a miss diverts to the point's steward, which
    is exact. What the cache leaves out still raises [deepest], so the
    trust rule weighs every placement the snode learned. The entries
-   outside the steward regions are thus bootstrap spans and the fragments
-   that learning inside a region splits off, at most one per level above
-   each region; [route_cap] bounds those. *)
+   outside the steward regions are thus the bootstrap spans and the
+   fragments that learning inside a region splits off, at most one per
+   level between the bootstrap's and the finger level per region; the
+   invariant battery checks that bound. *)
 let learn r sid span vid =
   if not (bounded r) then Point_map.learn r.caches.(sid) span vid
   else begin
     if Span.level span > r.deepest.(sid) then r.deepest.(sid) <- Span.level span;
-    if stewards r sid span then begin
+    if Fingers.meets ~level:r.rlevel r.regions.(sid) span then begin
       Point_map.learn r.caches.(sid) span vid;
       r.rc_peak <- Int.max r.rc_peak (Point_map.cardinal r.caches.(sid))
     end
@@ -216,7 +199,6 @@ let restart r sid owned =
   owned (fun s vid -> learn r sid s vid)
 
 let level r = r.rlevel
-let route_cap r = r.route_cap
 let max_hops r = Array.length r.hop_counts - 1
 let entries r sid = Point_map.cardinal r.caches.(sid)
 let snapshot r sid = Point_map.to_list r.caches.(sid)

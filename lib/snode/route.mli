@@ -8,12 +8,13 @@
       commits and refresh reports ({!learn});
     - {b bounded caches}: with a positive [route_cap], a cache keeps the
       bootstrap placement and the placements inside the regions its
-      snode stewards, and nothing else. The steward share is exact and
-      not capped; [route_cap] bounds the rest, the entries outside those
-      regions (bootstrap spans and the fragments that learning inside a
-      region splits off, at most one per level above each region), and
-      the invariant battery checks that bound. Replies carry no repair
-      hint;
+      snode stewards, and nothing else. The steward share is exact. The
+      rest, the entries outside those regions, are bootstrap spans and
+      the fragments that learning inside a region splits off: the
+      geometry bounds them by [pmin] plus one per level between the
+      bootstrap's and the finger level per stewarded region, and the
+      invariant battery checks that bound. [route_cap]'s value bounds
+      nothing. Replies carry no repair hint;
     - {b prefix routing} over {!Dht_cluster.Fingers} geometry when
       bounded: a cache entry at least [ceil(log2 snodes)] levels deep,
       and at least as deep as the deepest placement the snode has
@@ -48,9 +49,9 @@ val create :
   bootstrap:Span.t list * Vnode_id.t ->
   t
 (** One routing cache per snode, each holding the [bootstrap] placement
-    (its spans, all owned by one vnode). [route_cap] bounds every cache's
-    entries outside its steward regions (0: unbounded, the legacy path,
-    which counts no probes); [max_hops] is the forwarding limit.
+    (its spans, all owned by one vnode). A positive [route_cap] arms
+    bounded caches; only its sign matters (0: unbounded, the legacy
+    path, which counts no probes). [max_hops] is the forwarding limit.
     @raise Invalid_argument (worded for {!Runtime.create}, the caller)
     unless [1 <= max_hops <= max_hops_ceiling] and [route_cap] is 0 or
     at least [pmin]. *)
@@ -115,7 +116,6 @@ val level : t -> int
 (** The finger level routed at: ceil(log2 snodes), clamped to the space
     ({!Dht_cluster.Fingers}). *)
 
-val route_cap : t -> int
 val max_hops : t -> int
 
 val entries : t -> int -> int

@@ -2091,7 +2091,7 @@ let lb_views t =
 (* ---------------- scalable-routing exports ---------------- *)
 
 let route_level t = Route.level t.route
-let route_cap t = Route.route_cap t.route
+let route_bounded t = Route.bounded t.route
 let max_hops t = Route.max_hops t.route
 
 type route_cache_stats = Route.stats = {

@@ -227,8 +227,11 @@ val create :
     [route_cap] (default 0: unbounded, the legacy behaviour) arms the
     scalable routing layer ({!Route}): every snode's routing cache keeps
     the bootstrap placement and the exact placements of the regions the
-    snode stewards, and nothing else; [route_cap] bounds its entries
-    outside those regions (the invariant battery checks this). Lookups
+    snode stewards, and nothing else. Only the sign of [route_cap]
+    matters: its value bounds nothing. A cache's entries outside its
+    steward regions are bounded by the geometry ([pmin] plus one per
+    level between the bootstrap's and the finger level per stewarded
+    region), and the invariant battery checks that bound. Lookups
     run prefix routing over {!Dht_cluster.Fingers} geometry: a cache
     entry at least [ceil(log2 snodes)] levels deep, and at least as deep
     as the deepest placement the snode has learned, is trusted like
@@ -239,14 +242,12 @@ val create :
     goes origin, steward, owner. Replies carry no repair hint, and
     refresh rounds ({!arm_route_refresh}) remain available on top.
     Per-snode routing state is the steward share, about partitions ÷
-    snodes, plus at most [route_cap] entries. Must be [>= pmin] when
-    positive (a restarting snode rebuilds from the [pmin]-span bootstrap
-    placement).
+    snodes, plus that geometric bound. Must be [>= pmin] when positive.
 
     [max_hops] (default 4, at most {!Route.max_hops_ceiling} = 1,024) is
     the forwarding limit ({!Route.next_hop}): a routed operation
     bouncing through more than [max_hops] stale-cache hops backs off and
-    retries. Raise it together with [route_cap] at cluster scale so the
+    retries. Raise it when arming [route_cap] at cluster scale so the
     hop distribution is observable rather than truncated by retries.
     @raise Invalid_argument if [snodes < 1], a parameter is out of range,
     or the crash plan names an unknown snode. *)
@@ -549,9 +550,8 @@ val route_level : t -> int
 (** The finger level the runtime routes at ({!Route.level}): ceil(log2
     snodes), clamped to the space. Fixed at creation. *)
 
-val route_cap : t -> int
-(** The per-snode bound on routing-cache entries outside the snode's
-    steward regions; [0] = unbounded (legacy). *)
+val route_bounded : t -> bool
+(** Whether bounded routing is armed ([route_cap > 0] at creation). *)
 
 val max_hops : t -> int
 (** The forwarding limit a routed operation backs off at. *)

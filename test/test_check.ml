@@ -10,6 +10,7 @@ module Invariants = Dht_check.Invariants
 module Schedule = Dht_check.Schedule
 module Rng = Dht_prng.Rng
 module Span = Dht_hashspace.Span
+module Fingers = Dht_cluster.Fingers
 
 let vid ~snode ~vnode = Vnode_id.make ~snode ~vnode
 
@@ -222,27 +223,23 @@ let test_tampered_view_detected () =
   Alcotest.(check bool) "blank cache detected" true (check tampered2 <> [])
 
 (* The routing-cache bound is part of the battery, in its bounded form:
-   it caps the entries that intersect none of a snode's steward regions,
-   and entries inside them never count. On a bounded cluster whose
-   fullest cache holds [m] entries outside its regions, the view passes
-   at cap [m]; splitting one of those entries in two (coverage holds) is
-   flagged, while splitting an entry inside the snode's regions is not;
-   cap 0 means unbounded. *)
+   the geometry caps a cache's entries that intersect none of its
+   snode's steward regions at [pmin] plus one per level between the
+   bootstrap's and the finger level per stewarded region, and entries
+   inside them never count. On a bounded cluster, splitting an outside
+   entry of the fullest cache (coverage holds) until it holds exactly
+   that many passes; one split more is flagged, while splitting an entry
+   inside the snode's regions is not. An unbounded check passes all. *)
 let test_cache_over_cap_flagged () =
   let rt = build_cluster ~route_cap:8 ~seed:5 () in
   let v = Runtime.view rt and space = Runtime.space rt in
-  let check route_cap v =
-    Invariants.check_view ~route_cap ~space ~pmin:(Runtime.pmin rt)
-      ~vmax:(Runtime.vmax rt) v
+  let pmin = Runtime.pmin rt in
+  let check bounded v =
+    Invariants.check_view ~bounded ~space ~pmin ~vmax:(Runtime.vmax rt) v
   in
   let level = Runtime.route_level rt in
-  let inside sid (e, _) =
-    List.exists
-      (fun region ->
-        Dht_cluster.Fingers.steward ~snodes:4 ~region = sid
-        && Span.overlap e (Span.make space ~level ~index:region))
-      (List.init (1 lsl level) Fun.id)
-  in
+  let regions = Fingers.regions ~snodes:4 ~level in
+  let inside sid (e, _) = Fingers.meets ~level regions.(sid) e in
   let outside (s : Runtime.View.snode_view) =
     List.filter (fun e -> not (inside s.sid e)) s.cache
   in
@@ -252,38 +249,52 @@ let test_cache_over_cap_flagged () =
         if List.length (outside b) > List.length (outside a) then b else a)
       (List.hd v.Runtime.View.snodes) v.Runtime.View.snodes
   in
-  let m = List.length (outside fullest) in
-  Alcotest.(check bool) "entries outside the steward regions" true (m > 0);
-  Alcotest.(check int) "the runtime's own cap passes" 0
+  let bound =
+    pmin
+    + (Int.max 0 (level - Params.log2_exact pmin)
+      * List.length regions.(fullest.sid))
+  in
+  Alcotest.(check bool) "entries outside the steward regions" true
+    (outside fullest <> []);
+  Alcotest.(check int) "the runtime's own battery passes" 0
     (List.length (Invariants.check_runtime rt));
-  Alcotest.(check int) "unbounded passes" 0 (List.length (check 0 v));
-  Alcotest.(check int) "at the cap passes" 0 (List.length (check m v));
   (* [fullest] with [e] split into its two halves. *)
-  let split e =
+  let split (f : Runtime.View.snode_view) e =
     let lo, hi = Span.split space (fst e) in
     let cache =
       List.concat_map
         (fun x -> if x == e then [ (lo, snd e); (hi, snd e) ] else [ x ])
-        fullest.cache
+        f.cache
     in
+    { f with cache }
+  in
+  let rec grow (f : Runtime.View.snode_view) =
+    if List.length (outside f) >= bound then f
+    else grow (split f (List.hd (outside f)))
+  in
+  let with_fullest (f : Runtime.View.snode_view) =
     {
       v with
       Runtime.View.snodes =
         List.map
-          (fun (s : Runtime.View.snode_view) ->
-            if s.sid = fullest.sid then { s with cache } else s)
+          (fun (s : Runtime.View.snode_view) -> if s.sid = f.sid then f else s)
           v.Runtime.View.snodes;
     }
   in
+  let full = grow fullest in
+  Alcotest.(check int) "at the bound passes" 0
+    (List.length (check true (with_fullest full)));
   let fine =
     List.find
-      (fun ((e, _) as x) -> Span.level e >= level && inside fullest.sid x)
-      fullest.cache
+      (fun ((e, _) as x) -> Span.level e >= level && inside full.sid x)
+      full.cache
   in
   Alcotest.(check int) "a split inside the steward regions passes" 0
-    (List.length (check m (split fine)));
-  match check m (split (List.hd (outside fullest))) with
-  | [] -> Alcotest.fail "cache over its cap not flagged"
+    (List.length (check true (with_fullest (split full fine))));
+  let over = with_fullest (split full (List.hd (outside full))) in
+  Alcotest.(check int) "unbounded passes" 0 (List.length (check false over));
+  match check true over with
+  | [] -> Alcotest.fail "cache over its bound not flagged"
   | fs ->
       List.iter
         (fun (f : Invariants.finding) ->

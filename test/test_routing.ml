@@ -2,8 +2,8 @@
    (the bootstrap placement plus the snode's steward share), derived key
    populations, and the headline property — lookups issued immediately
    after churn, against stale bounded caches, still converge within
-   O(log N) hops while no cache holds more than its cap outside its
-   steward regions. The property runs over 100 seeds. *)
+   O(log N) hops while no cache holds more outside its steward regions
+   than the geometry allows. The property runs over 100 seeds. *)
 
 module Runtime = Dht_snode.Runtime
 module Route = Dht_snode.Route
@@ -61,18 +61,10 @@ let test_population () =
     (Invalid_argument "Keygen.Population.nth: index") (fun () ->
       ignore (Keygen.Population.nth a 1_000_000))
 
-(* The regions snode [sid] of [snodes] stewards, as spans at the finger
-   [level]. *)
-let steward_regions space ~level ~snodes sid =
-  List.filter_map
-    (fun region ->
-      if Fingers.steward ~snodes ~region = sid then
-        Some (Span.make space ~level ~index:region)
-      else None)
-    (List.init (1 lsl level) Fun.id)
-
-let outside regions entries =
-  List.filter (fun (e, _) -> not (List.exists (Span.overlap e) regions)) entries
+(* The cache entries that intersect none of [regions] (region numbers at
+   the finger [level]). *)
+let outside ~level regions entries =
+  List.filter (fun (e, _) -> not (Fingers.meets ~level regions e)) entries
 
 (* A bounded cache holds the bootstrap placement refined only inside the
    regions its snode stewards: after random learns of random-level spans,
@@ -84,6 +76,7 @@ let outside regions entries =
 let prop_steward_share_only =
   let space = Space.default and snodes = 8 in
   let level = Fingers.level ~bits ~snodes in
+  let regions = Fingers.regions ~snodes ~level in
   let bootstrap =
     ( List.init 2 (fun index -> Span.make space ~level:1 ~index),
       Vnode_id.make ~snode:0 ~vnode:0 )
@@ -117,18 +110,18 @@ let prop_steward_share_only =
         learns;
       List.for_all
         (fun sid ->
-          let regions = steward_regions space ~level ~snodes sid in
+          let mine = regions.(sid) in
           let oracle = Point_map.create space in
           List.iter (fun s -> Point_map.add oracle s (snd bootstrap)) (fst bootstrap);
           List.iter
             (fun (span, vid) ->
-              if List.exists (Span.overlap span) regions then
+              if Fingers.meets ~level mine span then
                 Point_map.learn oracle span vid)
             learns;
           let cache = Route.snapshot r sid in
           cache = Point_map.to_list oracle
-          && List.length (outside regions cache)
-             <= 2 + ((level - 1) * List.length regions))
+          && List.length (outside ~level mine cache)
+             <= 2 + ((level - 1) * List.length mine))
         (List.init snodes Fun.id))
 
 (* A placement the cache leaves out still raises the snode's trust
@@ -142,14 +135,12 @@ let test_left_out_placement_raises_trust () =
     Route.create ~space ~pmin:2 ~snodes ~route_cap:8 ~max_hops:4
       ~bootstrap:(List.init 2 (fun index -> Span.make space ~level:1 ~index), vid 0)
   in
-  let regions = steward_regions space ~level ~snodes 0 in
-  let region = List.hd regions in
-  let inside = Span.make space ~level:5 ~index:(Span.index region lsl (5 - level)) in
+  let mine = (Fingers.regions ~snodes ~level).(0) in
+  let inside = Span.make space ~level:5 ~index:(List.hd mine lsl (5 - level)) in
   let far =
     List.find
       (fun index ->
-        let s = Span.make space ~level:9 ~index in
-        not (List.exists (Span.overlap s) regions))
+        not (Fingers.meets ~level mine (Span.make space ~level:9 ~index)))
       (List.init 512 Fun.id)
   in
   Route.learn r 0 inside (vid 3);
@@ -165,13 +156,15 @@ let test_left_out_placement_raises_trust () =
 (* Shared churn harness: grow a cluster with bounded routing, then crash
    a snode, restart it, and land a vnode join — all inside the window the
    lookups are issued in, so they run against stale caches. *)
-let churned_lookups ?(refresh = true) ~snodes ~vnodes ~route_cap ~max_hops ~lookups
-    ~seed () =
+let churned_lookups ?(refresh = true) ~snodes ~vnodes ~max_hops ~lookups ~seed ()
+    =
   let faults = Some (Fault.create ~drop:0. ~seed ()) in
+  (* The smallest accepted [route_cap]: any positive value arms bounded
+     routing. *)
   let rt =
     Runtime.create ~pmin:8
       ~approach:(Runtime.Local { vmin = 4 })
-      ?faults ~route_cap ~max_hops ~snodes ~seed ()
+      ?faults ~route_cap:8 ~max_hops ~snodes ~seed ()
   in
   for i = 1 to vnodes - 1 do
     Runtime.create_vnode rt
@@ -215,7 +208,7 @@ let churned_lookups ?(refresh = true) ~snodes ~vnodes ~route_cap ~max_hops ~look
   (rt, window, !answered)
 
 let test_churn_convergence_100_seeds () =
-  let snodes = 12 and vnodes = 12 and route_cap = 16 and lookups = 40 in
+  let snodes = 12 and vnodes = 12 and lookups = 40 in
   (* The hop bound under test: c·log2 N + k with c = 2, k = 8. [max_hops]
      is far above it so the bound is measured, not enforced by backoff
      truncation. Convergence is a tail property: a walk that lands in a
@@ -228,7 +221,7 @@ let test_churn_convergence_100_seeds () =
   let total = ref 0 and over = ref 0 in
   for seed = 0 to 99 do
     let rt, window, answered =
-      churned_lookups ~snodes ~vnodes ~route_cap ~max_hops:64 ~lookups ~seed ()
+      churned_lookups ~snodes ~vnodes ~max_hops:64 ~lookups ~seed ()
     in
     check Alcotest.int
       (Printf.sprintf "seed %d: every lookup answered" seed)
@@ -240,18 +233,8 @@ let test_churn_convergence_100_seeds () =
           if h > bound then over := !over + c
         end)
       window;
-    (* No cache holds more than the cap outside its steward regions. *)
-    let level = Runtime.route_level rt in
-    List.iter
-      (fun (sv : Runtime.View.snode_view) ->
-        let regions = steward_regions (Runtime.space rt) ~level ~snodes sv.sid in
-        let n = List.length (outside regions sv.cache) in
-        check Alcotest.bool
-          (Printf.sprintf "seed %d: snode %d holds %d entries outside its regions"
-             seed sv.sid n)
-          true (n <= route_cap))
-      (Runtime.view rt).Runtime.View.snodes;
-    (* The audit re-checks coverage and the cap from the outside. *)
+    (* The audit checks coverage, and that no cache holds more entries
+       outside its steward regions than the geometry allows. *)
     (match Dht_check.Invariants.(to_strings (check_runtime rt)) with
     | [] -> ()
     | l -> Alcotest.failf "seed %d: audit: %s" seed (String.concat "; " l))
@@ -266,12 +249,11 @@ let test_churn_convergence_100_seeds () =
    moved with them, and the owners re-file a restarted steward. After the
    churn harness (a join that lands while snode 1 is down, then its
    restart) and its lookups, every steward names the owner of every point
-   of its regions, though some hold more entries there than the cap:
-   the cap bounds only what lies outside them. *)
+   of its regions. *)
 let test_stewards_exact () =
-  let snodes = 16 and vnodes = 48 and route_cap = 16 in
+  let snodes = 16 and vnodes = 48 in
   let rt, _, answered =
-    churned_lookups ~refresh:false ~snodes ~vnodes ~route_cap ~max_hops:64
+    churned_lookups ~refresh:false ~snodes ~vnodes ~max_hops:64
       ~lookups:200 ~seed:7 ()
   in
   check Alcotest.int "every lookup answered" 200 answered;
@@ -285,15 +267,12 @@ let test_stewards_exact () =
           sv.vnodes)
       view.snodes
   in
+  let regions = Fingers.regions ~snodes ~level in
   check Alcotest.bool "the restarted snode stewards a region" true
-    (steward_regions space ~level ~snodes 1 <> []);
-  let widest = ref 0 in
+    (regions.(1) <> []);
   List.iter
     (fun (sv : Runtime.View.snode_view) ->
       let sd = sv.sid in
-      let regions = steward_regions space ~level ~snodes sd in
-      let share = List.length sv.cache - List.length (outside regions sv.cache) in
-      widest := Int.max !widest share;
       List.iter
         (fun r ->
           List.iter
@@ -308,11 +287,8 @@ let test_stewards_exact () =
                           (Vnode_id.to_string ev) (Vnode_id.to_string owner))
                   parts)
             sv.cache)
-        regions)
-    view.snodes;
-  check Alcotest.bool
-    (Printf.sprintf "a steward share of %d entries exceeds the cap" !widest)
-    true (!widest > route_cap)
+        (List.map (fun index -> Span.make space ~level ~index) regions.(sd)))
+    view.snodes
 
 let test_legacy_unbounded_by_default () =
   (* route_cap = 0 keeps the legacy path: no probes counted, caches free
@@ -329,7 +305,7 @@ let test_legacy_unbounded_by_default () =
   check Alcotest.int "no hits counted" 0 stats.Runtime.rcs_hits;
   check Alcotest.int "no misses counted" 0 stats.Runtime.rcs_misses;
   check Alcotest.int "legacy default max_hops" 4 (Runtime.max_hops rt);
-  check Alcotest.int "cap reads back as 0" 0 (Runtime.route_cap rt)
+  check Alcotest.bool "bounded routing off" false (Runtime.route_bounded rt)
 
 let test_create_validation () =
   Alcotest.check_raises "cap below pmin refused"
@@ -361,8 +337,6 @@ let test_routing_scaling_smoke () =
   check Alcotest.bool
     (Printf.sprintf "p99 hops %.1f within 2·log2 N = %.1f" r.rs_hops_p99 bound)
     true (r.rs_hops_p99 <= bound);
-  check Alcotest.bool "cache bounded" true
-    (r.rs_cache_entries_max <= r.rs_cap);
   check Alcotest.bool "messages per op finite and positive" true
     (r.rs_msgs_per_op > 0. && Float.is_finite r.rs_msgs_per_op);
   check (Alcotest.list Alcotest.string) "battery clean" [] r.rs_findings;
@@ -381,6 +355,21 @@ let test_routing_cliff_pinned () =
   check Alcotest.int "hops_max (max_hops 32)" 3 r.rs_hops_max;
   check Alcotest.string "msgs_per_op" "5.972"
     (Printf.sprintf "%.3f" r.rs_msgs_per_op)
+
+(* [route_cap]'s value bounds nothing: the same sweep point at the
+   smallest accepted value (Pmin = 8) routes exactly as at the default
+   128, and its battery, which bounds each cache's entries outside its
+   steward regions by the geometry, stays clean. *)
+let test_smallest_cap () =
+  let r =
+    Dht_experiments.Extensions.routing_scaling ~snodes:100 ~route_cap:8 ~seed:2004 ()
+  in
+  let open Dht_experiments.Extensions in
+  check Alcotest.string "msgs_per_op as at cap 128" "5.972"
+    (Printf.sprintf "%.3f" r.rs_msgs_per_op);
+  check Alcotest.int "cache_entries_max as at cap 128" 51 r.rs_cache_entries_max;
+  check (Alcotest.list Alcotest.string) "battery clean" [] r.rs_findings;
+  check (Alcotest.list Alcotest.string) "durability clean" [] r.rs_linear
 
 (* Without churn every walk is origin, steward, owner: at most one
    diversion, at most three hops, however stale the origin's entry. *)
@@ -414,4 +403,6 @@ let suite =
       test_routing_cliff_pinned;
     Alcotest.test_case "no-churn walks take at most 3 hops (n100)" `Slow
       test_two_hop_walks;
+    Alcotest.test_case "the smallest accepted cap passes the battery (n100)" `Slow
+      test_smallest_cap;
   ]
