@@ -18,6 +18,7 @@ let create () =
     dispatched = 0; max_pending = 0; horizon = infinity }
 
 let now t = t.clock.now
+let clock t = t.clock
 
 (* Queue [f] at [time] and return its payload slot. Inlined, like [at], so
    the time reaches the heap unboxed. *)

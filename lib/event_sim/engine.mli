@@ -35,6 +35,14 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time (seconds by convention). *)
 
+type clock = private { mutable now : float }
+(** The virtual clock, a flat float record that only the engine writes. *)
+
+val clock : t -> clock
+(** The engine's clock: [(clock t).now] is [now t], read in place, so a
+    caller that adds a delay to it and stores the sum in a flat record
+    boxes nothing even where [now] is not inlined. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
     @raise Invalid_argument if [delay < 0.] or is not finite. *)

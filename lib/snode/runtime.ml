@@ -42,14 +42,20 @@ type vnode_local = {
    [q_need] distinct snodes are heard: for a write, snodes that stored a
    copy (sloppy W: hinted fallbacks count); for a read or a leg, repliers.
    A read keeps each replier's cell, parallel to [q_heard], and resolves
-   by LWW. *)
+   by LWW. A fault-free read asks only R members at first and keeps which
+   ones, a bit per position in [q_set]. *)
 type qkind =
   | Q_put of {
       q_cell : Versioned.cell;
       mutable q_hint : int;  (* queue slot of the hinted-handoff timer *)
       mutable q_fire : unit -> unit;  (* the closure [q_hint] holds *)
     }
-  | Q_get of { mutable q_cells : Versioned.cell option list }
+  | Q_get of {
+      mutable q_cells : Versioned.cell option list;
+      mutable q_asked : int;  (* positions asked, a bit each; -1: all *)
+      mutable q_slot : int;  (* queue slot of the fallback timer, or -1 *)
+      mutable q_ask : unit -> unit;  (* the closure [q_slot] holds *)
+    }
   | Q_leg of { q_range : rstate; q_hi : int }
       (* one partition's clipped sub-range, [q_point, q_hi) *)
 
@@ -779,16 +785,18 @@ and start_qput t sn ~token ~key ~point ~set cell =
           ~time:(Engine.now t.engine +. handoff_timeout)
           p.q_fire
   | Q_get _ | Q_leg _ -> ());
-  fan_out t sn q (Wire.Repl_put { token; key; point; cell }) set
+  ask t sn q (Wire.Repl_put { token; key; point; cell }) (-1) 0 set
 
-(* Ask each member of [q]'s replica set, in set order: the others by
-   [msg], ourselves by answering on the spot. *)
-and fan_out t sn q msg = function
+(* Ask the members of [q]'s replica set, from position [i] on, whose
+   position has a bit in [mask] (every member when [mask] is -1), in set
+   order: the others by [msg], ourselves by answering on the spot. *)
+and ask t sn q msg mask i = function
   | [] -> ()
   | sid :: rest ->
-      if sid = sn.sid then answer_local t sn q
-      else send t ~src:sn.sid ~dst:sid msg;
-      fan_out t sn q msg rest
+      if mask = -1 || mask land (1 lsl i) <> 0 then
+        if sid = sn.sid then answer_local t sn q
+        else send t ~src:sn.sid ~dst:sid msg;
+      ask t sn q msg mask (i + 1) rest
 
 and answer_local t sn q =
   let point = q.q_point and key = q.q_key in
@@ -910,13 +918,72 @@ and qput_deadline t sn q =
       qput_finalize t sn q
     end
 
+(* A get asks its replica set. Under a fault plan it asks every member:
+   the spare request is insurance against loss, jitter and a crash nobody
+   has detected yet (asking only R there made the slower of two replies
+   lose to the second of three, and stalled reads on a crash-stopped
+   replica for hundreds of milliseconds). Without one it asks R members
+   (Dynamo's R-of-N read): ourselves, when we hold a replica, and the
+   others whose envelopes leave soonest. If the quorum is still open
+   after [handoff_timeout], the rest are asked too, so a crash-stopped
+   replica among the first R delays the read instead of stranding it. *)
 and start_qget t sn ~token ~key ~point ~set =
   let q =
     open_quorum ~ctx:t.cur ~token ~key ~point ~set ~need:t.read_quorum
-      (Q_get { q_cells = [] })
+      (Q_get { q_cells = []; q_asked = -1; q_slot = -1; q_ask = ignore })
   in
   Hashtbl.replace sn.quorums token q;
-  fan_out t sn q (Wire.Repl_get { token; key; point }) set
+  let msg = Wire.Repl_get { token; key; point } in
+  let n = List.length set in
+  match q.q_kind with
+  | Q_get g when t.faults = None && n < Sys.int_size - 1 ->
+      let local = if List.mem sn.sid set then 1 else 0 in
+      g.q_asked <- soonest t sn ~set (t.read_quorum - local) 0 0 set;
+      ask t sn q msg g.q_asked 0 set;
+      if (not q.q_done) && g.q_asked <> (1 lsl n) - 1 then begin
+        g.q_ask <- (fun () -> qget_fallback t sn q);
+        g.q_slot <-
+          Engine.push t.engine
+            ~time:(Engine.now t.engine +. handoff_timeout)
+            g.q_ask
+      end
+  | _ -> ask t sn q msg (-1) 0 set
+
+(* [mask] plus a bit for each position of [set], from [i] on, that a
+   fault-free get asks: our own, and the [k] other members whose
+   envelopes leave soonest ({!Transport.departs_before}), ties in set
+   order. Plain recursion over the list, so choosing allocates nothing. *)
+and soonest t sn ~set k mask i = function
+  | [] -> mask
+  | sid :: rest ->
+      let pick = sid = sn.sid || ahead t sn ~d:sid ~di:i 0 0 set < k in
+      let mask = if pick then mask lor (1 lsl i) else mask in
+      soonest t sn ~set k mask (i + 1) rest
+
+(* [n] plus how many members of the set, from position [j] on, other than
+   us leave before [d], which sits at position [di]. *)
+and ahead t sn ~d ~di n j = function
+  | [] -> n
+  | sid :: rest ->
+      let before =
+        sid <> sn.sid && j <> di
+        && (Transport.departs_before t.tr ~src:sn.sid sid d
+           || (j < di && not (Transport.departs_before t.tr ~src:sn.sid d sid)))
+      in
+      ahead t sn ~d ~di (if before then n + 1 else n) (j + 1) rest
+
+(* The fallback timer of a fault-free get fired with its quorum still
+   open: ask the members not asked yet. *)
+and qget_fallback t sn q =
+  match q.q_kind with
+  | Q_get g when sn.alive && Hashtbl.mem sn.quorums q.q_token ->
+      let mask = lnot g.q_asked in
+      g.q_asked <- -1;
+      with_ctx t q.q_ctx @@ fun () ->
+      ask t sn q
+        (Wire.Repl_get { token = q.q_token; key = q.q_key; point = q.q_point })
+        mask 0 q.q_set
+  | _ -> ()
 
 and qget_record t sn q sid cell =
   match q.q_kind with
@@ -960,6 +1027,8 @@ and qget_record t sn q sid cell =
                 q.q_heard g.q_cells);
           settle t ~tid:sn.sid ~token:q.q_token
             (Answered (`Qget, Option.map (fun c -> c.Versioned.value) winner));
+          (* As [qput_finalize]: the fallback's entry stops holding [q]. *)
+          if g.q_slot >= 0 then Engine.clear t.engine g.q_slot g.q_ask;
           Hashtbl.remove sn.quorums q.q_token
         end
       end
@@ -1004,7 +1073,7 @@ and start_range t sn ~token ~lo ~hi =
       (Point_map.to_list sn.rmap)
   in
   if st.r_open = 0 then finish_range t sn st
-  else List.iter (fun (leg, msg) -> fan_out t sn leg msg leg.q_set) legs
+  else List.iter (fun (leg, msg) -> ask t sn leg msg (-1) 0 leg.q_set) legs
 
 and leg_record t sn q ~sid cells =
   match q.q_kind with

@@ -92,8 +92,11 @@ val create :
     second (a constant). The plan's crash schedule is installed on
     the engine ({!Fault.crash_plan}); every crash must name a restart time
     or retransmission toward the dead snode never ends. Without [faults]
-    the runtime behaves {e exactly} as before: same messages, same bytes,
-    same clock, same random draws.
+    remote messages go unframed, with no acks, timers or retransmissions.
+    Two rules then differ from a run under a fault plan: a replicated get
+    asks only [read_quorum] replicas at first (below), and with a linger
+    window a delivery releases at once what the receiver staged toward
+    its sender (below).
 
     The graceful-degradation knobs all default to off, leaving the legacy
     behaviour bit-for-bit intact. [rto], [retry_budget], [adaptive_rto],
@@ -135,8 +138,14 @@ val create :
     quorum rounds from the issuing snode: a put completes after
     [write_quorum] replicas store the versioned cell, a get after
     [read_quorum] replicas answer (the freshest version wins and stale
-    repliers are read-repaired). [read_quorum + write_quorum > rfactor] is
-    enforced ({!Dht_core.Params.check_quorum}). A put still short of W
+    repliers are read-repaired). Under a fault plan a get asks every
+    replica. Without one it asks [read_quorum] of them: itself when it
+    holds a replica, and the others whose envelopes leave soonest
+    ({!Transport.departs_before}; ties in replica-set order). If the
+    quorum is still open after the 20 ms handoff timeout below, it asks
+    the rest. Range legs ask every replica.
+    [read_quorum + write_quorum > rfactor] is enforced
+    ({!Dht_core.Params.check_quorum}). A put still short of W
     after a constant 20 ms handoff timeout hints the silent replicas'
     copies to their ring successors (sloppy quorum); the fallback drains
     the hint to its owner when it restarts. A put that cannot assemble W
@@ -153,9 +162,11 @@ val create :
     staged there as a single {!Wire.Batch} envelope, amortizing the fixed
     envelope cost. The buffer is held [linger] seconds of virtual time
     while its destination owes an ack, and otherwise only until the
-    staging event ends; without a fault plan nothing is acknowledged, so
-    every buffer is held the full window. Per-(src, dst) delivery order is
-    preserved —
+    staging event ends. Without a fault plan nothing is acknowledged, so
+    a buffer is held the full window, unless a delivery from its
+    destination releases it first: once that delivery has run, what was
+    staged toward the sender leaves at once, the replies it provoked
+    included. Per-(src, dst) delivery order is preserved —
     a batch is the FIFO prefix of the stream. Under a fault plan the
     batch's protocol messages share one [Req] frame (one sequence number,
     one retransmission timer, one ack for the whole batch) and acks become

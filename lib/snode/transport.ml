@@ -115,10 +115,10 @@ type peer = {
 (* Per-destination transmission-coalescing buffer: protocol messages (and
    piggybacked acks) addressed to one peer wait here, then leave as a
    single envelope ([Wire.Batch]): for one linger window while the peer
-   owes an ack (or there is no fault plan), else only until the event
-   that staged them ends. Staged parts are modelled as durable, like the
-   reliable outbox they feed; only the flush timer dies with a crash
-   (restart re-arms it).
+   owes an ack (or, without a fault plan, until a delivery from the peer
+   has run), else only until the event that staged them ends. Staged
+   parts are modelled as durable, like the reliable outbox they feed;
+   only the flush timer dies with a crash (restart re-arms it).
 
    A buffer is its own flush timer, like an outbox entry (armed flag,
    flat deadline, one closure made with it), with no slot: a buffer lives
@@ -634,13 +634,27 @@ and relay_for tr ep ~dst msg =
 and transmit_raw tr ~src ~dst msg =
   wire tr ~src ~dst ~attempt:1 ~bytes:(Wire.size_bytes msg) msg
 
-(* [msg] onto the simulated network, delivered to [dst]'s [receive], its
+(* [msg] onto the simulated network, delivered to [dst]'s [arrive], its
    traced edges logged as sent for the [attempt]-th time: the transport's
    one network send. *)
 and wire tr ~src ~dst ~attempt ~bytes msg =
   (match tr.xmit with Some f -> f ~tid:src ~attempt msg | None -> ());
   Network.send tr.net ~tag:(Wire.describe msg) ~src ~dst ~bytes (fun () ->
-      receive tr tr.eps.(dst) ~from:src msg)
+      arrive tr ~src ~dst msg)
+
+(* One envelope from [src] lands at [dst]. Without a fault plan nothing is
+   acknowledged, so no ack can tell [dst] when to answer: once the
+   delivery has run, whatever [dst] staged toward [src] leaves at once, as
+   one envelope holding the replies this delivery provoked and anything
+   staged before them. Per-(src, dst) order is kept, as the buffer leaves
+   whole. Under a fault plan the hold rule of [stage] decides. *)
+and arrive tr ~src ~dst msg =
+  let ep = tr.eps.(dst) in
+  receive tr ep ~from:src msg;
+  if not tr.reliable then begin
+    let ob = Bound.find ep.obufs src in
+    if ep.up && ob.ob_parts <> [] then flush_now tr ep ob
+  end
 
 (* ---------------- transmission batching ---------------- *)
 
@@ -649,9 +663,10 @@ and wire tr ~src ~dst ~attempt ~bytes msg =
    (Nagle's rule) at the current instant, after the event staging it, so
    whatever that event stages toward [dst] (an ack and the reply its
    delivery provoked, say) still leaves as one envelope. Without a fault
-   plan nothing is ever acknowledged, so every first part waits the
-   window. A new cumulative ack supersedes any staged ack it covers, so an
-   envelope never carries redundant acks. *)
+   plan nothing is ever acknowledged, so a first part waits the window,
+   unless a delivery from [dst] releases it first ([arrive]). A new
+   cumulative ack supersedes any staged ack it covers, so an envelope
+   never carries redundant acks. *)
 and stage tr ep ob msg =
   (match msg with
   | Wire.Ack { floor; _ } ->
@@ -689,11 +704,12 @@ and owes_nothing ep dst =
   | exception Not_found -> true
 
 (* Arm [ob]'s flush [delay] from now, superseding any earlier arming. The
-   latest arming's queue entry always acts; the deadline only tells an
-   older arming still queued whether it is due with the latest one, so it
-   is written only then. *)
+   latest arming's queue entry always acts; the deadline tells an older
+   arming still queued whether it is due with the latest one, and
+   [departs_before] when the buffer leaves. The clock is read in place,
+   so writing the deadline boxes nothing. *)
 and arm_flush tr ob ~delay =
-  if ob.ob_queued > 0 then ob.ob_due.at <- Engine.now tr.engine +. delay;
+  ob.ob_due.at <- (Engine.clock tr.engine).now +. delay;
   ob.ob_armed <- true;
   ob.ob_queued <- ob.ob_queued + 1;
   Engine.schedule tr.engine ~delay ob.ob_fire
@@ -747,6 +763,12 @@ and release ep ob =
   Bound.unbind ep.obufs ob.ob_dst;
   ob.ob_dst <- -1;
   Buffers.give ep.buffers ob
+
+(* A flush before the timer's: the buffer is disarmed first, so its queued
+   arming finds it empty and gives it back. *)
+and flush_now tr ep ob =
+  ob.ob_armed <- false;
+  flush_obuf tr ep ob
 
 (* Everything staged toward one destination leaves as one envelope: raw on
    a reliable network; under faults the protocol parts share one [Req]
@@ -1103,6 +1125,17 @@ and land_relay tr ep ~fresh r =
     on_ack tr ep ~from:(r / n mod n) ~seq:floor ~floor ~sample:false
   else if fresh then ep.carry <- r
 
+(* When a message [ep] stages now toward [dst] leaves: at the deadline of
+   its armed buffer, else one linger window from now. *)
+let[@inline] departure tr ep dst =
+  let ob = Bound.find ep.obufs dst in
+  if ob.ob_armed then ob.ob_due.at
+  else (Engine.clock tr.engine).now +. tr.linger
+
+let departs_before tr ~src a b =
+  let ep = tr.eps.(src) in
+  departure tr ep a < departure tr ep b
+
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery                                                   *)
 
@@ -1167,11 +1200,7 @@ let flush_lingering tr =
   Array.iter
     (fun ep ->
       if ep.up then
-        List.iter
-          (fun (_, ob) ->
-            ob.ob_armed <- false;
-            flush_obuf tr ep ob)
-          (Bound.sorted ep.obufs))
+        List.iter (fun (_, ob) -> flush_now tr ep ob) (Bound.sorted ep.obufs))
     tr.eps
 
 (* Outbox plus backlog lengths over all peers; a backlogged message is

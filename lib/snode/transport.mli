@@ -6,11 +6,15 @@
 
     - {b batching}: with a positive [linger], remote messages stage in a
       per-destination coalescing buffer and leave as a single
-      {!Wire.Batch} envelope; per-(src, dst) order is kept. The buffer is
-      held one window while the destination has frames unacknowledged
-      (always, without a fault plan, as nothing is acknowledged there);
-      toward a destination that owes nothing it leaves at the current
-      instant, once the event that staged it is done (Nagle's rule);
+      {!Wire.Batch} envelope; per-(src, dst) order is kept. Under a
+      fault plan the buffer is held one window while the destination has
+      frames unacknowledged; toward a destination that owes nothing it
+      leaves at the current instant, once the event that staged it is
+      done (Nagle's rule). Without a fault plan nothing is acknowledged:
+      a buffer is held one window, unless a delivery from its destination
+      releases it first. Once that delivery has run, what was staged
+      toward the sender leaves at once, the replies it provoked
+      included;
     - {b reliable delivery}: when the network has a fault plan, every
       remote message is framed in a {!Wire.Req} with a per-peer sequence
       number, deduplicated at the receiver, acknowledged cumulatively
@@ -111,6 +115,13 @@ val restart : t -> int -> unit
     (through the window when it is bounded) and staged buffers re-arm
     their flush timers by the hold rule staging uses, in ascending
     destination order. *)
+
+val departs_before : t -> src:int -> int -> int -> bool
+(** [departs_before tr ~src a b]: a message [src] stages now toward [a]
+    leaves before one toward [b]. A destination whose coalescing buffer
+    is armed leaves at that buffer's flush deadline, any other one a
+    linger window from now; a tie (batching off, say) is [false] both
+    ways. *)
 
 val flush_lingering : t -> unit
 (** Force every up endpoint's staged coalescing buffers onto the wire now,

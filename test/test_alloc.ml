@@ -394,6 +394,47 @@ let test_relay_budget () =
     Alcotest.failf "a relayed walk costs %.1f words, one with its ack alone %.1f"
       relayed alone
 
+(* One fault-free quorum get, issued and run to quiescence: a snode
+   outside the key's replica set reads it, rfactor 3 with R = 2, under a
+   coalescing window. It chooses the two replicas whose envelopes leave
+   soonest, asks them, and arms a fallback timer at [handoff_timeout],
+   cleared when the second reply lands. After the warm-up gets that find
+   that snode, every get reuses the pooled buffers and the grown event
+   heap. *)
+let test_qget_budget () =
+  let rt =
+    Runtime.create ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~snodes:4
+      ~linger:Network.gigabit.Network.base_latency ~seed:2004 ()
+  in
+  Runtime.put rt ~key:"k" ~value:"v" ();
+  Runtime.run rt;
+  let net = Runtime.network rt in
+  let via =
+    (* A snode outside the key's replica set, found by the get that
+       sends two requests. *)
+    let rec find via =
+      Network.reset_counters net;
+      Runtime.get rt ~via ~key:"k" ignore;
+      Runtime.run rt;
+      if Network.messages net = 4 then via else find (via + 1)
+    in
+    find 0
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Runtime.get rt ~via ~key:"k" ignore;
+    Runtime.run rt
+  done;
+  let w1 = Gc.minor_words () in
+  (* 232 words: the client's op and callback, two requests and replies
+     through the coalescing buffers and the network, the quorum state and
+     the fallback timer's closure and boxed deadline. Choosing the two
+     allocates nothing; a choice that copies the three-member set into a
+     list alone adds 9. Asking all three, without a fallback, read 277. *)
+  within "fault-free quorum get" ~budget:232. w0 w1;
+  check Alcotest.int "no operation pending" 0 (Runtime.pending_operations rt);
+  check Alcotest.(list string) "queues sound" [] (Runtime.queue_audit rt)
+
 (* ---------------- retained-memory budgets ---------------- *)
 
 (* Budgets on what a drained runtime keeps, counted two ways: as
@@ -537,6 +578,8 @@ let suite =
       test_restage_budget;
     Alcotest.test_case "budget: a relayed ack costs no more than its envelope"
       `Quick test_relay_budget;
+    Alcotest.test_case "budget: a fault-free quorum get" `Quick
+      test_qget_budget;
     Alcotest.test_case "retained: words per held cell" `Quick test_cell_retained;
     Alcotest.test_case "retained: words per idle peer" `Quick
       test_idle_peer_retained;

@@ -7,6 +7,7 @@ module Wire = Dht_snode.Wire
 module Engine = Dht_event_sim.Engine
 module Network = Dht_event_sim.Network
 module Rng = Dht_prng.Rng
+module Transport = Dht_snode.Transport
 
 let check = Alcotest.check
 
@@ -242,6 +243,60 @@ let test_batching_collapses_fanout () =
   check Alcotest.bool "envelopes carry multiple parts" true (b1 > 0 && parts > 2 * b1);
   check Alcotest.bool "envelope bytes saved accounted" true (saved > 0)
 
+(* --- a delivery releases what was staged toward its sender --- *)
+
+(* Without a fault plan nothing is acknowledged. Snode 1 stages a part
+   toward snode 0; snode 0's request then lands at snode 1, whose delivery
+   answers snode 0 and also sends to snode 2. Once that delivery has run,
+   what snode 1 staged toward snode 0 leaves as one envelope, the earlier
+   part first, at the delivery's instant. The part toward snode 2 still
+   waits its window. *)
+let test_delivery_releases_replies () =
+  let engine = Engine.create () in
+  let net = Network.create engine Network.gigabit in
+  let window = 1e-3 in
+  let busy token = Wire.Busy { token } in
+  let self = ref None and sent = ref [] and got = ref [] and at = ref nan in
+  let tr =
+    Transport.create engine net ~rngs:(Array.init 3 Rng.of_int) ~rto:1e-3
+      ~retry_budget:0 ~adaptive_rto:false ~max_inflight:0 ~linger:window
+      ~metrics:None ~trace:Dht_telemetry.Trace.noop
+      ~xmit:(Some (fun ~tid ~attempt:_ msg ->
+                 sent := (Engine.now engine, tid, msg) :: !sent))
+      ~deliver:(fun ~dst ~from:_ msg ->
+        got := (dst, msg) :: !got;
+        if msg = busy 10 then begin
+          at := Engine.now engine;
+          let tr = Option.get !self in
+          Transport.send tr ~src:1 ~dst:0 (busy 2);
+          Transport.send tr ~src:1 ~dst:2 (busy 3)
+        end)
+  in
+  self := Some tr;
+  (* The request leaves one window out and lands before snode 1's part
+     toward snode 0, staged half a window later, is due. *)
+  Transport.send tr ~src:0 ~dst:1 (busy 10);
+  Engine.schedule engine ~delay:(window /. 2.) (fun () ->
+      Transport.send tr ~src:1 ~dst:0 (busy 1));
+  Engine.run engine;
+  let from_1 = List.rev (List.filter (fun (_, tid, _) -> tid = 1) !sent) in
+  check Alcotest.bool "the request landed before the part was due" true
+    (!at < 1.5 *. window);
+  (match from_1 with
+  | [ (t0, _, m0); (t2, _, m2) ] ->
+      check Alcotest.(float 0.) "the answer leaves at the delivery's instant"
+        !at t0;
+      check Alcotest.bool "one envelope, earlier part first" true
+        (m0 = Wire.Batch [ busy 1; busy 2 ]);
+      check Alcotest.(float 1e-12) "the part toward a third snode waits"
+        (!at +. window) t2;
+      check Alcotest.bool "and goes alone" true (m2 = busy 3)
+  | l -> Alcotest.failf "snode 1 sent %d envelopes, not 2" (List.length l));
+  check Alcotest.bool "snode 0 reads its parts in send order" true
+    (List.filter (fun (dst, _) -> dst = 0) (List.rev !got)
+    = [ (0, busy 1); (0, busy 2) ]);
+  check Alcotest.(list string) "pool sound" [] (Transport.audit tr)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_batch_size_exact;
@@ -257,4 +312,6 @@ let suite =
       test_read_repair_through_batching;
     Alcotest.test_case "quorum fan-out coalesces" `Quick
       test_batching_collapses_fanout;
+    Alcotest.test_case "a delivery releases its replies at once" `Quick
+      test_delivery_releases_replies;
   ]

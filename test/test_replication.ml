@@ -11,6 +11,7 @@ module Network = Dht_event_sim.Network
 module Rng = Dht_prng.Rng
 module Registry = Dht_telemetry.Registry
 module Trace = Dht_telemetry.Trace
+module Span = Dht_hashspace.Span
 
 let check = Alcotest.check
 
@@ -294,6 +295,100 @@ let test_unmeetable_quorum_fails () =
   check Alcotest.bool "write not acknowledged" false !acked;
   check Alcotest.int "operation settled, not stranded" 0
     (Runtime.pending_operations rt)
+
+(* --- Fault-free reads ask R replicas --- *)
+
+(* The replica set [via] resolves for [key], read from its view. *)
+let replica_set rt ~via key =
+  let space = Runtime.space rt in
+  let point = Dht_hashes.Hash.string space key in
+  let sn =
+    List.find (fun s -> s.Runtime.View.sid = via) (Runtime.view rt).snodes
+  in
+  snd
+    (List.find
+       (fun (span, _) ->
+         Span.start space span <= point && point < Span.stop space span)
+       sn.rmap)
+
+(* An rfactor-3, R = W = 2 cluster grown to two vnodes per snode, so
+   replica sets differ by key. *)
+let grown ?faults ~snodes ~seed () =
+  let rt =
+    Runtime.create ?faults ~pmin:8
+      ~approach:(Runtime.Local { vmin = 4 })
+      ~rfactor:3 ~read_quorum:2 ~write_quorum:2 ~snodes ~seed ()
+  in
+  for i = 1 to (2 * snodes) - 1 do
+    Runtime.create_vnode rt
+      ~id:(Vnode_id.make ~snode:(i mod snodes) ~vnode:(i / snodes))
+      ()
+  done;
+  Runtime.run rt;
+  rt
+
+(* Remote [Repl_get] requests, counted by [Network.per_tag]: a coordinator
+   answers itself when it holds a replica, and asks R - 1 or R others
+   without a fault plan, every other member under one. *)
+let test_read_fanout_width () =
+  let asks ~faults =
+    let faults = if faults then Some (Runtime.Fault.create ~seed:31 ()) else None in
+    let rt = grown ?faults ~snodes:8 ~seed:31 () in
+    let key i = Printf.sprintf "w%d" i in
+    for i = 0 to 39 do
+      Runtime.put rt ~via:(i mod 8) ~key:(key i) ~value:(string_of_int i) ()
+    done;
+    Runtime.run rt;
+    let net = Runtime.network rt in
+    Network.reset_counters net;
+    let expected = ref 0 and wrong = ref 0 in
+    for i = 0 to 39 do
+      let via = i * 3 mod 8 in
+      let set = replica_set rt ~via (key i) in
+      let asked = if faults = None then 2 else List.length set in
+      expected := !expected + asked - if List.mem via set then 1 else 0;
+      Runtime.get rt ~via ~key:(key i) (fun v ->
+          if v <> Some (string_of_int i) then incr wrong)
+    done;
+    Runtime.run rt;
+    check Alcotest.int "every get reads its value" 0 !wrong;
+    let tag = if faults = None then "repl:get" else "req:repl:get" in
+    let sent =
+      List.fold_left
+        (fun acc (t, m, _) -> if t = tag then acc + m else acc)
+        0 (Network.per_tag net)
+    in
+    (!expected, sent)
+  in
+  let expected, sent = asks ~faults:false in
+  check Alcotest.int "R replicas per get without a fault plan" expected sent;
+  let expected, sent = asks ~faults:true in
+  check Alcotest.int "rfactor replicas per get under a fault plan" expected
+    sent
+
+(* A crash-stopped replica without a fault plan: a get that asked it
+   among its R waits out [handoff_timeout], then asks the members it has
+   not asked, so every get settles with its value. Without that fallback
+   some gets stay pending forever. *)
+let test_targeted_read_falls_back () =
+  let rt = grown ~snodes:6 ~seed:41 () in
+  let key i = Printf.sprintf "f%d" i in
+  for i = 0 to 39 do
+    Runtime.put rt ~via:(i mod 6) ~key:(key i) ~value:(string_of_int i) ()
+  done;
+  Runtime.run rt;
+  Runtime.crash_snode rt 3;
+  let live = [| 0; 1; 2; 4; 5 |] in
+  let answered = ref 0 and wrong = ref 0 in
+  for i = 0 to 39 do
+    Runtime.get rt ~via:live.(i mod 5) ~key:(key i) (fun v ->
+        incr answered;
+        if v <> Some (string_of_int i) then incr wrong)
+  done;
+  Runtime.run rt;
+  check Alcotest.int "every get settles" 40 !answered;
+  check Alcotest.int "with its value" 0 !wrong;
+  check Alcotest.int "no operation pending" 0 (Runtime.pending_operations rt)
 
 (* --- Hinted handoff --- *)
 
@@ -704,6 +799,10 @@ let suite =
       test_unmeetable_quorum_fails;
     Alcotest.test_case "quorum: a doubled reply counts once" `Quick
       test_duplicate_reply_counted_once;
+    Alcotest.test_case "quorum: R replicas per fault-free get" `Quick
+      test_read_fanout_width;
+    Alcotest.test_case "quorum: a targeted get falls back past a crash"
+      `Quick test_targeted_read_falls_back;
     Alcotest.test_case "hinted handoff across a crash" `Quick
       test_hinted_handoff;
     Alcotest.test_case "hinted handoff: same key twice" `Quick
